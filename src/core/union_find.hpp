@@ -26,13 +26,15 @@ public:
         return x;
     }
 
-    void unite(std::uint32_t a, std::uint32_t b) noexcept {
+    /// Merges the sets of a and b; returns the root of the merged set.
+    std::uint32_t unite(std::uint32_t a, std::uint32_t b) noexcept {
         a = find(a);
         b = find(b);
-        if (a == b) return;
+        if (a == b) return a;
         if (size_[a] < size_[b]) std::swap(a, b);
         parent_[b] = a;
         size_[a] += size_[b];
+        return a;
     }
 
     std::uint32_t element_count() const noexcept {

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/gfa_util.hpp"
@@ -15,7 +14,6 @@ namespace pgl::graph {
 
 namespace {
 
-using gfa_detail::chomp;
 using gfa_detail::split_tabs;
 
 [[noreturn]] void fail(std::size_t line_no, const std::string& what) {
@@ -41,22 +39,19 @@ struct PendingPath {
 
 VariationGraph read_gfa(std::istream& in) {
     VariationGraph g;
-    gfa_detail::NameTable<NodeId> name_to_id;
+    gfa_detail::NameTable names;
     std::vector<PendingLink> links;
     std::vector<PendingPath> paths;
+    std::vector<std::string_view> fields;
 
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        chomp(line);  // CRLF / trailing-whitespace tolerance
-        if (line.empty() || line[0] == '#') continue;
-        const auto fields = split_tabs(line);
+    gfa_detail::for_each_line(in, [&](std::string_view line, std::size_t line_no) {
+        if (line.empty() || line[0] == '#') return;
+        split_tabs(line, fields);
         switch (line[0]) {
             case 'S': {
                 if (fields.size() < 3) fail(line_no, "S record needs 3 fields");
                 const std::string name(fields[1]);
-                if (name_to_id.contains(name)) fail(line_no, "duplicate segment " + name);
+                if (!names.insert(name)) fail(line_no, "duplicate segment " + name);
                 if (fields[2] == "*") {
                     // Sequence-free GFAs carry the length as an LN:i: tag;
                     // record the length, never synthesize sequence bytes.
@@ -64,10 +59,9 @@ VariationGraph read_gfa(std::istream& in) {
                     for (std::size_t f = 3; f < fields.size(); ++f) {
                         if (gfa_detail::parse_ln_tag(fields[f], len)) break;
                     }
-                    name_to_id.emplace(name, g.add_node_sequence_free(len, name));
+                    g.add_node_sequence_free(len, name);
                 } else {
-                    name_to_id.emplace(name,
-                                       g.add_node(std::string(fields[2]), name));
+                    g.add_node(std::string(fields[2]), name);
                 }
                 break;
             }
@@ -97,14 +91,15 @@ VariationGraph read_gfa(std::istream& in) {
             default:
                 break;  // H, C and friends are not needed for layout
         }
-    }
+    });
 
+    // Segment ids are dense in S-record order in both the table and g.
     const auto lookup = [&](std::string_view name, std::size_t at) -> NodeId {
-        const auto it = name_to_id.find(name);
-        if (it == name_to_id.end()) {
+        const NodeId id = names.find(name);
+        if (id == gfa_detail::NameTable::kNone) {
             fail(at, "unknown segment " + std::string(name));
         }
-        return it->second;
+        return id;
     };
 
     for (const PendingLink& l : links) {

@@ -11,13 +11,17 @@
 //                       P / W records -> streamed step-by-step into the
 //                       builder (no per-path step vector is ever built).
 //
-// Peak memory is the LeanGraph itself plus the name table and two u32 words
-// per node for the union-find — roughly half the rich-graph route on
-// path-heavy graphs. The union-find doubles as the partition-ready
-// adjacency: LeanIngest carries dense component labels computed exactly
-// like partition::label_components on the rich graph (edges + path steps,
-// numbered by smallest node id), so `--partition` runs byte-identically
-// from either ingestion route.
+// Both passes read the stream in fixed 64 KiB blocks
+// (gfa_detail::for_each_line), and segment names resolve through an
+// open-addressing table whose names live in one byte arena
+// (gfa_detail::NameTable), looked up in prefetched batches. Peak ingest memory is therefore the LeanGraph
+// (16 bytes per step, 4 per node), plus the name arena and its slots, plus
+// one block, plus the longest line that crosses a block boundary, plus two
+// u32 words per node for the union-find. The union-find doubles as the
+// partition-ready adjacency: LeanIngest carries dense component labels
+// computed exactly like partition::label_components on the rich graph
+// (edges + path steps, numbered by smallest node id), so `--partition`
+// runs byte-identically from either ingestion route.
 //
 // Dialect: GFA 1.0 (S/L/P) and GFA 1.1 (W walk) records, CRLF and
 // trailing-whitespace tolerant, "S name *" with LN:i: length tags.

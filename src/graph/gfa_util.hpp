@@ -1,60 +1,211 @@
 #pragma once
-// Internal tokenizing helpers shared by the two GFA readers — the legacy
-// rich-graph reader (gfa.cpp) and the streaming LeanGraph reader
+// Internal reading and tokenizing helpers shared by the two GFA readers —
+// the legacy rich-graph reader (gfa.cpp) and the streaming LeanGraph reader
 // (gfa_stream.cpp) — so both accept exactly the same dialect: CRLF and
 // trailing-whitespace tolerant lines, GFA 1.0 `P` segment lists and
 // GFA 1.1 `W` walk strings. Step callbacks return per-step errors as
 // strings (empty = ok) so each reader can attach its own line numbers.
 #include <cstdint>
-#include <functional>
+#include <cstring>
+#include <istream>
+#include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace pgl::graph::gfa_detail {
 
-/// Heterogeneous-lookup segment-name table shared by both readers:
-/// find() takes the string_view tokens of the current line without
-/// allocating a lookup key per step.
-struct SvHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-        return std::hash<std::string_view>{}(s);
+/// Segment-name -> dense-id table shared by both readers. Open addressing
+/// with linear probing over power-of-two slots kept at most half full;
+/// each slot holds a 32-bit hash tag and an id, and the names themselves
+/// sit back to back in one byte arena. Ids are assigned in insertion order
+/// (S-record order), so the table is also the id -> name store, and
+/// growing it rehashes from the stored tags without touching the names.
+class NameTable {
+public:
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+    /// Adds `name` under the next id (size() before the call). Returns
+    /// false, adding nothing, when the name is already present.
+    bool insert(std::string_view name) {
+        if ((ends_.size() + 1) * 2 > slots_.size()) grow();
+        const std::uint32_t tag = hash(name);
+        Slot& slot = slots_[probe(name, tag)];
+        if (slot.id != kNone) return false;
+        slot = Slot{tag, size()};
+        arena_.append(name);
+        ends_.push_back(arena_.size());
+        return true;
     }
-};
-struct SvEq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const noexcept {
-        return a == b;
+
+    /// The id of `name`, whose hash is `tag`, or kNone.
+    std::uint32_t find(std::string_view name, std::uint32_t tag) const {
+        if (slots_.empty()) return kNone;
+        return slots_[probe(name, tag)].id;
     }
+    std::uint32_t find(std::string_view name) const { return find(name, hash(name)); }
+
+    /// Starts loading the home slot of a name whose hash is `tag`. Callers
+    /// prefetch a batch of names before finding them, so the batch's cache
+    /// misses overlap instead of serializing one lookup at a time.
+    void prefetch(std::uint32_t tag) const noexcept {
+        if (!slots_.empty()) __builtin_prefetch(&slots_[tag & (slots_.size() - 1)]);
+    }
+
+    std::uint32_t size() const noexcept {
+        return static_cast<std::uint32_t>(ends_.size());
+    }
+
+    std::string_view name(std::uint32_t id) const noexcept {
+        const std::uint64_t begin = id == 0 ? 0 : ends_[id - 1];
+        return std::string_view(arena_).substr(begin, ends_[id] - begin);
+    }
+
+    /// Every name, indexed by id.
+    std::vector<std::string> names() const {
+        std::vector<std::string> out;
+        out.reserve(size());
+        for (std::uint32_t id = 0; id < size(); ++id) out.emplace_back(name(id));
+        return out;
+    }
+
+    /// 8-bytes-at-a-time multiply-xorshift hash (SplitMix64 finalizer
+    /// constants). Only the low bits pick the home slot, so all 64 bits
+    /// are folded before truncation.
+    static std::uint32_t hash(std::string_view s) noexcept {
+        std::uint64_t h = 0x9e3779b97f4a7c15ull ^ s.size();
+        std::size_t i = 0;
+        std::uint64_t w = 0;
+        for (; i + 8 <= s.size(); i += 8) {
+            std::memcpy(&w, s.data() + i, 8);
+            h = (h ^ w) * 0xbf58476d1ce4e5b9ull;
+            h ^= h >> 31;
+        }
+        w = 0;  // the 0-7 byte tail, assembled bytewise (no memcpy call)
+        for (std::size_t k = s.size(); k > i; --k) {
+            w = (w << 8) | static_cast<unsigned char>(s[k - 1]);
+        }
+        h = (h ^ w) * 0x94d049bb133111ebull;
+        h ^= h >> 29;
+        h *= 0xbf58476d1ce4e5b9ull;
+        return static_cast<std::uint32_t>(h ^ (h >> 32));
+    }
+
+private:
+    struct Slot {
+        std::uint32_t tag = 0;
+        std::uint32_t id = kNone;
+    };
+
+    /// The slot holding `name`, or the empty slot where it would go.
+    std::size_t probe(std::string_view name, std::uint32_t tag) const {
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = tag & mask;; i = (i + 1) & mask) {
+            const Slot& s = slots_[i];
+            if (s.id == kNone || (s.tag == tag && same(this->name(s.id), name))) return i;
+        }
+    }
+
+    /// Names are short; an inline byte loop beats a memcmp call here.
+    static bool same(std::string_view a, std::string_view b) noexcept {
+        if (a.size() != b.size()) return false;
+        for (std::size_t k = 0; k < a.size(); ++k) {
+            if (a[k] != b[k]) return false;
+        }
+        return true;
+    }
+
+    void grow() {
+        const std::vector<Slot> old = std::exchange(
+            slots_, std::vector<Slot>(slots_.empty() ? 16 : 2 * slots_.size()));
+        const std::size_t mask = slots_.size() - 1;
+        for (const Slot& s : old) {
+            if (s.id == kNone) continue;
+            std::size_t i = s.tag & mask;
+            while (slots_[i].id != kNone) i = (i + 1) & mask;
+            slots_[i] = s;
+        }
+    }
+
+    std::vector<Slot> slots_;
+    std::string arena_;
+    std::vector<std::uint64_t> ends_;  ///< arena end offset of each id's name
 };
-template <typename Id>
-using NameTable = std::unordered_map<std::string, Id, SvHash, SvEq>;
 
 /// Strips the trailing '\r' of a CRLF line ending plus any trailing spaces
 /// or tabs, so Windows-edited GFAs tokenize identically to Unix ones.
-inline void chomp(std::string& line) {
+inline std::string_view chomp(std::string_view line) {
     std::size_t n = line.size();
     while (n > 0 && (line[n - 1] == '\r' || line[n - 1] == ' ' || line[n - 1] == '\t')) {
         --n;
     }
-    line.resize(n);
+    return line.substr(0, n);
 }
 
-inline std::vector<std::string_view> split_tabs(std::string_view line) {
-    std::vector<std::string_view> fields;
+/// Size of one read from the stream, so reading costs one block of memory
+/// whatever the file size. 64 KiB reads as fast as 1 MiB on a 27 MB GFA,
+/// while 1 MiB blocks raised a serving daemon's peak RSS by ~2 MB: each
+/// worker's malloc arena keeps the touched pages of its last block.
+inline constexpr std::size_t kLineBlockBytes = std::size_t{1} << 16;
+
+/// Calls `fn(line, line_no)` for every line of `in` (1-based numbers,
+/// chomped, with std::getline's framing: a final newline ends the last
+/// line, and a last line without one still counts). Reads blocks of at
+/// most kLineBlockBytes through rdbuf()->sgetn; a line that crosses a
+/// block boundary is assembled in a carry buffer that grows to the
+/// longest such line. The view passed to `fn` is valid only during the
+/// call. Leaves `in` at end of file with eofbit set.
+template <typename Fn>
+void for_each_line(std::istream& in, Fn&& fn) {
+    const std::istream::sentry ok(in, /*noskipws=*/true);
+    if (!ok) return;
+    std::streambuf* const sb = in.rdbuf();
+    // Uninitialized: only the pages a short input actually fills are touched.
+    const std::unique_ptr<char[]> block(new char[kLineBlockBytes]);
+    std::string carry;
+    std::size_t line_no = 0;
+    for (;;) {
+        const std::streamsize got =
+            sb->sgetn(block.get(), static_cast<std::streamsize>(kLineBlockBytes));
+        if (got <= 0) break;
+        const char* p = block.get();
+        const char* const end = p + got;
+        while (p < end) {
+            const auto* nl = static_cast<const char*>(
+                std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+            if (nl == nullptr) {
+                carry.append(p, end);
+                break;
+            }
+            std::string_view line(p, static_cast<std::size_t>(nl - p));
+            if (!carry.empty()) {
+                carry.append(line);
+                line = carry;
+            }
+            fn(chomp(line), ++line_no);
+            carry.clear();
+            p = nl + 1;
+        }
+    }
+    if (!carry.empty()) fn(chomp(carry), ++line_no);
+    in.setstate(std::ios::eofbit);
+}
+
+/// Splits `line` at tabs into `fields` (cleared first; callers reuse one
+/// vector so tokenizing a line allocates nothing).
+inline void split_tabs(std::string_view line, std::vector<std::string_view>& fields) {
+    fields.clear();
     std::size_t start = 0;
-    while (start <= line.size()) {
+    for (;;) {
         const std::size_t tab = line.find('\t', start);
         if (tab == std::string_view::npos) {
             fields.push_back(line.substr(start));
-            break;
+            return;
         }
         fields.push_back(line.substr(start, tab - start));
         start = tab + 1;
     }
-    return fields;
 }
 
 /// Walks a GFA 1.0 `P` segment list ("s1+,s2-,..."), invoking

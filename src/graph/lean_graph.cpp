@@ -7,16 +7,12 @@
 namespace pgl::graph {
 
 void LeanGraph::steps_add(Handle h, std::uint64_t& pos) {
-    const std::uint32_t len = node_len_[h.id()];
-    step_node_.push_back(h.id());
-    step_pos_.push_back(pos);
-    step_orient_.push_back(h.is_reverse() ? 1 : 0);
     step_records_.push_back(PathStepRecord{h.id(), h.is_reverse() ? 1u : 0u, pos});
-    pos += len;
+    pos += node_len_[h.id()];
 }
 
 void LeanGraph::steps_end_path(std::uint64_t pos) {
-    path_offset_.push_back(static_cast<std::uint32_t>(step_node_.size()));
+    path_offset_.push_back(static_cast<std::uint32_t>(step_records_.size()));
     path_nuc_len_.push_back(pos);
     total_path_nuc_ += pos;
     max_path_nuc_len_ = std::max(max_path_nuc_len_, pos);
@@ -37,12 +33,8 @@ LeanGraph LeanGraph::from_graph(const VariationGraph& g) {
         lg.node_len_[id] = g.node_length(id);
     }
 
-    const std::uint64_t total_steps = g.total_path_steps();
     lg.path_offset_.reserve(g.path_count() + 1);
-    lg.step_node_.reserve(total_steps);
-    lg.step_pos_.reserve(total_steps);
-    lg.step_orient_.reserve(total_steps);
-    lg.step_records_.reserve(total_steps);
+    lg.step_records_.reserve(g.total_path_steps());
     lg.path_nuc_len_.reserve(g.path_count());
 
     lg.path_offset_.push_back(0);
@@ -77,9 +69,6 @@ void LeanGraphBuilder::reserve_paths(std::size_t n) {
 }
 
 void LeanGraphBuilder::reserve_steps(std::uint64_t n) {
-    g_.step_node_.reserve(n);
-    g_.step_pos_.reserve(n);
-    g_.step_orient_.reserve(n);
     g_.step_records_.reserve(n);
 }
 

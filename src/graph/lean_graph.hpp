@@ -6,11 +6,12 @@
 // the odgi pipeline): reference distances d_ref are differences of the
 // per-step nucleotide positions stored here.
 //
-// Two physical layouts of the step records are provided because the paper's
-// first optimization (cache-friendly data layout, Sec. V-B1) is exactly the
-// SoA -> AoS repacking of this data:
-//   * SoA ("original"): three parallel arrays (node, position, orientation);
-//   * AoS ("cache-friendly"): one packed 16-byte record per step.
+// There is one physical step layout: the paper's cache-friendly choice
+// (Sec. V-B1), one packed 16-byte PathStepRecord per step, flattened CSR
+// style across paths. The original ODGI organization it replaces (parallel
+// node / position / orientation arrays) is not stored: its SoA cost model
+// lives in memsim (and gpusim), which derive those arrays' addresses from
+// flat_step_index(), and the per-field accessors below read the record.
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -19,7 +20,7 @@
 
 namespace pgl::graph {
 
-/// Packed per-step record for the AoS (cache-friendly) layout.
+/// Packed per-step record (the cache-friendly AoS layout).
 /// 16 bytes: a whole record fits in a quarter cache line, so one access
 /// fetches everything an update step needs about the step.
 struct PathStepRecord {
@@ -35,11 +36,10 @@ public:
     static LeanGraph from_graph(const VariationGraph& g);
 
     /// Builds a lean graph directly from node lengths and path walks,
-    /// bypassing the rich VariationGraph. This is how the partition
-    /// subsystem materializes per-component subgraphs: node ids are the
-    /// indices into `node_lengths`, and step positions are recomputed as
-    /// cumulative nucleotide offsets exactly as from_graph() does, so a
-    /// sliced path yields bit-identical step records to the original.
+    /// bypassing the rich VariationGraph (the synthetic generators use it):
+    /// node ids are the indices into `node_lengths`, and step positions are
+    /// recomputed as cumulative nucleotide offsets exactly as from_graph()
+    /// does.
     static LeanGraph from_parts(std::vector<std::uint32_t> node_lengths,
                                 const std::vector<std::vector<Handle>>& paths);
 
@@ -60,27 +60,24 @@ public:
     /// Nucleotide length of path p.
     std::uint64_t path_nuc_length(std::uint64_t p) const { return path_nuc_len_[p]; }
 
-    std::uint64_t total_path_steps() const noexcept { return step_node_.size(); }
+    std::uint64_t total_path_steps() const noexcept { return step_records_.size(); }
     std::uint64_t total_path_nucleotides() const noexcept { return total_path_nuc_; }
 
     /// Longest reference distance appearing in any path (used to scale the
     /// SGD learning-rate schedule).
     std::uint64_t max_path_nuc_length() const noexcept { return max_path_nuc_len_; }
 
-    // --- SoA accessors (original ODGI-style layout) ---
-    std::uint32_t step_node(std::uint32_t p, std::uint32_t i) const {
-        return step_node_[path_offset_[p] + i];
-    }
-    std::uint64_t step_position(std::uint32_t p, std::uint32_t i) const {
-        return step_pos_[path_offset_[p] + i];
-    }
-    bool step_is_reverse(std::uint32_t p, std::uint32_t i) const {
-        return step_orient_[path_offset_[p] + i] != 0;
-    }
-
-    // --- AoS accessor (cache-friendly layout) ---
     const PathStepRecord& step_record(std::uint32_t p, std::uint32_t i) const {
         return step_records_[path_offset_[p] + i];
+    }
+    std::uint32_t step_node(std::uint32_t p, std::uint32_t i) const {
+        return step_record(p, i).node;
+    }
+    std::uint64_t step_position(std::uint32_t p, std::uint32_t i) const {
+        return step_record(p, i).position;
+    }
+    bool step_is_reverse(std::uint32_t p, std::uint32_t i) const {
+        return step_record(p, i).orient != 0;
     }
 
     /// Flat index of step i of path p (for address-stream instrumentation).
@@ -108,10 +105,7 @@ private:
 
     // CSR-style flattened paths.
     std::vector<std::uint32_t> path_offset_;  // size P + 1
-    std::vector<std::uint32_t> step_node_;    // SoA
-    std::vector<std::uint64_t> step_pos_;     // SoA
-    std::vector<std::uint8_t> step_orient_;   // SoA
-    std::vector<PathStepRecord> step_records_;  // AoS mirror
+    std::vector<PathStepRecord> step_records_;
 
     std::vector<std::uint64_t> path_nuc_len_;
     std::uint64_t total_path_nuc_ = 0;
@@ -148,7 +142,7 @@ public:
         return static_cast<std::uint32_t>(g_.path_nuc_len_.size());
     }
     std::uint64_t current_path_steps() const noexcept {
-        return g_.step_node_.size() - g_.path_offset_.back();
+        return g_.step_records_.size() - g_.path_offset_.back();
     }
 
     /// Extracts the finished graph; the builder must not be reused after.

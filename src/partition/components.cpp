@@ -1,6 +1,7 @@
 #include "partition/components.hpp"
 
 #include <cassert>
+#include <span>
 #include <utility>
 
 #include "core/union_find.hpp"
@@ -24,9 +25,17 @@ ComponentLabels finalize_labels(UnionFind& uf, std::uint32_t n_nodes) {
     return labels;
 }
 
+graph::Handle as_handle(graph::Handle h) { return h; }
+graph::Handle as_handle(const graph::PathStepRecord& r) {
+    return graph::Handle::make(r.node, r.orient != 0);
+}
+
 /// Builds the subgraphs + remap tables common to both decompose overloads.
-/// `node_length(v)` and the path walks come from the source graph via the
-/// two callables, so the rich and lean paths share one implementation.
+/// `node_length(v)` and `path_steps(p)` read the source graph, so the rich
+/// and lean paths share one implementation: `path_steps` returns a span of
+/// Handles or of step records. Each component's LeanGraphBuilder is
+/// reserved exactly and filled straight from those spans, one component at
+/// a time, with no per-path copy of the walk.
 template <typename NodeLengthFn, typename PathStepsFn>
 Decomposition build_decomposition(ComponentLabels labels, std::uint32_t n_nodes,
                                   std::uint64_t n_paths, NodeLengthFn&& node_length,
@@ -42,35 +51,35 @@ Decomposition build_decomposition(ComponentLabels labels, std::uint32_t n_nodes,
         d.local_node[v] = static_cast<std::uint32_t>(comp.global_node.size());
         comp.global_node.push_back(v);
     }
-
-    // Per-component node lengths and sliced path walks.
-    std::vector<std::vector<std::uint32_t>> lengths(d.labels.count);
-    std::vector<std::vector<std::vector<graph::Handle>>> walks(d.labels.count);
-    for (std::uint32_t c = 0; c < d.labels.count; ++c) {
-        lengths[c].reserve(d.components[c].global_node.size());
-        for (const graph::NodeId v : d.components[c].global_node) {
-            lengths[c].push_back(node_length(v));
-        }
-    }
+    // label_components already assigned each path; kNoComponent marks an
+    // empty path, which belongs to no component.
     for (std::uint64_t p = 0; p < n_paths; ++p) {
-        // label_components already assigned the path; kNoComponent marks an
-        // empty path, which belongs to no component.
         const std::uint32_t c = d.labels.path_component[p];
-        if (c == kNoComponent) continue;
-        decltype(auto) steps = path_steps(p);
-        std::vector<graph::Handle> local;
-        local.reserve(steps.size());
-        for (const graph::Handle& h : steps) {
-            assert(d.labels.node_component[h.id()] == c);
-            local.push_back(graph::Handle::make(d.local_node[h.id()], h.is_reverse()));
+        if (c != kNoComponent) {
+            d.components[c].global_path.push_back(static_cast<std::uint32_t>(p));
         }
-        d.components[c].global_path.push_back(static_cast<std::uint32_t>(p));
-        walks[c].push_back(std::move(local));
     }
 
     for (std::uint32_t c = 0; c < d.labels.count; ++c) {
-        d.components[c].graph =
-            graph::LeanGraph::from_parts(std::move(lengths[c]), walks[c]);
+        ComponentSubgraph& comp = d.components[c];
+        graph::LeanGraphBuilder builder;
+        builder.reserve_nodes(comp.global_node.size());
+        for (const graph::NodeId v : comp.global_node) builder.add_node(node_length(v));
+        std::uint64_t n_steps = 0;
+        for (const std::uint32_t p : comp.global_path) n_steps += path_steps(p).size();
+        builder.reserve_paths(comp.global_path.size());
+        builder.reserve_steps(n_steps);
+        for (const std::uint32_t p : comp.global_path) {
+            builder.begin_path();
+            for (const auto& step : path_steps(p)) {
+                const graph::Handle h = as_handle(step);
+                assert(d.labels.node_component[h.id()] == c);
+                builder.add_step(
+                    graph::Handle::make(d.local_node[h.id()], h.is_reverse()));
+            }
+            builder.end_path();
+        }
+        comp.graph = builder.finish();
     }
     return d;
 }
@@ -132,9 +141,7 @@ Decomposition decompose(const graph::VariationGraph& g) {
     return build_decomposition(
         label_components(g), static_cast<std::uint32_t>(g.node_count()),
         g.path_count(), [&](graph::NodeId v) { return g.node_length(v); },
-        [&](std::uint64_t p) -> const std::vector<graph::Handle>& {
-            return g.path(p).steps;
-        });
+        [&](std::uint64_t p) { return std::span<const graph::Handle>(g.path(p).steps); });
 }
 
 Decomposition decompose(const graph::LeanGraph& g) {
@@ -147,13 +154,7 @@ Decomposition decompose(const graph::LeanGraph& g, ComponentLabels labels) {
         [&](graph::NodeId v) { return g.node_length(v); },
         [&](std::uint64_t p) {
             const auto pi = static_cast<std::uint32_t>(p);
-            std::vector<graph::Handle> steps;
-            steps.reserve(g.path_step_count(pi));
-            for (std::uint32_t i = 0; i < g.path_step_count(pi); ++i) {
-                steps.push_back(graph::Handle::make(g.step_node(pi, i),
-                                                    g.step_is_reverse(pi, i)));
-            }
-            return steps;
+            return g.step_records().subspan(g.path_offsets()[pi], g.path_step_count(pi));
         });
 }
 

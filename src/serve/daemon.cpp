@@ -184,7 +184,11 @@ void Daemon::run() {
 }
 
 void Daemon::handle_connection(int fd) {
+    // A request line longer than this is answered with an error and the
+    // connection is closed, so one client cannot grow the buffer unbounded.
+    constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
     std::string buf;
+    std::size_t scanned = 0;  // prefix of buf known to hold no newline
     char chunk[4096];
     bool open = true;
     while (open) {
@@ -192,10 +196,12 @@ void Daemon::handle_connection(int fd) {
         if (n < 0 && errno == EINTR) continue;
         if (n <= 0) break;
         buf.append(chunk, static_cast<std::size_t>(n));
-        std::size_t pos;
-        while (open && (pos = buf.find('\n')) != std::string::npos) {
+        std::size_t pos = std::string::npos;
+        while (open && (pos = buf.find('\n', scanned)) != std::string::npos &&
+               pos <= kMaxLineBytes) {
             const std::string line = buf.substr(0, pos);
             buf.erase(0, pos + 1);
+            scanned = 0;
             if (line.empty()) continue;
             bool want_shutdown = false;
             const std::string response = handle_line(line, want_shutdown);
@@ -205,6 +211,14 @@ void Daemon::handle_connection(int fd) {
                 open = false;  // response is out; let the accept loop wind down
             }
         }
+        if (!open) break;
+        // No complete line is left; the pending one may not outgrow the cap.
+        if ((pos == std::string::npos ? buf.size() : pos) > kMaxLineBytes) {
+            send_all(fd, error_line("request line longer than " +
+                                    std::to_string(kMaxLineBytes) + " bytes"));
+            break;
+        }
+        scanned = buf.size();
     }
     ::close(fd);
 }

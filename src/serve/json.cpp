@@ -184,8 +184,17 @@ private:
     JsonValue parse_value() {
         skip_ws();
         switch (peek()) {
-            case '{': return parse_object();
-            case '[': return parse_array();
+            case '{':
+            case '[': {
+                // Objects and arrays recurse; bound the depth so a hostile
+                // line of brackets cannot exhaust the stack.
+                if (++depth_ > kMaxDepth) {
+                    fail("nesting deeper than " + std::to_string(kMaxDepth));
+                }
+                JsonValue v = peek() == '{' ? parse_object() : parse_array();
+                --depth_;
+                return v;
+            }
             case '"': return JsonValue(parse_string());
             case 't':
                 if (!consume_literal("true")) fail("bad literal");
@@ -330,8 +339,11 @@ private:
         return v;
     }
 
+    static constexpr int kMaxDepth = 64;
+
     const std::string& text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 }  // namespace

@@ -8,6 +8,8 @@
 #      byte-identical .lay files, with and without --partition.
 #   3. A W-record-only, CRLF-terminated GFA (tests/data/walks_crlf.gfa)
 #      must ingest and lay out end-to-end.
+#   4. `--timing` on a flat run lists only the stages that ran (no
+#      coarsen, refine or stitch line).
 #
 # Expects -DTOOL=<pgl_layout> -DGENERATOR=<whole_genome_layout>
 #         -DDATA=<tests/data dir> -DWORKDIR=<scratch dir>
@@ -121,3 +123,18 @@ if(NOT EXISTS "${WORKDIR}/walks.lay")
   message(FATAL_ERROR "W-only run produced no layout file")
 endif()
 message(STATUS "W-record-only CRLF GFA laid out end-to-end")
+
+# --- 4. --timing lists only the stages that ran -----------------------------
+execute_process(
+  COMMAND ${TOOL} -i ${gfa} -o ${WORKDIR}/timing.lay ${common} --timing
+  RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "flat --timing run failed: ${err}")
+endif()
+if(NOT err MATCHES "timing: layout " OR NOT err MATCHES "timing: total ")
+  message(FATAL_ERROR "flat --timing lacks its layout/total lines: ${err}")
+endif()
+if(err MATCHES "timing: (coarsen|interpolate|refine|stitch) ")
+  message(FATAL_ERROR "flat --timing printed a stage that did not run: ${err}")
+endif()
+message(STATUS "flat --timing prints no coarsen/refine/stitch line")

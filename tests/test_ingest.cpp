@@ -1,7 +1,10 @@
 // Tests for the streaming ingestion subsystem: the gfa_stream reader
 // (GFA 1.0 P records, GFA 1.1 W walks, CRLF tolerance, malformed-input
-// rejection), equivalence with the legacy VariationGraph route, and the
-// .pgg binary graph cache (round trip, truncation, corruption, checksum).
+// rejection), its block reader's edge cases (lines longer than a block,
+// CRLF split across blocks, missing final newline, empty input), the
+// segment-name table, equivalence with the legacy VariationGraph route,
+// and the .pgg binary graph cache (round trip, truncation, corruption,
+// checksum).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,6 +14,7 @@
 
 #include "graph/gfa.hpp"
 #include "graph/gfa_stream.hpp"
+#include "graph/gfa_util.hpp"
 #include "graph/lean_graph.hpp"
 #include "io/pgg_io.hpp"
 #include "partition/components.hpp"
@@ -229,6 +233,167 @@ TEST(GfaStream, WalkAndPathRecordsYieldIdenticalStepRecords) {
     const auto via_p = graph::ingest_gfa(p_ss);
     const auto via_w = graph::ingest_gfa(w_ss);
     expect_same_lean(via_p.graph, via_w.graph);
+}
+
+TEST(GfaStream, MatchesVariationGraphRouteOnFinerSegmentation) {
+    auto specs = workloads::whole_genome_spec(3, 0.0003, 91);
+    for (auto& spec : specs) spec = workloads::with_finer_segmentation(spec, 4);
+    std::stringstream gfa;
+    graph::write_gfa(workloads::generate_whole_genome(specs), gfa);
+
+    const auto vg = graph::read_gfa(gfa);
+    gfa.clear();
+    gfa.seekg(0);
+    const auto ing = graph::ingest_gfa(gfa);
+    expect_same_lean(ing.graph, graph::LeanGraph::from_graph(vg));
+
+    const auto labels = partition::label_components(vg);
+    EXPECT_EQ(ing.component_count, labels.count);
+    EXPECT_EQ(ing.node_component, labels.node_component);
+    EXPECT_EQ(ing.path_component, labels.path_component);
+    ASSERT_EQ(ing.segment_names.size(), vg.node_count());
+    for (graph::NodeId v = 0; v < vg.node_count(); ++v) {
+        ASSERT_EQ(ing.segment_names[v], vg.node_name(v)) << "node " << v;
+    }
+    ASSERT_EQ(ing.path_names.size(), vg.path_count());
+    for (std::uint64_t p = 0; p < vg.path_count(); ++p) {
+        EXPECT_EQ(ing.path_names[p], vg.path(p).name);
+    }
+}
+
+// --- block-reader edge cases ---
+
+constexpr std::size_t kBlock = graph::gfa_detail::kLineBlockBytes;
+
+/// `n` segments "seg0".."seg<n-1>" of length 1 + i % 7.
+std::string segments(std::uint32_t n) {
+    std::string out;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        out += "S\tseg" + std::to_string(i) + "\t" + std::string(1 + i % 7, 'A') + "\n";
+    }
+    return out;
+}
+
+TEST(GfaStream, PathAndWalkLinesLongerThanOneBlock) {
+    constexpr std::uint32_t kSegs = 1000;
+    constexpr std::uint32_t kSteps = 250000;  // ~2 MB per line
+    std::string p_line = "P\tlong\t", w_line = "W\tsamp\t1\tchr\t*\t*\t";
+    for (std::uint32_t k = 0; k < kSteps; ++k) {
+        const std::string name = "seg" + std::to_string((k * 7) % kSegs);
+        if (k) p_line += ',';
+        p_line += name + (k % 3 == 0 ? '-' : '+');
+        w_line += (k % 3 == 0 ? '<' : '>') + name;
+    }
+    ASSERT_GT(p_line.size(), kBlock);
+    ASSERT_GT(w_line.size(), kBlock);
+    std::stringstream ss(segments(kSegs) + p_line + "\t*\n" + w_line + "\n");
+    const auto ing = graph::ingest_gfa(ss);
+
+    ASSERT_EQ(ing.graph.path_count(), 2u);
+    EXPECT_EQ(ing.path_names, (std::vector<std::string>{"long", "samp#1#chr"}));
+    std::uint64_t pos = 0;
+    for (std::uint32_t k = 0; k < kSteps; ++k) {
+        const std::uint32_t v = (k * 7) % kSegs;
+        for (std::uint32_t p = 0; p < 2; ++p) {
+            ASSERT_EQ(ing.graph.step_node(p, k), v) << "path " << p << " step " << k;
+            ASSERT_EQ(ing.graph.step_is_reverse(p, k), k % 3 == 0);
+            ASSERT_EQ(ing.graph.step_position(p, k), pos);
+        }
+        pos += 1 + v % 7;
+    }
+    EXPECT_EQ(ing.graph.path_nuc_length(0), pos);
+    EXPECT_EQ(ing.graph.path_nuc_length(1), pos);
+}
+
+TEST(GfaStream, CrlfSplitAcrossBlockBoundary) {
+    // Pad with a comment line so the '\r' of "S x ACGT" is the last byte of
+    // the first block and its '\n' the first byte of the second.
+    const std::string head = "H\tVN:Z:1.0\r\n";
+    const std::string s_line = "S\tx\tACGT";
+    const std::size_t pad = kBlock - 1 - s_line.size() - head.size() - 3;  // "#" + "\r\n"
+    const std::string gfa = head + "#" + std::string(pad, 'c') + "\r\n" + s_line +
+                            "\r\nS\ty\tTT\r\nP\tp\tx+,y-\t*\r\n";
+    ASSERT_EQ(gfa[kBlock - 1], '\r');
+    ASSERT_EQ(gfa[kBlock], '\n');
+    std::stringstream ss(gfa);
+    const auto ing = graph::ingest_gfa(ss);
+    EXPECT_EQ(ing.segment_names, (std::vector<std::string>{"x", "y"}));
+    EXPECT_EQ(ing.graph.node_length(0), 4u);  // no '\r' counted as a base
+    EXPECT_EQ(ing.graph.path_nuc_length(0), 6u);
+}
+
+TEST(GfaStream, LastLineWithoutNewline) {
+    for (const std::string end : {"", "\r", " \t"}) {
+        std::stringstream ss("S\ts1\tACGT\nS\ts2\tTT\nP\tp\ts1+,s2-\t*" + end);
+        const auto ing = graph::ingest_gfa(ss);
+        ASSERT_EQ(ing.graph.path_count(), 1u);
+        EXPECT_EQ(ing.graph.path_step_count(0), 2u);
+        EXPECT_TRUE(ing.graph.step_is_reverse(0, 1));
+    }
+}
+
+TEST(GfaStream, EmptyAndCommentOnlyInput) {
+    for (const std::string text : {"", "# nothing here\n#\n", "\n\n"}) {
+        std::stringstream ss(text);
+        const auto ing = graph::ingest_gfa(ss);
+        EXPECT_EQ(ing.graph.node_count(), 0u);
+        EXPECT_EQ(ing.graph.path_count(), 0u);
+        EXPECT_EQ(ing.component_count, 0u);
+        std::stringstream legacy(text);
+        EXPECT_EQ(graph::read_gfa(legacy).node_count(), 0u);
+    }
+}
+
+/// The message both readers throw for `gfa`, or "" if it parses.
+std::string parse_error(const std::string& gfa, bool streaming) {
+    std::stringstream ss(gfa);
+    try {
+        if (streaming) {
+            graph::ingest_gfa(ss);
+        } else {
+            graph::read_gfa(ss);
+        }
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(GfaStream, DuplicateAndUnknownSegmentMessagesAndLineNumbers) {
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"H\tVN:Z:1.0\nS\tx\tA\n# c\nS\tx\tC\n",
+         "GFA parse error at line 4: duplicate segment x"},
+        {"S\tx\tA\r\nS\ty\tC\r\nL\tx\t+\tmissing\t+\t0M\r\n",
+         "GFA parse error at line 3: unknown segment missing"},
+        {"S\tx\tA\nS\ty\tC\nL\tx\t+\ty\t+\t0M\n\nP\tp\tx+,nope-\t*\n",
+         "GFA parse error at line 5: unknown segment nope"},
+        {"S\tx\tA\nW\ts\t1\tc\t0\t1\t>x<gone",
+         "GFA parse error at line 2: unknown segment gone"},
+        {"S\tx\tA\nP\tp\tx+,missing+,x?\t*\n",
+         "GFA parse error at line 2: unknown segment missing"},
+    };
+    for (const auto& [gfa, want] : cases) {
+        EXPECT_EQ(parse_error(gfa, true), want) << gfa;
+        EXPECT_EQ(parse_error(gfa, false), want) << gfa;
+    }
+}
+
+TEST(NameTable, DenseIdsAcrossGrowth) {
+    graph::gfa_detail::NameTable names;
+    constexpr std::uint32_t kN = 100000;
+    for (std::uint32_t i = 0; i < kN; ++i) {
+        ASSERT_TRUE(names.insert(std::to_string(i * 31) + "_seg"));
+    }
+    EXPECT_FALSE(names.insert("310_seg"));
+    EXPECT_TRUE(names.insert(""));  // an empty name is a name like any other
+    EXPECT_EQ(names.size(), kN + 1);
+    for (std::uint32_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(names.find(std::to_string(i * 31) + "_seg"), i);
+    }
+    EXPECT_EQ(names.find(""), kN);
+    EXPECT_EQ(names.find("31_se"), graph::gfa_detail::NameTable::kNone);
+    EXPECT_EQ(names.name(7), "217_seg");
+    EXPECT_EQ(names.names().back(), "");
 }
 
 // --- .pgg binary graph cache ---

@@ -5,9 +5,13 @@
 // contracts — daemon results byte-identical to direct engine runs, repeat
 // submits served from cache, concurrent identical submits running the
 // work exactly once, cooperative cancel with follower promotion, and the
-// socket daemon end to end.
+// socket daemon end to end, including hostile request lines.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -94,6 +98,13 @@ TEST(ServeJson, RejectsMalformedInput) {
     EXPECT_THROW(serve::json_parse("{\"a\":1,}"), std::runtime_error);
     EXPECT_THROW(serve::json_parse("{\"a\":1} extra"), std::runtime_error);
     EXPECT_THROW(serve::json_parse("nope"), std::runtime_error);
+}
+
+TEST(ServeJson, NestingIsCappedAt64) {
+    EXPECT_NO_THROW(serve::json_parse(std::string(64, '[') + std::string(64, ']')));
+    EXPECT_THROW(serve::json_parse(std::string(65, '[') + std::string(65, ']')),
+                 std::runtime_error);
+    EXPECT_THROW(serve::json_parse(std::string(100000, '[')), std::runtime_error);
 }
 
 TEST(ServeJson, IntegerAccessorRejectsFractions) {
@@ -523,6 +534,59 @@ TEST(ServeDaemon, LineProtocolEndToEnd) {
     EXPECT_TRUE(stop.find("ok")->as_bool());
     runner.join();
     EXPECT_FALSE(fs::exists(sock)) << "socket file must be removed on exit";
+}
+
+/// Sends `bytes` as is (no newline added) on a fresh connection and
+/// returns the first line the daemon answers. A send cut short because the
+/// daemon hung up is expected for oversized input.
+std::string send_raw(const std::string& sock, const std::string& bytes) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+    for (std::size_t off = 0; off < bytes.size();) {
+        const ssize_t n =
+            ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+        if (n <= 0) break;
+        off += static_cast<std::size_t>(n);
+    }
+    std::string reply;
+    char c;
+    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') reply += c;
+    ::close(fd);
+    return reply;
+}
+
+TEST(ServeDaemon, HostileLinesGetErrorRepliesNotACrash) {
+    const std::string dir = scratch_dir("hostile");
+    const std::string sock = dir + "/d.sock";
+    serve::DaemonOptions opt;
+    opt.socket_path = sock;
+    opt.server.cache_dir = dir + "/cache";
+    opt.server.workers = 1;
+    serve::Daemon daemon(opt);
+    std::thread runner([&] { daemon.run(); });
+    while (!fs::exists(sock)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+
+    // 100k nested arrays on one line: past the depth cap of 64.
+    const serve::JsonValue deep =
+        serve::json_parse(serve::send_request(sock, std::string(100000, '[')));
+    EXPECT_FALSE(deep.find("ok")->as_bool());
+    EXPECT_NE(deep.find("error")->as_string().find("nesting"), std::string::npos);
+
+    // 2 MiB with no newline: past the 1 MiB line cap.
+    const serve::JsonValue huge =
+        serve::json_parse(send_raw(sock, std::string(2u << 20, 'x')));
+    EXPECT_FALSE(huge.find("ok")->as_bool());
+    EXPECT_NE(huge.find("error")->as_string().find("longer"), std::string::npos);
+
+    EXPECT_EQ(serve::send_request(sock, R"({"cmd":"ping"})"),
+              R"({"ok":true,"pong":true})");
+    daemon.stop();
+    runner.join();
 }
 
 }  // namespace

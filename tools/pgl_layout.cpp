@@ -340,16 +340,16 @@ int main(int argc, char** argv) {
             // flat, --partition, --multilevel, or combinations — reports
             // through the same path. Stage sums aggregate across components
             // (and, with --processes, across merged worker snapshots), so
-            // they can exceed wall-clock with concurrency > 1.
+            // they can exceed wall-clock with concurrency > 1. Only stages
+            // that ran are listed: a flat run has no coarsen line.
             auto& reg = telemetry::Registry::instance();
             for (const char* stage :
                  {"parse", "coarsen", "layout", "interpolate", "refine",
                   "stitch", "metrics", "render"}) {
-                const double s =
-                    static_cast<double>(
-                        reg.histogram(std::string("span.") + stage).sum()) /
-                    1e9;
-                std::cerr << "timing: " << stage << " " << s << " s\n";
+                const auto h = reg.histogram(std::string("span.") + stage);
+                if (h.count() == 0) continue;
+                std::cerr << "timing: " << stage << " "
+                          << static_cast<double>(h.sum()) / 1e9 << " s\n";
             }
 #else
             std::cerr << "timing: stage spans compiled out (PGL_TELEMETRY=OFF)\n";
