@@ -3,9 +3,9 @@
 // increasing depths (initial jumble -> fully converged); both exact path
 // stress and sampled path stress are reported for each.
 #include <iostream>
+#include <memory>
 
 #include "bench_common.hpp"
-#include "core/cpu_engine.hpp"
 #include "metrics/path_stress.hpp"
 #include "rng/xoshiro256.hpp"
 
@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
     };
 
     report("random scatter", scattered, "142.2");
+    const auto start = std::make_shared<const core::Layout>(scattered);
     // Truncated runs of one 30-iteration schedule: partially converged
     // layouts of decreasing stress, the analog of the paper's four panels.
     for (const auto& [iters, paper] :
@@ -57,7 +58,8 @@ int main(int argc, char** argv) {
         cfg.schedule_iter_max = 30;
         cfg.iter_max = iters;
         cfg.steps_per_iter_factor = 2.0;
-        const auto r = core::layout_cpu_from(g, cfg, scattered);
+        cfg.initial_layout = start;
+        const auto r = bench::run_backend("cpu-soa", g, cfg);
         report("SGD, " + std::to_string(iters) + "/30 iterations", r.layout,
                paper);
     }

@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/cpu_engine.hpp"
 #include "gpusim/gpu_machine.hpp"
 #include "gpusim/gpu_spec.hpp"
 #include "memsim/characterize.hpp"
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
         chopt.sample_updates = opt.quick ? 100'000 : 300'000;
         chopt.llc_scale = opt.scale;
         const auto ch =
-            memsim::characterize_cpu(g, cfg, core::CoordStore::kSoA, chopt);
+            memsim::characterize_cpu(g, cfg, memsim::CoordStore::kSoA, chopt);
         const double t_cpu = memsim::CpuPerfModel{}.seconds(
             ch, static_cast<std::uint64_t>(full_updates));
 
@@ -54,7 +53,7 @@ int main(int argc, char** argv) {
             (full_updates / static_cast<double>(gpu.counters.lane_updates));
 
         // Real single-thread host run: also linear, directly measured.
-        const auto host = core::layout_cpu(g, cfg);
+        const auto host = bench::run_backend("cpu-soa", g, cfg);
 
         table.print_row(std::cout,
                         {bench::fmt(full_path_len, 1), bench::fmt(t_cpu, 0),

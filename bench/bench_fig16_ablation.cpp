@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/cpu_engine.hpp"
 #include "gpusim/gpu_machine.hpp"
 #include "gpusim/gpu_spec.hpp"
 #include "memsim/characterize.hpp"
@@ -33,9 +32,9 @@ int main(int argc, char** argv) {
     chopt.llc_scale = opt.scale;
     chopt.seed = opt.seed;
     const auto ch_soa =
-        memsim::characterize_cpu(g, cfg, core::CoordStore::kSoA, chopt);
+        memsim::characterize_cpu(g, cfg, memsim::CoordStore::kSoA, chopt);
     const auto ch_aos =
-        memsim::characterize_cpu(g, cfg, core::CoordStore::kAoS, chopt);
+        memsim::characterize_cpu(g, cfg, memsim::CoordStore::kAoS, chopt);
     memsim::CpuPerfModel cpu_model;
     const double t_cpu = cpu_model.seconds(
         ch_soa, static_cast<std::uint64_t>(full_updates));

@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "bench_common.hpp"
-#include "core/cpu_engine.hpp"
 
 int main(int argc, char** argv) {
     using namespace pgl;
@@ -34,7 +33,7 @@ int main(int argc, char** argv) {
 
         // Single-thread measured run establishes the per-update rate.
         cfg.threads = 1;
-        const auto base = core::layout_cpu(g, cfg);
+        const auto base = bench::run_backend("cpu-soa", g, cfg);
         const double rate = base.seconds /
                             static_cast<double>(std::max<std::uint64_t>(1, base.updates));
 
@@ -44,7 +43,7 @@ int main(int argc, char** argv) {
         table.print_header(std::cout);
         for (std::uint32_t t : {1u, 2u, 4u, 8u, 16u, 32u}) {
             cfg.threads = t;
-            const auto r = core::layout_cpu(g, cfg);
+            const auto r = bench::run_backend("cpu-soa", g, cfg);
             auto rec = bench::make_record(opt, "bench_fig4_cpu_scaling",
                                           spec.name + "/cpu-soa", r);
             rec.threads = t;

@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/cpu_engine.hpp"
 #include "core/sampling.hpp"
 #include "core/schedule.hpp"
 #include "core/step_math.hpp"
@@ -74,7 +73,7 @@ int main(int argc, char** argv) {
     cfg.iter_max = std::max<std::uint32_t>(cfg.iter_max, 15);
     cfg.steps_per_iter_factor = std::max(cfg.steps_per_iter_factor, 2.0);
 
-    const auto random_layout = core::layout_cpu(g, cfg).layout;
+    const auto random_layout = bench::run_backend("cpu-soa", g, cfg).layout;
     const auto fixed_layout = layout_fixed_hop(g, cfg, 10);
 
     const auto sps_rand = metrics::sampled_path_stress(g, random_layout, 50, 1);

@@ -2,7 +2,7 @@
 // engine: PRNGs, samplers, the SGD update step and the stress metrics.
 #include <benchmark/benchmark.h>
 
-#include "core/cpu_engine.hpp"
+#include "core/layout.hpp"
 #include "core/sampling.hpp"
 #include "core/step_math.hpp"
 #include "metrics/path_stress.hpp"

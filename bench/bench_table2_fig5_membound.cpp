@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
         chopt.llc_scale = r.scale;
         chopt.seed = opt.seed;
         const auto ch =
-            memsim::characterize_cpu(g, cfg, core::CoordStore::kSoA, chopt);
+            memsim::characterize_cpu(g, cfg, memsim::CoordStore::kSoA, chopt);
         table.print_row(
             std::cout,
             {r.spec.name, bench::fmt(ch.memory_stall_pct, 1) + "%", r.paper_stall,

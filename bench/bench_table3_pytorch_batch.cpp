@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/cpu_engine.hpp"
 #include "memsim/characterize.hpp"
 #include "metrics/path_stress.hpp"
 #include "tensor/torch_layout.hpp"
@@ -25,13 +24,13 @@ int main(int argc, char** argv) {
         static_cast<double>(cfg.steps_per_iteration(g.total_path_steps()));
 
     // CPU reference: quality baseline + modeled 32-thread Xeon time.
-    const auto cpu = core::layout_cpu(g, cfg);
+    const auto cpu = bench::run_backend("cpu-soa", g, cfg);
     const double sps_cpu =
         metrics::sampled_path_stress(g, cpu.layout, 25, opt.seed).value;
     memsim::CharacterizeOptions chopt;
     chopt.sample_updates = opt.quick ? 150'000 : 600'000;
     chopt.llc_scale = mhc_scale;
-    const auto ch = memsim::characterize_cpu(g, cfg, core::CoordStore::kSoA, chopt);
+    const auto ch = memsim::characterize_cpu(g, cfg, memsim::CoordStore::kSoA, chopt);
     const double t_cpu = memsim::CpuPerfModel{}.seconds(
         ch, static_cast<std::uint64_t>(full_updates));
     std::cout << "modeled 32-thread CPU baseline: " << bench::fmt(t_cpu, 1)

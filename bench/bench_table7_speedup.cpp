@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
         chopt.llc_scale = opt.scale;
         chopt.seed = opt.seed;
         const auto ch =
-            memsim::characterize_cpu(g, cfg, core::CoordStore::kSoA, chopt);
+            memsim::characterize_cpu(g, cfg, memsim::CoordStore::kSoA, chopt);
         const double t_cpu = memsim::CpuPerfModel{}.seconds(
             ch, static_cast<std::uint64_t>(full_updates));
 

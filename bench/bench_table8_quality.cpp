@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/cpu_engine.hpp"
 #include "gpusim/gpu_machine.hpp"
 #include "gpusim/gpu_spec.hpp"
 #include "metrics/path_stress.hpp"
@@ -37,7 +36,7 @@ int main(int argc, char** argv) {
         const auto g = bench::build_lean(spec, false);
         const auto cfg = opt.layout_config();
 
-        const auto cpu = core::layout_cpu(g, cfg);
+        const auto cpu = bench::run_backend("cpu-soa", g, cfg);
         gpusim::SimOptions sopt;
         sopt.counter_sample_period = 64;  // quality run: minimize modeling cost
         sopt.cache_scale = opt.scale;

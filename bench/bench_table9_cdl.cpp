@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
     chopt.sample_updates = opt.quick ? 200'000 : 1'000'000;
     chopt.llc_scale = opt.scale;
     chopt.seed = opt.seed;
-    const auto soa = memsim::characterize_cpu(g, cfg, core::CoordStore::kSoA, chopt);
-    const auto aos = memsim::characterize_cpu(g, cfg, core::CoordStore::kAoS, chopt);
+    const auto soa = memsim::characterize_cpu(g, cfg, memsim::CoordStore::kSoA, chopt);
+    const auto aos = memsim::characterize_cpu(g, cfg, memsim::CoordStore::kAoS, chopt);
     memsim::CpuPerfModel cpu_model;
     const double scale_up = full_updates / static_cast<double>(soa.updates);
 

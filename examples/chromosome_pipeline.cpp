@@ -10,7 +10,7 @@
 #include <iostream>
 #include <string>
 
-#include "core/cpu_engine.hpp"
+#include "core/engine.hpp"
 #include "draw/svg.hpp"
 #include "gpusim/gpu_machine.hpp"
 #include "gpusim/gpu_spec.hpp"

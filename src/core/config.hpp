@@ -48,7 +48,8 @@ struct LayoutConfig {
     /// length" (unbounded); odgi quantizes the space similarly.
     std::uint64_t zipf_space_max = 1000;
 
-    /// Worker threads for the Hogwild! engine.
+    /// CPU threads. For cpu-batched and cpu-pipelined this is also the
+    /// shard count, which fixes the output bytes.
     std::uint32_t threads = 1;
 
     /// Pin pool workers to CPUs (stable worker -> cpu -> node map, see

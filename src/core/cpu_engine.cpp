@@ -4,13 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <vector>
 
 #include "core/kernels/update_kernel.hpp"
 #include "core/node_alloc.hpp"
+#include "core/sampling.hpp"
 #include "core/schedule.hpp"
 #include "core/step_math.hpp"
-#include "core/term_batch.hpp"
 #include "core/thread_pool.hpp"
 #include "core/topology.hpp"
 #include "rng/xoshiro256.hpp"
@@ -19,11 +18,9 @@ namespace pgl::core {
 
 namespace {
 
-constexpr std::size_t kBatchSlice = kBatchSliceTerms;
-
-/// The legacy per-term Hogwild loop: sample, update, repeat. Goes through
-/// the store's relaxed-atomic accessors because with threads > 1 the
-/// workers race on the coordinates by design.
+/// The per-term Hogwild loop: sample, update, repeat. Goes through the
+/// store's relaxed-atomic accessors because with threads > 1 the workers
+/// race on the coordinates by design.
 std::uint64_t run_scalar_iter(const PairSampler& sampler, double eta,
                               bool cooling_iter, XYStore& store,
                               rng::Xoshiro256Plus& rng, std::uint64_t steps) {
@@ -48,215 +45,96 @@ std::uint64_t run_scalar_iter(const PairSampler& sampler, double eta,
     return skipped;
 }
 
-std::uint64_t run_batched_iter(const PairSampler& sampler, double eta,
-                               bool cooling_iter, XYStore& store,
-                               const UpdateKernel& kern,
-                               rng::Xoshiro256Plus& rng, std::uint64_t steps,
-                               TermBatch& batch) {
-    std::uint64_t skipped = 0;
-    for (std::uint64_t left = steps; left > 0;) {
-        const std::size_t n =
-            static_cast<std::size_t>(std::min<std::uint64_t>(kBatchSlice, left));
-        batch.clear();
-        skipped += sampler.fill_batch(cooling_iter, rng, n, batch);
-        kern.apply(batch, eta, store);
-        left -= n;
-    }
-    return skipped;
-}
-
-LayoutResult run_layout(const graph::LeanGraph& g, const LayoutConfig& cfg,
-                        XYStore& store, bool batched, const UpdateKernel& kern,
-                        const ProgressHook& hook, ThreadPool& pool) {
+/// Every worker runs the whole schedule without barriers — one pool
+/// dispatch covers the entire run, and a size-0 pool runs the single
+/// worker inline (tid 0: the unjumped seed stream, the full share), which
+/// is the deterministic one-thread run. The workers share no
+/// synchronization point, but each marks iteration boundaries as it
+/// crosses them, and the *last* worker past a boundary emits the aggregated
+/// IterationStats — so progress reporting and telemetry see this backend
+/// too. Emission is pure observation (no worker ever waits on another), and
+/// boundary emissions are naturally serialized: iteration i+1 cannot
+/// complete before the worker that completed iteration i last has moved
+/// on. The hook therefore fires on a worker thread when the pool has
+/// workers (see engine.hpp).
+LayoutResult run_hogwild(const graph::LeanGraph& g, const LayoutConfig& cfg,
+                         XYStore& store, const ProgressHook& hook,
+                         ThreadPool& pool) {
     LayoutResult result;
     result.eta_schedule = make_engine_schedule(
         cfg, static_cast<double>(g.max_path_nuc_length()));
 
     const PairSampler sampler(g, cfg);
     const std::uint64_t n_steps = cfg.steps_per_iteration(g.total_path_steps());
-    const std::uint32_t n_threads = cfg.threads == 0 ? 1 : cfg.threads;
+    const std::uint32_t n_threads = std::max<std::uint32_t>(1, pool.size());
+    const rng::Xoshiro256Plus seeder(cfg.seed);
 
-    std::atomic<std::uint64_t> skipped{0};
-    rng::Xoshiro256Plus seeder(cfg.seed);
-
-    const auto emit = [&](std::uint32_t iter, std::uint64_t iter_skipped) {
-        if (!hook) return;
+    std::unique_ptr<std::atomic<std::uint32_t>[]> arrivals;
+    std::unique_ptr<std::atomic<std::uint64_t>[]> boundary_skipped;
+    if (hook) {
+        arrivals = std::make_unique<std::atomic<std::uint32_t>[]>(cfg.iter_max);
+        boundary_skipped =
+            std::make_unique<std::atomic<std::uint64_t>[]>(cfg.iter_max);
+    }
+    const auto emit = [&](std::uint32_t iter) {
         IterationStats s;
         s.iteration = iter;
         s.iter_max = cfg.iter_max;
         s.eta = result.eta_schedule[iter];
         s.updates = n_steps;
-        s.skipped = iter_skipped;
+        s.skipped = boundary_skipped[iter].load(std::memory_order_relaxed);
         hook(s);
     };
 
-    // Completed iterations, for the honest update count of a cancelled run
-    // (the Hogwild path keeps the full count: its workers share no
-    // iteration barrier to count at).
-    std::uint32_t iters_done = cfg.iter_max;
-
+    // Each worker adds its share per iteration it actually ran, so a
+    // cancelled run reports the updates it performed.
+    std::atomic<std::uint64_t> updates{0};
+    std::atomic<std::uint64_t> skipped{0};
     const auto t0 = std::chrono::steady_clock::now();
-    if (n_threads == 1) {
+    pool.run([&](std::uint32_t tid) {
         rng::Xoshiro256Plus rng = seeder;
-        TermBatch batch;
-        batch.reserve(kBatchSlice);
+        for (std::uint32_t j = 0; j < tid; ++j) rng.jump();
+        const std::uint64_t share = shard_share(n_steps, n_threads, tid);
+        std::uint64_t done = 0;
+        std::uint64_t sk = 0;
         for (std::uint32_t iter = 0; iter < cfg.iter_max; ++iter) {
-            if (cfg.cancel_requested()) {
-                iters_done = iter;
-                break;
-            }
-            const double eta = result.eta_schedule[iter];
-            const bool cooling_iter = cfg.cooling(iter);
-            const std::uint64_t sk =
-                batched ? run_batched_iter(sampler, eta, cooling_iter, store,
-                                           kern, rng, n_steps, batch)
-                        : run_scalar_iter(sampler, eta, cooling_iter, store,
-                                          rng, n_steps);
-            skipped.fetch_add(sk, std::memory_order_relaxed);
-            emit(iter, sk);
-        }
-    } else if (!batched) {
-        // Hogwild: every worker runs the whole schedule without barriers —
-        // one pool dispatch covers the entire run. The workers still share
-        // no synchronization point, but each marks iteration boundaries as
-        // it crosses them, and the *last* worker past a boundary emits the
-        // aggregated IterationStats — so progress reporting and telemetry
-        // see this backend too. Emission is pure observation (no worker
-        // ever waits on another), and boundary emissions are naturally
-        // serialized: iteration i+1 cannot complete before the worker that
-        // completed iteration i last has moved on. The hook therefore fires
-        // on a worker thread here (see engine.hpp).
-        const bool want_progress = static_cast<bool>(hook);
-        std::unique_ptr<std::atomic<std::uint32_t>[]> arrivals;
-        std::unique_ptr<std::atomic<std::uint64_t>[]> boundary_skipped;
-        if (want_progress) {
-            arrivals =
-                std::make_unique<std::atomic<std::uint32_t>[]>(cfg.iter_max);
-            boundary_skipped =
-                std::make_unique<std::atomic<std::uint64_t>[]>(cfg.iter_max);
-        }
-        pool.run([&](std::uint32_t tid) {
-            rng::Xoshiro256Plus rng = seeder;
-            for (std::uint32_t j = 0; j < tid; ++j) rng.jump();
-            const std::uint64_t share = shard_share(n_steps, n_threads, tid);
-            std::uint64_t sk = 0;
-            for (std::uint32_t iter = 0; iter < cfg.iter_max; ++iter) {
-                if (cfg.cancel_requested()) break;
-                const std::uint64_t it_sk =
-                    run_scalar_iter(sampler, result.eta_schedule[iter],
-                                    cfg.cooling(iter), store, rng, share);
-                sk += it_sk;
-                if (want_progress) {
-                    boundary_skipped[iter].fetch_add(
-                        it_sk, std::memory_order_relaxed);
-                    if (arrivals[iter].fetch_add(
-                            1, std::memory_order_acq_rel) + 1 == n_threads) {
-                        emit(iter, boundary_skipped[iter].load(
-                                       std::memory_order_relaxed));
-                    }
+            if (cfg.cancel_requested()) break;
+            const std::uint64_t it_sk =
+                run_scalar_iter(sampler, result.eta_schedule[iter],
+                                cfg.cooling(iter), store, rng, share);
+            done += share;
+            sk += it_sk;
+            if (hook) {
+                boundary_skipped[iter].fetch_add(it_sk,
+                                                 std::memory_order_relaxed);
+                if (arrivals[iter].fetch_add(1, std::memory_order_acq_rel) +
+                        1 == n_threads) {
+                    emit(iter);
                 }
             }
-            skipped.fetch_add(sk, std::memory_order_relaxed);
-        });
-    } else {
-        // Batched: iteration-synchronous and deterministic. Per slice round
-        // the persistent workers sample their shard's TermBatch in parallel
-        // (the expensive part: PRNG draws, alias/Zipf lookups, cold step
-        // records), then the calling thread applies the batches in fixed
-        // shard order through the configured kernel. Racing the applies —
-        // the old behaviour — made a fixed (seed, threads) run
-        // irreproducible; fixed-order application is the property the
-        // partition scheduler's byte-equivalence contract relies on.
-        std::vector<rng::Xoshiro256Plus> rngs;
-        rngs.reserve(n_threads);
-        for (std::uint32_t tid = 0; tid < n_threads; ++tid) {
-            rngs.push_back(seeder);
-            for (std::uint32_t j = 0; j < tid; ++j) rngs.back().jump();
         }
-        // Worker-side warm-up: each worker reserves its own shard's batch,
-        // so the buffer pages are first-touched (and, with pinned workers,
-        // node-placed) by the thread that will fill them every slice.
-        // reserve() writes nothing — bytes are identical with or without
-        // pinning.
-        std::vector<TermBatch> batches(n_threads);
-        pool.run([&](std::uint32_t tid) { batches[tid].reserve(kBatchSlice); });
-        std::vector<std::uint64_t> left(n_threads), slice(n_threads);
-        std::vector<std::uint64_t> worker_skipped(n_threads);
-        for (std::uint32_t iter = 0; iter < cfg.iter_max; ++iter) {
-            if (cfg.cancel_requested()) {
-                iters_done = iter;
-                break;
-            }
-            const double eta = result.eta_schedule[iter];
-            const bool cooling_iter = cfg.cooling(iter);
-            std::uint64_t iter_skipped = 0;
-            std::uint64_t left_total = 0;
-            for (std::uint32_t tid = 0; tid < n_threads; ++tid) {
-                left[tid] = shard_share(n_steps, n_threads, tid);
-                left_total += left[tid];
-            }
-            while (left_total > 0) {
-                for (std::uint32_t tid = 0; tid < n_threads; ++tid) {
-                    slice[tid] = std::min<std::uint64_t>(kBatchSlice, left[tid]);
-                }
-                pool.run([&](std::uint32_t tid) {
-                    batches[tid].clear();
-                    worker_skipped[tid] =
-                        slice[tid] == 0
-                            ? 0
-                            : sampler.fill_batch(
-                                  cooling_iter, rngs[tid],
-                                  static_cast<std::size_t>(slice[tid]),
-                                  batches[tid]);
-                });
-                for (std::uint32_t tid = 0; tid < n_threads; ++tid) {
-                    if (slice[tid] == 0) continue;
-                    kern.apply(batches[tid], eta, store);
-                    iter_skipped += worker_skipped[tid];
-                    left[tid] -= slice[tid];
-                    left_total -= slice[tid];
-                }
-            }
-            skipped.fetch_add(iter_skipped, std::memory_order_relaxed);
-            emit(iter, iter_skipped);
-        }
-    }
+        updates.fetch_add(done, std::memory_order_relaxed);
+        skipped.fetch_add(sk, std::memory_order_relaxed);
+    });
     const auto t1 = std::chrono::steady_clock::now();
     result.seconds = std::chrono::duration<double>(t1 - t0).count();
-    result.updates = static_cast<std::uint64_t>(iters_done) * n_steps;
+    result.updates = updates.load();
     result.skipped = skipped.load();
     result.layout = store.snapshot();
     return result;
 }
 
-/// `pool` must have cfg.threads workers when cfg.threads > 1
-/// (single-threaded runs never touch it).
-LayoutResult run_layout_from(const graph::LeanGraph& g, const LayoutConfig& cfg,
-                             const Layout& initial, bool batched,
-                             const UpdateKernel& kern, const ProgressHook& hook,
-                             ThreadPool& pool) {
-    XYStore store(initial);
-    return run_layout(g, cfg, store, batched, kern, hook, pool);
-}
-
 class CpuLayoutEngine final : public LayoutEngine {
 public:
-    CpuLayoutEngine(CoordStore store, bool batched)
-        : store_(store), batched_(batched) {}
-
-    std::string_view name() const noexcept override {
-        if (batched_) return "cpu-batched";
-        return store_ == CoordStore::kAoS ? "cpu-aos" : "cpu-soa";
-    }
+    std::string_view name() const noexcept override { return "cpu-soa"; }
 
 protected:
     void do_init() override {
-        // Resolving here also validates cfg.kernel: an unknown name throws
-        // before any work starts. (The per-term Hogwild path applies terms
-        // as it samples them and never drains a batch, but it still rejects
-        // bad names the same way.) resolve_placement likewise validates
-        // cfg.numa up front.
-        kernel_ = make_update_kernel(cfg_.kernel);
+        // The per-term loop never drains a batch through a kernel, but it
+        // still validates cfg.kernel up front like every CPU engine:
+        // an unknown name throws before any work starts.
+        // resolve_placement likewise validates cfg.numa.
+        make_update_kernel(cfg_.kernel);
         // The pool outlives every run(): workers are spawned once per
         // init(), never inside the iteration loop. It is recreated when the
         // size *or* the placement plan changes — repinning live workers is
@@ -283,14 +161,10 @@ protected:
         } else {
             store.load(initial);
         }
-        return run_layout(*graph_, cfg, store, batched_, *kernel_, hook,
-                          *pool_);
+        return run_hogwild(*graph_, cfg, store, hook, *pool_);
     }
 
 private:
-    CoordStore store_;
-    bool batched_;
-    std::unique_ptr<const UpdateKernel> kernel_;
     std::unique_ptr<ThreadPool> pool_;
     PlacementContext place_;
     std::string pool_key_;
@@ -298,21 +172,8 @@ private:
 
 }  // namespace
 
-std::unique_ptr<LayoutEngine> make_cpu_engine(CoordStore store, bool batched) {
-    return std::make_unique<CpuLayoutEngine>(store, batched);
-}
-
-LayoutResult layout_cpu_from(const graph::LeanGraph& g, const LayoutConfig& cfg,
-                             const Layout& initial, CoordStore) {
-    ThreadPool pool(cfg.threads > 1 ? cfg.threads : 0);
-    const auto kern = make_update_kernel(cfg.kernel);
-    return run_layout_from(g, cfg, initial, /*batched=*/false, *kern, {}, pool);
-}
-
-LayoutResult layout_cpu(const graph::LeanGraph& g, const LayoutConfig& cfg,
-                        CoordStore store) {
-    const Layout initial = make_initial_layout(g, cfg);
-    return layout_cpu_from(g, cfg, initial, store);
+std::unique_ptr<LayoutEngine> make_cpu_engine() {
+    return std::make_unique<CpuLayoutEngine>();
 }
 
 }  // namespace pgl::core

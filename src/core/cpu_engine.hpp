@@ -1,65 +1,43 @@
 #pragma once
-// The multithreaded CPU backends (paper Sec. III): PG-SGD with Hogwild!
-// asynchronous updates. Each worker owns a jumped Xoshiro256+ stream and
-// performs its share of the N_steps updates of every iteration without
-// locking; the graph's extreme sparsity makes collisions harmless, exactly
-// the argument of Sec. III-A.
+// The CPU backends (paper Sec. III): two execution loops, each shared by
+// every thread count.
 //
-// Two execution styles share the XYStore-based update code:
-//   * scalar — the legacy per-term loop (sample, update, repeat);
-//   * batched — each worker fills a TermBatch per slice via
-//     PairSampler::fill_batch; with threads > 1 the filled batches are
-//     applied by the calling thread in fixed shard order (sampling is
-//     parallel, application is ordered), so a fixed (seed, threads) pair
-//     is byte-reproducible — the contract the partition scheduler builds
-//     on. With one thread and the same seed the batched engine replays the
-//     scalar engine's exact PRNG stream, so the two produce bit-identical
+//   * Hogwild ("cpu-soa", cpu_engine.cpp) — PG-SGD with asynchronous
+//     updates. Each worker owns a jumped Xoshiro256+ stream and performs its
+//     share of the N_steps updates of every iteration without locking; the
+//     graph's extreme sparsity makes collisions harmless, exactly the
+//     argument of Sec. III-A. One thread runs inline on the caller and is
+//     byte-reproducible for a fixed seed.
+//   * Ordered ("cpu-batched", "cpu-pipelined", pipelined_engine.cpp) —
+//     pool workers sample one TermBatch per shard into a double buffer
+//     while the calling thread applies the previous slice's batches in
+//     fixed shard order through the UpdateKernel named by cfg.kernel
+//     ("scalar" or the byte-identical vectorized "simd"). A fixed (seed,
+//     threads) pair is byte-reproducible — the contract the partition
+//     scheduler builds on. With one thread and the same seed, cpu-batched
+//     replays cpu-soa's exact PRNG stream, so the two produce bit-identical
 //     layouts.
 //
-// All engines run on the shared core::XYStore; batch-draining paths apply
-// their TermBatches through the UpdateKernel named by cfg.kernel ("scalar"
-// or the byte-identical vectorized "simd"), resolved and validated at
-// init(). The CoordStore enum below no longer selects a functional storage
-// class — it keeps the "cpu-aos" registry name alive and parameterizes the
-// memory simulators, which model the cache-friendly AoS address stream
-// (the "CPU w/ cache-friendly data layout" bar of Fig. 16).
-#include <cstdint>
+// Callers create engines through core::make_engine (engine.hpp); these are
+// the factories the registry calls.
 #include <memory>
 
-#include "core/config.hpp"
 #include "core/engine.hpp"
-#include "core/layout.hpp"
-#include "graph/lean_graph.hpp"
 
 namespace pgl::core {
 
-enum class CoordStore : std::uint8_t {
-    kSoA,  ///< original ODGI organization (separate X / Y / length arrays)
-    kAoS,  ///< cache-friendly data layout (packed node records; modeled by
-           ///< memsim/gpusim — functional values are identical to kSoA)
-};
+/// The Hogwild engine ("cpu-soa").
+std::unique_ptr<LayoutEngine> make_cpu_engine();
 
-/// Creates a CPU layout engine ("cpu-soa" / "cpu-aos" / "cpu-batched").
-std::unique_ptr<LayoutEngine> make_cpu_engine(CoordStore store, bool batched);
+/// The ordered engine with the sequential sampler ("cpu-batched"):
+/// PairSampler::fill_batch in slices of kBatchSliceTerms, one shard per
+/// thread, no pool thread at all for a single-threaded config.
+std::unique_ptr<LayoutEngine> make_batched_engine();
 
-/// Creates the pipelined CPU engine ("cpu-pipelined"): cfg.threads producer
-/// workers on a persistent core::ThreadPool sample TermBatches into a
-/// double buffer (via the staged, prefetching fill) while the calling
-/// thread applies the previous buffer, so sampling — the workload's
-/// bottleneck (paper Sec. III) — overlaps the position updates.
-/// Deterministic: a fixed (seed, threads) pair always yields the same
-/// layout byte-for-byte, unlike the Hogwild engines.
+/// The ordered engine with the staged, prefetching sampler
+/// ("cpu-pipelined"): PairSampler::fill_batch_staged in adaptive slices on
+/// max(1, cfg.threads) producers, so even one thread overlaps sampling —
+/// the workload's bottleneck (paper Sec. III) — with the updates.
 std::unique_ptr<LayoutEngine> make_pipelined_engine();
-
-/// Runs the full PG-SGD loop on the CPU and returns the final layout.
-/// Deterministic for cfg.threads == 1 and a fixed seed. Thin wrapper over
-/// the scalar CPU engine, kept for compatibility.
-LayoutResult layout_cpu(const graph::LeanGraph& g, const LayoutConfig& cfg,
-                        CoordStore store = CoordStore::kSoA);
-
-/// Same, but starting from a caller-provided initial layout.
-LayoutResult layout_cpu_from(const graph::LeanGraph& g, const LayoutConfig& cfg,
-                             const Layout& initial,
-                             CoordStore store = CoordStore::kSoA);
 
 }  // namespace pgl::core

@@ -80,10 +80,8 @@ LayoutResult LayoutEngine::run(std::uint32_t iterations) {
 EngineRegistry& EngineRegistry::instance() {
     static EngineRegistry registry = [] {
         EngineRegistry r;
-        r.add("cpu-soa", [] { return make_cpu_engine(CoordStore::kSoA, false); });
-        r.add("cpu-aos", [] { return make_cpu_engine(CoordStore::kAoS, false); });
-        r.add("cpu-batched",
-              [] { return make_cpu_engine(CoordStore::kSoA, true); });
+        r.add("cpu-soa", [] { return make_cpu_engine(); });
+        r.add("cpu-batched", [] { return make_batched_engine(); });
         r.add("cpu-pipelined", [] { return make_pipelined_engine(); });
         r.add("gpusim-base", [] {
             return gpusim::make_gpusim_engine(gpusim::KernelConfig::base(),

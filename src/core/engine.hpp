@@ -9,13 +9,14 @@
 // one seam.
 //
 // Built-in registry names:
-//   "cpu-soa"           scalar Hogwild CPU engine, original SoA store
-//   "cpu-aos"           scalar Hogwild CPU engine, cache-friendly AoS store
-//   "cpu-batched"       batched CPU engine (one TermBatch per worker slice;
-//                       parallel sampling, shard-ordered application —
-//                       deterministic per seed+threads)
-//   "cpu-pipelined"     pipelined CPU engine (pool producers sample ahead,
-//                       the consumer applies; deterministic per seed+threads)
+//   "cpu-soa"           per-term Hogwild CPU engine (racy by design;
+//                       deterministic per seed at one thread)
+//   "cpu-batched"       ordered CPU engine, sequential sampler in 1024-term
+//                       slices (pool producers sample ahead, the caller
+//                       applies in shard order; deterministic per
+//                       seed+threads; replays cpu-soa at one thread)
+//   "cpu-pipelined"     ordered CPU engine, staged sampler in adaptive
+//                       slices (deterministic per seed+threads)
 //   "gpusim-base"       simulated CUDA kernel, no optimizations
 //   "gpusim-optimized"  simulated CUDA kernel, CDL + CRS + WM
 //   "torch"             PyTorch-style batched tensor implementation
@@ -78,16 +79,17 @@ using ProgressHook = std::function<void(const IterationStats&)>;
 ///   auto probe  = eng->run(3);         // or a truncated run
 ///
 /// Every backend reports per-iteration progress. Iteration-synchronous
-/// engines (cpu-batched, cpu-pipelined, gpusim-*, torch, and the scalar
-/// CPU engine with one thread) invoke the hook from the calling thread
-/// after each iteration. The multithreaded Hogwild scalar path still runs
-/// its workers through the whole schedule without barriers — exactly as
-/// odgi-layout does — but each worker marks iteration boundaries as it
-/// crosses them, and the *last* worker past a boundary emits the
-/// aggregated IterationStats. Consequence: with threads > 1 on cpu-soa /
-/// cpu-aos the hook may fire on a worker thread (serialized, never
-/// concurrently), and its updates/skipped are the aggregate since the
-/// previous boundary rather than an exact per-iteration slice.
+/// engines (cpu-batched, cpu-pipelined, gpusim-*, torch) invoke the hook
+/// from the calling thread after each iteration. The Hogwild engine
+/// (cpu-soa) runs its workers through the whole schedule without barriers
+/// — exactly as odgi-layout does — but each worker marks iteration
+/// boundaries as it crosses them, and the *last* worker past a boundary
+/// emits the aggregated IterationStats. At one thread that worker is the
+/// calling thread, so the hook fires there after each iteration.
+/// Consequence: with threads > 1 on cpu-soa the hook may fire on a worker
+/// thread (serialized, never concurrently), and its updates/skipped are
+/// the aggregate since the previous boundary rather than an exact
+/// per-iteration slice.
 ///
 /// run() also feeds the telemetry layer (src/telemetry/): an `engine.run`
 /// stage span, per-iteration `engine.iteration_ns` histogram samples, and

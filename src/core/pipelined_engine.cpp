@@ -1,14 +1,13 @@
-// The pipelined CPU engine ("cpu-pipelined"): PG-SGD with sampling and
-// position updates overlapped. The paper's Sec. III observation is that the
-// layout loop is sampling-bound — most of an update's cost is drawing the
-// term (alias table, Zipf hop, step lookups), not the arithmetic. This
-// engine therefore splits the two halves of the loop across threads:
+// The ordered CPU engines ("cpu-batched" and "cpu-pipelined"): PG-SGD with
+// sampling and position updates overlapped. The paper's Sec. III
+// observation is that the layout loop is sampling-bound — most of an
+// update's cost is drawing the term (alias table, Zipf hop, step lookups),
+// not the arithmetic. Both engines therefore split the two halves of the
+// loop across threads:
 //
-//   producers (cfg.threads persistent pool workers)
+//   producers (persistent pool workers; inline on a size-0 pool)
 //       each owns a jumped Xoshiro256+ stream (shard tid = seed stream
-//       jumped tid times, the same sharding rule as "cpu-batched") and
-//       fills its shard's TermBatch for slice N+1 via the staged,
-//       prefetching PairSampler::fill_batch_staged;
+//       jumped tid times) and fills its shard's TermBatch for slice N+1;
 //   consumer (the calling thread)
 //       applies slice N's batches through the configured UpdateKernel
 //       (cfg.kernel: "scalar" or the byte-identical "simd"), in fixed
@@ -18,8 +17,18 @@
 // touching; the pool's dispatch/wait edges order the hand-off. Because the
 // consumer is the only thread that writes coordinates and applies batches
 // in a deterministic order, a fixed (seed, threads) pair reproduces the
-// layout byte-for-byte — unlike the Hogwild engines, whose result depends
+// layout byte-for-byte — unlike the Hogwild engine, whose result depends
 // on scheduler interleaving.
+//
+// The two engines differ only in what is fixed per engine, never per term:
+//
+//   cpu-batched    the sequential PairSampler::fill_batch in slices of
+//                  kBatchSliceTerms; one shard per thread and no pool
+//                  thread at all for a single-threaded config, where it
+//                  replays cpu-soa's PRNG stream bit for bit;
+//   cpu-pipelined  the staged, prefetching fill_batch_staged in adaptive
+//                  slices on max(1, threads) producers, so even one thread
+//                  overlaps sampling with the updates.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -39,12 +48,13 @@ namespace pgl::core {
 
 namespace {
 
-/// Slice sizing: at least the shared batch slice (keeps a slice's updates
-/// cache-hot), at most 64Ki terms (bounds buffer memory at any thread
-/// count). Two slices per iteration is the minimum that still overlaps —
-/// the producers fill the second half-iteration while the consumer applies
-/// the first — and it keeps pool dispatches per iteration constant, so the
-/// dispatch latency never grows with the schedule.
+/// Adaptive slice sizing (cpu-pipelined): at least the shared batch slice
+/// (keeps a slice's updates cache-hot), at most 64Ki terms (bounds buffer
+/// memory at any thread count). Two slices per iteration is the minimum
+/// that still overlaps — the producers fill the second half-iteration
+/// while the consumer applies the first — and it keeps pool dispatches per
+/// iteration constant, so the dispatch latency never grows with the
+/// schedule.
 constexpr std::size_t kMinSlice = kBatchSliceTerms;
 constexpr std::size_t kMaxSlice = std::size_t{1} << 16;
 constexpr std::uint64_t kTargetSlicesPerIter = 2;
@@ -55,16 +65,20 @@ struct alignas(64) ShardCounter {
     std::uint64_t skipped = 0;
 };
 
+/// `staged` selects cpu-pipelined's sampler and slice size over
+/// cpu-batched's (see the file header). One shard per pool worker; a
+/// size-0 pool runs the single shard inline.
 LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
                            XYStore& store, const UpdateKernel& kern,
-                           ThreadPool& pool, const ProgressHook& hook) {
+                           ThreadPool& pool, const ProgressHook& hook,
+                           bool staged) {
     LayoutResult result;
     result.eta_schedule = make_engine_schedule(
         cfg, static_cast<double>(g.max_path_nuc_length()));
 
     const PairSampler sampler(g, cfg);
     const std::uint64_t n_steps = cfg.steps_per_iteration(g.total_path_steps());
-    const std::uint32_t n_shards = pool.size();
+    const std::uint32_t n_shards = std::max<std::uint32_t>(1, pool.size());
 
     std::vector<std::uint64_t> shares(n_shards);
     for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
@@ -73,9 +87,11 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
     // shard_share hands the remainder to the first shards, so shard 0 has
     // the largest share and bounds the slice count for everyone.
     const std::uint64_t max_share = shares[0];
-    const std::size_t slice = std::clamp<std::size_t>(
-        static_cast<std::size_t>(max_share / kTargetSlicesPerIter), kMinSlice,
-        kMaxSlice);
+    const std::size_t slice =
+        staged ? std::clamp<std::size_t>(
+                     static_cast<std::size_t>(max_share / kTargetSlicesPerIter),
+                     kMinSlice, kMaxSlice)
+               : kBatchSliceTerms;
     const std::uint64_t n_slices =
         (max_share + slice - 1) / static_cast<std::uint64_t>(slice);
 
@@ -87,8 +103,8 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
         return static_cast<std::size_t>(end - begin);
     };
 
-    // The per-shard RNG streams match cpu-batched: stream tid is the seed
-    // stream jumped tid times, so both engines sample identical terms.
+    // Stream tid is the seed stream jumped tid times (stream 0 is cpu-soa's
+    // one-thread stream).
     std::vector<rng::Xoshiro256Plus> rngs;
     rngs.reserve(n_shards);
     rng::Xoshiro256Plus seeder(cfg.seed);
@@ -98,12 +114,12 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
     }
 
     // Double buffer: producers fill bufs[1 - cur] while the consumer
-    // applies bufs[cur]. No reserve: the staged fill sizes exactly the
-    // apply columns on first use (reserve() would also allocate the six
-    // replay columns it never writes), and the capacity persists. Shard
-    // tid's buffers are only ever written by producer tid, so with pinned
-    // workers first touch lands them on the producer's own node — no
-    // explicit placement needed.
+    // applies bufs[cur]. No reserve: the first fill sizes the buffer (the
+    // staged fill exactly the apply columns — reserve() would also
+    // allocate the six replay columns it never writes), and the capacity
+    // persists. Shard tid's buffers are only ever written by producer tid,
+    // so with pinned workers first touch lands them on the producer's own
+    // node — no explicit placement needed.
     std::vector<TermBatch> bufs[2];
     for (auto& side : bufs) side.resize(n_shards);
     std::vector<ShardCounter> fill_skipped(n_shards);
@@ -127,8 +143,15 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
         // slice ahead of the consumer within the iteration.
         const auto fill_job = [&](int buf, std::uint64_t s) {
             return [&, buf, s](std::uint32_t tid) {
-                fill_skipped[tid].skipped += sampler.fill_batch_staged(
-                    cooling_iter, rngs[tid], take(tid, s), bufs[buf][tid]);
+                TermBatch& batch = bufs[buf][tid];
+                if (staged) {
+                    fill_skipped[tid].skipped += sampler.fill_batch_staged(
+                        cooling_iter, rngs[tid], take(tid, s), batch);
+                } else {
+                    batch.clear();
+                    fill_skipped[tid].skipped += sampler.fill_batch(
+                        cooling_iter, rngs[tid], take(tid, s), batch);
+                }
             };
         };
 
@@ -169,21 +192,27 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
     return result;
 }
 
-class PipelinedLayoutEngine final : public LayoutEngine {
+class OrderedLayoutEngine final : public LayoutEngine {
 public:
-    std::string_view name() const noexcept override { return "cpu-pipelined"; }
+    explicit OrderedLayoutEngine(bool staged) : staged_(staged) {}
+
+    std::string_view name() const noexcept override {
+        return staged_ ? "cpu-pipelined" : "cpu-batched";
+    }
 
 protected:
     void do_init() override {
         // Resolving the kernel here also validates cfg.kernel up front
         // (resolve_placement does the same for cfg.numa).
         kernel_ = make_update_kernel(cfg_.kernel);
-        // Always at least one producer: even a single-threaded config
-        // overlaps sampling with the consumer's updates. Workers persist
+        // cpu-pipelined always has at least one producer, so even a
+        // single-threaded config overlaps sampling with the consumer's
+        // updates; cpu-batched runs one thread inline. Workers persist
         // across run() calls — nothing is spawned in the iteration loop.
         // The pool is recreated when the placement plan changes, not just
         // the size: live workers cannot be repinned.
-        const std::uint32_t n = cfg_.threads == 0 ? 1 : cfg_.threads;
+        const std::uint32_t n = staged_ ? std::max<std::uint32_t>(1, cfg_.threads)
+                                        : (cfg_.threads > 1 ? cfg_.threads : 0);
         place_ = resolve_placement(cfg_, n);
         const std::string key = place_.key();
         if (!pool_ || pool_->size() != n || pool_key_ != key) {
@@ -205,10 +234,11 @@ protected:
         } else {
             s.load(initial);
         }
-        return run_pipelined(*graph_, cfg, s, *kernel_, *pool_, hook);
+        return run_pipelined(*graph_, cfg, s, *kernel_, *pool_, hook, staged_);
     }
 
 private:
+    bool staged_;
     std::unique_ptr<const UpdateKernel> kernel_;
     std::unique_ptr<ThreadPool> pool_;
     PlacementContext place_;
@@ -217,8 +247,12 @@ private:
 
 }  // namespace
 
+std::unique_ptr<LayoutEngine> make_batched_engine() {
+    return std::make_unique<OrderedLayoutEngine>(/*staged=*/false);
+}
+
 std::unique_ptr<LayoutEngine> make_pipelined_engine() {
-    return std::make_unique<PipelinedLayoutEngine>();
+    return std::make_unique<OrderedLayoutEngine>(/*staged=*/true);
 }
 
 }  // namespace pgl::core

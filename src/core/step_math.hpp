@@ -15,9 +15,9 @@ struct PointDelta {
 };
 
 /// Draws the small nonzero coincident-point separation passed to
-/// sgd_term_update. One definition for every consumer (scalar CPU loop,
-/// PairSampler::fill_batch, GPU simulator): the batched engine's
-/// bit-identical-to-scalar guarantee requires all of them to consume the
+/// sgd_term_update. One definition for every consumer (Hogwild CPU loop,
+/// PairSampler::fill_batch, GPU simulator): cpu-batched's
+/// bit-identical-to-cpu-soa guarantee requires all of them to consume the
 /// PRNG identically.
 template <typename Rng>
 double draw_nudge(Rng& rng) noexcept {

@@ -12,9 +12,9 @@
 // a TermBatch are visible to whoever consumes the batch after wait()
 // returns — the property the double-buffered pipelined engine relies on.
 //
-// A pool of size 0 is a valid degenerate pool: run() executes the job
-// inline on the caller, so single-threaded configurations pay no
-// synchronization cost and stay bit-exact with the legacy scalar loop.
+// A pool of size 0 is a valid degenerate pool: run() and launch() execute
+// the job inline on the caller as tid 0, so single-threaded configurations
+// pay no synchronization cost and run the same loop as every thread count.
 //
 // Workers may optionally be pinned to CPUs via a WorkerPlacement (see
 // core/topology.hpp): each worker pins itself before picking up its first

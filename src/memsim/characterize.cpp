@@ -34,13 +34,13 @@ constexpr std::uint32_t kStepRecBytes = 16;   // graph::PathStepRecord
 
 CpuCharacterization characterize_cpu(const graph::LeanGraph& g,
                                      const core::LayoutConfig& cfg,
-                                     core::CoordStore store,
+                                     CoordStore store,
                                      const CharacterizeOptions& opt) {
     CacheHierarchy mem(xeon_6246r_hierarchy(opt.llc_scale));
     const core::PairSampler sampler(g, cfg);
     rng::Xoshiro256Plus rng(opt.seed);
 
-    const bool aos = (store == core::CoordStore::kAoS);
+    const bool aos = (store == CoordStore::kAoS);
     // The original (SoA) organization is ODGI's: every element sits inside
     // a much fatter record, spreading accesses over bloat x the lean span.
     const std::uint64_t bloat = aos ? 1

@@ -21,11 +21,20 @@
 #include <cstdint>
 
 #include "core/config.hpp"
-#include "core/cpu_engine.hpp"
 #include "graph/lean_graph.hpp"
 #include "memsim/cache.hpp"
 
 namespace pgl::memsim {
+
+/// Coordinate-store organization whose address stream the replay models.
+/// Both organizations compute identical values — the engines run one flat
+/// store (core::XYStore) — so this only selects the modeled addresses.
+enum class CoordStore : std::uint8_t {
+    kSoA,  ///< original ODGI organization (separate X / Y / length arrays)
+    kAoS,  ///< cache-friendly data layout (packed node records, paper
+           ///< Sec. V-B1; the "CPU w/ cache-friendly data layout" bar of
+           ///< Fig. 16)
+};
 
 struct CpuCharacterization {
     CacheStats l1, l2, llc;
@@ -67,7 +76,7 @@ struct CharacterizeOptions {
 /// the given coordinate-store organization (SoA = original, AoS = CDL).
 CpuCharacterization characterize_cpu(const graph::LeanGraph& g,
                                      const core::LayoutConfig& cfg,
-                                     core::CoordStore store,
+                                     CoordStore store,
                                      const CharacterizeOptions& opt);
 
 /// Analytic CPU time model used for the paper-shape speedup tables: total

@@ -35,7 +35,7 @@ foreach(line IN LISTS lines)
 endforeach()
 
 # Every built-in engine must be listed.
-foreach(required cpu-soa cpu-aos cpu-batched cpu-pipelined
+foreach(required cpu-soa cpu-batched cpu-pipelined
                  gpusim-base gpusim-optimized torch)
   list(FIND lines ${required} idx)
   if(idx EQUAL -1)

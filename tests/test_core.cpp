@@ -2,9 +2,11 @@
 // the CPU engine.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <memory>
 
-#include "core/cpu_engine.hpp"
+#include "core/engine.hpp"
 #include "core/sampling.hpp"
 #include "core/schedule.hpp"
 #include "core/step_math.hpp"
@@ -17,6 +19,14 @@ namespace {
 
 using namespace pgl;
 using core::End;
+
+/// Runs the Hogwild CPU engine ("cpu-soa") through the registry.
+core::LayoutResult run_cpu_soa(const graph::LeanGraph& g,
+                               const core::LayoutConfig& cfg) {
+    auto engine = core::make_engine("cpu-soa");
+    engine->init(g, cfg);
+    return engine->run();
+}
 
 graph::LeanGraph small_graph(std::uint64_t backbone = 200, std::uint32_t paths = 4,
                              std::uint64_t seed = 5) {
@@ -290,7 +300,8 @@ TEST(CpuEngine, ReducesSampledPathStress) {
         bad.end_y[i] += static_cast<float>((noise.next_double() - 0.5) * 1e4);
     }
     const double before = metrics::sampled_path_stress(g, bad, 20, 1).value;
-    const auto result = core::layout_cpu_from(g, cfg, bad);
+    cfg.initial_layout = std::make_shared<const core::Layout>(bad);
+    const auto result = run_cpu_soa(g, cfg);
     const double after = metrics::sampled_path_stress(g, result.layout, 20, 1).value;
     EXPECT_LT(after, before * 0.2);
 }
@@ -301,27 +312,13 @@ TEST(CpuEngine, DeterministicSingleThread) {
     cfg.iter_max = 3;
     cfg.steps_per_iter_factor = 1.0;
     cfg.seed = 77;
-    const auto a = core::layout_cpu(g, cfg);
-    const auto b = core::layout_cpu(g, cfg);
+    const auto a = run_cpu_soa(g, cfg);
+    const auto b = run_cpu_soa(g, cfg);
     ASSERT_EQ(a.layout.size(), b.layout.size());
     for (std::size_t i = 0; i < a.layout.size(); ++i) {
         EXPECT_EQ(a.layout.start_x[i], b.layout.start_x[i]);
         EXPECT_EQ(a.layout.end_y[i], b.layout.end_y[i]);
     }
-}
-
-TEST(CpuEngine, SoAAndAoSConvergeToSimilarQuality) {
-    const auto g = small_graph(300, 5);
-    core::LayoutConfig cfg;
-    cfg.iter_max = 12;
-    cfg.steps_per_iter_factor = 4.0;
-    const auto soa = core::layout_cpu(g, cfg, core::CoordStore::kSoA);
-    const auto aos = core::layout_cpu(g, cfg, core::CoordStore::kAoS);
-    const double s1 = metrics::sampled_path_stress(g, soa.layout, 20, 1).value;
-    const double s2 = metrics::sampled_path_stress(g, aos.layout, 20, 1).value;
-    // Same algorithm, same seed, different storage: quality must match
-    // within noise.
-    EXPECT_LT(std::abs(s1 - s2) / std::max(s1, s2), 0.5);
 }
 
 TEST(CpuEngine, MultiThreadedHogwildPreservesQuality) {
@@ -330,9 +327,9 @@ TEST(CpuEngine, MultiThreadedHogwildPreservesQuality) {
     cfg.iter_max = 12;
     cfg.steps_per_iter_factor = 4.0;
     cfg.threads = 1;
-    const auto single = core::layout_cpu(g, cfg);
+    const auto single = run_cpu_soa(g, cfg);
     cfg.threads = 4;
-    const auto multi = core::layout_cpu(g, cfg);
+    const auto multi = run_cpu_soa(g, cfg);
     const double s1 = metrics::sampled_path_stress(g, single.layout, 20, 1).value;
     const double s4 = metrics::sampled_path_stress(g, multi.layout, 20, 1).value;
     EXPECT_LT(s4, s1 * 3 + 0.5);  // Hogwild races must not wreck quality
@@ -343,10 +340,37 @@ TEST(CpuEngine, ReportsUpdateCounts) {
     core::LayoutConfig cfg;
     cfg.iter_max = 2;
     cfg.steps_per_iter_factor = 1.0;
-    const auto r = core::layout_cpu(g, cfg);
+    const auto r = run_cpu_soa(g, cfg);
     EXPECT_EQ(r.updates, 2 * cfg.steps_per_iteration(g.total_path_steps()));
     EXPECT_EQ(r.eta_schedule.size(), 2u);
     EXPECT_GE(r.seconds, 0.0);
+}
+
+TEST(CpuEngine, CancelledBeforeRunReportsNoUpdates) {
+    const auto g = small_graph(100, 2);
+    core::LayoutConfig cfg;
+    cfg.iter_max = 3;
+    cfg.steps_per_iter_factor = 1.0;
+    cfg.threads = 4;
+    cfg.cancel = std::make_shared<const std::atomic<bool>>(true);
+    const auto r = run_cpu_soa(g, cfg);
+    EXPECT_EQ(r.updates, 0u);
+}
+
+TEST(CpuEngine, CancelFromProgressHookCountsCompletedIterations) {
+    const auto g = small_graph(100, 2);
+    core::LayoutConfig cfg;
+    cfg.iter_max = 5;
+    cfg.steps_per_iter_factor = 1.0;
+    auto flag = std::make_shared<std::atomic<bool>>(false);
+    cfg.cancel = flag;
+    auto engine = core::make_engine("cpu-soa");
+    engine->init(g, cfg);
+    engine->set_progress_hook([&](const core::IterationStats& s) {
+        if (s.iteration == 1) flag->store(true);
+    });
+    const auto r = engine->run();
+    EXPECT_EQ(r.updates, 2 * cfg.steps_per_iteration(g.total_path_steps()));
 }
 
 TEST(LayoutInit, LinearAlongCumulativeLength) {

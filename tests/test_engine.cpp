@@ -47,7 +47,7 @@ TEST(EngineRegistry, ListsAllBuiltinBackends) {
     const auto names = core::EngineRegistry::instance().names();
     const std::set<std::string> have(names.begin(), names.end());
     for (const char* expected :
-         {"cpu-soa", "cpu-aos", "cpu-batched", "cpu-pipelined", "gpusim-base",
+         {"cpu-soa", "cpu-batched", "cpu-pipelined", "gpusim-base",
           "gpusim-optimized", "torch"}) {
         EXPECT_TRUE(have.count(expected)) << "missing backend " << expected;
     }
@@ -69,9 +69,7 @@ TEST(EngineRegistry, UnknownNameIsNullAndMakeEngineThrows) {
 
 TEST(EngineRegistry, CustomEngineCanBeRegistered) {
     auto& reg = core::EngineRegistry::instance();
-    reg.add("test-alias", [] {
-        return core::make_cpu_engine(core::CoordStore::kSoA, false);
-    });
+    reg.add("test-alias", [] { return core::make_cpu_engine(); });
     EXPECT_TRUE(reg.contains("test-alias"));
     auto engine = reg.create("test-alias");
     ASSERT_NE(engine, nullptr);
@@ -147,7 +145,7 @@ TEST(LayoutEngine, ProgressHookFiresPerIteration) {
     }
 }
 
-// --- Batched CPU engine vs legacy scalar path (acceptance criterion) ---
+// --- cpu-batched replays cpu-soa at one thread ---
 
 TEST(CpuBatchedEngine, BitIdenticalToScalarForSingleThread) {
     const auto g = small_graph(300, 5);
@@ -157,7 +155,9 @@ TEST(CpuBatchedEngine, BitIdenticalToScalarForSingleThread) {
     cfg.threads = 1;
     cfg.seed = 4242;
 
-    const auto scalar = core::layout_cpu(g, cfg);  // legacy wrapper
+    auto soa = core::make_engine("cpu-soa");
+    soa->init(g, cfg);
+    const auto scalar = soa->run();
 
     auto engine = core::make_engine("cpu-batched");
     engine->init(g, cfg);
@@ -318,7 +318,9 @@ TEST(CpuEngine, MultithreadedUpdateCountMatchesRequestedSteps) {
     // reported count up past the requested steps.
     for (std::uint32_t threads : {2u, 3u, 7u}) {
         cfg.threads = threads;
-        const auto r = core::layout_cpu(g, cfg);
+        auto engine = core::make_engine("cpu-soa");
+        engine->init(g, cfg);
+        const auto r = engine->run();
         EXPECT_EQ(r.updates, cfg.iter_max * n_steps) << threads << " threads";
     }
 }
@@ -376,7 +378,7 @@ TEST(TermBatch, FillBatchMatchesScalarSampleStream) {
 
 TEST(TermBatch, SlicedFillsReplayOneBigFill) {
     // Filling 4 x 250 terms in slices consumes the PRNG exactly like one
-    // 1000-term fill — the property the batched engine's slicing relies on.
+    // 1000-term fill — the property cpu-batched's slicing relies on.
     const auto g = small_graph(250, 4);
     core::LayoutConfig cfg;
     const core::PairSampler sampler(g, cfg);

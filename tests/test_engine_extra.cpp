@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "core/cpu_engine.hpp"
+#include "core/engine.hpp"
 #include "core/sampling.hpp"
 #include "gpusim/gpu_machine.hpp"
 #include "gpusim/gpu_spec.hpp"
@@ -15,6 +15,14 @@
 namespace {
 
 using namespace pgl;
+
+/// Runs the Hogwild CPU engine ("cpu-soa") through the registry.
+core::LayoutResult run_cpu_soa(const graph::LeanGraph& g,
+                               const core::LayoutConfig& cfg) {
+    auto engine = core::make_engine("cpu-soa");
+    engine->init(g, cfg);
+    return engine->run();
+}
 
 graph::LeanGraph mk_graph(std::uint64_t backbone, std::uint32_t paths,
                           std::uint64_t seed = 77) {
@@ -60,9 +68,9 @@ TEST(CpuEngine, TruncatedScheduleIsLessConverged) {
     cfg.schedule_iter_max = 20;
     cfg.steps_per_iter_factor = 2.0;
     cfg.iter_max = 4;
-    const auto early = core::layout_cpu(g, cfg);
+    const auto early = run_cpu_soa(g, cfg);
     cfg.iter_max = 20;
-    const auto full = core::layout_cpu(g, cfg);
+    const auto full = run_cpu_soa(g, cfg);
     const double s_early =
         metrics::sampled_path_stress(g, early.layout, 30, 1).value;
     const double s_full =
@@ -81,7 +89,7 @@ TEST(CpuEngine, HandlesSingleStepPathGracefully) {
     core::LayoutConfig cfg;
     cfg.iter_max = 2;
     cfg.steps_per_iter_factor = 10.0;
-    const auto r = core::layout_cpu(g, cfg);
+    const auto r = run_cpu_soa(g, cfg);
     EXPECT_GT(r.skipped, 0u);
     for (float v : r.layout.start_x) EXPECT_TRUE(std::isfinite(v));
 }
@@ -91,7 +99,7 @@ TEST(CpuEngine, CoordinatesStayFinite) {
     core::LayoutConfig cfg;
     cfg.iter_max = 10;
     cfg.steps_per_iter_factor = 3.0;
-    const auto r = core::layout_cpu(g, cfg);
+    const auto r = run_cpu_soa(g, cfg);
     for (std::size_t i = 0; i < r.layout.size(); ++i) {
         ASSERT_TRUE(std::isfinite(r.layout.start_x[i]));
         ASSERT_TRUE(std::isfinite(r.layout.start_y[i]));

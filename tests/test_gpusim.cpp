@@ -2,7 +2,7 @@
 // each of the paper's three optimizations, and the time model.
 #include <gtest/gtest.h>
 
-#include "core/cpu_engine.hpp"
+#include "core/engine.hpp"
 #include "gpusim/gpu_machine.hpp"
 #include "gpusim/gpu_spec.hpp"
 #include "metrics/path_stress.hpp"
@@ -61,7 +61,9 @@ TEST(GpuSim, ProducesConvergedLayout) {
 TEST(GpuSim, QualityComparableToCpuBaseline) {
     const auto g = test_graph();
     const auto cfg = small_cfg();
-    const auto cpu = core::layout_cpu(g, cfg);
+    auto engine = core::make_engine("cpu-soa");
+    engine->init(g, cfg);
+    const auto cpu = engine->run();
     const auto gpu = run(g, KernelConfig::optimized());
     const double s_cpu = metrics::sampled_path_stress(g, cpu.layout, 20, 1).value;
     const double s_gpu = metrics::sampled_path_stress(g, gpu.layout, 20, 1).value;

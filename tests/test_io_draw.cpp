@@ -3,7 +3,7 @@
 
 #include <sstream>
 
-#include "core/cpu_engine.hpp"
+#include "core/layout.hpp"
 #include "draw/svg.hpp"
 #include "graph/lean_graph.hpp"
 #include "io/lay_io.hpp"

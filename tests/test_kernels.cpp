@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/cpu_engine.hpp"
 #include "core/engine.hpp"
 #include "core/kernels/update_kernel.hpp"
 #include "core/sampling.hpp"

@@ -112,7 +112,7 @@ TEST(Characterize, WorkloadIsMemoryBound) {
     memsim::CharacterizeOptions opt;
     opt.sample_updates = 200000;
     opt.llc_scale = 0.002;  // scaled graph -> scaled caches
-    const auto ch = memsim::characterize_cpu(g, cfg, core::CoordStore::kSoA, opt);
+    const auto ch = memsim::characterize_cpu(g, cfg, memsim::CoordStore::kSoA, opt);
     // The paper reports 67-78% memory stall cycles and >50% memory-bound
     // slots on all graphs.
     EXPECT_GT(ch.memory_stall_pct, 50.0);
@@ -125,9 +125,9 @@ TEST(Characterize, MissRateGrowsWithGraphSize) {
     opt.sample_updates = 150000;
     opt.llc_scale = 0.002;
     const auto small = memsim::characterize_cpu(characterize_graph(2000), cfg,
-                                                core::CoordStore::kSoA, opt);
+                                                memsim::CoordStore::kSoA, opt);
     const auto large = memsim::characterize_cpu(characterize_graph(40000), cfg,
-                                                core::CoordStore::kSoA, opt);
+                                                memsim::CoordStore::kSoA, opt);
     // Table II: LLC miss rate rises from 75% (small) to 90% (Chr.1).
     EXPECT_GT(large.llc_load_miss_rate, small.llc_load_miss_rate);
 }
@@ -138,8 +138,8 @@ TEST(Characterize, CdlReducesLlcLoads) {
     memsim::CharacterizeOptions opt;
     opt.sample_updates = 200000;
     opt.llc_scale = 0.002;
-    const auto soa = memsim::characterize_cpu(g, cfg, core::CoordStore::kSoA, opt);
-    const auto aos = memsim::characterize_cpu(g, cfg, core::CoordStore::kAoS, opt);
+    const auto soa = memsim::characterize_cpu(g, cfg, memsim::CoordStore::kSoA, opt);
+    const auto aos = memsim::characterize_cpu(g, cfg, memsim::CoordStore::kAoS, opt);
     // Table IX: CDL cuts LLC loads ~3.2x and misses ~3.3x.
     EXPECT_GT(static_cast<double>(soa.llc.accesses),
               1.5 * static_cast<double>(aos.llc.accesses));
@@ -153,8 +153,8 @@ TEST(Characterize, CdlReducesModeledCycles) {
     memsim::CharacterizeOptions opt;
     opt.sample_updates = 200000;
     opt.llc_scale = 0.002;
-    const auto soa = memsim::characterize_cpu(g, cfg, core::CoordStore::kSoA, opt);
-    const auto aos = memsim::characterize_cpu(g, cfg, core::CoordStore::kAoS, opt);
+    const auto soa = memsim::characterize_cpu(g, cfg, memsim::CoordStore::kSoA, opt);
+    const auto aos = memsim::characterize_cpu(g, cfg, memsim::CoordStore::kAoS, opt);
     EXPECT_LT(aos.cycles_per_update, soa.cycles_per_update);
     memsim::CpuPerfModel model;
     EXPECT_LT(model.seconds(aos, 1000000), model.seconds(soa, 1000000));

@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "core/cpu_engine.hpp"
+#include "core/engine.hpp"
 #include "graph/lean_graph.hpp"
 #include "metrics/path_stress.hpp"
 #include "rng/xoshiro256.hpp"
@@ -12,6 +12,14 @@
 namespace {
 
 using namespace pgl;
+
+/// Runs the Hogwild CPU engine ("cpu-soa") through the registry.
+core::LayoutResult run_cpu_soa(const graph::LeanGraph& g,
+                               const core::LayoutConfig& cfg) {
+    auto engine = core::make_engine("cpu-soa");
+    engine->init(g, cfg);
+    return engine->run();
+}
 
 /// A pure chain graph (one path, no variants) laid out perfectly on a line
 /// has zero stress by construction.
@@ -135,7 +143,7 @@ TEST(SampledPathStress, ApproximatesExactStress) {
     core::LayoutConfig cfg;
     cfg.iter_max = 5;
     cfg.steps_per_iter_factor = 2.0;
-    const auto layout = core::layout_cpu(g, cfg).layout;
+    const auto layout = run_cpu_soa(g, cfg).layout;
     const double exact = metrics::path_stress(g, layout).value;
     const auto sampled = metrics::sampled_path_stress(g, layout, 600, 1);
     // Heavy-tailed stress terms need a generous band at finite samples.
@@ -148,7 +156,7 @@ TEST(SampledPathStress, StableAcrossSamplingSeeds) {
     core::LayoutConfig cfg;
     cfg.iter_max = 6;
     cfg.steps_per_iter_factor = 1.0;
-    const auto layout = core::layout_cpu(g, cfg).layout;
+    const auto layout = run_cpu_soa(g, cfg).layout;
     const double a = metrics::sampled_path_stress(g, layout, 100, 1).value;
     const double b = metrics::sampled_path_stress(g, layout, 100, 2).value;
     EXPECT_NEAR(a, b, std::max(a, b) * 0.25);

@@ -130,7 +130,7 @@ TEST(ServeRequest, EveryKnobChangesTheKey) {
     const std::string base = serve::canonical_request(
         serve::parse_request(serve::json_parse(R"({"graph":"g.gfa"})")));
     const char* variants[] = {
-        R"({"graph":"g.gfa","config":{"backend":"cpu-aos"}})",
+        R"({"graph":"g.gfa","config":{"backend":"cpu-batched"}})",
         R"({"graph":"g.gfa","config":{"kernel":"simd"}})",
         R"({"graph":"g.gfa","config":{"iters":31}})",
         R"({"graph":"g.gfa","config":{"seed":1}})",

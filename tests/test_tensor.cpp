@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "core/cpu_engine.hpp"
+#include "core/engine.hpp"
 #include "metrics/path_stress.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/torch_layout.hpp"
@@ -106,7 +106,9 @@ TEST(TorchLayout, ConvergesWithModerateBatch) {
     const auto g = torch_graph();
     const auto r = tensor::layout_torch(g, torch_cfg(), 4096);
     const double sps = metrics::sampled_path_stress(g, r.layout, 20, 1).value;
-    const auto cpu = core::layout_cpu(g, torch_cfg());
+    auto engine = core::make_engine("cpu-soa");
+    engine->init(g, torch_cfg());
+    const auto cpu = engine->run();
     const double sps_cpu = metrics::sampled_path_stress(g, cpu.layout, 20, 1).value;
     EXPECT_LT(sps, sps_cpu * 5 + 1.0);
 }

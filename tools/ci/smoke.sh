@@ -89,9 +89,9 @@ suite_kernels() {
                 --backend "${backend}" --kernel "${kernel}" \
                 --iters 3 --factor 0.5 --threads 2
         done
-        # The Hogwild scalar engines are nondeterministic with threads > 1,
-        # so the byte contract is asserted on the deterministic backends.
-        if [ "${backend}" != "cpu-soa" ] && [ "${backend}" != "cpu-aos" ]; then
+        # The Hogwild engine is nondeterministic with threads > 1, so the
+        # byte contract is asserted on the deterministic backends.
+        if [ "${backend}" != "cpu-soa" ]; then
             cmp "${WORKDIR}/${backend}.scalar.lay" \
                 "${WORKDIR}/${backend}.simd.lay"
         fi

@@ -14,7 +14,7 @@
 //              [--partition] [--component-workers N] [--processes N]
 //              [--per-component-out DIR]
 //              [--multilevel[=LEVELS]] [--refine-iters N] [--exact-tail]
-//              [--svg out.svg] [--ppm out.ppm] [--stress] [--cdl]
+//              [--svg out.svg] [--ppm out.ppm] [--stress]
 //              [--progress] [--timing] [--trace out.json]
 //              [--list-backends] [--list-kernels]
 //
@@ -53,10 +53,11 @@ void usage(const char* argv0) {
         << "  --kernel NAME       update kernel for batch-applying engines\n"
         << "                      (see --list-kernels; default scalar)\n"
         << "  --gpu[=a6000|a100]  alias for the optimized simulated GPU\n"
-        << "  --cdl               alias for cpu-aos (cache-friendly store)\n"
         << "  --iters N           SGD iterations (default 30)\n"
         << "  --factor F          updates per iteration = F x total steps (default 10)\n"
-        << "  --threads N         CPU Hogwild workers (default 1)\n"
+        << "  --threads N         CPU threads (default 1); for cpu-batched and\n"
+        << "                      cpu-pipelined also the shard count, which\n"
+        << "                      fixes the layout bytes\n"
         << "  --pin               pin pool workers to CPUs (best effort;\n"
         << "                      never changes the layout bytes)\n"
         << "  --numa MODE         NUMA memory placement: off (default), auto,\n"
@@ -150,9 +151,6 @@ int main(int argc, char** argv) {
                           << "\" (expected a6000 or a100)\n";
                 return 2;
             }
-        } else if (arg == "--cdl") {
-            req.backend = "cpu-aos";
-            gpu_name.clear();
         } else if (arg == "--kernel") {
             req.config.kernel = next();
         } else if (arg == "--iters") {
