@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
             popt.schedule.backend = opt.backend;
             popt.schedule.config = opt.layout_config();
             popt.schedule.config.threads = 1;
-            popt.schedule.workers = workers;
+            popt.schedule.component_workers = workers;
             std::vector<double> t_un, t_pin;
             core::Layout lay_un, lay_pin;
             std::uint64_t updates = 0;

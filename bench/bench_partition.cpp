@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
     for (const std::string executor : {"thread", "process"}) {
         popt.schedule.executor = executor;
         for (const std::uint32_t workers : worker_sweep) {
-            popt.schedule.workers = workers;
+            popt.schedule.component_workers = workers;
             popt.schedule.processes = workers;
             partition::PartitionResult part;
             try {

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     popt.schedule.backend = backend;
     popt.schedule.config.iter_max = 10;
     popt.schedule.config.steps_per_iter_factor = 2.0;
-    popt.schedule.workers = 2;
+    popt.schedule.component_workers = 2;
     popt.progress = [](const partition::ComponentProgress& p) {
         std::cout << "  component " << p.completed << "/" << p.total << " (id "
                   << p.component << "): " << p.nodes << " nodes in " << p.seconds

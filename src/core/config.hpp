@@ -53,17 +53,17 @@ struct LayoutConfig {
     std::uint32_t threads = 1;
 
     /// Pin pool workers to CPUs (stable worker -> cpu -> node map, see
-    /// core/topology.hpp). Execution-only like `numa` below: never part of
-    /// the canonical config, because placement never changes the bytes of
-    /// a run — the pinned-vs-unpinned byte-identity ctests enforce it.
+    /// core/topology.hpp). Execution-only like `numa` below (an execution
+    /// row of the field table in core/request.hpp), because placement
+    /// never changes the bytes of a run — the pinned-vs-unpinned
+    /// byte-identity ctests enforce it.
     bool pin = false;
 
     /// NUMA memory-placement policy for the coordinate store and shard
     /// buffers: "off" (plain heap), "auto" (pages rotate over the nodes
     /// hosting workers), "interleave" (over every node), "node:K" (one
     /// node). Parsed by core::parse_numa_policy at engine init — an
-    /// invalid string throws there. Execution-only; excluded from
-    /// canonical_config / canonical_request like `executor`/`processes`.
+    /// invalid string throws there. Execution-only, like `pin`.
     std::string numa = "off";
 
     /// PRNG seed; every run with the same seed and 1 thread is bit-exact.
@@ -91,8 +91,8 @@ struct LayoutConfig {
     /// a partial layout the caller must treat as abandoned, never publish.
     /// The token is shared_ptr so one flag flows unchanged through config
     /// copies into partition component engines and multilevel passes.
-    /// Never part of the canonical config (see canonical_config): it
-    /// selects no bytes of a *completed* run.
+    /// Not a request field (core/request.hpp): it selects no bytes of a
+    /// *completed* run.
     std::shared_ptr<const std::atomic<bool>> cancel;
 
     bool cancel_requested() const noexcept {

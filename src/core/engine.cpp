@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -100,10 +99,8 @@ EngineRegistry& EngineRegistry::instance() {
 std::unique_ptr<LayoutEngine> make_engine(const std::string& name) {
     auto engine = EngineRegistry::instance().create(name);
     if (!engine) {
-        std::ostringstream msg;
-        msg << "unknown layout engine \"" << name << "\"; available:";
-        for (const auto& n : EngineRegistry::instance().names()) msg << " " << n;
-        throw std::invalid_argument(msg.str());
+        throw std::invalid_argument(
+            EngineRegistry::instance().unknown(name, "layout engine"));
     }
     return engine;
 }

@@ -1,6 +1,5 @@
 #include "core/kernels/update_kernel.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 namespace pgl::core {
@@ -18,10 +17,8 @@ KernelRegistry& KernelRegistry::instance() {
 std::unique_ptr<UpdateKernel> make_update_kernel(const std::string& name) {
     auto kernel = KernelRegistry::instance().create(name);
     if (!kernel) {
-        std::ostringstream msg;
-        msg << "unknown update kernel \"" << name << "\"; available:";
-        for (const auto& n : KernelRegistry::instance().names()) msg << " " << n;
-        throw std::invalid_argument(msg.str());
+        throw std::invalid_argument(
+            KernelRegistry::instance().unknown(name, "update kernel"));
     }
     return kernel;
 }

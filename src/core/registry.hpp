@@ -42,6 +42,18 @@ public:
         return nullptr;
     }
 
+    /// The error text for an unregistered name:
+    /// `unknown <what> "<name>"; available: <names>`.
+    std::string unknown(const std::string& name, const char* what) const {
+        std::string msg =
+            "unknown " + std::string(what) + " \"" + name + "\"; available:";
+        for (const std::string& n : names()) {
+            msg += ' ';
+            msg += n;
+        }
+        return msg;
+    }
+
     /// All registered names, sorted.
     std::vector<std::string> names() const {
         std::vector<std::string> out;

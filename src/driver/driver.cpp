@@ -95,14 +95,8 @@ RunOutcome run_layout(const RunRequest& req) {
 
     if (req.partition) {
         partition::PartitionOptions popt;
-        popt.schedule.backend = req.backend;
+        popt.schedule = {req, req.worker_binary};
         popt.schedule.config = cfg;
-        popt.schedule.workers = req.component_workers;
-        popt.schedule.multilevel = req.multilevel;
-        popt.schedule.multilevel_opt = req.ml;
-        popt.schedule.executor = req.executor;
-        popt.schedule.processes = req.processes;
-        popt.schedule.worker_binary = req.worker_binary;
         popt.progress = req.component_progress;
 
         // An owned ingest gives up its labels (it dies with this call); a

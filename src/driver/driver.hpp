@@ -29,11 +29,10 @@
 #include <string>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/engine.hpp"
+#include "core/request.hpp"
 #include "graph/gfa_stream.hpp"
 #include "metrics/path_stress.hpp"
-#include "multilevel/plan.hpp"
 #include "partition/partition.hpp"
 
 namespace pgl::driver {
@@ -43,27 +42,19 @@ namespace pgl::driver {
 /// serve daemon's fingerprint-keyed graph cache hands its shared entry in
 /// here; the driver copies the component labels it needs and never
 /// mutates the ingest).
-struct RunRequest {
+/// The layout knobs (backend, config, partition, multilevel) come from the
+/// LayoutRequest base.
+struct RunRequest : core::LayoutRequest {
     // --- graph source -----------------------------------------------------
     std::string graph_path;  ///< .gfa or .pgg, detected by extension
     bool force_pgg = false;  ///< read graph_path as .pgg regardless
     std::shared_ptr<const graph::LeanIngest> ingest;  ///< pre-loaded graph
 
     // --- execution --------------------------------------------------------
-    std::string backend = "cpu-soa";  ///< EngineRegistry name
-    core::LayoutConfig config;
     /// Optional engine override for the flat path (how `--gpu=a100`
     /// constructs a non-registry machine spec). Ignored with partition.
     std::function<std::unique_ptr<core::LayoutEngine>()> engine_factory;
-
-    bool partition = false;
-    std::uint32_t component_workers = 1;  ///< "thread" executor concurrency
-    std::string executor = "thread";      ///< ExecutorRegistry name
-    std::uint32_t processes = 1;          ///< "process" executor concurrency
-    std::string worker_binary;            ///< "process" executor override
-
-    bool multilevel = false;
-    multilevel::MultilevelOptions ml;
+    std::string worker_binary;  ///< "process" executor override
 
     // --- outputs ----------------------------------------------------------
     std::string out_path;         ///< final .lay (atomic); may be empty when

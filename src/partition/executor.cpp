@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
-#include <system_error>
 
-#include "core/config_canon.hpp"
 #include "core/thread_pool.hpp"
 #include "core/topology.hpp"
 #include "multilevel/plan.hpp"
@@ -24,7 +21,7 @@ core::LayoutResult run_component_graph(const graph::LeanGraph& g,
     auto engine = core::make_engine(opt.backend);
     if (opt.multilevel) {
         const multilevel::LayoutPlan plan = multilevel::build_plan(
-            cfg, opt.multilevel_opt,
+            cfg, opt.ml,
             static_cast<double>(g.max_path_nuc_length()));
         multilevel::MultilevelResult ml =
             multilevel::run_plan(plan, g, *engine, cfg);
@@ -37,104 +34,6 @@ core::LayoutResult run_component_graph(const graph::LeanGraph& g,
     }
     engine->init(g, cfg);
     return engine->run();
-}
-
-std::string encode_worker_spec(const SchedulerOptions& opt,
-                               std::uint64_t mixed_seed) {
-    core::LayoutConfig cfg = opt.config;
-    cfg.seed = mixed_seed;
-    std::string s = "backend=" + opt.backend + ";";
-    s += core::canonical_config(cfg);
-    s += "multilevel=";
-    s += std::to_string(opt.multilevel ? opt.multilevel_opt.levels : 0u);
-    s += ';';
-    // Execution-only placement knobs ride the spec explicitly (they are
-    // not canonical-config fields): a worker process should pin and place
-    // the way its parent would have in-process.
-    s += "pin=";
-    s += cfg.pin ? '1' : '0';
-    s += ";numa=" + cfg.numa + ';';
-    if (opt.multilevel) {
-        s += "ml.coarse_iters=" +
-             std::to_string(opt.multilevel_opt.coarse_iters) + ";";
-        s += "ml.refine_iters=" +
-             std::to_string(opt.multilevel_opt.refine_iters) + ";";
-        s += "ml.refine_eta=" +
-             core::canonical_double(opt.multilevel_opt.refine_eta) + ";";
-        s += "ml.exact_tail=";
-        s += opt.multilevel_opt.exact_tail ? '1' : '0';
-        s += ';';
-    }
-    return s;
-}
-
-namespace {
-
-template <typename T>
-T parse_spec_number(std::string_view name, std::string_view value) {
-    T v{};
-    const auto [ptr, ec] =
-        std::from_chars(value.data(), value.data() + value.size(), v);
-    if (ec != std::errc() || ptr != value.data() + value.size()) {
-        throw std::invalid_argument("worker spec field " + std::string(name) +
-                                    " has a malformed value: '" +
-                                    std::string(value) + "'");
-    }
-    return v;
-}
-
-}  // namespace
-
-SchedulerOptions parse_worker_spec(std::string_view spec) {
-    SchedulerOptions opt;
-    opt.workers = 1;
-    opt.executor = "thread";
-    while (!spec.empty()) {
-        const std::size_t semi = spec.find(';');
-        if (semi == std::string_view::npos) {
-            throw std::invalid_argument("worker spec is not ';'-terminated: '" +
-                                        std::string(spec) + "'");
-        }
-        const std::string_view field = spec.substr(0, semi);
-        spec.remove_prefix(semi + 1);
-        const std::size_t eq = field.find('=');
-        if (eq == std::string_view::npos) {
-            throw std::invalid_argument("worker spec field without '=': '" +
-                                        std::string(field) + "'");
-        }
-        const std::string_view name = field.substr(0, eq);
-        const std::string_view value = field.substr(eq + 1);
-        if (name == "backend") {
-            opt.backend = std::string(value);
-        } else if (name == "multilevel") {
-            const auto levels = parse_spec_number<std::uint32_t>(name, value);
-            opt.multilevel = levels != 0;
-            if (levels != 0) opt.multilevel_opt.levels = levels;
-        } else if (name == "ml.coarse_iters") {
-            opt.multilevel_opt.coarse_iters =
-                parse_spec_number<std::uint32_t>(name, value);
-        } else if (name == "ml.refine_iters") {
-            opt.multilevel_opt.refine_iters =
-                parse_spec_number<std::uint32_t>(name, value);
-        } else if (name == "ml.refine_eta") {
-            opt.multilevel_opt.refine_eta =
-                parse_spec_number<double>(name, value);
-        } else if (name == "ml.exact_tail") {
-            opt.multilevel_opt.exact_tail =
-                parse_spec_number<std::uint32_t>(name, value) != 0;
-        } else if (name == "pin") {
-            opt.config.pin = parse_spec_number<std::uint32_t>(name, value) != 0;
-        } else if (name == "numa") {
-            // Validated here so a malformed spec fails at parse, not
-            // mid-run inside an engine.
-            core::parse_numa_policy(value);
-            opt.config.numa = std::string(value);
-        } else if (!core::apply_canonical_field(opt.config, name, value)) {
-            throw std::invalid_argument("unknown worker spec field: " +
-                                        std::string(name));
-        }
-    }
-    return opt;
 }
 
 namespace {
@@ -191,7 +90,8 @@ public:
         };
 
         const std::uint32_t n_workers =
-            opt.workers <= 1 ? 0 : std::min(opt.workers, n);
+            opt.component_workers <= 1 ? 0
+                                       : std::min(opt.component_workers, n);
         const core::PlacementContext place =
             core::resolve_placement(opt.config, n_workers);
         const std::uint32_t n_nodes =
@@ -302,13 +202,8 @@ ExecutorRegistry& ExecutorRegistry::instance() {
 std::unique_ptr<Executor> make_executor(const std::string& name) {
     auto exec = ExecutorRegistry::instance().create(name);
     if (!exec) {
-        std::string msg = "unknown partition executor \"" + name +
-                          "\"; available:";
-        for (const auto& n : ExecutorRegistry::instance().names()) {
-            msg += ' ';
-            msg += n;
-        }
-        throw std::invalid_argument(msg);
+        throw std::invalid_argument(
+            ExecutorRegistry::instance().unknown(name, "partition executor"));
     }
     return exec;
 }

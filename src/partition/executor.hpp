@@ -10,11 +10,13 @@
 //              the historical behaviour, byte for byte.
 //   "process"  components are farmed to child `pgl_layout
 //              --component-worker` processes (fork/exec) over the existing
-//              .pgg/.lay file formats plus a length-prefixed status pipe.
-//              Same largest-first admission, bounded by
-//              SchedulerOptions::processes; a crashed child fails only its
-//              component. See process_executor.cpp for the protocol.
-//
+//              .pgg/.lay file formats plus a length-prefixed status pipe;
+//              the child's request is a worker spec generated from the
+//              request field table (core/request.hpp). Same largest-first
+//              admission, bounded by SchedulerOptions::processes; a crashed
+//              child fails only its component. See process_executor.cpp
+//              for the protocol.
+
 // Determinism contract (both executors, enforced by ctest): for a fixed
 // (seed, backend, engine threads) the per-component byte streams are
 // identical regardless of executor, worker/process count, or completion
@@ -28,6 +30,7 @@
 
 #include "core/engine.hpp"
 #include "core/registry.hpp"
+#include "core/request.hpp"
 #include "partition/components.hpp"
 #include "partition/scheduler.hpp"
 
@@ -43,21 +46,12 @@ namespace pgl::partition {
 core::LayoutResult run_component_graph(const graph::LeanGraph& g,
                                        const SchedulerOptions& opt);
 
-/// Serializes the execution-relevant slice of SchedulerOptions for a
-/// worker process: "backend=<name>;" + core::canonical_config of the
-/// config with `mixed_seed` substituted, + "multilevel=<0|levels>;" and,
-/// when multilevel, the ml.* fields. Same `name=value;` grammar as the
-/// canonical config, so the worker parses it with the same machinery.
-std::string encode_worker_spec(const SchedulerOptions& opt,
-                               std::uint64_t mixed_seed);
-
-/// Inverse of encode_worker_spec. The returned options always have
-/// executor "thread", workers 1 — a worker lays out exactly one component
-/// in-process. Throws std::invalid_argument on malformed input.
-SchedulerOptions parse_worker_spec(std::string_view spec);
+/// The worker-spec codec, generated from the request field table.
+using core::encode_worker_spec;
+using core::parse_worker_spec;
 
 /// Body of `pgl_layout --component-worker`: loads the component's .pgg,
-/// runs run_component_graph(parse_worker_spec(spec)), writes the layout
+/// runs run_component_graph on parse_worker_spec(spec), writes the layout
 /// atomically to `out_path`, and reports over `status_fd` (when >= 0) as
 /// length-prefixed frames — "result <updates> <skipped> <seconds>" then
 /// "telemetry\n<snapshot_wire>". Returns the process exit code (0 on

@@ -43,7 +43,7 @@
 #include <system_error>
 #include <vector>
 
-#include "core/config_canon.hpp"
+#include "core/request.hpp"
 #include "core/thread_pool.hpp"
 #include "io/lay_io.hpp"
 #include "io/pgg_io.hpp"
@@ -363,7 +363,7 @@ int run_component_worker(const std::string& graph_path,
                          const std::string& out_path, const std::string& spec,
                          int status_fd) {
     try {
-        const SchedulerOptions opt = parse_worker_spec(spec);
+        const SchedulerOptions opt{parse_worker_spec(spec), {}};
         graph::LeanIngest ingest = io::read_pgg_file(graph_path);
 
         // Crash-injection hook for the containment tests: when the env

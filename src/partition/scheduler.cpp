@@ -30,14 +30,17 @@ core::LayoutResult run_component(const ComponentSubgraph& component,
 
 std::vector<core::LayoutResult> ComponentScheduler::run(
     const Decomposition& d) const {
-    if (!core::EngineRegistry::instance().contains(opt_.backend)) {
-        throw std::invalid_argument("unknown partition backend: " + opt_.backend);
-    }
     // Fail before any component runs, not from inside a worker thread (or
     // a worker process).
-    if (!core::KernelRegistry::instance().contains(opt_.config.kernel)) {
-        throw std::invalid_argument("unknown update kernel: " +
-                                    opt_.config.kernel);
+    const auto& engines = core::EngineRegistry::instance();
+    if (!engines.contains(opt_.backend)) {
+        throw std::invalid_argument(
+            engines.unknown(opt_.backend, "layout engine"));
+    }
+    const auto& kernels = core::KernelRegistry::instance();
+    if (!kernels.contains(opt_.config.kernel)) {
+        throw std::invalid_argument(
+            kernels.unknown(opt_.config.kernel, "update kernel"));
     }
     const auto executor = make_executor(opt_.executor);  // validates the name
     const std::uint32_t n = d.count();

@@ -18,9 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/engine.hpp"
-#include "multilevel/plan.hpp"
+#include "core/request.hpp"
 #include "partition/components.hpp"
 
 namespace pgl::partition {
@@ -43,26 +42,14 @@ struct ComponentProgress {
 
 using ComponentHook = std::function<void(const ComponentProgress&)>;
 
-struct SchedulerOptions {
-    std::string backend = "cpu-batched";  ///< EngineRegistry name
-    core::LayoutConfig config;            ///< per-engine config; cfg.seed is the
-                                          ///< base seed mixed per component
-    std::uint32_t workers = 1;            ///< components laid out concurrently
-                                          ///< ("thread" executor)
-    /// Lay each component out through the multilevel pass plan
-    /// (coarsen -> coarse anneal -> interpolate -> refine) instead of a
-    /// flat run. Composes with the determinism contract unchanged: the
-    /// plan is derived per component from the same mixed seed config.
-    bool multilevel = false;
-    multilevel::MultilevelOptions multilevel_opt;
-    /// Execution mechanism (ExecutorRegistry name): "thread" runs
-    /// components in-process on a ThreadPool; "process" farms them to
-    /// child `pgl_layout --component-worker` processes. Execution-only —
-    /// the laid-out bytes are identical by contract, so this never enters
-    /// a canonical request / cache key.
-    std::string executor = "thread";
-    /// Concurrent worker processes ("process" executor; 0 treated as 1).
-    std::uint32_t processes = 1;
+/// A layout request as the scheduler runs it: `config.seed` is the base
+/// seed mixed per component, `component_workers` the "thread" executor's
+/// concurrency, `processes` the "process" executor's (see
+/// partition/executor.hpp), and `multilevel`/`ml` lay each component out
+/// through the multilevel pass plan instead of a flat run — the plan is
+/// derived per component from the same mixed-seed config, so the
+/// determinism contract holds unchanged.
+struct SchedulerOptions : core::LayoutRequest {
     /// Worker binary override for the "process" executor. Empty resolves
     /// PGL_LAYOUT_WORKER, then the pgl_layout next to /proc/self/exe.
     std::string worker_binary;

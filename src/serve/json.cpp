@@ -1,10 +1,12 @@
 #include "serve/json.hpp"
 
-#include <cmath>
+#include <charconv>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <system_error>
 
-#include "core/config_canon.hpp"
+#include "core/request.hpp"
 
 namespace pgl::serve {
 
@@ -31,12 +33,16 @@ double JsonValue::as_double() const {
 
 std::int64_t JsonValue::as_int() const {
     if (!is_integer()) type_error("integer", kind_);
-    return static_cast<std::int64_t>(num_);
+    if (!neg_ && bits_ > static_cast<std::uint64_t>(
+                             std::numeric_limits<std::int64_t>::max())) {
+        throw std::runtime_error("integer out of range");
+    }
+    return static_cast<std::int64_t>(bits_);
 }
 
 std::uint64_t JsonValue::as_uint() const {
-    if (!is_integer() || num_ < 0) type_error("non-negative integer", kind_);
-    return static_cast<std::uint64_t>(num_);
+    if (!is_integer() || neg_) type_error("non-negative integer", kind_);
+    return bits_;
 }
 
 const std::string& JsonValue::as_string() const {
@@ -91,13 +97,10 @@ void JsonValue::dump_to(std::string& out) const {
         case Kind::kBool: out += bool_ ? "true" : "false"; break;
         case Kind::kNumber:
             if (int_) {
-                // Render integrals without an exponent or trailing ".0" so
-                // ids and seeds round-trip textually.
-                if (num_ < 0) {
-                    out += std::to_string(static_cast<std::int64_t>(num_));
-                } else {
-                    out += std::to_string(static_cast<std::uint64_t>(num_));
-                }
+                // Render integers exactly, without an exponent or a
+                // trailing ".0", so ids and seeds round-trip textually.
+                out += neg_ ? std::to_string(static_cast<std::int64_t>(bits_))
+                            : std::to_string(bits_);
             } else {
                 out += core::canonical_double(num_);
             }
@@ -325,18 +328,28 @@ private:
         if (pos_ == start || (text_[start] == '-' && pos_ == start + 1)) {
             fail("bad number");
         }
+        const char* first = text_.data() + start;
+        const char* last = text_.data() + pos_;
+        if (integral) {
+            // Exact, in whichever of int64/uint64 holds the sign.
+            std::uint64_t u = 0;
+            std::int64_t i = 0;
+            const auto [ptr, ec] = *first == '-'
+                                       ? std::from_chars(first, last, i)
+                                       : std::from_chars(first, last, u);
+            if (ec == std::errc::result_out_of_range) {
+                fail("integer out of range");
+            }
+            if (ec != std::errc() || ptr != last) fail("bad number");
+            return *first == '-' ? JsonValue(i) : JsonValue(u);
+        }
         double d = 0.0;
         try {
-            d = std::stod(text_.substr(start, pos_ - start));
+            d = std::stod(std::string(first, last));
         } catch (const std::exception&) {
             fail("bad number");
         }
-        JsonValue v(d);
-        if (integral && std::abs(d) <= 9007199254740992.0) {  // 2^53
-            v = (d < 0) ? JsonValue(static_cast<std::int64_t>(d))
-                        : JsonValue(static_cast<std::uint64_t>(d));
-        }
-        return v;
+        return JsonValue(d);
     }
 
     static constexpr int kMaxDepth = 64;

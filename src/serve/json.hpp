@@ -4,9 +4,10 @@
 // with one level of nesting ("config"), so this supports exactly RFC 8259
 // objects/arrays/strings/numbers/bools/null with UTF-8 passed through
 // opaquely and \uXXXX escapes decoded, and nothing else (no comments, no
-// trailing commas, no NaN/Infinity). Numbers are held as double plus the
-// is_integer flag so u64 seeds survive exactly when they fit in 2^53 and
-// the protocol can reject fractional values where integers are required.
+// trailing commas, no NaN/Infinity). An integer literal is held exactly,
+// as int64 or uint64 — a u64 seed round-trips bit for bit — and one
+// outside both ranges is rejected; any other number is a double, so the
+// protocol can reject fractional values where integers are required.
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -34,9 +35,11 @@ public:
     JsonValue(bool b) : kind_(Kind::kBool), bool_(b) {}
     JsonValue(double d) : kind_(Kind::kNumber), num_(d) {}
     JsonValue(std::int64_t i)
-        : kind_(Kind::kNumber), num_(static_cast<double>(i)), int_(true) {}
+        : kind_(Kind::kNumber), num_(static_cast<double>(i)), int_(true),
+          neg_(i < 0), bits_(static_cast<std::uint64_t>(i)) {}
     JsonValue(std::uint64_t u)
-        : kind_(Kind::kNumber), num_(static_cast<double>(u)), int_(true) {}
+        : kind_(Kind::kNumber), num_(static_cast<double>(u)), int_(true),
+          bits_(u) {}
     JsonValue(const char* s) : kind_(Kind::kString), str_(s) {}
     JsonValue(std::string s) : kind_(Kind::kString), str_(std::move(s)) {}
     JsonValue(JsonArray a)
@@ -58,8 +61,8 @@ public:
     /// on a mismatch (the protocol's "bad field type" error path).
     bool as_bool() const;
     double as_double() const;
-    std::int64_t as_int() const;    ///< requires an integral number
-    std::uint64_t as_uint() const;  ///< requires an integral number >= 0
+    std::int64_t as_int() const;    ///< requires an integer in int64 range
+    std::uint64_t as_uint() const;  ///< requires an integer >= 0
     const std::string& as_string() const;
     const JsonArray& as_array() const;
     const JsonObject& as_object() const;
@@ -79,6 +82,8 @@ private:
     bool bool_ = false;
     double num_ = 0.0;
     bool int_ = false;
+    bool neg_ = false;        ///< integer below zero: bits_ holds an int64
+    std::uint64_t bits_ = 0;  ///< the exact integer value
     std::string str_;
     std::shared_ptr<JsonArray> arr_;
     std::shared_ptr<JsonObject> obj_;

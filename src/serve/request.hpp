@@ -1,51 +1,37 @@
 #pragma once
-// A layout job request — the serve daemon's unit of work — and its two
-// textual forms: the wire JSON ("config" object of a submit command) and
-// the canonical string that keys the artifact cache.
+// A layout job request — the serve daemon's unit of work — and its wire
+// form, the "config" object of a submit command.
 //
-// A request carries everything `pgl_layout` would take on its command
-// line: the graph reference plus the full layout configuration (backend,
-// kernel, core::LayoutConfig knobs, partition, multilevel). The canonical
-// form includes exactly the fields that select the bytes of the finished
-// .lay — so two requests that must produce identical output share one
-// cache entry — and excludes pure execution knobs (component_workers,
-// executor, processes: the partition executors are byte-identical at any
-// worker/process count, in-process or multi-process).
-#include <cstdint>
+// A request is a graph reference plus a core::LayoutRequest: everything
+// `pgl_layout` takes on its command line. Its fields, their wire names and
+// which of them select output bytes are the field table in
+// core/request.hpp; the wire codec here and the cache key
+// (canonical_request) are both generated from it, so an execution-only
+// field (pin, numa, component_workers, executor, processes) rides the wire
+// but never the key.
 #include <string>
 
-#include "core/config.hpp"
-#include "multilevel/plan.hpp"
+#include "core/request.hpp"
 #include "serve/json.hpp"
 
 namespace pgl::serve {
 
-struct JobRequest {
+struct JobRequest : core::LayoutRequest {
     std::string graph;  ///< path to a .gfa or .pgg graph file
-    std::string backend = "cpu-soa";
-    core::LayoutConfig config;  ///< kernel/iters/seed/threads/... knobs
-    bool partition = false;
-    std::uint32_t component_workers = 1;  ///< execution-only: not in the key
-    std::string executor = "thread";      ///< execution-only: not in the key
-    std::uint32_t processes = 1;          ///< execution-only: not in the key
-    bool multilevel = false;
-    multilevel::MultilevelOptions ml;
 };
 
+using core::canonical_request;
+
 /// Builds a JobRequest from a submit command's fields: `graph` (string,
-/// required) and the optional `config` object. Unknown config keys and
-/// wrongly-typed values throw std::runtime_error naming the key — a
-/// mistyped request must fail loudly, not silently run defaults. Field
-/// order in the JSON is irrelevant by construction.
+/// required) and the optional `config` object, then validates it. Unknown
+/// config keys, wrongly-typed or out-of-range values and invalid requests
+/// throw std::runtime_error naming the key as `config.<key>` — a mistyped
+/// request must fail loudly, not silently run defaults. Field order in the
+/// JSON is irrelevant by construction.
 JobRequest parse_request(const JsonValue& submit);
 
-/// The request as a wire-format JSON object (inverse of parse_request,
-/// modulo defaulted fields, which are always spelled out).
+/// The request as a wire-format JSON object: every field whose gate is
+/// open, defaults spelled out (inverse of parse_request).
 JsonValue request_to_json(const JobRequest& r);
-
-/// The canonical `name=value;...` string over every output-selecting field
-/// (backend + core canonical_config + partition + multilevel options).
-/// Stable under wire field reordering and default-vs-explicit spelling.
-std::string canonical_request(const JobRequest& r);
 
 }  // namespace pgl::serve

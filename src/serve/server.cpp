@@ -3,8 +3,6 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "core/engine.hpp"
-#include "core/kernels/update_kernel.hpp"
 #include "driver/driver.hpp"
 #include "io/pgg_io.hpp"
 #include "telemetry/telemetry.hpp"
@@ -88,12 +86,7 @@ void Server::shutdown() {
 std::uint64_t Server::submit(const JobRequest& r) {
     // Validate up front, on the caller's thread: a bad request must fail
     // the submit, not a worker later.
-    if (!core::EngineRegistry::instance().contains(r.backend)) {
-        throw std::runtime_error("unknown backend \"" + r.backend + "\"");
-    }
-    if (!core::KernelRegistry::instance().contains(r.config.kernel)) {
-        throw std::runtime_error("unknown kernel \"" + r.config.kernel + "\"");
-    }
+    core::validate(r, core::Spelling::kWire);
     const std::uint64_t graph_fp = graph_fingerprint(r.graph);  // throws if unreadable
     std::error_code ec;
     const auto fsize = std::filesystem::file_size(r.graph, ec);
@@ -376,16 +369,9 @@ core::Layout Server::run_job(Job& job) {
     // stays intact for the next job) and no output paths — the artifact
     // cache publishes the layout under the job's canonical key instead.
     driver::RunRequest req;
+    static_cast<core::LayoutRequest&>(req) = r;
     req.ingest = load_graph(r, job.graph_fp);
-    req.backend = r.backend;
-    req.config = r.config;
     req.config.cancel = job.cancel_flag;
-    req.partition = r.partition;
-    req.component_workers = r.component_workers;
-    req.executor = r.executor;
-    req.processes = r.processes;
-    req.multilevel = r.multilevel;
-    req.ml = r.ml;
     req.component_progress = [&job](const partition::ComponentProgress& p) {
         job.progress.store(
             p.total ? static_cast<double>(p.completed) / p.total : 1.0,

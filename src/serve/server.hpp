@@ -104,10 +104,11 @@ public:
     /// joins the workers. Idempotent; submit() after shutdown throws.
     void shutdown();
 
-    /// Validates and enqueues a request; returns the job id. Requests whose
-    /// key is cached complete immediately; requests whose key is in flight
-    /// join the running job. Throws std::runtime_error / invalid_argument
-    /// on unknown backend/kernel or an unreadable graph file.
+    /// Validates (core::validate) and enqueues a request; returns the job
+    /// id. Requests whose key is cached complete immediately; requests
+    /// whose key is in flight join the running job. Throws
+    /// std::runtime_error on an invalid request or an unreadable graph
+    /// file.
     std::uint64_t submit(const JobRequest& r);
 
     /// Throws std::out_of_range for an unknown id.

@@ -175,7 +175,7 @@ TEST_F(DriverTest, PartitionRunMatchesDirectPartitionLayout) {
     labels.path_component = ing.path_component;
     partition::PartitionOptions popt;
     popt.schedule.config = quick_config();
-    popt.schedule.workers = 2;
+    popt.schedule.component_workers = 2;
     const auto direct =
         partition::partition_layout(ing.graph, std::move(labels), popt);
 
@@ -223,26 +223,26 @@ TEST(WorkerSpec, RoundTripsFlatOptions) {
     EXPECT_FALSE(parsed.multilevel);
     // A worker lays out exactly one component in-process.
     EXPECT_EQ(parsed.executor, "thread");
-    EXPECT_EQ(parsed.workers, 1u);
+    EXPECT_EQ(parsed.component_workers, 1u);
 }
 
 TEST(WorkerSpec, RoundTripsMultilevelOptions) {
     partition::SchedulerOptions opt;
     opt.multilevel = true;
-    opt.multilevel_opt.levels = 3;
-    opt.multilevel_opt.coarse_iters = 11;
-    opt.multilevel_opt.refine_iters = 4;
-    opt.multilevel_opt.refine_eta = 0.125;
-    opt.multilevel_opt.exact_tail = true;
+    opt.ml.levels = 3;
+    opt.ml.coarse_iters = 11;
+    opt.ml.refine_iters = 4;
+    opt.ml.refine_eta = 0.125;
+    opt.ml.exact_tail = true;
 
     const auto parsed =
         partition::parse_worker_spec(partition::encode_worker_spec(opt, 7));
     ASSERT_TRUE(parsed.multilevel);
-    EXPECT_EQ(parsed.multilevel_opt.levels, 3u);
-    EXPECT_EQ(parsed.multilevel_opt.coarse_iters, 11u);
-    EXPECT_EQ(parsed.multilevel_opt.refine_iters, 4u);
-    EXPECT_EQ(parsed.multilevel_opt.refine_eta, 0.125);
-    EXPECT_TRUE(parsed.multilevel_opt.exact_tail);
+    EXPECT_EQ(parsed.ml.levels, 3u);
+    EXPECT_EQ(parsed.ml.coarse_iters, 11u);
+    EXPECT_EQ(parsed.ml.refine_iters, 4u);
+    EXPECT_EQ(parsed.ml.refine_eta, 0.125);
+    EXPECT_TRUE(parsed.ml.exact_tail);
 }
 
 TEST(WorkerSpec, RejectsUnknownFields) {

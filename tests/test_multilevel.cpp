@@ -403,7 +403,7 @@ TEST(MultilevelPartition, MatchesStandalonePerComponentPlans) {
     partition::PartitionOptions popt;
     popt.schedule.backend = "cpu-pipelined";
     popt.schedule.config = quick_config();
-    popt.schedule.workers = 2;
+    popt.schedule.component_workers = 2;
     popt.schedule.multilevel = true;
     const auto part = partition::partition_layout(vg, popt);
     ASSERT_EQ(part.decomposition.count(), 3u);
@@ -414,7 +414,7 @@ TEST(MultilevelPartition, MatchesStandalonePerComponentPlans) {
         core::LayoutConfig cfg = popt.schedule.config;
         cfg.seed = partition::component_seed(popt.schedule.config.seed, c);
         const auto plan = multilevel::build_plan(
-            cfg, popt.schedule.multilevel_opt,
+            cfg, popt.schedule.ml,
             static_cast<double>(comp.max_path_nuc_length()));
         auto engine = core::make_engine("cpu-pipelined");
         const auto ml = multilevel::run_plan(plan, comp, *engine, cfg);

@@ -231,7 +231,7 @@ TEST(ProcessExecutor, MatchesThreadExecutorByteForByte) {
     const auto vg = small_genome(3);
     partition::PartitionOptions popt;
     popt.schedule.config = quick_config();
-    popt.schedule.workers = 2;
+    popt.schedule.component_workers = 2;
     const auto in_process = partition::partition_layout(vg, popt);
 
     popt.schedule.executor = "process";
@@ -275,9 +275,9 @@ TEST(Scheduler, ResultsIndependentOfWorkerCount) {
     const auto vg = small_genome(4);
     partition::PartitionOptions popt;
     popt.schedule.config = quick_config();
-    popt.schedule.workers = 1;
+    popt.schedule.component_workers = 1;
     const auto serial = partition::partition_layout(vg, popt);
-    popt.schedule.workers = 4;
+    popt.schedule.component_workers = 4;
     const auto parallel = partition::partition_layout(vg, popt);
     expect_layout_bitwise_equal(serial.stitched.layout, parallel.stitched.layout);
     EXPECT_EQ(serial.updates, parallel.updates);
@@ -287,7 +287,7 @@ TEST(Scheduler, ProgressHookSeesEveryComponent) {
     const auto vg = small_genome(3);
     partition::PartitionOptions popt;
     popt.schedule.config = quick_config();
-    popt.schedule.workers = 2;
+    popt.schedule.component_workers = 2;
     std::vector<std::uint32_t> seen;
     std::uint32_t max_completed = 0;
     popt.progress = [&](const partition::ComponentProgress& p) {
@@ -325,7 +325,7 @@ TEST(PartitionEquivalence, MatchesStandalonePerComponentRuns) {
             partition::PartitionOptions popt;
             popt.schedule.backend = backend;
             popt.schedule.config = quick_config(threads);
-            popt.schedule.workers = 2;
+            popt.schedule.component_workers = 2;
             const auto part = partition::partition_layout(vg, popt);
             ASSERT_EQ(part.decomposition.count(), 4u);
 

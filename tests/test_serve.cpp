@@ -114,6 +114,19 @@ TEST(ServeJson, IntegerAccessorRejectsFractions) {
     EXPECT_EQ(v.find("y")->as_int(), -1);
 }
 
+TEST(ServeJson, IntegersAreExactAndRangeChecked) {
+    const serve::JsonValue v = serve::json_parse(
+        R"({"max":18446744073709551615,"min":-9223372036854775808,)"
+        R"("big":9007199254740993})");
+    EXPECT_EQ(v.find("max")->as_uint(), 18446744073709551615ULL);
+    EXPECT_EQ(v.find("min")->as_int(), INT64_MIN);
+    EXPECT_EQ(v.find("big")->as_uint(), 9007199254740993ULL);  // 2^53 + 1
+    EXPECT_EQ(serve::json_parse(v.dump()).dump(), v.dump());
+    EXPECT_THROW(v.find("max")->as_int(), std::runtime_error);
+    EXPECT_THROW(serve::json_parse("18446744073709551616"), std::runtime_error);
+    EXPECT_THROW(serve::json_parse("-9223372036854775809"), std::runtime_error);
+}
+
 // --- request canonicalization / cache keys ---
 
 TEST(ServeRequest, KeyStableUnderFieldReordering) {
@@ -181,8 +194,6 @@ TEST(ServeRequest, ExecutionOnlyKnobsDoNotChangeTheKey) {
 }
 
 TEST(ServeRequest, ExecutorKnobsParseAndRoundTripTheWire) {
-    // Explicit seed: the JSON number model only holds integers exactly up
-    // to 2^53, and the default seed is larger (documented in json.hpp).
     const serve::JobRequest r = serve::parse_request(serve::json_parse(
         R"({"graph":"g","config":{"partition":true,"executor":"process",)"
         R"("processes":3,"seed":41}})"));
@@ -446,6 +457,10 @@ TEST(ServeServer, InvalidRequestsFailTheSubmitNotTheWorker) {
     serve::JobRequest bad_kernel = mini_request(gfa);
     bad_kernel.config.kernel = "avx1024";
     EXPECT_THROW(server.submit(bad_kernel), std::runtime_error);
+    serve::JobRequest bad_executor = mini_request(gfa);
+    bad_executor.partition = true;
+    bad_executor.executor = "bogus";
+    EXPECT_THROW(server.submit(bad_executor), std::runtime_error);
     serve::JobRequest bad_graph = mini_request(dir + "/missing.gfa");
     EXPECT_THROW(server.submit(bad_graph), std::runtime_error);
     EXPECT_EQ(server.stats().submitted, 0u);

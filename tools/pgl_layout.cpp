@@ -6,39 +6,37 @@
 // --component-worker mode the process executor spawns — runs the same
 // driver pipeline the serve daemon uses.
 //
-//   pgl-layout -i graph.gfa|graph.pgg -o graph.lay
-//              [--backend NAME | --gpu[=a6000|a100]] [--kernel NAME]
-//              [--iters N] [--factor F] [--threads N] [--seed N]
-//              [--pin] [--numa off|auto|interleave|node:K]
+//   pgl-layout -i graph.gfa|graph.pgg -o graph.lay [layout flags]
+//              [--gpu[=a6000|a100]]
 //              [--save-graph FILE.pgg] [--load-graph FILE.pgg]
-//              [--partition] [--component-workers N] [--processes N]
 //              [--per-component-out DIR]
-//              [--multilevel[=LEVELS]] [--refine-iters N] [--exact-tail]
 //              [--svg out.svg] [--ppm out.ppm] [--stress]
 //              [--progress] [--timing] [--trace out.json]
 //              [--list-backends] [--list-kernels]
+//
+// The layout flags are the flagged rows of the request field table
+// (core/request.hpp), parsed, validated and listed in usage by the same
+// code `pgl_serve submit` uses.
 //
 // Ingestion streams GFA 1.0/1.1 (S/L/P/W records, CRLF tolerant) directly
 // into the engine-ready LeanGraph — the rich VariationGraph is never
 // materialized — or loads a binary .pgg graph cache (auto-detected by
 // extension, or forced with --load-graph). --save-graph writes the cache
 // after ingestion so repeated runs of the same pangenome skip GFA parsing;
-// with --save-graph and no -o the tool converts and exits. With
-// --partition the graph is decomposed into connected components, each
-// component is laid out by its own engine instance — spread across
-// --component-workers threads, or farmed to --processes child worker
-// processes — and the results are shelf-packed onto one canvas (see
-// README "Execution drivers" for the determinism contract).
+// with --save-graph and no -o the tool converts and exits. A partitioned
+// run decomposes the graph into connected components, lays each out with
+// its own engine instance — in-process threads or child worker
+// processes — and shelf-packs the results onto one canvas (see README
+// "Execution drivers" for the determinism contract).
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "cli_common.hpp"
 #include "core/engine.hpp"
 #include "core/kernels/update_kernel.hpp"
-#include "core/topology.hpp"
+#include "core/request.hpp"
 #include "driver/driver.hpp"
 #include "gpusim/gpu_machine.hpp"
 #include "gpusim/gpu_spec.hpp"
@@ -49,41 +47,17 @@ namespace {
 void usage(const char* argv0) {
     std::cerr
         << "usage: " << argv0 << " -i graph.gfa|graph.pgg -o layout.lay [options]\n"
-        << "  --backend NAME      run a registered engine (see --list-backends)\n"
-        << "  --kernel NAME       update kernel for batch-applying engines\n"
-        << "                      (see --list-kernels; default scalar)\n"
+        << "layout flags:\n"
+        << pgl::core::flag_usage() << "other options:\n"
         << "  --gpu[=a6000|a100]  alias for the optimized simulated GPU\n"
-        << "  --iters N           SGD iterations (default 30)\n"
-        << "  --factor F          updates per iteration = F x total steps (default 10)\n"
-        << "  --threads N         CPU threads (default 1); for cpu-batched and\n"
-        << "                      cpu-pipelined also the shard count, which\n"
-        << "                      fixes the layout bytes\n"
-        << "  --pin               pin pool workers to CPUs (best effort;\n"
-        << "                      never changes the layout bytes)\n"
-        << "  --numa MODE         NUMA memory placement: off (default), auto,\n"
-        << "                      interleave, node:K (execution-only, like --pin)\n"
-        << "  --seed N            PRNG seed\n"
         << "  --save-graph FILE   write the parsed graph as a binary .pgg cache\n"
         << "                      (with no -o: convert and exit)\n"
         << "  --load-graph FILE   load a .pgg cache instead of -i\n"
-        << "  --partition         decompose into connected components, lay out\n"
-        << "                      each with its own engine, stitch one canvas\n"
-        << "  --component-workers N  components laid out concurrently (default 1)\n"
-        << "  --processes N       farm components to N child worker processes\n"
-        << "                      (byte-identical to the in-process run)\n"
         << "  --per-component-out DIR  also dump component_<k>.lay per component\n"
-        << "  --multilevel[=LEVELS]  coarsen linear runs LEVELS times (default 1),\n"
-        << "                      anneal the coarse graph, interpolate, refine\n"
-        << "                      (composes with --partition: per component)\n"
-        << "  --refine-iters N    full-resolution refinement iterations\n"
-        << "                      (default max(2, iters / 2))\n"
-        << "  --exact-tail        refine with the flat schedule's own tail\n"
-        << "                      temperatures instead of the adaptive\n"
-        << "                      run-length restart (bit-exact tail replay)\n"
         << "  --svg FILE          also render an SVG\n"
         << "  --ppm FILE          also render a PPM bitmap\n"
         << "  --stress            report sampled path stress with CI95\n"
-        << "  --progress          print per-iteration (or, with --partition,\n"
+        << "  --progress          print per-iteration (or, partitioned,\n"
         << "                      per-component) progress to stderr\n"
         << "  --timing            print a per-stage wall-clock summary to stderr\n"
         << "  --trace FILE        write a Chrome trace-event JSON of the run\n"
@@ -102,10 +76,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 int main(int argc, char** argv) {
     using namespace pgl;
     driver::RunRequest req;
-    req.backend.clear();  // resolved to cpu-soa after the alias flags
     std::string in_path, gpu_name, load_graph_path, trace_path;
     bool report_stress = false, progress = false, timing = false;
-    bool processes_set = false;
 
     // CI's smoke loops consume the `--list-backends` / `--list-kernels`
     // output verbatim (`for x in $(pgl_layout --list-...)`), so the contract
@@ -133,13 +105,11 @@ int main(int argc, char** argv) {
             return cli::next_arg_or_die(argc, argv, i, arg,
                                         [&] { usage(argv[0]); });
         };
+        if (cli::layout_flag_or_die(argc, argv, i, req)) continue;
         if (arg == "-i") {
             in_path = next();
         } else if (arg == "-o") {
             req.out_path = next();
-        } else if (arg == "--backend") {
-            req.backend = next();
-            gpu_name.clear();  // last flag wins over an earlier --gpu=NAME
         } else if (arg == "--gpu") {
             req.backend = "gpusim-optimized";
             gpu_name.clear();
@@ -151,48 +121,12 @@ int main(int argc, char** argv) {
                           << "\" (expected a6000 or a100)\n";
                 return 2;
             }
-        } else if (arg == "--kernel") {
-            req.config.kernel = next();
-        } else if (arg == "--iters") {
-            req.config.iter_max = cli::parse_int_or_die<std::uint32_t>(arg, next());
-        } else if (arg == "--factor") {
-            req.config.steps_per_iter_factor = cli::parse_double_or_die(arg, next());
-        } else if (arg == "--threads") {
-            req.config.threads = cli::parse_int_or_die<std::uint32_t>(arg, next());
-        } else if (arg == "--pin") {
-            req.config.pin = true;
-        } else if (arg == "--numa") {
-            req.config.numa = next();
-        } else if (arg == "--seed") {
-            req.config.seed = cli::parse_int_or_die<std::uint64_t>(arg, next());
         } else if (arg == "--save-graph") {
             req.save_graph_path = next();
         } else if (arg == "--load-graph") {
             load_graph_path = next();
-        } else if (arg == "--partition") {
-            req.partition = true;
-        } else if (arg == "--component-workers") {
-            req.component_workers = cli::parse_int_or_die<std::uint32_t>(arg, next());
-        } else if (arg == "--processes") {
-            req.processes = cli::parse_int_or_die<std::uint32_t>(arg, next());
-            req.executor = "process";
-            processes_set = true;
         } else if (arg == "--per-component-out") {
             req.per_component_dir = next();
-        } else if (arg == "--multilevel") {
-            req.multilevel = true;
-        } else if (arg.rfind("--multilevel=", 0) == 0) {
-            req.multilevel = true;
-            req.ml.levels = cli::parse_int_or_die<std::uint32_t>(
-                "--multilevel", arg.c_str() + std::strlen("--multilevel="));
-            if (req.ml.levels == 0) {
-                std::cerr << "--multilevel=LEVELS requires LEVELS >= 1\n";
-                return 2;
-            }
-        } else if (arg == "--refine-iters") {
-            req.ml.refine_iters = cli::parse_int_or_die<std::uint32_t>(arg, next());
-        } else if (arg == "--exact-tail") {
-            req.ml.exact_tail = true;
         } else if (arg == "--svg") {
             req.svg_path = next();
         } else if (arg == "--ppm") {
@@ -251,50 +185,16 @@ int main(int argc, char** argv) {
         std::cerr << "--per-component-out requires --partition\n";
         return 2;
     }
-    if (req.component_workers != 1 && !req.partition) {
-        std::cerr << "--component-workers requires --partition\n";
-        return 2;
-    }
-    if (processes_set && !req.partition) {
-        std::cerr << "--processes requires --partition\n";
-        return 2;
-    }
-    if (processes_set && req.processes == 0) {
-        std::cerr << "--processes requires N >= 1\n";
-        return 2;
-    }
-    if (req.ml.refine_iters != 0 && !req.multilevel) {
-        std::cerr << "--refine-iters requires --multilevel\n";
-        return 2;
-    }
-    if (req.ml.exact_tail && !req.multilevel) {
-        std::cerr << "--exact-tail requires --multilevel\n";
-        return 2;
-    }
-    if (req.backend.empty()) req.backend = "cpu-soa";
-    try {
-        core::parse_numa_policy(req.config.numa);
-    } catch (const std::exception& e) {
-        std::cerr << "--numa: " << e.what() << "\n";
-        return 2;
-    }
-    if (!core::KernelRegistry::instance().contains(req.config.kernel)) {
-        std::cerr << "unknown update kernel \"" << req.config.kernel
-                  << "\"; available:";
-        for (const auto& n : core::KernelRegistry::instance().names()) {
-            std::cerr << " " << n;
+    cli::validate_or_die(req);
+    // --gpu=a100 holds while no later flag picked another backend. The
+    // a100 variant is constructed with a non-default machine spec, not
+    // through the registry the partition scheduler draws engines from.
+    if (gpu_name == "a100" && req.backend == "gpusim-optimized") {
+        if (req.partition) {
+            std::cerr << "--gpu=a100 is not supported with partitioned runs "
+                         "(use --gpu or --backend gpusim-optimized)\n";
+            return 2;
         }
-        std::cerr << "\n";
-        return 2;
-    }
-    if (req.partition && gpu_name == "a100") {
-        // The a100 variant is constructed with a non-default machine spec,
-        // not through the registry the scheduler draws engines from.
-        std::cerr << "--gpu=a100 is not supported with --partition "
-                     "(use --gpu or --backend gpusim-optimized)\n";
-        return 2;
-    }
-    if (gpu_name == "a100") {
         req.engine_factory = [] {
             return gpusim::make_gpusim_engine(gpusim::KernelConfig::optimized(),
                                               gpusim::a100());

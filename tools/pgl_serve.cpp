@@ -8,7 +8,7 @@
 //
 //   pgl-serve serve    --socket S [--cache-dir D] [--workers N]
 //                      [--graph-cache N]
-//   pgl-serve submit   --socket S --graph FILE [config flags]
+//   pgl-serve submit   --socket S --graph FILE [layout flags]
 //                      [--wait] [-o OUT.lay]
 //   pgl-serve status   --socket S --id N
 //   pgl-serve cancel   --socket S --id N
@@ -17,21 +17,20 @@
 //   pgl-serve shutdown --socket S
 //   pgl-serve request  --socket S JSON      (raw protocol escape hatch)
 //
-// `submit` accepts the same layout vocabulary as pgl_layout: --backend,
-// --kernel, --iters, --factor, --threads, --seed, --partition,
-// --component-workers, --multilevel[=LEVELS], --refine-iters, --exact-tail.
-// With --wait it blocks until the job is terminal, copies the artifact to
-// -o if given, prints the final response JSON on stdout, and exits 0 only
-// for state "done".
+// `submit` takes exactly pgl_layout's layout flags — both tools parse,
+// validate and list them from the request field table (core/request.hpp)
+// — and sends the request's wire form. With --wait it blocks until the
+// job is terminal, copies the artifact to -o if given, prints the final
+// response JSON on stdout, and exits 0 only for state "done".
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <string>
 
 #include "cli_common.hpp"
+#include "core/request.hpp"
 #include "serve/daemon.hpp"
 #include "serve/json.hpp"
 #include "telemetry/telemetry.hpp"
@@ -56,24 +55,19 @@ void usage(const char* argv0) {
         << "    --trace FILE        write a Chrome trace of the daemon's\n"
         << "                        lifetime (job spans + queue waits) on exit\n"
         << "  submit    submit a layout job\n"
-        << "    --socket PATH --graph FILE [--backend NAME] [--kernel NAME]\n"
-        << "    [--iters N] [--factor F] [--threads N] [--seed N]\n"
-        << "    [--pin] [--numa off|auto|interleave|node:K]\n"
-        << "    [--partition] [--component-workers N]\n"
-        << "    [--executor thread|process] [--processes N]\n"
-        << "    [--multilevel[=LEVELS]] [--refine-iters N] [--exact-tail]\n"
-        << "    [--wait] [-o OUT.lay]\n"
+        << "    --socket PATH --graph FILE [layout flags] [--wait] [-o OUT.lay]\n"
         << "  status    --socket PATH --id N\n"
         << "  cancel    --socket PATH --id N\n"
         << "  stats     --socket PATH\n"
         << "  metrics   --socket PATH        full telemetry snapshot\n"
         << "  ping      --socket PATH\n"
         << "  shutdown  --socket PATH\n"
-        << "  request   --socket PATH JSON   send one raw protocol line\n";
+        << "  request   --socket PATH JSON   send one raw protocol line\n"
+        << "layout flags (submit; the same as pgl_layout's):\n"
+        << pgl::core::flag_usage();
 }
 
 // Checked numeric parsing is shared with pgl_layout (tools/cli_common.hpp).
-using pgl::cli::parse_double_or_die;
 using pgl::cli::parse_int_or_die;
 
 /// Sends one line and prints the response; returns 0 iff "ok": true.
@@ -139,76 +133,36 @@ int cmd_serve(int argc, char** argv) {
 int cmd_submit(int argc, char** argv) {
     using pgl::serve::JsonObject;
     using pgl::serve::JsonValue;
-    std::string socket_path, graph, out_path;
+    std::string socket_path, out_path;
     bool wait = false;
-    JsonObject config;
+    pgl::serve::JobRequest job;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto next = [&]() -> const char* {
             return pgl::cli::next_arg_or_die(argc, argv, i, arg, [] {});
         };
+        if (pgl::cli::layout_flag_or_die(argc, argv, i, job)) continue;
         if (arg == "--socket") {
             socket_path = next();
         } else if (arg == "--graph") {
-            graph = next();
+            job.graph = next();
         } else if (arg == "-o") {
             out_path = next();
         } else if (arg == "--wait") {
             wait = true;
-        } else if (arg == "--backend") {
-            config["backend"] = JsonValue(std::string(next()));
-        } else if (arg == "--kernel") {
-            config["kernel"] = JsonValue(std::string(next()));
-        } else if (arg == "--iters") {
-            config["iters"] =
-                JsonValue(parse_int_or_die<std::uint64_t>(arg, next()));
-        } else if (arg == "--factor") {
-            config["factor"] = JsonValue(parse_double_or_die(arg, next()));
-        } else if (arg == "--threads") {
-            config["threads"] =
-                JsonValue(parse_int_or_die<std::uint64_t>(arg, next()));
-        } else if (arg == "--pin") {
-            config["pin"] = JsonValue(true);
-        } else if (arg == "--numa") {
-            config["numa"] = JsonValue(std::string(next()));
-        } else if (arg == "--seed") {
-            config["seed"] =
-                JsonValue(parse_int_or_die<std::uint64_t>(arg, next()));
-        } else if (arg == "--partition") {
-            config["partition"] = JsonValue(true);
-        } else if (arg == "--component-workers") {
-            config["component_workers"] =
-                JsonValue(parse_int_or_die<std::uint64_t>(arg, next()));
-        } else if (arg == "--executor") {
-            config["executor"] = JsonValue(std::string(next()));
-        } else if (arg == "--processes") {
-            config["processes"] =
-                JsonValue(parse_int_or_die<std::uint64_t>(arg, next()));
-            config["executor"] = JsonValue(std::string("process"));
-        } else if (arg == "--multilevel") {
-            config["multilevel"] = JsonValue(std::uint64_t{1});
-        } else if (arg.rfind("--multilevel=", 0) == 0) {
-            config["multilevel"] = JsonValue(parse_int_or_die<std::uint64_t>(
-                "--multilevel", arg.c_str() + std::strlen("--multilevel=")));
-        } else if (arg == "--refine-iters") {
-            config["refine_iters"] =
-                JsonValue(parse_int_or_die<std::uint64_t>(arg, next()));
-        } else if (arg == "--exact-tail") {
-            config["exact_tail"] = JsonValue(true);
         } else {
             std::cerr << "unknown option: " << arg << "\n";
             return 2;
         }
     }
-    if (socket_path.empty() || graph.empty()) {
+    if (socket_path.empty() || job.graph.empty()) {
         std::cerr << "submit requires --socket PATH and --graph FILE\n";
         return 2;
     }
+    pgl::cli::validate_or_die(job);
 
-    JsonObject req;
+    JsonObject req = pgl::serve::request_to_json(job).as_object();
     req["cmd"] = JsonValue(std::string("submit"));
-    req["graph"] = JsonValue(graph);
-    req["config"] = JsonValue(std::move(config));
     std::string response =
         pgl::serve::send_request(socket_path, JsonValue(std::move(req)).dump());
     JsonValue v = pgl::serve::json_parse(response);
