@@ -268,7 +268,7 @@ graph::LeanGraph build_lean(const workloads::PangenomeSpec& spec, bool verbose) 
                   << " edges, " << s.paths << " paths, " << s.total_path_steps
                   << " total steps\n";
     }
-    return graph::LeanGraph::from_graph(g);
+    return workloads::to_ingest(g).graph;
 }
 
 }  // namespace pgl::bench

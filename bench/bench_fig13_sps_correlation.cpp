@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
         spec.backbone_nodes = 200 + 57 * static_cast<std::uint64_t>(i % 8);
         spec.n_paths = 3 + (i % 5);
         spec.seed = opt.seed + static_cast<std::uint64_t>(i) * 101;
-        const auto g = graph::LeanGraph::from_graph(workloads::generate_pangenome(spec));
+        const auto g = workloads::to_ingest(workloads::generate_pangenome(spec)).graph;
 
         auto cfg = opt.layout_config();
         cfg.iter_max = 1 + (i % 7) * 2;  // assorted convergence levels
@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
 
     // Seed robustness: the estimator must be stable across sampling seeds.
     {
-        const auto g = graph::LeanGraph::from_graph(
-            workloads::generate_pangenome(workloads::hla_drb1_spec()));
+        const auto g = workloads::to_ingest(
+            workloads::generate_pangenome(workloads::hla_drb1_spec())).graph;
         auto cfg = opt.layout_config();
         const auto layout = bench::run_backend("cpu-soa", g, cfg).layout;
         double lo = 1e300, hi = 0;

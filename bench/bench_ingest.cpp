@@ -1,10 +1,8 @@
-// Ingestion bench: GFA -> layout-ready LeanGraph through the three routes —
-// the legacy rich-graph path (read_gfa -> VariationGraph -> from_graph),
-// the streaming reader (gfa_stream, no intermediate), and the binary .pgg
-// graph cache — reporting wall-clock, peak RSS and steps/second for each.
-// The peak-RSS column is the paper-facing number: streaming ingestion must
-// come in measurably below the VariationGraph route on path-heavy graphs,
-// and the cache below both.
+// Ingestion bench: GFA -> layout-ready LeanGraph through the two routes
+// `pgl_layout` loads a graph by — the streaming GFA reader (gfa_stream) and
+// the binary .pgg graph cache — reporting wall-clock, peak RSS and
+// steps/second for each. The cache is expected to come in below the GFA
+// reader on both time and peak RSS.
 //
 //   ./bench_ingest [--scale F] [--seed N] [--quick] [--json FILE]
 //
@@ -27,7 +25,6 @@
 #include "bench_common.hpp"
 #include "graph/gfa.hpp"
 #include "graph/gfa_stream.hpp"
-#include "graph/lean_graph.hpp"
 #include "io/pgg_io.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -51,11 +48,7 @@ struct RouteResult {
 RouteResult run_route(const std::string& mode, const std::string& path) {
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t steps = 0;
-    if (mode == "gfa-variation-graph") {
-        const auto vg = graph::read_gfa_file(path);
-        const auto lean = graph::LeanGraph::from_graph(vg);
-        steps = lean.total_path_steps();
-    } else if (mode == "gfa-stream") {
+    if (mode == "gfa-stream") {
         const auto ingest = graph::ingest_gfa_file(path);
         steps = ingest.graph.total_path_steps();
     } else if (mode == "pgg-cache") {
@@ -168,18 +161,15 @@ int main(int argc, char** argv) {
     }
     io::write_pgg_file(graph::ingest_gfa_file(gfa_path), pgg_path);
 
-    const std::vector<std::string> routes{"gfa-variation-graph", "gfa-stream",
-                                          "pgg-cache"};
+    const std::vector<std::string> routes{"gfa-stream", "pgg-cache"};
     bench::TablePrinter table({"Route", "Seconds", "PeakRSS_MB", "Steps/s"},
                               {21, 10, 12, 12});
     table.print_header(std::cout);
 
     bench::JsonReporter json(opt.json_path);
-    std::vector<RouteResult> results;
     for (const std::string& route : routes) {
         const std::string& input = route == "pgg-cache" ? pgg_path : gfa_path;
         const RouteResult r = run_route_forked(route, input);
-        results.push_back(r);
         table.print_row(
             std::cout,
             {route, bench::fmt(r.seconds, 4),
@@ -194,14 +184,6 @@ int main(int argc, char** argv) {
         json.add(bench::make_record(opt, "bench_ingest", route, summary));
     }
 
-    if (results[0].peak_rss_mb > 0.0 && results[1].peak_rss_mb > 0.0) {
-        std::cout << "\nstreaming peak RSS is "
-                  << bench::fmt(results[1].peak_rss_mb / results[0].peak_rss_mb,
-                                2)
-                  << "x the VariationGraph route ("
-                  << bench::fmt(results[1].peak_rss_mb, 1) << " vs "
-                  << bench::fmt(results[0].peak_rss_mb, 1) << " MB)\n";
-    }
     fs::remove_all(dir);
     return 0;
 }

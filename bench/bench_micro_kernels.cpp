@@ -22,7 +22,7 @@ const graph::LeanGraph& micro_graph() {
         spec.backbone_nodes = 20000;
         spec.n_paths = 12;
         spec.seed = 99;
-        return graph::LeanGraph::from_graph(workloads::generate_pangenome(spec));
+        return workloads::to_ingest(workloads::generate_pangenome(spec)).graph;
     }();
     return g;
 }

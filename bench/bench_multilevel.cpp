@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
     auto specs =
         workloads::whole_genome_spec(n_components, opt.scale * 0.5, opt.seed);
     for (auto& s : specs) s = workloads::with_finer_segmentation(s, sub);
-    const auto vg = workloads::generate_whole_genome(specs);
-    const auto g = graph::LeanGraph::from_graph(vg);
+    const auto g = workloads::to_ingest(workloads::generate_whole_genome(specs)).graph;
     std::cout << "== Multilevel time-to-quality (" << n_components
               << " components, segmentation x" << sub << ", backend "
               << opt.backend << ") ==\n"

@@ -84,8 +84,9 @@ int main(int argc, char** argv) {
     const std::uint32_t n_components = opt.quick ? 3 : 6;
     const auto specs =
         workloads::whole_genome_spec(n_components, opt.scale, opt.seed);
-    const auto vg = workloads::generate_whole_genome(specs);
-    const auto flat = graph::LeanGraph::from_graph(vg);
+    auto ing = workloads::to_ingest(workloads::generate_whole_genome(specs));
+    const graph::LeanGraph& flat = ing.graph;
+    const partition::ComponentLabels labels = partition::take_labels(ing);
     std::cout << "genome: " << flat.node_count() << " nodes, "
               << flat.path_count() << " paths, " << n_components
               << " components\n";
@@ -179,16 +180,14 @@ int main(int argc, char** argv) {
             for (int rep = 0; rep < reps; ++rep) {
                 popt.schedule.config.pin = false;
                 popt.schedule.config.numa = "off";
-                auto part = partition::partition_layout(
-                    partition::decompose(vg), popt);
+                auto part = partition::partition_layout(flat, labels, popt);
                 t_un.push_back(part.seconds);
                 updates = part.updates;
                 lay_un = std::move(part.stitched.layout);
 
                 popt.schedule.config.pin = true;
                 popt.schedule.config.numa = "auto";
-                part = partition::partition_layout(partition::decompose(vg),
-                                                   popt);
+                part = partition::partition_layout(flat, labels, popt);
                 t_pin.push_back(part.seconds);
                 lay_pin = std::move(part.stitched.layout);
             }

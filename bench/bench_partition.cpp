@@ -12,9 +12,9 @@
 // thread each so the sweep measures component-level parallelism, not
 // nested pools). With --json FILE one record for the --threads run is
 // written — the partition entry of CI's perf-regression gate. With
-// --input a real GFA or .pgg graph cache is ingested through the
-// streaming reader instead of generating the synthetic genome, using the
-// component labels computed at parse time.
+// --input a real GFA or .pgg graph cache is loaded instead of generating
+// the synthetic genome; either way the graph and its component labels come
+// from the same ingest the CLI uses.
 #include <iostream>
 #include <string>
 #include <utility>
@@ -30,25 +30,23 @@ int main(int argc, char** argv) {
     auto opt = bench::BenchOptions::parse(argc, argv);
     if (opt.backend == "cpu-soa") opt.backend = "cpu-batched";  // richer default
 
-    partition::Decomposition d;
+    graph::LeanIngest ingest;
     if (!opt.input_path.empty()) {
         std::cout << "== Partitioned layout of " << opt.input_path
                   << " (backend " << opt.backend << ") ==\n";
-        auto ingest = io::load_graph_file(opt.input_path);
-        std::cout << "graph: " << ingest.graph.node_count() << " nodes, "
-                  << ingest.graph.path_count() << " paths\n";
-        d = partition::decompose(ingest.graph, partition::take_labels(ingest));
+        ingest = io::load_graph_file(opt.input_path);
+        std::cout << "graph: ";
     } else {
         const std::uint32_t n_components = opt.quick ? 3 : 6;
         std::cout << "== Partitioned whole-genome layout (" << n_components
                   << " components, backend " << opt.backend << ") ==\n";
-        const auto specs =
-            workloads::whole_genome_spec(n_components, opt.scale, opt.seed);
-        const auto vg = workloads::generate_whole_genome(specs);
-        std::cout << "genome: " << vg.node_count() << " nodes, "
-                  << vg.path_count() << " paths\n";
-        d = partition::decompose(vg);
+        ingest = workloads::to_ingest(workloads::generate_whole_genome(
+            workloads::whole_genome_spec(n_components, opt.scale, opt.seed)));
+        std::cout << "genome: ";
     }
+    std::cout << ingest.graph.node_count() << " nodes, "
+              << ingest.graph.path_count() << " paths\n";
+    auto d = partition::decompose(ingest.graph, partition::take_labels(ingest));
     std::cout << d.count() << " components\n";
 
     partition::PartitionOptions popt;

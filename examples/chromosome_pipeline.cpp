@@ -1,6 +1,6 @@
 // End-to-end chromosome pipeline, the analog of the paper's artifact flow:
-//   generate a scaled Chr-class pangenome -> write GFA -> re-read the GFA ->
-//   distill the lean layout graph -> run the multithreaded CPU layout and
+//   generate a scaled Chr-class pangenome -> write GFA -> stream the GFA
+//   back into the lean layout graph -> run the multithreaded CPU layout and
 //   the optimized simulated-GPU layout -> compare quality -> persist the
 //   layout (.lay) and a rendered SVG -> report the modeled paper-scale
 //   speedup.
@@ -15,7 +15,7 @@
 #include "gpusim/gpu_machine.hpp"
 #include "gpusim/gpu_spec.hpp"
 #include "graph/gfa.hpp"
-#include "graph/lean_graph.hpp"
+#include "graph/gfa_stream.hpp"
 #include "io/lay_io.hpp"
 #include "metrics/path_stress.hpp"
 #include "workloads/synthetic.hpp"
@@ -30,13 +30,11 @@ int main(int argc, char** argv) {
     const auto vg = workloads::generate_pangenome(spec);
     const std::string gfa_path = out_dir + "/chr20_scaled.gfa";
     graph::write_gfa_file(vg, gfa_path);
-    const auto vg2 = graph::read_gfa_file(gfa_path);
-    std::cout << "GFA round trip: " << vg2.node_count() << " nodes, "
-              << vg2.edge_count() << " edges, " << vg2.path_count()
-              << " paths (validate: "
-              << (vg2.validate().empty() ? "ok" : vg2.validate()) << ")\n";
-
-    const auto g = graph::LeanGraph::from_graph(vg2);
+    const auto ing = graph::ingest_gfa_file(gfa_path);
+    const auto& g = ing.graph;
+    std::cout << "GFA round trip: " << g.node_count() << " nodes, "
+              << ing.edge_count << " edges, " << g.path_count() << " paths, "
+              << g.total_path_steps() << " steps\n";
 
     // 2. CPU layout on the pipelined engine (persistent thread pool, 4
     // producer workers sampling ahead of the consumer).

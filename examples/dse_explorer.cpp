@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
     const double scale = argc > 2 ? std::atof(argv[2]) : 0.002;
 
     const auto spec = workloads::chromosome_spec(chrom, scale);
-    const auto vg = workloads::generate_pangenome(spec);
-    const auto g = graph::LeanGraph::from_graph(vg);
+    const auto g = workloads::to_ingest(workloads::generate_pangenome(spec)).graph;
     std::cout << "exploring " << spec.name << " (" << g.node_count()
               << " nodes, scale " << scale << ")\n\n";
 

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     std::cout << "HLA-DRB1-like graph: " << stats.nodes << " nodes, "
               << stats.edges << " edges, " << stats.paths << " paths, "
               << stats.nucleotides << " bp\n";
-    const auto g = graph::LeanGraph::from_graph(vg);
+    const auto g = workloads::to_ingest(vg).graph;
 
     core::LayoutConfig cfg;
     cfg.iter_max = 20;

@@ -10,6 +10,7 @@
 #include "graph/gfa.hpp"
 #include "graph/lean_graph.hpp"
 #include "metrics/path_stress.hpp"
+#include "workloads/synthetic.hpp"
 
 int main(int argc, char** argv) {
     using namespace pgl;
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
     std::cout << "graph: " << vg.node_count() << " nodes, " << vg.edge_count()
               << " edges, " << vg.path_count() << " paths\n";
 
-    const auto lean = graph::LeanGraph::from_graph(vg);
+    const auto lean = workloads::to_ingest(vg).graph;
 
     if (!core::EngineRegistry::instance().contains(backend)) {
         std::cerr << "unknown backend " << backend << "; available:";

@@ -17,7 +17,7 @@
 
 #include "draw/svg.hpp"
 #include "graph/gfa.hpp"
-#include "graph/lean_graph.hpp"
+#include "graph/gfa_stream.hpp"
 #include "metrics/path_stress.hpp"
 #include "partition/partition.hpp"
 #include "workloads/synthetic.hpp"
@@ -44,6 +44,9 @@ int main(int argc, char** argv) {
     const std::string gfa_path = out_dir + "/whole_genome.gfa";
     graph::write_gfa_file(vg, gfa_path);
     std::cout << "wrote " << gfa_path << "\n";
+    // Read the file back exactly as `pgl_layout --partition` does.
+    auto ing = graph::ingest_gfa_file(gfa_path);
+    const graph::LeanGraph& lean = ing.graph;
 
     partition::PartitionOptions popt;
     popt.schedule.backend = backend;
@@ -55,14 +58,14 @@ int main(int argc, char** argv) {
                   << p.component << "): " << p.nodes << " nodes in " << p.seconds
                   << " s\n";
     };
-    const auto part = partition::partition_layout(vg, popt);
+    const auto part =
+        partition::partition_layout(lean, partition::take_labels(ing), popt);
     std::cout << backend << ": " << part.updates << " updates over "
               << part.decomposition.count() << " components in " << part.seconds
               << " s (engine time " << part.engine_seconds << " s)\n";
     std::cout << "canvas: " << part.stitched.width << " x "
               << part.stitched.height << "\n";
 
-    const auto lean = graph::LeanGraph::from_graph(vg);
     const auto sps = metrics::sampled_path_stress(lean, part.stitched.layout, 20);
     std::cout << "sampled path stress: " << sps.value << " [" << sps.ci_low
               << ", " << sps.ci_high << "]\n";

@@ -1,10 +1,10 @@
 #pragma once
 // Union-find (disjoint-set forest) with path halving and union by size,
-// plus the dense-relabeling step every consumer wants afterwards. Shared by
-// the partition subsystem's component labeler and the streaming GFA reader,
-// which builds the partition-ready adjacency while parsing — both must
-// number components identically (by smallest member id, in scan order) for
-// the partitioned layout to be byte-reproducible across ingestion paths.
+// plus the dense-relabeling step every consumer wants afterwards. The
+// streaming GFA reader builds the partition-ready component labels with it
+// while parsing; numbering components by smallest member id (in scan
+// order) makes the labels, and so the partitioned layout, independent of
+// union order.
 #include <cstdint>
 #include <numeric>
 #include <utility>

@@ -1,13 +1,9 @@
 #pragma once
-// GFA v1 reader/writer for variation graphs — the interchange format of the
-// pangenome toolchain (odgi, vg, pggb). Supports S (segment), L (link),
-// P (path) and GFA 1.1 W (walk) records, which is everything the layout
-// pipeline consumes. Lines may end in CRLF (Windows-edited files) and
-// sequence-free segments ("S name *" with an LN:i: tag) keep their length.
-//
-// This reader materializes the full rich graph; for layout-only ingestion
-// at scale prefer the streaming reader in graph/gfa_stream.hpp, which
-// builds the LeanGraph directly at roughly half the peak memory.
+// GFA v1 writer for variation graphs — the interchange format of the
+// pangenome toolchain (odgi, vg, pggb). The workload generators build a
+// VariationGraph in memory and write it out here; every reader of GFA goes
+// through the one streaming reader in graph/gfa_stream.hpp, which builds
+// the LeanGraph the layout consumes (workloads::to_ingest chains the two).
 #include <iosfwd>
 #include <string>
 
@@ -15,17 +11,10 @@
 
 namespace pgl::graph {
 
-/// Parses GFA v1/v1.1 from a stream. Throws std::runtime_error on
-/// malformed input. W walks become paths named sample#hap#seqid[:start-end];
-/// other record types (H, C, ...) are skipped.
-VariationGraph read_gfa(std::istream& in);
-
-/// Convenience overload reading from a file path.
-VariationGraph read_gfa_file(const std::string& path);
-
 /// Writes GFA v1 preserving original segment names (nodes created without a
 /// name get their 1-based decimal id, the historical behaviour); links use
-/// overlap 0M, paths use '*' overlaps.
+/// overlap 0M, paths use '*' overlaps. Sequence-free nodes are written as
+/// "*" with an LN:i: length tag.
 void write_gfa(const VariationGraph& g, std::ostream& out);
 
 void write_gfa_file(const VariationGraph& g, const std::string& path);

@@ -1,9 +1,10 @@
 #pragma once
-// Streaming GFA ingestion — the scale path for real-world pangenomes
-// (PGGB, minigraph-cactus whole genomes). Instead of materializing the rich
-// VariationGraph (sequences + edge set + per-path Handle vectors) and then
-// distilling a LeanGraph from it, this reader makes two single-purpose
-// passes over the input and feeds a LeanGraphBuilder directly:
+// Streaming GFA ingestion — the one GFA reader, sized for real-world
+// pangenomes (PGGB, minigraph-cactus whole genomes). Instead of
+// materializing a rich graph (sequences + edge set + per-path Handle
+// vectors) and then distilling a LeanGraph from it, this reader makes two
+// single-purpose passes over the input and feeds a LeanGraphBuilder
+// directly:
 //
 //   pass 1 (segments):  S records -> name table + node lengths
 //                       (sequence bytes are measured, never stored);
@@ -19,9 +20,9 @@
 // one block, plus the longest line that crosses a block boundary, plus two
 // u32 words per node for the union-find. The union-find doubles as the
 // partition-ready adjacency: LeanIngest carries dense component labels
-// computed exactly like partition::label_components on the rich graph
-// (edges + path steps, numbered by smallest node id), so `--partition`
-// runs byte-identically from either ingestion route.
+// over edges + path steps, numbered by smallest node id — the only
+// component labeller, shared by the CLI, the daemon, the benches and the
+// tests (workloads::to_ingest routes generated graphs through here too).
 //
 // Dialect: GFA 1.0 (S/L/P) and GFA 1.1 (W walk) records, CRLF and
 // trailing-whitespace tolerant, "S name *" with LN:i: length tags.
@@ -34,8 +35,7 @@
 
 namespace pgl::graph {
 
-/// Everything the layout + partition pipeline needs from an input graph,
-/// without the rich VariationGraph intermediate.
+/// Everything the layout + partition pipeline needs from an input graph.
 struct LeanIngest {
     LeanGraph graph;
 
@@ -46,9 +46,8 @@ struct LeanIngest {
     std::vector<std::string> path_names;
 
     /// Partition-ready adjacency: dense connected-component labels over
-    /// L-links and path/walk steps, numbered by smallest member node id —
-    /// identical to partition::label_components(VariationGraph) on the
-    /// same file.
+    /// L-links and path/walk steps, numbered by smallest member node id
+    /// (partition::take_labels hands them to partition::decompose).
     std::uint32_t component_count = 0;
     std::vector<std::uint32_t> node_component;  ///< node id -> component
     std::vector<std::uint32_t> path_component;  ///< path index -> component

@@ -1,10 +1,9 @@
 #pragma once
-// Internal reading and tokenizing helpers shared by the two GFA readers —
-// the legacy rich-graph reader (gfa.cpp) and the streaming LeanGraph reader
-// (gfa_stream.cpp) — so both accept exactly the same dialect: CRLF and
-// trailing-whitespace tolerant lines, GFA 1.0 `P` segment lists and
-// GFA 1.1 `W` walk strings. Step callbacks return per-step errors as
-// strings (empty = ok) so each reader can attach its own line numbers.
+// Internal reading and tokenizing helpers of the streaming GFA reader
+// (gfa_stream.cpp): CRLF and trailing-whitespace tolerant lines in 64 KiB
+// blocks, GFA 1.0 `P` segment lists, GFA 1.1 `W` walk strings and the
+// segment-name table. Step callbacks return per-step errors as strings
+// (empty = ok) so the reader can attach its own line numbers.
 #include <cstdint>
 #include <cstring>
 #include <istream>
@@ -16,7 +15,7 @@
 
 namespace pgl::graph::gfa_detail {
 
-/// Segment-name -> dense-id table shared by both readers. Open addressing
+/// Segment-name -> dense-id table. Open addressing
 /// with linear probing over power-of-two slots kept at most half full;
 /// each slot holds a 32-bit hash tag and an id, and the names themselves
 /// sit back to back in one byte arena. Ids are assigned in insertion order

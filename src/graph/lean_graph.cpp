@@ -19,29 +19,12 @@ void LeanGraph::steps_end_path(std::uint64_t pos) {
 }
 
 // Appends one path walk, recomputing cumulative nucleotide positions.
-// Shared by both builders so identical walks yield bit-identical records.
+// Shares steps_add/steps_end_path with LeanGraphBuilder so identical walks
+// yield bit-identical records.
 void LeanGraph::append_path(const std::vector<Handle>& steps) {
     std::uint64_t pos = 0;
     for (const Handle& h : steps) steps_add(h, pos);
     steps_end_path(pos);
-}
-
-LeanGraph LeanGraph::from_graph(const VariationGraph& g) {
-    LeanGraph lg;
-    lg.node_len_.resize(g.node_count());
-    for (NodeId id = 0; id < g.node_count(); ++id) {
-        lg.node_len_[id] = g.node_length(id);
-    }
-
-    lg.path_offset_.reserve(g.path_count() + 1);
-    lg.step_records_.reserve(g.total_path_steps());
-    lg.path_nuc_len_.reserve(g.path_count());
-
-    lg.path_offset_.push_back(0);
-    for (const PathRecord& p : g.paths()) {
-        lg.append_path(p.steps);
-    }
-    return lg;
 }
 
 LeanGraph LeanGraph::from_parts(std::vector<std::uint32_t> node_lengths,

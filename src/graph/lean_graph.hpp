@@ -16,7 +16,7 @@
 #include <span>
 #include <vector>
 
-#include "graph/variation_graph.hpp"
+#include "graph/handle.hpp"
 
 namespace pgl::graph {
 
@@ -33,13 +33,10 @@ static_assert(sizeof(PathStepRecord) == 16);
 
 class LeanGraph {
 public:
-    static LeanGraph from_graph(const VariationGraph& g);
-
-    /// Builds a lean graph directly from node lengths and path walks,
-    /// bypassing the rich VariationGraph (the synthetic generators use it):
-    /// node ids are the indices into `node_lengths`, and step positions are
-    /// recomputed as cumulative nucleotide offsets exactly as from_graph()
-    /// does.
+    /// Builds a lean graph directly from node lengths and path walks (the
+    /// exact-structure generators and tests use it): node ids are the
+    /// indices into `node_lengths`, and step positions are recomputed as
+    /// cumulative nucleotide offsets exactly as LeanGraphBuilder does.
     static LeanGraph from_parts(std::vector<std::uint32_t> node_lengths,
                                 const std::vector<std::vector<Handle>>& paths);
 
@@ -115,9 +112,9 @@ private:
 /// Incremental LeanGraph construction for streaming ingestion: nodes are
 /// registered as their lengths become known (S records), then paths are fed
 /// one step at a time (P walks / W walks / cached step tables) without ever
-/// materializing a per-path Handle vector, let alone a VariationGraph. The
-/// cumulative-position arithmetic is LeanGraph's own, so a builder-made
-/// graph is bit-identical to from_graph()/from_parts() on the same walks.
+/// materializing a per-path Handle vector. The cumulative-position
+/// arithmetic is LeanGraph's own, so a builder-made graph is bit-identical
+/// to from_parts() on the same walks.
 class LeanGraphBuilder {
 public:
     LeanGraphBuilder() { g_.path_offset_.push_back(0); }

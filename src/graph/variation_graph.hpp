@@ -2,9 +2,10 @@
 // The "rich" variation graph G = (P, V, E) (paper Sec. II-A): nodes carry
 // nucleotide sequences, edges connect oriented node ends, paths are walks
 // that embed the original genomes. This mirrors the ODGI data structure the
-// CPU baseline operates on — deliberately heavier than needed for layout, so
-// that the lean layout structure (graph/lean_graph.hpp) has something real
-// to be distilled from.
+// CPU baseline operates on. Only the workload generators build one, and
+// layout never reads it directly: workloads::to_ingest writes it as GFA and
+// streams it back through graph::ingest_gfa, the CLI's own reader, which
+// distills the lean layout structure (graph/lean_graph.hpp).
 #include <cstdint>
 #include <string>
 #include <string_view>

@@ -216,10 +216,21 @@ graph::LeanIngest read_pgg(std::istream& in) {
     r.get(lengths.data(), lengths.size() * sizeof(std::uint32_t));
     out.node_component.resize(node_count);
     r.get(out.node_component.data(), node_count * sizeof(std::uint32_t));
+    // The labels must be the ingest labeller's: numbered by first
+    // appearance in node-id order, every id below component_count used.
+    // Together with the per-step check below this makes a decomposition of
+    // the cache equal to one of the GFA it came from.
+    std::uint32_t next_label = 0;
     for (const std::uint32_t c : out.node_component) {
-        if (c >= component_count) {
-            throw std::runtime_error("graph cache corrupt: node component out of range");
+        if (c > next_label) {
+            throw std::runtime_error(
+                "graph cache corrupt: node components not numbered by first appearance");
         }
+        if (c == next_label) ++next_label;
+    }
+    if (next_label != component_count) {
+        throw std::runtime_error(
+            "graph cache corrupt: component count disagrees with node labels");
     }
 
     if (flags & kFlagSegmentNames) {
@@ -270,6 +281,10 @@ graph::LeanIngest read_pgg(std::istream& in) {
                 if (h.id() >= node_count) {
                     throw std::runtime_error(
                         "graph cache corrupt: step references unknown node");
+                }
+                if (out.node_component[h.id()] != out.path_component[p]) {
+                    throw std::runtime_error(
+                        "graph cache corrupt: step node outside its path's component");
                 }
                 builder.add_step(h);
             }

@@ -43,7 +43,10 @@ void write_pgg_graph(const graph::LeanGraph& g, std::ostream& out);
 void write_pgg_graph_file(const graph::LeanGraph& g, const std::string& path);
 
 /// Throws std::runtime_error on bad magic, truncated data, implausible
-/// header counts or checksum mismatch.
+/// header counts, checksum mismatch, or component labels the GFA ingest
+/// could not have written: a step whose node sits outside its path's
+/// component, node labels not numbered by first appearance in node-id
+/// order, or a component_count other than the highest label + 1.
 graph::LeanIngest read_pgg(std::istream& in);
 graph::LeanIngest read_pgg_file(const std::string& path);
 

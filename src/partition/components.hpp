@@ -5,10 +5,11 @@
 // chromosome plus unplaced contigs), yet PG-SGD lays out one connected
 // graph at a time: a stress term never crosses a path, and a path never
 // crosses a component, so disconnected components are independent layout
-// problems. This module labels components with a union-find over the node
-// set and slices the graph into per-component LeanGraph subgraphs with
-// stable remap tables, so every downstream consumer (engines, metrics,
-// IO, rendering) sees an ordinary single-component graph.
+// problems. The labels come from ingestion (graph::LeanIngest: a union-find
+// over L links and path steps, built while the GFA streams in, or read back
+// from a .pgg cache); this module slices the graph into per-component
+// LeanGraph subgraphs with stable remap tables, so every downstream consumer
+// (engines, metrics, IO, rendering) sees an ordinary single-component graph.
 //
 // Component numbering is deterministic: components are numbered by their
 // smallest global node id, and inside a component local node ids ascend
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "graph/lean_graph.hpp"
-#include "graph/variation_graph.hpp"
 
 namespace pgl::graph {
 struct LeanIngest;  // graph/gfa_stream.hpp
@@ -27,29 +27,16 @@ struct LeanIngest;  // graph/gfa_stream.hpp
 
 namespace pgl::partition {
 
-/// Sentinel for "not assigned to any component" (only empty paths).
-inline constexpr std::uint32_t kNoComponent = 0xFFFFFFFFu;
-
 /// Node/path -> component labeling.
 struct ComponentLabels {
     std::uint32_t count = 0;
     std::vector<std::uint32_t> node_component;  ///< node id -> component id
     std::vector<std::uint32_t> path_component;  ///< path index -> component id
-                                                ///< (kNoComponent for an empty path)
 };
 
-/// Labels components using both edge and path-step adjacency (the full
-/// connectivity of the rich graph).
-ComponentLabels label_components(const graph::VariationGraph& g);
-
-/// Labels components using path-step adjacency only — all the connectivity
-/// a LeanGraph retains. Nodes touched by no path become singleton
-/// components.
-ComponentLabels label_components(const graph::LeanGraph& g);
-
-/// Adopts the labels a streaming ingest computed while parsing (edge +
-/// path connectivity, same numbering as the rich-graph labeler). Moves the
-/// label vectors out of `ing`; its graph and name tables are untouched.
+/// Adopts the labels an ingest computed (edge + path connectivity,
+/// numbered by smallest node id). Moves the label vectors out of `ing`;
+/// its graph and name tables are untouched.
 ComponentLabels take_labels(graph::LeanIngest& ing);
 
 /// One connected component, sliced out as a standalone lean graph.
@@ -72,18 +59,9 @@ struct Decomposition {
     std::uint64_t global_node_count() const noexcept { return local_node.size(); }
 };
 
-/// Decomposes the rich graph (edge + path connectivity); node lengths come
-/// from the sequences, as LeanGraph::from_graph would take them.
-Decomposition decompose(const graph::VariationGraph& g);
-
-/// Decomposes a lean graph (path connectivity only).
-Decomposition decompose(const graph::LeanGraph& g);
-
-/// Decomposes a lean graph using precomputed labels — the entry point for
-/// the streaming ingestion path, whose reader builds edge + path
-/// connectivity with a union-find while parsing (graph::LeanIngest), so the
-/// decomposition matches the rich-graph overload without a VariationGraph
-/// ever existing. `labels` must cover exactly the graph's nodes and paths.
+/// Decomposes a lean graph using the labels its ingest computed
+/// (take_labels). `labels` must cover exactly the graph's nodes and paths,
+/// and every step's node must carry its path's label.
 Decomposition decompose(const graph::LeanGraph& g, ComponentLabels labels);
 
 }  // namespace pgl::partition

@@ -46,16 +46,6 @@ PartitionResult partition_layout(Decomposition d, const PartitionOptions& opt) {
     return out;
 }
 
-PartitionResult partition_layout(const graph::VariationGraph& g,
-                                 const PartitionOptions& opt) {
-    return partition_layout(decompose(g), opt);
-}
-
-PartitionResult partition_layout(const graph::LeanGraph& g,
-                                 const PartitionOptions& opt) {
-    return partition_layout(decompose(g), opt);
-}
-
 PartitionResult partition_layout(const graph::LeanGraph& g,
                                  ComponentLabels labels,
                                  const PartitionOptions& opt) {

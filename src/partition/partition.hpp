@@ -2,9 +2,10 @@
 // The partition facade: decompose -> schedule per-component engines ->
 // stitch, in one call. This is the explode/squeeze workflow the odgi
 // pipeline wraps around the paper's PG-SGD artifact, turned into a library
-// entry point: feed it a (possibly multi-component) whole-genome graph and
-// get back one canvas-level core::Layout that flows unchanged into lay_io,
-// path_stress and the SVG/PPM renderers.
+// entry point: feed it an ingested (possibly multi-component) whole-genome
+// graph with its component labels and get back one canvas-level
+// core::Layout that flows unchanged into lay_io, path_stress and the
+// SVG/PPM renderers.
 #include <cstdint>
 #include <vector>
 
@@ -32,26 +33,14 @@ struct PartitionResult {
     double stitch_seconds = 0.0;  ///< wall-clock of the stitch pass
 };
 
-/// Decomposes with edge + path connectivity (the rich graph), then lays out
-/// and stitches.
-PartitionResult partition_layout(const graph::VariationGraph& g,
-                                 const PartitionOptions& opt);
-
-/// Decomposes with path connectivity only (all a LeanGraph retains), then
-/// lays out and stitches.
-PartitionResult partition_layout(const graph::LeanGraph& g,
-                                 const PartitionOptions& opt);
-
-/// Decomposes a lean graph with precomputed labels (the streaming ingest
-/// path: graph::LeanIngest carries edge + path connectivity computed while
-/// parsing), then lays out and stitches. Byte-identical to the rich-graph
-/// overload on the same input file.
+/// Decomposes a lean graph with the labels its ingest computed
+/// (take_labels), then lays out and stitches.
 PartitionResult partition_layout(const graph::LeanGraph& g,
                                  ComponentLabels labels,
                                  const PartitionOptions& opt);
 
-/// Schedules and stitches an existing decomposition (shared by both
-/// overloads; useful when the caller wants to reuse the decomposition).
+/// Schedules and stitches an existing decomposition (useful when the caller
+/// wants to reuse or time the decomposition).
 PartitionResult partition_layout(Decomposition d, const PartitionOptions& opt);
 
 }  // namespace pgl::partition

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <sstream>
 
+#include "graph/gfa.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256.hpp"
 
@@ -188,6 +190,12 @@ VariationGraph generate_pangenome(const PangenomeSpec& spec) {
         g.add_path(spec.name + "#" + std::to_string(h), std::move(steps));
     }
     return g;
+}
+
+graph::LeanIngest to_ingest(const graph::VariationGraph& g) {
+    std::stringstream gfa;
+    graph::write_gfa(g, gfa);
+    return graph::ingest_gfa(gfa);
 }
 
 PangenomeSpec hla_drb1_spec() {

@@ -9,10 +9,13 @@
 // The layout algorithm only ever reads topology, node lengths and path
 // walks, so matching those statistics (node count, edge/node ratio ~ 1.36,
 // path count, node length distribution) reproduces the paper's workload.
+// Layout consumes a generated graph only through to_ingest, which loads it
+// with the CLI's own GFA reader and component labeller.
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "graph/gfa_stream.hpp"
 #include "graph/lean_graph.hpp"
 #include "graph/variation_graph.hpp"
 
@@ -46,6 +49,13 @@ struct PangenomeSpec {
 /// VariationGraph::validate().
 graph::VariationGraph generate_pangenome(const PangenomeSpec& spec);
 
+/// Loads a generated graph exactly as the CLI loads a GFA file: writes it
+/// with graph::write_gfa into a string stream and returns graph::ingest_gfa
+/// of it, so the lean graph, the names and the component labels are the
+/// CLI's own. Throws std::runtime_error on an empty path, as ingest_gfa
+/// does.
+graph::LeanIngest to_ingest(const graph::VariationGraph& g);
+
 // --- Presets mirroring the paper's representative graphs (Table I) ---
 
 /// HLA-DRB1-like gene graph: ~5e3 nodes, 12 paths, ~4.4 bp/node.
@@ -74,8 +84,9 @@ std::vector<PangenomeSpec> whole_genome_spec(std::uint32_t n_components,
 
 /// Generates every spec and merges the results into one VariationGraph with
 /// disjoint node-id ranges (spec order = ascending id ranges), one
-/// connected component per spec. The inverse of partition::decompose: that
-/// call recovers exactly these components, in this order.
+/// connected component per spec. The inverse of partition::decompose: on
+/// to_ingest of the result, that call recovers exactly these components,
+/// in this order.
 graph::VariationGraph generate_whole_genome(
     const std::vector<PangenomeSpec>& specs);
 

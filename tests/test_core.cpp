@@ -34,8 +34,7 @@ graph::LeanGraph small_graph(std::uint64_t backbone = 200, std::uint32_t paths =
     spec.backbone_nodes = backbone;
     spec.n_paths = paths;
     spec.seed = seed;
-    const auto g = workloads::generate_pangenome(spec);
-    return graph::LeanGraph::from_graph(g);
+    return workloads::to_ingest(workloads::generate_pangenome(spec)).graph;
 }
 
 // --- Schedule ---
@@ -271,7 +270,7 @@ TEST(PairSampler, PathSelectionProportionalToLength) {
         long_walk.insert(long_walk.end(), steps.begin(), steps.end());
     }
     vg.add_path("long", long_walk);
-    const auto g = graph::LeanGraph::from_graph(vg);
+    const auto g = workloads::to_ingest(vg).graph;
     core::LayoutConfig cfg;
     const core::PairSampler sampler(g, cfg);
     rng::Xoshiro256Plus rng(3);

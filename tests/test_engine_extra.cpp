@@ -30,7 +30,7 @@ graph::LeanGraph mk_graph(std::uint64_t backbone, std::uint32_t paths,
     spec.backbone_nodes = backbone;
     spec.n_paths = paths;
     spec.seed = seed;
-    return graph::LeanGraph::from_graph(workloads::generate_pangenome(spec));
+    return workloads::to_ingest(workloads::generate_pangenome(spec)).graph;
 }
 
 TEST(LayoutConfig, ScheduleLengthDefaultsToIterMax) {
@@ -85,7 +85,7 @@ TEST(CpuEngine, HandlesSingleStepPathGracefully) {
     const auto b = vg.add_node("TTT");
     vg.add_path("long", {graph::Handle::forward(a), graph::Handle::forward(b)});
     vg.add_path("lonely", {graph::Handle::forward(a)});
-    const auto g = graph::LeanGraph::from_graph(vg);
+    const auto g = workloads::to_ingest(vg).graph;
     core::LayoutConfig cfg;
     cfg.iter_max = 2;
     cfg.steps_per_iter_factor = 10.0;
@@ -201,7 +201,7 @@ TEST(GpuSim, TinyGraphDoesNotCrash) {
     const auto a = vg.add_node("A");
     const auto b = vg.add_node("C");
     vg.add_path("p", {graph::Handle::forward(a), graph::Handle::forward(b)});
-    const auto g = graph::LeanGraph::from_graph(vg);
+    const auto g = workloads::to_ingest(vg).graph;
     core::LayoutConfig cfg;
     cfg.iter_max = 2;
     cfg.steps_per_iter_factor = 1.0;

@@ -20,7 +20,7 @@ graph::LeanGraph test_graph(std::uint64_t backbone = 3000, std::uint32_t paths =
     spec.backbone_nodes = backbone;
     spec.n_paths = paths;
     spec.seed = 21;
-    return graph::LeanGraph::from_graph(workloads::generate_pangenome(spec));
+    return workloads::to_ingest(workloads::generate_pangenome(spec)).graph;
 }
 
 core::LayoutConfig small_cfg() {

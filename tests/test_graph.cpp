@@ -1,13 +1,17 @@
-// Tests for the graph substrate: handles, the variation graph, GFA IO and
-// the lean layout structure.
+// Tests for the graph substrate: handles, the variation graph, GFA writing
+// (read back through the streaming reader) and the lean layout structure.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "graph/gfa.hpp"
+#include "graph/gfa_stream.hpp"
 #include "graph/handle.hpp"
 #include "graph/lean_graph.hpp"
 #include "graph/variation_graph.hpp"
+#include "workloads/synthetic.hpp"
 
 namespace {
 
@@ -127,140 +131,125 @@ TEST(VariationGraph, SequenceAccess) {
     EXPECT_EQ(g.node_length(4), 2u);
 }
 
-// --- GFA ---
+// --- GFA: write_gfa, read back through the one streaming reader ---
+
+LeanIngest ingest_text(const std::string& gfa) {
+    std::stringstream ss(gfa);
+    return ingest_gfa(ss);
+}
 
 TEST(Gfa, RoundTripPreservesStructure) {
     const auto g = make_fig1_graph();
     std::stringstream ss;
     write_gfa(g, ss);
-    const auto g2 = read_gfa(ss);
-    EXPECT_EQ(g2.node_count(), g.node_count());
-    EXPECT_EQ(g2.edge_count(), g.edge_count());
-    EXPECT_EQ(g2.path_count(), g.path_count());
-    EXPECT_EQ(g2.total_path_steps(), g.total_path_steps());
-    EXPECT_EQ(g2.validate(), "");
+    const auto ing = ingest_gfa(ss);
+    EXPECT_EQ(ing.graph.node_count(), g.node_count());
+    EXPECT_EQ(ing.edge_count, g.edge_count());
+    EXPECT_EQ(ing.graph.path_count(), g.path_count());
+    EXPECT_EQ(ing.graph.total_path_steps(), g.total_path_steps());
     for (NodeId id = 0; id < g.node_count(); ++id) {
-        EXPECT_EQ(g2.sequence(id), g.sequence(id));
+        EXPECT_EQ(ing.graph.node_length(id), g.node_length(id));
+    }
+    for (std::uint32_t p = 0; p < g.path_count(); ++p) {
+        EXPECT_EQ(ing.path_names[p], g.path(p).name);
+        ASSERT_EQ(ing.graph.path_step_count(p), g.path(p).steps.size());
+        for (std::uint32_t i = 0; i < ing.graph.path_step_count(p); ++i) {
+            EXPECT_EQ(ing.graph.step_node(p, i), g.path(p).steps[i].id());
+            EXPECT_EQ(ing.graph.step_is_reverse(p, i),
+                      g.path(p).steps[i].is_reverse());
+        }
     }
 }
 
 TEST(Gfa, ParsesOrientationsAndReversePaths) {
-    const std::string gfa =
+    const auto ing = ingest_text(
         "H\tVN:Z:1.0\n"
         "S\t1\tACGT\n"
         "S\t2\tTT\n"
         "L\t1\t+\t2\t-\t0M\n"
-        "P\tp1\t1+,2-\t*\n";
-    std::stringstream ss(gfa);
-    const auto g = read_gfa(ss);
-    EXPECT_EQ(g.node_count(), 2u);
-    ASSERT_EQ(g.path_count(), 1u);
-    EXPECT_FALSE(g.path(0).steps[0].is_reverse());
-    EXPECT_TRUE(g.path(0).steps[1].is_reverse());
+        "P\tp1\t1+,2-\t*\n");
+    EXPECT_EQ(ing.graph.node_count(), 2u);
+    ASSERT_EQ(ing.graph.path_count(), 1u);
+    EXPECT_FALSE(ing.graph.step_is_reverse(0, 0));
+    EXPECT_TRUE(ing.graph.step_is_reverse(0, 1));
 }
 
 TEST(Gfa, SkipsUnknownRecordsAndComments) {
-    const std::string gfa =
+    const auto ing = ingest_text(
         "# comment\n"
         "H\tVN:Z:1.0\n"
         "S\t1\tA\n"
         "C\t1\t+\t2\t+\t0\t1M\n"
         "S\t2\tC\n"
-        "L\t1\t+\t2\t+\t0M\n";
-    std::stringstream ss(gfa);
-    const auto g = read_gfa(ss);
-    EXPECT_EQ(g.node_count(), 2u);
-    EXPECT_EQ(g.edge_count(), 1u);
-    EXPECT_EQ(g.path_count(), 0u);
+        "L\t1\t+\t2\t+\t0M\n");
+    EXPECT_EQ(ing.graph.node_count(), 2u);
+    EXPECT_EQ(ing.edge_count, 1u);
+    EXPECT_EQ(ing.graph.path_count(), 0u);
+    EXPECT_EQ(ing.component_count, 1u);  // the C record joins nothing
 }
 
 TEST(Gfa, WalkRecordsBecomePaths) {
     // GFA 1.1 W records are walks — modern pangenome pipelines emit them
     // instead of P lines; they must land as paths, not be skipped.
-    const std::string gfa =
+    const auto ing = ingest_text(
         "S\t1\tA\n"
         "S\t2\tC\n"
-        "W\tsample\t1\tchr\t0\t2\t>1>2\n";
-    std::stringstream ss(gfa);
-    const auto g = read_gfa(ss);
-    ASSERT_EQ(g.path_count(), 1u);
-    EXPECT_EQ(g.path(0).name, "sample#1#chr:0-2");
-    EXPECT_EQ(g.path(0).steps.size(), 2u);
+        "W\tsample\t1\tchr\t0\t2\t>1>2\n");
+    ASSERT_EQ(ing.graph.path_count(), 1u);
+    EXPECT_EQ(ing.path_names[0], "sample#1#chr:0-2");
+    EXPECT_EQ(ing.graph.path_step_count(0), 2u);
 }
 
 TEST(Gfa, ThrowsOnUnknownSegmentReference) {
-    const std::string gfa = "S\t1\tA\nL\t1\t+\t9\t+\t0M\n";
-    std::stringstream ss(gfa);
-    EXPECT_THROW(read_gfa(ss), std::runtime_error);
+    EXPECT_THROW(ingest_text("S\t1\tA\nL\t1\t+\t9\t+\t0M\n"), std::runtime_error);
 }
 
 TEST(Gfa, ThrowsOnMalformedRecords) {
-    {
-        std::stringstream ss("S\t1\n");
-        EXPECT_THROW(read_gfa(ss), std::runtime_error);
-    }
-    {
-        std::stringstream ss("S\t1\tA\nS\t1\tC\n");
-        EXPECT_THROW(read_gfa(ss), std::runtime_error);
-    }
-    {
-        std::stringstream ss("S\t1\tA\nS\t2\tC\nL\t1\t?\t2\t+\t0M\n");
-        EXPECT_THROW(read_gfa(ss), std::runtime_error);
-    }
+    EXPECT_THROW(ingest_text("S\t1\n"), std::runtime_error);
+    EXPECT_THROW(ingest_text("S\t1\tA\nS\t1\tC\n"), std::runtime_error);
+    EXPECT_THROW(ingest_text("S\t1\tA\nS\t2\tC\nL\t1\t?\t2\t+\t0M\n"),
+                 std::runtime_error);
 }
 
 TEST(Gfa, StarSequenceBecomesEmptyNode) {
-    std::stringstream ss("S\t1\t*\n");
-    const auto g = read_gfa(ss);
-    EXPECT_EQ(g.node_length(0), 0u);
+    EXPECT_EQ(ingest_text("S\t1\t*\n").graph.node_length(0), 0u);
 }
 
 TEST(Gfa, CrlfLinesParseLikeUnixLines) {
     // Windows-edited GFAs end lines in \r\n; the trailing \r must not leak
     // into orientations ("+\r" used to fail) or segment names.
-    const std::string gfa =
+    const auto ing = ingest_text(
         "H\tVN:Z:1.0\r\n"
         "S\tseg1\tACGT\r\n"
         "S\tseg2\tTT\r\n"
         "L\tseg1\t+\tseg2\t+\t0M\r\n"
-        "P\tp1\tseg1+,seg2+\t*\r\n";
-    std::stringstream ss(gfa);
-    const auto g = read_gfa(ss);
-    EXPECT_EQ(g.node_count(), 2u);
-    EXPECT_EQ(g.edge_count(), 1u);
-    ASSERT_EQ(g.path_count(), 1u);
-    EXPECT_EQ(g.node_name(0), "seg1");
-    EXPECT_EQ(g.node_name(1), "seg2");
-    EXPECT_EQ(g.path(0).name, "p1");
-    EXPECT_EQ(g.validate(), "");
+        "P\tp1\tseg1+,seg2+\t*\r\n");
+    EXPECT_EQ(ing.graph.node_count(), 2u);
+    EXPECT_EQ(ing.edge_count, 1u);
+    ASSERT_EQ(ing.graph.path_count(), 1u);
+    EXPECT_EQ(ing.segment_names, (std::vector<std::string>{"seg1", "seg2"}));
+    EXPECT_EQ(ing.path_names[0], "p1");
+    EXPECT_EQ(ing.graph.node_length(0), 4u);  // no '\r' counted as a base
 }
 
 TEST(Gfa, RoundTripPreservesSegmentNames) {
-    // read -> write -> read must be name-stable: write_gfa used to renumber
-    // every segment to id + 1, so named graphs degraded on first touch.
-    const std::string gfa =
-        "H\tVN:Z:1.0\n"
-        "S\tchr1_head\tACGT\n"
-        "S\tsnv_a\tT\n"
-        "L\tchr1_head\t+\tsnv_a\t-\t0M\n"
-        "P\thap1\tchr1_head+,snv_a-\t*\n";
-    std::stringstream in1(gfa);
-    const auto g1 = read_gfa(in1);
-    EXPECT_EQ(g1.node_name(0), "chr1_head");
-    EXPECT_EQ(g1.node_name(1), "snv_a");
+    // write_gfa must be name-stable: it used to renumber every segment to
+    // id + 1, so named graphs degraded on first touch.
+    VariationGraph g;
+    const NodeId head = g.add_node("ACGT", "chr1_head");
+    const NodeId snv = g.add_node("T", "snv_a");
+    g.add_path("hap1", {Handle::forward(head), Handle::reverse(snv)});
 
-    std::stringstream out1;
-    write_gfa(g1, out1);
-    const std::string first = out1.str();
-    EXPECT_NE(first.find("S\tchr1_head\t"), std::string::npos);
-    EXPECT_NE(first.find("P\thap1\tchr1_head+,snv_a-"), std::string::npos);
+    std::stringstream out;
+    write_gfa(g, out);
+    const std::string text = out.str();
+    EXPECT_NE(text.find("S\tchr1_head\t"), std::string::npos);
+    EXPECT_NE(text.find("P\thap1\tchr1_head+,snv_a-"), std::string::npos);
 
-    // Second round trip is byte-stable.
-    std::stringstream in2(first);
-    const auto g2 = read_gfa(in2);
-    std::stringstream out2;
-    write_gfa(g2, out2);
-    EXPECT_EQ(out2.str(), first);
+    const auto ing = ingest_gfa(out);
+    EXPECT_EQ(ing.segment_names, (std::vector<std::string>{"chr1_head", "snv_a"}));
+    EXPECT_EQ(ing.path_names, (std::vector<std::string>{"hap1"}));
+    EXPECT_TRUE(ing.graph.step_is_reverse(0, 1));
 }
 
 TEST(Gfa, UnnamedNodesKeepHistoricalNumbering) {
@@ -271,13 +260,17 @@ TEST(Gfa, UnnamedNodesKeepHistoricalNumbering) {
     write_gfa(g, out);
     EXPECT_NE(out.str().find("S\t1\tAA"), std::string::npos);
     EXPECT_NE(out.str().find("S\t8\tC"), std::string::npos);
+    const auto ing = ingest_gfa(out);
+    for (NodeId id = 0; id < g.node_count(); ++id) {
+        EXPECT_EQ(ing.segment_names[id], std::to_string(id + 1));
+    }
 }
 
 // --- LeanGraph ---
 
 TEST(LeanGraph, MirrorsNodeLengths) {
     const auto g = make_fig1_graph();
-    const auto lg = LeanGraph::from_graph(g);
+    const auto lg = pgl::workloads::to_ingest(g).graph;
     ASSERT_EQ(lg.node_count(), g.node_count());
     for (NodeId id = 0; id < g.node_count(); ++id) {
         EXPECT_EQ(lg.node_length(id), g.node_length(id));
@@ -286,7 +279,7 @@ TEST(LeanGraph, MirrorsNodeLengths) {
 
 TEST(LeanGraph, StepPositionsArePrefixSums) {
     const auto g = make_fig1_graph();
-    const auto lg = LeanGraph::from_graph(g);
+    const auto lg = pgl::workloads::to_ingest(g).graph;
     // path0 = v0(2) v2(2) v4(2) v5(2) v6(2) v7(1)
     EXPECT_EQ(lg.step_position(0, 0), 0u);
     EXPECT_EQ(lg.step_position(0, 1), 2u);
@@ -297,7 +290,7 @@ TEST(LeanGraph, StepPositionsArePrefixSums) {
 
 TEST(LeanGraph, SoAAndAoSViewsAgree) {
     const auto g = make_fig1_graph();
-    const auto lg = LeanGraph::from_graph(g);
+    const auto lg = pgl::workloads::to_ingest(g).graph;
     for (std::uint32_t p = 0; p < lg.path_count(); ++p) {
         for (std::uint32_t i = 0; i < lg.path_step_count(p); ++i) {
             const auto& rec = lg.step_record(p, i);
@@ -310,7 +303,7 @@ TEST(LeanGraph, SoAAndAoSViewsAgree) {
 
 TEST(LeanGraph, TotalsAndMaxima) {
     const auto g = make_fig1_graph();
-    const auto lg = LeanGraph::from_graph(g);
+    const auto lg = pgl::workloads::to_ingest(g).graph;
     EXPECT_EQ(lg.total_path_steps(), g.total_path_steps());
     std::uint64_t max_len = 0;
     for (std::uint32_t p = 0; p < lg.path_count(); ++p) {

@@ -2,15 +2,18 @@
 // (GFA 1.0 P records, GFA 1.1 W walks, CRLF tolerance, malformed-input
 // rejection), its block reader's edge cases (lines longer than a block,
 // CRLF split across blocks, missing final newline, empty input), the
-// segment-name table, equivalence with the legacy VariationGraph route,
-// and the .pgg binary graph cache (round trip, truncation, corruption,
-// checksum).
+// segment-name table, its component labels against a BFS reference on
+// random multi-component GFA, and the .pgg binary graph cache (round trip,
+// truncation, corruption, checksum, inconsistent component labels).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/gfa.hpp"
 #include "graph/gfa_stream.hpp"
@@ -18,6 +21,7 @@
 #include "graph/lean_graph.hpp"
 #include "io/pgg_io.hpp"
 #include "partition/components.hpp"
+#include "rng/splitmix64.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace {
@@ -150,6 +154,161 @@ TEST(GfaStream, LabelsMultipleComponents) {
     EXPECT_EQ(ing.path_component, (std::vector<std::uint32_t>{1}));
 }
 
+// --- component labels against a BFS reference on random GFA ---
+
+/// A random multi-component GFA, in the shape of a components workload:
+/// nodes are dealt to `blocks` interleaved blocks (so components are not
+/// id ranges), each block gets random in-block links and walks, and a
+/// `cross_share` of the links join two blocks instead. A `link_only_share`
+/// of the nodes is never walked and a `single_step_share` of the walks has
+/// one step. Keeps the adjacency it wrote, for the reference labeller.
+struct RandomGfa {
+    std::string text;
+    std::uint32_t nodes = 0;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> links;
+    std::vector<std::vector<graph::Handle>> walks;
+};
+
+RandomGfa random_gfa(std::uint64_t seed, double cross_share, double link_only_share,
+                     double single_step_share) {
+    rng::SplitMix64 rng(seed);
+    const auto below = [&](std::uint64_t n) { return rng.next() % n; };
+    const auto chance = [&](double p) {
+        return static_cast<double>(rng.next() >> 11) * 0x1.0p-53 < p;
+    };
+    RandomGfa out;
+    out.nodes = 8 + static_cast<std::uint32_t>(below(56));
+    const auto blocks = 1 + static_cast<std::uint32_t>(below(6));
+    std::vector<std::vector<std::uint32_t>> walkable(blocks), members(blocks);
+    for (std::uint32_t v = 0; v < out.nodes; ++v) {
+        const auto b = static_cast<std::uint32_t>(below(blocks));
+        members[b].push_back(v);
+        if (!chance(link_only_share)) walkable[b].push_back(v);
+        out.text += "S\tn" + std::to_string(v) + "\t" +
+                    std::string(1 + below(5), 'A') + "\n";
+    }
+    const auto n_links = below(out.nodes);
+    for (std::uint64_t k = 0; k < n_links; ++k) {
+        const auto& from = members[below(blocks)];
+        const auto& to = chance(cross_share) ? members[below(blocks)] : from;
+        if (from.empty() || to.empty()) continue;
+        const std::uint32_t u = from[below(from.size())], v = to[below(to.size())];
+        out.links.emplace_back(u, v);
+        out.text += "L\tn" + std::to_string(u) + (chance(0.5) ? "\t+" : "\t-") +
+                    "\tn" + std::to_string(v) + (chance(0.5) ? "\t+" : "\t-") +
+                    "\t0M\n";
+    }
+    const auto n_walks = below(2 * blocks + 1);
+    for (std::uint64_t w = 0; w < n_walks; ++w) {
+        const auto& pool = walkable[below(blocks)];
+        if (pool.empty()) continue;
+        const auto len = chance(single_step_share) ? 1 : 2 + below(10);
+        std::vector<graph::Handle> walk;
+        for (std::uint64_t i = 0; i < len; ++i) {
+            walk.push_back(graph::Handle::make(pool[below(pool.size())], chance(0.3)));
+        }
+        const std::string name = "w" + std::to_string(out.walks.size());
+        if (chance(0.5)) {
+            out.text += "P\t" + name + "\t";
+            for (std::size_t i = 0; i < walk.size(); ++i) {
+                out.text += (i ? ",n" : "n") + std::to_string(walk[i].id()) +
+                            (walk[i].is_reverse() ? "-" : "+");
+            }
+            out.text += "\t*\n";
+        } else {
+            out.text += "W\t" + name + "\t0\tchr\t*\t*\t";
+            for (const graph::Handle h : walk) {
+                out.text += (h.is_reverse() ? "<n" : ">n") + std::to_string(h.id());
+            }
+            out.text += "\n";
+        }
+        out.walks.push_back(std::move(walk));
+    }
+    return out;
+}
+
+/// Reference labeller: breadth-first search over links plus step
+/// adjacency, components numbered by smallest node id.
+partition::ComponentLabels bfs_labels(const RandomGfa& g) {
+    std::vector<std::vector<std::uint32_t>> adj(g.nodes);
+    const auto join = [&](std::uint32_t u, std::uint32_t v) {
+        adj[u].push_back(v);
+        adj[v].push_back(u);
+    };
+    for (const auto& [u, v] : g.links) join(u, v);
+    for (const auto& walk : g.walks) {
+        for (std::size_t i = 1; i < walk.size(); ++i) join(walk[i - 1].id(), walk[i].id());
+    }
+    constexpr std::uint32_t kUnseen = 0xFFFFFFFFu;
+    partition::ComponentLabels labels;
+    labels.node_component.assign(g.nodes, kUnseen);
+    for (std::uint32_t s = 0; s < g.nodes; ++s) {
+        if (labels.node_component[s] != kUnseen) continue;
+        std::vector<std::uint32_t> queue{s};
+        labels.node_component[s] = labels.count;
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+            for (const std::uint32_t v : adj[queue[head]]) {
+                if (labels.node_component[v] == kUnseen) {
+                    labels.node_component[v] = labels.count;
+                    queue.push_back(v);
+                }
+            }
+        }
+        ++labels.count;
+    }
+    for (const auto& walk : g.walks) {
+        labels.path_component.push_back(labels.node_component[walk.front().id()]);
+    }
+    return labels;
+}
+
+TEST(GfaStream, ComponentLabelsMatchBfsOnRandomGraphs) {
+    struct Mix {
+        double cross, link_only, single_step;
+    };
+    std::uint64_t seed = 0x5EED;
+    int multi_component = 0, with_walks = 0;
+    for (const Mix mix : {Mix{0.0, 0.0, 0.0}, Mix{0.1, 0.2, 0.2}, Mix{0.5, 0.5, 0.5}}) {
+        for (int round = 0; round < 100; ++round) {
+            const RandomGfa g =
+                random_gfa(++seed, mix.cross, mix.link_only, mix.single_step);
+            std::stringstream ss(g.text);
+            LeanIngest ing = graph::ingest_gfa(ss);
+            const auto want = bfs_labels(g);
+            ASSERT_EQ(ing.component_count, want.count) << g.text;
+            ASSERT_EQ(ing.node_component, want.node_component) << g.text;
+            ASSERT_EQ(ing.path_component, want.path_component) << g.text;
+            multi_component += want.count > 1;
+            with_walks += !g.walks.empty();
+
+            // The decomposition gives back every global walk.
+            const auto d = partition::decompose(ing.graph, partition::take_labels(ing));
+            ASSERT_EQ(d.count(), want.count);
+            std::vector<bool> seen(g.walks.size(), false);
+            for (const auto& comp : d.components) {
+                for (std::uint32_t lp = 0; lp < comp.graph.path_count(); ++lp) {
+                    const std::uint32_t p = comp.global_path[lp];
+                    seen[p] = true;
+                    const auto& walk = g.walks[p];
+                    ASSERT_EQ(comp.graph.path_step_count(lp), walk.size());
+                    for (std::uint32_t i = 0; i < walk.size(); ++i) {
+                        const graph::NodeId local = comp.graph.step_node(lp, i);
+                        ASSERT_EQ(comp.global_node[local], walk[i].id());
+                        ASSERT_EQ(d.local_node[walk[i].id()], local);
+                        ASSERT_EQ(comp.graph.step_is_reverse(lp, i), walk[i].is_reverse());
+                        ASSERT_EQ(comp.graph.step_position(lp, i),
+                                  ing.graph.step_position(p, i));
+                    }
+                }
+            }
+            EXPECT_EQ(std::count(seen.begin(), seen.end(), false), 0);
+        }
+    }
+    // The generator exercises what it claims to.
+    EXPECT_GT(multi_component, 100);
+    EXPECT_GT(with_walks, 100);
+}
+
 // --- malformed input rejection ---
 
 TEST(GfaStream, RejectsDuplicateSegments) {
@@ -199,32 +358,6 @@ TEST(GfaStream, RejectsBadOrientationAndMalformedWalk) {
     }
 }
 
-// --- equivalence with the legacy VariationGraph route ---
-
-TEST(GfaStream, MatchesVariationGraphRouteOnWholeGenome) {
-    const auto vg = workloads::generate_whole_genome(
-        workloads::whole_genome_spec(3, 0.0003, 77));
-    std::stringstream gfa;
-    graph::write_gfa(vg, gfa);
-
-    // Legacy: GFA -> VariationGraph -> LeanGraph.
-    const auto vg2 = graph::read_gfa(gfa);
-    const auto lean_legacy = graph::LeanGraph::from_graph(vg2);
-
-    // Streaming: GFA -> LeanGraph, no intermediate.
-    gfa.clear();
-    gfa.seekg(0);
-    const auto ing = graph::ingest_gfa(gfa);
-    expect_same_lean(ing.graph, lean_legacy);
-
-    // The ingest-time component labels must match the rich-graph labeler
-    // (edge + path connectivity) so partitioned runs are byte-identical.
-    const auto labels = partition::label_components(vg2);
-    EXPECT_EQ(ing.component_count, labels.count);
-    EXPECT_EQ(ing.node_component, labels.node_component);
-    EXPECT_EQ(ing.path_component, labels.path_component);
-}
-
 TEST(GfaStream, WalkAndPathRecordsYieldIdenticalStepRecords) {
     const std::string base =
         "S\ts1\tACGT\nS\ts2\tTT\nS\ts3\tG\n";
@@ -233,32 +366,6 @@ TEST(GfaStream, WalkAndPathRecordsYieldIdenticalStepRecords) {
     const auto via_p = graph::ingest_gfa(p_ss);
     const auto via_w = graph::ingest_gfa(w_ss);
     expect_same_lean(via_p.graph, via_w.graph);
-}
-
-TEST(GfaStream, MatchesVariationGraphRouteOnFinerSegmentation) {
-    auto specs = workloads::whole_genome_spec(3, 0.0003, 91);
-    for (auto& spec : specs) spec = workloads::with_finer_segmentation(spec, 4);
-    std::stringstream gfa;
-    graph::write_gfa(workloads::generate_whole_genome(specs), gfa);
-
-    const auto vg = graph::read_gfa(gfa);
-    gfa.clear();
-    gfa.seekg(0);
-    const auto ing = graph::ingest_gfa(gfa);
-    expect_same_lean(ing.graph, graph::LeanGraph::from_graph(vg));
-
-    const auto labels = partition::label_components(vg);
-    EXPECT_EQ(ing.component_count, labels.count);
-    EXPECT_EQ(ing.node_component, labels.node_component);
-    EXPECT_EQ(ing.path_component, labels.path_component);
-    ASSERT_EQ(ing.segment_names.size(), vg.node_count());
-    for (graph::NodeId v = 0; v < vg.node_count(); ++v) {
-        ASSERT_EQ(ing.segment_names[v], vg.node_name(v)) << "node " << v;
-    }
-    ASSERT_EQ(ing.path_names.size(), vg.path_count());
-    for (std::uint64_t p = 0; p < vg.path_count(); ++p) {
-        EXPECT_EQ(ing.path_names[p], vg.path(p).name);
-    }
 }
 
 // --- block-reader edge cases ---
@@ -339,20 +446,14 @@ TEST(GfaStream, EmptyAndCommentOnlyInput) {
         EXPECT_EQ(ing.graph.node_count(), 0u);
         EXPECT_EQ(ing.graph.path_count(), 0u);
         EXPECT_EQ(ing.component_count, 0u);
-        std::stringstream legacy(text);
-        EXPECT_EQ(graph::read_gfa(legacy).node_count(), 0u);
     }
 }
 
-/// The message both readers throw for `gfa`, or "" if it parses.
-std::string parse_error(const std::string& gfa, bool streaming) {
+/// The message ingest_gfa throws for `gfa`, or "" if it parses.
+std::string parse_error(const std::string& gfa) {
     std::stringstream ss(gfa);
     try {
-        if (streaming) {
-            graph::ingest_gfa(ss);
-        } else {
-            graph::read_gfa(ss);
-        }
+        graph::ingest_gfa(ss);
     } catch (const std::runtime_error& e) {
         return e.what();
     }
@@ -371,10 +472,15 @@ TEST(GfaStream, DuplicateAndUnknownSegmentMessagesAndLineNumbers) {
          "GFA parse error at line 2: unknown segment gone"},
         {"S\tx\tA\nP\tp\tx+,missing+,x?\t*\n",
          "GFA parse error at line 2: unknown segment missing"},
+        {"H\tVN:Z:1.0\nS\tx\n", "GFA parse error at line 2: S record needs 3 fields"},
+        {"S\tx\tA\nS\ty\tC\n\nL\tx\t+\ty\n",
+         "GFA parse error at line 4: L record needs 5 fields"},
+        {"S\tx\tA\r\nP\tp\r\n", "GFA parse error at line 2: P record needs 3 fields"},
+        {"S\tx\tA\n# c\nW\ts\t1\tc\t0\t1\n",
+         "GFA parse error at line 3: W record needs 7 fields"},
     };
     for (const auto& [gfa, want] : cases) {
-        EXPECT_EQ(parse_error(gfa, true), want) << gfa;
-        EXPECT_EQ(parse_error(gfa, false), want) << gfa;
+        EXPECT_EQ(parse_error(gfa), want) << gfa;
     }
 }
 
@@ -399,11 +505,8 @@ TEST(NameTable, DenseIdsAcrossGrowth) {
 // --- .pgg binary graph cache ---
 
 LeanIngest make_ingest() {
-    const auto vg = workloads::generate_whole_genome(
-        workloads::whole_genome_spec(2, 0.0002, 5));
-    std::stringstream gfa;
-    graph::write_gfa(vg, gfa);
-    return graph::ingest_gfa(gfa);
+    return workloads::to_ingest(workloads::generate_whole_genome(
+        workloads::whole_genome_spec(2, 0.0002, 5)));
 }
 
 TEST(PggIo, RoundTripIsExact) {
@@ -527,49 +630,64 @@ TEST(PggIo, MissingFileThrows) {
                  std::runtime_error);
 }
 
-// --- legacy reader keeps up: W walks, CRLF, LN tags ---
+TEST(PggIo, RejectsInconsistentComponentLabels) {
+    // Components {a, b, c} (walked by p0) and {d} (walked by p1). Each edit
+    // below keeps every label in range and the checksum valid, so only the
+    // label checks can refuse the cache.
+    std::stringstream gfa(
+        "S\ta\tAC\nS\tb\tG\nS\tc\tT\nS\td\tA\n"
+        "P\tp0\ta+,b+,c+\t*\nP\tp1\td+\t*\n");
+    const LeanIngest ing = graph::ingest_gfa(gfa);
+    ASSERT_EQ(ing.node_component, (std::vector<std::uint32_t>{0, 0, 0, 1}));
+    ASSERT_EQ(ing.path_component, (std::vector<std::uint32_t>{0, 1}));
 
-TEST(Gfa, LegacyReaderParsesWalkRecords) {
-    const std::string gfa =
-        "S\ts1\tACGT\n"
-        "S\ts2\tTT\n"
-        "W\tHG002\t1\tchr1\t0\t6\t>s1<s2\n";
-    std::stringstream ss(gfa);
-    const auto g = graph::read_gfa(ss);
-    ASSERT_EQ(g.path_count(), 1u);
-    EXPECT_EQ(g.path(0).name, "HG002#1#chr1:0-6");
-    ASSERT_EQ(g.path(0).steps.size(), 2u);
-    EXPECT_TRUE(g.path(0).steps[1].is_reverse());
-    // add_path materializes the traversed edge, as for P records.
-    EXPECT_EQ(g.edge_count(), 1u);
+    const auto reread = [](const LeanIngest& edited) {
+        std::stringstream ss;
+        io::write_pgg(edited, ss);
+        return io::read_pgg(ss);
+    };
+    EXPECT_EQ(reread(ing).component_count, 2u);  // the unedited cache loads
+
+    LeanIngest walked_node_moved = ing;  // b joins d's component
+    walked_node_moved.node_component[1] = 1;
+    LeanIngest unused_component = ing;  // component 2 has no node
+    unused_component.component_count = 3;
+    LeanIngest swapped_numbering = ing;  // consistent, but {d} numbered first
+    swapped_numbering.node_component = {1, 1, 1, 0};
+    swapped_numbering.path_component = {1, 0};
+
+    for (const LeanIngest* edited :
+         {&walked_node_moved, &unused_component, &swapped_numbering}) {
+        try {
+            reread(*edited);
+            ADD_FAILURE() << "inconsistent labels accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("graph cache corrupt"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
+
+// --- write_gfa -> ingest_gfa: sequence-free segments ---
 
 TEST(Gfa, SequenceFreeSegmentsRoundTripWithoutFabricatedBases) {
-    // "S name * LN:i:N" must keep its declared length without synthesizing
-    // N placeholder bases — and write back as "* LN:i:N", not as sequence.
-    std::stringstream in("S\tbig\t*\tLN:i:8\nS\ttiny\t*\nP\tp\tbig+,tiny+\t*\n");
-    const auto g = graph::read_gfa(in);
-    EXPECT_EQ(g.node_length(0), 8u);
-    EXPECT_EQ(g.sequence(0), "");  // no fabricated bytes
-    EXPECT_EQ(g.node_length(1), 0u);
+    // A sequence-free node keeps its declared length without synthesizing
+    // placeholder bases, is written as "* LN:i:N", not as sequence, and
+    // reads back with that length.
+    graph::VariationGraph vg;
+    const auto big = vg.add_node_sequence_free(8, "big");
+    const auto tiny = vg.add_node_sequence_free(0, "tiny");
+    vg.add_path("p", {graph::Handle::forward(big), graph::Handle::forward(tiny)});
+    EXPECT_EQ(vg.sequence(big), "");  // no fabricated bytes
     std::stringstream out;
-    graph::write_gfa(g, out);
+    graph::write_gfa(vg, out);
     EXPECT_NE(out.str().find("S\tbig\t*\tLN:i:8"), std::string::npos);
     EXPECT_NE(out.str().find("S\ttiny\t*\n"), std::string::npos);
-}
-
-TEST(Gfa, LegacyReaderToleratesCrlf) {
-    std::string crlf;
-    for (const char c : kMiniGfa) {
-        if (c == '\n') crlf += "\r\n";
-        else crlf += c;
-    }
-    std::stringstream ss(crlf);
-    const auto g = graph::read_gfa(ss);
-    EXPECT_EQ(g.node_count(), 3u);
-    EXPECT_EQ(g.path_count(), 2u);
-    EXPECT_EQ(g.node_name(0), "s1");  // no trailing '\r' registered
-    EXPECT_EQ(g.validate(), "");
+    const auto ing = graph::ingest_gfa(out);
+    EXPECT_EQ(ing.graph.node_length(0), 8u);
+    EXPECT_EQ(ing.graph.node_length(1), 0u);
+    EXPECT_EQ(ing.graph.path_nuc_length(0), 8u);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ graph::LeanGraph io_graph() {
     spec.backbone_nodes = 120;
     spec.n_paths = 3;
     spec.seed = 8;
-    return graph::LeanGraph::from_graph(workloads::generate_pangenome(spec));
+    return workloads::to_ingest(workloads::generate_pangenome(spec)).graph;
 }
 
 core::Layout io_layout(const graph::LeanGraph& g) {
@@ -106,12 +106,13 @@ TEST(LayIo, ZeroNodeFileRoundTrips) {
 TEST(LayIo, PartitionStitchedRoundTripIsBitwise) {
     // A stitched multi-component canvas must survive the .lay round trip
     // bit-for-bit, exactly like a single-component layout.
-    const auto vg = workloads::generate_whole_genome(
-        workloads::whole_genome_spec(2, 0.0002, 11));
+    auto ing = workloads::to_ingest(workloads::generate_whole_genome(
+        workloads::whole_genome_spec(2, 0.0002, 11)));
     partition::PartitionOptions popt;
     popt.schedule.config.iter_max = 2;
     popt.schedule.config.steps_per_iter_factor = 0.2;
-    const auto part = partition::partition_layout(vg, popt);
+    const auto part =
+        partition::partition_layout(ing.graph, partition::take_labels(ing), popt);
     const std::string path = ::testing::TempDir() + "/pgl_partition.lay";
     io::write_layout_file(part.stitched.layout, path);
     const auto back = io::read_layout_file(path);
@@ -174,7 +175,7 @@ TEST(Svg, CoordinatesStayOnCanvas) {
 
 TEST(Svg, EmptyLayoutStillValidSvg) {
     graph::VariationGraph vg;
-    const auto g = graph::LeanGraph::from_graph(vg);
+    const auto g = workloads::to_ingest(vg).graph;
     core::Layout l;
     std::stringstream ss;
     draw::write_svg(g, l, ss);

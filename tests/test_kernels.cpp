@@ -32,7 +32,7 @@ graph::LeanGraph small_graph(std::uint64_t backbone = 200, std::uint32_t paths =
     spec.backbone_nodes = backbone;
     spec.n_paths = paths;
     spec.seed = seed;
-    return graph::LeanGraph::from_graph(workloads::generate_pangenome(spec));
+    return workloads::to_ingest(workloads::generate_pangenome(spec)).graph;
 }
 
 /// A random store over `nodes` nodes with coordinates in a plausible range.

@@ -103,7 +103,7 @@ graph::LeanGraph characterize_graph(std::uint64_t backbone) {
     spec.backbone_nodes = backbone;
     spec.n_paths = 8;
     spec.seed = 11;
-    return graph::LeanGraph::from_graph(workloads::generate_pangenome(spec));
+    return workloads::to_ingest(workloads::generate_pangenome(spec)).graph;
 }
 
 TEST(Characterize, WorkloadIsMemoryBound) {

@@ -31,7 +31,7 @@ graph::LeanGraph chain_graph(int n_nodes, std::uint32_t node_len = 3) {
             vg.add_node(std::string(node_len, 'A'))));
     }
     vg.add_path("chain", steps);
-    return graph::LeanGraph::from_graph(vg);
+    return workloads::to_ingest(vg).graph;
 }
 
 core::Layout perfect_line_layout(const graph::LeanGraph& g) {
@@ -63,7 +63,7 @@ TEST(PathStress, KnownValueForStretchedLayout) {
     const auto a = vg.add_node("A");
     const auto b = vg.add_node("C");
     vg.add_path("p", {graph::Handle::forward(a), graph::Handle::forward(b)});
-    const auto g = graph::LeanGraph::from_graph(vg);
+    const auto g = workloads::to_ingest(vg).graph;
 
     core::Layout l;
     l.resize(2);
@@ -85,7 +85,7 @@ TEST(PathStress, CountsOnlySamePathPairs) {
     const auto d = vg.add_node("TT");
     vg.add_path("p1", {graph::Handle::forward(a), graph::Handle::forward(b)});
     vg.add_path("p2", {graph::Handle::forward(c), graph::Handle::forward(d)});
-    const auto g = graph::LeanGraph::from_graph(vg);
+    const auto g = workloads::to_ingest(vg).graph;
     const auto l = perfect_line_layout(g);
     const auto r = metrics::path_stress(g, l);
     EXPECT_EQ(r.terms, 2u);
@@ -93,7 +93,7 @@ TEST(PathStress, CountsOnlySamePathPairs) {
 
 TEST(PathStress, ParallelMatchesSerial) {
     const auto vg = workloads::generate_pangenome(workloads::hla_drb1_spec());
-    const auto g = graph::LeanGraph::from_graph(vg);
+    const auto g = workloads::to_ingest(vg).graph;
     rng::Xoshiro256Plus rng(1);
     const auto l = core::make_linear_initial_layout(g, rng);
     const auto serial = metrics::path_stress(g, l, 1);
@@ -121,7 +121,7 @@ TEST(SampledPathStress, DeterministicForSeed) {
 
 TEST(SampledPathStress, CiContainsValueAndShrinksWithSamples) {
     const auto vg = workloads::generate_pangenome(workloads::hla_drb1_spec());
-    const auto g = graph::LeanGraph::from_graph(vg);
+    const auto g = workloads::to_ingest(vg).graph;
     rng::Xoshiro256Plus rng(3);
     const auto l = core::make_linear_initial_layout(g, rng);
     const auto small = metrics::sampled_path_stress(g, l, 5, 1);
@@ -139,7 +139,7 @@ TEST(SampledPathStress, ApproximatesExactStress) {
     spec.n_paths = 5;
     spec.seed = 11;
     const auto g =
-        graph::LeanGraph::from_graph(workloads::generate_pangenome(spec));
+        workloads::to_ingest(workloads::generate_pangenome(spec)).graph;
     core::LayoutConfig cfg;
     cfg.iter_max = 5;
     cfg.steps_per_iter_factor = 2.0;
@@ -152,7 +152,7 @@ TEST(SampledPathStress, ApproximatesExactStress) {
 
 TEST(SampledPathStress, StableAcrossSamplingSeeds) {
     const auto vg = workloads::generate_pangenome(workloads::hla_drb1_spec());
-    const auto g = graph::LeanGraph::from_graph(vg);
+    const auto g = workloads::to_ingest(vg).graph;
     core::LayoutConfig cfg;
     cfg.iter_max = 6;
     cfg.steps_per_iter_factor = 1.0;
@@ -164,7 +164,7 @@ TEST(SampledPathStress, StableAcrossSamplingSeeds) {
 
 TEST(SampledPathStress, ParallelMatchesSerialTerms) {
     const auto vg = workloads::generate_pangenome(workloads::hla_drb1_spec());
-    const auto g = graph::LeanGraph::from_graph(vg);
+    const auto g = workloads::to_ingest(vg).graph;
     rng::Xoshiro256Plus rng(4);
     const auto l = core::make_linear_initial_layout(g, rng);
     const auto serial = metrics::sampled_path_stress(g, l, 20, 9, 1);
@@ -195,7 +195,7 @@ TEST_P(StressAgreement, SampledTracksExact) {
     spec.n_paths = 2 + GetParam() % 4;
     spec.seed = 1000 + GetParam();
     const auto g =
-        graph::LeanGraph::from_graph(workloads::generate_pangenome(spec));
+        workloads::to_ingest(workloads::generate_pangenome(spec)).graph;
     rng::Xoshiro256Plus rng(GetParam());
     auto l = core::make_linear_initial_layout(g, rng);
     for (auto& y : l.start_y) {

@@ -49,7 +49,7 @@ void expect_layout_bitwise_equal(const core::Layout& a, const core::Layout& b) {
 graph::LeanGraph variant_graph(double scale = 0.0005, std::uint64_t seed = 11) {
     auto spec = workloads::chromosome_spec(1, scale);
     spec.seed = seed;
-    return graph::LeanGraph::from_graph(workloads::generate_pangenome(spec));
+    return workloads::to_ingest(workloads::generate_pangenome(spec)).graph;
 }
 
 // --- Coarsener: exact structure on the linear-run workload ---
@@ -398,14 +398,15 @@ TEST(RunPlan, PathlessGraphShortCircuitsToInitialLayout) {
 // --- Partition contract ---
 
 TEST(MultilevelPartition, MatchesStandalonePerComponentPlans) {
-    const auto vg = workloads::generate_whole_genome(
-        workloads::whole_genome_spec(3, 0.0002));
+    auto ing = workloads::to_ingest(workloads::generate_whole_genome(
+        workloads::whole_genome_spec(3, 0.0002)));
     partition::PartitionOptions popt;
     popt.schedule.backend = "cpu-pipelined";
     popt.schedule.config = quick_config();
     popt.schedule.component_workers = 2;
     popt.schedule.multilevel = true;
-    const auto part = partition::partition_layout(vg, popt);
+    const auto part = partition::partition_layout(
+        ing.graph, partition::take_labels(ing), popt);
     ASSERT_EQ(part.decomposition.count(), 3u);
 
     std::vector<core::Layout> standalone;

@@ -1,8 +1,8 @@
-// Tests for the partition subsystem: union-find component labeling,
-// subgraph slicing with stable remap tables, the per-component scheduler's
-// determinism, shelf stitching, and the headline contract — a partitioned
-// run is byte-identical to standalone per-component runs modulo the
-// deterministic stitch translation.
+// Tests for the partition subsystem: the ingest's component labels as
+// decompose consumes them, subgraph slicing with stable remap tables, the
+// per-component scheduler's determinism, shelf stitching, and the headline
+// contract — a partitioned run is byte-identical to standalone
+// per-component runs modulo the deterministic stitch translation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,6 +40,18 @@ graph::VariationGraph small_genome(std::uint32_t n_components,
         workloads::whole_genome_spec(n_components, 0.0002, seed));
 }
 
+/// Loads `vg` as the CLI loads a GFA file and decomposes it with the
+/// ingest's component labels.
+partition::Decomposition decompose_vg(const graph::VariationGraph& vg) {
+    auto ing = workloads::to_ingest(vg);
+    return partition::decompose(ing.graph, partition::take_labels(ing));
+}
+
+partition::PartitionResult layout_vg(const graph::VariationGraph& vg,
+                                     const partition::PartitionOptions& popt) {
+    return partition::partition_layout(decompose_vg(vg), popt);
+}
+
 core::LayoutConfig quick_config(std::uint32_t threads = 1) {
     core::LayoutConfig cfg;
     cfg.iter_max = 2;
@@ -61,8 +73,8 @@ void expect_layout_bitwise_equal(const core::Layout& a, const core::Layout& b) {
 }
 
 TEST(Components, LabelsEdgeAndPathConnectivity) {
-    const auto vg = tiny_multi_component();
-    const auto labels = partition::label_components(vg);
+    auto ing = workloads::to_ingest(tiny_multi_component());
+    const auto labels = partition::take_labels(ing);
     EXPECT_EQ(labels.count, 3u);
     // Components are numbered by their smallest node id.
     const std::vector<std::uint32_t> expected{0, 0, 0, 1, 1, 2};
@@ -72,21 +84,9 @@ TEST(Components, LabelsEdgeAndPathConnectivity) {
     EXPECT_EQ(labels.path_component[1], 1u);
 }
 
-TEST(Components, LeanLabelingUsesPathAdjacencyOnly) {
-    // Nodes joined only by an edge (never walked) are one component in the
-    // rich graph but separate singletons in the lean graph.
-    graph::VariationGraph vg;
-    vg.add_node("A");
-    vg.add_node("C");
-    vg.add_edge(Handle::forward(0), Handle::forward(1));
-    EXPECT_EQ(partition::label_components(vg).count, 1u);
-    const auto lean = graph::LeanGraph::from_graph(vg);
-    EXPECT_EQ(partition::label_components(lean).count, 2u);
-}
-
 TEST(Components, DecompositionRemapTablesAreConsistent) {
     const auto vg = small_genome(3);
-    const auto d = partition::decompose(vg);
+    const auto d = decompose_vg(vg);
     ASSERT_EQ(d.count(), 3u);
     EXPECT_EQ(d.global_node_count(), vg.node_count());
 
@@ -111,9 +111,9 @@ TEST(Components, DecompositionRemapTablesAreConsistent) {
 }
 
 TEST(Components, PathSlicingIsExact) {
-    const auto vg = small_genome(2);
-    const auto lean = graph::LeanGraph::from_graph(vg);
-    const auto d = partition::decompose(vg);
+    auto ing = workloads::to_ingest(small_genome(2));
+    const auto& lean = ing.graph;
+    const auto d = partition::decompose(lean, partition::take_labels(ing));
     for (std::uint32_t c = 0; c < d.count(); ++c) {
         const auto& comp = d.components[c];
         for (std::uint32_t lp = 0; lp < comp.graph.path_count(); ++lp) {
@@ -139,14 +139,14 @@ TEST(Workloads, WholeGenomeIsDeterministicMultiComponent) {
     EXPECT_EQ(a.edge_count(), b.edge_count());
     EXPECT_EQ(a.total_path_steps(), b.total_path_steps());
     EXPECT_EQ(a.validate(), "");
-    EXPECT_EQ(partition::decompose(a).count(), 4u);
+    EXPECT_EQ(decompose_vg(a).count(), 4u);
     // A different seed produces a different genome.
     const auto c = small_genome(4, 999);
     EXPECT_NE(a.edge_count(), c.edge_count());
 }
 
 TEST(Stitch, TranslationIsASingleFloatAdd) {
-    const auto d = partition::decompose(small_genome(3));
+    const auto d = decompose_vg(small_genome(3));
     partition::SchedulerOptions sopt;
     sopt.config = quick_config();
     std::vector<core::Layout> layouts;
@@ -169,7 +169,7 @@ TEST(Stitch, TranslationIsASingleFloatAdd) {
 }
 
 TEST(Stitch, PlacedBoundingBoxesDoNotOverlap) {
-    const auto d = partition::decompose(small_genome(4));
+    const auto d = decompose_vg(small_genome(4));
     partition::SchedulerOptions sopt;
     sopt.config = quick_config();
     std::vector<core::Layout> layouts;
@@ -232,12 +232,12 @@ TEST(ProcessExecutor, MatchesThreadExecutorByteForByte) {
     partition::PartitionOptions popt;
     popt.schedule.config = quick_config();
     popt.schedule.component_workers = 2;
-    const auto in_process = partition::partition_layout(vg, popt);
+    const auto in_process = layout_vg(vg, popt);
 
     popt.schedule.executor = "process";
     popt.schedule.processes = 2;
     popt.schedule.worker_binary = worker;
-    const auto multi_process = partition::partition_layout(vg, popt);
+    const auto multi_process = layout_vg(vg, popt);
 
     expect_layout_bitwise_equal(in_process.stitched.layout,
                                 multi_process.stitched.layout);
@@ -254,7 +254,7 @@ TEST(ProcessExecutor, UnrunnableWorkerBinaryFailsEveryComponentLoudly) {
     popt.schedule.executor = "process";
     popt.schedule.worker_binary = "/nonexistent/pgl_layout";
     try {
-        partition::partition_layout(vg, popt);
+        layout_vg(vg, popt);
         FAIL() << "expected std::runtime_error";
     } catch (const std::runtime_error& e) {
         const std::string what = e.what();
@@ -268,7 +268,7 @@ TEST(Scheduler, UnknownExecutorIsRejected) {
     partition::PartitionOptions popt;
     popt.schedule.config = quick_config();
     popt.schedule.executor = "quantum";
-    EXPECT_THROW(partition::partition_layout(vg, popt), std::invalid_argument);
+    EXPECT_THROW(layout_vg(vg, popt), std::invalid_argument);
 }
 
 TEST(Scheduler, ResultsIndependentOfWorkerCount) {
@@ -276,9 +276,9 @@ TEST(Scheduler, ResultsIndependentOfWorkerCount) {
     partition::PartitionOptions popt;
     popt.schedule.config = quick_config();
     popt.schedule.component_workers = 1;
-    const auto serial = partition::partition_layout(vg, popt);
+    const auto serial = layout_vg(vg, popt);
     popt.schedule.component_workers = 4;
-    const auto parallel = partition::partition_layout(vg, popt);
+    const auto parallel = layout_vg(vg, popt);
     expect_layout_bitwise_equal(serial.stitched.layout, parallel.stitched.layout);
     EXPECT_EQ(serial.updates, parallel.updates);
 }
@@ -295,7 +295,7 @@ TEST(Scheduler, ProgressHookSeesEveryComponent) {
         max_completed = std::max(max_completed, p.completed);
         EXPECT_EQ(p.total, 3u);
     };
-    partition::partition_layout(vg, popt);
+    layout_vg(vg, popt);
     EXPECT_EQ(seen.size(), 3u);
     EXPECT_EQ(max_completed, 3u);
 }
@@ -307,8 +307,8 @@ TEST(Scheduler, PathlessComponentGetsDeterministicFallback) {
     vg.add_edge(Handle::forward(2), Handle::forward(3));  // edge-only, no path
     partition::PartitionOptions popt;
     popt.schedule.config = quick_config();
-    const auto a = partition::partition_layout(vg, popt);
-    const auto b = partition::partition_layout(vg, popt);
+    const auto a = layout_vg(vg, popt);
+    const auto b = layout_vg(vg, popt);
     ASSERT_EQ(a.decomposition.count(), 2u);
     ASSERT_EQ(a.stitched.layout.size(), 4u);
     expect_layout_bitwise_equal(a.stitched.layout, b.stitched.layout);
@@ -326,7 +326,7 @@ TEST(PartitionEquivalence, MatchesStandalonePerComponentRuns) {
             popt.schedule.backend = backend;
             popt.schedule.config = quick_config(threads);
             popt.schedule.component_workers = 2;
-            const auto part = partition::partition_layout(vg, popt);
+            const auto part = layout_vg(vg, popt);
             ASSERT_EQ(part.decomposition.count(), 4u);
 
             // Standalone runs: a fresh engine per component, straight off

@@ -92,7 +92,7 @@ graph::LeanGraph torch_graph() {
     spec.backbone_nodes = 1500;
     spec.n_paths = 8;
     spec.seed = 3;
-    return graph::LeanGraph::from_graph(workloads::generate_pangenome(spec));
+    return workloads::to_ingest(workloads::generate_pangenome(spec)).graph;
 }
 
 core::LayoutConfig torch_cfg() {

@@ -163,7 +163,7 @@ TEST_P(WorkloadSweep, ValidAndLeanConsistent) {
     spec.seed = backbone * 31 + paths;
     const auto g = workloads::generate_pangenome(spec);
     ASSERT_EQ(g.validate(), "");
-    const auto lg = graph::LeanGraph::from_graph(g);
+    const auto lg = workloads::to_ingest(g).graph;
     ASSERT_EQ(lg.path_count(), g.path_count());
     ASSERT_EQ(lg.total_path_steps(), g.total_path_steps());
     for (std::uint32_t p = 0; p < lg.path_count(); ++p) {

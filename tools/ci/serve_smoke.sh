@@ -4,8 +4,8 @@
 #   tools/ci/serve_smoke.sh BUILD_DIR [WORKDIR]
 #
 # What it proves:
-#   * the daemon starts, answers ping, and survives a burst of >= 8
-#     concurrent submits spanning every registered backend
+#   * the daemon starts, answers ping, and survives a burst of concurrent
+#     submits: one per registered backend plus one duplicate config
 #   * every daemon artifact is byte-identical to a direct `pgl_layout` run
 #     of the same (graph, config) — the determinism contract
 #   * a repeat submit of an already-computed config answers "cached":true
@@ -69,8 +69,9 @@ for backend in ${backends} "${first_backend}"; do
     pids+=($!)
     names+=("${backend}")
 done
-echo "submitted ${#pids[@]} concurrent jobs"
-test "${#pids[@]}" -ge 8
+n_backends=$(echo "${backends}" | wc -w)
+echo "submitted ${#pids[@]} concurrent jobs (${n_backends} backends + 1)"
+test "${#pids[@]}" -eq "$((n_backends + 1))"
 
 fail=0
 for i in "${!pids[@]}"; do
