@@ -49,8 +49,9 @@ TermBatch make_conflict_batch(std::size_t n, std::uint32_t window,
         t.end_i = rng.flip_coin() ? core::End::kStart : core::End::kEnd;
         t.end_j = rng.flip_coin() ? core::End::kStart : core::End::kEnd;
         t.d_ref = 1.0 + static_cast<double>(rng.next_bounded(1000));
+        t.nudge = core::draw_nudge(rng);
         t.valid = true;
-        b.append(t, core::draw_nudge(rng));
+        b.append(t);
     }
     return b;
 }
@@ -123,7 +124,7 @@ int main(int argc, char** argv) {
             rng::Xoshiro256Plus rng(cfg.seed + n);
             TermBatch batch;
             if (population == "sampled") {
-                sampler.fill_batch(false, rng, n, batch);
+                sampler.fill_batch_staged(false, rng, n, batch);
             } else {
                 batch = make_conflict_batch(n, window, rng);
             }

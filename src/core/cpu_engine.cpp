@@ -36,7 +36,7 @@ std::uint64_t run_scalar_iter(const PairSampler& sampler, double eta,
         const float xj = store.load_x(t.node_j, t.end_j);
         const float yj = store.load_y(t.node_j, t.end_j);
         const PointDelta d =
-            sgd_term_update(xi, yi, xj, yj, t.d_ref, eta, draw_nudge(rng));
+            sgd_term_update(xi, yi, xj, yj, t.d_ref, eta, t.nudge);
         store.store_x(t.node_i, t.end_i, xi + d.dx_i);
         store.store_y(t.node_i, t.end_i, yi + d.dy_i);
         store.store_x(t.node_j, t.end_j, xj + d.dx_j);

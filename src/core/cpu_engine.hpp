@@ -29,9 +29,9 @@ namespace pgl::core {
 /// The Hogwild engine ("cpu-soa").
 std::unique_ptr<LayoutEngine> make_cpu_engine();
 
-/// The ordered engine with the sequential sampler ("cpu-batched"):
-/// PairSampler::fill_batch in slices of kBatchSliceTerms, one shard per
-/// thread, no pool thread at all for a single-threaded config.
+/// The ordered engine in fixed slices ("cpu-batched"): kBatchSliceTerms
+/// terms per slice, one shard per thread, no pool thread at all for a
+/// single-threaded config.
 std::unique_ptr<LayoutEngine> make_batched_engine();
 
 /// The ordered engine with the staged, prefetching sampler

@@ -22,13 +22,13 @@
 //
 // The two engines differ only in what is fixed per engine, never per term:
 //
-//   cpu-batched    the sequential PairSampler::fill_batch in slices of
-//                  kBatchSliceTerms; one shard per thread and no pool
-//                  thread at all for a single-threaded config, where it
-//                  replays cpu-soa's PRNG stream bit for bit;
-//   cpu-pipelined  the staged, prefetching fill_batch_staged in adaptive
-//                  slices on max(1, threads) producers, so even one thread
-//                  overlaps sampling with the updates.
+//   cpu-batched    slices of kBatchSliceTerms; one shard per thread and
+//                  no pool thread at all for a single-threaded config;
+//   cpu-pipelined  adaptive slices on max(1, threads) producers, so even
+//                  one thread overlaps sampling with the updates.
+//
+// Both sample with PairSampler::fill_batch_staged, four PRNG words per
+// term, so at one thread both replay cpu-soa's term stream bit for bit.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -65,7 +65,7 @@ struct alignas(64) ShardCounter {
     std::uint64_t skipped = 0;
 };
 
-/// `staged` selects cpu-pipelined's sampler and slice size over
+/// `staged` selects cpu-pipelined's slice size and producer count over
 /// cpu-batched's (see the file header). One shard per pool worker; a
 /// size-0 pool runs the single shard inline.
 LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
@@ -143,15 +143,8 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
         // slice ahead of the consumer within the iteration.
         const auto fill_job = [&](int buf, std::uint64_t s) {
             return [&, buf, s](std::uint32_t tid) {
-                TermBatch& batch = bufs[buf][tid];
-                if (staged) {
-                    fill_skipped[tid].skipped += sampler.fill_batch_staged(
-                        cooling_iter, rngs[tid], take(tid, s), batch);
-                } else {
-                    batch.clear();
-                    fill_skipped[tid].skipped += sampler.fill_batch(
-                        cooling_iter, rngs[tid], take(tid, s), batch);
-                }
+                fill_skipped[tid].skipped += sampler.fill_batch_staged(
+                    cooling_iter, rngs[tid], take(tid, s), bufs[buf][tid]);
             };
         };
 

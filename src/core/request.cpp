@@ -295,7 +295,7 @@ LayoutRequest parse_worker_spec(std::string_view spec) {
 }
 
 std::string canonical_request(const LayoutRequest& r) {
-    return encode_fields(r, is_bytes);
+    return "epoch=" + std::to_string(kOutputEpoch) + ";" + encode_fields(r, is_bytes);
 }
 
 void validate(const LayoutRequest& r, Spelling spelling) {

@@ -80,9 +80,17 @@ bool gate_open(const RequestField& f, const LayoutRequest& r);
 /// identically.
 std::string canonical_double(double v);
 
-/// The canonical `name=value;...` string over every bytes row: two
-/// requests that must produce identical output share it, whatever order
-/// or spelling their fields arrived in.
+/// The output epoch. Bump it in the same change that moves the output
+/// bytes of an unchanged request (the sampler's draw sequence, the update
+/// arithmetic, the .lay encoding): it leads canonical_request, so a
+/// persistent artifact cache never serves a layout of an older algorithm.
+/// tests/test_golden.cpp records the epoch its digests were generated
+/// under. Epoch 1: every term draws exactly four PRNG words.
+inline constexpr std::uint32_t kOutputEpoch = 1;
+
+/// The canonical `epoch=N;name=value;...` string: kOutputEpoch, then every
+/// bytes row. Two requests that must produce identical output share it,
+/// whatever order or spelling their fields arrived in.
 std::string canonical_request(const LayoutRequest& r);
 
 /// The `name=value;` spec a component worker process is started with

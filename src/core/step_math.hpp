@@ -5,6 +5,7 @@
 // Shared verbatim by the CPU engine, the GPU simulator and the tensor
 // implementation so all backends optimize the identical objective.
 #include <cmath>
+#include <cstdint>
 
 namespace pgl::core {
 
@@ -14,15 +15,24 @@ struct PointDelta {
     double stress;     // the term's stress value before the update
 };
 
-/// Draws the small nonzero coincident-point separation passed to
-/// sgd_term_update. One definition for every consumer (Hogwild CPU loop,
-/// PairSampler::fill_batch, GPU simulator): cpu-batched's
-/// bit-identical-to-cpu-soa guarantee requires all of them to consume the
-/// PRNG identically.
+/// The small nonzero coincident-point separation passed to
+/// sgd_term_update, from the 32 middle bits (16..47) of one PRNG word. A
+/// sampled term takes it from w3, the fourth of its four words
+/// (core/sampling.hpp), whose top four bits are the term's coins; the low
+/// bits of Xoshiro256+ are weak and are never read. Every engine therefore
+/// applies a term with the nudge its own words fixed, drawn whether or not
+/// the term turns out valid.
+inline double nudge_from_word(std::uint64_t w) noexcept {
+    const double u = static_cast<double>((w >> 16) & 0xffffffffu) * 0x1.0p-32;
+    const double n = (u - 0.5) * 1e-3;
+    return n == 0.0 ? 1e-4 : n;
+}
+
+/// A nudge for an update that is not a sampled term (the GPU simulator's
+/// data-reuse updates): one fresh word through nudge_from_word.
 template <typename Rng>
 double draw_nudge(Rng& rng) noexcept {
-    const double n = (rng.next_double() - 0.5) * 1e-3;
-    return n == 0.0 ? 1e-4 : n;
+    return nudge_from_word(rng.next());
 }
 
 /// Computes the update for one term.

@@ -7,6 +7,12 @@
 // reproduce the update loop's address stream. All four therefore consume
 // the identical term representation instead of private per-term loops.
 //
+// PairSampler::fill_batch_staged is the one batch sampler. Each term takes
+// exactly four words of its stream (w0 path, w1 step_i, w2 step_j or the
+// Zipf hop, w3 coins and nudge; core/sampling.hpp), so a batch holds the
+// same terms, nudges included, as the same number of sample() calls,
+// however the stream is sliced into batches.
+//
 // Invalid (degenerate) terms keep their slot with valid == 0 so that
 // slot-indexed consumers (the warp simulator pairs slot k with lane k) see
 // holes exactly where the scalar path would have skipped.
@@ -79,7 +85,7 @@ struct TermBatch {
     }
 
     /// Appends one sampled term (valid or not) with its update nudge.
-    void append(const TermSample& t, double n) {
+    void append(const TermSample& t) {
         path.push_back(t.path);
         step_i.push_back(t.step_i);
         step_j.push_back(t.step_j);
@@ -90,19 +96,18 @@ struct TermBatch {
         pos_i.push_back(t.pos_i);
         pos_j.push_back(t.pos_j);
         d_ref.push_back(t.d_ref);
-        nudge.push_back(n);
+        nudge.push_back(t.nudge);
         valid.push_back(t.valid ? 1 : 0);
         if (!t.valid) ++invalid_;
         took_cooling.push_back(t.took_cooling ? 1 : 0);
     }
 
-    /// Pre-sizes exactly the columns the update kernel reads and empties
-    /// the replay columns — the shape fill_batch_staged writes by index.
-    /// Reuses capacity, so a double-buffered pipeline allocates only on its
-    /// first slice. Every slot's validity must subsequently be set exactly
-    /// once through mark_valid()/mark_invalid() so the running invalid
-    /// counter stays exact.
-    void resize_apply_only(std::size_t n) {
+    /// Sizes the batch to `n` slots for fill_batch_staged, which then
+    /// writes every slot by index, and the invalid counter: the columns
+    /// the update kernel reads always, the replay columns only with
+    /// `replay` (they are emptied otherwise). Reuses capacity, so a
+    /// double-buffered pipeline allocates only on its first slice.
+    void resize(std::size_t n, bool replay) {
         invalid_ = 0;
         node_i.resize(n);
         node_j.resize(n);
@@ -111,153 +116,101 @@ struct TermBatch {
         d_ref.resize(n);
         nudge.resize(n);
         valid.resize(n);
-        path.clear();
-        step_i.clear();
-        step_j.clear();
-        pos_i.clear();
-        pos_j.clear();
-        took_cooling.clear();
+        const std::size_t r = replay ? n : 0;
+        path.resize(r);
+        step_i.resize(r);
+        step_j.resize(r);
+        pos_i.resize(r);
+        pos_j.resize(r);
+        took_cooling.resize(r);
     }
 
     End end_i_of(std::size_t k) const noexcept { return static_cast<End>(end_i[k]); }
     End end_j_of(std::size_t k) const noexcept { return static_cast<End>(end_j[k]); }
-
-    /// Validity writers for the index-filling path (after
-    /// resize_apply_only); append() maintains the counter itself.
-    void mark_valid(std::size_t k) noexcept { valid[k] = 1; }
-    void mark_invalid(std::size_t k) noexcept {
-        valid[k] = 0;
-        ++invalid_;
-    }
 
     /// Holes in the batch (valid == 0 slots) — a running counter, not a
     /// rescan, so per-warp/per-slice consumers may query it for free.
     std::uint64_t invalid_count() const noexcept { return invalid_; }
 
 private:
+    friend class PairSampler;  // fill_batch_staged sets invalid_ per fill
     std::uint64_t invalid_ = 0;
 };
 
 template <typename Rng>
-std::uint64_t PairSampler::fill_batch(bool cooling_iter, Rng& rng, std::size_t n,
-                                      TermBatch& out, bool with_nudge) const {
-    std::uint64_t skipped = 0;
-    for (std::size_t k = 0; k < n; ++k) {
-        const TermSample t = sample(cooling_iter, rng);
-        double nd = 0.0;
-        if (!t.valid) {
-            ++skipped;
-        } else if (with_nudge) {
-            nd = draw_nudge(rng);
-        }
-        out.append(t, nd);
-    }
-    return skipped;
-}
-
-template <typename Rng>
 std::uint64_t PairSampler::fill_batch_staged(bool cooling_iter, Rng& rng,
-                                             std::size_t n,
-                                             TermBatch& out) const {
-    out.resize_apply_only(n);
+                                             std::size_t n, TermBatch& out,
+                                             bool replay) const {
+    out.resize(n, replay);
     const auto offsets = g_->path_offsets();
     const auto records = g_->step_records();
-    const auto lengths = g_->node_lengths();
+    // Raw column pointers: byte stores may alias anything, so through the
+    // vectors every store would reload every column's data pointer.
+    std::uint32_t* node_i = out.node_i.data();
+    std::uint32_t* node_j = out.node_j.data();
+    std::uint8_t* end_i = out.end_i.data();
+    std::uint8_t* end_j = out.end_j.data();
+    double* d_ref = out.d_ref.data();
+    double* nudge = out.nudge.data();
+    std::uint8_t* valid = out.valid.data();
 
+    // Pass 1: the words of each block in one tight loop (no draw waits on
+    // a memory read), then decoded. node_i/node_j hold the flat record
+    // indices of the two steps until pass 2.
     constexpr std::size_t kBlock = 64;
-    struct Staged {
-        std::uint64_t flat_i, flat_j;
-        std::uint8_t end_i, end_j;
-        bool alive;
-    };
-    Staged stage[kBlock];
-
-    std::uint64_t skipped = 0;
+    std::uint64_t words[kTermWords * kBlock];
     for (std::size_t base = 0; base < n; base += kBlock) {
         const std::size_t m = std::min(kBlock, n - base);
-
-        // Stage 1: per-term PRNG draws (alias path, steps, cooling branch,
-        // endpoint coins — the exact per-term logic of sample_branch) plus
-        // a prefetch of both packed step records. The cold record loads of
-        // the whole block overlap instead of serializing term by term.
+        for (std::size_t i = 0; i < kTermWords * m; ++i) words[i] = rng.next();
         for (std::size_t b = 0; b < m; ++b) {
-            Staged& st = stage[b];
-            st.alive = false;
-            const std::uint32_t path = path_alias_(rng);
-            const std::uint32_t n_steps = offsets[path + 1] - offsets[path];
-            if (n_steps < 2) continue;
-            const auto step_i =
-                static_cast<std::uint32_t>(rng.next_bounded(n_steps));
-            std::uint32_t step_j;
-            if (cooling_iter || rng.flip_coin()) {
-                // Zipf-distributed hop in a random direction, reflected at
-                // the path ends so every step can reach a partner.
-                const std::uint64_t hop = zipf_[path](rng);
-                std::int64_t j = static_cast<std::int64_t>(step_i);
-                j += rng.flip_coin() ? static_cast<std::int64_t>(hop)
-                                     : -static_cast<std::int64_t>(hop);
-                if (j < 0) j = -j;
-                const std::int64_t last = static_cast<std::int64_t>(n_steps) - 1;
-                if (j > last) j = 2 * last - j;
-                if (j < 0) j = 0;  // extremely short path + long hop
-                step_j = static_cast<std::uint32_t>(j);
-            } else {
-                step_j = static_cast<std::uint32_t>(rng.next_bounded(n_steps));
-            }
-            if (step_j == step_i) continue;
-            st.end_i = rng.flip_coin() ? 0 : 1;
-            st.end_j = rng.flip_coin() ? 0 : 1;
-            st.flat_i = offsets[path] + step_i;
-            st.flat_j = offsets[path] + step_j;
-            st.alive = true;
-            __builtin_prefetch(&records[st.flat_i], 0, 1);
-            __builtin_prefetch(&records[st.flat_j], 0, 1);
-        }
-
-        // Stage 2a: read the records (resident by now) and prefetch the
-        // node-length entries they point at — the second-level dependent
-        // loads stage 1 could not know about.
-        for (std::size_t b = 0; b < m; ++b) {
-            if (!stage[b].alive) continue;
-            __builtin_prefetch(&lengths[records[stage[b].flat_i].node], 0, 1);
-            __builtin_prefetch(&lengths[records[stage[b].flat_j].node], 0, 1);
-        }
-
-        // Stage 2b: finalize — endpoint positions, d_ref, validity — and
-        // write the update columns, drawing one nudge per valid term.
-        for (std::size_t b = 0; b < m; ++b) {
+            const std::uint64_t* w = &words[kTermWords * b];
+            const TermSample t = decode(w, cooling_iter || cooling_coin(w));
             const std::size_t k = base + b;
-            const Staged& st = stage[b];
-            if (!st.alive) {
-                out.mark_invalid(k);
-                ++skipped;
-                continue;
+            node_i[k] = offsets[t.path] + t.step_i;
+            node_j[k] = offsets[t.path] + t.step_j;
+            end_i[k] = static_cast<std::uint8_t>(t.end_i);
+            end_j[k] = static_cast<std::uint8_t>(t.end_j);
+            nudge[k] = t.nudge;
+            valid[k] = t.valid ? 1 : 0;
+            if (replay) {
+                out.path[k] = t.path;
+                out.step_i[k] = t.step_i;
+                out.step_j[k] = t.step_j;
+                out.took_cooling[k] = t.took_cooling ? 1 : 0;
             }
-            const graph::PathStepRecord& ri = records[st.flat_i];
-            const graph::PathStepRecord& rj = records[st.flat_j];
-            const std::uint64_t pos_i = endpoint_path_position(
-                ri.position, lengths[ri.node], ri.orient != 0,
-                static_cast<End>(st.end_i));
-            const std::uint64_t pos_j = endpoint_path_position(
-                rj.position, lengths[rj.node], rj.orient != 0,
-                static_cast<End>(st.end_j));
-            const std::uint64_t d =
-                pos_i > pos_j ? pos_i - pos_j : pos_j - pos_i;
-            if (d == 0) {
-                out.mark_invalid(k);
-                ++skipped;
-                continue;
-            }
-            out.node_i[k] = ri.node;
-            out.node_j[k] = rj.node;
-            out.end_i[k] = st.end_i;
-            out.end_j[k] = st.end_j;
-            out.d_ref[k] = static_cast<double>(d);
-            out.nudge[k] = draw_nudge(rng);
-            out.mark_valid(k);
         }
     }
-    return skipped;
+
+    // Pass 2: resolve term k while the records of term k + kAhead load.
+    // A rolling distance keeps about kAhead terms' records in flight at
+    // every point, where a block-wise prefetch would issue them in bursts.
+    constexpr std::size_t kAhead = 32;
+    std::uint64_t invalid = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+        if (k + kAhead < n && valid[k + kAhead]) {
+            __builtin_prefetch(&records[node_i[k + kAhead]], 0, 1);
+            __builtin_prefetch(&records[node_j[k + kAhead]], 0, 1);
+        }
+        if (!valid[k]) {
+            ++invalid;
+            continue;
+        }
+        TermSample t;  // resolve_at writes every field it reads back
+        t.end_i = static_cast<End>(end_i[k]);
+        t.end_j = static_cast<End>(end_j[k]);
+        resolve_at(node_i[k], node_j[k], t);
+        node_i[k] = t.node_i;
+        node_j[k] = t.node_j;
+        d_ref[k] = t.d_ref;
+        valid[k] = t.valid ? 1 : 0;
+        invalid += !t.valid;
+        if (replay) {
+            out.pos_i[k] = t.pos_i;
+            out.pos_j[k] = t.pos_j;
+        }
+    }
+    out.invalid_ = invalid;
+    return invalid;
 }
 
 }  // namespace pgl::core

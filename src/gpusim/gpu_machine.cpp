@@ -209,23 +209,13 @@ GpuSimResult simulate_gpu_layout(const graph::LeanGraph& g,
                                    : sampler.sample(cooling_iter, rng);
                 cooling_lanes += t.took_cooling ? 1 : 0;
                 if (!t.valid) ++c.skipped_terms;
-                // The slot's nudge is predrawn from the lane RNG just
-                // before the batch drains through the update kernel (one
-                // per functional update, like the real kernel).
-                batch.append(t, 0.0);
+                batch.append(t);
             }
 
             // --- Functional updates (DRF extra updates reuse warp data) ---
             // The first round is exactly "apply the warp's batch in lane
-            // order", so it drains through the pluggable update kernel.
-            // Nudges are predrawn per lane — each lane owns its XORWOW
-            // stream, so drawing them before the applies advances every
-            // stream exactly as the per-lane update loop did.
-            for (std::uint32_t l = 0; l < warp_size; ++l) {
-                if (!batch.valid[l]) continue;
-                rng::XorwowRng rng(states[std::uint64_t(warp) * warp_size + l]);
-                batch.nudge[l] = core::draw_nudge(rng);
-            }
+            // order", so it drains through the pluggable update kernel,
+            // each term with the nudge its own four words fixed.
             update_kernel->apply(batch, eta, store);
             c.lane_updates += warp_size - batch.invalid_count();
             for (std::uint32_t r = 1; r < drf; ++r) {

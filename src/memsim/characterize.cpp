@@ -108,12 +108,10 @@ CpuCharacterization characterize_cpu(const graph::LeanGraph& g,
     std::uint64_t done = 0;
     core::ThreadPool pool(1);
     core::TermBatch bufs[2];
-    for (auto& b : bufs) b.reserve(kSlice);
     const auto fill_job = [&](int buf, std::size_t s) {
         return [&, buf, s](std::uint32_t) {
-            bufs[buf].clear();
-            sampler.fill_batch(slices[s].second, rng, slices[s].first,
-                               bufs[buf], /*with_nudge=*/false);
+            sampler.fill_batch_staged(slices[s].second, rng, slices[s].first,
+                                      bufs[buf], /*replay=*/true);
         };
     };
     if (!slices.empty()) pool.run(fill_job(0, 0));

@@ -55,7 +55,6 @@ TorchLayoutResult layout_torch(const graph::LeanGraph& g,
     const std::uint64_t batch = std::max<std::uint64_t>(1, batch_size);
 
     core::TermBatch terms;
-    terms.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(batch, 1 << 20)));
     std::vector<std::uint32_t> idx_i, idx_j;
     std::vector<float> dref_host;
     std::uint64_t total_skipped = 0;
@@ -73,12 +72,9 @@ TorchLayoutResult layout_torch(const graph::LeanGraph& g,
 
             // Host-side batch assembly (the "dataloader"): one shared
             // TermBatch per device batch. The tensor path never uses the
-            // coincident-point nudge (mag is clamped instead), so the
-            // sampler's nudge draw is disabled.
-            terms.clear();
-            iter_skipped += sampler.fill_batch(
-                cooling_iter, rng, static_cast<std::size_t>(b), terms,
-                /*with_nudge=*/false);
+            // coincident-point nudge (mag is clamped instead).
+            iter_skipped += sampler.fill_batch_staged(
+                cooling_iter, rng, static_cast<std::size_t>(b), terms);
             idx_i.clear();
             idx_j.clear();
             dref_host.clear();

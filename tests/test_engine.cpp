@@ -1,5 +1,5 @@
 // Tests for the pluggable LayoutEngine interface, the EngineRegistry and
-// the batched term pipeline (TermBatch / PairSampler::fill_batch).
+// the batched term pipeline (TermBatch / PairSampler::fill_batch_staged).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +9,7 @@
 #include <tuple>
 #include <vector>
 
+#include <algorithm>
 #include <atomic>
 
 #include "core/cpu_engine.hpp"
@@ -17,6 +18,7 @@
 #include "core/thread_pool.hpp"
 #include "graph/lean_graph.hpp"
 #include "metrics/path_stress.hpp"
+#include "rng/xorwow.hpp"
 #include "rng/xoshiro256.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -325,103 +327,184 @@ TEST(CpuEngine, MultithreadedUpdateCountMatchesRequestedSteps) {
     }
 }
 
-// --- TermBatch / fill_batch ---
+// --- The canonical four-word draw (TermBatch / fill_batch_staged) ---
 
-TEST(TermBatch, FillBatchMatchesScalarSampleStream) {
-    const auto g = small_graph(250, 4);
-    core::LayoutConfig cfg;
-    const core::PairSampler sampler(g, cfg);
-
-    // Reference: the scalar CPU loop's PRNG consumption — sample, then one
-    // nudge draw per valid term.
-    rng::Xoshiro256Plus rng_scalar(31337);
-    std::vector<core::TermSample> ref;
-    std::vector<double> ref_nudge;
-    for (int k = 0; k < 3000; ++k) {
-        const auto t = sampler.sample(false, rng_scalar);
-        double nd = 0.0;
-        if (t.valid) {
-            nd = (rng_scalar.next_double() - 0.5) * 1e-3;
-            if (nd == 0.0) nd = 1e-4;
-        }
-        ref.push_back(t);
-        ref_nudge.push_back(nd);
-    }
-
-    rng::Xoshiro256Plus rng_batch(31337);
-    core::TermBatch batch;
-    const std::uint64_t skipped = sampler.fill_batch(false, rng_batch, 3000, batch);
-
-    ASSERT_EQ(batch.size(), ref.size());
-    std::uint64_t ref_skipped = 0;
+/// Every column of a staged fill with replay columns, slot by slot.
+void expect_batch_matches_samples(const core::TermBatch& b, std::size_t at,
+                                  const std::vector<core::TermSample>& ref) {
     for (std::size_t k = 0; k < ref.size(); ++k) {
-        ASSERT_EQ(batch.valid[k] != 0, ref[k].valid) << k;
-        if (!ref[k].valid) {
-            ++ref_skipped;
-            continue;
-        }
-        ASSERT_EQ(batch.path[k], ref[k].path) << k;
-        ASSERT_EQ(batch.step_i[k], ref[k].step_i) << k;
-        ASSERT_EQ(batch.step_j[k], ref[k].step_j) << k;
-        ASSERT_EQ(batch.node_i[k], ref[k].node_i) << k;
-        ASSERT_EQ(batch.node_j[k], ref[k].node_j) << k;
-        ASSERT_EQ(batch.end_i_of(k), ref[k].end_i) << k;
-        ASSERT_EQ(batch.end_j_of(k), ref[k].end_j) << k;
-        ASSERT_EQ(batch.pos_i[k], ref[k].pos_i) << k;
-        ASSERT_EQ(batch.pos_j[k], ref[k].pos_j) << k;
-        ASSERT_EQ(batch.d_ref[k], ref[k].d_ref) << k;
-        ASSERT_EQ(batch.nudge[k], ref_nudge[k]) << k;
-    }
-    EXPECT_EQ(skipped, ref_skipped);
-    EXPECT_EQ(batch.invalid_count(), ref_skipped);
-}
-
-TEST(TermBatch, SlicedFillsReplayOneBigFill) {
-    // Filling 4 x 250 terms in slices consumes the PRNG exactly like one
-    // 1000-term fill — the property cpu-batched's slicing relies on.
-    const auto g = small_graph(250, 4);
-    core::LayoutConfig cfg;
-    const core::PairSampler sampler(g, cfg);
-
-    rng::Xoshiro256Plus rng_one(7);
-    core::TermBatch one;
-    sampler.fill_batch(true, rng_one, 1000, one);
-
-    rng::Xoshiro256Plus rng_sliced(7);
-    core::TermBatch sliced;
-    for (int s = 0; s < 4; ++s) sampler.fill_batch(true, rng_sliced, 250, sliced);
-
-    ASSERT_EQ(one.size(), sliced.size());
-    for (std::size_t k = 0; k < one.size(); ++k) {
-        ASSERT_EQ(one.valid[k], sliced.valid[k]) << k;
-        ASSERT_EQ(one.node_i[k], sliced.node_i[k]) << k;
-        ASSERT_EQ(one.node_j[k], sliced.node_j[k]) << k;
-        ASSERT_EQ(one.d_ref[k], sliced.d_ref[k]) << k;
-        ASSERT_EQ(one.nudge[k], sliced.nudge[k]) << k;
-    }
-}
-
-TEST(TermBatch, WithoutNudgeDrawsNoExtraVariates) {
-    const auto g = small_graph(250, 4);
-    core::LayoutConfig cfg;
-    const core::PairSampler sampler(g, cfg);
-
-    rng::Xoshiro256Plus rng_scalar(11);
-    std::vector<core::TermSample> ref;
-    for (int k = 0; k < 500; ++k) ref.push_back(sampler.sample(false, rng_scalar));
-
-    rng::Xoshiro256Plus rng_batch(11);
-    core::TermBatch batch;
-    sampler.fill_batch(false, rng_batch, 500, batch, /*with_nudge=*/false);
-
-    ASSERT_EQ(batch.size(), ref.size());
-    for (std::size_t k = 0; k < ref.size(); ++k) {
-        ASSERT_EQ(batch.valid[k] != 0, ref[k].valid) << k;
+        const std::size_t s = at + k;
+        ASSERT_EQ(b.valid[s] != 0, ref[k].valid) << k;
+        ASSERT_EQ(b.path[s], ref[k].path) << k;
+        ASSERT_EQ(b.step_i[s], ref[k].step_i) << k;
+        ASSERT_EQ(b.step_j[s], ref[k].step_j) << k;
+        ASSERT_EQ(b.took_cooling[s] != 0, ref[k].took_cooling) << k;
+        ASSERT_EQ(b.end_i_of(s), ref[k].end_i) << k;
+        ASSERT_EQ(b.end_j_of(s), ref[k].end_j) << k;
+        ASSERT_EQ(b.nudge[s], ref[k].nudge) << k;
         if (!ref[k].valid) continue;
-        ASSERT_EQ(batch.node_i[k], ref[k].node_i) << k;
-        ASSERT_EQ(batch.d_ref[k], ref[k].d_ref) << k;
-        ASSERT_EQ(batch.nudge[k], 0.0) << k;
+        ASSERT_EQ(b.node_i[s], ref[k].node_i) << k;
+        ASSERT_EQ(b.node_j[s], ref[k].node_j) << k;
+        ASSERT_EQ(b.pos_i[s], ref[k].pos_i) << k;
+        ASSERT_EQ(b.pos_j[s], ref[k].pos_j) << k;
+        ASSERT_EQ(b.d_ref[s], ref[k].d_ref) << k;
     }
+}
+
+TEST(CanonicalDraw, StagedFillEqualsSampleCallsInAnySlicing) {
+    const auto g = small_graph(250, 4);
+    core::LayoutConfig cfg;
+    const core::PairSampler sampler(g, cfg);
+    const std::size_t n = 3000;
+    for (const bool cooling_iter : {false, true}) {
+        SCOPED_TRACE(cooling_iter ? "cooling iteration" : "coin-flip iteration");
+        rng::Xoshiro256Plus rng_ref(31337);
+        std::vector<core::TermSample> ref;
+        std::uint64_t ref_skipped = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+            ref.push_back(sampler.sample(cooling_iter, rng_ref));
+            ref_skipped += !ref.back().valid;
+        }
+        ASSERT_GT(ref_skipped, 0u);  // holes must be exercised too
+
+        // One call, with and without the replay columns.
+        rng::Xoshiro256Plus rng_one(31337);
+        core::TermBatch one;
+        EXPECT_EQ(sampler.fill_batch_staged(cooling_iter, rng_one, n, one, true),
+                  ref_skipped);
+        EXPECT_EQ(one.invalid_count(), ref_skipped);
+        expect_batch_matches_samples(one, 0, ref);
+
+        rng::Xoshiro256Plus rng_apply(31337);
+        core::TermBatch apply;
+        sampler.fill_batch_staged(cooling_iter, rng_apply, n, apply);
+        EXPECT_TRUE(apply.path.empty());
+        EXPECT_EQ(apply.node_i, one.node_i);
+        EXPECT_EQ(apply.d_ref, one.d_ref);
+        EXPECT_EQ(apply.nudge, one.nudge);
+        EXPECT_EQ(apply.valid, one.valid);
+
+        // Slices that do and do not line up with the 64-term blocks.
+        for (const std::size_t slice : {1u, 63u, 64u, 1000u}) {
+            SCOPED_TRACE("slice " + std::to_string(slice));
+            rng::Xoshiro256Plus rng_sliced(31337);
+            core::TermBatch b;
+            for (std::size_t at = 0; at < n; at += slice) {
+                const std::size_t m = std::min(slice, n - at);
+                sampler.fill_batch_staged(cooling_iter, rng_sliced, m, b, true);
+                expect_batch_matches_samples(
+                    b, 0, std::vector<core::TermSample>(ref.begin() + at,
+                                                        ref.begin() + at + m));
+            }
+        }
+    }
+}
+
+TEST(CanonicalDraw, EveryTermAdvancesTheStreamByExactlyFourWords) {
+    const auto g = small_graph(250, 4);
+    core::LayoutConfig cfg;
+    const core::PairSampler sampler(g, cfg);
+    for (const std::size_t n : {1u, 63u, 64u, 65u, 1000u}) {
+        for (const bool cooling_iter : {false, true}) {
+            rng::Xoshiro256Plus filled(99), sampled(99), branched(99), words(99);
+            core::TermBatch b;
+            sampler.fill_batch_staged(cooling_iter, filled, n, b);
+            for (std::size_t k = 0; k < n; ++k) {
+                sampler.sample(cooling_iter, sampled);
+                sampler.sample_branch(cooling_iter, branched);
+            }
+            for (std::size_t k = 0; k < core::kTermWords * n; ++k) words.next();
+            const std::uint64_t next = words.next();
+            EXPECT_EQ(filled.next(), next) << n;
+            EXPECT_EQ(sampled.next(), next) << n;
+            EXPECT_EQ(branched.next(), next) << n;
+        }
+    }
+    // XORWOW's 64-bit word is two 32-bit draws: eight per term.
+    rng::XorwowState st = rng::xorwow_init(7, 3);
+    rng::XorwowState ref = st;
+    rng::XorwowRng lane(st);
+    for (int k = 0; k < 100; ++k) sampler.sample(k % 2 == 0, lane);
+    for (int k = 0; k < 800; ++k) rng::xorwow_next(ref);
+    EXPECT_EQ(rng::xorwow_next(st), rng::xorwow_next(ref));
+}
+
+TEST(CanonicalDraw, WordLayoutDecodesAsDocumented) {
+    const auto g = small_graph(250, 1);
+    core::LayoutConfig cfg;
+    const core::PairSampler sampler(g, cfg);
+    const std::uint32_t n_steps = g.path_step_count(0);
+    const std::uint64_t half = std::uint64_t{1} << 63;
+    // w1/w2 = 2^63 pick step n/2; w3 with only the top four bits set: the
+    // coin-flip iteration cools, the hop goes forward, both ends are starts.
+    const std::uint64_t coins = std::uint64_t{0xf} << 60;
+    const std::uint64_t w[core::kTermWords] = {0, half, half, coins};
+    EXPECT_TRUE(core::cooling_coin(w));
+    const auto uniform = sampler.decode(w, false);
+    EXPECT_EQ(uniform.path, 0u);
+    EXPECT_EQ(uniform.step_i, n_steps / 2);
+    EXPECT_EQ(uniform.step_j, n_steps / 2);
+    EXPECT_FALSE(uniform.valid);
+    EXPECT_EQ(uniform.end_i, core::End::kStart);
+    EXPECT_EQ(uniform.end_j, core::End::kStart);
+    // w2 = 0 is the smallest hop, 1, forward.
+    const std::uint64_t hop1[core::kTermWords] = {0, half, 0, coins};
+    const auto cooled = sampler.decode(hop1, true);
+    EXPECT_TRUE(cooled.took_cooling);
+    EXPECT_EQ(cooled.step_j, n_steps / 2 + 1);
+    // Clearing bit 62 turns the hop backward; clearing 61/60 picks ends.
+    const std::uint64_t back[core::kTermWords] = {0, half, 0, std::uint64_t{1} << 63};
+    const auto rev = sampler.decode(back, true);
+    EXPECT_EQ(rev.step_j, n_steps / 2 - 1);
+    EXPECT_EQ(rev.end_i, core::End::kEnd);
+    EXPECT_EQ(rev.end_j, core::End::kEnd);
+    // The low bits never reach a coin: flipping them moves only the nudge.
+    const std::uint64_t low[core::kTermWords] = {0, half, 0, coins | 0xffffu};
+    const auto same = sampler.decode(low, true);
+    EXPECT_EQ(same.step_j, cooled.step_j);
+    EXPECT_EQ(same.end_i, cooled.end_i);
+    EXPECT_EQ(same.nudge, cooled.nudge);
+    const std::uint64_t mid[core::kTermWords] = {
+        0, half, 0, coins | (std::uint64_t{1} << 20)};
+    EXPECT_NE(sampler.decode(mid, true).nudge, cooled.nudge);
+}
+
+TEST(CanonicalDraw, CoolingHopsFollowTheZipfPmf) {
+    // One long linear path of unit-length nodes: away from the ends no hop
+    // reflects, so step_j - step_i is exactly the signed Zipf hop.
+    const std::uint32_t n_nodes = 4000;
+    std::vector<graph::Handle> walk;
+    for (std::uint32_t i = 0; i < n_nodes; ++i) walk.push_back(graph::Handle::forward(i));
+    const auto g = graph::LeanGraph::from_parts(
+        std::vector<std::uint32_t>(n_nodes, 1), {walk});
+    core::LayoutConfig cfg;
+    cfg.zipf_space_max = 40;
+    const core::PairSampler sampler(g, cfg);
+    rng::Xoshiro256Plus rng(2024);
+
+    const std::int64_t space = static_cast<std::int64_t>(cfg.zipf_space_max);
+    std::vector<double> counts(space, 0.0);
+    double forward = 0, total = 0;
+    for (int k = 0; k < 400000; ++k) {
+        const auto t = sampler.sample(true, rng);
+        const std::int64_t i = t.step_i;
+        if (i < space || i > static_cast<std::int64_t>(n_nodes) - 1 - space) continue;
+        const std::int64_t hop = static_cast<std::int64_t>(t.step_j) - i;
+        ASSERT_TRUE(hop != 0 && hop >= -space && hop <= space) << hop;
+        counts[std::abs(hop) - 1] += 1;
+        forward += hop > 0;
+        total += 1;
+    }
+    double z = 0;
+    for (std::int64_t h = 1; h <= space; ++h) z += std::pow(h, -cfg.zipf_theta);
+    double chi2 = 0;
+    for (std::int64_t h = 1; h <= space; ++h) {
+        const double expected = total * std::pow(h, -cfg.zipf_theta) / z;
+        chi2 += (counts[h - 1] - expected) * (counts[h - 1] - expected) / expected;
+    }
+    // df = 39: the 1e-6 tail starts near 96.
+    EXPECT_LT(chi2, 96.0);
+    EXPECT_NEAR(forward / total, 0.5, 5.0 / std::sqrt(total));
 }
 
 // --- Placement never changes the bytes ---

@@ -58,8 +58,9 @@ void push_term(TermBatch& b, std::uint32_t ni, End ei, std::uint32_t nj, End ej,
     t.end_i = ei;
     t.end_j = ej;
     t.d_ref = d_ref;
+    t.nudge = nudge;
     t.valid = true;
-    b.append(t, nudge);
+    b.append(t);
 }
 
 /// Appends one hole (valid == 0 slot) whose columns still hold in-bounds
@@ -69,7 +70,7 @@ void push_hole(TermBatch& b, std::uint32_t stale_node = 0) {
     t.node_i = stale_node;
     t.node_j = stale_node;
     t.valid = false;
-    b.append(t, 0.0);
+    b.append(t);
 }
 
 void expect_stores_identical(const XYStore& a, const XYStore& b) {
@@ -132,7 +133,7 @@ TEST(ScalarKernel, MatchesHandRolledChainedLoop) {
     const core::PairSampler sampler(g, cfg);
     rng::Xoshiro256Plus rng(17);
     TermBatch b;
-    sampler.fill_batch(false, rng, 2000, b);
+    sampler.fill_batch_staged(false, rng, 2000, b);
 
     auto store_a = random_store(static_cast<std::uint32_t>(g.node_count()), 1);
     auto store_b = store_a;
@@ -170,7 +171,7 @@ TEST(SimdKernel, MatchesScalarOnSampledBatches) {
     // Sizes straddle the lane widths: remainders of 1..3 exercise the tail.
     for (const std::size_t n : {1u, 2u, 3u, 5u, 64u, 1021u, 4096u}) {
         TermBatch b;
-        sampler.fill_batch(true, rng, n, b);
+        sampler.fill_batch_staged(true, rng, n, b);
         auto store_scalar = random_store(
             static_cast<std::uint32_t>(g.node_count()), 7 + n);
         auto store_simd = store_scalar;
@@ -295,7 +296,12 @@ TEST(TermBatch, InvalidCountTracksAppendsAndClear) {
     const core::PairSampler sampler(g, cfg);
     rng::Xoshiro256Plus rng(8);
     TermBatch b;
-    const std::uint64_t skipped = sampler.fill_batch(false, rng, 5000, b);
+    std::uint64_t skipped = 0;
+    for (int k = 0; k < 5000; ++k) {
+        const TermSample t = sampler.sample(false, rng);
+        skipped += !t.valid;
+        b.append(t);
+    }
     std::uint64_t recount = 0;
     for (std::size_t k = 0; k < b.size(); ++k) recount += b.valid[k] == 0;
     EXPECT_EQ(b.invalid_count(), recount);

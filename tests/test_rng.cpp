@@ -1,5 +1,5 @@
-// Tests for the RNG substrate: SplitMix64, Xoshiro256+, XORWOW, the Zipf
-// sampler and the alias table.
+// Tests for the RNG substrate: SplitMix64, Xoshiro256+, XORWOW and the
+// single-draw alias table behind path selection and the Zipf hop.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,7 +12,6 @@
 #include "rng/splitmix64.hpp"
 #include "rng/xorwow.hpp"
 #include "rng/xoshiro256.hpp"
-#include "rng/zipf.hpp"
 
 namespace {
 
@@ -132,79 +131,76 @@ TEST(Xorwow, BoundedStaysInRange) {
     }
 }
 
-TEST(Zipf, AlwaysInRange) {
-    Xoshiro256Plus rng(31);
-    ZipfSampler zipf(1000, 0.99);
-    for (int i = 0; i < 50000; ++i) {
-        const std::uint64_t k = zipf(rng);
-        ASSERT_GE(k, 1u);
-        ASSERT_LE(k, 1000u);
+// --- Single-draw alias tables against their exact pmf ---
+
+/// Draws `n` indices from `t` and returns Pearson's chi-square statistic
+/// against `weights` over the nonzero-weight cells; a zero-weight cell that
+/// is ever drawn fails the test directly.
+double alias_chi_square(const AliasTable& t, const std::vector<double>& weights,
+                        int n, std::uint64_t seed) {
+    std::vector<double> counts(weights.size(), 0.0);
+    Xoshiro256Plus rng(seed);
+    for (int i = 0; i < n; ++i) {
+        const std::uint32_t k = t.draw(rng.next());
+        EXPECT_LT(k, weights.size());
+        if (k < weights.size()) counts[k] += 1;
     }
+    double total = 0;
+    for (double w : weights) total += w;
+    double chi2 = 0;
+    for (std::size_t k = 0; k < weights.size(); ++k) {
+        const double expected = n * weights[k] / total;
+        if (weights[k] == 0.0) {
+            EXPECT_EQ(counts[k], 0.0) << "zero-weight cell " << k << " drawn";
+            continue;
+        }
+        chi2 += (counts[k] - expected) * (counts[k] - expected) / expected;
+    }
+    return chi2;
 }
 
-TEST(Zipf, SingleElementDomain) {
-    Xoshiro256Plus rng(32);
-    ZipfSampler zipf(1, 0.99);
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(zipf(rng), 1u);
+/// A chi-square bound a correct sampler exceeds with probability below
+/// about 1e-6 for `df` degrees of freedom (Wilson-Hilferty).
+double chi_square_bound(double df) {
+    const double z = 4.8;
+    const double a = 2.0 / (9.0 * df);
+    return df * std::pow(1.0 - a + z * std::sqrt(a), 3.0);
 }
 
-TEST(Zipf, MatchesAnalyticMassForSmallN) {
-    // Compare empirical frequencies against the exact normalized 1/k^theta
-    // mass for a small domain.
-    const double theta = 0.99;
-    const std::uint64_t n = 10;
-    double z = 0;
-    for (std::uint64_t k = 1; k <= n; ++k) z += std::pow(k, -theta);
-
-    Xoshiro256Plus rng(33);
-    ZipfSampler zipf(n, theta);
-    std::map<std::uint64_t, int> counts;
-    const int draws = 400000;
-    for (int i = 0; i < draws; ++i) counts[zipf(rng)]++;
-    for (std::uint64_t k = 1; k <= n; ++k) {
-        const double expected = std::pow(k, -theta) / z;
-        const double got = counts[k] / static_cast<double>(draws);
-        EXPECT_NEAR(got, expected, 0.01) << "k=" << k;
-    }
+double nonzero_cells(const std::vector<double>& w) {
+    double n = 0;
+    for (double x : w) n += x > 0.0;
+    return n;
 }
 
-TEST(Zipf, HeavierHeadWithLargerTheta) {
-    Xoshiro256Plus rng(34);
-    ZipfSampler flat(1000, 0.2), steep(1000, 2.0);
-    std::uint64_t ones_flat = 0, ones_steep = 0;
-    for (int i = 0; i < 50000; ++i) {
-        ones_flat += flat(rng) == 1;
-        ones_steep += steep(rng) == 1;
-    }
-    EXPECT_GT(ones_steep, ones_flat * 2);
+TEST(AliasTable, MulhiMapsTheWordOntoTheRange) {
+    EXPECT_EQ(mulhi(0, 1000), 0u);
+    EXPECT_EQ(mulhi(~0ULL, 1000), 999u);
+    EXPECT_EQ(mulhi(1ULL << 63, 1000), 500u);
+    EXPECT_EQ(mulhi(~0ULL, 1), 0u);
 }
 
 TEST(AliasTable, SingleBucket) {
     const std::vector<double> w{5.0};
     AliasTable t{std::span<const double>(w)};
     Xoshiro256Plus rng(35);
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(t(rng), 0u);
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(t.draw(rng.next()), 0u);
+    EXPECT_EQ(t.draw(~0ULL), 0u);
 }
 
-TEST(AliasTable, MatchesWeights) {
-    const std::vector<double> w{1.0, 2.0, 3.0, 4.0};
-    AliasTable t{std::span<const double>(w)};
-    Xoshiro256Plus rng(36);
-    std::array<int, 4> counts{};
-    const int n = 400000;
-    for (int i = 0; i < n; ++i) counts[t(rng)]++;
-    for (int k = 0; k < 4; ++k) {
-        EXPECT_NEAR(counts[k] / static_cast<double>(n), (k + 1) / 10.0, 0.01);
-    }
-}
-
-TEST(AliasTable, HandlesZeroWeightEntries) {
-    const std::vector<double> w{0.0, 1.0, 0.0, 1.0};
-    AliasTable t{std::span<const double>(w)};
-    Xoshiro256Plus rng(37);
-    for (int i = 0; i < 20000; ++i) {
-        const auto k = t(rng);
-        EXPECT_TRUE(k == 1 || k == 3) << k;
+TEST(AliasTable, PathWeightsMatchTheExactPmf) {
+    const std::vector<std::vector<double>> cases = {
+        {1.0, 2.0, 3.0, 4.0},
+        {0.0, 1.0, 0.0, 1.0},                  // zero-weight entries
+        {3.0, 0.0, 0.0, 7.0, 0.0, 11.0, 0.0},  // zero-weight runs
+        {1.0, 1.0, 1.0, 1.0, 1.0, 1000.0},     // one path dominates
+        {1e-3, 1.0, 10.0, 100.0, 1000.0},      // four decades of skew
+    };
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        const auto& w = cases[c];
+        AliasTable t{std::span<const double>(w)};
+        const double chi2 = alias_chi_square(t, w, 400000, 36 + c);
+        EXPECT_LT(chi2, chi_square_bound(nonzero_cells(w) - 1)) << "case " << c;
     }
 }
 
@@ -213,8 +209,27 @@ TEST(AliasTable, ExtremeWeightSkew) {
     AliasTable t{std::span<const double>(w)};
     Xoshiro256Plus rng(38);
     int zeros = 0;
-    for (int i = 0; i < 100000; ++i) zeros += (t(rng) == 0);
+    for (int i = 0; i < 100000; ++i) zeros += (t.draw(rng.next()) == 0);
     EXPECT_LT(zeros, 5);
+}
+
+TEST(AliasTable, ZipfSpacesMatchTheExactPmf) {
+    // The cooling branch's hop tables: weight k^-theta for k in [1, space].
+    for (const double theta : {0.99, 2.0}) {
+        for (const std::size_t space : {1u, 2u, 7u, 1000u}) {
+            std::vector<double> w(space);
+            for (std::size_t k = 1; k <= space; ++k) {
+                w[k - 1] = std::pow(static_cast<double>(k), -theta);
+            }
+            AliasTable t{std::span<const double>(w)};
+            ASSERT_EQ(t.size(), space);
+            const double chi2 = alias_chi_square(t, w, 1000000, 40 + space);
+            if (space > 1) {
+                EXPECT_LT(chi2, chi_square_bound(static_cast<double>(space) - 1))
+                    << "space " << space << " theta " << theta;
+            }
+        }
+    }
 }
 
 }  // namespace
