@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     const std::uint32_t n_components =
         argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 4;
     const double scale = argc > 3 ? std::atof(argv[3]) : 0.0005;
-    const std::string backend = argc > 4 ? argv[4] : "cpu-batched";
+    const std::string backend = argc > 4 ? argv[4] : "cpu-pipelined";
     const std::uint32_t sub =
         argc > 5 ? static_cast<std::uint32_t>(std::atoi(argv[5])) : 1;
 

@@ -48,7 +48,7 @@ struct LayoutConfig {
     /// length" (unbounded); odgi quantizes the space similarly.
     std::uint64_t zipf_space_max = 1000;
 
-    /// CPU threads. For cpu-batched and cpu-pipelined this is also the
+    /// CPU threads. For cpu-pipelined this is also the
     /// shard count, which fixes the output bytes.
     std::uint32_t threads = 1;
 

@@ -8,15 +8,15 @@
 //     graph's extreme sparsity makes collisions harmless, exactly the
 //     argument of Sec. III-A. One thread runs inline on the caller and is
 //     byte-reproducible for a fixed seed.
-//   * Ordered ("cpu-batched", "cpu-pipelined", pipelined_engine.cpp) —
-//     pool workers sample one TermBatch per shard into a double buffer
-//     while the calling thread applies the previous slice's batches in
-//     fixed shard order through the UpdateKernel named by cfg.kernel
-//     ("scalar" or the byte-identical vectorized "simd"). A fixed (seed,
-//     threads) pair is byte-reproducible — the contract the partition
-//     scheduler builds on. With one thread and the same seed, cpu-batched
-//     replays cpu-soa's exact PRNG stream, so the two produce bit-identical
-//     layouts.
+//   * Ordered ("cpu-pipelined", pipelined_engine.cpp) — pool workers
+//     sample one TermBatch per shard into a double buffer while the
+//     calling thread applies the previous slice's batches in fixed shard
+//     order through the UpdateKernel named by cfg.kernel ("scalar" or the
+//     byte-identical vectorized "simd"). A fixed (seed, threads) pair is
+//     byte-reproducible — the contract the partition scheduler builds on.
+//     Every term draws four words of its stream however it is batched, so
+//     with one thread and the same seed cpu-pipelined replays cpu-soa's
+//     term stream and the two produce bit-identical layouts.
 //
 // Callers create engines through core::make_engine (engine.hpp); these are
 // the factories the registry calls.
@@ -29,15 +29,10 @@ namespace pgl::core {
 /// The Hogwild engine ("cpu-soa").
 std::unique_ptr<LayoutEngine> make_cpu_engine();
 
-/// The ordered engine in fixed slices ("cpu-batched"): kBatchSliceTerms
-/// terms per slice, one shard per thread, no pool thread at all for a
-/// single-threaded config.
-std::unique_ptr<LayoutEngine> make_batched_engine();
-
-/// The ordered engine with the staged, prefetching sampler
-/// ("cpu-pipelined"): PairSampler::fill_batch_staged in adaptive slices on
-/// max(1, cfg.threads) producers, so even one thread overlaps sampling —
-/// the workload's bottleneck (paper Sec. III) — with the updates.
+/// The ordered engine ("cpu-pipelined"): PairSampler::fill_batch_staged in
+/// adaptive slices on max(1, cfg.threads) producers, so even one thread
+/// overlaps sampling — the workload's bottleneck (paper Sec. III) — with
+/// the updates.
 std::unique_ptr<LayoutEngine> make_pipelined_engine();
 
 }  // namespace pgl::core

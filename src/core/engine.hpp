@@ -11,12 +11,9 @@
 // Built-in registry names:
 //   "cpu-soa"           per-term Hogwild CPU engine (racy by design;
 //                       deterministic per seed at one thread)
-//   "cpu-batched"       ordered CPU engine, sequential sampler in 1024-term
-//                       slices (pool producers sample ahead, the caller
-//                       applies in shard order; deterministic per
-//                       seed+threads; replays cpu-soa at one thread)
-//   "cpu-pipelined"     ordered CPU engine, staged sampler in adaptive
-//                       slices (deterministic per seed+threads)
+//   "cpu-pipelined"     ordered CPU engine: pool producers sample ahead,
+//                       the caller applies in shard order (deterministic
+//                       per seed+threads; replays cpu-soa at one thread)
 //   "gpusim-base"       simulated CUDA kernel, no optimizations
 //   "gpusim-optimized"  simulated CUDA kernel, CDL + CRS + WM
 //   "torch"             PyTorch-style batched tensor implementation
@@ -72,14 +69,14 @@ using ProgressHook = std::function<void(const IterationStats&)>;
 
 /// Abstract PG-SGD execution machine. Usage:
 ///
-///   auto eng = core::make_engine("cpu-batched");
+///   auto eng = core::make_engine("cpu-pipelined");
 ///   eng->init(graph, cfg);
 ///   eng->set_progress_hook([](const auto& s) { ... });  // optional
 ///   auto result = eng->run();          // full schedule (cfg.iter_max)
 ///   auto probe  = eng->run(3);         // or a truncated run
 ///
 /// Every backend reports per-iteration progress. Iteration-synchronous
-/// engines (cpu-batched, cpu-pipelined, gpusim-*, torch) invoke the hook
+/// engines (cpu-pipelined, gpusim-*, torch) invoke the hook
 /// from the calling thread after each iteration. The Hogwild engine
 /// (cpu-soa) runs its workers through the whole schedule without barriers
 /// — exactly as odgi-layout does — but each worker marks iteration

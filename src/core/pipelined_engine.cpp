@@ -1,13 +1,13 @@
-// The ordered CPU engines ("cpu-batched" and "cpu-pipelined"): PG-SGD with
-// sampling and position updates overlapped. The paper's Sec. III
-// observation is that the layout loop is sampling-bound — most of an
-// update's cost is drawing the term (alias table, Zipf hop, step lookups),
-// not the arithmetic. Both engines therefore split the two halves of the
-// loop across threads:
+// The ordered CPU engine ("cpu-pipelined"): PG-SGD with sampling and
+// position updates overlapped. The paper's Sec. III observation is that the
+// layout loop is sampling-bound — most of an update's cost is drawing the
+// term (alias tables, Zipf hop, step lookups), not the arithmetic. The
+// engine therefore splits the two halves of the loop across threads:
 //
-//   producers (persistent pool workers; inline on a size-0 pool)
+//   producers (max(1, threads) persistent pool workers)
 //       each owns a jumped Xoshiro256+ stream (shard tid = seed stream
-//       jumped tid times) and fills its shard's TermBatch for slice N+1;
+//       jumped tid times) and fills its shard's TermBatch for slice N+1
+//       with PairSampler::fill_batch_staged;
 //   consumer (the calling thread)
 //       applies slice N's batches through the configured UpdateKernel
 //       (cfg.kernel: "scalar" or the byte-identical "simd"), in fixed
@@ -20,15 +20,11 @@
 // layout byte-for-byte — unlike the Hogwild engine, whose result depends
 // on scheduler interleaving.
 //
-// The two engines differ only in what is fixed per engine, never per term:
-//
-//   cpu-batched    slices of kBatchSliceTerms; one shard per thread and
-//                  no pool thread at all for a single-threaded config;
-//   cpu-pipelined  adaptive slices on max(1, threads) producers, so even
-//                  one thread overlaps sampling with the updates.
-//
-// Both sample with PairSampler::fill_batch_staged, four PRNG words per
-// term, so at one thread both replay cpu-soa's term stream bit for bit.
+// Every term takes exactly four words of its shard's stream — w0 the path,
+// w1 step_i, w2 step_j or the Zipf hop, w3 the coins and the nudge
+// (core/sampling.hpp) — so the slice size never changes which terms a
+// shard draws. At one thread the single shard is the unjumped seed stream
+// applied in draw order: the bytes of cpu-soa at one thread.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -48,14 +44,14 @@ namespace pgl::core {
 
 namespace {
 
-/// Adaptive slice sizing (cpu-pipelined): at least the shared batch slice
-/// (keeps a slice's updates cache-hot), at most 64Ki terms (bounds buffer
-/// memory at any thread count). Two slices per iteration is the minimum
+/// Adaptive slice sizing: at least 1024 terms (amortizes the pool
+/// dispatch; keeps a slice's updates cache-hot), at most 64Ki terms
+/// (bounds buffer memory at any thread count). Two slices per iteration is the minimum
 /// that still overlaps — the producers fill the second half-iteration
 /// while the consumer applies the first — and it keeps pool dispatches per
 /// iteration constant, so the dispatch latency never grows with the
 /// schedule.
-constexpr std::size_t kMinSlice = kBatchSliceTerms;
+constexpr std::size_t kMinSlice = 1024;
 constexpr std::size_t kMaxSlice = std::size_t{1} << 16;
 constexpr std::uint64_t kTargetSlicesPerIter = 2;
 
@@ -65,13 +61,10 @@ struct alignas(64) ShardCounter {
     std::uint64_t skipped = 0;
 };
 
-/// `staged` selects cpu-pipelined's slice size and producer count over
-/// cpu-batched's (see the file header). One shard per pool worker; a
-/// size-0 pool runs the single shard inline.
+/// One shard per pool worker.
 LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
                            XYStore& store, const UpdateKernel& kern,
-                           ThreadPool& pool, const ProgressHook& hook,
-                           bool staged) {
+                           ThreadPool& pool, const ProgressHook& hook) {
     LayoutResult result;
     result.eta_schedule = make_engine_schedule(
         cfg, static_cast<double>(g.max_path_nuc_length()));
@@ -87,11 +80,9 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
     // shard_share hands the remainder to the first shards, so shard 0 has
     // the largest share and bounds the slice count for everyone.
     const std::uint64_t max_share = shares[0];
-    const std::size_t slice =
-        staged ? std::clamp<std::size_t>(
-                     static_cast<std::size_t>(max_share / kTargetSlicesPerIter),
-                     kMinSlice, kMaxSlice)
-               : kBatchSliceTerms;
+    const std::size_t slice = std::clamp<std::size_t>(
+        static_cast<std::size_t>(max_share / kTargetSlicesPerIter), kMinSlice,
+        kMaxSlice);
     const std::uint64_t n_slices =
         (max_share + slice - 1) / static_cast<std::uint64_t>(slice);
 
@@ -114,10 +105,9 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
     }
 
     // Double buffer: producers fill bufs[1 - cur] while the consumer
-    // applies bufs[cur]. No reserve: the first fill sizes the buffer (the
-    // staged fill exactly the apply columns — reserve() would also
-    // allocate the six replay columns it never writes), and the capacity
-    // persists. Shard tid's buffers are only ever written by producer tid,
+    // applies bufs[cur]. No reserve: the first fill sizes exactly the
+    // apply columns (reserve() would also allocate the six replay columns
+    // it never writes), and the capacity persists. Shard tid's buffers are only ever written by producer tid,
     // so with pinned workers first touch lands them on the producer's own
     // node — no explicit placement needed.
     std::vector<TermBatch> bufs[2];
@@ -187,25 +177,20 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
 
 class OrderedLayoutEngine final : public LayoutEngine {
 public:
-    explicit OrderedLayoutEngine(bool staged) : staged_(staged) {}
-
-    std::string_view name() const noexcept override {
-        return staged_ ? "cpu-pipelined" : "cpu-batched";
-    }
+    std::string_view name() const noexcept override { return "cpu-pipelined"; }
 
 protected:
     void do_init() override {
         // Resolving the kernel here also validates cfg.kernel up front
         // (resolve_placement does the same for cfg.numa).
         kernel_ = make_update_kernel(cfg_.kernel);
-        // cpu-pipelined always has at least one producer, so even a
+        // There is always at least one producer, so even a
         // single-threaded config overlaps sampling with the consumer's
-        // updates; cpu-batched runs one thread inline. Workers persist
-        // across run() calls — nothing is spawned in the iteration loop.
-        // The pool is recreated when the placement plan changes, not just
-        // the size: live workers cannot be repinned.
-        const std::uint32_t n = staged_ ? std::max<std::uint32_t>(1, cfg_.threads)
-                                        : (cfg_.threads > 1 ? cfg_.threads : 0);
+        // updates. Workers persist across run() calls — nothing is spawned
+        // in the iteration loop. The pool is recreated when the placement
+        // plan changes, not just the size: live workers cannot be
+        // repinned.
+        const std::uint32_t n = std::max<std::uint32_t>(1, cfg_.threads);
         place_ = resolve_placement(cfg_, n);
         const std::string key = place_.key();
         if (!pool_ || pool_->size() != n || pool_key_ != key) {
@@ -227,11 +212,10 @@ protected:
         } else {
             s.load(initial);
         }
-        return run_pipelined(*graph_, cfg, s, *kernel_, *pool_, hook, staged_);
+        return run_pipelined(*graph_, cfg, s, *kernel_, *pool_, hook);
     }
 
 private:
-    bool staged_;
     std::unique_ptr<const UpdateKernel> kernel_;
     std::unique_ptr<ThreadPool> pool_;
     PlacementContext place_;
@@ -240,12 +224,8 @@ private:
 
 }  // namespace
 
-std::unique_ptr<LayoutEngine> make_batched_engine() {
-    return std::make_unique<OrderedLayoutEngine>(/*staged=*/false);
-}
-
 std::unique_ptr<LayoutEngine> make_pipelined_engine() {
-    return std::make_unique<OrderedLayoutEngine>(/*staged=*/true);
+    return std::make_unique<OrderedLayoutEngine>();
 }
 
 }  // namespace pgl::core

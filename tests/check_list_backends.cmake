@@ -34,12 +34,17 @@ foreach(line IN LISTS lines)
   endif()
 endforeach()
 
-# Every built-in engine must be listed.
-foreach(required cpu-soa cpu-batched cpu-pipelined
-                 gpusim-base gpusim-optimized torch)
+# Every built-in engine must be listed, and no retired one.
+foreach(required cpu-soa cpu-pipelined gpusim-base gpusim-optimized torch)
   list(FIND lines ${required} idx)
   if(idx EQUAL -1)
     message(FATAL_ERROR "built-in backend missing from listing: ${required}")
+  endif()
+endforeach()
+foreach(retired cpu-aos cpu-batched)
+  list(FIND lines ${retired} idx)
+  if(NOT idx EQUAL -1)
+    message(FATAL_ERROR "retired backend still listed: ${retired}")
   endif()
 endforeach()
 

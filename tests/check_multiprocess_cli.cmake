@@ -2,9 +2,9 @@
 #
 #   1. Byte parity across executors: `--partition` output must be
 #      byte-identical across the {thread, process} executors at 1/2/4
-#      workers, for cpu-batched and cpu-pipelined — the determinism
-#      contract the process executor ships under (same mixed per-component
-#      seeds, same run_component_graph leaf, any concurrency).
+#      workers, for cpu-pipelined — the determinism contract the process
+#      executor ships under (same mixed per-component seeds, same
+#      run_component_graph leaf, any concurrency).
 #   2. Crash containment: a worker killed mid-run (PGL_COMPONENT_WORKER_CRASH)
 #      must fail only its component — the parent exits non-zero with a
 #      diagnostic naming the component, and no partial or stale .lay is
@@ -22,7 +22,7 @@ file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 
 execute_process(
-  COMMAND ${GENERATOR} ${WORKDIR} 3 0.0002 cpu-batched
+  COMMAND ${GENERATOR} ${WORKDIR} 3 0.0002 cpu-pipelined
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "whole_genome_layout failed: ${err}")
@@ -31,7 +31,7 @@ set(gfa "${WORKDIR}/whole_genome.gfa")
 set(common --iters 3 --factor 0.5 --seed 42 --partition)
 
 # --- 1. executor x worker-count byte parity --------------------------------
-foreach(backend cpu-batched cpu-pipelined)
+foreach(backend cpu-pipelined)
   set(ref "${WORKDIR}/${backend}_ref.lay")
   execute_process(
     COMMAND ${TOOL} -i ${gfa} -o ${ref} ${common} --backend ${backend}
@@ -73,7 +73,7 @@ set(crash_out "${WORKDIR}/crash.lay")
 file(WRITE ${crash_out} "stale-sentinel")
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env PGL_COMPONENT_WORKER_CRASH=/c0.lay
-          ${TOOL} -i ${gfa} -o ${crash_out} ${common} --backend cpu-batched
+          ${TOOL} -i ${gfa} -o ${crash_out} ${common} --backend cpu-pipelined
           --processes 2
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out

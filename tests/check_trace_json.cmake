@@ -23,7 +23,7 @@ file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 
 execute_process(
-  COMMAND ${GENERATOR} ${WORKDIR} 3 0.0002 cpu-batched
+  COMMAND ${GENERATOR} ${WORKDIR} 3 0.0002 cpu-pipelined
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "whole_genome_layout failed: ${err}")

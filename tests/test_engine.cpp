@@ -49,8 +49,8 @@ TEST(EngineRegistry, ListsAllBuiltinBackends) {
     const auto names = core::EngineRegistry::instance().names();
     const std::set<std::string> have(names.begin(), names.end());
     for (const char* expected :
-         {"cpu-soa", "cpu-batched", "cpu-pipelined", "gpusim-base",
-          "gpusim-optimized", "torch"}) {
+         {"cpu-soa", "cpu-pipelined", "gpusim-base", "gpusim-optimized",
+          "torch"}) {
         EXPECT_TRUE(have.count(expected)) << "missing backend " << expected;
     }
 }
@@ -127,7 +127,7 @@ TEST(LayoutEngine, ProgressHookFiresPerIteration) {
     const auto g = small_graph();
     const auto cfg = tiny_cfg();
     for (const char* name :
-         {"cpu-soa", "cpu-batched", "cpu-pipelined", "gpusim-base", "torch"}) {
+         {"cpu-soa", "cpu-pipelined", "gpusim-base", "torch"}) {
         auto engine = core::make_engine(name);
         engine->init(g, cfg);
         std::vector<core::IterationStats> seen;
@@ -147,9 +147,9 @@ TEST(LayoutEngine, ProgressHookFiresPerIteration) {
     }
 }
 
-// --- cpu-batched replays cpu-soa at one thread ---
+// --- cpu-pipelined replays cpu-soa at one thread ---
 
-TEST(CpuBatchedEngine, BitIdenticalToScalarForSingleThread) {
+TEST(CpuPipelinedEngine, BitIdenticalToHogwildForSingleThread) {
     const auto g = small_graph(300, 5);
     core::LayoutConfig cfg;
     cfg.iter_max = 6;
@@ -161,34 +161,19 @@ TEST(CpuBatchedEngine, BitIdenticalToScalarForSingleThread) {
     soa->init(g, cfg);
     const auto scalar = soa->run();
 
-    auto engine = core::make_engine("cpu-batched");
+    auto engine = core::make_engine("cpu-pipelined");
     engine->init(g, cfg);
-    const auto batched = engine->run();
+    const auto pipelined = engine->run();
 
-    ASSERT_EQ(scalar.layout.size(), batched.layout.size());
+    ASSERT_EQ(scalar.layout.size(), pipelined.layout.size());
     for (std::size_t i = 0; i < scalar.layout.size(); ++i) {
-        ASSERT_EQ(scalar.layout.start_x[i], batched.layout.start_x[i]) << i;
-        ASSERT_EQ(scalar.layout.start_y[i], batched.layout.start_y[i]) << i;
-        ASSERT_EQ(scalar.layout.end_x[i], batched.layout.end_x[i]) << i;
-        ASSERT_EQ(scalar.layout.end_y[i], batched.layout.end_y[i]) << i;
+        ASSERT_EQ(scalar.layout.start_x[i], pipelined.layout.start_x[i]) << i;
+        ASSERT_EQ(scalar.layout.start_y[i], pipelined.layout.start_y[i]) << i;
+        ASSERT_EQ(scalar.layout.end_x[i], pipelined.layout.end_x[i]) << i;
+        ASSERT_EQ(scalar.layout.end_y[i], pipelined.layout.end_y[i]) << i;
     }
-    EXPECT_EQ(scalar.updates, batched.updates);
-    EXPECT_EQ(scalar.skipped, batched.skipped);
-}
-
-TEST(CpuBatchedEngine, MultithreadedRunStaysFinite) {
-    const auto g = small_graph(300, 5);
-    core::LayoutConfig cfg;
-    cfg.iter_max = 4;
-    cfg.steps_per_iter_factor = 2.0;
-    cfg.threads = 4;
-    auto engine = core::make_engine("cpu-batched");
-    engine->init(g, cfg);
-    const auto r = engine->run();
-    for (std::size_t i = 0; i < r.layout.size(); ++i) {
-        ASSERT_TRUE(std::isfinite(r.layout.start_x[i]));
-        ASSERT_TRUE(std::isfinite(r.layout.end_y[i]));
-    }
+    EXPECT_EQ(scalar.updates, pipelined.updates);
+    EXPECT_EQ(scalar.skipped, pipelined.skipped);
 }
 
 // --- ThreadPool (the seam every multithreaded backend now runs on) ---
@@ -278,7 +263,7 @@ TEST(CpuPipelinedEngine, ReRunningTheSameEngineInstanceIsDeterministicToo) {
     }
 }
 
-TEST(CpuPipelinedEngine, MatchesBatchedQualityWithinStressTolerance) {
+TEST(CpuPipelinedEngine, FourShardsMatchOneShardQualityWithinStressTolerance) {
     const auto g = small_graph(300, 5);
     core::LayoutConfig cfg;
     // A full 30-iteration schedule: partially-converged runs have
@@ -286,26 +271,28 @@ TEST(CpuPipelinedEngine, MatchesBatchedQualityWithinStressTolerance) {
     // engine, so only the converged layouts compare meaningfully.
     cfg.iter_max = 30;
     cfg.steps_per_iter_factor = 2.0;
-    cfg.threads = 4;
     cfg.seed = 777;
 
-    auto batched = core::make_engine("cpu-batched");
-    batched->init(g, cfg);
-    const auto rb = batched->run();
+    cfg.threads = 1;
+    auto one = core::make_engine("cpu-pipelined");
+    one->init(g, cfg);
+    const auto r1 = one->run();
 
-    auto pipelined = core::make_engine("cpu-pipelined");
-    pipelined->init(g, cfg);
-    const auto rp = pipelined->run();
+    cfg.threads = 4;
+    auto four = core::make_engine("cpu-pipelined");
+    four->init(g, cfg);
+    const auto r4 = four->run();
 
-    EXPECT_EQ(rb.updates, rp.updates);
-    const auto sb = metrics::sampled_path_stress(g, rb.layout, 50, 1);
-    const auto sp = metrics::sampled_path_stress(g, rp.layout, 50, 1);
-    // Same objective, same schedule, different update interleaving: the
-    // two engines must land on layouts of comparable quality.
-    ASSERT_GT(sb.value, 0.0);
-    ASSERT_GT(sp.value, 0.0);
-    EXPECT_LT(sp.value, sb.value * 2.0);
-    EXPECT_GT(sp.value, sb.value * 0.5);
+    EXPECT_EQ(r1.updates, r4.updates);
+    const auto s1 = metrics::sampled_path_stress(g, r1.layout, 50, 1);
+    const auto s4 = metrics::sampled_path_stress(g, r4.layout, 50, 1);
+    // Same objective, same schedule, different streams and update
+    // interleaving: the two runs must land on layouts of comparable
+    // quality.
+    ASSERT_GT(s1.value, 0.0);
+    ASSERT_GT(s4.value, 0.0);
+    EXPECT_LT(s4.value, s1.value * 2.0);
+    EXPECT_GT(s4.value, s1.value * 0.5);
 }
 
 // --- Update accounting (multithreaded over-count fix) ---
@@ -565,7 +552,7 @@ TEST_P(PlacementByteIdentity, PinnedAndPlacedRunsMatchUnpinned) {
 
 INSTANTIATE_TEST_SUITE_P(
     DeterministicBackends, PlacementByteIdentity,
-    ::testing::Combine(::testing::Values("cpu-batched", "cpu-pipelined"),
+    ::testing::Combine(::testing::Values("cpu-pipelined"),
                        ::testing::Values(1u, 4u)),
     [](const auto& info) {
         std::string name = std::string(std::get<0>(info.param)) + "_t" +

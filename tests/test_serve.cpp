@@ -60,7 +60,7 @@ std::string write_mini_gfa(const std::string& dir) {
 }
 
 serve::JobRequest mini_request(const std::string& graph,
-                               const std::string& backend = "cpu-batched") {
+                               const std::string& backend = "cpu-pipelined") {
     serve::JobRequest r;
     r.graph = graph;
     r.backend = backend;
@@ -143,7 +143,7 @@ TEST(ServeRequest, EveryKnobChangesTheKey) {
     const std::string base = serve::canonical_request(
         serve::parse_request(serve::json_parse(R"({"graph":"g.gfa"})")));
     const char* variants[] = {
-        R"({"graph":"g.gfa","config":{"backend":"cpu-batched"}})",
+        R"({"graph":"g.gfa","config":{"backend":"cpu-pipelined"}})",
         R"({"graph":"g.gfa","config":{"kernel":"simd"}})",
         R"({"graph":"g.gfa","config":{"iters":31}})",
         R"({"graph":"g.gfa","config":{"seed":1}})",
@@ -350,7 +350,7 @@ TEST(ServeServer, ResultMatchesDirectEngineRun) {
     const graph::LeanIngest ingest = io::load_graph_file(gfa);
     core::LayoutConfig cfg;
     cfg.iter_max = 4;
-    auto engine = core::make_engine("cpu-batched");
+    auto engine = core::make_engine("cpu-pipelined");
     engine->init(ingest.graph, cfg);
     expect_same_layout(io::read_layout_file(done.artifact),
                        engine->run().layout);
@@ -520,7 +520,7 @@ TEST(ServeDaemon, LineProtocolEndToEnd) {
 
     const serve::JsonValue submitted = serve::json_parse(serve::send_request(
         sock, R"({"cmd":"submit","graph":")" + gfa +
-                  R"(","config":{"backend":"cpu-batched","iters":4}})"));
+                  R"(","config":{"backend":"cpu-pipelined","iters":4}})"));
     ASSERT_TRUE(submitted.find("ok")->as_bool()) << submitted.dump();
     const std::uint64_t id = submitted.find("id")->as_uint();
 

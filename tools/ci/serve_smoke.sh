@@ -30,7 +30,7 @@ PGL="${BUILD}/pgl_layout"
 rm -rf "${WORKDIR}"
 mkdir -p "${WORKDIR}"
 
-"${BUILD}/whole_genome_layout" "${WORKDIR}" 3 0.0002 cpu-batched
+"${BUILD}/whole_genome_layout" "${WORKDIR}" 3 0.0002 cpu-pipelined
 GFA="${WORKDIR}/whole_genome.gfa"
 
 "${SERVE}" serve --socket "${SOCK}" --cache-dir "${CACHE}" --workers 2 \
@@ -105,13 +105,13 @@ echo "resubmit of ${first_backend} config served from cache"
 # Occupy both workers with long jobs, then queue a victim: the cancel is
 # guaranteed to land before the victim starts running.
 long1=$("${SERVE}" submit --socket "${SOCK}" --graph "${GFA}" \
-    --backend cpu-batched --iters 2000 --seed 101 |
+    --backend cpu-pipelined --iters 2000 --seed 101 |
     python3 -c "import sys,json;print(json.load(sys.stdin)['id'])")
 long2=$("${SERVE}" submit --socket "${SOCK}" --graph "${GFA}" \
-    --backend cpu-batched --iters 2000 --seed 102 |
+    --backend cpu-pipelined --iters 2000 --seed 102 |
     python3 -c "import sys,json;print(json.load(sys.stdin)['id'])")
 victim=$("${SERVE}" submit --socket "${SOCK}" --graph "${GFA}" \
-    --backend cpu-batched --iters 2000 --seed 103 |
+    --backend cpu-pipelined --iters 2000 --seed 103 |
     python3 -c "import sys,json;print(json.load(sys.stdin)['id'])")
 "${SERVE}" cancel --socket "${SOCK}" --id "${victim}" | grep -q '"ok":true'
 "${SERVE}" request --socket "${SOCK}" \

@@ -53,7 +53,7 @@ list_kernels() {
 # generated once per script run.
 ensure_genome() {
     if [ ! -f "${GENOME}" ]; then
-        "${BUILD}/whole_genome_layout" "${WORKDIR}" 3 0.0002 cpu-batched
+        "${BUILD}/whole_genome_layout" "${WORKDIR}" 3 0.0002 cpu-pipelined
     fi
 }
 
@@ -117,7 +117,7 @@ suite_multilevel() {
     # wall-clock (coarsen + layout + interpolate + refine vs flat layout).
     local mldir="${WORKDIR}/multilevel_smoke"
     mkdir -p "${mldir}"
-    "${BUILD}/whole_genome_layout" "${mldir}" 1 0.001 cpu-batched 4
+    "${BUILD}/whole_genome_layout" "${mldir}" 1 0.001 cpu-pipelined 4
     local common="-i ${mldir}/whole_genome.gfa --backend cpu-pipelined \
                   --iters 6 --stress --timing"
     "${PGL}" ${common} -o "${mldir}/flat.lay" \
