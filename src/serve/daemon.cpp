@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <list>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -97,11 +98,34 @@ JsonValue histogram_json(const telemetry::Histogram& h) {
 }  // namespace
 
 struct Daemon::Impl {
+    /// One client connection. Its thread never closes the fd: the fd stays
+    /// reserved until the thread is joined, so a shutdown() at stop can
+    /// never hit a number the process has since reused.
+    struct Connection {
+        int fd = -1;
+        std::thread thread;
+        bool done = false;  ///< the thread has finished (guarded by mutex)
+    };
+
     int listen_fd = -1;
     std::atomic<bool> stop{false};
-    std::mutex mutex;                ///< guards conn_fds / threads
-    std::vector<int> conn_fds;
-    std::vector<std::thread> threads;
+    std::mutex mutex;  ///< guards `connections` and every `done`
+    std::list<Connection> connections;  ///< stable addresses for the threads
+
+    /// Joins the finished connection threads and closes their fds, so a
+    /// long-lived daemon holds threads and fds only for open connections.
+    /// Called with `mutex` held; a finished thread no longer needs it.
+    void reap_finished() {
+        for (auto it = connections.begin(); it != connections.end();) {
+            if (!it->done) {
+                ++it;
+                continue;
+            }
+            it->thread.join();
+            ::close(it->fd);
+            it = connections.erase(it);
+        }
+    }
 };
 
 Daemon::Daemon(DaemonOptions opt)
@@ -162,12 +186,18 @@ void Daemon::run() {
             if (errno == EINTR) continue;
             break;
         }
+        std::lock_guard<std::mutex> lock(impl.mutex);
+        impl.reap_finished();
         if (rc == 0 || !(pfd.revents & POLLIN)) continue;
         const int fd = ::accept(impl.listen_fd, nullptr, nullptr);
         if (fd < 0) continue;
-        std::lock_guard<std::mutex> lock(impl.mutex);
-        impl.conn_fds.push_back(fd);
-        impl.threads.emplace_back([this, fd] { handle_connection(fd); });
+        Impl::Connection& conn = impl.connections.emplace_back();
+        conn.fd = fd;
+        conn.thread = std::thread([this, &conn] {
+            handle_connection(conn.fd);
+            std::lock_guard<std::mutex> done_lock(impl_->mutex);
+            conn.done = true;
+        });
     }
 
     ::close(impl.listen_fd);
@@ -176,9 +206,14 @@ void Daemon::run() {
     server_.shutdown();
     {
         std::lock_guard<std::mutex> lock(impl.mutex);
-        for (const int fd : impl.conn_fds) ::shutdown(fd, SHUT_RDWR);
+        for (const auto& conn : impl.connections) ::shutdown(conn.fd, SHUT_RDWR);
     }
-    for (auto& t : impl.threads) t.join();
+    // The accept loop is over, so the list no longer changes; the threads
+    // only take the mutex to mark themselves done.
+    for (auto& conn : impl.connections) {
+        conn.thread.join();
+        ::close(conn.fd);
+    }
     ::unlink(opt_.socket_path.c_str());
     impl_ = nullptr;
 }
@@ -220,7 +255,6 @@ void Daemon::handle_connection(int fd) {
         }
         scanned = buf.size();
     }
-    ::close(fd);
 }
 
 std::string Daemon::handle_line(const std::string& line, bool& want_shutdown) {

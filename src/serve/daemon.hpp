@@ -18,7 +18,9 @@
 //   shutdown  -> stop accepting, cancel in-flight work, exit the run loop
 //
 // Connections are handled one thread each (a blocking "result wait" must
-// not stall other clients); the accept loop polls so shutdown is prompt.
+// not stall other clients); the accept loop polls so shutdown is prompt,
+// and on every wakeup it joins the threads of closed connections and
+// closes their fds, so threads and fds stay bounded by open connections.
 #include <cstdint>
 #include <string>
 
@@ -50,6 +52,8 @@ public:
 
 private:
     struct Impl;
+    /// Serves one connection until the peer closes it; the fd is closed
+    /// by the accept loop once this thread is joined.
     void handle_connection(int fd);
     std::string handle_line(const std::string& line, bool& want_shutdown);
 

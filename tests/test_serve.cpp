@@ -551,6 +551,59 @@ TEST(ServeDaemon, LineProtocolEndToEnd) {
     EXPECT_FALSE(fs::exists(sock)) << "socket file must be removed on exit";
 }
 
+/// A numeric field of /proc/self/status ("Threads", or "VmSize" in kB).
+long proc_status(const std::string& field) {
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind(field + ":", 0) == 0) {
+            return std::stol(line.substr(field.size() + 1));
+        }
+    }
+    return -1;
+}
+
+TEST(ServeDaemon, ClosedConnectionsReleaseTheirThreads) {
+    const std::string dir = scratch_dir("reap");
+    const std::string sock = dir + "/d.sock";
+    serve::DaemonOptions opt;
+    opt.socket_path = sock;
+    opt.server.cache_dir = dir + "/cache";
+    opt.server.workers = 1;
+    serve::Daemon daemon(opt);
+    std::thread runner([&] { daemon.run(); });
+    while (!fs::exists(sock)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    // The accept loop reaps on every wakeup, at least every 200 ms.
+    ASSERT_EQ(serve::send_request(sock, R"({"cmd":"ping"})"),
+              R"({"ok":true,"pong":true})");
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const long base_threads = proc_status("Threads");
+    const long base_vm_kb = proc_status("VmSize");
+    const auto threads_settle_at = [](long bound) {
+        long t = proc_status("Threads");
+        for (int i = 0; i < 100 && t > bound; ++i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            t = proc_status("Threads");
+        }
+        return t;
+    };
+    ASSERT_GT(base_threads, 0);
+    ASSERT_GT(base_vm_kb, 0);
+
+    for (int i = 0; i < 300; ++i) {
+        ASSERT_EQ(serve::send_request(sock, R"({"cmd":"ping"})"),
+                  R"({"ok":true,"pong":true})");
+    }
+    // Each unjoined thread would keep its stack mapped (8 MiB by default),
+    // so 300 leaked ones show up as gigabytes of VmSize.
+    EXPECT_LE(threads_settle_at(base_threads), base_threads);
+    EXPECT_LT(proc_status("VmSize") - base_vm_kb, 64 * 1024);
+    daemon.stop();
+    runner.join();
+}
+
 /// Sends `bytes` as is (no newline added) on a fresh connection and
 /// returns the first line the daemon answers. A send cut short because the
 /// daemon hung up is expected for oversized input.
