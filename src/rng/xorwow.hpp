@@ -53,10 +53,12 @@ inline std::uint32_t xorwow_bounded(XorwowState& st, std::uint32_t bound) noexce
     return static_cast<std::uint32_t>(m >> 32);
 }
 
-/// Adapter giving a XORWOW state the generator interface the samplers
-/// expect (next / next_double / next_bounded / flip_coin). Holds a
-/// reference: the state array itself lives wherever the caller keeps it
-/// (e.g. the GPU simulator's per-lane state buffers).
+/// Adapter giving a XORWOW state the generator interface the sampler
+/// expects: next() is one 64-bit word from two 32-bit draws, so a term's
+/// four words are eight draws of the lane's state. flip_coin() is the
+/// warp-merging kernel's once-per-warp branch coin. Holds a reference:
+/// the state array itself lives wherever the caller keeps it (e.g. the
+/// GPU simulator's per-lane state buffers).
 class XorwowRng {
 public:
     explicit XorwowRng(XorwowState& st) noexcept : st_(&st) {}
@@ -64,20 +66,6 @@ public:
     std::uint64_t next() noexcept {
         const std::uint64_t hi = xorwow_next(*st_);
         return (hi << 32) | xorwow_next(*st_);
-    }
-
-    double next_double() noexcept {
-        return static_cast<double>(xorwow_next(*st_) >> 5) * 0x1.0p-27;
-    }
-
-    std::uint64_t next_bounded(std::uint64_t bound) noexcept {
-        if (bound <= 1) return 0;
-        if (bound <= 0xffffffffULL) {
-            return xorwow_bounded(*st_, static_cast<std::uint32_t>(bound));
-        }
-        const unsigned __int128 m =
-            static_cast<unsigned __int128>(next()) * bound;
-        return static_cast<std::uint64_t>(m >> 64);
     }
 
     bool flip_coin() noexcept { return (xorwow_next(*st_) >> 31) != 0; }
