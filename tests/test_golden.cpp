@@ -2,7 +2,9 @@
 // driver::run_layout, pinned as FNV-1a 64 hashes in a checked-in table. The
 // byte-reproducible CPU engines (cpu-soa at one thread, cpu-pipelined at
 // any fixed thread count) must keep producing exactly these bytes on the
-// flat, partitioned and multilevel paths; the batch-draining engine must
+// flat, partitioned and multilevel paths (default multilevel, two levels
+// with the exact flat-schedule tail, and partition with multilevel per
+// component); the batch-draining engine must
 // hit the same row under both update kernels. A change that
 // moves any engine's output — deliberately or not — fails here, and the
 // failure message prints the actual table in the checked-in format so a
@@ -35,6 +37,8 @@ struct GoldenRow {
     std::uint64_t flat;
     std::uint64_t partition;
     std::uint64_t multilevel;
+    std::uint64_t multilevel2_exact;  ///< levels=2, exact_tail
+    std::uint64_t partition_multilevel;
 };
 
 /// The core::kOutputEpoch the table below was generated under. A change
@@ -44,12 +48,12 @@ constexpr std::uint32_t kGoldenEpoch = 1;
 
 // clang-format off
 const GoldenRow kGolden[] = {
-    {"walks_crlf", "cpu-soa", 1, 0x752ff99f33fecd93ULL, 0xce791ae5736762acULL, 0x45d08c265fd87152ULL},
-    {"walks_crlf", "cpu-pipelined", 1, 0x752ff99f33fecd93ULL, 0xce791ae5736762acULL, 0x45d08c265fd87152ULL},
-    {"walks_crlf", "cpu-pipelined", 4, 0x592f73c9ee204003ULL, 0xbce966d9689cbdafULL, 0x0f80ab0ff8894c39ULL},
-    {"whole_genome3", "cpu-soa", 1, 0x6af4a03b49f93201ULL, 0x8c0bcfdc04e2da12ULL, 0x68aff6230758b857ULL},
-    {"whole_genome3", "cpu-pipelined", 1, 0x6af4a03b49f93201ULL, 0x8c0bcfdc04e2da12ULL, 0x68aff6230758b857ULL},
-    {"whole_genome3", "cpu-pipelined", 4, 0xeb2a36ecf38f43e3ULL, 0x0f44e2b0461704fdULL, 0x868ee8a6597a68b7ULL},
+    {"walks_crlf", "cpu-soa", 1, 0x752ff99f33fecd93ULL, 0xce791ae5736762acULL, 0x45d08c265fd87152ULL, 0xdba41f385536cda0ULL, 0x987187e8998a2ceaULL},
+    {"walks_crlf", "cpu-pipelined", 1, 0x752ff99f33fecd93ULL, 0xce791ae5736762acULL, 0x45d08c265fd87152ULL, 0xdba41f385536cda0ULL, 0x987187e8998a2ceaULL},
+    {"walks_crlf", "cpu-pipelined", 4, 0x592f73c9ee204003ULL, 0xbce966d9689cbdafULL, 0x0f80ab0ff8894c39ULL, 0x60ece3812e0c79fcULL, 0x3c161bba9e53b8c4ULL},
+    {"whole_genome3", "cpu-soa", 1, 0x6af4a03b49f93201ULL, 0x8c0bcfdc04e2da12ULL, 0x68aff6230758b857ULL, 0x01d569d06016fe34ULL, 0x844c23aefd168ab6ULL},
+    {"whole_genome3", "cpu-pipelined", 1, 0x6af4a03b49f93201ULL, 0x8c0bcfdc04e2da12ULL, 0x68aff6230758b857ULL, 0x01d569d06016fe34ULL, 0x844c23aefd168ab6ULL},
+    {"whole_genome3", "cpu-pipelined", 4, 0xeb2a36ecf38f43e3ULL, 0x0f44e2b0461704fdULL, 0x868ee8a6597a68b7ULL, 0x1c89ff1be9ddbf2cULL, 0x3d9d677026d40cdbULL},
 };
 // clang-format on
 
@@ -80,14 +84,25 @@ std::uint64_t digest(const core::Layout& l) {
     return serve::fnv1a64(bytes.str());
 }
 
+/// Which execution path a golden column pins.
+enum class Mode { kFlat, kPartition, kMultilevel, kMultilevel2Exact,
+                  kPartitionMultilevel };
+
 std::uint64_t run_digest(const Input& in, const std::string& backend,
                          std::uint32_t threads, const std::string& kernel,
-                         bool partition, bool multilevel) {
+                         Mode mode) {
     driver::RunRequest req;
     req.ingest = in.ingest;
     req.backend = backend;
-    req.partition = partition;
-    req.multilevel = multilevel;
+    req.partition =
+        mode == Mode::kPartition || mode == Mode::kPartitionMultilevel;
+    req.multilevel = mode == Mode::kMultilevel ||
+                     mode == Mode::kMultilevel2Exact ||
+                     mode == Mode::kPartitionMultilevel;
+    if (mode == Mode::kMultilevel2Exact) {
+        req.ml.levels = 2;
+        req.ml.exact_tail = true;
+    }
     req.config.iter_max = 6;
     req.config.steps_per_iter_factor = 1.0;
     req.config.seed = 42;
@@ -97,14 +112,16 @@ std::uint64_t run_digest(const Input& in, const std::string& backend,
 }
 
 std::string format_row(const GoldenRow& r) {
-    char line[192];
+    char line[256];
     std::snprintf(line, sizeof line,
                   "    {\"%s\", \"%s\", %u, 0x%016llxULL, 0x%016llxULL, "
-                  "0x%016llxULL},\n",
+                  "0x%016llxULL, 0x%016llxULL, 0x%016llxULL},\n",
                   r.input, r.backend, r.threads,
                   static_cast<unsigned long long>(r.flat),
                   static_cast<unsigned long long>(r.partition),
-                  static_cast<unsigned long long>(r.multilevel));
+                  static_cast<unsigned long long>(r.multilevel),
+                  static_cast<unsigned long long>(r.multilevel2_exact),
+                  static_cast<unsigned long long>(r.partition_multilevel));
     return line;
 }
 
@@ -130,6 +147,10 @@ TEST(GoldenDigests, SingleThreadOrderedEnginesReplayHogwild) {
             EXPECT_EQ(r.flat, soa.flat) << soa.input << " " << r.backend;
             EXPECT_EQ(r.partition, soa.partition) << soa.input << " " << r.backend;
             EXPECT_EQ(r.multilevel, soa.multilevel) << soa.input << " " << r.backend;
+            EXPECT_EQ(r.multilevel2_exact, soa.multilevel2_exact)
+                << soa.input << " " << r.backend;
+            EXPECT_EQ(r.partition_multilevel, soa.partition_multilevel)
+                << soa.input << " " << r.backend;
         }
         EXPECT_EQ(peers, 1) << soa.input;
     }
@@ -151,14 +172,20 @@ TEST(GoldenDigests, ByteReproducibleEnginesMatchCheckedInTable) {
             // cpu-soa applies terms as it samples them and never drains a
             // batch through a kernel; the batch engines run both kernels.
             const bool hogwild = std::string(e.backend) == "cpu-soa";
-            GoldenRow got{in.name, e.backend, e.threads, 0, 0, 0};
+            GoldenRow got{in.name, e.backend, e.threads, 0, 0, 0, 0, 0};
             for (const char* kernel : {"scalar", "simd"}) {
                 if (hogwild && std::string(kernel) == "simd") continue;
-                const GoldenRow run{
-                    in.name, e.backend, e.threads,
-                    run_digest(in, e.backend, e.threads, kernel, false, false),
-                    run_digest(in, e.backend, e.threads, kernel, true, false),
-                    run_digest(in, e.backend, e.threads, kernel, false, true)};
+                const auto d = [&](Mode m) {
+                    return run_digest(in, e.backend, e.threads, kernel, m);
+                };
+                const GoldenRow run{in.name,
+                                    e.backend,
+                                    e.threads,
+                                    d(Mode::kFlat),
+                                    d(Mode::kPartition),
+                                    d(Mode::kMultilevel),
+                                    d(Mode::kMultilevel2Exact),
+                                    d(Mode::kPartitionMultilevel)};
                 if (std::string(kernel) == "scalar") got = run;
 
                 const GoldenRow* want = nullptr;
@@ -183,6 +210,12 @@ TEST(GoldenDigests, ByteReproducibleEnginesMatchCheckedInTable) {
                 }
                 if (run.multilevel != want->multilevel) {
                     mismatches.push_back(label + " multilevel");
+                }
+                if (run.multilevel2_exact != want->multilevel2_exact) {
+                    mismatches.push_back(label + " multilevel2_exact");
+                }
+                if (run.partition_multilevel != want->partition_multilevel) {
+                    mismatches.push_back(label + " partition_multilevel");
                 }
             }
             actual += format_row(got);
