@@ -6,9 +6,10 @@
 //                      [--threads N] [--seed N] [--quick] [--json FILE]
 //
 // Method. One flat run (default backend cpu-pipelined) fixes the quality
-// target: its final sampled path stress. The multilevel pass list
-// (multilevel::build_plan defaults) is then executed pass by pass with
-// per-iteration wall-clock taken from the engine's progress hook, and the
+// target: its final sampled path stress. The default multilevel schedule
+// is then executed pass by pass — configured by the same
+// coarse_pass_config / refine_pass_config helpers run_multilevel uses —
+// with per-iteration wall-clock taken from the engine's progress hook, and the
 // quality reached after refine iteration i is recovered *off the clock* by
 // replaying the deterministic refine run truncated at i (run(i) replays the
 // same pinned schedule bit for bit on the deterministic backends). The
@@ -18,19 +19,17 @@
 //   value = TTQ / flat wall-clock          (direction: lower)
 //
 // which is a same-machine ratio, so the committed baseline transfers
-// across runner classes. A full multilevel::run_plan execution is also
-// compared byte-for-byte against the manual pass interpretation — the
-// bench refuses (exit 1) if the product path diverges from what it timed.
+// across runner classes. A full multilevel::run_multilevel execution is
+// also compared byte-for-byte against the passes timed here — the bench
+// refuses (exit 1) if the product path diverges from what it timed.
 //
 // The workload is whole_genome_spec mapped through with_finer_segmentation:
 // same genomes, bp-scale node segmentation. Run coarsening targets exactly
 // that redundancy dimension, which real pggb-style builds exhibit and the
 // coarse odgi-style segmentation of the plain synthetic specs hides.
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,7 +40,7 @@
 #include "metrics/path_stress.hpp"
 #include "multilevel/coarsen.hpp"
 #include "multilevel/interpolate.hpp"
-#include "multilevel/plan.hpp"
+#include "multilevel/multilevel.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace {
@@ -99,9 +98,7 @@ int main(int argc, char** argv) {
 
     // --- Multilevel passes, timed on-clock, measured off-clock ---
     const multilevel::MultilevelOptions mlopt;
-    const auto plan = multilevel::build_plan(
-        cfg, mlopt, static_cast<double>(g.max_path_nuc_length()));
-    std::cout << "plan: " << multilevel::describe(plan) << "\n";
+    std::cout << "plan: " << multilevel::describe(cfg, mlopt) << "\n";
 
     t0 = Clock::now();
     const auto lvl = multilevel::coarsen(g);
@@ -116,19 +113,9 @@ int main(int argc, char** argv) {
                             2)
               << "x)\n";
 
-    // Coarse anneal + interpolate, exactly as run_plan configures them.
-    const multilevel::Pass* layout_pass = nullptr;
-    const multilevel::Pass* refine_pass = nullptr;
-    for (const auto& p : plan.passes) {
-        if (p.kind == multilevel::PassKind::kLayout) layout_pass = &p;
-        if (p.kind == multilevel::PassKind::kRefine) refine_pass = &p;
-    }
-    core::LayoutConfig coarse_cfg = cfg;
-    coarse_cfg.iter_max = layout_pass->iter_max;
-    coarse_cfg.schedule_iter_max = layout_pass->schedule_iters;
-    coarse_cfg.eta_max = layout_pass->eta_max;
+    // Coarse anneal + interpolate, configured as run_multilevel does.
     t0 = Clock::now();
-    engine->init(lvl.graph, coarse_cfg);
+    engine->init(lvl.graph, multilevel::coarse_pass_config(cfg, mlopt));
     core::LayoutResult coarse = engine->run();
     const double t_coarse = secs_since(t0);
 
@@ -137,17 +124,8 @@ int main(int argc, char** argv) {
     const double t_interp = secs_since(t0);
     const double q_interp = stress(interp);
 
-    core::LayoutConfig refine_cfg = cfg;
-    refine_cfg.iter_max = refine_pass->iter_max;
-    refine_cfg.schedule_iter_max = refine_pass->schedule_iters;
-    refine_cfg.eta_max = refine_pass->eta_max != 0.0
-                             ? refine_pass->eta_max
-                             : multilevel::adaptive_refine_eta(lvl.graph);
-    if (refine_pass->eta_max == 0.0) {
-        refine_cfg.eps = std::max(cfg.eps, multilevel::kRefineEtaFloor);
-    }
-    refine_cfg.cooling_start = 0.0;
-    refine_cfg.initial_layout = std::make_shared<const core::Layout>(interp);
+    const core::LayoutConfig refine_cfg =
+        multilevel::refine_pass_config(cfg, mlopt, g, lvl.graph, interp);
 
     std::vector<double> refine_cum;  // cumulative refine wall after iter i
     t0 = Clock::now();
@@ -210,9 +188,10 @@ int main(int argc, char** argv) {
     // --- The product path must be what we just timed ---
     auto verify_engine = core::make_engine(opt.backend);
     const auto product =
-        multilevel::run_plan(plan, g, *verify_engine, cfg);
+        multilevel::run_multilevel(g, *verify_engine, cfg, mlopt);
     const bool bytes_ok = same_bytes(product.layout, refined.layout);
-    std::cout << "run_plan byte-check: " << (bytes_ok ? "ok" : "MISMATCH")
+    std::cout << "run_multilevel byte-check: "
+              << (bytes_ok ? "ok" : "MISMATCH")
               << "\n";
 
     bench::JsonReporter json(opt.json_path);

@@ -13,6 +13,16 @@
 
 namespace pgl::core {
 
+void LayoutEngine::init(const graph::LeanGraph& g, const LayoutConfig& cfg) {
+    if (g.total_path_steps() == 0) {
+        throw std::invalid_argument(
+            "LayoutEngine::init: the graph has no path steps to sample");
+    }
+    graph_ = &g;
+    cfg_ = cfg;
+    do_init();
+}
+
 LayoutResult LayoutEngine::run(std::uint32_t iterations) {
     if (graph_ == nullptr) {
         throw std::logic_error("LayoutEngine::run() called before init()");

@@ -41,13 +41,13 @@ struct LayoutResult {
     std::vector<double> eta_schedule; ///< learning rate used per iteration
 };
 
-/// The degenerate-graph rule shared by every execution path — flat runs,
-/// the multilevel plan interpreter, and both partition executors: a graph
-/// with zero sampleable path terms has an empty SGD objective (the alias
-/// table cannot even be built), so the seeded initial layout IS the final
-/// layout. Returns an engaged zero-update result for such graphs and
-/// nullopt when there is work to do. Defined once so the fallback's RNG
-/// stream (make_initial_layout's salted seed) cannot drift between paths.
+/// The degenerate-graph rule: a graph with zero sampleable path terms has
+/// an empty SGD objective (the alias table cannot even be built), so the
+/// seeded initial layout IS the final layout. Returns an engaged
+/// zero-update result for such graphs and nullopt when there is work to
+/// do. multilevel::layout_graph, the one step every flat, multilevel and
+/// partition-component run goes through, applies it before any engine
+/// sees the graph; engines themselves reject such a graph at init().
 inline std::optional<LayoutResult> empty_objective_result(
     const graph::LeanGraph& g, const LayoutConfig& cfg) {
     if (g.total_path_steps() != 0) return std::nullopt;
@@ -99,12 +99,10 @@ public:
     virtual std::string_view name() const noexcept = 0;
 
     /// Binds the engine to a graph and configuration. Must be called before
-    /// run(); may be called again to re-target the engine.
-    void init(const graph::LeanGraph& g, const LayoutConfig& cfg) {
-        graph_ = &g;
-        cfg_ = cfg;
-        do_init();
-    }
+    /// run(); may be called again to re-target the engine. Throws
+    /// std::invalid_argument when `g` has no path steps: there is nothing
+    /// to sample (see empty_objective_result).
+    void init(const graph::LeanGraph& g, const LayoutConfig& cfg);
 
     /// Executes the schedule and returns the final layout. `iterations`
     /// overrides cfg.iter_max when nonzero (a truncated run of the same

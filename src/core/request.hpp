@@ -18,7 +18,7 @@
 #include <variant>
 
 #include "core/config.hpp"
-#include "multilevel/plan.hpp"
+#include "multilevel/multilevel.hpp"
 
 namespace pgl::core {
 

@@ -1,6 +1,7 @@
 #include "driver/driver.hpp"
 
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -9,6 +10,7 @@
 #include "draw/svg.hpp"
 #include "io/lay_io.hpp"
 #include "io/pgg_io.hpp"
+#include "multilevel/multilevel.hpp"
 #include "partition/executor.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -133,37 +135,32 @@ RunOutcome run_layout(const RunRequest& req) {
         }
         out.engine_name = std::string(engine->name());
         if (req.multilevel) {
-            const multilevel::LayoutPlan plan = multilevel::build_plan(
-                cfg, req.ml,
-                static_cast<double>(g.max_path_nuc_length()));
-            log("multilevel plan: ", multilevel::describe(plan));
-            multilevel::MultilevelResult ml =
-                multilevel::run_plan(plan, g, *engine, cfg);
+            log("multilevel plan: ", multilevel::describe(cfg, req.ml));
+        }
+        multilevel::MultilevelResult r;
+        {
+            // A multilevel run gets its layout stage from run_multilevel's
+            // per-pass spans; only the flat run is timed here.
+            std::optional<telemetry::StageSpan> span;
+            if (!req.multilevel) span.emplace("layout", "cli");
+            r = multilevel::layout_graph(g, *engine, cfg,
+                                         req.multilevel ? &req.ml : nullptr);
+        }
+        if (req.multilevel) {
             std::ostringstream levels;
-            for (std::size_t l = 0; l < ml.level_nodes.size(); ++l) {
-                levels << (l ? " -> " : "") << ml.level_nodes[l];
+            for (std::size_t l = 0; l < r.level_nodes.size(); ++l) {
+                levels << (l ? " -> " : "") << r.level_nodes[l];
             }
             log(out.engine_name, " (multilevel, ", levels.str(),
-                " nodes): ", ml.updates, " updates in ", ml.engine_seconds,
-                " s");
-            out.level_nodes = std::move(ml.level_nodes);
-            out.updates = ml.updates;
-            out.skipped = ml.skipped;
-            out.engine_seconds = ml.engine_seconds;
-            out.layout = std::move(ml.layout);
+                " nodes): ", r.updates, " updates in ", r.seconds, " s");
         } else {
-            // The multilevel path gets its layout stage from run_plan's
-            // per-pass spans; only the flat run is timed here.
-            telemetry::StageSpan span("layout", "cli");
-            engine->init(g, cfg);
-            core::LayoutResult r = engine->run();
             log(out.engine_name, ": ", r.updates, " updates in ", r.seconds,
                 " s");
-            out.updates = r.updates;
-            out.skipped = r.skipped;
-            out.engine_seconds = r.seconds;
-            out.layout = std::move(r.layout);
         }
+        out.updates = r.updates;
+        out.skipped = r.skipped;
+        out.engine_seconds = r.seconds;
+        out.layout = std::move(r.layout);
     }
 
     if (!req.out_path.empty() || !req.per_component_dir.empty() ||

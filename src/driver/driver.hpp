@@ -99,8 +99,6 @@ struct RunOutcome {
     bool partitioned = false;
     partition::PartitionResult partition;  ///< partitioned runs only
 
-    std::vector<std::uint32_t> level_nodes;  ///< multilevel runs only
-
     std::string engine_name;  ///< resolved engine (flat/multilevel runs)
     std::uint64_t updates = 0;
     std::uint64_t skipped = 0;

@@ -8,32 +8,15 @@
 
 #include "core/thread_pool.hpp"
 #include "core/topology.hpp"
-#include "multilevel/plan.hpp"
+#include "multilevel/multilevel.hpp"
 
 namespace pgl::partition {
 
 core::LayoutResult run_component_graph(const graph::LeanGraph& g,
                                        const SchedulerOptions& opt) {
-    const core::LayoutConfig& cfg = opt.config;
-    if (auto done = core::empty_objective_result(g, cfg)) {
-        return std::move(*done);
-    }
     auto engine = core::make_engine(opt.backend);
-    if (opt.multilevel) {
-        const multilevel::LayoutPlan plan = multilevel::build_plan(
-            cfg, opt.ml,
-            static_cast<double>(g.max_path_nuc_length()));
-        multilevel::MultilevelResult ml =
-            multilevel::run_plan(plan, g, *engine, cfg);
-        core::LayoutResult r;
-        r.layout = std::move(ml.layout);
-        r.updates = ml.updates;
-        r.skipped = ml.skipped;
-        r.seconds = ml.engine_seconds;
-        return r;
-    }
-    engine->init(g, cfg);
-    return engine->run();
+    return multilevel::layout_graph(g, *engine, opt.config,
+                                    opt.multilevel ? &opt.ml : nullptr);
 }
 
 namespace {

@@ -37,9 +37,9 @@
 namespace pgl::partition {
 
 /// The one per-component layout leaf both executors (and the worker
-/// process) execute: pathless graphs short-circuit through
-/// core::empty_objective_result, otherwise a fresh `opt.backend` engine
-/// runs flat or through the multilevel plan. `opt.config.seed` must
+/// process) execute: multilevel::layout_graph on a fresh `opt.backend`
+/// engine, flat or through run_multilevel (pathless graphs get the initial
+/// layout there, as in an unpartitioned run). `opt.config.seed` must
 /// already be the *mixed* per-component seed (component_seed) — this
 /// function does no mixing, which is exactly what makes a worker process
 /// reproduce the in-process bytes: the parent mixes, the leaf is shared.

@@ -16,7 +16,8 @@ PartitionResult partition_layout(Decomposition d, const PartitionOptions& opt) {
     {
         // The flat scheduling phase is this pipeline's "layout" stage; a
         // multilevel run gets its layout stage from the per-pass spans in
-        // run_plan instead, so the span here only carries the trace name.
+        // run_multilevel instead, so the span here only carries the trace
+        // name.
         const char* span_name =
             opt.schedule.multilevel ? "schedule" : "layout";
         telemetry::StageSpan span(span_name, "partition");

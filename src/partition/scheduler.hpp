@@ -46,8 +46,8 @@ using ComponentHook = std::function<void(const ComponentProgress&)>;
 /// seed mixed per component, `component_workers` the "thread" executor's
 /// concurrency, `processes` the "process" executor's (see
 /// partition/executor.hpp), and `multilevel`/`ml` lay each component out
-/// through the multilevel pass plan instead of a flat run — the plan is
-/// derived per component from the same mixed-seed config, so the
+/// through multilevel::run_multilevel instead of a flat run — its passes
+/// are configured per component from the same mixed-seed config, so the
 /// determinism contract holds unchanged.
 struct SchedulerOptions : core::LayoutRequest {
     /// Worker binary override for the "process" executor. Empty resolves
@@ -57,10 +57,9 @@ struct SchedulerOptions : core::LayoutRequest {
 
 /// Lays out one component exactly as the scheduler would: a fresh engine of
 /// `opt.backend`, seeded with component_seed(opt.config.seed, component_id).
-/// A component whose lean graph has no sampleable path terms short-circuits
-/// through core::empty_objective_result — the one definition of the
-/// degenerate-graph rule, shared with the multilevel plan interpreter and
-/// both executors. Exposed so tests can produce the standalone
+/// A component whose lean graph has no sampleable path terms gets its
+/// initial layout from multilevel::layout_graph, the step every flat or
+/// multilevel run shares. Exposed so tests can produce the standalone
 /// per-component runs the partitioned result must match byte-for-byte.
 ///
 /// Each call runs under a telemetry `component` stage span (category

@@ -85,6 +85,22 @@ TEST(LayoutEngine, RunBeforeInitThrows) {
     EXPECT_THROW(engine->run(), std::logic_error);
 }
 
+TEST(LayoutEngine, PathlessGraphIsRejectedNotSampled) {
+    // No path steps means no alias table to draw from: every backend must
+    // refuse the graph up front instead of sampling out of bounds.
+    const auto g = graph::LeanGraph::from_parts({4, 4}, {});
+    for (const auto& name : core::EngineRegistry::instance().names()) {
+        auto engine = core::make_engine(name);
+        EXPECT_THROW(
+            {
+                engine->init(g, tiny_cfg());
+                engine->run();
+            },
+            std::invalid_argument)
+            << name;
+    }
+}
+
 TEST(LayoutEngine, EveryBackendProducesFiniteLayout) {
     const auto g = small_graph();
     const auto cfg = tiny_cfg();

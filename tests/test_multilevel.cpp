@@ -1,7 +1,8 @@
 // Tests for the multilevel subsystem: exact coarsener structure on the
 // closed-form linear-run workload, path/nucleotide invariants, interpolation
-// exactness, plan building/validation, run_plan determinism (including
-// scalar vs SIMD kernels), and the partition contract — a partitioned
+// exactness, the coarse/refine pass configs, run_multilevel determinism
+// (including scalar vs SIMD kernels), the shared layout_graph step on
+// pathless graphs, and the partition contract — a partitioned
 // multilevel run equals standalone per-component multilevel runs
 // byte-for-byte modulo the stitch translation.
 #include <gtest/gtest.h>
@@ -17,7 +18,7 @@
 #include "graph/lean_graph.hpp"
 #include "multilevel/coarsen.hpp"
 #include "multilevel/interpolate.hpp"
-#include "multilevel/plan.hpp"
+#include "multilevel/multilevel.hpp"
 #include "partition/partition.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -239,83 +240,92 @@ TEST(Interpolate, RejectsMismatchedShapes) {
                  std::invalid_argument);
 }
 
-// --- Plan building and validation ---
+// --- Pass configuration ---
 
-TEST(Plan, DefaultPlanShapeAndDescription) {
-    core::LayoutConfig cfg = quick_config();
-    cfg.iter_max = 12;
-    const auto plan = multilevel::build_plan(cfg, {}, 1e4);
-    ASSERT_EQ(plan.passes.size(), 4u);
-    EXPECT_EQ(plan.passes[0].kind, multilevel::PassKind::kCoarsen);
-    EXPECT_EQ(plan.passes[1].kind, multilevel::PassKind::kLayout);
-    // Coarse anneal: the hot max(2, (5 * 12 + 2) / 6) = 10 iterations of
-    // the full 12-iteration flat eta curve.
-    EXPECT_EQ(plan.passes[1].iter_max, 10u);
-    EXPECT_EQ(plan.passes[1].schedule_iters, 12u);
-    EXPECT_EQ(plan.passes[2].kind, multilevel::PassKind::kInterpolate);
-    EXPECT_EQ(plan.passes[3].kind, multilevel::PassKind::kRefine);
-    // Default tail: max(2, 12 / 2) = 6, adaptive temperature.
-    EXPECT_EQ(plan.passes[3].iter_max, 6u);
-    EXPECT_EQ(plan.passes[3].eta_max, 0.0);
-    EXPECT_NO_THROW(multilevel::validate_plan(plan));
-    EXPECT_EQ(
-        multilevel::describe(plan),
-        "coarsen L0->L1; layout L1 x10/12; interpolate L1->L0; refine L0 x6");
-}
+/// Linear-run graph with 10 runs of 6 nodes x 7 nt and its one coarse
+/// level: every run collapses, so the p95 coarse node length is a full run.
+struct LinearRuns {
+    graph::LeanGraph fine;
+    multilevel::CoarseLevel level;
+};
 
-TEST(Plan, ExactTailUsesFlatScheduleTemperature) {
-    core::LayoutConfig cfg = quick_config();
-    cfg.iter_max = 12;
-    multilevel::MultilevelOptions opt;
-    opt.exact_tail = true;
-    opt.refine_iters = 4;
-    const auto plan = multilevel::build_plan(cfg, opt, 1e4);
-    EXPECT_DOUBLE_EQ(plan.passes.back().eta_max,
-                     multilevel::refine_eta_max(1e4, cfg.eps, 12, 4));
-    // The restart temperature is the flat schedule's value at I - R.
-    const auto flat = core::make_eta_schedule(12u, cfg.eps, 1e4);
-    EXPECT_NEAR(plan.passes.back().eta_max, flat[12 - 4], flat[12 - 4] * 1e-12);
-}
-
-TEST(Plan, ValidatorRejectsMalformedPlans) {
-    using multilevel::Pass;
-    using multilevel::PassKind;
-    const auto reject = [](std::vector<Pass> passes) {
-        multilevel::LayoutPlan plan{std::move(passes)};
-        EXPECT_THROW(multilevel::validate_plan(plan), std::invalid_argument);
-    };
-    reject({});                                          // empty
-    reject({{PassKind::kCoarsen, 0, 0, 0.0}});           // no layout
-    reject({{PassKind::kLayout, 1, 4, 0.0}});            // wrong level
-    reject({{PassKind::kLayout, 0, 0, 0.0}});            // zero iterations
-    reject({{PassKind::kRefine, 0, 4, 0.0}});            // refine before layout
-    reject({{PassKind::kCoarsen, 0, 0, 0.0},             // ends coarse
-            {PassKind::kLayout, 1, 4, 0.0}});
-    reject({{PassKind::kLayout, 0, 4, 0.0},              // interpolate at L0
-            {PassKind::kInterpolate, 0, 0, 0.0}});
-    reject({{PassKind::kCoarsen, 0, 0, 0.0},             // coarsen after layout
-            {PassKind::kLayout, 1, 4, 0.0},
-            {PassKind::kCoarsen, 1, 0, 0.0}});
-    reject({{PassKind::kCoarsen, 0, 0, 0.0},             // double layout
-            {PassKind::kLayout, 1, 4, 0.0},
-            {PassKind::kLayout, 1, 4, 0.0}});
-    reject({{PassKind::kLayout, 0, 4, 0.0, 2}});         // schedule < iters
-}
-
-TEST(Plan, AdaptiveRefineScales) {
-    // Linear-run graph with 10 runs of 6 nodes x 7 nt: p95 coarse node
-    // length is a full run (42 nt), mean fine node length is exactly 7.
+LinearRuns linear_runs() {
     workloads::LinearRunSpec spec;
     spec.runs = 10;
     spec.run_length = 6;
     spec.node_len = 7;
     spec.separators = false;
-    const auto g = workloads::generate_linear_runs(spec);
-    const auto lvl = multilevel::coarsen(g);
-    ASSERT_EQ(lvl.map.coarse_count(), 1u);
+    auto g = workloads::generate_linear_runs(spec);
+    auto lvl = multilevel::coarsen(g);
+    return {std::move(g), std::move(lvl)};
+}
+
+TEST(PassConfig, DefaultCoarseAndRefineConfigs) {
+    core::LayoutConfig cfg = quick_config();
+    cfg.iter_max = 12;
+    const auto coarse = multilevel::coarse_pass_config(cfg, {});
+    // Coarse anneal: the hot max(2, (5 * 12 + 2) / 6) = 10 iterations of
+    // the full 12-iteration flat eta curve, eta ceiling from the graph.
+    EXPECT_EQ(coarse.iter_max, 10u);
+    EXPECT_EQ(coarse.schedule_iter_max, 12u);
+    EXPECT_EQ(coarse.eta_max, 0.0);
+    EXPECT_EQ(coarse.cooling_start, cfg.cooling_start);
+    EXPECT_FALSE(coarse.initial_layout);
+
+    // Default tail: max(2, 12 / 2) = 6, adaptive temperature from the
+    // first coarse level with the one-nucleotide floor, all cooling, warm
+    // started from the given layout.
+    const auto runs = linear_runs();
+    const core::Layout warm = core::make_initial_layout(runs.fine, cfg);
+    const auto refine = multilevel::refine_pass_config(
+        cfg, {}, runs.fine, runs.level.graph, warm);
+    EXPECT_EQ(refine.iter_max, 6u);
+    EXPECT_EQ(refine.schedule_iter_max, 0u);
+    EXPECT_DOUBLE_EQ(refine.eta_max,
+                     multilevel::adaptive_refine_eta(runs.level.graph));
+    EXPECT_EQ(refine.eps, std::max(cfg.eps, multilevel::kRefineEtaFloor));
+    EXPECT_EQ(refine.cooling_start, 0.0);
+    ASSERT_TRUE(refine.initial_layout);
+    expect_layout_bitwise_equal(*refine.initial_layout, warm);
+
+    EXPECT_EQ(
+        multilevel::describe(cfg, {}),
+        "coarsen L0->L1; layout L1 x10/12; interpolate L1->L0; refine L0 x6");
+    multilevel::MultilevelOptions two;
+    two.levels = 2;
+    two.coarse_iters = 12;
+    EXPECT_EQ(multilevel::describe(cfg, two),
+              "coarsen L0->L1; coarsen L1->L2; layout L2 x12; "
+              "interpolate L2->L1; interpolate L1->L0; refine L0 x6");
+}
+
+TEST(PassConfig, ExactTailUsesFlatScheduleTemperature) {
+    core::LayoutConfig cfg = quick_config();
+    cfg.iter_max = 12;
+    multilevel::MultilevelOptions opt;
+    opt.exact_tail = true;
+    opt.refine_iters = 4;
+    opt.refine_eta = 5.0;  // exact_tail overrides an explicit temperature
+    const auto runs = linear_runs();
+    const double max_dref =
+        static_cast<double>(runs.fine.max_path_nuc_length());
+    const auto refine = multilevel::refine_pass_config(
+        cfg, opt, runs.fine, runs.level.graph, {});
+    EXPECT_EQ(refine.iter_max, 4u);
+    EXPECT_EQ(refine.eps, cfg.eps);  // the flat schedule's own floor
+    EXPECT_DOUBLE_EQ(refine.eta_max,
+                     multilevel::refine_eta_max(max_dref, cfg.eps, 12, 4));
+    // The restart temperature is the flat schedule's value at I - R.
+    const auto flat = core::make_eta_schedule(12u, cfg.eps, max_dref);
+    EXPECT_NEAR(refine.eta_max, flat[12 - 4], flat[12 - 4] * 1e-12);
+}
+
+TEST(PassConfig, AdaptiveRefineScales) {
+    const auto runs = linear_runs();
+    ASSERT_EQ(runs.level.map.coarse_count(), 1u);
     // 10 runs x 6 nodes x 7 nt collapse to one 420 nt coarse node; the
     // restart temperature is (p95 coarse length / 8)^2 = 52.5^2.
-    EXPECT_DOUBLE_EQ(multilevel::adaptive_refine_eta(lvl.graph),
+    EXPECT_DOUBLE_EQ(multilevel::adaptive_refine_eta(runs.level.graph),
                      52.5 * 52.5);
     EXPECT_GE(multilevel::kRefineEtaFloor, 1.0);
     EXPECT_EQ(multilevel::adaptive_refine_eta(
@@ -323,26 +333,26 @@ TEST(Plan, AdaptiveRefineScales) {
               0.0);
 }
 
-TEST(Plan, BuildRejectsZeroLevels) {
+// --- run_multilevel execution contracts ---
+
+TEST(RunMultilevel, RejectsZeroLevels) {
+    const auto g = variant_graph();
     multilevel::MultilevelOptions opt;
     opt.levels = 0;
-    EXPECT_THROW(multilevel::build_plan(quick_config(), opt, 1e3),
+    auto engine = core::make_engine("cpu-pipelined");
+    EXPECT_THROW(multilevel::run_multilevel(g, *engine, quick_config(), opt),
                  std::invalid_argument);
 }
 
-// --- run_plan execution contracts ---
-
-TEST(RunPlan, ByteReproducibleOnDeterministicBackends) {
+TEST(RunMultilevel, ByteReproducibleOnDeterministicBackends) {
     const auto g = variant_graph();
     for (const std::string backend : {"cpu-pipelined"}) {
         for (const std::uint32_t threads : {1u, 4u}) {
             core::LayoutConfig cfg = quick_config(threads);
-            const auto plan = multilevel::build_plan(
-                cfg, {}, static_cast<double>(g.max_path_nuc_length()));
             auto e1 = core::make_engine(backend);
             auto e2 = core::make_engine(backend);
-            const auto a = multilevel::run_plan(plan, g, *e1, cfg);
-            const auto b = multilevel::run_plan(plan, g, *e2, cfg);
+            const auto a = multilevel::run_multilevel(g, *e1, cfg, {});
+            const auto b = multilevel::run_multilevel(g, *e2, cfg, {});
             expect_layout_bitwise_equal(a.layout, b.layout);
             EXPECT_EQ(a.updates, b.updates);
             ASSERT_EQ(a.level_nodes.size(), 2u);
@@ -351,48 +361,52 @@ TEST(RunPlan, ByteReproducibleOnDeterministicBackends) {
     }
 }
 
-TEST(RunPlan, ScalarAndSimdKernelsMatchBitwise) {
+TEST(RunMultilevel, ScalarAndSimdKernelsMatchBitwise) {
     const auto g = variant_graph();
-    core::LayoutConfig cfg = quick_config();
-    const auto plan = multilevel::build_plan(
-        cfg, {}, static_cast<double>(g.max_path_nuc_length()));
-
-    core::LayoutConfig scalar_cfg = cfg;
+    core::LayoutConfig scalar_cfg = quick_config();
     scalar_cfg.kernel = "scalar";
-    core::LayoutConfig simd_cfg = cfg;
+    core::LayoutConfig simd_cfg = quick_config();
     simd_cfg.kernel = "simd";
     auto e1 = core::make_engine("cpu-pipelined");
     auto e2 = core::make_engine("cpu-pipelined");
-    const auto a = multilevel::run_plan(plan, g, *e1, scalar_cfg);
-    const auto b = multilevel::run_plan(plan, g, *e2, simd_cfg);
+    const auto a = multilevel::run_multilevel(g, *e1, scalar_cfg, {});
+    const auto b = multilevel::run_multilevel(g, *e2, simd_cfg, {});
     expect_layout_bitwise_equal(a.layout, b.layout);
 }
 
-TEST(RunPlan, TimingsCoverEveryPass) {
-    const auto g = variant_graph();
-    core::LayoutConfig cfg = quick_config();
-    const auto plan = multilevel::build_plan(
-        cfg, {}, static_cast<double>(g.max_path_nuc_length()));
-    auto engine = core::make_engine("cpu-pipelined");
-    const auto r = multilevel::run_plan(plan, g, *engine, cfg);
-    ASSERT_EQ(r.timings.size(), plan.passes.size());
-    for (std::size_t i = 0; i < plan.passes.size(); ++i) {
-        EXPECT_EQ(r.timings[i].kind, plan.passes[i].kind);
-        EXPECT_GE(r.timings[i].seconds, 0.0);
+// --- The shared layout step ---
+
+TEST(LayoutGraph, PathlessGraphShortCircuitsToInitialLayout) {
+    // Nodes but no paths: nothing to sample, flat or at any level.
+    const auto g = graph::LeanGraph::from_parts({4, 4, 4}, {});
+    const core::LayoutConfig cfg = quick_config();
+    const multilevel::MultilevelOptions ml;
+    const multilevel::MultilevelOptions* modes[] = {&ml, nullptr};
+    for (const multilevel::MultilevelOptions* opt : modes) {
+        auto engine = core::make_engine("cpu-pipelined");
+        const auto r = multilevel::layout_graph(g, *engine, cfg, opt);
+        EXPECT_EQ(r.layout.size(), 3u);
+        EXPECT_EQ(r.updates, 0u);
+        EXPECT_EQ(r.level_nodes, std::vector<std::uint32_t>{3u});
+        expect_layout_bitwise_equal(r.layout, core::make_initial_layout(g, cfg));
     }
-    EXPECT_GT(r.updates, 0u);
 }
 
-TEST(RunPlan, PathlessGraphShortCircuitsToInitialLayout) {
-    // Nodes but no paths: nothing to sample at any level.
-    const auto g = graph::LeanGraph::from_parts({4, 4, 4}, {});
-    core::LayoutConfig cfg = quick_config();
-    multilevel::LayoutPlan plan = multilevel::build_plan(cfg, {}, 1.0);
-    auto engine = core::make_engine("cpu-pipelined");
-    const auto r = multilevel::run_plan(plan, g, *engine, cfg);
-    EXPECT_EQ(r.layout.size(), 3u);
-    EXPECT_EQ(r.updates, 0u);
-    expect_layout_bitwise_equal(r.layout, core::make_initial_layout(g, cfg));
+TEST(LayoutGraph, RunsFlatOrMultilevelOnTheGivenEngine) {
+    const auto g = variant_graph();
+    const core::LayoutConfig cfg = quick_config();
+    auto e1 = core::make_engine("cpu-pipelined");
+    auto e2 = core::make_engine("cpu-pipelined");
+    e1->init(g, cfg);
+    const auto flat = multilevel::layout_graph(g, *e2, cfg, nullptr);
+    expect_layout_bitwise_equal(flat.layout, e1->run().layout);
+    EXPECT_EQ(flat.level_nodes, std::vector<std::uint32_t>{g.node_count()});
+
+    const multilevel::MultilevelOptions ml;
+    const auto a = multilevel::layout_graph(g, *e1, cfg, &ml);
+    const auto b = multilevel::run_multilevel(g, *e2, cfg, ml);
+    expect_layout_bitwise_equal(a.layout, b.layout);
+    EXPECT_EQ(a.level_nodes, b.level_nodes);
 }
 
 // --- Partition contract ---
@@ -414,11 +428,9 @@ TEST(MultilevelPartition, MatchesStandalonePerComponentPlans) {
         const auto& comp = part.decomposition.components[c].graph;
         core::LayoutConfig cfg = popt.schedule.config;
         cfg.seed = partition::component_seed(popt.schedule.config.seed, c);
-        const auto plan = multilevel::build_plan(
-            cfg, popt.schedule.ml,
-            static_cast<double>(comp.max_path_nuc_length()));
         auto engine = core::make_engine("cpu-pipelined");
-        const auto ml = multilevel::run_plan(plan, comp, *engine, cfg);
+        const auto ml = multilevel::run_multilevel(comp, *engine, cfg,
+                                                   popt.schedule.ml);
         expect_layout_bitwise_equal(part.component_results[c].layout, ml.layout);
         standalone.push_back(ml.layout);
     }
