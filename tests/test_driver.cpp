@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.hpp"
+#include "core/layout.hpp"
 #include "driver/driver.hpp"
 #include "graph/gfa_stream.hpp"
 #include "io/lay_io.hpp"
@@ -196,6 +198,44 @@ TEST_F(DriverTest, ComponentProgressReachesPartitionedRuns) {
     };
     driver::run_layout(req);
     EXPECT_EQ(seen.size(), 3u);
+}
+
+TEST_F(DriverTest, PathlessGraphsPublishTheInitialLayoutOnEveryBackend) {
+    // Nodes but no paths: an empty objective. Every backend, flat or
+    // multilevel, publishes the seeded initial layout instead of handing
+    // an engine nothing to sample.
+    const std::string seg_only = path("segments_only.gfa");
+    std::ofstream(seg_only) << "H\tVN:Z:1.0\nS\ts1\tACGT\nS\ts2\tTT\n";
+    auto from_parts = std::make_shared<graph::LeanIngest>();
+    from_parts->graph = graph::LeanGraph::from_parts({4, 4, 4}, {});
+    const graph::LeanGraph gfa_graph = graph::ingest_gfa_file(seg_only).graph;
+    ASSERT_EQ(gfa_graph.node_count(), 2u);
+
+    // An adopted in-memory graph, then the GFA file loaded by the driver.
+    for (const bool load_file : {false, true}) {
+        const core::Layout want = core::make_initial_layout(
+            load_file ? gfa_graph : from_parts->graph, quick_config());
+        for (const auto& backend : core::EngineRegistry::instance().names()) {
+            for (const bool multilevel : {false, true}) {
+                SCOPED_TRACE(backend + (multilevel ? " multilevel" : " flat") +
+                             (load_file ? " gfa" : " from_parts"));
+                driver::RunRequest req;
+                if (load_file) {
+                    req.graph_path = seg_only;
+                } else {
+                    req.ingest = from_parts;
+                }
+                req.backend = backend;
+                req.multilevel = multilevel;
+                req.config = quick_config();
+                req.out_path = path("pathless.lay");
+                const auto out = driver::run_layout(req);
+                EXPECT_EQ(out.updates, 0u);
+                expect_layout_equal(out.layout, want);
+                expect_layout_equal(io::read_layout_file(req.out_path), want);
+            }
+        }
+    }
 }
 
 TEST(WorkerSpec, RoundTripsFlatOptions) {

@@ -551,6 +551,45 @@ TEST(ServeDaemon, LineProtocolEndToEnd) {
     EXPECT_FALSE(fs::exists(sock)) << "socket file must be removed on exit";
 }
 
+TEST(ServeDaemon, PathlessGraphJobCompletesAndDaemonSurvives) {
+    // A valid GFA with segments and no paths has nothing to sample; the
+    // job must publish the initial layout, not take the daemon down.
+    const std::string dir = scratch_dir("pathless");
+    const std::string gfa = dir + "/nopath.gfa";
+    std::ofstream(gfa, std::ios::binary)
+        << "H\tVN:Z:1.0\nS\ts1\tACGT\nS\ts2\tTT\n";
+    const std::string sock = dir + "/d.sock";
+
+    serve::DaemonOptions opt;
+    opt.socket_path = sock;
+    opt.server.cache_dir = dir + "/cache";
+    opt.server.workers = 1;
+    serve::Daemon daemon(opt);
+    std::thread runner([&] { daemon.run(); });
+    while (!fs::exists(sock)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+
+    const serve::JsonValue submitted = serve::json_parse(serve::send_request(
+        sock, R"({"cmd":"submit","graph":")" + gfa +
+                  R"(","config":{"backend":"cpu-soa","iters":4}})"));
+    ASSERT_TRUE(submitted.find("ok")->as_bool()) << submitted.dump();
+    const serve::JsonValue done = serve::json_parse(serve::send_request(
+        sock, R"({"cmd":"result","id":)" +
+                  std::to_string(submitted.find("id")->as_uint()) +
+                  R"(,"wait":true})"));
+    ASSERT_TRUE(done.find("ok")->as_bool()) << done.dump();
+    EXPECT_EQ(done.find("state")->as_string(), "done");
+    ASSERT_NE(done.find("artifact"), nullptr);
+    EXPECT_EQ(io::read_layout_file(done.find("artifact")->as_string()).size(),
+              2u);
+
+    EXPECT_EQ(serve::send_request(sock, R"({"cmd":"ping"})"),
+              R"({"ok":true,"pong":true})");
+    serve::send_request(sock, R"({"cmd":"shutdown"})");
+    runner.join();
+}
+
 /// A numeric field of /proc/self/status ("Threads", or "VmSize" in kB).
 long proc_status(const std::string& field) {
     std::ifstream in("/proc/self/status");

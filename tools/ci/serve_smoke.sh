@@ -11,6 +11,8 @@
 #   * a repeat submit of an already-computed config answers "cached":true
 #     without re-running the engine
 #   * cancel reaches a queued job and reports state "cancelled"
+#   * a GFA with segments but no paths completes and the daemon still
+#     answers ping afterwards
 #   * the shutdown command exits the daemon with status 0, removes the
 #     socket file, and leaves no pgl_serve process behind
 set -euo pipefail
@@ -100,6 +102,15 @@ echo "all ${#names[@]} daemon artifacts byte-identical to direct runs"
     > "${WORKDIR}/resubmit.json"
 grep -q '"cached":true' "${WORKDIR}/resubmit.json"
 echo "resubmit of ${first_backend} config served from cache"
+
+# --- a graph with no paths ----------------------------------------------
+NOPATH="${WORKDIR}/nopath.gfa"
+printf 'H\tVN:Z:1.0\nS\ts1\tACGT\nS\ts2\tTT\n' > "${NOPATH}"
+"${SERVE}" submit --socket "${SOCK}" --graph "${NOPATH}" --wait \
+    -o "${WORKDIR}/nopath.lay" > "${WORKDIR}/nopath.json"
+test -s "${WORKDIR}/nopath.lay"
+"${SERVE}" ping --socket "${SOCK}"
+echo "pathless GFA completed; daemon still answers ping"
 
 # --- cancel a queued job ------------------------------------------------
 # Occupy both workers with long jobs, then queue a victim: the cancel is

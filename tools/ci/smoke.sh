@@ -8,7 +8,8 @@
 # Suites:
 #   backends    every registered backend: bench smoke + partitioned CLI run
 #   kernels     every backend x every update kernel, scalar-vs-simd cmp
-#   ingest      GFA -> .pgg cache -> byte-identical partitioned layout
+#   ingest      GFA -> .pgg cache -> byte-identical partitioned layout;
+#               a segments-only GFA (no paths) lays out on every backend
 #   multilevel  --multilevel reaches flat stress in less SGD wall-clock
 #   telemetry   --trace writes valid JSON with nonzero engine counters
 #   multiprocess  --processes matches the in-process run byte for byte,
@@ -108,6 +109,28 @@ suite_ingest() {
         -o "${WORKDIR}/from_pgg.lay" --partition --iters 3 --factor 0.5
     cmp "${WORKDIR}/from_gfa.lay" "${WORKDIR}/from_pgg.lay"
     echo "GFA and .pgg partitioned layouts are byte-identical"
+
+    # A valid GFA with segments but no paths has nothing to sample: every
+    # backend must publish its initial layout, flat, partitioned and
+    # multilevel, instead of crashing.
+    local nopath="${WORKDIR}/nopath.gfa"
+    printf 'H\tVN:Z:1.0\nS\ts1\tACGT\nS\ts2\tTT\n' > "${nopath}"
+    local backends mode out
+    backends="$(list_backends)"
+    for backend in ${backends}; do
+        for mode in flat partition multilevel; do
+            out="${WORKDIR}/nopath.${backend}.${mode}.lay"
+            rm -f "${out}"
+            if [ "${mode}" = flat ]; then
+                "${PGL}" -i "${nopath}" -o "${out}" --backend "${backend}"
+            else
+                "${PGL}" -i "${nopath}" -o "${out}" --backend "${backend}" \
+                    "--${mode}"
+            fi
+            test -s "${out}"
+        done
+    done
+    echo "pathless GFA laid out on every backend (flat, partition, multilevel)"
 }
 
 suite_multilevel() {
