@@ -70,17 +70,17 @@ core::LayoutConfig refine_pass_config(const core::LayoutConfig& cfg,
     core::LayoutConfig c = cfg;
     c.iter_max = refine_iters(cfg, opt);
     c.schedule_iter_max = 0;
-    c.eta_max = opt.exact_tail ? 0.0 : opt.refine_eta;
-    if (c.eta_max == 0.0 && !opt.exact_tail) {
-        c.eta_max = adaptive_refine_eta(first_coarse);
-        // Adaptive restart: also raise the schedule floor to the
-        // nucleotide scale — cooling below it wastes the short tail.
-        if (c.eta_max != 0.0) c.eps = std::max(cfg.eps, kRefineEtaFloor);
-    }
-    if (c.eta_max == 0.0) {
+    if (opt.exact_tail) {
         c.eta_max = refine_eta_max(
             static_cast<double>(fine.max_path_nuc_length()), cfg.eps,
             cfg.schedule_length(), c.iter_max);
+    } else if (opt.refine_eta != 0.0) {
+        c.eta_max = opt.refine_eta;
+    } else {
+        c.eta_max = adaptive_refine_eta(first_coarse);
+        // Adaptive restart: also raise the schedule floor to the
+        // nucleotide scale — cooling below it wastes the short tail.
+        c.eps = std::max(cfg.eps, kRefineEtaFloor);
     }
     // The tail of the flat anneal is entirely inside the cooling phase; a
     // warm-started refinement stays there.

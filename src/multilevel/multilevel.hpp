@@ -96,10 +96,10 @@ core::LayoutConfig coarse_pass_config(const core::LayoutConfig& cfg,
 /// The refine pass's config: `cfg` for opt.refine_iters or max(2, I / 2)
 /// iterations, warm-started from `warm` (cfg.initial_layout marks the
 /// pass as the refine) and entirely in the cooling phase. The restart
-/// temperature is opt.refine_eta, or adaptive_refine_eta(first_coarse)
-/// with the floor raised to kRefineEtaFloor, or — under exact_tail, or
-/// when the adaptive value is 0 — refine_eta_max over `fine`'s longest
-/// path.
+/// temperature is refine_eta_max over `fine`'s longest path under
+/// exact_tail, else opt.refine_eta when set, else
+/// adaptive_refine_eta(first_coarse) with the floor raised to
+/// kRefineEtaFloor.
 core::LayoutConfig refine_pass_config(const core::LayoutConfig& cfg,
                                       const MultilevelOptions& opt,
                                       const graph::LeanGraph& fine,

@@ -392,23 +392,6 @@ TEST(LayoutGraph, PathlessGraphShortCircuitsToInitialLayout) {
     }
 }
 
-TEST(LayoutGraph, RunsFlatOrMultilevelOnTheGivenEngine) {
-    const auto g = variant_graph();
-    const core::LayoutConfig cfg = quick_config();
-    auto e1 = core::make_engine("cpu-pipelined");
-    auto e2 = core::make_engine("cpu-pipelined");
-    e1->init(g, cfg);
-    const auto flat = multilevel::layout_graph(g, *e2, cfg, nullptr);
-    expect_layout_bitwise_equal(flat.layout, e1->run().layout);
-    EXPECT_EQ(flat.level_nodes, std::vector<std::uint32_t>{g.node_count()});
-
-    const multilevel::MultilevelOptions ml;
-    const auto a = multilevel::layout_graph(g, *e1, cfg, &ml);
-    const auto b = multilevel::run_multilevel(g, *e2, cfg, ml);
-    expect_layout_bitwise_equal(a.layout, b.layout);
-    EXPECT_EQ(a.level_nodes, b.level_nodes);
-}
-
 // --- Partition contract ---
 
 TEST(MultilevelPartition, MatchesStandalonePerComponentPlans) {
