@@ -27,7 +27,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/engine.hpp"
 #include "core/request.hpp"
