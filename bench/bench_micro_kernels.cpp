@@ -8,6 +8,7 @@
 #include "core/layout.hpp"
 #include "core/sampling.hpp"
 #include "core/step_math.hpp"
+#include "core/term_batch.hpp"
 #include "metrics/path_stress.hpp"
 #include "rng/alias_table.hpp"
 #include "rng/xorwow.hpp"
@@ -34,6 +35,33 @@ void BM_Xoshiro256Next(benchmark::State& state) {
     for (auto _ : state) benchmark::DoNotOptimize(rng.next());
 }
 BENCHMARK(BM_Xoshiro256Next);
+
+/// One pre-positioned block start, to set against BM_FillBlock: the jump
+/// must stay well under 1% of sampling the block it skips.
+void BM_XoshiroBlockJump(benchmark::State& state) {
+    rng::Xoshiro256Plus rng(1);
+    for (auto _ : state) {
+        rng.jump_block();
+        benchmark::DoNotOptimize(rng);
+    }
+}
+BENCHMARK(BM_XoshiroBlockJump);
+
+/// Sampling one block of core::kBlock terms into its slots of a batch, as
+/// every cpu-pipelined thread does.
+void BM_FillBlock(benchmark::State& state) {
+    const core::LayoutConfig cfg;
+    const core::PairSampler sampler(micro_graph(), cfg);
+    rng::Xoshiro256Plus rng(1);
+    core::TermBatch batch;
+    batch.resize(core::kBlock, false);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            sampler.fill_batch_staged(false, rng, 0, core::kBlock, batch));
+    }
+    state.SetItemsProcessed(state.iterations() * core::kBlock);
+}
+BENCHMARK(BM_FillBlock);
 
 void BM_XorwowNext(benchmark::State& state) {
     auto st = rng::xorwow_init(1, 0);

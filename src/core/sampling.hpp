@@ -40,6 +40,7 @@
 #include "core/step_math.hpp"
 #include "graph/lean_graph.hpp"
 #include "rng/alias_table.hpp"
+#include "rng/xoshiro256.hpp"
 
 namespace pgl::core {
 
@@ -47,6 +48,11 @@ struct TermBatch;  // core/term_batch.hpp — the shared batched term buffer
 
 /// PRNG words every term consumes, whether or not it turns out valid.
 inline constexpr std::size_t kTermWords = 4;
+
+/// Terms in one block of a stream: Xoshiro256Plus::jump_block() skips
+/// exactly one block's words, so the blocks of a slice can be sampled in
+/// any order, by any thread, from pre-positioned streams.
+inline constexpr std::size_t kBlock = rng::Xoshiro256Plus::kBlockWords / kTermWords;
 
 /// One sampled stress term: two steps on one path plus chosen endpoints,
 /// the reference (path-nucleotide) distance between the chosen points and
@@ -219,6 +225,16 @@ public:
     template <typename Rng>
     std::uint64_t fill_batch_staged(bool cooling_iter, Rng& rng, std::size_t n,
                                     TermBatch& out, bool replay = false) const;
+
+    /// The same fill for slots [begin, begin + n) of a batch already sized
+    /// by TermBatch::resize (with the same `replay`). Leaves the other
+    /// slots and invalid_count() alone, so disjoint ranges of one batch
+    /// may be filled concurrently; returns the range's degenerate terms
+    /// for the caller to add_invalid() once every range is in.
+    template <typename Rng>
+    std::uint64_t fill_batch_staged(bool cooling_iter, Rng& rng, std::size_t begin,
+                                    std::size_t n, TermBatch& out,
+                                    bool replay = false) const;
 
 private:
     const graph::LeanGraph* g_;

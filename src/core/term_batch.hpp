@@ -126,8 +126,11 @@ struct TermBatch {
     /// rescan, so per-warp/per-slice consumers may query it for free.
     std::uint64_t invalid_count() const noexcept { return invalid_; }
 
+    /// Counts `n` more holes: the running counter of a batch filled by
+    /// slot ranges, which leave it to their caller.
+    void add_invalid(std::uint64_t n) noexcept { invalid_ += n; }
+
 private:
-    friend class PairSampler;  // fill_batch_staged sets invalid_ per fill
     std::uint64_t invalid_ = 0;
 };
 
@@ -136,25 +139,35 @@ std::uint64_t PairSampler::fill_batch_staged(bool cooling_iter, Rng& rng,
                                              std::size_t n, TermBatch& out,
                                              bool replay) const {
     out.resize(n, replay);
+    const std::uint64_t invalid = fill_batch_staged(cooling_iter, rng, 0, n, out, replay);
+    out.add_invalid(invalid);
+    return invalid;
+}
+
+template <typename Rng>
+std::uint64_t PairSampler::fill_batch_staged(bool cooling_iter, Rng& rng,
+                                             std::size_t begin, std::size_t n,
+                                             TermBatch& out, bool replay) const {
     const auto offsets = g_->path_offsets();
     const auto records = g_->step_records();
     // Raw column pointers: byte stores may alias anything, so through the
     // vectors every store would reload every column's data pointer.
-    std::uint32_t* node_i = out.node_i.data();
-    std::uint32_t* node_j = out.node_j.data();
-    std::uint8_t* end_i = out.end_i.data();
-    std::uint8_t* end_j = out.end_j.data();
-    double* d_ref = out.d_ref.data();
-    double* nudge = out.nudge.data();
-    std::uint8_t* valid = out.valid.data();
+    // Slot k of the range is slot begin + k of the batch.
+    std::uint32_t* node_i = out.node_i.data() + begin;
+    std::uint32_t* node_j = out.node_j.data() + begin;
+    std::uint8_t* end_i = out.end_i.data() + begin;
+    std::uint8_t* end_j = out.end_j.data() + begin;
+    double* d_ref = out.d_ref.data() + begin;
+    double* nudge = out.nudge.data() + begin;
+    std::uint8_t* valid = out.valid.data() + begin;
 
     // Pass 1: the words of each block in one tight loop (no draw waits on
     // a memory read), then decoded. node_i/node_j hold the flat record
     // indices of the two steps until pass 2.
-    constexpr std::size_t kBlock = 64;
-    std::uint64_t words[kTermWords * kBlock];
-    for (std::size_t base = 0; base < n; base += kBlock) {
-        const std::size_t m = std::min(kBlock, n - base);
+    constexpr std::size_t kDrawBlock = 64;
+    std::uint64_t words[kTermWords * kDrawBlock];
+    for (std::size_t base = 0; base < n; base += kDrawBlock) {
+        const std::size_t m = std::min(kDrawBlock, n - base);
         for (std::size_t i = 0; i < kTermWords * m; ++i) words[i] = rng.next();
         for (std::size_t b = 0; b < m; ++b) {
             const std::uint64_t* w = &words[kTermWords * b];
@@ -167,10 +180,10 @@ std::uint64_t PairSampler::fill_batch_staged(bool cooling_iter, Rng& rng,
             nudge[k] = t.nudge;
             valid[k] = t.valid ? 1 : 0;
             if (replay) {
-                out.path[k] = t.path;
-                out.step_i[k] = t.step_i;
-                out.step_j[k] = t.step_j;
-                out.took_cooling[k] = t.took_cooling ? 1 : 0;
+                out.path[begin + k] = t.path;
+                out.step_i[begin + k] = t.step_i;
+                out.step_j[begin + k] = t.step_j;
+                out.took_cooling[begin + k] = t.took_cooling ? 1 : 0;
             }
         }
     }
@@ -199,11 +212,10 @@ std::uint64_t PairSampler::fill_batch_staged(bool cooling_iter, Rng& rng,
         valid[k] = t.valid ? 1 : 0;
         invalid += !t.valid;
         if (replay) {
-            out.pos_i[k] = t.pos_i;
-            out.pos_j[k] = t.pos_j;
+            out.pos_i[begin + k] = t.pos_i;
+            out.pos_j[begin + k] = t.pos_j;
         }
     }
-    out.invalid_ = invalid;
     return invalid;
 }
 

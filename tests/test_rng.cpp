@@ -8,6 +8,8 @@
 #include <map>
 #include <vector>
 
+#include "core/config.hpp"
+#include "core/sampling.hpp"
 #include "rng/alias_table.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xorwow.hpp"
@@ -91,6 +93,102 @@ TEST(Xoshiro256Plus, JumpProducesDisjointStream) {
         bv.push_back(b.next());
     }
     EXPECT_NE(av, bv);
+}
+
+/// The next `n` outputs: equal runs of outputs mean equal states.
+template <typename Rng>
+std::vector<std::uint64_t> outputs(Rng rng, int n = 8) {
+    std::vector<std::uint64_t> out;
+    for (int i = 0; i < n; ++i) out.push_back(rng.next());
+    return out;
+}
+
+/// xoshiro256plus.c as published (Blackman & Vigna), seeded like
+/// Xoshiro256Plus: four SplitMix64 words.
+struct PublishedXoshiro256Plus {
+    std::uint64_t s[4];
+
+    explicit PublishedXoshiro256Plus(std::uint64_t seed) {
+        SplitMix64 sm(seed);
+        for (auto& w : s) w = sm.next();
+    }
+
+    static std::uint64_t rotl(std::uint64_t x, int k) {
+        return (x << k) | (x >> (64 - k));
+    }
+
+    std::uint64_t next() {
+        const std::uint64_t result = s[0] + s[3];
+        const std::uint64_t t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
+        return result;
+    }
+
+    void jump() {
+        static const std::uint64_t JUMP[] = {
+            0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa,
+            0x39abdc4529b1661c};
+        std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+        for (std::uint64_t word : JUMP) {
+            for (int b = 0; b < 64; b++) {
+                if (word & (UINT64_C(1) << b)) {
+                    s0 ^= s[0];
+                    s1 ^= s[1];
+                    s2 ^= s[2];
+                    s3 ^= s[3];
+                }
+                next();
+            }
+        }
+        s[0] = s0;
+        s[1] = s1;
+        s[2] = s2;
+        s[3] = s3;
+    }
+};
+
+/// The states the jump tests start from: 64 SplitMix-seeded states and
+/// the engine's default seed state.
+std::vector<std::uint64_t> jump_seeds() {
+    std::vector<std::uint64_t> seeds;
+    SplitMix64 sm(0x5eed);
+    for (int i = 0; i < 64; ++i) seeds.push_back(sm.next());
+    seeds.push_back(pgl::core::LayoutConfig{}.seed);
+    return seeds;
+}
+
+TEST(Xoshiro256Plus, JumpMatchesThePublishedJump) {
+    for (const std::uint64_t seed : jump_seeds()) {
+        Xoshiro256Plus ours(seed);
+        PublishedXoshiro256Plus ref(seed);
+        ASSERT_EQ(outputs(ours), outputs(ref)) << seed;
+        for (int jumps = 1; jumps <= 2; ++jumps) {
+            ours.jump();
+            ref.jump();
+            EXPECT_EQ(outputs(ours), outputs(ref)) << seed << " x" << jumps;
+        }
+    }
+}
+
+TEST(Xoshiro256Plus, JumpBlockSkipsExactlyOneBlockOfWords) {
+    static_assert(Xoshiro256Plus::kBlockWords ==
+                  pgl::core::kTermWords * pgl::core::kBlock);
+    for (const std::uint64_t seed : jump_seeds()) {
+        Xoshiro256Plus jumped(seed), stepped(seed);
+        for (int block = 1; block <= 3; ++block) {
+            jumped.jump_block();
+            for (std::uint64_t i = 0; i < Xoshiro256Plus::kBlockWords; ++i) {
+                stepped.next();
+            }
+            ASSERT_EQ(outputs(jumped), outputs(stepped))
+                << "seed " << seed << ", block " << block;
+        }
+    }
 }
 
 TEST(Xorwow, StateIsSixWords) {
