@@ -11,9 +11,10 @@
 // Built-in registry names:
 //   "cpu-soa"           per-term Hogwild CPU engine (racy by design;
 //                       deterministic per seed at one thread)
-//   "cpu-pipelined"     ordered CPU engine: pool producers sample ahead,
-//                       the caller applies in shard order (deterministic
-//                       per seed+threads; replays cpu-soa at one thread)
+//   "cpu-pipelined"     ordered CPU engine: every thread samples blocks of
+//                       the next slice, the caller applies in shard order
+//                       (deterministic per seed+threads; replays cpu-soa
+//                       at one thread)
 //   "gpusim-base"       simulated CUDA kernel, no optimizations
 //   "gpusim-optimized"  simulated CUDA kernel, CDL + CRS + WM
 //   "torch"             PyTorch-style batched tensor implementation

@@ -1,31 +1,40 @@
 // The ordered CPU engine ("cpu-pipelined"): PG-SGD with sampling and
 // position updates overlapped. The paper's Sec. III observation is that the
 // layout loop is sampling-bound — most of an update's cost is drawing the
-// term (alias tables, Zipf hop, step lookups), not the arithmetic. The
-// engine therefore splits the two halves of the loop across threads:
+// term (alias tables, Zipf hop, step lookups), not the arithmetic — and
+// data-parallel. Every engine thread therefore samples, and only the
+// calling thread applies:
 //
-//   producers (max(1, threads) persistent pool workers)
-//       each owns a jumped Xoshiro256+ stream (shard tid = seed stream
-//       jumped tid times) and fills its shard's TermBatch for slice N+1
-//       with PairSampler::fill_batch_staged;
-//   consumer (the calling thread)
+//   shards (max(1, threads) of them)
+//       shard tid draws from a jumped Xoshiro256+ stream (the seed stream
+//       jumped tid times) into its own TermBatch per slice. A shard's slice
+//       is cut into blocks of kBlock terms, and block b starts at the
+//       slice's stream position jumped b times by jump_block() — the
+//       paper's pre-positioned random states (Sec. V-B2) — so any thread
+//       can fill any block with the slot-range PairSampler::fill_batch_staged;
+//   samplers (the max(1, threads) persistent pool workers plus the caller)
+//       claim the blocks of slice N+1 from one atomic counter;
+//   the applier (the calling thread)
 //       applies slice N's batches through the configured UpdateKernel
-//       (cfg.kernel: "scalar" or the byte-identical "simd"), in fixed
-//       shard order, while the producers sample ahead.
+//       (cfg.kernel: "scalar" or the byte-identical "simd"), in fixed shard
+//       order, then claims whatever blocks of slice N+1 are still left.
 //
-// Double buffering means neither side ever waits on a batch the other is
-// touching; the pool's dispatch/wait edges order the hand-off. Because the
-// consumer is the only thread that writes coordinates and applies batches
-// in a deterministic order, a fixed (seed, threads) pair reproduces the
-// layout byte-for-byte — unlike the Hogwild engine, whose result depends
-// on scheduler interleaving.
+// Double buffering means no batch is sampled while it is applied; the
+// pool's dispatch/wait edges order the hand-off. A term's words, its slot
+// and the apply order depend only on (seed, threads), never on which
+// thread filled its block, and the caller is the only thread that writes
+// coordinates, so a fixed (seed, threads) pair reproduces the layout
+// byte-for-byte — unlike the Hogwild engine, whose result depends on
+// scheduler interleaving.
 //
 // Every term takes exactly four words of its shard's stream — w0 the path,
 // w1 step_i, w2 step_j or the Zipf hop, w3 the coins and the nudge
-// (core/sampling.hpp) — so the slice size never changes which terms a
-// shard draws. At one thread the single shard is the unjumped seed stream
-// applied in draw order: the bytes of cpu-soa at one thread.
+// (core/sampling.hpp) — so neither the slice nor the block size changes
+// which terms a shard draws. At one thread the single shard is the
+// unjumped seed stream applied in draw order: the bytes of cpu-soa at one
+// thread.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -39,6 +48,7 @@
 #include "core/thread_pool.hpp"
 #include "core/topology.hpp"
 #include "rng/xoshiro256.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace pgl::core {
 
@@ -47,17 +57,22 @@ namespace {
 /// Adaptive slice sizing: at least 1024 terms (amortizes the pool
 /// dispatch; keeps a slice's updates cache-hot), at most 64Ki terms
 /// (bounds buffer memory at any thread count). Two slices per iteration is the minimum
-/// that still overlaps — the producers fill the second half-iteration
-/// while the consumer applies the first — and it keeps pool dispatches per
+/// that still overlaps — the samplers fill the second half-iteration
+/// while the caller applies the first — and it keeps pool dispatches per
 /// iteration constant, so the dispatch latency never grows with the
 /// schedule.
 constexpr std::size_t kMinSlice = 1024;
 constexpr std::size_t kMaxSlice = std::size_t{1} << 16;
 constexpr std::uint64_t kTargetSlicesPerIter = 2;
 
-/// Per-producer skip counter, cache-line padded so producers on different
-/// cores never false-share while sampling.
-struct alignas(64) ShardCounter {
+/// One block of a shard's slice: up to kBlock slots of the shard's batch
+/// and a stream positioned at the block's first word. After the fill the
+/// stream sits at the block's end and `skipped` holds its degenerate
+/// terms. Cache-line aligned: blocks are filled by different threads.
+struct alignas(64) Block {
+    rng::Xoshiro256Plus rng;
+    std::uint32_t shard = 0;
+    std::size_t begin = 0, n = 0;
     std::uint64_t skipped = 0;
 };
 
@@ -83,8 +98,10 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
     const std::size_t slice = std::clamp<std::size_t>(
         static_cast<std::size_t>(max_share / kTargetSlicesPerIter), kMinSlice,
         kMaxSlice);
-    const std::uint64_t n_slices =
-        (max_share + slice - 1) / static_cast<std::uint64_t>(slice);
+    // At least one slice, so an iteration with no steps still runs (and
+    // reports) through the loop below.
+    const std::uint64_t n_slices = std::max<std::uint64_t>(
+        1, (max_share + slice - 1) / static_cast<std::uint64_t>(slice));
 
     // Shard tid's share of slice s (trailing slices of small shards are 0).
     const auto take = [&](std::uint32_t tid, std::uint64_t s) -> std::size_t {
@@ -94,8 +111,9 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
         return static_cast<std::size_t>(end - begin);
     };
 
-    // Stream tid is the seed stream jumped tid times (stream 0 is cpu-soa's
-    // one-thread stream).
+    // rngs[tid] is shard tid's stream at the start of its next slice:
+    // the seed stream jumped tid times (stream 0 is cpu-soa's one-thread
+    // stream).
     std::vector<rng::Xoshiro256Plus> rngs;
     rngs.reserve(n_shards);
     rng::Xoshiro256Plus seeder(cfg.seed);
@@ -104,70 +122,133 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
         for (std::uint32_t j = 0; j < tid; ++j) rngs.back().jump();
     }
 
-    // Double buffer: producers fill bufs[1 - cur] while the consumer
-    // applies bufs[cur]. No reserve: the first fill sizes exactly the
-    // apply columns (reserve() would also allocate the six replay columns
-    // it never writes), and the capacity persists. Shard tid's buffers are only ever written by producer tid,
-    // so with pinned workers first touch lands them on the producer's own
-    // node — no explicit placement needed.
+    // Double buffer: the samplers fill bufs[1 - cur] while the caller
+    // applies bufs[cur]. Each shard's two batches are sized once for its
+    // largest slice (slice 0), so later resizes stay within the capacity.
+    // Any thread writes any shard's batch, so with pinned workers worker
+    // tid does the sizing of shard tid: that first touch commits the pages
+    // on the worker's node. Only the apply columns are sized (the six
+    // replay columns stay empty).
     std::vector<TermBatch> bufs[2];
     for (auto& side : bufs) side.resize(n_shards);
-    std::vector<ShardCounter> fill_skipped(n_shards);
+    const auto size_shard = [&](std::uint32_t tid) {
+        for (auto& side : bufs) side[tid].resize(take(tid, 0), false);
+    };
+    if (pool.pinning_requested()) {
+        pool.run(size_shard);
+    } else {
+        for (std::uint32_t tid = 0; tid < n_shards; ++tid) size_shard(tid);
+    }
 
-    std::uint64_t total_skipped = 0;
+    // The blocks of the slice being sampled, and the counter that hands
+    // them out.
+    std::vector<Block> blocks;
+    std::atomic<std::size_t> next_block{0};
+    const auto plan = [&](std::vector<TermBatch>& side, std::uint64_t s) {
+        blocks.clear();
+        for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
+            const std::size_t n = take(tid, s);
+            side[tid].resize(n, false);
+            rng::Xoshiro256Plus at = rngs[tid];
+            for (std::size_t begin = 0; begin < n; begin += kBlock) {
+                if (begin > 0) at.jump_block();
+                Block& b = blocks.emplace_back();
+                b.rng = at;
+                b.shard = tid;
+                b.begin = begin;
+                b.n = std::min(kBlock, n - begin);
+            }
+        }
+        next_block.store(0, std::memory_order_relaxed);
+    };
+    // Fills blocks until none is left; returns how many this thread took.
+    const auto drain = [&](std::vector<TermBatch>& side, bool cooling_iter) {
+        std::size_t taken = 0;
+        for (std::size_t k = next_block.fetch_add(1, std::memory_order_relaxed);
+             k < blocks.size();
+             k = next_block.fetch_add(1, std::memory_order_relaxed)) {
+            Block& b = blocks[k];
+            b.skipped = sampler.fill_batch_staged(cooling_iter, b.rng, b.begin,
+                                                  b.n, side[b.shard]);
+            ++taken;
+        }
+        return taken;
+    };
+    // After every block is in: count the holes, and move each shard's
+    // stream to the end of its last block.
+    const auto harvest = [&](std::vector<TermBatch>& side) {
+        std::uint64_t skipped = 0;
+        for (const Block& b : blocks) {
+            side[b.shard].add_invalid(b.skipped);
+            skipped += b.skipped;
+            rngs[b.shard] = b.rng;  // blocks are in stream order per shard
+        }
+        return skipped;
+    };
+    const telemetry::Counter consumer_blocks =
+        telemetry::Registry::instance().counter("pipelined.consumer_blocks");
+
+    // The run is one sequence of slices: slice g is slice g % n_slices of
+    // iteration g / n_slices. Sampling reads the iteration only through
+    // its cooling flag, never eta or the coordinates, so the samplers run
+    // one slice ahead of the caller across iteration boundaries too.
+    // Slice g + 1 is planned only once slice g is sampled: its blocks
+    // start where slice g's streams ended.
+    const std::uint64_t n_total = std::uint64_t{cfg.iter_max} * n_slices;
+    std::vector<std::uint64_t> iter_skipped(cfg.iter_max, 0);
+    const auto start_fill = [&](std::uint64_t g) {
+        plan(bufs[g % 2], g % n_slices);
+        const bool cooling_iter = cfg.cooling(static_cast<std::uint32_t>(g / n_slices));
+        pool.launch([&, g, cooling_iter](std::uint32_t) {
+            drain(bufs[g % 2], cooling_iter);
+        });
+    };
+    const auto finish_fill = [&](std::uint64_t g) {
+        const auto iter = static_cast<std::uint32_t>(g / n_slices);
+        consumer_blocks.add(drain(bufs[g % 2], cfg.cooling(iter)));
+        pool.wait();
+        iter_skipped[iter] += harvest(bufs[g % 2]);
+    };
+
     std::uint32_t iters_done = cfg.iter_max;
     const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint32_t iter = 0; iter < cfg.iter_max; ++iter) {
-        // Cooperative cancel, checked only at the iteration boundary where
-        // no fill job is in flight (the slice loop below always wait()s
-        // before its last apply), so the pool is quiescent when we bail.
-        if (cfg.cancel_requested()) {
+    if (n_total > 0) {
+        start_fill(0);
+        finish_fill(0);
+    }
+    for (std::uint64_t g = 0; g < n_total; ++g) {
+        const auto iter = static_cast<std::uint32_t>(g / n_slices);
+        // Cooperative cancel at iteration boundaries. No fill is in flight
+        // here (each slice's fill is finished before its apply), so the
+        // pool is quiescent when we bail.
+        if (g % n_slices == 0 && cfg.cancel_requested()) {
             iters_done = iter;
             break;
         }
+        const bool more = g + 1 < n_total;
+        if (more) start_fill(g + 1);
         const double eta = result.eta_schedule[iter];
-        const bool cooling_iter = cfg.cooling(iter);
-
-        // Sampling depends on the iteration only through the cooling flag,
-        // never on eta or the coordinates, so producers may run a full
-        // slice ahead of the consumer within the iteration.
-        const auto fill_job = [&](int buf, std::uint64_t s) {
-            return [&, buf, s](std::uint32_t tid) {
-                fill_skipped[tid].skipped += sampler.fill_batch_staged(
-                    cooling_iter, rngs[tid], take(tid, s), bufs[buf][tid]);
-            };
-        };
-
-        int cur = 0;
-        pool.run(fill_job(cur, 0));
-        for (std::uint64_t s = 0; s < n_slices; ++s) {
-            const bool more = s + 1 < n_slices;
-            if (more) pool.launch(fill_job(1 - cur, s + 1));
-            for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
-                kern.apply(bufs[cur][tid], eta, store);
-            }
-            if (more) pool.wait();
-            cur = 1 - cur;
+        for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
+            kern.apply(bufs[g % 2][tid], eta, store);
         }
+        if (more) finish_fill(g + 1);
 
-        std::uint64_t iter_skipped = 0;
-        for (auto& c : fill_skipped) {
-            iter_skipped += c.skipped;
-            c.skipped = 0;
-        }
-        total_skipped += iter_skipped;
-        if (hook) {
+        if (hook && (g + 1) % n_slices == 0) {
             IterationStats s;
             s.iteration = iter;
             s.iter_max = cfg.iter_max;
             s.eta = eta;
             s.updates = n_steps;
-            s.skipped = iter_skipped;
+            s.skipped = iter_skipped[iter];
             hook(s);
         }
     }
     const auto t1 = std::chrono::steady_clock::now();
 
+    std::uint64_t total_skipped = 0;
+    for (std::uint32_t iter = 0; iter < iters_done; ++iter) {
+        total_skipped += iter_skipped[iter];
+    }
     result.seconds = std::chrono::duration<double>(t1 - t0).count();
     result.updates = static_cast<std::uint64_t>(iters_done) * n_steps;
     result.skipped = total_skipped;
@@ -184,9 +265,9 @@ protected:
         // Resolving the kernel here also validates cfg.kernel up front
         // (resolve_placement does the same for cfg.numa).
         kernel_ = make_update_kernel(cfg_.kernel);
-        // There is always at least one producer, so even a
-        // single-threaded config overlaps sampling with the consumer's
-        // updates. Workers persist across run() calls — nothing is spawned
+        // There is always at least one pool worker, so even a
+        // single-threaded config samples on two threads while the caller
+        // also applies. Workers persist across run() calls — nothing is spawned
         // in the iteration loop. The pool is recreated when the placement
         // plan changes, not just the size: live workers cannot be
         // repinned.

@@ -6,7 +6,9 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <algorithm>
@@ -20,6 +22,7 @@
 #include "metrics/path_stress.hpp"
 #include "rng/xorwow.hpp"
 #include "rng/xoshiro256.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace {
@@ -279,6 +282,49 @@ TEST(CpuPipelinedEngine, ReRunningTheSameEngineInstanceIsDeterministicToo) {
     }
 }
 
+TEST(CpuPipelinedEngine, EveryThreadSamplesAndRepeatedRunsKeepTheirBytes) {
+    // At factor 1 each of three shards' slices spans several blocks, so
+    // blocks of one slice are filled concurrently by different threads.
+    const auto g = small_graph(8000, 4);
+    core::LayoutConfig cfg;
+    cfg.iter_max = 3;
+    cfg.steps_per_iter_factor = 1.0;
+    cfg.seed = 77;
+    ASSERT_GE(cfg.steps_per_iteration(g.total_path_steps()), 3 * 2 * 3 * core::kBlock);
+
+#ifndef PGL_TELEMETRY_DISABLED
+    const telemetry::Counter consumer_blocks =
+        telemetry::Registry::instance().counter("pipelined.consumer_blocks");
+#endif
+    for (const std::uint32_t threads : {1u, 3u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        cfg.threads = threads;
+#ifndef PGL_TELEMETRY_DISABLED
+        const std::uint64_t before = consumer_blocks.value();
+#endif
+        core::LayoutResult first;
+        for (int run = 0; run < 20; ++run) {
+            auto engine = core::make_engine("cpu-pipelined");
+            engine->init(g, cfg);
+            const core::LayoutResult r = engine->run();
+            if (run == 0) {
+                first = r;
+                continue;
+            }
+            ASSERT_EQ(r.layout.start_x, first.layout.start_x) << "run " << run;
+            ASSERT_EQ(r.layout.start_y, first.layout.start_y) << "run " << run;
+            ASSERT_EQ(r.layout.end_x, first.layout.end_x) << "run " << run;
+            ASSERT_EQ(r.layout.end_y, first.layout.end_y) << "run " << run;
+            ASSERT_EQ(r.skipped, first.skipped) << "run " << run;
+        }
+#ifndef PGL_TELEMETRY_DISABLED
+        // The calling thread samples too: a fallback to pool-only sampling
+        // would leave the counter flat.
+        if (threads == 1) EXPECT_GT(consumer_blocks.value(), before);
+#endif
+    }
+}
+
 TEST(CpuPipelinedEngine, FourShardsMatchOneShardQualityWithinStressTolerance) {
     const auto g = small_graph(300, 5);
     core::LayoutConfig cfg;
@@ -430,6 +476,87 @@ TEST(CanonicalDraw, EveryTermAdvancesTheStreamByExactlyFourWords) {
     for (int k = 0; k < 100; ++k) sampler.sample(k % 2 == 0, lane);
     for (int k = 0; k < 800; ++k) rng::xorwow_next(ref);
     EXPECT_EQ(rng::xorwow_next(st), rng::xorwow_next(ref));
+}
+
+TEST(CanonicalDraw, BlockRangeFillsEqualOneFillInAnyOrder) {
+    const auto g = small_graph(250, 4);
+    core::LayoutConfig cfg;
+    const core::PairSampler sampler(g, cfg);
+    constexpr std::size_t kB = core::kBlock;
+    for (const std::size_t n : {std::size_t{1}, kB - 1, kB, kB + 1, 3 * kB + 17}) {
+        for (const bool cooling_iter : {false, true}) {
+            SCOPED_TRACE("n " + std::to_string(n) + (cooling_iter ? ", cooling" : ""));
+            rng::Xoshiro256Plus rng_one(4242);
+            core::TermBatch one;
+            sampler.fill_batch_staged(cooling_iter, rng_one, n, one, true);
+
+            // Block b reads the seed stream jumped b times.
+            const std::size_t n_blocks = (n + kB - 1) / kB;
+            std::vector<rng::Xoshiro256Plus> starts;
+            rng::Xoshiro256Plus at(4242);
+            for (std::size_t b = 0; b < n_blocks; ++b) {
+                if (b > 0) at.jump_block();
+                starts.push_back(at);
+            }
+
+            // Fills every block, lane by lane; lanes after the first run on
+            // threads of their own, concurrently with it.
+            const auto fill_in = [&](const auto& lanes) {
+                core::TermBatch out;
+                out.resize(n, true);
+                std::vector<rng::Xoshiro256Plus> streams = starts;
+                std::vector<std::uint64_t> skipped(n_blocks);
+                const auto run_lane = [&](const std::vector<std::size_t>& lane) {
+                    for (const std::size_t b : lane) {
+                        const std::size_t begin = b * kB;
+                        skipped[b] = sampler.fill_batch_staged(
+                            cooling_iter, streams[b], begin, std::min(kB, n - begin),
+                            out, true);
+                    }
+                };
+                std::vector<std::thread> others;
+                for (std::size_t l = 1; l < lanes.size(); ++l) {
+                    others.emplace_back(run_lane, std::cref(lanes[l]));
+                }
+                run_lane(lanes[0]);
+                for (auto& t : others) t.join();
+                for (const std::uint64_t s : skipped) out.add_invalid(s);
+                // The last block ends where the one fill's stream ends.
+                EXPECT_EQ(streams.back().next(), rng::Xoshiro256Plus(rng_one).next());
+                return out;
+            };
+
+            std::vector<std::size_t> forward(n_blocks), reverse, even, odd;
+            for (std::size_t b = 0; b < n_blocks; ++b) {
+                forward[b] = b;
+                (b % 2 == 0 ? even : odd).push_back(b);
+            }
+            reverse.assign(forward.rbegin(), forward.rend());
+            using Lanes = std::vector<std::vector<std::size_t>>;
+            const std::vector<std::pair<const char*, Lanes>> orders = {
+                {"forward", Lanes{forward}},
+                {"reverse", Lanes{reverse}},
+                {"two threads", Lanes{even, odd}}};
+            for (const auto& [order, lanes] : orders) {
+                SCOPED_TRACE(order);
+                const core::TermBatch b = fill_in(lanes);
+                EXPECT_EQ(b.path, one.path);
+                EXPECT_EQ(b.step_i, one.step_i);
+                EXPECT_EQ(b.step_j, one.step_j);
+                EXPECT_EQ(b.took_cooling, one.took_cooling);
+                EXPECT_EQ(b.pos_i, one.pos_i);
+                EXPECT_EQ(b.pos_j, one.pos_j);
+                EXPECT_EQ(b.node_i, one.node_i);
+                EXPECT_EQ(b.node_j, one.node_j);
+                EXPECT_EQ(b.end_i, one.end_i);
+                EXPECT_EQ(b.end_j, one.end_j);
+                EXPECT_EQ(b.d_ref, one.d_ref);
+                EXPECT_EQ(b.nudge, one.nudge);
+                EXPECT_EQ(b.valid, one.valid);
+                EXPECT_EQ(b.invalid_count(), one.invalid_count());
+            }
+        }
+    }
 }
 
 TEST(CanonicalDraw, WordLayoutDecodesAsDocumented) {
