@@ -1,5 +1,6 @@
 #include "core/thread_pool.hpp"
 
+#include <chrono>
 #include <iostream>
 
 #if defined(__linux__)
@@ -69,7 +70,18 @@ void ThreadPool::worker_loop(std::uint32_t tid) {
             in_flight_ = false;
             lock.unlock();
             cv_done_.notify_all();
+        } else {
+            lock.unlock();
         }
+        spin_for_dispatch(seen_generation);
+    }
+}
+
+void ThreadPool::spin_for_dispatch(std::uint64_t seen) const noexcept {
+    const auto until = std::chrono::steady_clock::now() + kDispatchSpin;
+    while (posted_.load(std::memory_order_relaxed) == seen &&
+           std::chrono::steady_clock::now() < until) {
+        std::this_thread::yield();
     }
 }
 
@@ -94,6 +106,7 @@ void ThreadPool::launch(Job job) {
         remaining_ = size();
         in_flight_ = true;
         ++generation_;
+        posted_.store(generation_, std::memory_order_relaxed);
         launch_ns_ = telemetry::now_ns();
     }
     dispatches_.add(1);

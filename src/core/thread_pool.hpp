@@ -8,8 +8,8 @@
 // barrier-style wait() replaces the per-iteration join.
 //
 // The dispatch/wait pair establishes happens-before edges in both
-// directions (mutex + condition variable), so a producer thread's writes to
-// a TermBatch are visible to whoever consumes the batch after wait()
+// directions (mutex + condition variable), so a worker's writes to a
+// TermBatch are visible to whoever consumes the batch after wait()
 // returns — the property the double-buffered pipelined engine relies on.
 //
 // A pool of size 0 is a valid degenerate pool: run() and launch() execute
@@ -24,6 +24,8 @@
 // outside the cgroup cpuset, non-Linux host) logs one warning, counts
 // `pool.pin.failures`, and the worker continues unpinned — a run is never
 // aborted, and the computed bytes are identical either way.
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -95,8 +97,17 @@ public:
     }
 
 private:
+    /// How long a worker that finished a job polls for the next dispatch
+    /// before it blocks. Waking a blocked worker is a futex wake, and on a
+    /// busy (virtualized) host the woken worker can sit queued behind its
+    /// waker for milliseconds — longer than a pipelined slice. The poll
+    /// only shortens that wait; the mutex and condition variable still
+    /// order every hand-off.
+    static constexpr std::chrono::microseconds kDispatchSpin{250};
+
     void worker_loop(std::uint32_t tid);
     void pin_self(std::uint32_t tid);
+    void spin_for_dispatch(std::uint64_t seen) const noexcept;
 
     WorkerPlacement placement_;
     std::once_flag pin_warned_;
@@ -106,6 +117,7 @@ private:
     std::condition_variable cv_done_;
     Job job_;
     std::uint64_t generation_ = 0;  ///< bumped per launch; workers track it
+    std::atomic<std::uint64_t> posted_{0};  ///< generation_, polled unlocked
     std::uint32_t remaining_ = 0;   ///< workers still running the current job
     bool in_flight_ = false;
     bool stopping_ = false;
