@@ -108,7 +108,6 @@ struct Daemon::Impl {
     };
 
     int listen_fd = -1;
-    std::atomic<bool> stop{false};
     std::mutex mutex;  ///< guards `connections` and every `done`
     std::list<Connection> connections;  ///< stable addresses for the threads
 
@@ -133,9 +132,7 @@ Daemon::Daemon(DaemonOptions opt)
 
 Daemon::~Daemon() = default;
 
-void Daemon::stop() noexcept {
-    if (impl_) impl_->stop.store(true, std::memory_order_relaxed);
-}
+void Daemon::stop() noexcept { stop_.store(true, std::memory_order_relaxed); }
 
 void Daemon::run() {
     ::signal(SIGPIPE, SIG_IGN);
@@ -160,6 +157,7 @@ void Daemon::run() {
 
     Impl impl;
     impl_ = &impl;
+    stop_.store(false, std::memory_order_relaxed);
     impl.listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (impl.listen_fd < 0) {
         impl_ = nullptr;
@@ -179,7 +177,7 @@ void Daemon::run() {
 
     // Accept loop: poll with a short timeout so a stop() from a signal
     // handler or a shutdown command is observed promptly.
-    while (!impl.stop.load(std::memory_order_relaxed)) {
+    while (!stop_.load(std::memory_order_relaxed)) {
         pollfd pfd{impl.listen_fd, POLLIN, 0};
         const int rc = ::poll(&pfd, 1, 200);
         if (rc < 0) {
@@ -242,7 +240,7 @@ void Daemon::handle_connection(int fd) {
             const std::string response = handle_line(line, want_shutdown);
             if (!send_all(fd, response)) open = false;
             if (want_shutdown) {
-                impl_->stop.store(true, std::memory_order_relaxed);
+                stop_.store(true, std::memory_order_relaxed);
                 open = false;  // response is out; let the accept loop wind down
             }
         }

@@ -21,6 +21,7 @@
 // not stall other clients); the accept loop polls so shutdown is prompt,
 // and on every wakeup it joins the threads of closed connections and
 // closes their fds, so threads and fds stay bounded by open connections.
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -60,6 +61,9 @@ private:
     DaemonOptions opt_;
     Server server_;
     Impl* impl_ = nullptr;  ///< live only inside run()
+    /// Set by stop() and the shutdown command; a member rather than part
+    /// of Impl, so stop() never reads impl_ while run() clears it.
+    std::atomic<bool> stop_{false};
 };
 
 /// One-shot client: connects to `socket_path`, sends `line` (newline

@@ -296,8 +296,10 @@ void Server::worker_loop() {
             "job.queue", "serve", job->id, job->submitted_ns, started_ns);
 
         lock.unlock();
-        execute(*job);
+        Outcome outcome = execute(*job);
         lock.lock();
+        job->artifact = std::move(outcome.artifact);
+        job->error = std::move(outcome.error);
 
         --stats_.running;
         run_hist_.record(telemetry::now_ns() - started_ns);
@@ -314,7 +316,8 @@ void Server::worker_loop() {
     }
 }
 
-void Server::execute(Job& job) {
+Server::Outcome Server::execute(Job& job) {
+    Outcome outcome;
     try {
         core::Layout layout;
         {
@@ -323,17 +326,18 @@ void Server::execute(Job& job) {
             layout = run_job(job);
         }
         if (job.cancel_flag->load(std::memory_order_relaxed)) {
-            return;  // partial layout: never published
+            return outcome;  // partial layout: never published
         }
         {
             telemetry::StageSpan span("job.publish",
                                       "job" + std::to_string(job.id));
-            job.artifact = cache_.publish(job.key, layout);
+            outcome.artifact = cache_.publish(job.key, layout);
         }
         job.progress.store(1.0, std::memory_order_relaxed);
     } catch (const std::exception& e) {
-        job.error = e.what();
+        outcome.error = e.what();
     }
+    return outcome;
 }
 
 std::shared_ptr<const graph::LeanIngest> Server::load_graph(

@@ -150,7 +150,14 @@ private:
     Job* find_job(std::uint64_t id);
     const Job* find_job(std::uint64_t id) const;
     void worker_loop();
-    void execute(Job& job);
+    /// What one run produced: the published artifact, or the error.
+    struct Outcome {
+        std::string artifact;
+        std::string error;
+    };
+    /// Runs and publishes a job without mutex_ held; the caller stores the
+    /// outcome in the Job under the lock, where status() reads it.
+    Outcome execute(Job& job);
     core::Layout run_job(Job& job);
     std::shared_ptr<const graph::LeanIngest> load_graph(const JobRequest& r,
                                                         std::uint64_t fp);
