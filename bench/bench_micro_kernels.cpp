@@ -58,6 +58,8 @@ void BM_FillBlock(benchmark::State& state) {
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             sampler.fill_batch_staged(false, rng, 0, core::kBlock, batch));
+        benchmark::DoNotOptimize(batch.d_ref.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * core::kBlock);
 }
