@@ -98,10 +98,8 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
     const std::size_t slice = std::clamp<std::size_t>(
         static_cast<std::size_t>(max_share / kTargetSlicesPerIter), kMinSlice,
         kMaxSlice);
-    // At least one slice, so an iteration with no steps still runs (and
-    // reports) through the loop below.
-    const std::uint64_t n_slices = std::max<std::uint64_t>(
-        1, (max_share + slice - 1) / static_cast<std::uint64_t>(slice));
+    const std::uint64_t n_slices =
+        (max_share + slice - 1) / static_cast<std::uint64_t>(slice);
 
     // Shard tid's share of slice s (trailing slices of small shards are 0).
     const auto take = [&](std::uint32_t tid, std::uint64_t s) -> std::size_t {
@@ -122,8 +120,8 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
         for (std::uint32_t j = 0; j < tid; ++j) rngs.back().jump();
     }
 
-    // Double buffer: the samplers fill bufs[1 - cur] while the caller
-    // applies bufs[cur]. Each shard's two batches are sized once for its
+    // Double buffer: the samplers fill slice g + 1 into bufs[(g + 1) % 2]
+    // while the caller applies slice g from bufs[g % 2]. Each shard's two batches are sized once for its
     // largest slice (slice 0), so later resizes stay within the capacity.
     // Any thread writes any shard's batch, so with pinned workers worker
     // tid does the sizing of shard tid: that first touch commits the pages
