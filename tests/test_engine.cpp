@@ -320,7 +320,9 @@ TEST(CpuPipelinedEngine, EveryThreadSamplesAndRepeatedRunsKeepTheirBytes) {
 #ifndef PGL_TELEMETRY_DISABLED
         // The calling thread samples too: a fallback to pool-only sampling
         // would leave the counter flat.
-        if (threads == 1) EXPECT_GT(consumer_blocks.value(), before);
+        if (threads == 1) {
+            EXPECT_GT(consumer_blocks.value(), before);
+        }
 #endif
     }
 }
