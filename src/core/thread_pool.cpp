@@ -91,6 +91,7 @@ ThreadPool::~ThreadPool() {
         std::lock_guard<std::mutex> lock(mutex_);
         stopping_ = true;
     }
+    posted_.fetch_add(1, std::memory_order_relaxed);  // ends every poll now
     cv_work_.notify_all();
     for (auto& w : workers_) w.join();
 }
