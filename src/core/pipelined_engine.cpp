@@ -121,12 +121,12 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
     }
 
     // Double buffer: the samplers fill slice g + 1 into bufs[(g + 1) % 2]
-    // while the caller applies slice g from bufs[g % 2]. Each shard's two batches are sized once for its
-    // largest slice (slice 0), so later resizes stay within the capacity.
-    // Any thread writes any shard's batch, so with pinned workers worker
-    // tid does the sizing of shard tid: that first touch commits the pages
-    // on the worker's node. Only the apply columns are sized (the six
-    // replay columns stay empty).
+    // while the caller applies slice g from bufs[g % 2]. Each shard's two
+    // batches are sized once for its largest slice (slice 0), so later
+    // resizes stay within the capacity. Any thread writes any shard's
+    // batch, so with pinned workers worker tid does the sizing of shard
+    // tid: that first touch commits the pages on the worker's node. Only
+    // the apply columns are sized (the six replay columns stay empty).
     std::vector<TermBatch> bufs[2];
     for (auto& side : bufs) side.resize(n_shards);
     const auto size_shard = [&](std::uint32_t tid) {

@@ -11,7 +11,7 @@
 // exactly four words of its stream (w0 path, w1 step_i, w2 step_j or the
 // Zipf hop, w3 coins and nudge; core/sampling.hpp), so a batch holds the
 // same terms, nudges included, as the same number of sample() calls,
-// however the stream is sliced into batches.
+// however the stream is sliced into batches or slot ranges.
 //
 // Invalid (degenerate) terms keep their slot with valid == 0 so that
 // slot-indexed consumers (the warp simulator pairs slot k with lane k) see
