@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/kernels/update_kernel.hpp"
 #include "core/sampling.hpp"
 #include "core/schedule.hpp"
 #include "core/step_math.hpp"
@@ -50,13 +51,7 @@ core::Layout layout_fixed_hop(const graph::LeanGraph& g,
             if (pi == pj) continue;
             const double d_ref =
                 static_cast<double>(pi > pj ? pi - pj : pj - pi);
-            const float xi = store.load_x(ni, ei), yi = store.load_y(ni, ei);
-            const float xj = store.load_x(nj, ej), yj = store.load_y(nj, ej);
-            const auto d = core::sgd_term_update(xi, yi, xj, yj, d_ref, eta, 1e-4);
-            store.store_x(ni, ei, xi + d.dx_i);
-            store.store_y(ni, ei, yi + d.dy_i);
-            store.store_x(nj, ej, xj + d.dx_j);
-            store.store_y(nj, ej, yj + d.dy_j);
+            core::apply_term_relaxed(store, ni, ei, nj, ej, d_ref, eta, 1e-4);
         }
     }
     return store.snapshot();

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/kernels/update_kernel.hpp"
 #include "core/layout.hpp"
 #include "core/sampling.hpp"
 #include "core/step_math.hpp"
@@ -124,15 +125,8 @@ void BM_FullUpdateStep(benchmark::State& state) {
     for (auto _ : state) {
         const auto t = sampler.sample(false, rng);
         if (!t.valid) continue;
-        const float xi = store.load_x(t.node_i, t.end_i);
-        const float yi = store.load_y(t.node_i, t.end_i);
-        const float xj = store.load_x(t.node_j, t.end_j);
-        const float yj = store.load_y(t.node_j, t.end_j);
-        const auto d = core::sgd_term_update(xi, yi, xj, yj, t.d_ref, 1.0, 1e-4);
-        store.store_x(t.node_i, t.end_i, xi + d.dx_i);
-        store.store_y(t.node_i, t.end_i, yi + d.dy_i);
-        store.store_x(t.node_j, t.end_j, xj + d.dx_j);
-        store.store_y(t.node_j, t.end_j, yj + d.dy_j);
+        core::apply_term_relaxed(store, t.node_i, t.end_i, t.node_j, t.end_j,
+                                 t.d_ref, 1.0, 1e-4);
     }
 }
 BENCHMARK(BM_FullUpdateStep);

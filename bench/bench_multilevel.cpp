@@ -136,11 +136,6 @@ int main(int argc, char** argv) {
     core::LayoutResult refined = engine->run();
     const double t_refine = secs_since(t0);
     engine->set_progress_hook(nullptr);
-    if (refine_cum.size() != refine_cfg.iter_max) {
-        // Engine without per-iteration progress (Hogwild multithreaded):
-        // fall back to attributing the whole refine to its last iteration.
-        refine_cum.assign(refine_cfg.iter_max, t_refine);
-    }
     const double q_refined = stress(refined.layout);
 
     const double t_base = t_coarsen + t_coarse + t_interp;

@@ -1,25 +1,25 @@
 #pragma once
-// The CPU backends (paper Sec. III): two execution loops, each shared by
-// every thread count.
+// The CPU backends (paper Sec. III): one block engine loop
+// (pipelined_engine.cpp) shared by every thread count, with two apply
+// policies fixed by the registry name. In both, max(1, cfg.threads) pool
+// workers and the calling thread sample fixed blocks of pre-positioned
+// stream words, one jumped Xoshiro256+ stream per shard.
 //
-//   * Hogwild ("cpu-soa", cpu_engine.cpp) — PG-SGD with asynchronous
-//     updates. Each worker owns a jumped Xoshiro256+ stream and performs its
-//     share of the N_steps updates of every iteration without locking; the
-//     graph's extreme sparsity makes collisions harmless, exactly the
-//     argument of Sec. III-A. One thread runs inline on the caller and is
-//     byte-reproducible for a fixed seed.
-//   * Ordered ("cpu-pipelined", pipelined_engine.cpp) — every engine
-//     thread samples: the pool workers and the calling thread fill the
-//     next slice's TermBatches (one per shard) in fixed blocks of
-//     pre-positioned stream words, while only the calling thread applies
-//     the previous slice's batches, in fixed shard order, through the
+//   * Ordered ("cpu-pipelined") — only the calling thread applies, the
+//     previous slice's batches in fixed shard order, through the
 //     UpdateKernel named by cfg.kernel ("scalar" or the byte-identical
 //     vectorized "simd"). A fixed (seed, threads) pair is
 //     byte-reproducible whichever thread fills which block — the contract
 //     the partition scheduler builds on.
-//     Every term draws four words of its stream however it is batched, so
-//     with one thread and the same seed cpu-pipelined replays cpu-soa's
-//     term stream and the two produce bit-identical layouts.
+//   * Hogwild ("cpu-soa") — with threads >= 2 every sampler applies each
+//     block as soon as it has filled it, racing the others through the
+//     store's relaxed-atomic accessors, as odgi does (Sec. III-A); the
+//     pool's wait after each slice is the only barrier. At one thread it
+//     runs the ordered policy.
+//
+// Every term draws four words of its stream however it is batched, so with
+// one thread and the same seed both names replay the same term stream and
+// produce bit-identical layouts.
 //
 // Callers create engines through core::make_engine (engine.hpp); these are
 // the factories the registry calls.
@@ -29,11 +29,12 @@
 
 namespace pgl::core {
 
-/// The Hogwild engine ("cpu-soa").
+/// The block engine under the hogwild policy ("cpu-soa").
 std::unique_ptr<LayoutEngine> make_cpu_engine();
 
-/// The ordered engine ("cpu-pipelined"): max(1, cfg.threads) shards, each
-/// sampled by PairSampler::fill_batch_staged in kBlock-term blocks that the
+/// The block engine under the ordered policy ("cpu-pipelined"):
+/// max(1, cfg.threads) shards, each sampled by
+/// PairSampler::fill_batch_staged in kBlock-term blocks that the
 /// max(1, cfg.threads) pool workers and the calling thread share, so even
 /// one thread puts two cores on sampling — the workload's bottleneck
 /// (paper Sec. III) — while the caller also applies the updates.

@@ -1,6 +1,5 @@
 #include "core/engine.hpp"
 
-#include <atomic>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -55,16 +54,11 @@ LayoutResult LayoutEngine::run(std::uint32_t iterations) {
             telemetry::Registry::instance().histogram("engine.iteration_ns");
         auto iter_count =
             telemetry::Registry::instance().counter("engine.iterations");
-        // Iteration boundaries may be reported from worker threads (the
-        // Hogwild engines), so the previous-boundary timestamp is atomic.
-        auto last_ns = std::make_shared<std::atomic<std::uint64_t>>(
-            telemetry::now_ns());
         ProgressHook user = guard.saved;
-        hook_ = [iter_hist, iter_count, last_ns, user,
+        hook_ = [iter_hist, iter_count, last_ns = telemetry::now_ns(), user,
                  backend](const IterationStats& s) mutable {
             const std::uint64_t now = telemetry::now_ns();
-            const std::uint64_t prev =
-                last_ns->exchange(now, std::memory_order_relaxed);
+            const std::uint64_t prev = std::exchange(last_ns, now);
             if (now > prev) {
                 iter_hist.record(now - prev);
                 telemetry::Tracer::instance().record_span(

@@ -9,12 +9,14 @@
 // one seam.
 //
 // Built-in registry names:
-//   "cpu-soa"           per-term Hogwild CPU engine (racy by design;
-//                       deterministic per seed at one thread)
-//   "cpu-pipelined"     ordered CPU engine: every thread samples blocks of
-//                       the next slice, the caller applies in shard order
-//                       (deterministic per seed+threads; replays cpu-soa
-//                       at one thread)
+//   "cpu-soa"           block CPU engine, Hogwild apply: every thread
+//                       applies the blocks it samples, racing by design
+//                       (ordered, and deterministic per seed, at one
+//                       thread)
+//   "cpu-pipelined"     block CPU engine, ordered apply: every thread
+//                       samples blocks of the next slice, the caller
+//                       applies in shard order (deterministic per
+//                       seed+threads; cpu-soa's bytes at one thread)
 //   "gpusim-base"       simulated CUDA kernel, no optimizations
 //   "gpusim-optimized"  simulated CUDA kernel, CDL + CRS + WM
 //   "torch"             PyTorch-style batched tensor implementation
@@ -76,18 +78,8 @@ using ProgressHook = std::function<void(const IterationStats&)>;
 ///   auto result = eng->run();          // full schedule (cfg.iter_max)
 ///   auto probe  = eng->run(3);         // or a truncated run
 ///
-/// Every backend reports per-iteration progress. Iteration-synchronous
-/// engines (cpu-pipelined, gpusim-*, torch) invoke the hook
-/// from the calling thread after each iteration. The Hogwild engine
-/// (cpu-soa) runs its workers through the whole schedule without barriers
-/// — exactly as odgi-layout does — but each worker marks iteration
-/// boundaries as it crosses them, and the *last* worker past a boundary
-/// emits the aggregated IterationStats. At one thread that worker is the
-/// calling thread, so the hook fires there after each iteration.
-/// Consequence: with threads > 1 on cpu-soa the hook may fire on a worker
-/// thread (serialized, never concurrently), and its updates/skipped are
-/// the aggregate since the previous boundary rather than an exact
-/// per-iteration slice.
+/// Every backend reports per-iteration progress: the hook runs on the
+/// thread that called run(), once after each iteration.
 ///
 /// run() also feeds the telemetry layer (src/telemetry/): an `engine.run`
 /// stage span, per-iteration `engine.iteration_ns` histogram samples, and

@@ -64,6 +64,23 @@ inline void apply_term_slots(const TermBatch& b, std::size_t begin,
     }
 }
 
+/// Applies one term through the store's relaxed-atomic accessors: the
+/// racy-by-design apply of the Hogwild policy and of the simulated GPU
+/// lanes, where other threads may update the same coordinates at once.
+inline void apply_term_relaxed(XYStore& store, std::uint32_t ni, End ei,
+                               std::uint32_t nj, End ej, double d_ref,
+                               double eta, double nudge) noexcept {
+    const float xi = store.load_x(ni, ei);
+    const float yi = store.load_y(ni, ei);
+    const float xj = store.load_x(nj, ej);
+    const float yj = store.load_y(nj, ej);
+    const PointDelta d = sgd_term_update(xi, yi, xj, yj, d_ref, eta, nudge);
+    store.store_x(ni, ei, xi + d.dx_i);
+    store.store_y(ni, ei, yi + d.dy_i);
+    store.store_x(nj, ej, xj + d.dx_j);
+    store.store_y(nj, ej, yj + d.dy_j);
+}
+
 /// Abstract batch-apply machine. Kernels are stateless and const — one
 /// instance may be shared by any number of single-threaded apply sites
 /// (each engine resolves its own at init()).

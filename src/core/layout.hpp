@@ -7,7 +7,7 @@
 // original ODGI organization (Fig. 9a) — a flat X array and a flat Y array,
 // element 2*node + end — exposed as raw contiguous float arrays so the
 // update kernels (core/kernels/) vectorize over them directly, with
-// relaxed-atomic accessors on top for the Hogwild engines' intentionally
+// relaxed-atomic accessors on top for the Hogwild apply's intentionally
 // unsynchronized per-term updates. The cache-friendly AoS organization
 // (CDL, Fig. 9b; one packed NodeRecord per node) survives as a *modeled*
 // layout: memsim/characterize and the GPU simulator replay its address
@@ -97,7 +97,7 @@ inline Layout make_initial_layout(const graph::LeanGraph& g,
 ///     single-writer batch consumer) read and write with plain loads and
 ///     stores;
 ///   * load_/store_ accessors — relaxed std::atomic_ref views of the same
-///     floats, used by the Hogwild engines so their deliberate data races
+///     floats, used by the Hogwild apply so its deliberate data races
 ///     stay defined behaviour.
 ///
 /// Storage is either plain heap vectors (the default) or NUMA-placed

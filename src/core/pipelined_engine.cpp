@@ -1,9 +1,9 @@
-// The ordered CPU engine ("cpu-pipelined"): PG-SGD with sampling and
-// position updates overlapped. The paper's Sec. III observation is that the
-// layout loop is sampling-bound — most of an update's cost is drawing the
-// term (alias tables, Zipf hop, step lookups), not the arithmetic — and
-// data-parallel. Every engine thread therefore samples, and only the
-// calling thread applies:
+// The block CPU engine: PG-SGD with sampling spread over every engine
+// thread. The paper's Sec. III observation is that the layout loop is
+// sampling-bound — most of an update's cost is drawing the term (alias
+// tables, Zipf hop, step lookups), not the arithmetic — and
+// data-parallel. One loop serves both CPU registry names, and the name
+// fixes how the sampled terms are applied (the apply policy):
 //
 //   shards (max(1, threads) of them)
 //       shard tid draws from a jumped Xoshiro256+ stream (the seed stream
@@ -13,26 +13,31 @@
 //       paper's pre-positioned random states (Sec. V-B2) — so any thread
 //       can fill any block with the slot-range PairSampler::fill_batch_staged;
 //   samplers (the max(1, threads) persistent pool workers plus the caller)
-//       claim the blocks of slice N+1 from one atomic counter;
-//   the applier (the calling thread)
-//       applies slice N's batches through the configured UpdateKernel
-//       (cfg.kernel: "scalar" or the byte-identical "simd"), in fixed shard
-//       order, then claims whatever blocks of slice N+1 are still left.
-//
-// Double buffering means no batch is sampled while it is applied; the
-// pool's dispatch/wait edges order the hand-off. A term's words, its slot
-// and the apply order depend only on (seed, threads), never on which
-// thread filled its block, and the caller is the only thread that writes
-// coordinates, so a fixed (seed, threads) pair reproduces the layout
-// byte-for-byte — unlike the Hogwild engine, whose result depends on
-// scheduler interleaving.
+//       claim the blocks of a slice from one atomic counter;
+//   ordered ("cpu-pipelined", and "cpu-soa" at one thread)
+//       the samplers fill slice N+1 while the calling thread applies slice
+//       N's batches through the configured UpdateKernel (cfg.kernel:
+//       "scalar" or the byte-identical "simd"), in fixed shard order, then
+//       claims whatever blocks of slice N+1 are still left. Double
+//       buffering means no batch is sampled while it is applied; the
+//       pool's dispatch/wait edges order the hand-off. A term's words, its
+//       slot and the apply order depend only on (seed, threads), never on
+//       which thread filled its block, and the caller is the only thread
+//       that writes coordinates, so a fixed (seed, threads) pair
+//       reproduces the layout byte-for-byte;
+//   hogwild ("cpu-soa" at threads >= 2: odgi's loop, paper Sec. III-A)
+//       every sampler applies each block as soon as it has filled it, term
+//       by term through the store's relaxed-atomic accessors, racing the
+//       other samplers without locks — the graph's extreme sparsity makes
+//       collisions harmless. The pool's wait at the end of each slice is
+//       the only barrier, so all samplers apply a slice with one eta. The
+//       bytes depend on scheduler interleaving.
 //
 // Every term takes exactly four words of its shard's stream — w0 the path,
 // w1 step_i, w2 step_j or the Zipf hop, w3 the coins and the nudge
 // (core/sampling.hpp) — so neither the slice nor the block size changes
 // which terms a shard draws. At one thread the single shard is the
-// unjumped seed stream applied in draw order: the bytes of cpu-soa at one
-// thread.
+// unjumped seed stream applied in draw order, under either name.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -76,10 +81,23 @@ struct alignas(64) Block {
     std::uint64_t skipped = 0;
 };
 
+enum class ApplyPolicy { kOrdered, kHogwild };
+
+/// The hogwild apply of one filled block: slots [begin, end) in slot order.
+void apply_slots_relaxed(const TermBatch& b, std::size_t begin,
+                         std::size_t end, double eta, XYStore& store) {
+    for (std::size_t k = begin; k < end; ++k) {
+        if (!b.valid[k]) continue;
+        apply_term_relaxed(store, b.node_i[k], b.end_i_of(k), b.node_j[k],
+                           b.end_j_of(k), b.d_ref[k], eta, b.nudge[k]);
+    }
+}
+
 /// One shard per pool worker.
-LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
-                           XYStore& store, const UpdateKernel& kern,
-                           ThreadPool& pool, const ProgressHook& hook) {
+LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
+                        XYStore& store, const UpdateKernel& kern,
+                        ThreadPool& pool, ApplyPolicy policy,
+                        const ProgressHook& hook) {
     LayoutResult result;
     result.eta_schedule = make_engine_schedule(
         cfg, static_cast<double>(g.max_path_nuc_length()));
@@ -87,6 +105,8 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
     const PairSampler sampler(g, cfg);
     const std::uint64_t n_steps = cfg.steps_per_iteration(g.total_path_steps());
     const std::uint32_t n_shards = std::max<std::uint32_t>(1, pool.size());
+    // One shard has nothing to race with: hogwild at one thread is ordered.
+    const bool hogwild = policy == ApplyPolicy::kHogwild && n_shards > 1;
 
     std::vector<std::uint64_t> shares(n_shards);
     for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
@@ -110,8 +130,7 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
     };
 
     // rngs[tid] is shard tid's stream at the start of its next slice:
-    // the seed stream jumped tid times (stream 0 is cpu-soa's one-thread
-    // stream).
+    // the seed stream jumped tid times.
     std::vector<rng::Xoshiro256Plus> rngs;
     rngs.reserve(n_shards);
     rng::Xoshiro256Plus seeder(cfg.seed);
@@ -120,13 +139,14 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
         for (std::uint32_t j = 0; j < tid; ++j) rngs.back().jump();
     }
 
-    // Double buffer: the samplers fill slice g + 1 into bufs[(g + 1) % 2]
-    // while the caller applies slice g from bufs[g % 2]. Each shard's two
-    // batches are sized once for its largest slice (slice 0), so later
-    // resizes stay within the capacity. Any thread writes any shard's
-    // batch, so with pinned workers worker tid does the sizing of shard
-    // tid: that first touch commits the pages on the worker's node. Only
-    // the apply columns are sized (the six replay columns stay empty).
+    // Double buffer: under ordered, the samplers fill slice g + 1 into
+    // bufs[(g + 1) % 2] while the caller applies slice g from bufs[g % 2].
+    // Each shard's two batches are sized once for its largest slice
+    // (slice 0), so later resizes stay within the capacity. Any thread
+    // writes any shard's batch, so with pinned workers worker tid does the
+    // sizing of shard tid: that first touch commits the pages on the
+    // worker's node. Only the apply columns are sized (the six replay
+    // columns stay empty).
     std::vector<TermBatch> bufs[2];
     for (auto& side : bufs) side.resize(n_shards);
     const auto size_shard = [&](std::uint32_t tid) {
@@ -160,7 +180,9 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
         next_block.store(0, std::memory_order_relaxed);
     };
     // Fills blocks until none is left; returns how many this thread took.
-    const auto drain = [&](std::vector<TermBatch>& side, bool cooling_iter) {
+    // Under hogwild the filler applies each block at once, with `eta`.
+    const auto drain = [&](std::vector<TermBatch>& side, bool cooling_iter,
+                           double eta) {
         std::size_t taken = 0;
         for (std::size_t k = next_block.fetch_add(1, std::memory_order_relaxed);
              k < blocks.size();
@@ -168,6 +190,10 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
             Block& b = blocks[k];
             b.skipped = sampler.fill_batch_staged(cooling_iter, b.rng, b.begin,
                                                   b.n, side[b.shard]);
+            if (hogwild) {
+                apply_slots_relaxed(side[b.shard], b.begin, b.begin + b.n,
+                                    eta, store);
+            }
             ++taken;
         }
         return taken;
@@ -188,29 +214,32 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
 
     // The run is one sequence of slices: slice g is slice g % n_slices of
     // iteration g / n_slices. Sampling reads the iteration only through
-    // its cooling flag, never eta or the coordinates, so the samplers run
-    // one slice ahead of the caller across iteration boundaries too.
-    // Slice g + 1 is planned only once slice g is sampled: its blocks
-    // start where slice g's streams ended.
+    // its cooling flag, never eta or the coordinates, so under ordered the
+    // samplers run one slice ahead of the caller across iteration
+    // boundaries too. Slice g + 1 is planned only once slice g is sampled:
+    // its blocks start where slice g's streams ended.
     const std::uint64_t n_total = std::uint64_t{cfg.iter_max} * n_slices;
     std::vector<std::uint64_t> iter_skipped(cfg.iter_max, 0);
     const auto start_fill = [&](std::uint64_t g) {
+        const auto iter = static_cast<std::uint32_t>(g / n_slices);
         plan(bufs[g % 2], g % n_slices);
-        const bool cooling_iter = cfg.cooling(static_cast<std::uint32_t>(g / n_slices));
-        pool.launch([&, g, cooling_iter](std::uint32_t) {
-            drain(bufs[g % 2], cooling_iter);
+        const bool cooling_iter = cfg.cooling(iter);
+        const double eta = result.eta_schedule[iter];
+        pool.launch([&, g, cooling_iter, eta](std::uint32_t) {
+            drain(bufs[g % 2], cooling_iter, eta);
         });
     };
     const auto finish_fill = [&](std::uint64_t g) {
         const auto iter = static_cast<std::uint32_t>(g / n_slices);
-        consumer_blocks.add(drain(bufs[g % 2], cfg.cooling(iter)));
+        consumer_blocks.add(
+            drain(bufs[g % 2], cfg.cooling(iter), result.eta_schedule[iter]));
         pool.wait();
         iter_skipped[iter] += harvest(bufs[g % 2]);
     };
 
     std::uint32_t iters_done = cfg.iter_max;
     const auto t0 = std::chrono::steady_clock::now();
-    if (n_total > 0) {
+    if (n_total > 0 && !hogwild) {
         start_fill(0);
         finish_fill(0);
     }
@@ -223,13 +252,19 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
             iters_done = iter;
             break;
         }
-        const bool more = g + 1 < n_total;
-        if (more) start_fill(g + 1);
         const double eta = result.eta_schedule[iter];
-        for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
-            kern.apply(bufs[g % 2][tid], eta, store);
+        if (hogwild) {
+            // Fill and apply slice g; the pool's wait is the barrier.
+            start_fill(g);
+            finish_fill(g);
+        } else {
+            const bool more = g + 1 < n_total;
+            if (more) start_fill(g + 1);
+            for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
+                kern.apply(bufs[g % 2][tid], eta, store);
+            }
+            if (more) finish_fill(g + 1);
         }
-        if (more) finish_fill(g + 1);
 
         if (hook && (g + 1) % n_slices == 0) {
             IterationStats s;
@@ -254,9 +289,12 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
     return result;
 }
 
-class OrderedLayoutEngine final : public LayoutEngine {
+class BlockLayoutEngine final : public LayoutEngine {
 public:
-    std::string_view name() const noexcept override { return "cpu-pipelined"; }
+    BlockLayoutEngine(std::string_view name, ApplyPolicy policy)
+        : name_(name), policy_(policy) {}
+
+    std::string_view name() const noexcept override { return name_; }
 
 protected:
     void do_init() override {
@@ -291,10 +329,12 @@ protected:
         } else {
             s.load(initial);
         }
-        return run_pipelined(*graph_, cfg, s, *kernel_, *pool_, hook);
+        return run_blocks(*graph_, cfg, s, *kernel_, *pool_, policy_, hook);
     }
 
 private:
+    std::string_view name_;
+    ApplyPolicy policy_;
     std::unique_ptr<const UpdateKernel> kernel_;
     std::unique_ptr<ThreadPool> pool_;
     PlacementContext place_;
@@ -303,8 +343,13 @@ private:
 
 }  // namespace
 
+std::unique_ptr<LayoutEngine> make_cpu_engine() {
+    return std::make_unique<BlockLayoutEngine>("cpu-soa", ApplyPolicy::kHogwild);
+}
+
 std::unique_ptr<LayoutEngine> make_pipelined_engine() {
-    return std::make_unique<OrderedLayoutEngine>();
+    return std::make_unique<BlockLayoutEngine>("cpu-pipelined",
+                                               ApplyPolicy::kOrdered);
 }
 
 }  // namespace pgl::core

@@ -86,7 +86,8 @@ std::string canonical_double(double v);
 /// persistent artifact cache never serves a layout of an older algorithm.
 /// tests/test_golden.cpp records the epoch its digests were generated
 /// under. Epoch 1: every term draws exactly four PRNG words.
-inline constexpr std::uint32_t kOutputEpoch = 1;
+/// Epoch 2: cpu-soa applies per-slice blocks.
+inline constexpr std::uint32_t kOutputEpoch = 2;
 
 /// The canonical `epoch=N;name=value;...` string: kOutputEpoch, then every
 /// bytes row. Two requests that must produce identical output share it,

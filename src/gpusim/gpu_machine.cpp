@@ -237,19 +237,11 @@ GpuSimResult simulate_gpu_layout(const graph::LeanGraph& g,
                             ? batch.pos_i[l] - batch.pos_j[p]
                             : batch.pos_j[p] - batch.pos_i[l];
                     if (dd == 0) continue;
-                    const double d_ref = static_cast<double>(dd);
-                    const float xi = store.load_x(ni, ei);
-                    const float yi = store.load_y(ni, ei);
-                    const float xj = store.load_x(nj, ej);
-                    const float yj = store.load_y(nj, ej);
                     rng::XorwowRng rng(
                         states[std::uint64_t(warp) * warp_size + l]);
-                    const auto d = core::sgd_term_update(
-                        xi, yi, xj, yj, d_ref, eta, core::draw_nudge(rng));
-                    store.store_x(ni, ei, xi + d.dx_i);
-                    store.store_y(ni, ei, yi + d.dy_i);
-                    store.store_x(nj, ej, xj + d.dx_j);
-                    store.store_y(nj, ej, yj + d.dy_j);
+                    core::apply_term_relaxed(store, ni, ei, nj, ej,
+                                             static_cast<double>(dd), eta,
+                                             core::draw_nudge(rng));
                     ++c.lane_updates;
                 }
             }

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "core/engine.hpp"
 #include "core/sampling.hpp"
@@ -320,18 +321,36 @@ TEST(CpuEngine, DeterministicSingleThread) {
     }
 }
 
-TEST(CpuEngine, MultiThreadedHogwildPreservesQuality) {
-    const auto g = small_graph(300, 5);
+TEST(CpuEngine, MultiThreadedHogwildMatchesOrderedQuality) {
+    // Paired seeds: each seed runs the Hogwild policy and the ordered one
+    // at four threads, and the geometric mean of the stress ratios must
+    // stay near 1. Ordered@1 against ordered@4 gives about 1.02 here; a
+    // Hogwild apply whose workers each walk the eta schedule alone, with
+    // no per-slice barrier, gives 1.27-1.46.
+    const auto g =
+        workloads::to_ingest(workloads::generate_whole_genome(
+                                 workloads::whole_genome_spec(2, 0.0001)))
+            .graph;
     core::LayoutConfig cfg;
-    cfg.iter_max = 12;
-    cfg.steps_per_iter_factor = 4.0;
-    cfg.threads = 1;
-    const auto single = run_cpu_soa(g, cfg);
+    cfg.iter_max = 10;
+    cfg.steps_per_iter_factor = 2.0;
     cfg.threads = 4;
-    const auto multi = run_cpu_soa(g, cfg);
-    const double s1 = metrics::sampled_path_stress(g, single.layout, 20, 1).value;
-    const double s4 = metrics::sampled_path_stress(g, multi.layout, 20, 1).value;
-    EXPECT_LT(s4, s1 * 3 + 0.5);  // Hogwild races must not wreck quality
+    const auto stress = [&](const char* backend) {
+        auto engine = core::make_engine(backend);
+        engine->init(g, cfg);
+        return metrics::sampled_path_stress(g, engine->run().layout, 20, 7)
+            .value;
+    };
+    double log_sum = 0.0;
+    int n = 0;
+    for (std::uint64_t seed = 1001; seed <= 1012; ++seed, ++n) {
+        cfg.seed = seed;
+        const double ratio = stress("cpu-soa") / stress("cpu-pipelined");
+        log_sum += std::log(ratio);
+    }
+    const double geo_mean = std::exp(log_sum / n);
+    RecordProperty("geo_mean", std::to_string(geo_mean));
+    EXPECT_LE(geo_mean, 1.15) << "cpu-soa@4 / cpu-pipelined@4 stress";
 }
 
 TEST(CpuEngine, ReportsUpdateCounts) {

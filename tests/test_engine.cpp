@@ -16,6 +16,8 @@
 
 #include "core/cpu_engine.hpp"
 #include "core/engine.hpp"
+#include "core/schedule.hpp"
+#include "core/step_math.hpp"
 #include "core/term_batch.hpp"
 #include "core/thread_pool.hpp"
 #include "graph/lean_graph.hpp"
@@ -144,55 +146,100 @@ TEST(LayoutEngine, RunIterationsTruncatesTheConfiguredSchedule) {
 
 TEST(LayoutEngine, ProgressHookFiresPerIteration) {
     const auto g = small_graph();
-    const auto cfg = tiny_cfg();
-    for (const char* name :
-         {"cpu-soa", "cpu-pipelined", "gpusim-base", "torch"}) {
-        auto engine = core::make_engine(name);
-        engine->init(g, cfg);
-        std::vector<core::IterationStats> seen;
-        engine->set_progress_hook(
-            [&](const core::IterationStats& s) { seen.push_back(s); });
-        engine->run();
-        ASSERT_EQ(seen.size(), cfg.iter_max) << name;
-        for (std::uint32_t i = 0; i < cfg.iter_max; ++i) {
-            EXPECT_EQ(seen[i].iteration, i) << name;
-            EXPECT_EQ(seen[i].iter_max, cfg.iter_max) << name;
-            EXPECT_GT(seen[i].updates, 0u) << name;
-        }
-        // The annealing schedule decays monotonically.
-        for (std::size_t i = 1; i < seen.size(); ++i) {
-            EXPECT_LT(seen[i].eta, seen[i - 1].eta) << name;
+    for (const std::uint32_t threads : {1u, 3u}) {
+        core::LayoutConfig cfg = tiny_cfg();
+        cfg.threads = threads;
+        for (const char* name :
+             {"cpu-soa", "cpu-pipelined", "gpusim-base", "torch"}) {
+            auto engine = core::make_engine(name);
+            engine->init(g, cfg);
+            std::vector<core::IterationStats> seen;
+            std::vector<std::thread::id> on;
+            engine->set_progress_hook([&](const core::IterationStats& s) {
+                seen.push_back(s);
+                on.push_back(std::this_thread::get_id());
+            });
+            engine->run();
+            ASSERT_EQ(seen.size(), cfg.iter_max) << name << "@" << threads;
+            for (std::uint32_t i = 0; i < cfg.iter_max; ++i) {
+                EXPECT_EQ(seen[i].iteration, i) << name << "@" << threads;
+                EXPECT_EQ(seen[i].iter_max, cfg.iter_max) << name;
+                EXPECT_GT(seen[i].updates, 0u) << name;
+                // Every engine reports on the thread that called run().
+                EXPECT_EQ(on[i], std::this_thread::get_id())
+                    << name << "@" << threads;
+            }
+            // The annealing schedule decays monotonically.
+            for (std::size_t i = 1; i < seen.size(); ++i) {
+                EXPECT_LT(seen[i].eta, seen[i - 1].eta) << name;
+            }
         }
     }
 }
 
-// --- cpu-pipelined replays cpu-soa at one thread ---
+// --- Both CPU engines replay the per-term reference at one thread ---
 
-TEST(CpuPipelinedEngine, BitIdenticalToHogwildForSingleThread) {
+/// The four-word contract's independent reference: one term at a time,
+/// PairSampler::sample() then sgd_term_update, on the unjumped seed
+/// stream, the whole schedule in draw order.
+core::LayoutResult per_term_reference(const graph::LeanGraph& g,
+                                      const core::LayoutConfig& cfg) {
+    core::LayoutResult r;
+    r.eta_schedule = core::make_engine_schedule(
+        cfg, static_cast<double>(g.max_path_nuc_length()));
+    const core::PairSampler sampler(g, cfg);
+    const std::uint64_t n_steps = cfg.steps_per_iteration(g.total_path_steps());
+    core::XYStore store(core::make_initial_layout(g, cfg));
+    float* x = store.x();
+    float* y = store.y();
+    rng::Xoshiro256Plus rng(cfg.seed);
+    for (std::uint32_t iter = 0; iter < cfg.iter_max; ++iter) {
+        for (std::uint64_t s = 0; s < n_steps; ++s) {
+            const core::TermSample t = sampler.sample(cfg.cooling(iter), rng);
+            ++r.updates;
+            if (!t.valid) {
+                ++r.skipped;
+                continue;
+            }
+            const std::size_t i = core::XYStore::index(t.node_i, t.end_i);
+            const std::size_t j = core::XYStore::index(t.node_j, t.end_j);
+            const float xi = x[i], yi = y[i], xj = x[j], yj = y[j];
+            const core::PointDelta d = core::sgd_term_update(
+                xi, yi, xj, yj, t.d_ref, r.eta_schedule[iter], t.nudge);
+            x[i] = xi + d.dx_i;
+            y[i] = yi + d.dy_i;
+            x[j] = xj + d.dx_j;
+            y[j] = yj + d.dy_j;
+        }
+    }
+    r.layout = store.snapshot();
+    return r;
+}
+
+TEST(CpuEngines, SingleThreadMatchesPerTermReference) {
     const auto g = small_graph(300, 5);
     core::LayoutConfig cfg;
     cfg.iter_max = 6;
     cfg.steps_per_iter_factor = 2.0;
     cfg.threads = 1;
     cfg.seed = 4242;
+    const auto ref = per_term_reference(g, cfg);
+    ASSERT_GT(ref.skipped, 0u);  // holes are part of the contract
 
-    auto soa = core::make_engine("cpu-soa");
-    soa->init(g, cfg);
-    const auto scalar = soa->run();
-
-    auto engine = core::make_engine("cpu-pipelined");
-    engine->init(g, cfg);
-    const auto pipelined = engine->run();
-
-    ASSERT_EQ(scalar.layout.size(), pipelined.layout.size());
-    for (std::size_t i = 0; i < scalar.layout.size(); ++i) {
-        ASSERT_EQ(scalar.layout.start_x[i], pipelined.layout.start_x[i]) << i;
-        ASSERT_EQ(scalar.layout.start_y[i], pipelined.layout.start_y[i]) << i;
-        ASSERT_EQ(scalar.layout.end_x[i], pipelined.layout.end_x[i]) << i;
-        ASSERT_EQ(scalar.layout.end_y[i], pipelined.layout.end_y[i]) << i;
+    for (const char* name : {"cpu-pipelined", "cpu-soa"}) {
+        auto engine = core::make_engine(name);
+        engine->init(g, cfg);
+        const auto r = engine->run();
+        ASSERT_EQ(r.layout.size(), ref.layout.size()) << name;
+        for (std::size_t i = 0; i < r.layout.size(); ++i) {
+            ASSERT_EQ(r.layout.start_x[i], ref.layout.start_x[i]) << name << i;
+            ASSERT_EQ(r.layout.start_y[i], ref.layout.start_y[i]) << name << i;
+            ASSERT_EQ(r.layout.end_x[i], ref.layout.end_x[i]) << name << i;
+            ASSERT_EQ(r.layout.end_y[i], ref.layout.end_y[i]) << name << i;
+        }
+        EXPECT_EQ(r.updates, ref.updates) << name;
+        EXPECT_EQ(r.skipped, ref.skipped) << name;
     }
-    EXPECT_EQ(scalar.updates, pipelined.updates);
-    EXPECT_EQ(scalar.skipped, pipelined.skipped);
 }
 
 // --- ThreadPool (the seam every multithreaded backend now runs on) ---

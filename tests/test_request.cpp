@@ -32,7 +32,7 @@ std::vector<PinnedKey> pinned_keys() {
     {
         serve::JobRequest r;
         out.push_back({"default", r,
-                       "epoch=1;"
+                       "epoch=2;"
                        "backend=cpu-soa;cooling_start=0.5;eps=0.01;eta_max=0;"
                        "init_jitter=1;iter_max=30;kernel=scalar;"
                        "schedule_iter_max=0;seed=9399220614123047;"
@@ -47,7 +47,7 @@ std::vector<PinnedKey> pinned_keys() {
         r.config.seed = 42;
         r.config.iter_max = 7;
         out.push_back({"engine_knobs", r,
-                       "epoch=1;"
+                       "epoch=2;"
                        "backend=cpu-pipelined;cooling_start=0.5;eps=0.01;"
                        "eta_max=0;init_jitter=1;iter_max=7;kernel=simd;"
                        "schedule_iter_max=0;seed=42;steps_per_iter_factor=10;"
@@ -64,7 +64,7 @@ std::vector<PinnedKey> pinned_keys() {
         r.config.pin = true;
         r.config.numa = "interleave";
         out.push_back({"partition", r,
-                       "epoch=1;"
+                       "epoch=2;"
                        "backend=cpu-soa;cooling_start=0.5;eps=0.01;eta_max=0;"
                        "init_jitter=1;iter_max=30;kernel=scalar;"
                        "schedule_iter_max=0;seed=9399220614123047;"
@@ -80,7 +80,7 @@ std::vector<PinnedKey> pinned_keys() {
         r.ml.refine_eta = 0.125;
         r.ml.exact_tail = true;
         out.push_back({"multilevel_every_field", r,
-                       "epoch=1;"
+                       "epoch=2;"
                        "backend=cpu-soa;cooling_start=0.5;eps=0.01;eta_max=0;"
                        "init_jitter=1;iter_max=30;kernel=scalar;"
                        "schedule_iter_max=0;seed=9399220614123047;"
@@ -96,7 +96,7 @@ std::vector<PinnedKey> pinned_keys() {
         r.ml.refine_iters = 9;
         r.ml.exact_tail = true;
         out.push_back({"multilevel_off", r,
-                       "epoch=1;"
+                       "epoch=2;"
                        "backend=cpu-soa;cooling_start=0.5;eps=0.01;eta_max=0;"
                        "init_jitter=1;iter_max=30;kernel=scalar;"
                        "schedule_iter_max=0;seed=9399220614123047;"
@@ -114,7 +114,7 @@ std::vector<PinnedKey> pinned_keys() {
         r.config.zipf_space_max = 5000;
         r.config.schedule_iter_max = 60;
         out.push_back({"schedule_floats", r,
-                       "epoch=1;"
+                       "epoch=2;"
                        "backend=cpu-soa;cooling_start=0.3;"
                        "eps=0.3333333333333333;eta_max=123.456;init_jitter=0;"
                        "iter_max=30;kernel=scalar;schedule_iter_max=60;"
@@ -129,7 +129,7 @@ std::vector<PinnedKey> pinned_keys() {
         r.config.seed = 18446744073709551615ULL;
         r.config.zipf_space_max = 0;
         out.push_back({"extremes", r,
-                       "epoch=1;"
+                       "epoch=2;"
                        "backend=cpu-soa;cooling_start=0.5;eps=0.01;"
                        "eta_max=1e+300;init_jitter=1;iter_max=30;kernel=scalar;"
                        "schedule_iter_max=0;seed=18446744073709551615;"
@@ -144,7 +144,7 @@ std::vector<PinnedKey> pinned_keys() {
         r.config.iter_max = 3;
         r.config.seed = 18446744073709551557ULL;
         out.push_back({"partition_multilevel_defaults", r,
-                       "epoch=1;"
+                       "epoch=2;"
                        "backend=gpusim-optimized;cooling_start=0.5;eps=0.01;"
                        "eta_max=0;init_jitter=1;iter_max=3;kernel=scalar;"
                        "schedule_iter_max=0;seed=18446744073709551557;"

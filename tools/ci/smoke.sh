@@ -90,7 +90,7 @@ suite_kernels() {
                 --backend "${backend}" --kernel "${kernel}" \
                 --iters 3 --factor 0.5 --threads 2
         done
-        # The Hogwild engine is nondeterministic with threads > 1, so the
+        # cpu-soa's Hogwild apply is nondeterministic with threads > 1, so the
         # byte contract is asserted on the deterministic backends.
         if [ "${backend}" != "cpu-soa" ]; then
             cmp "${WORKDIR}/${backend}.scalar.lay" \
