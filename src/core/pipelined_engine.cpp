@@ -31,7 +31,10 @@
 //       other samplers without locks — the graph's extreme sparsity makes
 //       collisions harmless. The pool's wait at the end of each slice is
 //       the only barrier, so all samplers apply a slice with one eta. The
-//       bytes depend on scheduler interleaving.
+//       bytes depend on scheduler interleaving. It is slower than ordered
+//       on the whole-genome workload; it is kept as the paper's CPU
+//       baseline, which bench_fig4_cpu_scaling scales over threads. The
+//       counter pipelined.hogwild_blocks counts its blocks (0 under ordered).
 //
 // Every term takes exactly four words of its shard's stream — w0 the path,
 // w1 step_i, w2 step_j or the Zipf hop, w3 the coins and the nudge
@@ -141,16 +144,23 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
 
     // Double buffer: under ordered, the samplers fill slice g + 1 into
     // bufs[(g + 1) % 2] while the caller applies slice g from bufs[g % 2].
-    // Each shard's two batches are sized once for its largest slice
+    // Hogwild applies each slice before the next is planned, so it uses one
+    // side. Each shard's batches are sized once for its largest slice
     // (slice 0), so later resizes stay within the capacity. Any thread
     // writes any shard's batch, so with pinned workers worker tid does the
     // sizing of shard tid: that first touch commits the pages on the
     // worker's node. Only the apply columns are sized (the six replay
     // columns stay empty).
+    const std::size_t n_sides = hogwild ? 1 : 2;
     std::vector<TermBatch> bufs[2];
-    for (auto& side : bufs) side.resize(n_shards);
+    const auto side_of = [&](std::uint64_t g) -> std::vector<TermBatch>& {
+        return bufs[g % n_sides];
+    };
+    for (std::size_t k = 0; k < n_sides; ++k) bufs[k].resize(n_shards);
     const auto size_shard = [&](std::uint32_t tid) {
-        for (auto& side : bufs) side[tid].resize(take(tid, 0), false);
+        for (std::size_t k = 0; k < n_sides; ++k) {
+            bufs[k][tid].resize(take(tid, 0), false);
+        }
     };
     if (pool.pinning_requested()) {
         pool.run(size_shard);
@@ -179,6 +189,8 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
         }
         next_block.store(0, std::memory_order_relaxed);
     };
+    const telemetry::Counter hogwild_blocks =
+        telemetry::Registry::instance().counter("pipelined.hogwild_blocks");
     // Fills blocks until none is left; returns how many this thread took.
     // Under hogwild the filler applies each block at once, with `eta`.
     const auto drain = [&](std::vector<TermBatch>& side, bool cooling_iter,
@@ -196,6 +208,7 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
             }
             ++taken;
         }
+        if (hogwild) hogwild_blocks.add(taken);
         return taken;
     };
     // After every block is in: count the holes, and move each shard's
@@ -222,19 +235,19 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
     std::vector<std::uint64_t> iter_skipped(cfg.iter_max, 0);
     const auto start_fill = [&](std::uint64_t g) {
         const auto iter = static_cast<std::uint32_t>(g / n_slices);
-        plan(bufs[g % 2], g % n_slices);
+        plan(side_of(g), g % n_slices);
         const bool cooling_iter = cfg.cooling(iter);
         const double eta = result.eta_schedule[iter];
         pool.launch([&, g, cooling_iter, eta](std::uint32_t) {
-            drain(bufs[g % 2], cooling_iter, eta);
+            drain(side_of(g), cooling_iter, eta);
         });
     };
     const auto finish_fill = [&](std::uint64_t g) {
         const auto iter = static_cast<std::uint32_t>(g / n_slices);
         consumer_blocks.add(
-            drain(bufs[g % 2], cfg.cooling(iter), result.eta_schedule[iter]));
+            drain(side_of(g), cfg.cooling(iter), result.eta_schedule[iter]));
         pool.wait();
-        iter_skipped[iter] += harvest(bufs[g % 2]);
+        iter_skipped[iter] += harvest(side_of(g));
     };
 
     std::uint32_t iters_done = cfg.iter_max;
@@ -261,7 +274,7 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
             const bool more = g + 1 < n_total;
             if (more) start_fill(g + 1);
             for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
-                kern.apply(bufs[g % 2][tid], eta, store);
+                kern.apply(side_of(g)[tid], eta, store);
             }
             if (more) finish_fill(g + 1);
         }

@@ -425,6 +425,36 @@ TEST(CpuEngine, MultithreadedUpdateCountMatchesRequestedSteps) {
     }
 }
 
+TEST(CpuEngine, MultithreadedRunsApplyEachBlockAsItIsFilled) {
+#ifdef PGL_TELEMETRY_DISABLED
+    GTEST_SKIP() << "needs the pipelined.hogwild_blocks counter";
+#else
+    // cpu-soa@N is the paper's Hogwild CPU baseline (Fig. 4): its samplers
+    // apply their own blocks inside the slice. Falling back to the ordered
+    // apply leaves the byte-reproducible caller-only path and the counter
+    // flat, which neither the update count nor the quality bound can see.
+    const auto g = small_graph(8000, 4);
+    core::LayoutConfig cfg;
+    cfg.iter_max = 3;
+    cfg.steps_per_iter_factor = 1.0;
+    const telemetry::Counter hogwild_blocks =
+        telemetry::Registry::instance().counter("pipelined.hogwild_blocks");
+    const auto blocks_applied_at_fill = [&](const char* backend,
+                                            std::uint32_t threads) {
+        cfg.threads = threads;
+        const std::uint64_t before = hogwild_blocks.value();
+        auto engine = core::make_engine(backend);
+        engine->init(g, cfg);
+        engine->run();
+        return hogwild_blocks.value() - before;
+    };
+    // Every shard has at least one block in every iteration.
+    EXPECT_GE(blocks_applied_at_fill("cpu-soa", 3), cfg.iter_max * 3u);
+    EXPECT_EQ(blocks_applied_at_fill("cpu-soa", 1), 0u);
+    EXPECT_EQ(blocks_applied_at_fill("cpu-pipelined", 3), 0u);
+#endif
+}
+
 // --- The canonical four-word draw (TermBatch / fill_batch_staged) ---
 
 /// Every column of a staged fill with replay columns, slot by slot.
