@@ -1,6 +1,6 @@
 // Partitioned whole-genome layout bench: decomposes a multi-component
 // synthetic genome (workloads::whole_genome_spec), lays every component out
-// through the ComponentScheduler and stitches one canvas, reporting
+// through partition::run_components and stitches one canvas, reporting
 // per-component and end-to-end numbers. The scheduler-worker sweep shows
 // the speedup of laying out independent chromosomes concurrently.
 //

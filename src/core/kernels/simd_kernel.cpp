@@ -1,13 +1,14 @@
 // The "simd" update kernel: the batch apply split into (a) a vectorized
 // compute-deltas pass over the TermBatch SoA columns — d_ref and nudge are
 // loaded directly as double lanes, coordinates are gathered and widened to
-// double — and (b) an in-order scatter pass. Lane groups (4 terms under
-// AVX2, 2 under SSE2, chosen by CPUID at construction so one portable
-// binary runs everywhere) are checked for cross-slot coordinate conflicts
-// first: a group in which two *different* slots touch the same endpoint
-// falls back to the chained scalar loop, so the "later terms see earlier
-// updates" contract holds exactly and the kernel stays byte-identical to
-// "scalar".
+// double — and (b) an in-order scatter pass. Lane groups of 4 terms run
+// under AVX2, chosen by CPUID at construction so one portable binary runs
+// everywhere; a host without AVX2 takes the scalar loop (variant
+// "scalar-fallback"), which is byte-identical. Groups are checked for
+// cross-slot coordinate conflicts first: a group in which two *different*
+// slots touch the same endpoint falls back to the chained scalar loop, so
+// the "later terms see earlier updates" contract holds exactly and the
+// kernel stays byte-identical to "scalar".
 //
 // Byte-identity rests on IEEE semantics: vaddpd/vsubpd/vmulpd/vdivpd/
 // vsqrtpd and the double<->float conversions are correctly rounded, so as
@@ -26,17 +27,18 @@
 // chosen end) still sees its j store land after its i store — the scalar
 // order's observable effect.
 //
-// Gathers and scatters deliberately stay in registers (_mm_set_ps /
-// shuffle + cvtss): bouncing four narrow stores into a stack array and
-// reloading them as one wide vector is a store-forwarding stall per
-// operand, which on the sampled-batch fast path costs more than the
-// div/sqrt vectorization saves.
+// Gathers deliberately stay in registers (vgatherdps): bouncing four
+// narrow stores into a stack array and reloading them as one wide vector
+// is a store-forwarding stall per operand, which on the sampled-batch fast
+// path costs more than the div/sqrt vectorization saves.
 //
 // Holes (valid == 0) keep their slots: their d_ref/nudge columns are
 // loaded but their gathers read index 0 (in bounds by construction) and
 // the scatter pass never writes them back. For conflict detection a hole
-// gets a per-lane sentinel index pair no real term can produce, so the
-// branchless pairwise compare never reports a hole as a conflict.
+// gets a per-lane sentinel index pair no real term can produce (the top
+// of the 32-bit index space: a real index there would imply a ~2^31-node
+// graph), so the branchless pairwise compare never reports a hole as a
+// conflict.
 #include "core/kernels/update_kernel.hpp"
 
 #include <cstddef>
@@ -62,46 +64,6 @@ struct GroupTally {
 };
 
 #if defined(__x86_64__)
-
-/// Per-group slot plan: endpoint coordinate indices (sentinels for holes),
-/// valid-lane mask, and whether two different slots share a coordinate.
-template <int W>
-struct GroupPlan {
-    std::uint32_t idx_i[W];
-    std::uint32_t idx_j[W];
-    unsigned lanes;
-    bool conflict;
-};
-
-/// Sentinel coordinate indices for hole slots: the top of the 32-bit index
-/// space, two per lane, so they collide with nothing (a real index there
-/// would imply a ~2^31-node graph, beyond any reachable workload) and not
-/// with each other.
-template <int W>
-GroupPlan<W> plan_group(const TermBatch& b, std::size_t base) noexcept {
-    GroupPlan<W> p;
-    p.lanes = 0;
-    for (int t = 0; t < W; ++t) {
-        const std::size_t k = base + t;
-        if (b.valid[k]) {
-            p.lanes |= 1u << t;
-            p.idx_i[t] = 2 * b.node_i[k] + b.end_i[k];
-            p.idx_j[t] = 2 * b.node_j[k] + b.end_j[k];
-        } else {
-            p.idx_i[t] = 0xFFFFFFF0u + 2 * static_cast<unsigned>(t);
-            p.idx_j[t] = 0xFFFFFFF1u + 2 * static_cast<unsigned>(t);
-        }
-    }
-    unsigned hit = 0;
-    for (int t = 1; t < W; ++t) {
-        for (int u = 0; u < t; ++u) {
-            hit |= (p.idx_i[t] == p.idx_i[u]) | (p.idx_i[t] == p.idx_j[u]) |
-                   (p.idx_j[t] == p.idx_i[u]) | (p.idx_j[t] == p.idx_j[u]);
-        }
-    }
-    p.conflict = hit != 0;
-    return p;
-}
 
 /// Endpoint indices of 4 slots as u32 lanes: 2*node + end.
 __attribute__((target("avx2"))) inline __m128i slot_idx4(
@@ -275,105 +237,15 @@ __attribute__((target("avx2"))) void apply_avx2(const TermBatch& b, double eta,
     }
 }
 
-/// SSE2 blend (blendv is SSE4.1): mask lanes are all-ones or all-zeros.
-inline __m128d sse2_blend(__m128d a, __m128d b, __m128d mask) noexcept {
-    return _mm_or_pd(_mm_andnot_pd(mask, a), _mm_and_pd(mask, b));
-}
-
-void apply_sse2(const TermBatch& b, double eta, float* x, float* y,
-                GroupTally& tally) {
-    const std::size_t n = b.size();
-    const double* dref_col = b.d_ref.data();
-    const double* nudge_col = b.nudge.data();
-    const __m128d v_eta = _mm_set1_pd(eta);
-    const __m128d v_one = _mm_set1_pd(1.0);
-    const __m128d v_half = _mm_set1_pd(0.5);
-    const __m128d v_eps = _mm_set1_pd(1e-9);
-    const __m128d v_zero = _mm_setzero_pd();
-    const __m128d v_sign = _mm_set1_pd(-0.0);
-
-    std::size_t base = 0;
-    for (; base + 2 <= n; base += 2) {
-        const GroupPlan<2> p = plan_group<2>(b, base);
-        if (p.lanes == 0) continue;
-        if (p.conflict) {
-            ++tally.fallback_groups;
-            apply_term_slots(b, base, base + 2, eta, x, y);
-            continue;
-        }
-        ++tally.vector_groups;
-        std::uint32_t gi[2], gj[2];
-        for (int t = 0; t < 2; ++t) {
-            const bool v = (p.lanes >> t) & 1u;
-            gi[t] = v ? p.idx_i[t] : 0;
-            gj[t] = v ? p.idx_j[t] : 0;
-        }
-
-        const __m128 xi2 = _mm_set_ps(0.0f, 0.0f, x[gi[1]], x[gi[0]]);
-        const __m128 yi2 = _mm_set_ps(0.0f, 0.0f, y[gi[1]], y[gi[0]]);
-        const __m128 xj2 = _mm_set_ps(0.0f, 0.0f, x[gj[1]], x[gj[0]]);
-        const __m128 yj2 = _mm_set_ps(0.0f, 0.0f, y[gj[1]], y[gj[0]]);
-        const __m128d xi = _mm_cvtps_pd(xi2);
-        const __m128d yi = _mm_cvtps_pd(yi2);
-        const __m128d xj = _mm_cvtps_pd(xj2);
-        const __m128d yj = _mm_cvtps_pd(yj2);
-        const __m128d dref = _mm_loadu_pd(dref_col + base);
-        const __m128d nudge = _mm_loadu_pd(nudge_col + base);
-
-        __m128d dx = _mm_sub_pd(xi, xj);
-        __m128d dy = _mm_sub_pd(yi, yj);
-        __m128d mag = _mm_sqrt_pd(
-            _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy)));
-        const __m128d near0 = _mm_cmplt_pd(mag, v_eps);
-        dx = sse2_blend(dx, nudge, near0);
-        dy = sse2_blend(dy, v_zero, near0);
-        mag = sse2_blend(mag, _mm_andnot_pd(v_sign, nudge), near0);
-
-        const __m128d w = _mm_div_pd(v_one, _mm_mul_pd(dref, dref));
-        const __m128d mu = _mm_min_pd(_mm_mul_pd(v_eta, w), v_one);
-        const __m128d delta =
-            _mm_mul_pd(_mm_mul_pd(mu, _mm_sub_pd(mag, dref)), v_half);
-        const __m128d r = _mm_div_pd(delta, mag);
-        const __m128d rx = _mm_mul_pd(r, dx);
-        const __m128d ry = _mm_mul_pd(r, dy);
-
-        const __m128 nxi = _mm_add_ps(xi2, _mm_cvtpd_ps(_mm_xor_pd(rx, v_sign)));
-        const __m128 nyi = _mm_add_ps(yi2, _mm_cvtpd_ps(_mm_xor_pd(ry, v_sign)));
-        const __m128 nxj = _mm_add_ps(xj2, _mm_cvtpd_ps(rx));
-        const __m128 nyj = _mm_add_ps(yj2, _mm_cvtpd_ps(ry));
-
-        const auto lane = [](__m128 v, int t) -> float {
-            return t == 0 ? _mm_cvtss_f32(v)
-                          : _mm_cvtss_f32(_mm_shuffle_ps(v, v, 0x55));
-        };
-        for (int t = 0; t < 2; ++t) {
-            if (!((p.lanes >> t) & 1u)) continue;
-            x[p.idx_i[t]] = lane(nxi, t);
-            y[p.idx_i[t]] = lane(nyi, t);
-        }
-        for (int t = 0; t < 2; ++t) {
-            if (!((p.lanes >> t) & 1u)) continue;
-            x[p.idx_j[t]] = lane(nxj, t);
-            y[p.idx_j[t]] = lane(nyj, t);
-        }
-    }
-    if (base < n) {
-        ++tally.fallback_groups;
-        apply_term_slots(b, base, n, eta, x, y);
-    }
-}
-
 #endif  // defined(__x86_64__)
 
-enum class Isa : std::uint8_t { kScalarFallback, kSse2, kAvx2 };
+enum class Isa : std::uint8_t { kScalarFallback, kAvx2 };
 
 Isa detect_isa() noexcept {
 #if defined(__x86_64__)
     if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-    return Isa::kSse2;  // baseline on x86-64
-#else
-    return Isa::kScalarFallback;
 #endif
+    return Isa::kScalarFallback;
 }
 
 class SimdKernel final : public UpdateKernel {
@@ -390,11 +262,7 @@ public:
     std::string_view name() const noexcept override { return "simd"; }
 
     std::string_view variant() const noexcept override {
-        switch (isa_) {
-            case Isa::kAvx2: return "avx2";
-            case Isa::kSse2: return "sse2";
-            default: return "scalar-fallback";
-        }
+        return isa_ == Isa::kAvx2 ? "avx2" : "scalar-fallback";
     }
 
     void apply(const TermBatch& b, double eta, XYStore& store) const override {
@@ -402,16 +270,12 @@ public:
 #if defined(__x86_64__)
         if (isa_ == Isa::kAvx2) {
             apply_avx2(b, eta, store.x(), store.y(), tally);
-        } else if (isa_ == Isa::kSse2) {
-            apply_sse2(b, eta, store.x(), store.y(), tally);
-        } else {
+        }
+#endif
+        if (isa_ == Isa::kScalarFallback) {
             ++tally.fallback_groups;
             apply_term_slots(b, 0, b.size(), eta, store.x(), store.y());
         }
-#else
-        ++tally.fallback_groups;
-        apply_term_slots(b, 0, b.size(), eta, store.x(), store.y());
-#endif
         if (tally.vector_groups) vector_groups_.add(tally.vector_groups);
         if (tally.fallback_groups) fallback_groups_.add(tally.fallback_groups);
         terms_.add(b.size());

@@ -10,9 +10,10 @@
 //   "scalar"  the reference kernel: one term at a time, in slot order —
 //             bit-identical to the historical apply_term_batch loop
 //   "simd"    vectorized kernel: a compute-deltas pass over the TermBatch
-//             SoA columns in AVX2/SSE2 lanes (runtime CPUID dispatch,
-//             scalar fallback on other ISAs) plus an in-order scatter pass
-//             with per-group conflict fallback — byte-identical to "scalar"
+//             SoA columns in AVX2 lanes (runtime CPUID dispatch; the
+//             scalar loop on hosts without AVX2) plus an in-order scatter
+//             pass with per-group conflict fallback — byte-identical to
+//             "scalar"
 //
 // Determinism contract every kernel must honor (it is what the batched and
 // pipelined engines' fixed-(seed, threads) byte-reproducibility — and the
@@ -92,7 +93,7 @@ public:
     virtual std::string_view name() const noexcept = 0;
 
     /// The implementation actually selected at runtime — for "simd" the
-    /// dispatched ISA ("avx2", "sse2", or "scalar-fallback").
+    /// dispatched ISA ("avx2" or "scalar-fallback").
     virtual std::string_view variant() const noexcept { return name(); }
 
     /// Applies every valid term of the batch to the store, in slot order.

@@ -11,7 +11,7 @@
 #include "core/engine.hpp"
 #include "core/kernels/update_kernel.hpp"
 #include "core/topology.hpp"
-#include "partition/executor.hpp"
+#include "partition/scheduler.hpp"
 
 namespace pgl::core {
 
@@ -328,9 +328,10 @@ void validate(const LayoutRequest& r, Spelling spelling) {
     if (!kernels.contains(r.config.kernel)) {
         fail("kernel", kernels.unknown(r.config.kernel, "update kernel"));
     }
-    const auto& executors = partition::ExecutorRegistry::instance();
-    if (!executors.contains(r.executor)) {
-        fail("executor", executors.unknown(r.executor, "partition executor"));
+    try {
+        partition::check_executor(r.executor);
+    } catch (const std::exception& e) {
+        fail("executor", e.what());
     }
     try {
         parse_numa_policy(r.config.numa);

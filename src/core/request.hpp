@@ -31,7 +31,7 @@ struct LayoutRequest {
     /// Decompose into connected components, one engine per component.
     bool partition = false;
     std::uint32_t component_workers = 1;  ///< "thread" executor concurrency
-    std::string executor = "thread";      ///< ExecutorRegistry name
+    std::string executor = "thread";      ///< partition::check_executor name
     std::uint32_t processes = 1;          ///< "process" executor concurrency
     bool multilevel = false;
     multilevel::MultilevelOptions ml;

@@ -11,7 +11,7 @@
 // The driver owns orchestration only: loading (GFA or .pgg, or adopting a
 // caller-cached LeanIngest), the optional graph-cache write, choosing the
 // flat / multilevel / partitioned execution path (partition runs through
-// the pluggable executor layer — in-process threads or child worker
+// the one component loop — in-process threads or child worker
 // processes), atomic .lay/.svg/.ppm publication, the stress metric, and
 // the stage spans --timing/--trace read. Presentation stays with the
 // caller: the driver narrates through RunRequest::log (one line per
@@ -109,7 +109,7 @@ struct RunOutcome {
 
 /// Runs the whole pipeline described by `req`. Throws (std::runtime_error
 /// / std::invalid_argument) on load, validation, or execution failure —
-/// after the partition executors have drained in-flight components, so no
+/// after the component loop has drained in-flight components, so no
 /// partial output file is ever published.
 RunOutcome run_layout(const RunRequest& req);
 

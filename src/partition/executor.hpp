@@ -1,50 +1,56 @@
 #pragma once
-// Pluggable component-executor layer — how a partitioned run actually
-// spends its parallelism. The ComponentScheduler owns policy (validation,
-// largest-first order, id-indexed result slots, progress aggregation
-// inputs); an Executor owns mechanism: given the decomposition and the
-// scheduler options, produce one LayoutResult per component. Two
-// implementations are registered:
+// The two one-component steps of the component loop (run_components in
+// partition/scheduler.hpp). The loop owns everything else — largest-first
+// order, the queues, the pool, progress and failure collection — and
+// `executor` only picks the step:
 //
-//   "thread"   components run on a core::ThreadPool inside this process —
-//              the historical behaviour, byte for byte.
-//   "process"  components are farmed to child `pgl_layout
-//              --component-worker` processes (fork/exec) over the existing
-//              .pgg/.lay file formats plus a length-prefixed status pipe;
-//              the child's request is a worker spec generated from the
-//              request field table (core/request.hpp). Same largest-first
-//              admission, bounded by SchedulerOptions::processes; a crashed
+//   "thread"   run_component: the component runs in this process, on the
+//              pool worker that took it.
+//   "process"  make_worker_step: the component is farmed to a child
+//              `pgl_layout --component-worker` process (fork/exec) over
+//              the existing .pgg/.lay file formats plus a length-prefixed
+//              status pipe; the child's request is a worker spec generated
+//              from the request field table (core/request.hpp). A crashed
 //              child fails only its component. See process_executor.cpp
 //              for the protocol.
-
-// Determinism contract (both executors, enforced by ctest): for a fixed
+//
+// Determinism contract (both steps, enforced by ctest): for a fixed
 // (seed, backend, engine threads) the per-component byte streams are
 // identical regardless of executor, worker/process count, or completion
 // order — every component is laid out by run_component_graph with the same
 // mixed seed, in-process or in a child.
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "core/engine.hpp"
-#include "core/registry.hpp"
 #include "core/request.hpp"
 #include "partition/components.hpp"
 #include "partition/scheduler.hpp"
 
 namespace pgl::partition {
 
-/// The one per-component layout leaf both executors (and the worker
-/// process) execute: multilevel::layout_graph on a fresh `opt.backend`
-/// engine, flat or through run_multilevel (pathless graphs get the initial
-/// layout there, as in an unpartitioned run). `opt.config.seed` must
-/// already be the *mixed* per-component seed (component_seed) — this
-/// function does no mixing, which is exactly what makes a worker process
-/// reproduce the in-process bytes: the parent mixes, the leaf is shared.
+/// The one per-component layout leaf both steps (and the worker process)
+/// execute: multilevel::layout_graph on a fresh `opt.backend` engine, flat
+/// or through run_multilevel (pathless graphs get the initial layout
+/// there, as in an unpartitioned run). `opt.config.seed` must already be
+/// the *mixed* per-component seed (component_seed) — this function does no
+/// mixing, which is exactly what makes a worker process reproduce the
+/// in-process bytes: the parent mixes, the leaf is shared.
 core::LayoutResult run_component_graph(const graph::LeanGraph& g,
                                        const SchedulerOptions& opt);
+
+/// One component laid out: the signature run_component has, and the one
+/// every step of the loop shares. Throws on failure.
+using ComponentStep = std::function<core::LayoutResult(
+    const ComponentSubgraph&, std::uint32_t, const SchedulerOptions&)>;
+
+/// The "process" mode's step. Resolves the worker binary (throws
+/// std::runtime_error if none is found) and makes a scratch directory for
+/// the per-component .pgg/.lay files, removed with the last copy of the
+/// step. Each call spawns one worker and throws std::runtime_error with
+/// its diagnostic (signal, exit status, missing result) if it fails.
+ComponentStep make_worker_step(const SchedulerOptions& opt);
 
 /// The worker-spec codec, generated from the request field table.
 using core::encode_worker_spec;
@@ -60,42 +66,5 @@ using core::parse_worker_spec;
 int run_component_worker(const std::string& graph_path,
                          const std::string& out_path, const std::string& spec,
                          int status_fd);
-
-/// Execution mechanism for one decomposition. Implementations must honour
-/// the scheduler's contract: results indexed by component id, hook called
-/// once per finished component (serialized), largest-first admission.
-class Executor {
-public:
-    virtual ~Executor() = default;
-
-    virtual std::string_view name() const noexcept = 0;
-
-    /// Lays out every component of `d` under `opt`. Throws
-    /// std::runtime_error if any component fails (after running the rest,
-    /// for the process executor). `hook` may be empty.
-    virtual std::vector<core::LayoutResult> run(
-        const Decomposition& d, const SchedulerOptions& opt,
-        const ComponentHook& hook) const = 0;
-};
-
-/// String-keyed executor factory (the shared FactoryRegistry behaviour).
-/// "thread" and "process" are registered on first use; tests register
-/// doubles the same way engines do.
-class ExecutorRegistry : public core::FactoryRegistry<Executor> {
-public:
-    static ExecutorRegistry& instance();
-
-private:
-    ExecutorRegistry() = default;
-};
-
-/// Creates a registered executor or throws std::invalid_argument listing
-/// the available names.
-std::unique_ptr<Executor> make_executor(const std::string& name);
-
-namespace detail {
-std::unique_ptr<Executor> make_thread_executor();
-std::unique_ptr<Executor> make_process_executor();
-}  // namespace detail
 
 }  // namespace pgl::partition

@@ -21,9 +21,8 @@ PartitionResult partition_layout(Decomposition d, const PartitionOptions& opt) {
         const char* span_name =
             opt.schedule.multilevel ? "schedule" : "layout";
         telemetry::StageSpan span(span_name, "partition");
-        ComponentScheduler scheduler(opt.schedule);
-        if (opt.progress) scheduler.set_progress_hook(opt.progress);
-        out.component_results = scheduler.run(out.decomposition);
+        out.component_results =
+            run_components(out.decomposition, opt.schedule, opt.progress);
     }
 
     for (const core::LayoutResult& r : out.component_results) {

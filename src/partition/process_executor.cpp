@@ -1,5 +1,5 @@
-// The "process" component executor and the worker-side entry point behind
-// `pgl_layout --component-worker`. Components are farmed to child
+// The "process" mode's one-component step and the worker-side entry point
+// behind `pgl_layout --component-worker`. Components are farmed to child
 // processes over the formats the repo already trusts:
 //
 //   parent                          child (pgl_layout --component-worker)
@@ -14,14 +14,14 @@
 // parent never guesses at message boundaries. Crash containment falls out
 // of the file formats: the worker publishes its .lay atomically, so a
 // child killed mid-run leaves no partial layout — the parent sees the
-// signal in waitpid (or a missing result frame / missing .lay), records a
-// diagnostic for that component, lets every other component finish, and
-// only then throws. The parent merges each worker's telemetry wire
-// snapshot into its own Registry, so --timing and --trace aggregate
-// process-tree-wide exactly as they do in-process.
+// signal in waitpid (or a missing result frame / missing .lay) and the
+// step throws that diagnostic, which the component loop records while
+// every other component finishes. The parent merges each worker's
+// telemetry wire snapshot into its own Registry, so --timing and --trace
+// aggregate process-tree-wide exactly as they do in-process.
 //
 // Between fork() and execv() only async-signal-safe calls are made (the
-// argv block is built before forking): this executor runs inside a
+// argv block is built before forking): this step runs inside a
 // ThreadPool, and another thread's malloc lock must not deadlock a child.
 #include <fcntl.h>
 #include <signal.h>
@@ -29,22 +29,19 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <mutex>
-#include <numeric>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <system_error>
 #include <vector>
 
 #include "core/request.hpp"
-#include "core/thread_pool.hpp"
 #include "io/lay_io.hpp"
 #include "io/pgg_io.hpp"
 #include "partition/executor.hpp"
@@ -154,7 +151,7 @@ std::string resolve_worker_binary(const SchedulerOptions& opt) {
 }
 
 /// Scratch directory for the per-component .pgg/.lay files, removed on
-/// scope exit (success or throw).
+/// destruction (success or throw).
 struct ScratchDir {
     fs::path path;
     explicit ScratchDir() {
@@ -169,16 +166,17 @@ struct ScratchDir {
         std::error_code ec;
         fs::remove_all(path, ec);  // best effort; scratch only
     }
+    ScratchDir(const ScratchDir&) = delete;
+    ScratchDir& operator=(const ScratchDir&) = delete;
 };
 
 /// Spawns one worker, streams its status pipe to EOF, reaps it, and
-/// explains any failure. On success fills `result` (layout read back from
-/// the worker's .lay) and returns an empty string; otherwise returns the
-/// diagnostic.
-std::string run_one_worker(const std::string& worker,
-                           const fs::path& graph_path,
-                           const fs::path& lay_path, const std::string& spec,
-                           core::LayoutResult& result) {
+/// reads back the layout it wrote. Throws std::runtime_error explaining
+/// any failure.
+core::LayoutResult run_one_worker(const std::string& worker,
+                                  const fs::path& graph_path,
+                                  const fs::path& lay_path,
+                                  const std::string& spec) {
     // argv must be fully materialized before fork(): no allocation is
     // allowed on the child side.
     const std::string graph_arg = graph_path.string();
@@ -198,7 +196,8 @@ std::string run_one_worker(const std::string& worker,
     // fd 3, which clears the flag on the duplicate only.
     int pfd[2];
     if (::pipe2(pfd, O_CLOEXEC) != 0) {
-        return std::string("pipe2 failed: ") + std::strerror(errno);
+        throw std::runtime_error(std::string("pipe2 failed: ") +
+                                 std::strerror(errno));
     }
 
     const pid_t pid = ::fork();
@@ -206,7 +205,8 @@ std::string run_one_worker(const std::string& worker,
         const int err = errno;
         ::close(pfd[0]);
         ::close(pfd[1]);
-        return std::string("fork failed: ") + std::strerror(err);
+        throw std::runtime_error(std::string("fork failed: ") +
+                                 std::strerror(err));
     }
     if (pid == 0) {
         // Child: async-signal-safe calls only.
@@ -223,27 +223,33 @@ std::string run_one_worker(const std::string& worker,
     int status = 0;
     while (::waitpid(pid, &status, 0) < 0) {
         if (errno != EINTR) {
-            return std::string("waitpid failed: ") + std::strerror(errno);
+            throw std::runtime_error(std::string("waitpid failed: ") +
+                                     std::strerror(errno));
         }
     }
 
     if (WIFSIGNALED(status)) {
         const int sig = WTERMSIG(status);
-        return "worker killed by signal " + std::to_string(sig) + " (" +
-               ::strsignal(sig) + ")";
+        throw std::runtime_error("worker killed by signal " +
+                                 std::to_string(sig) + " (" +
+                                 ::strsignal(sig) + ")");
     }
     if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-        return "worker exited with status " +
-               std::to_string(WIFEXITED(status) ? WEXITSTATUS(status) : -1);
+        throw std::runtime_error(
+            "worker exited with status " +
+            std::to_string(WIFEXITED(status) ? WEXITSTATUS(status) : -1));
     }
     if (!frames_ok || !report.have_result) {
-        return "worker exited cleanly but sent no result frame";
+        throw std::runtime_error(
+            "worker exited cleanly but sent no result frame");
     }
     std::error_code ec;
     if (!fs::exists(lay_path, ec) || ec) {
-        return "worker reported success but wrote no layout file";
+        throw std::runtime_error(
+            "worker reported success but wrote no layout file");
     }
 
+    core::LayoutResult result;
     result.layout = io::read_layout_file(lay_path.string());
     result.updates = report.updates;
     result.skipped = report.skipped;
@@ -251,113 +257,29 @@ std::string run_one_worker(const std::string& worker,
     if (!report.telemetry.empty()) {
         telemetry::merge_snapshot_wire(report.telemetry);
     }
-    return std::string();
+    return result;
 }
-
-class ProcessExecutor final : public Executor {
-public:
-    std::string_view name() const noexcept override { return "process"; }
-
-    std::vector<core::LayoutResult> run(
-        const Decomposition& d, const SchedulerOptions& opt,
-        const ComponentHook& hook) const override {
-        const std::uint32_t n = d.count();
-        std::vector<core::LayoutResult> results(n);
-        if (n == 0) return results;
-
-        const std::string worker = resolve_worker_binary(opt);
-        ScratchDir scratch;
-
-        // Same largest-first admission as the thread executor: the queue
-        // order is shared policy, only the mechanism differs.
-        std::vector<std::uint32_t> order(n);
-        std::iota(order.begin(), order.end(), 0u);
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::uint32_t a, std::uint32_t b) {
-                             return d.components[a].graph.node_count() >
-                                    d.components[b].graph.node_count();
-                         });
-
-        std::atomic<std::uint32_t> next{0};
-        std::atomic<std::uint32_t> completed{0};
-        std::mutex hook_mutex;
-        std::mutex failure_mutex;
-        std::vector<std::string> failures;
-
-        const auto work = [&](std::uint32_t) {
-            for (;;) {
-                const std::uint32_t k =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (k >= n) return;
-                const std::uint32_t c = order[k];
-                telemetry::StageSpan span("component",
-                                          "c" + std::to_string(c));
-                const fs::path gpath =
-                    scratch.path / ("c" + std::to_string(c) + ".pgg");
-                const fs::path lpath =
-                    scratch.path / ("c" + std::to_string(c) + ".lay");
-                const std::string spec = encode_worker_spec(
-                    opt, component_seed(opt.config.seed, c));
-
-                std::string error;
-                try {
-                    io::write_pgg_graph_file(d.components[c].graph,
-                                             gpath.string());
-                    error = run_one_worker(worker, gpath, lpath, spec,
-                                           results[c]);
-                } catch (const std::exception& e) {
-                    error = e.what();
-                }
-                const std::uint32_t done =
-                    completed.fetch_add(1, std::memory_order_relaxed) + 1;
-                if (!error.empty()) {
-                    std::lock_guard<std::mutex> lock(failure_mutex);
-                    failures.push_back("component " + std::to_string(c) +
-                                       ": " + error);
-                    continue;
-                }
-                if (hook) {
-                    ComponentProgress p;
-                    p.component = c;
-                    p.completed = done;
-                    p.total = n;
-                    p.nodes = d.components[c].graph.node_count();
-                    p.updates = results[c].updates;
-                    p.seconds = results[c].seconds;
-                    std::lock_guard<std::mutex> lock(hook_mutex);
-                    hook(p);
-                }
-            }
-        };
-
-        const std::uint32_t procs = opt.processes == 0 ? 1 : opt.processes;
-        core::ThreadPool pool(procs <= 1 ? 0 : std::min(procs, n));
-        pool.run(work);
-
-        if (!failures.empty()) {
-            std::sort(failures.begin(), failures.end());
-            std::string msg = "multi-process partition failed (" +
-                              std::to_string(failures.size()) + " of " +
-                              std::to_string(n) + " components):";
-            for (const std::string& f : failures) {
-                msg += "\n  ";
-                msg += f;
-            }
-            throw std::runtime_error(msg);
-        }
-        return results;
-    }
-};
 
 }  // namespace
 
-namespace detail {
-
-std::unique_ptr<Executor> make_process_executor() {
-    return std::make_unique<ProcessExecutor>();
+ComponentStep make_worker_step(const SchedulerOptions& opt) {
+    std::string worker = resolve_worker_binary(opt);
+    auto scratch = std::make_shared<const ScratchDir>();
+    return [worker = std::move(worker), scratch](
+               const ComponentSubgraph& component, std::uint32_t c,
+               const SchedulerOptions& o) {
+        // The same "component" span run_component opens in-process.
+        telemetry::StageSpan span("component", "c" + std::to_string(c));
+        const fs::path gpath =
+            scratch->path / ("c" + std::to_string(c) + ".pgg");
+        const fs::path lpath =
+            scratch->path / ("c" + std::to_string(c) + ".lay");
+        io::write_pgg_graph_file(component.graph, gpath.string());
+        return run_one_worker(worker, gpath, lpath,
+                              encode_worker_spec(
+                                  o, component_seed(o.config.seed, c)));
+    };
 }
-
-}  // namespace detail
 
 int run_component_worker(const std::string& graph_path,
                          const std::string& out_path, const std::string& spec,

@@ -1,17 +1,27 @@
 #pragma once
-// Per-component layout orchestration — layer 2 of the partition subsystem.
+// The component loop — layer 2 of the partition subsystem.
 //
-// Components are independent layout problems, so the scheduler runs one
-// LayoutEngine per component and spreads the runs across core::ThreadPool
-// workers, largest component first (classic LPT ordering: the big
-// chromosomes dominate wall-clock, so they must start first).
+// Components are independent layout problems, so run_components lays out
+// each with its own engine and spreads them across one core::ThreadPool,
+// largest component first (classic LPT ordering: the big chromosomes
+// dominate wall-clock, so they must start first). It is the one loop for
+// both execution modes; only the one-component step differs:
+//
+//   "thread"   run_component, in this process, on the pool worker;
+//   "process"  the worker step of partition/executor.hpp: write the
+//              component's .pgg, fork/exec `pgl_layout --component-worker`,
+//              read back its .lay and status frames.
+//
+// A component that throws fails alone: the loop records
+// `component <id>: <what>`, lays out the rest, and then throws one
+// std::runtime_error listing every failure.
 //
 // Determinism contract: every component gets its own engine instance seeded
 // with component_seed(cfg.seed, component_id) — a SplitMix64 mix, so
 // component streams never overlap — and engines are deterministic for a
 // fixed (seed, threads). Results land in slots indexed by component id.
 // Consequently a partitioned run is byte-reproducible for a fixed
-// (seed, backend, engine threads) regardless of how many scheduler workers
+// (seed, backend, engine threads) regardless of the mode, how many workers
 // raced over the queue or which finished first.
 #include <cstdint>
 #include <functional>
@@ -42,12 +52,12 @@ struct ComponentProgress {
 
 using ComponentHook = std::function<void(const ComponentProgress&)>;
 
-/// A layout request as the scheduler runs it: `config.seed` is the base
-/// seed mixed per component, `component_workers` the "thread" executor's
-/// concurrency, `processes` the "process" executor's (see
-/// partition/executor.hpp), and `multilevel`/`ml` lay each component out
-/// through multilevel::run_multilevel instead of a flat run — its passes
-/// are configured per component from the same mixed-seed config, so the
+/// A layout request as the loop runs it: `config.seed` is the base seed
+/// mixed per component, `executor` picks the one-component step,
+/// `component_workers` sizes the pool in "thread" mode and `processes` in
+/// "process" mode, and `multilevel`/`ml` lay each component out through
+/// multilevel::run_multilevel instead of a flat run — its passes are
+/// configured per component from the same mixed-seed config, so the
 /// determinism contract holds unchanged.
 struct SchedulerOptions : core::LayoutRequest {
     /// Worker binary override for the "process" executor. Empty resolves
@@ -55,40 +65,35 @@ struct SchedulerOptions : core::LayoutRequest {
     std::string worker_binary;
 };
 
-/// Lays out one component exactly as the scheduler would: a fresh engine of
-/// `opt.backend`, seeded with component_seed(opt.config.seed, component_id).
-/// A component whose lean graph has no sampleable path terms gets its
-/// initial layout from multilevel::layout_graph, the step every flat or
-/// multilevel run shares. Exposed so tests can produce the standalone
-/// per-component runs the partitioned result must match byte-for-byte.
+/// The executor names, "process" and "thread": the one list core::validate
+/// and run_components check `executor` against. Throws
+/// std::invalid_argument (`unknown partition executor "<name>"; available:
+/// process thread`) for any other name.
+void check_executor(const std::string& name);
+
+/// The "thread" mode's one-component step: a fresh engine of `opt.backend`,
+/// seeded with component_seed(opt.config.seed, component_id). A component
+/// whose lean graph has no sampleable path terms gets its initial layout
+/// from multilevel::layout_graph, the step every flat or multilevel run
+/// shares. Exposed so tests can produce the standalone per-component runs
+/// the partitioned result must match byte-for-byte.
 ///
 /// Each call runs under a telemetry `component` stage span (category
 /// "c<id>"), so multilevel pass seconds aggregate process-wide in the
 /// `span.coarsen` / `span.layout` / `span.interpolate` / `span.refine`
-/// histograms — the source `pgl_layout --timing` now reads instead of the
-/// retired StageSeconds out-parameter.
+/// histograms — the source `pgl_layout --timing` reads.
 core::LayoutResult run_component(const ComponentSubgraph& component,
                                  std::uint32_t component_id,
                                  const SchedulerOptions& opt);
 
-/// Policy layer over the pluggable executors (partition/executor.hpp):
-/// validates the backend/kernel/executor names up front, counts the
-/// components into telemetry, then hands the decomposition to the
-/// configured Executor ("thread" or "process") for the actual runs.
-class ComponentScheduler {
-public:
-    explicit ComponentScheduler(SchedulerOptions opt) : opt_(std::move(opt)) {}
-
-    void set_progress_hook(ComponentHook hook) { hook_ = std::move(hook); }
-
-    const SchedulerOptions& options() const noexcept { return opt_; }
-
-    /// Returns one LayoutResult per component, indexed by component id.
-    std::vector<core::LayoutResult> run(const Decomposition& d) const;
-
-private:
-    SchedulerOptions opt_;
-    ComponentHook hook_;
-};
+/// Lays out every component of `d` under `opt` and returns one
+/// LayoutResult per component, indexed by component id. `hook` (may be
+/// empty) is called once per finished component, serialized, on the
+/// thread that ran it. Throws std::invalid_argument for an unknown
+/// executor before any component runs, and std::runtime_error naming
+/// each failed component after the rest have run.
+std::vector<core::LayoutResult> run_components(const Decomposition& d,
+                                               const SchedulerOptions& opt,
+                                               const ComponentHook& hook);
 
 }  // namespace pgl::partition

@@ -9,11 +9,13 @@
 #   3. A W-record-only, CRLF-terminated GFA (tests/data/walks_crlf.gfa)
 #      must ingest and lay out end-to-end.
 #   4. `--timing` on a flat run lists only the stages that ran (no
-#      coarsen, refine or stitch line).
+#      coarsen, refine or stitch line). In a -DPGL_TELEMETRY=OFF build it
+#      prints the compiled-out line and the total, and no stage line.
 #
 # Expects -DTOOL=<pgl_layout> -DGENERATOR=<whole_genome_layout>
 #         -DDATA=<tests/data dir> -DWORKDIR=<scratch dir>
-foreach(var TOOL GENERATOR DATA WORKDIR)
+#         -DTELEMETRY=<the build's PGL_TELEMETRY>
+foreach(var TOOL GENERATOR DATA WORKDIR TELEMETRY)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_ingest_cli.cmake needs -D${var}=...")
   endif()
@@ -131,10 +133,25 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "flat --timing run failed: ${err}")
 endif()
-if(NOT err MATCHES "timing: layout " OR NOT err MATCHES "timing: total ")
-  message(FATAL_ERROR "flat --timing lacks its layout/total lines: ${err}")
+if(TELEMETRY)
+  if(NOT err MATCHES "timing: layout " OR NOT err MATCHES "timing: total ")
+    message(FATAL_ERROR "flat --timing lacks its layout/total lines: ${err}")
+  endif()
+  if(err MATCHES "timing: (coarsen|interpolate|refine|stitch) ")
+    message(FATAL_ERROR "flat --timing printed a stage that did not run: ${err}")
+  endif()
+  message(STATUS "flat --timing prints no coarsen/refine/stitch line")
+else()
+  # Telemetry compiled out: no stage spans, so no stage line at all.
+  if(NOT err MATCHES "timing: stage spans compiled out"
+     OR NOT err MATCHES "timing: total ")
+    message(FATAL_ERROR
+        "--timing without telemetry lacks its compiled-out/total lines: ${err}")
+  endif()
+  set(stages "parse|coarsen|layout|interpolate|refine|stitch|metrics|render")
+  if(err MATCHES "timing: (${stages}) ")
+    message(FATAL_ERROR
+        "--timing without telemetry printed a stage line: ${err}")
+  endif()
+  message(STATUS "--timing without telemetry prints only the total")
 endif()
-if(err MATCHES "timing: (coarsen|interpolate|refine|stitch) ")
-  message(FATAL_ERROR "flat --timing printed a stage that did not run: ${err}")
-endif()
-message(STATUS "flat --timing prints no coarsen/refine/stitch line")

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/request.hpp"
 #include "partition/executor.hpp"
 #include "partition/partition.hpp"
 #include "workloads/synthetic.hpp"
@@ -191,23 +192,45 @@ TEST(Stitch, PlacedBoundingBoxesDoNotOverlap) {
     }
 }
 
-TEST(ExecutorRegistry, ShipsThreadAndProcess) {
-    const auto names = partition::ExecutorRegistry::instance().names();
-    EXPECT_NE(std::find(names.begin(), names.end(), "thread"), names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "process"), names.end());
-    EXPECT_EQ(partition::make_executor("thread")->name(), "thread");
-    EXPECT_EQ(partition::make_executor("process")->name(), "process");
+TEST(Executors, ShipsThreadAndProcess) {
+    // An empty decomposition reaches the executor check without spawning
+    // a worker, so both names are accepted on the library path here.
+    for (const std::string name : {"thread", "process"}) {
+        partition::PartitionOptions popt;
+        popt.schedule.executor = name;
+        EXPECT_NO_THROW(partition::partition_layout(partition::Decomposition{},
+                                                    popt))
+            << name;
+        core::LayoutRequest r;
+        r.partition = true;
+        r.executor = name;
+        EXPECT_NO_THROW(core::validate(r, core::Spelling::kKey)) << name;
+    }
 }
 
-TEST(ExecutorRegistry, UnknownNameThrowsListingAvailable) {
-    try {
-        partition::make_executor("hovercraft");
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        const std::string what = e.what();
+TEST(Executors, UnknownNameThrowsListingAvailable) {
+    const auto expect_names = [](const std::string& what) {
         EXPECT_NE(what.find("hovercraft"), std::string::npos) << what;
         EXPECT_NE(what.find("thread"), std::string::npos) << what;
         EXPECT_NE(what.find("process"), std::string::npos) << what;
+    };
+    partition::PartitionOptions popt;
+    popt.schedule.config = quick_config();
+    popt.schedule.executor = "hovercraft";
+    try {
+        layout_vg(small_genome(2), popt);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        expect_names(e.what());
+    }
+    core::LayoutRequest r;
+    r.partition = true;
+    r.executor = "hovercraft";
+    try {
+        core::validate(r, core::Spelling::kKey);
+        FAIL() << "expected core::validate to reject the executor";
+    } catch (const std::runtime_error& e) {
+        expect_names(e.what());
     }
 }
 
@@ -269,6 +292,27 @@ TEST(Scheduler, UnknownExecutorIsRejected) {
     popt.schedule.config = quick_config();
     popt.schedule.executor = "quantum";
     EXPECT_THROW(layout_vg(vg, popt), std::invalid_argument);
+}
+
+TEST(Scheduler, FailingComponentThrowsOnceTheRestHaveRun) {
+    // levels = 0 makes every component's run_multilevel throw. On a pool
+    // worker the exception must reach the caller as one error naming each
+    // component, not escape the worker thread and abort the process.
+    const auto vg = small_genome(2);
+    partition::PartitionOptions popt;
+    popt.schedule.config = quick_config();
+    popt.schedule.multilevel = true;
+    popt.schedule.ml.levels = 0;
+    popt.schedule.component_workers = 2;
+    try {
+        layout_vg(vg, popt);
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("component 0"), std::string::npos) << what;
+        EXPECT_NE(what.find("levels must be >= 1"), std::string::npos)
+            << what;
+    }
 }
 
 TEST(Scheduler, ResultsIndependentOfWorkerCount) {
