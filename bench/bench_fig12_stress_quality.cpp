@@ -24,10 +24,10 @@ int main(int argc, char** argv) {
     // order of magnitude as the paper's worst example (~1e2).
     const double span = static_cast<double>(g.total_path_nucleotides()) / 150.0;
     for (std::size_t i = 0; i < scattered.size(); ++i) {
-        scattered.start_x[i] = static_cast<float>(rng.next_double() * span);
-        scattered.start_y[i] = static_cast<float>(rng.next_double() * span);
-        scattered.end_x[i] = static_cast<float>(rng.next_double() * span);
-        scattered.end_y[i] = static_cast<float>(rng.next_double() * span);
+        scattered[i].sx = static_cast<float>(rng.next_double() * span);
+        scattered[i].sy = static_cast<float>(rng.next_double() * span);
+        scattered[i].ex = static_cast<float>(rng.next_double() * span);
+        scattered[i].ey = static_cast<float>(rng.next_double() * span);
     }
 
     bench::TablePrinter table({"Layout", "Path stress", "Sampled PS", "CI95",

@@ -53,11 +53,7 @@ double secs_since(Clock::time_point t0) {
 
 bool same_bytes(const pgl::core::Layout& a, const pgl::core::Layout& b) {
     if (a.size() != b.size()) return false;
-    const std::size_t bytes = a.size() * sizeof(float);
-    return std::memcmp(a.start_x.data(), b.start_x.data(), bytes) == 0 &&
-           std::memcmp(a.start_y.data(), b.start_y.data(), bytes) == 0 &&
-           std::memcmp(a.end_x.data(), b.end_x.data(), bytes) == 0 &&
-           std::memcmp(a.end_y.data(), b.end_y.data(), bytes) == 0;
+    return std::memcmp(a.data(), b.data(), a.size() * sizeof(pgl::core::Segment)) == 0;
 }
 
 }  // namespace

@@ -39,8 +39,8 @@ using namespace pgl;
 bool same_layout(const core::Layout& a, const core::Layout& b) {
     if (a.size() != b.size()) return false;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a.start_x[i] != b.start_x[i] || a.start_y[i] != b.start_y[i] ||
-            a.end_x[i] != b.end_x[i] || a.end_y[i] != b.end_y[i]) {
+        if (a[i].sx != b[i].sx || a[i].sy != b[i].sy ||
+            a[i].ex != b[i].ex || a[i].ey != b[i].ey) {
             return false;
         }
     }

@@ -7,10 +7,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace pgl::core {
 
-struct Layout;  // core/layout.hpp
+struct Segment;  // core/layout.hpp
+using Layout = std::vector<Segment>;
 
 struct LayoutConfig {
     /// Total SGD iterations (N_iters in Alg. 1); odgi default is 30.

@@ -20,7 +20,7 @@ public:
     std::string_view name() const noexcept override { return "scalar"; }
 
     void apply(const TermBatch& b, double eta, XYStore& store) const override {
-        apply_term_slots(b, 0, b.size(), eta, store.x(), store.y());
+        apply_term_slots(b, 0, b.size(), eta, store.data());
         batches_.add(1);
         terms_.add(b.size());
     }

@@ -4,7 +4,8 @@
 // double — and (b) an in-order scatter pass. Lane groups of 4 terms run
 // under AVX2, chosen by CPUID at construction so one portable binary runs
 // everywhere; a host without AVX2 takes the scalar loop (variant
-// "scalar-fallback"), which is byte-identical. Groups are checked for
+// "scalar-fallback"), which is byte-identical, and so does a store too large
+// for 32-bit gather lanes (see simd_lanes_fit). Groups are checked for
 // cross-slot coordinate conflicts first: a group in which two *different*
 // slots touch the same endpoint falls back to the chained scalar loop, so
 // the "later terms see earlier updates" contract holds exactly and the
@@ -27,18 +28,25 @@
 // chosen end) still sees its j store land after its i store — the scalar
 // order's observable effect.
 //
-// Gathers deliberately stay in registers (vgatherdps): bouncing four
-// narrow stores into a stack array and reloading them as one wide vector
-// is a store-forwarding stall per operand, which on the sampled-batch fast
-// path costs more than the div/sqrt vectorization saves.
+// Coordinates come off the store's packed Segment records, where an
+// endpoint's x sits at float index 4*node + 2*end with its y right after
+// it: one 64-bit gather (vpgatherdq) per side fetches all four (x, y)
+// pairs, and one permute splits them into x and y lanes. The scatter
+// writes each pair back as one 8-byte store. Gathers deliberately stay in
+// registers: bouncing four narrow stores into a stack array and reloading
+// them as one wide vector is a store-forwarding stall per operand, which
+// on the sampled-batch fast path costs more than the div/sqrt
+// vectorization saves. The gathers read the float indices as signed
+// 32-bit lanes, which is why the kernel only runs on stores of at most
+// 2^29 nodes (simd_lanes_fit).
 //
 // Holes (valid == 0) keep their slots: their d_ref/nudge columns are
 // loaded but their gathers read index 0 (in bounds by construction) and
 // the scatter pass never writes them back. For conflict detection a hole
 // gets a per-lane sentinel index pair no real term can produce (the top
-// of the 32-bit index space: a real index there would imply a ~2^31-node
-// graph), so the branchless pairwise compare never reports a hole as a
-// conflict.
+// of the 32-bit index space; under the lane bound every real index stays
+// below 2^31), so the branchless pairwise compare never reports a hole as
+// a conflict.
 #include "core/kernels/update_kernel.hpp"
 
 #include <cstddef>
@@ -65,7 +73,7 @@ struct GroupTally {
 
 #if defined(__x86_64__)
 
-/// Endpoint indices of 4 slots as u32 lanes: 2*node + end.
+/// Float indices of 4 slots' x coordinates as u32 lanes: 4*node + 2*end.
 __attribute__((target("avx2"))) inline __m128i slot_idx4(
     const std::uint32_t* node, const std::uint8_t* end) noexcept {
     std::uint32_t ew;
@@ -73,7 +81,19 @@ __attribute__((target("avx2"))) inline __m128i slot_idx4(
     const __m128i node4 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(node));
     const __m128i end4 =
         _mm_cvtepu8_epi32(_mm_cvtsi32_si128(static_cast<int>(ew)));
-    return _mm_add_epi32(_mm_slli_epi32(node4, 1), end4);
+    return _mm_add_epi32(_mm_slli_epi32(node4, 2), _mm_slli_epi32(end4, 1));
+}
+
+/// The (x, y) pairs of 4 endpoints: one 64-bit gather at float indices
+/// `idx` ([x0 y0 x1 y1 ...]), split into an x and a y lane vector.
+__attribute__((target("avx2"))) inline void gather_xy4(const float* p, __m128i idx,
+                                                      __m128& x, __m128& y) noexcept {
+    const __m256 xy = _mm256_castsi256_ps(_mm256_i32gather_epi64(
+        reinterpret_cast<const long long*>(p), idx, 4));
+    const __m256 split =
+        _mm256_permutevar8x32_ps(xy, _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7));
+    x = _mm256_castps256_ps128(split);
+    y = _mm256_extractf128_ps(split, 1);
 }
 
 __attribute__((target("avx2"))) inline __m128i rot1(__m128i v) noexcept {
@@ -102,8 +122,7 @@ __attribute__((target("avx2"))) inline bool group_conflict4(
 }
 
 __attribute__((target("avx2"))) void apply_avx2(const TermBatch& b, double eta,
-                                                float* x, float* y,
-                                                GroupTally& tally) {
+                                                float* p, GroupTally& tally) {
     const std::size_t n = b.size();
     const double* dref_col = b.d_ref.data();
     const double* nudge_col = b.nudge.data();
@@ -147,29 +166,28 @@ __attribute__((target("avx2"))) void apply_avx2(const TermBatch& b, double eta,
             jj = _mm_blendv_epi8(jj, sent_j, hole);
             if (group_conflict4(ii, jj)) {
                 ++tally.fallback_groups;
-                apply_term_slots(b, base, base + 4, eta, x, y);
+                apply_term_slots(b, base, base + 4, eta, p);
                 continue;
             }
             ii = gi;
             jj = gj;
         } else if (group_conflict4(ii, jj)) {
             ++tally.fallback_groups;
-            apply_term_slots(b, base, base + 4, eta, x, y);
+            apply_term_slots(b, base, base + 4, eta, p);
             continue;
         }
         ++tally.vector_groups;
 
-        // Coordinate gathers straight off the index lanes (vgatherdps);
+        // Coordinate gathers straight off the index lanes (vpgatherdq);
         // the indices are also spilled once (wide store, contained narrow
         // reloads — the forwarding-friendly direction) for the scatter.
         alignas(16) std::uint32_t ia[4], ja[4];
         _mm_store_si128(reinterpret_cast<__m128i*>(ia), ii);
         _mm_store_si128(reinterpret_cast<__m128i*>(ja), jj);
 
-        const __m128 xi4 = _mm_i32gather_ps(x, ii, 4);
-        const __m128 yi4 = _mm_i32gather_ps(y, ii, 4);
-        const __m128 xj4 = _mm_i32gather_ps(x, jj, 4);
-        const __m128 yj4 = _mm_i32gather_ps(y, jj, 4);
+        __m128 xi4, yi4, xj4, yj4;
+        gather_xy4(p, ii, xi4, yi4);
+        gather_xy4(p, jj, xj4, yj4);
         const __m256d xi = _mm256_cvtps_pd(xi4);
         const __m256d yi = _mm256_cvtps_pd(yi4);
         const __m256d xj = _mm256_cvtps_pd(xj4);
@@ -202,38 +220,23 @@ __attribute__((target("avx2"))) void apply_avx2(const TermBatch& b, double eta,
         const __m128 nyj = _mm_add_ps(yj4, _mm256_cvtpd_ps(ry));
 
         // Scatter: again wide stores + contained narrow reloads. Holes keep
-        // gather index 0 but are skipped here, so element 0 is never
-        // written on their behalf.
-        alignas(16) float vxi[4], vyi[4], vxj[4], vyj[4];
-        _mm_store_ps(vxi, nxi);
-        _mm_store_ps(vyi, nyi);
-        _mm_store_ps(vxj, nxj);
-        _mm_store_ps(vyj, nyj);
-        if (all_valid) {
-            for (int t = 0; t < 4; ++t) {
-                x[ia[t]] = vxi[t];
-                y[ia[t]] = vyi[t];
-            }
-            for (int t = 0; t < 4; ++t) {
-                x[ja[t]] = vxj[t];
-                y[ja[t]] = vyj[t];
-            }
-        } else {
-            for (int t = 0; t < 4; ++t) {
-                if (!valid_col[base + t]) continue;
-                x[ia[t]] = vxi[t];
-                y[ia[t]] = vyi[t];
-            }
-            for (int t = 0; t < 4; ++t) {
-                if (!valid_col[base + t]) continue;
-                x[ja[t]] = vxj[t];
-                y[ja[t]] = vyj[t];
-            }
+        // gather index 0 but are skipped here, so node 0 is never written
+        // on their behalf.
+        alignas(16) float vi[8], vj[8];
+        _mm_store_ps(vi, _mm_unpacklo_ps(nxi, nyi));
+        _mm_store_ps(vi + 4, _mm_unpackhi_ps(nxi, nyi));
+        _mm_store_ps(vj, _mm_unpacklo_ps(nxj, nyj));
+        _mm_store_ps(vj + 4, _mm_unpackhi_ps(nxj, nyj));
+        for (int t = 0; t < 4; ++t) {
+            if (all_valid || valid_col[base + t]) std::memcpy(p + ia[t], vi + 2 * t, 8);
+        }
+        for (int t = 0; t < 4; ++t) {
+            if (all_valid || valid_col[base + t]) std::memcpy(p + ja[t], vj + 2 * t, 8);
         }
     }
     if (base < n) {
         ++tally.fallback_groups;
-        apply_term_slots(b, base, n, eta, x, y);
+        apply_term_slots(b, base, n, eta, p);
     }
 }
 
@@ -267,14 +270,13 @@ public:
 
     void apply(const TermBatch& b, double eta, XYStore& store) const override {
         GroupTally tally;
+        const bool lanes = isa_ == Isa::kAvx2 && simd_lanes_fit(store.node_count());
 #if defined(__x86_64__)
-        if (isa_ == Isa::kAvx2) {
-            apply_avx2(b, eta, store.x(), store.y(), tally);
-        }
+        if (lanes) apply_avx2(b, eta, store.data(), tally);
 #endif
-        if (isa_ == Isa::kScalarFallback) {
+        if (!lanes) {
             ++tally.fallback_groups;
-            apply_term_slots(b, 0, b.size(), eta, store.x(), store.y());
+            apply_term_slots(b, 0, b.size(), eta, store.data());
         }
         if (tally.vector_groups) vector_groups_.add(tally.vector_groups);
         if (tally.fallback_groups) fallback_groups_.add(tally.fallback_groups);

@@ -2,7 +2,8 @@
 // The pluggable update-kernel layer: the *apply* half of the batched term
 // pipeline, factored out of the engines the same way the engines themselves
 // were factored behind LayoutEngine. A kernel drains one TermBatch into the
-// flat XYStore coordinate arrays; engines pick the kernel by name through
+// XYStore's packed Segment records (one 16-byte {sx, sy, ex, ey} per node,
+// the paper's cache-friendly layout); engines pick the kernel by name through
 // the string-keyed KernelRegistry (mirroring EngineRegistry), so the CLI,
 // benches and tests drive every implementation through one seam.
 //
@@ -13,7 +14,7 @@
 //             SoA columns in AVX2 lanes (runtime CPUID dispatch; the
 //             scalar loop on hosts without AVX2) plus an in-order scatter
 //             pass with per-group conflict fallback — byte-identical to
-//             "scalar"
+//             "scalar" (stores beyond simd_lanes_fit take the scalar loop)
 //
 // Determinism contract every kernel must honor (it is what the batched and
 // pipelined engines' fixed-(seed, threads) byte-reproducibility — and the
@@ -41,28 +42,35 @@
 namespace pgl::core {
 
 /// Applies slots [begin, end) one term at a time, in slot order, against
-/// raw coordinate arrays (XYStore layout: element 2*node + end). This is
-/// the reference semantics: the scalar kernel is exactly this loop over the
-/// whole batch, and the SIMD kernel falls back to it for conflicting lane
-/// groups and tails.
+/// the store's raw record array (XYStore::data(): x at 4*node + 2*end, y
+/// right after it). This is the reference semantics: the scalar kernel is
+/// exactly this loop over the whole batch, and the SIMD kernel falls back
+/// to it for conflicting lane groups and tails.
 inline void apply_term_slots(const TermBatch& b, std::size_t begin,
-                             std::size_t end, double eta, float* x,
-                             float* y) noexcept {
+                             std::size_t end, double eta, float* p) noexcept {
     for (std::size_t k = begin; k < end; ++k) {
         if (!b.valid[k]) continue;
         const std::size_t ii = XYStore::index(b.node_i[k], b.end_i_of(k));
         const std::size_t jj = XYStore::index(b.node_j[k], b.end_j_of(k));
-        const float xi = x[ii];
-        const float yi = y[ii];
-        const float xj = x[jj];
-        const float yj = y[jj];
+        const float xi = p[ii];
+        const float yi = p[ii + 1];
+        const float xj = p[jj];
+        const float yj = p[jj + 1];
         const PointDelta d =
             sgd_term_update(xi, yi, xj, yj, b.d_ref[k], eta, b.nudge[k]);
-        x[ii] = xi + d.dx_i;
-        y[ii] = yi + d.dy_i;
-        x[jj] = xj + d.dx_j;
-        y[jj] = yj + d.dy_j;
+        p[ii] = xi + d.dx_i;
+        p[ii + 1] = yi + d.dy_i;
+        p[jj] = xj + d.dx_j;
+        p[jj + 1] = yj + d.dy_j;
     }
+}
+
+/// True when every float index of a store with `nodes` nodes fits the
+/// signed 32-bit index lanes of the SIMD kernel's gathers:
+/// 4*node + 2*end + 1 <= 2^31 - 1, i.e. at most 2^29 nodes. Larger stores
+/// take the byte-identical scalar loop.
+constexpr bool simd_lanes_fit(std::size_t nodes) noexcept {
+    return nodes <= (std::size_t{1} << 29);
 }
 
 /// Applies one term through the store's relaxed-atomic accessors: the

@@ -3,20 +3,22 @@
 // start and an end visualization point (paper Sec. II-C); the layout is the
 // collection of those 2n points.
 //
-// All engines share one concrete coordinate store, XYStore: the paper's
-// original ODGI organization (Fig. 9a) — a flat X array and a flat Y array,
-// element 2*node + end — exposed as raw contiguous float arrays so the
-// update kernels (core/kernels/) vectorize over them directly, with
-// relaxed-atomic accessors on top for the Hogwild apply's intentionally
-// unsynchronized per-term updates. The cache-friendly AoS organization
-// (CDL, Fig. 9b; one packed NodeRecord per node) survives as a *modeled*
-// layout: memsim/characterize and the GPU simulator replay its address
-// stream, parameterized by the NodeRecord shape below, while the functional
-// coordinate values — identical under either organization — live in the
-// XYStore.
+// Every coordinate lives in one record per node, core::Segment
+// {sx, sy, ex, ey}: the paper's cache-friendly data layout (CDL, Sec. V-B1,
+// Fig. 9b), so one term touches one 16-byte record per endpoint instead of
+// an x line and a y line. core::Layout is a plain vector of them (metrics,
+// IO, rendering, stitching); XYStore holds the same records for the engines
+// in one heap vector or one NUMA-placed block, exposed as a raw float array
+// for the update kernels (core/kernels/) and through relaxed-atomic
+// accessors for the Hogwild apply's intentionally unsynchronized per-term
+// updates. Loading and snapshotting a store are one byte copy each. The
+// structure-of-arrays order survives only as the .lay on-disk format
+// (io/lay_io.cpp).
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "core/config.hpp"
@@ -29,19 +31,31 @@ namespace pgl::core {
 /// Endpoint selector for a node's line segment.
 enum class End : std::uint8_t { kStart = 0, kEnd = 1 };
 
-/// A plain, storage-agnostic snapshot of a layout (used by metrics, IO and
-/// rendering). Index i holds the segment of node i.
-struct Layout {
-    std::vector<float> start_x, start_y, end_x, end_y;
+/// One node's segment: the start point (sx, sy) and the end point (ex, ey),
+/// packed so a node's coordinates share one 16-byte record. Trivial, so a
+/// Layout converts to and from the engines' float store by byte copies.
+struct Segment {
+    float sx, sy, ex, ey;
 
-    std::size_t size() const noexcept { return start_x.size(); }
-    void resize(std::size_t n) {
-        start_x.resize(n);
-        start_y.resize(n);
-        end_x.resize(n);
-        end_y.resize(n);
+    // Looked up rather than branched on: callers pass random ends, which a
+    // branch would mispredict half the time.
+    float x(End e) const noexcept {
+        static constexpr float Segment::*kX[2] = {&Segment::sx, &Segment::ex};
+        return this->*kX[static_cast<std::size_t>(e)];
     }
+    float y(End e) const noexcept {
+        static constexpr float Segment::*kY[2] = {&Segment::sy, &Segment::ey};
+        return this->*kY[static_cast<std::size_t>(e)];
+    }
+
+    friend bool operator==(const Segment&, const Segment&) = default;
 };
+
+static_assert(std::is_trivial_v<Segment> && sizeof(Segment) == 4 * sizeof(float));
+
+/// A storage-agnostic snapshot of a layout (used by metrics, IO and
+/// rendering). Index i holds the segment of node i.
+using Layout = std::vector<Segment>;
 
 /// Initializes a layout the way odgi-layout does: nodes are unrolled along
 /// one axis by cumulative nucleotide offset (so the initial picture is the
@@ -58,11 +72,11 @@ Layout make_linear_initial_layout(const graph::LeanGraph& g, Rng& rng,
     mean_len = g.node_count() ? mean_len / g.node_count() : 1.0;
     const double jitter = jitter_scale * mean_len;
     for (std::uint32_t i = 0; i < g.node_count(); ++i) {
-        l.start_x[i] = static_cast<float>(x);
+        l[i].sx = static_cast<float>(x);
         x += g.node_length(i);
-        l.end_x[i] = static_cast<float>(x);
-        l.start_y[i] = static_cast<float>((rng.next_double() - 0.5) * jitter);
-        l.end_y[i] = static_cast<float>((rng.next_double() - 0.5) * jitter);
+        l[i].ex = static_cast<float>(x);
+        l[i].sy = static_cast<float>((rng.next_double() - 0.5) * jitter);
+        l[i].ey = static_cast<float>((rng.next_double() - 0.5) * jitter);
     }
     return l;
 }
@@ -89,21 +103,22 @@ inline Layout make_initial_layout(const graph::LeanGraph& g,
     return make_linear_initial_layout(g, init_rng, cfg.init_jitter);
 }
 
-/// The shared flat SoA coordinate store. X layout matches the paper:
-/// [sx0, ex0, sx1, ex1, ...], same for Y; index(node, end) = 2*node + end.
+/// The engines' coordinate store: one array of Segment records, element
+/// 4*node + 2*end holding an endpoint's x and the next element its y
+/// ([sx0, sy0, ex0, ey0, sx1, ...]).
 ///
 /// Two access styles, by construction compatible:
-///   * x()/y() — the raw contiguous arrays the update kernels (and any
+///   * data() — the raw contiguous float array the update kernels (and any
 ///     single-writer batch consumer) read and write with plain loads and
 ///     stores;
 ///   * load_/store_ accessors — relaxed std::atomic_ref views of the same
 ///     floats, used by the Hogwild apply so its deliberate data races
 ///     stay defined behaviour.
 ///
-/// Storage is either plain heap vectors (the default) or NUMA-placed
-/// blocks from a core::NodeAllocator (the load overload engines use when a
+/// Storage is either a plain heap vector (the default) or one NUMA-placed
+/// block from a core::NodeAllocator (the load overload engines use when a
 /// --numa policy is active); every accessor runs off the same raw
-/// pointers, so the two are byte-indistinguishable to all consumers.
+/// pointer, so the two are byte-indistinguishable to all consumers.
 /// Copying deep-copies the coordinates into heap storage — placement is an
 /// execution property of the run that produced the store, never of a copy.
 class XYStore {
@@ -120,99 +135,69 @@ public:
     }
 
     void load(const Layout& init) {
-        const std::size_t n = init.size();
-        count_ = 2 * n;
-        xblk_ = PlacedBlock();
-        yblk_ = PlacedBlock();
-        xs_.resize(count_);
-        ys_.resize(count_);
-        xp_ = xs_.data();
-        yp_ = ys_.data();
-        for (std::size_t i = 0; i < n; ++i) {
-            xp_[2 * i] = init.start_x[i];
-            xp_[2 * i + 1] = init.end_x[i];
-            yp_[2 * i] = init.start_y[i];
-            yp_[2 * i + 1] = init.end_y[i];
-        }
+        blk_ = PlacedBlock();
+        heap_.resize(4 * init.size());
+        fill(heap_.data(), init);
     }
 
-    /// Placed storage: the coordinate arrays come from `alloc`, pages
+    /// Placed storage: the record array comes from `alloc`, pages
     /// first-touched per its placement policy (defined in node_alloc.cpp).
     void load(const Layout& init, NodeAllocator& alloc);
 
-    std::size_t node_count() const noexcept { return count_ / 2; }
-    std::size_t coord_count() const noexcept { return count_; }
+    std::size_t node_count() const noexcept { return nodes_; }
 
+    /// Float index of an endpoint's x; its y is the next float.
     static std::size_t index(std::uint32_t node, End e) noexcept {
-        return 2 * static_cast<std::size_t>(node) + static_cast<std::size_t>(e);
+        return 4 * static_cast<std::size_t>(node) +
+               2 * static_cast<std::size_t>(e);
     }
 
-    float* x() noexcept { return xp_; }
-    float* y() noexcept { return yp_; }
-    const float* x() const noexcept { return xp_; }
-    const float* y() const noexcept { return yp_; }
+    float* data() noexcept { return p_; }
+    const float* data() const noexcept { return p_; }
 
     float load_x(std::uint32_t node, End e) const noexcept {
-        return std::atomic_ref<const float>(xp_[index(node, e)])
+        return std::atomic_ref<const float>(p_[index(node, e)])
             .load(std::memory_order_relaxed);
     }
     float load_y(std::uint32_t node, End e) const noexcept {
-        return std::atomic_ref<const float>(yp_[index(node, e)])
+        return std::atomic_ref<const float>(p_[index(node, e) + 1])
             .load(std::memory_order_relaxed);
     }
     void store_x(std::uint32_t node, End e, float v) noexcept {
-        std::atomic_ref<float>(xp_[index(node, e)])
+        std::atomic_ref<float>(p_[index(node, e)])
             .store(v, std::memory_order_relaxed);
     }
     void store_y(std::uint32_t node, End e, float v) noexcept {
-        std::atomic_ref<float>(yp_[index(node, e)])
+        std::atomic_ref<float>(p_[index(node, e) + 1])
             .store(v, std::memory_order_relaxed);
     }
 
     Layout snapshot() const {
-        Layout l;
-        const std::size_t n = node_count();
-        l.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            l.start_x[i] = xp_[2 * i];
-            l.end_x[i] = xp_[2 * i + 1];
-            l.start_y[i] = yp_[2 * i];
-            l.end_y[i] = yp_[2 * i + 1];
-        }
+        Layout l(nodes_);
+        if (nodes_) std::memcpy(l.data(), p_, nodes_ * sizeof(Segment));
         return l;
     }
 
 private:
+    // The records are kept as a plain float array and converted to and
+    // from Layout's Segments by byte copies, so the kernels' float
+    // indexing never walks a pointer across struct members.
+    void fill(float* p, const Layout& init) {
+        p_ = p;
+        nodes_ = init.size();
+        if (nodes_) std::memcpy(p_, init.data(), nodes_ * sizeof(Segment));
+    }
     void copy_from(const XYStore& o) {
-        count_ = o.count_;
-        xblk_ = PlacedBlock();
-        yblk_ = PlacedBlock();
-        xs_.assign(o.xp_, o.xp_ + o.count_);
-        ys_.assign(o.yp_, o.yp_ + o.count_);
-        xp_ = xs_.data();
-        yp_ = ys_.data();
+        blk_ = PlacedBlock();
+        heap_.assign(o.p_, o.p_ + 4 * o.nodes_);
+        p_ = heap_.data();
+        nodes_ = o.nodes_;
     }
 
-    std::vector<float> xs_;
-    std::vector<float> ys_;
-    PlacedBlock xblk_;
-    PlacedBlock yblk_;
-    float* xp_ = nullptr;
-    float* yp_ = nullptr;
-    std::size_t count_ = 0;
+    std::vector<float> heap_;
+    PlacedBlock blk_;
+    float* p_ = nullptr;
+    std::size_t nodes_ = 0;
 };
-
-/// Packed per-node record of the cache-friendly data layout (CDL, Fig. 9b).
-/// 24 bytes so an aligned pair of records never straddles more than one
-/// 64-byte line. The functional engines no longer instantiate this store —
-/// it defines the record shape the memory simulators (memsim/characterize,
-/// gpusim) model when replaying the CDL address stream.
-struct alignas(8) NodeRecord {
-    std::uint32_t length;
-    std::uint32_t pad;  // keeps the float quartet 8-byte aligned
-    float sx, sy, ex, ey;
-};
-
-static_assert(sizeof(NodeRecord) == 24);
 
 }  // namespace pgl::core

@@ -118,20 +118,9 @@ void NodeAllocator::account(std::uint32_t topo_node,
 }
 
 void XYStore::load(const Layout& init, NodeAllocator& alloc) {
-    const std::size_t n = init.size();
-    count_ = 2 * n;
-    xs_ = std::vector<float>();
-    ys_ = std::vector<float>();
-    xblk_ = alloc.allocate_floats(count_);
-    yblk_ = alloc.allocate_floats(count_);
-    xp_ = xblk_.floats();
-    yp_ = yblk_.floats();
-    for (std::size_t i = 0; i < n; ++i) {
-        xp_[2 * i] = init.start_x[i];
-        xp_[2 * i + 1] = init.end_x[i];
-        yp_[2 * i] = init.start_y[i];
-        yp_[2 * i + 1] = init.end_y[i];
-    }
+    heap_ = std::vector<float>();
+    blk_ = alloc.allocate_floats(4 * init.size());
+    fill(blk_.floats(), init);
 }
 
 }  // namespace pgl::core

@@ -18,8 +18,6 @@ namespace pgl::core {
 
 class ThreadPool;
 struct PlacementContext;
-struct Layout;
-class XYStore;
 
 /// One page-aligned mapping (or heap block when mmap is unavailable).
 /// Move-only; unmapped on destruction.

@@ -46,11 +46,11 @@ void write_ppm(const core::Layout& l, std::ostream& out, const PpmOptions& opt) 
     if (l.size() > 0) {
         float min_x = std::numeric_limits<float>::max(), min_y = min_x;
         float max_x = std::numeric_limits<float>::lowest(), max_y = max_x;
-        for (std::size_t i = 0; i < l.size(); ++i) {
-            min_x = std::min({min_x, l.start_x[i], l.end_x[i]});
-            max_x = std::max({max_x, l.start_x[i], l.end_x[i]});
-            min_y = std::min({min_y, l.start_y[i], l.end_y[i]});
-            max_y = std::max({max_y, l.start_y[i], l.end_y[i]});
+        for (const core::Segment& s : l) {
+            min_x = std::min({min_x, s.sx, s.ex});
+            max_x = std::max({max_x, s.sx, s.ex});
+            min_y = std::min({min_y, s.sy, s.ey});
+            max_y = std::max({max_y, s.sy, s.ey});
         }
         const double span_x = std::max(1e-9, double(max_x) - min_x);
         const double span_y = std::max(1e-9, double(max_y) - min_y);
@@ -62,9 +62,9 @@ void write_ppm(const core::Layout& l, std::ostream& out, const PpmOptions& opt) 
         const auto py = [&](float y) {
             return static_cast<std::int64_t>(opt.margin + (y - min_y) * s);
         };
-        for (std::size_t i = 0; i < l.size(); ++i) {
-            img.draw_line(px(l.start_x[i]), py(l.start_y[i]), px(l.end_x[i]),
-                          py(l.end_y[i]), opt.r, opt.g, opt.b);
+        for (const core::Segment& s : l) {
+            img.draw_line(px(s.sx), py(s.sy), px(s.ex), py(s.ey), opt.r, opt.g,
+                          opt.b);
         }
     }
     img.write_ppm(out);

@@ -30,9 +30,9 @@ struct Bounds {
 void write_svg(const graph::LeanGraph& g, const core::Layout& l,
                std::ostream& out, const SvgOptions& opt) {
     Bounds b;
-    for (std::size_t i = 0; i < l.size(); ++i) {
-        b.include(l.start_x[i], l.start_y[i]);
-        b.include(l.end_x[i], l.end_y[i]);
+    for (const core::Segment& s : l) {
+        b.include(s.sx, s.sy);
+        b.include(s.ex, s.ey);
     }
     if (l.size() == 0) {
         b = Bounds{0, 0, 1, 1};
@@ -51,10 +51,9 @@ void write_svg(const graph::LeanGraph& g, const core::Layout& l,
     out << "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
     out << "<g stroke=\"" << opt.node_color << "\" stroke-width=\""
         << opt.stroke_width << "\" stroke-linecap=\"round\">\n";
-    for (std::size_t i = 0; i < l.size(); ++i) {
-        out << "<line x1=\"" << px(l.start_x[i]) << "\" y1=\"" << py(l.start_y[i])
-            << "\" x2=\"" << px(l.end_x[i]) << "\" y2=\"" << py(l.end_y[i])
-            << "\"/>\n";
+    for (const core::Segment& s : l) {
+        out << "<line x1=\"" << px(s.sx) << "\" y1=\"" << py(s.sy)
+            << "\" x2=\"" << px(s.ex) << "\" y2=\"" << py(s.ey) << "\"/>\n";
     }
     out << "</g>\n";
 
@@ -66,10 +65,10 @@ void write_svg(const graph::LeanGraph& g, const core::Layout& l,
         for (std::uint32_t i = 0; i < g.path_step_count(p); ++i) {
             const std::uint32_t node = g.step_node(p, i);
             const bool rev = g.step_is_reverse(p, i);
-            const float x0 = rev ? l.end_x[node] : l.start_x[node];
-            const float y0 = rev ? l.end_y[node] : l.start_y[node];
-            const float x1 = rev ? l.start_x[node] : l.end_x[node];
-            const float y1 = rev ? l.start_y[node] : l.end_y[node];
+            const core::End from = rev ? core::End::kEnd : core::End::kStart;
+            const core::End to = rev ? core::End::kStart : core::End::kEnd;
+            const float x0 = l[node].x(from), y0 = l[node].y(from);
+            const float x1 = l[node].x(to), y1 = l[node].y(to);
             out << px(x0) << ',' << py(y0) << ' ' << px(x1) << ',' << py(y1) << ' ';
         }
         out << "\"/>\n</g>\n";

@@ -39,7 +39,7 @@ constexpr std::uint64_t kBaseNodeLen = 0x0B00'0000'0000ULL;
 constexpr std::uint64_t kBaseNodeRec = 0x0C00'0000'0000ULL;
 
 constexpr std::uint32_t kXorwowStateBytes = 24;
-constexpr std::uint32_t kNodeRecBytes = 24;
+using memsim::kNodeRecBytes;
 constexpr std::uint32_t kStepRecBytes = 16;
 
 // Instruction cost model (warp instructions per update step region).
@@ -145,7 +145,7 @@ GpuSimResult simulate_gpu_layout(const graph::LeanGraph& g,
     // Initial layout (identical scheme to the CPU engine, including the
     // warm-start override).
     const core::Layout initial = core::make_initial_layout(g, cfg);
-    core::XYStore store(initial);  // functional storage (organization-agnostic)
+    core::XYStore store(initial);  // functional storage
     // The warp's per-step batch drains through the same pluggable update
     // kernel as the CPU backends (cfg.kernel; validated here).
     const auto update_kernel = core::make_update_kernel(cfg.kernel);

@@ -1,5 +1,6 @@
 #include "io/lay_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -14,15 +15,43 @@ namespace pgl::io {
 namespace {
 constexpr char kMagic[8] = {'P', 'G', 'L', 'A', 'Y', '0', '0', '1'};
 
-void write_floats(std::ostream& out, const std::vector<float>& v) {
-    out.write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(float)));
+// On disk a layout is four whole columns (every sx, then every sy, every
+// ex, every ey); in memory it is one Segment per node. Columns move through
+// a bounded buffer of this many floats.
+constexpr std::size_t kChunk = 1 << 12;
+constexpr float core::Segment::*kColumns[4] = {
+    &core::Segment::sx, &core::Segment::sy, &core::Segment::ex,
+    &core::Segment::ey};
+
+void write_column(std::ostream& out, const core::Layout& l,
+                  float core::Segment::*field) {
+    std::vector<float> buf(std::min(kChunk, l.size()));
+    for (std::size_t done = 0; done < l.size(); done += buf.size()) {
+        const std::size_t k = std::min(buf.size(), l.size() - done);
+        for (std::size_t i = 0; i < k; ++i) buf[i] = l[done + i].*field;
+        out.write(reinterpret_cast<const char*>(buf.data()),
+                  static_cast<std::streamsize>(k * sizeof(float)));
+    }
 }
 
-void read_floats(std::istream& in, std::vector<float>& v) {
-    in.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(float)));
-    if (!in) throw std::runtime_error("layout file truncated");
+// Reads the column of `n` floats into `field`, growing `l` only as the
+// bytes arrive: a header claiming more nodes than the stream holds fails as
+// truncated before anything is allocated for the missing nodes. Growth
+// doubles but is capped at `n`, so a complete file ends at capacity `n`.
+void read_column(std::istream& in, core::Layout& l, std::uint64_t n,
+                 float core::Segment::*field) {
+    std::vector<float> buf(std::min<std::uint64_t>(kChunk, n));
+    for (std::uint64_t done = 0; done < n; done += buf.size()) {
+        const std::size_t k = std::min<std::uint64_t>(buf.size(), n - done);
+        in.read(reinterpret_cast<char*>(buf.data()),
+                static_cast<std::streamsize>(k * sizeof(float)));
+        if (!in) throw std::runtime_error("layout file truncated");
+        if (l.size() < done + k) {
+            if (l.capacity() < done + k) l.reserve(std::min(n, 2 * (done + k)));
+            l.resize(done + k);
+        }
+        for (std::size_t i = 0; i < k; ++i) l[done + i].*field = buf[i];
+    }
 }
 }  // namespace
 
@@ -30,10 +59,7 @@ void write_layout(const core::Layout& l, std::ostream& out) {
     out.write(kMagic, sizeof kMagic);
     const std::uint64_t n = l.size();
     out.write(reinterpret_cast<const char*>(&n), sizeof n);
-    write_floats(out, l.start_x);
-    write_floats(out, l.start_y);
-    write_floats(out, l.end_x);
-    write_floats(out, l.end_y);
+    for (const auto field : kColumns) write_column(out, l, field);
 }
 
 void write_layout_file(const core::Layout& l, const std::string& path) {
@@ -53,11 +79,7 @@ core::Layout read_layout(std::istream& in) {
     in.read(reinterpret_cast<char*>(&n), sizeof n);
     if (!in) throw std::runtime_error("layout file truncated");
     core::Layout l;
-    l.resize(n);
-    read_floats(in, l.start_x);
-    read_floats(in, l.start_y);
-    read_floats(in, l.end_x);
-    read_floats(in, l.end_y);
+    for (const auto field : kColumns) read_column(in, l, n, field);
     return l;
 }
 

@@ -8,6 +8,11 @@
 
 namespace pgl::memsim {
 
+/// Bytes of one modeled node record of the cache-friendly data layout
+/// (paper Sec. V-B1, Fig. 9b) as the CPU and GPU replays address it: a u32
+/// length, 4 B of padding, and the four endpoint floats.
+inline constexpr std::uint32_t kNodeRecBytes = 24;
+
 struct CacheConfig {
     std::uint64_t size_bytes = 32 * 1024;
     std::uint32_t line_bytes = 64;

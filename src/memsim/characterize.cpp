@@ -27,7 +27,6 @@ constexpr std::uint64_t kBaseAliasProb = 0x8000'0000'0000ULL;
 constexpr std::uint64_t kBaseAliasAlias = 0x9000'0000'0000ULL;
 constexpr std::uint64_t kBaseRngState = 0xA000'0000'0000ULL;
 
-constexpr std::uint32_t kNodeRecBytes = 24;   // core::NodeRecord
 constexpr std::uint32_t kStepRecBytes = 16;   // graph::PathStepRecord
 
 }  // namespace

@@ -27,13 +27,14 @@
 namespace pgl::memsim {
 
 /// Coordinate-store organization whose address stream the replay models.
-/// Both organizations compute identical values — the engines run one flat
-/// store (core::XYStore) — so this only selects the modeled addresses.
+/// Both organizations compute identical values, so this only selects the
+/// modeled addresses. kAoS is the organization the engines actually run:
+/// core::XYStore packs each node's endpoints into one core::Segment.
 enum class CoordStore : std::uint8_t {
     kSoA,  ///< original ODGI organization (separate X / Y / length arrays)
-    kAoS,  ///< cache-friendly data layout (packed node records, paper
-           ///< Sec. V-B1; the "CPU w/ cache-friendly data layout" bar of
-           ///< Fig. 16)
+    kAoS,  ///< cache-friendly data layout (packed node records of
+           ///< kNodeRecBytes, paper Sec. V-B1; the "CPU w/ cache-friendly
+           ///< data layout" bar of Fig. 16)
 };
 
 struct CpuCharacterization {

@@ -34,24 +34,8 @@ struct Accum {
     }
 };
 
-/// Flat read-only view of a layout in the XYStore organization — the same
-/// x[2*node + end] indexing the update kernels write, so metrics read
-/// coordinates exactly the way the engines produced them.
-struct FlatCoords {
-    explicit FlatCoords(const Layout& l) : store(l), x(store.x()), y(store.y()) {}
-
-    // x/y alias the owned store; a default copy would leave them pointing
-    // into the source object.
-    FlatCoords(const FlatCoords&) = delete;
-    FlatCoords& operator=(const FlatCoords&) = delete;
-
-    core::XYStore store;
-    const float* x;
-    const float* y;
-};
-
 /// Stress of one endpoint pair; returns false for degenerate d_ref == 0.
-inline bool endpoint_stress(const LeanGraph& g, const FlatCoords& c,
+inline bool endpoint_stress(const LeanGraph& g, const Layout& l,
                             std::uint32_t p, std::uint32_t si, std::uint32_t sj,
                             End ei, End ej, double& out) noexcept {
     const std::uint32_t ni = g.step_node(p, si);
@@ -63,10 +47,8 @@ inline bool endpoint_stress(const LeanGraph& g, const FlatCoords& c,
     const std::uint64_t d = pi > pj ? pi - pj : pj - pi;
     if (d == 0) return false;
     const double d_ref = static_cast<double>(d);
-    const std::size_t ii = core::XYStore::index(ni, ei);
-    const std::size_t jj = core::XYStore::index(nj, ej);
-    const double dx = static_cast<double>(c.x[ii]) - c.x[jj];
-    const double dy = static_cast<double>(c.y[ii]) - c.y[jj];
+    const double dx = static_cast<double>(l[ni].x(ei)) - l[nj].x(ej);
+    const double dy = static_cast<double>(l[ni].y(ei)) - l[nj].y(ej);
     const double mag = std::sqrt(dx * dx + dy * dy);
     const double residual = (mag - d_ref) / d_ref;
     out = residual * residual;
@@ -75,7 +57,7 @@ inline bool endpoint_stress(const LeanGraph& g, const FlatCoords& c,
 
 /// Average stress over the four endpoint combinations of a step pair
 /// (the stress(n_i, n_j) of Eq. 1).
-inline bool pair_stress(const LeanGraph& g, const FlatCoords& c, std::uint32_t p,
+inline bool pair_stress(const LeanGraph& g, const Layout& l, std::uint32_t p,
                         std::uint32_t si, std::uint32_t sj, double& out) noexcept {
     static constexpr End kEnds[2] = {End::kStart, End::kEnd};
     double total = 0.0;
@@ -83,7 +65,7 @@ inline bool pair_stress(const LeanGraph& g, const FlatCoords& c, std::uint32_t p
     for (End ei : kEnds) {
         for (End ej : kEnds) {
             double s;
-            if (endpoint_stress(g, c, p, si, sj, ei, ej, s)) {
+            if (endpoint_stress(g, l, p, si, sj, ei, ej, s)) {
                 total += s;
                 ++combos;
             }
@@ -119,7 +101,6 @@ void parallel_over_paths(const LeanGraph& g, std::uint32_t threads, Fn&& fn) {
 StressResult path_stress(const graph::LeanGraph& g, const core::Layout& l,
                          std::uint32_t threads) {
     const auto t0 = std::chrono::steady_clock::now();
-    const FlatCoords coords(l);
     std::vector<Accum> per_path(g.path_count());
     parallel_over_paths(g, threads, [&](std::uint32_t p) {
         Accum acc;
@@ -127,7 +108,7 @@ StressResult path_stress(const graph::LeanGraph& g, const core::Layout& l,
         for (std::uint32_t i = 0; i < n; ++i) {
             for (std::uint32_t j = i + 1; j < n; ++j) {
                 double s;
-                if (pair_stress(g, coords, p, i, j, s)) acc.add(s);
+                if (pair_stress(g, l, p, i, j, s)) acc.add(s);
             }
         }
         per_path[p] = acc;
@@ -148,7 +129,6 @@ StressResult sampled_path_stress(const graph::LeanGraph& g, const core::Layout& 
                                  double samples_per_step, std::uint64_t seed,
                                  std::uint32_t threads) {
     const auto t0 = std::chrono::steady_clock::now();
-    const FlatCoords coords(l);
     std::vector<Accum> per_path(g.path_count());
     parallel_over_paths(g, threads, [&](std::uint32_t p) {
         rng::Xoshiro256Plus rng(seed ^ (0x9e3779b97f4a7c15ULL * (p + 1)));
@@ -165,7 +145,7 @@ StressResult sampled_path_stress(const graph::LeanGraph& g, const core::Layout& 
             const End ei = kEnds[rng.flip_coin()];
             const End ej = kEnds[rng.flip_coin()];
             double v;
-            if (endpoint_stress(g, coords, p, i, j, ei, ej, v)) acc.add(v);
+            if (endpoint_stress(g, l, p, i, j, ei, ej, v)) acc.add(v);
         }
         per_path[p] = acc;
     });

@@ -47,10 +47,9 @@ core::Layout interpolate(const CoarseMap& map, const core::Layout& coarse,
         // the run, from its end endpoint when flipped.
         const double t_start = map.flipped[v] ? t_exit : t_entry;
         const double t_end = map.flipped[v] ? t_entry : t_exit;
-        out.start_x[v] = lerp(coarse.start_x[c], coarse.end_x[c], t_start);
-        out.start_y[v] = lerp(coarse.start_y[c], coarse.end_y[c], t_start);
-        out.end_x[v] = lerp(coarse.start_x[c], coarse.end_x[c], t_end);
-        out.end_y[v] = lerp(coarse.start_y[c], coarse.end_y[c], t_end);
+        const core::Segment& s = coarse[c];
+        out[v] = {lerp(s.sx, s.ex, t_start), lerp(s.sy, s.ey, t_start),
+                  lerp(s.sx, s.ex, t_end), lerp(s.sy, s.ey, t_end)};
     }
     return out;
 }

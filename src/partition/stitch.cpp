@@ -13,11 +13,11 @@ namespace {
 void bounding_box(const core::Layout& l, ComponentPlacement& p) {
     p.min_x = p.min_y = std::numeric_limits<float>::max();
     p.max_x = p.max_y = std::numeric_limits<float>::lowest();
-    for (std::size_t i = 0; i < l.size(); ++i) {
-        p.min_x = std::min({p.min_x, l.start_x[i], l.end_x[i]});
-        p.max_x = std::max({p.max_x, l.start_x[i], l.end_x[i]});
-        p.min_y = std::min({p.min_y, l.start_y[i], l.end_y[i]});
-        p.max_y = std::max({p.max_y, l.start_y[i], l.end_y[i]});
+    for (const core::Segment& s : l) {
+        p.min_x = std::min({p.min_x, s.sx, s.ex});
+        p.max_x = std::max({p.max_x, s.sx, s.ex});
+        p.min_y = std::min({p.min_y, s.sy, s.ey});
+        p.max_y = std::max({p.max_y, s.sy, s.ey});
     }
     if (l.size() == 0) {
         p.min_x = p.min_y = p.max_x = p.max_y = 0.0f;
@@ -97,11 +97,9 @@ StitchResult stitch_views(const Decomposition& d,
         const ComponentPlacement& p = out.placements[c];
         const auto& global = d.components[c].global_node;
         for (std::size_t i = 0; i < src.size(); ++i) {
-            const graph::NodeId g = global[i];
-            out.layout.start_x[g] = src.start_x[i] + p.dx;
-            out.layout.start_y[g] = src.start_y[i] + p.dy;
-            out.layout.end_x[g] = src.end_x[i] + p.dx;
-            out.layout.end_y[g] = src.end_y[i] + p.dy;
+            const core::Segment& s = src[i];
+            out.layout[global[i]] = {s.sx + p.dx, s.sy + p.dy, s.ex + p.dx,
+                                     s.ey + p.dy};
         }
     }
     return out;

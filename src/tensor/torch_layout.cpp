@@ -1,6 +1,7 @@
 #include "tensor/torch_layout.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/kernels/update_kernel.hpp"
@@ -15,11 +16,11 @@ namespace {
 
 using core::End;
 
-/// Flat coordinate index of a node endpoint in the coordinate tensors —
-/// the tensors use the shared XYStore layout ([sx0, ex0, sx1, ...]), so
-/// the scatter indices are exactly the kernel layer's store indices.
+/// Index of a node endpoint in the X and Y coordinate tensors, which keep
+/// PyTorch's one-tensor-per-axis shape: element 2*node + end
+/// ([sx0, ex0, sx1, ...] in X, the same for y in Y).
 std::uint32_t coord_index(std::uint32_t node, End e) {
-    return static_cast<std::uint32_t>(core::XYStore::index(node, e));
+    return 2 * node + static_cast<std::uint32_t>(e);
 }
 
 }  // namespace
@@ -39,16 +40,20 @@ TorchLayoutResult layout_torch(const graph::LeanGraph& g,
     const auto etas = core::make_engine_schedule(
         cfg, static_cast<double>(g.max_path_nuc_length()));
 
-    const core::Layout initial = core::make_initial_layout(g, cfg);
+    core::Layout initial = core::make_initial_layout(g, cfg);
 
     // Coordinates live in two flat tensors ("the adjustable weights"),
-    // initialized from — and finally written back into — an XYStore, so
-    // the gather/scatter index space is the same flat x/y layout every
-    // other backend's kernels consume.
+    // filled from the initial layout and finally written back into it.
     const std::size_t n = initial.size();
-    core::XYStore store(initial);
-    Tensor X(std::vector<float>(store.x(), store.x() + store.coord_count()));
-    Tensor Y(std::vector<float>(store.y(), store.y() + store.coord_count()));
+    std::vector<float> xs(2 * n), ys(2 * n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        xs[coord_index(i, End::kStart)] = initial[i].sx;
+        xs[coord_index(i, End::kEnd)] = initial[i].ex;
+        ys[coord_index(i, End::kStart)] = initial[i].sy;
+        ys[coord_index(i, End::kEnd)] = initial[i].ey;
+    }
+    Tensor X(std::move(xs));
+    Tensor Y(std::move(ys));
 
     rng::Xoshiro256Plus rng(cfg.seed);
     const std::uint64_t steps_per_iter = cfg.steps_per_iteration(g.total_path_steps());
@@ -133,11 +138,14 @@ TorchLayoutResult layout_torch(const graph::LeanGraph& g,
     out.skipped = total_skipped;
     out.eta_schedule = etas;
 
-    for (std::size_t i = 0; i < 2 * n; ++i) {
-        store.x()[i] = X[i];
-        store.y()[i] = Y[i];
+    out.layout = std::move(initial);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        core::Segment& seg = out.layout[i];
+        seg.sx = X[coord_index(i, End::kStart)];
+        seg.ex = X[coord_index(i, End::kEnd)];
+        seg.sy = Y[coord_index(i, End::kStart)];
+        seg.ey = Y[coord_index(i, End::kEnd)];
     }
-    out.layout = store.snapshot();
     out.kernel_launches = prof.total_launches();
     out.kernel_seconds = prof.kernel_seconds();
     out.api_seconds = prof.api_seconds() +

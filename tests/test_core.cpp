@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -296,8 +297,8 @@ TEST(CpuEngine, ReducesSampledPathStress) {
     core::Layout bad = initial;
     rng::Xoshiro256Plus noise(10);
     for (std::size_t i = 0; i < bad.size(); ++i) {
-        bad.start_x[i] += static_cast<float>((noise.next_double() - 0.5) * 1e4);
-        bad.end_y[i] += static_cast<float>((noise.next_double() - 0.5) * 1e4);
+        bad[i].sx += static_cast<float>((noise.next_double() - 0.5) * 1e4);
+        bad[i].ey += static_cast<float>((noise.next_double() - 0.5) * 1e4);
     }
     const double before = metrics::sampled_path_stress(g, bad, 20, 1).value;
     cfg.initial_layout = std::make_shared<const core::Layout>(bad);
@@ -316,8 +317,8 @@ TEST(CpuEngine, DeterministicSingleThread) {
     const auto b = run_cpu_soa(g, cfg);
     ASSERT_EQ(a.layout.size(), b.layout.size());
     for (std::size_t i = 0; i < a.layout.size(); ++i) {
-        EXPECT_EQ(a.layout.start_x[i], b.layout.start_x[i]);
-        EXPECT_EQ(a.layout.end_y[i], b.layout.end_y[i]);
+        EXPECT_EQ(a.layout[i].sx, b.layout[i].sx);
+        EXPECT_EQ(a.layout[i].ey, b.layout[i].ey);
     }
 }
 
@@ -398,9 +399,9 @@ TEST(LayoutInit, LinearAlongCumulativeLength) {
     ASSERT_EQ(l.size(), g.node_count());
     double x = 0;
     for (std::uint32_t i = 0; i < g.node_count(); ++i) {
-        EXPECT_FLOAT_EQ(l.start_x[i], static_cast<float>(x));
+        EXPECT_FLOAT_EQ(l[i].sx, static_cast<float>(x));
         x += g.node_length(i);
-        EXPECT_FLOAT_EQ(l.end_x[i], static_cast<float>(x));
+        EXPECT_FLOAT_EQ(l[i].ex, static_cast<float>(x));
     }
 }
 
@@ -411,9 +412,16 @@ TEST(LayoutStores, SnapshotRoundTrip) {
     core::XYStore store(l);
     const auto s = store.snapshot();
     for (std::size_t i = 0; i < l.size(); ++i) {
-        EXPECT_EQ(s.start_x[i], l.start_x[i]);
-        EXPECT_EQ(s.end_y[i], l.end_y[i]);
+        EXPECT_EQ(s[i].sx, l[i].sx);
+        EXPECT_EQ(s[i].ey, l[i].ey);
     }
+    // The store holds the layout's records byte for byte, and so does a
+    // copy of it.
+    ASSERT_EQ(store.node_count(), l.size());
+    EXPECT_EQ(std::memcmp(store.data(), l.data(), l.size() * sizeof(core::Segment)),
+              0);
+    const core::XYStore copy = store;
+    EXPECT_EQ(copy.snapshot(), l);
 }
 
 TEST(LayoutStores, AtomicAccessorsAliasTheRawArrays) {
@@ -421,14 +429,19 @@ TEST(LayoutStores, AtomicAccessorsAliasTheRawArrays) {
     rng::Xoshiro256Plus rng(6);
     const auto l = core::make_linear_initial_layout(g, rng);
     core::XYStore store(l);
-    ASSERT_EQ(store.coord_count(), 2 * l.size());
+    ASSERT_EQ(store.node_count(), l.size());
     store.store_x(3, End::kEnd, 42.5f);
     EXPECT_FLOAT_EQ(store.load_x(3, End::kEnd), 42.5f);
-    // The atomic accessors and the kernels' raw pointers address the same
-    // floats through the same 2*node + end indexing.
-    EXPECT_FLOAT_EQ(store.x()[core::XYStore::index(3, End::kEnd)], 42.5f);
-    store.y()[core::XYStore::index(2, End::kStart)] = -7.25f;
+    // The atomic accessors and the kernels' raw pointer address the same
+    // floats: x at 4*node + 2*end, y one float later.
+    EXPECT_EQ(core::XYStore::index(3, End::kEnd), 14u);
+    EXPECT_FLOAT_EQ(store.data()[core::XYStore::index(3, End::kEnd)], 42.5f);
+    store.data()[core::XYStore::index(2, End::kStart) + 1] = -7.25f;
     EXPECT_FLOAT_EQ(store.load_y(2, End::kStart), -7.25f);
+    // ... and those floats are the nodes' Segment records.
+    const auto s = store.snapshot();
+    EXPECT_FLOAT_EQ(s[3].ex, 42.5f);
+    EXPECT_FLOAT_EQ(s[2].sy, -7.25f);
 }
 
 }  // namespace

@@ -74,8 +74,8 @@ protected:
         std::uint64_t mismatches = 0;
         for (std::size_t i = 0; i < a.size(); ++i) {
             mismatches +=
-                (a.start_x[i] != b.start_x[i]) + (a.start_y[i] != b.start_y[i]) +
-                (a.end_x[i] != b.end_x[i]) + (a.end_y[i] != b.end_y[i]);
+                (a[i].sx != b[i].sx) + (a[i].sy != b[i].sy) +
+                (a[i].ex != b[i].ex) + (a[i].ey != b[i].ey);
         }
         EXPECT_EQ(mismatches, 0u);
     }

@@ -117,10 +117,10 @@ TEST(LayoutEngine, EveryBackendProducesFiniteLayout) {
         EXPECT_GT(r.updates, 0u) << name;
         EXPECT_EQ(r.eta_schedule.size(), cfg.iter_max) << name;
         for (std::size_t i = 0; i < r.layout.size(); ++i) {
-            ASSERT_TRUE(std::isfinite(r.layout.start_x[i])) << name;
-            ASSERT_TRUE(std::isfinite(r.layout.start_y[i])) << name;
-            ASSERT_TRUE(std::isfinite(r.layout.end_x[i])) << name;
-            ASSERT_TRUE(std::isfinite(r.layout.end_y[i])) << name;
+            ASSERT_TRUE(std::isfinite(r.layout[i].sx)) << name;
+            ASSERT_TRUE(std::isfinite(r.layout[i].sy)) << name;
+            ASSERT_TRUE(std::isfinite(r.layout[i].ex)) << name;
+            ASSERT_TRUE(std::isfinite(r.layout[i].ey)) << name;
         }
     }
 }
@@ -190,8 +190,7 @@ core::LayoutResult per_term_reference(const graph::LeanGraph& g,
     const core::PairSampler sampler(g, cfg);
     const std::uint64_t n_steps = cfg.steps_per_iteration(g.total_path_steps());
     core::XYStore store(core::make_initial_layout(g, cfg));
-    float* x = store.x();
-    float* y = store.y();
+    float* p = store.data();
     rng::Xoshiro256Plus rng(cfg.seed);
     for (std::uint32_t iter = 0; iter < cfg.iter_max; ++iter) {
         for (std::uint64_t s = 0; s < n_steps; ++s) {
@@ -203,13 +202,13 @@ core::LayoutResult per_term_reference(const graph::LeanGraph& g,
             }
             const std::size_t i = core::XYStore::index(t.node_i, t.end_i);
             const std::size_t j = core::XYStore::index(t.node_j, t.end_j);
-            const float xi = x[i], yi = y[i], xj = x[j], yj = y[j];
+            const float xi = p[i], yi = p[i + 1], xj = p[j], yj = p[j + 1];
             const core::PointDelta d = core::sgd_term_update(
                 xi, yi, xj, yj, t.d_ref, r.eta_schedule[iter], t.nudge);
-            x[i] = xi + d.dx_i;
-            y[i] = yi + d.dy_i;
-            x[j] = xj + d.dx_j;
-            y[j] = yj + d.dy_j;
+            p[i] = xi + d.dx_i;
+            p[i + 1] = yi + d.dy_i;
+            p[j] = xj + d.dx_j;
+            p[j + 1] = yj + d.dy_j;
         }
     }
     r.layout = store.snapshot();
@@ -232,10 +231,10 @@ TEST(CpuEngines, SingleThreadMatchesPerTermReference) {
         const auto r = engine->run();
         ASSERT_EQ(r.layout.size(), ref.layout.size()) << name;
         for (std::size_t i = 0; i < r.layout.size(); ++i) {
-            ASSERT_EQ(r.layout.start_x[i], ref.layout.start_x[i]) << name << i;
-            ASSERT_EQ(r.layout.start_y[i], ref.layout.start_y[i]) << name << i;
-            ASSERT_EQ(r.layout.end_x[i], ref.layout.end_x[i]) << name << i;
-            ASSERT_EQ(r.layout.end_y[i], ref.layout.end_y[i]) << name << i;
+            ASSERT_EQ(r.layout[i].sx, ref.layout[i].sx) << name << i;
+            ASSERT_EQ(r.layout[i].sy, ref.layout[i].sy) << name << i;
+            ASSERT_EQ(r.layout[i].ex, ref.layout[i].ex) << name << i;
+            ASSERT_EQ(r.layout[i].ey, ref.layout[i].ey) << name << i;
         }
         EXPECT_EQ(r.updates, ref.updates) << name;
         EXPECT_EQ(r.skipped, ref.skipped) << name;
@@ -304,10 +303,10 @@ TEST(CpuPipelinedEngine, FixedSeedAndThreadsIsByteIdenticalAcrossRuns) {
     }
     ASSERT_EQ(runs[0].layout.size(), runs[1].layout.size());
     for (std::size_t i = 0; i < runs[0].layout.size(); ++i) {
-        ASSERT_EQ(runs[0].layout.start_x[i], runs[1].layout.start_x[i]) << i;
-        ASSERT_EQ(runs[0].layout.start_y[i], runs[1].layout.start_y[i]) << i;
-        ASSERT_EQ(runs[0].layout.end_x[i], runs[1].layout.end_x[i]) << i;
-        ASSERT_EQ(runs[0].layout.end_y[i], runs[1].layout.end_y[i]) << i;
+        ASSERT_EQ(runs[0].layout[i].sx, runs[1].layout[i].sx) << i;
+        ASSERT_EQ(runs[0].layout[i].sy, runs[1].layout[i].sy) << i;
+        ASSERT_EQ(runs[0].layout[i].ex, runs[1].layout[i].ex) << i;
+        ASSERT_EQ(runs[0].layout[i].ey, runs[1].layout[i].ey) << i;
     }
     EXPECT_EQ(runs[0].updates, runs[1].updates);
     EXPECT_EQ(runs[0].skipped, runs[1].skipped);
@@ -324,8 +323,8 @@ TEST(CpuPipelinedEngine, ReRunningTheSameEngineInstanceIsDeterministicToo) {
     const auto b = engine->run();
     ASSERT_EQ(a.layout.size(), b.layout.size());
     for (std::size_t i = 0; i < a.layout.size(); ++i) {
-        ASSERT_EQ(a.layout.start_x[i], b.layout.start_x[i]) << i;
-        ASSERT_EQ(a.layout.end_y[i], b.layout.end_y[i]) << i;
+        ASSERT_EQ(a.layout[i].sx, b.layout[i].sx) << i;
+        ASSERT_EQ(a.layout[i].ey, b.layout[i].ey) << i;
     }
 }
 
@@ -358,10 +357,7 @@ TEST(CpuPipelinedEngine, EveryThreadSamplesAndRepeatedRunsKeepTheirBytes) {
                 first = r;
                 continue;
             }
-            ASSERT_EQ(r.layout.start_x, first.layout.start_x) << "run " << run;
-            ASSERT_EQ(r.layout.start_y, first.layout.start_y) << "run " << run;
-            ASSERT_EQ(r.layout.end_x, first.layout.end_x) << "run " << run;
-            ASSERT_EQ(r.layout.end_y, first.layout.end_y) << "run " << run;
+            ASSERT_EQ(r.layout, first.layout) << "run " << run;
             ASSERT_EQ(r.skipped, first.skipped) << "run " << run;
         }
 #ifndef PGL_TELEMETRY_DISABLED
@@ -744,10 +740,10 @@ void expect_same_layout(const core::LayoutResult& a,
                         const core::LayoutResult& b, const std::string& what) {
     ASSERT_EQ(a.layout.size(), b.layout.size()) << what;
     for (std::size_t i = 0; i < a.layout.size(); ++i) {
-        ASSERT_EQ(a.layout.start_x[i], b.layout.start_x[i]) << what << " " << i;
-        ASSERT_EQ(a.layout.start_y[i], b.layout.start_y[i]) << what << " " << i;
-        ASSERT_EQ(a.layout.end_x[i], b.layout.end_x[i]) << what << " " << i;
-        ASSERT_EQ(a.layout.end_y[i], b.layout.end_y[i]) << what << " " << i;
+        ASSERT_EQ(a.layout[i].sx, b.layout[i].sx) << what << " " << i;
+        ASSERT_EQ(a.layout[i].sy, b.layout[i].sy) << what << " " << i;
+        ASSERT_EQ(a.layout[i].ex, b.layout[i].ex) << what << " " << i;
+        ASSERT_EQ(a.layout[i].ey, b.layout[i].ey) << what << " " << i;
     }
     EXPECT_EQ(a.updates, b.updates) << what;
     EXPECT_EQ(a.skipped, b.skipped) << what;

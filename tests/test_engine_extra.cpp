@@ -91,7 +91,7 @@ TEST(CpuEngine, HandlesSingleStepPathGracefully) {
     cfg.steps_per_iter_factor = 10.0;
     const auto r = run_cpu_soa(g, cfg);
     EXPECT_GT(r.skipped, 0u);
-    for (float v : r.layout.start_x) EXPECT_TRUE(std::isfinite(v));
+    for (const core::Segment& s : r.layout) EXPECT_TRUE(std::isfinite(s.sx));
 }
 
 TEST(CpuEngine, CoordinatesStayFinite) {
@@ -101,10 +101,10 @@ TEST(CpuEngine, CoordinatesStayFinite) {
     cfg.steps_per_iter_factor = 3.0;
     const auto r = run_cpu_soa(g, cfg);
     for (std::size_t i = 0; i < r.layout.size(); ++i) {
-        ASSERT_TRUE(std::isfinite(r.layout.start_x[i]));
-        ASSERT_TRUE(std::isfinite(r.layout.start_y[i]));
-        ASSERT_TRUE(std::isfinite(r.layout.end_x[i]));
-        ASSERT_TRUE(std::isfinite(r.layout.end_y[i]));
+        ASSERT_TRUE(std::isfinite(r.layout[i].sx));
+        ASSERT_TRUE(std::isfinite(r.layout[i].sy));
+        ASSERT_TRUE(std::isfinite(r.layout[i].ex));
+        ASSERT_TRUE(std::isfinite(r.layout[i].ey));
     }
 }
 

@@ -177,7 +177,7 @@ TEST(GpuSim, DeterministicAcrossRuns) {
     const auto r2 = run(g, KernelConfig::optimized());
     ASSERT_EQ(r1.layout.size(), r2.layout.size());
     for (std::size_t i = 0; i < r1.layout.size(); ++i) {
-        EXPECT_EQ(r1.layout.start_x[i], r2.layout.start_x[i]);
+        EXPECT_EQ(r1.layout[i].sx, r2.layout[i].sx);
     }
     EXPECT_EQ(r1.counters.lane_updates, r2.counters.lane_updates);
 }

@@ -1,7 +1,10 @@
 // Tests for layout serialization (.lay) and SVG rendering.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "core/layout.hpp"
 #include "draw/svg.hpp"
@@ -36,10 +39,10 @@ TEST(LayIo, RoundTripIsExact) {
     const auto l2 = io::read_layout(ss);
     ASSERT_EQ(l2.size(), l.size());
     for (std::size_t i = 0; i < l.size(); ++i) {
-        EXPECT_EQ(l2.start_x[i], l.start_x[i]);
-        EXPECT_EQ(l2.start_y[i], l.start_y[i]);
-        EXPECT_EQ(l2.end_x[i], l.end_x[i]);
-        EXPECT_EQ(l2.end_y[i], l.end_y[i]);
+        EXPECT_EQ(l2[i].sx, l[i].sx);
+        EXPECT_EQ(l2[i].sy, l[i].sy);
+        EXPECT_EQ(l2[i].ex, l[i].ex);
+        EXPECT_EQ(l2[i].ey, l[i].ey);
     }
 }
 
@@ -97,6 +100,44 @@ TEST(LayIo, RejectsPayloadShortByOneFloat) {
     EXPECT_THROW(io::read_layout(cut), std::runtime_error);
 }
 
+TEST(LayIo, RejectsHugeNodeCountHeader) {
+    // A hostile or bit-flipped node count must fail as a typed parse error
+    // while reading, not as bad_alloc/length_error from sizing the layout
+    // up front (the daemon's artifact cache parses every cached file).
+    for (const std::uint64_t n : {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+        std::string bytes("PGLAY001");
+        bytes.append(reinterpret_cast<const char*>(&n), sizeof n);
+        bytes.append(16 * sizeof(float), '\0');  // far short of n nodes
+        std::stringstream ss(bytes);
+        EXPECT_THROW(io::read_layout(ss), std::runtime_error) << "n = " << n;
+    }
+}
+
+TEST(LayIo, WritesWholeColumnsInSxSyExEyOrder) {
+    // In memory a node is one {sx, sy, ex, ey} record; on disk the file
+    // holds whole columns. Pin the exact bytes so a transposition between
+    // the two orders fails here by name, not only as a golden digest.
+    const core::Layout l = {{1.0f, 2.0f, 3.0f, 4.0f}, {5.0f, 6.0f, 7.0f, 8.0f}};
+    std::stringstream ss;
+    io::write_layout(l, ss);
+    const std::string out = ss.str();
+    ASSERT_EQ(out.size(), 8u + sizeof(std::uint64_t) + 8 * sizeof(float));
+    EXPECT_EQ(out.substr(0, 8), "PGLAY001");
+    std::uint64_t n = 0;
+    std::memcpy(&n, out.data() + 8, sizeof n);
+    EXPECT_EQ(n, 2u);
+    const char* const names[8] = {"sx0", "sx1", "sy0", "sy1",
+                                  "ex0", "ex1", "ey0", "ey1"};
+    const float want[8] = {1.0f, 5.0f, 2.0f, 6.0f, 3.0f, 7.0f, 4.0f, 8.0f};
+    for (std::size_t k = 0; k < 8; ++k) {
+        float v = 0.0f;
+        std::memcpy(&v, out.data() + 16 + k * sizeof(float), sizeof v);
+        EXPECT_EQ(v, want[k]) << "payload float " << k << " should be "
+                              << names[k];
+    }
+    EXPECT_EQ(io::read_layout(ss), l);
+}
+
 TEST(LayIo, ZeroNodeFileRoundTrips) {
     const std::string path = ::testing::TempDir() + "/pgl_zero.lay";
     io::write_layout_file(core::Layout{}, path);
@@ -118,10 +159,10 @@ TEST(LayIo, PartitionStitchedRoundTripIsBitwise) {
     const auto back = io::read_layout_file(path);
     ASSERT_EQ(back.size(), part.stitched.layout.size());
     for (std::size_t i = 0; i < back.size(); ++i) {
-        EXPECT_EQ(back.start_x[i], part.stitched.layout.start_x[i]);
-        EXPECT_EQ(back.start_y[i], part.stitched.layout.start_y[i]);
-        EXPECT_EQ(back.end_x[i], part.stitched.layout.end_x[i]);
-        EXPECT_EQ(back.end_y[i], part.stitched.layout.end_y[i]);
+        EXPECT_EQ(back[i].sx, part.stitched.layout[i].sx);
+        EXPECT_EQ(back[i].sy, part.stitched.layout[i].sy);
+        EXPECT_EQ(back[i].ex, part.stitched.layout[i].ex);
+        EXPECT_EQ(back[i].ey, part.stitched.layout[i].ey);
     }
 }
 
@@ -155,8 +196,8 @@ TEST(Svg, CoordinatesStayOnCanvas) {
     const auto g = io_graph();
     auto l = io_layout(g);
     // Extreme coordinates must still be fitted inside the viewport.
-    l.start_x[0] = -1e6;
-    l.end_x[1] = 1e6;
+    l[0].sx = -1e6;
+    l[1].ex = 1e6;
     draw::SvgOptions opt;
     opt.width_px = 400;
     opt.height_px = 300;

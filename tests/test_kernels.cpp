@@ -8,6 +8,8 @@
 #include <cstring>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -41,10 +43,10 @@ XYStore random_store(std::uint32_t nodes, std::uint64_t seed) {
     l.resize(nodes);
     rng::Xoshiro256Plus rng(seed);
     for (std::uint32_t i = 0; i < nodes; ++i) {
-        l.start_x[i] = static_cast<float>(rng.next_double() * 1000.0);
-        l.start_y[i] = static_cast<float>(rng.next_double() * 1000.0 - 500.0);
-        l.end_x[i] = static_cast<float>(rng.next_double() * 1000.0);
-        l.end_y[i] = static_cast<float>(rng.next_double() * 1000.0 - 500.0);
+        l[i].sx = static_cast<float>(rng.next_double() * 1000.0);
+        l[i].sy = static_cast<float>(rng.next_double() * 1000.0 - 500.0);
+        l[i].ex = static_cast<float>(rng.next_double() * 1000.0);
+        l[i].ey = static_cast<float>(rng.next_double() * 1000.0 - 500.0);
     }
     return XYStore(l);
 }
@@ -74,19 +76,19 @@ void push_hole(TermBatch& b, std::uint32_t stale_node = 0) {
 }
 
 void expect_stores_identical(const XYStore& a, const XYStore& b) {
-    ASSERT_EQ(a.coord_count(), b.coord_count());
+    ASSERT_EQ(a.node_count(), b.node_count());
     // Byte comparison: -0.0 vs 0.0 or differently-rounded lanes must fail.
-    EXPECT_EQ(std::memcmp(a.x(), b.x(), a.coord_count() * sizeof(float)), 0);
-    EXPECT_EQ(std::memcmp(a.y(), b.y(), a.coord_count() * sizeof(float)), 0);
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.node_count() * sizeof(core::Segment)),
+              0);
 }
 
 void expect_layouts_identical(const core::Layout& a, const core::Layout& b) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a.start_x[i], b.start_x[i]) << i;
-        ASSERT_EQ(a.start_y[i], b.start_y[i]) << i;
-        ASSERT_EQ(a.end_x[i], b.end_x[i]) << i;
-        ASSERT_EQ(a.end_y[i], b.end_y[i]) << i;
+        ASSERT_EQ(a[i].sx, b[i].sx) << i;
+        ASSERT_EQ(a[i].sy, b[i].sy) << i;
+        ASSERT_EQ(a[i].ex, b[i].ex) << i;
+        ASSERT_EQ(a[i].ey, b[i].ey) << i;
     }
 }
 
@@ -141,24 +143,38 @@ TEST(ScalarKernel, MatchesHandRolledChainedLoop) {
     const auto scalar = core::make_update_kernel("scalar");
     scalar->apply(b, 0.1, store_a);
 
-    float* x = store_b.x();
-    float* y = store_b.y();
+    float* p = store_b.data();
     for (std::size_t k = 0; k < b.size(); ++k) {
         if (!b.valid[k]) continue;
         const std::size_t ii = XYStore::index(b.node_i[k], b.end_i_of(k));
         const std::size_t jj = XYStore::index(b.node_j[k], b.end_j_of(k));
-        const float xi = x[ii], yi = y[ii], xj = x[jj], yj = y[jj];
+        const float xi = p[ii], yi = p[ii + 1], xj = p[jj], yj = p[jj + 1];
         const auto d =
             core::sgd_term_update(xi, yi, xj, yj, b.d_ref[k], 0.1, b.nudge[k]);
-        x[ii] = xi + d.dx_i;
-        y[ii] = yi + d.dy_i;
-        x[jj] = xj + d.dx_j;
-        y[jj] = yj + d.dy_j;
+        p[ii] = xi + d.dx_i;
+        p[ii + 1] = yi + d.dy_i;
+        p[jj] = xj + d.dx_j;
+        p[jj + 1] = yj + d.dy_j;
     }
     expect_stores_identical(store_a, store_b);
 }
 
 // --- SIMD kernel byte-equivalence at the batch level ---
+
+TEST(SimdKernel, LaneBoundCoversExactlyTheSigned32BitIndexRange) {
+    // The AVX2 gathers read float index 4*node + 2*end + 1 as a signed
+    // 32-bit lane; past 2^29 nodes it would go negative, so those stores
+    // must take the scalar loop. Checked by value: no such graph is built.
+    const std::size_t bound = std::size_t{1} << 29;
+    EXPECT_TRUE(core::simd_lanes_fit(0));
+    EXPECT_TRUE(core::simd_lanes_fit(bound));
+    EXPECT_LE(XYStore::index(static_cast<std::uint32_t>(bound - 1), End::kEnd) + 1,
+              std::size_t{0x7fffffff});
+    EXPECT_FALSE(core::simd_lanes_fit(bound + 1));
+    EXPECT_GT(XYStore::index(static_cast<std::uint32_t>(bound), End::kStart),
+              std::size_t{0x7fffffff});
+    EXPECT_FALSE(core::simd_lanes_fit(std::size_t{0x7fffffff}));  // pgg kMaxNodes
+}
 
 TEST(SimdKernel, MatchesScalarOnSampledBatches) {
     const auto g = small_graph(300, 5);
@@ -235,10 +251,10 @@ TEST(SimdKernel, CoincidentPointsTakeTheNudgeBranchIdentically) {
     core::Layout l;
     l.resize(32);
     for (std::uint32_t i = 0; i < 32; ++i) {
-        l.start_x[i] = 100.0f;
-        l.start_y[i] = -3.5f;
-        l.end_x[i] = 100.0f;
-        l.end_y[i] = -3.5f;
+        l[i].sx = 100.0f;
+        l[i].sy = -3.5f;
+        l[i].ex = 100.0f;
+        l[i].ey = -3.5f;
     }
     XYStore store_scalar(l);
     auto store_simd = store_scalar;
@@ -334,30 +350,32 @@ TEST(KernelEquivalence, BatchedAndPipelinedEnginesAreByteIdenticalAcrossKernels)
     // A deliberately tiny node set so SIMD lane groups regularly contain
     // duplicate nodes and the conflict path runs inside a real engine loop.
     const auto g = small_graph(40, 6, 11);
-    for (const char* backend : {"cpu-pipelined"}) {
-        for (const std::uint32_t threads : {1u, 4u}) {
-            core::LayoutConfig cfg;
-            cfg.iter_max = 5;
-            cfg.steps_per_iter_factor = 3.0;
-            cfg.threads = threads;
-            cfg.seed = 321;
+    // cpu-soa applies through the kernel only at one thread; from two
+    // threads on it runs the Hogwild apply, which is not reproducible.
+    const std::pair<const char*, std::uint32_t> runs[] = {
+        {"cpu-pipelined", 1}, {"cpu-pipelined", 4}, {"cpu-soa", 1}};
+    for (const auto& [backend, threads] : runs) {
+        core::LayoutConfig cfg;
+        cfg.iter_max = 5;
+        cfg.steps_per_iter_factor = 3.0;
+        cfg.threads = threads;
+        cfg.seed = 321;
 
-            cfg.kernel = "scalar";
-            auto scalar_engine = core::make_engine(backend);
-            scalar_engine->init(g, cfg);
-            const auto scalar_run = scalar_engine->run();
+        cfg.kernel = "scalar";
+        auto scalar_engine = core::make_engine(backend);
+        scalar_engine->init(g, cfg);
+        const auto scalar_run = scalar_engine->run();
 
-            cfg.kernel = "simd";
-            auto simd_engine = core::make_engine(backend);
-            simd_engine->init(g, cfg);
-            const auto simd_run = simd_engine->run();
+        cfg.kernel = "simd";
+        auto simd_engine = core::make_engine(backend);
+        simd_engine->init(g, cfg);
+        const auto simd_run = simd_engine->run();
 
-            SCOPED_TRACE(std::string(backend) + " @ " +
-                         std::to_string(threads) + " threads");
-            expect_layouts_identical(scalar_run.layout, simd_run.layout);
-            EXPECT_EQ(scalar_run.updates, simd_run.updates);
-            EXPECT_EQ(scalar_run.skipped, simd_run.skipped);
-        }
+        SCOPED_TRACE(std::string(backend) + " @ " +
+                     std::to_string(threads) + " threads");
+        expect_layouts_identical(scalar_run.layout, simd_run.layout);
+        EXPECT_EQ(scalar_run.updates, simd_run.updates);
+        EXPECT_EQ(scalar_run.skipped, simd_run.skipped);
     }
 }
 

@@ -39,11 +39,11 @@ core::Layout perfect_line_layout(const graph::LeanGraph& g) {
     l.resize(g.node_count());
     double x = 0;
     for (std::uint32_t i = 0; i < g.node_count(); ++i) {
-        l.start_x[i] = static_cast<float>(x);
+        l[i].sx = static_cast<float>(x);
         x += g.node_length(i);
-        l.end_x[i] = static_cast<float>(x);
-        l.start_y[i] = 0;
-        l.end_y[i] = 0;
+        l[i].ex = static_cast<float>(x);
+        l[i].sy = 0;
+        l[i].ey = 0;
     }
     return l;
 }
@@ -65,13 +65,8 @@ TEST(PathStress, KnownValueForStretchedLayout) {
     vg.add_path("p", {graph::Handle::forward(a), graph::Handle::forward(b)});
     const auto g = workloads::to_ingest(vg).graph;
 
-    core::Layout l;
-    l.resize(2);
     // Stretch by exactly 2x: node a = [0,2], node b = [2,4].
-    l.start_x = {0, 2};
-    l.end_x = {2, 4};
-    l.start_y = {0, 0};
-    l.end_y = {0, 0};
+    const core::Layout l = {{0, 0, 2, 0}, {2, 0, 4, 0}};
     const auto r = metrics::path_stress(g, l);
     EXPECT_NEAR(r.value, 1.0, 1e-6);
 }
@@ -179,7 +174,7 @@ TEST(SampledPathStress, WorseLayoutScoresWorse) {
     const auto good = perfect_line_layout(g);
     core::Layout bad = good;
     rng::Xoshiro256Plus rng(5);
-    for (auto& x : bad.start_x) x += static_cast<float>(rng.next_double() * 100);
+    for (auto& s : bad) s.sx += static_cast<float>(rng.next_double() * 100);
     const double s_good = metrics::sampled_path_stress(g, good, 50, 1).value;
     const double s_bad = metrics::sampled_path_stress(g, bad, 50, 1).value;
     EXPECT_LT(s_good, s_bad);
@@ -198,8 +193,8 @@ TEST_P(StressAgreement, SampledTracksExact) {
         workloads::to_ingest(workloads::generate_pangenome(spec)).graph;
     rng::Xoshiro256Plus rng(GetParam());
     auto l = core::make_linear_initial_layout(g, rng);
-    for (auto& y : l.start_y) {
-        y += static_cast<float>((rng.next_double() - 0.5) * 50);
+    for (auto& s : l) {
+        s.sy += static_cast<float>((rng.next_double() - 0.5) * 50);
     }
     const double exact = metrics::path_stress(g, l).value;
     const double sampled = metrics::sampled_path_stress(g, l, 400, 1).value;

@@ -40,9 +40,8 @@ void expect_layout_bitwise_equal(const core::Layout& a, const core::Layout& b) {
     ASSERT_EQ(a.size(), b.size());
     std::uint64_t mismatches = 0;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        mismatches += (a.start_x[i] != b.start_x[i]) +
-                      (a.start_y[i] != b.start_y[i]) +
-                      (a.end_x[i] != b.end_x[i]) + (a.end_y[i] != b.end_y[i]);
+        mismatches += (a[i].sx != b[i].sx) + (a[i].sy != b[i].sy) +
+                      (a[i].ex != b[i].ex) + (a[i].ey != b[i].ey);
     }
     EXPECT_EQ(mismatches, 0u);
 }
@@ -193,10 +192,10 @@ TEST(Interpolate, SingletonRunsRoundTripBitwise) {
     ASSERT_EQ(fine.size(), g.node_count());
     for (std::uint32_t v = 0; v < g.node_count(); ++v) {
         const std::uint32_t c = lvl.map.coarse_of[v];
-        EXPECT_EQ(fine.start_x[v], coarse.start_x[c]);
-        EXPECT_EQ(fine.start_y[v], coarse.start_y[c]);
-        EXPECT_EQ(fine.end_x[v], coarse.end_x[c]);
-        EXPECT_EQ(fine.end_y[v], coarse.end_y[c]);
+        EXPECT_EQ(fine[v].sx, coarse[c].sx);
+        EXPECT_EQ(fine[v].sy, coarse[c].sy);
+        EXPECT_EQ(fine[v].ex, coarse[c].ex);
+        EXPECT_EQ(fine[v].ey, coarse[c].ey);
     }
 }
 
@@ -212,22 +211,22 @@ TEST(Interpolate, PlacesRunInteriorByNucleotideOffset) {
     core::Layout coarse;
     coarse.resize(lvl.map.coarse_count());
     for (std::uint32_t c = 0; c < lvl.map.coarse_count(); ++c) {
-        coarse.start_x[c] = 0.0f;
-        coarse.start_y[c] = 0.0f;
-        coarse.end_x[c] = 0.0f;
-        coarse.end_y[c] = 0.0f;
+        coarse[c].sx = 0.0f;
+        coarse[c].sy = 0.0f;
+        coarse[c].ex = 0.0f;
+        coarse[c].ey = 0.0f;
     }
     std::uint32_t run_c = 0;
     while (lvl.map.run(run_c).size() != spec.run_length) ++run_c;
-    coarse.start_x[run_c] = 0.0f;
-    coarse.end_x[run_c] = 40.0f;  // 4 nodes x 10 nt laid along x
+    coarse[run_c].sx = 0.0f;
+    coarse[run_c].ex = 40.0f;  // 4 nodes x 10 nt laid along x
 
     const auto fine = multilevel::interpolate(lvl.map, coarse, g);
     const auto run = lvl.map.run(run_c);
     for (std::size_t i = 0; i < run.size(); ++i) {
         const std::uint32_t v = run[i];
-        EXPECT_FLOAT_EQ(fine.start_x[v], 10.0f * static_cast<float>(i));
-        EXPECT_FLOAT_EQ(fine.end_x[v], 10.0f * static_cast<float>(i + 1));
+        EXPECT_FLOAT_EQ(fine[v].sx, 10.0f * static_cast<float>(i));
+        EXPECT_FLOAT_EQ(fine[v].ex, 10.0f * static_cast<float>(i + 1));
     }
 }
 

@@ -66,9 +66,8 @@ void expect_layout_bitwise_equal(const core::Layout& a, const core::Layout& b) {
     ASSERT_EQ(a.size(), b.size());
     std::uint64_t mismatches = 0;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        mismatches += (a.start_x[i] != b.start_x[i]) +
-                      (a.start_y[i] != b.start_y[i]) +
-                      (a.end_x[i] != b.end_x[i]) + (a.end_y[i] != b.end_y[i]);
+        mismatches += (a[i].sx != b[i].sx) + (a[i].sy != b[i].sy) +
+                      (a[i].ex != b[i].ex) + (a[i].ey != b[i].ey);
     }
     EXPECT_EQ(mismatches, 0u);
 }
@@ -161,10 +160,10 @@ TEST(Stitch, TranslationIsASingleFloatAdd) {
         const auto& p = s.placements[c];
         for (std::size_t i = 0; i < layouts[c].size(); ++i) {
             const graph::NodeId g = d.components[c].global_node[i];
-            EXPECT_EQ(s.layout.start_x[g], layouts[c].start_x[i] + p.dx);
-            EXPECT_EQ(s.layout.start_y[g], layouts[c].start_y[i] + p.dy);
-            EXPECT_EQ(s.layout.end_x[g], layouts[c].end_x[i] + p.dx);
-            EXPECT_EQ(s.layout.end_y[g], layouts[c].end_y[i] + p.dy);
+            EXPECT_EQ(s.layout[g].sx, layouts[c][i].sx + p.dx);
+            EXPECT_EQ(s.layout[g].sy, layouts[c][i].sy + p.dy);
+            EXPECT_EQ(s.layout[g].ex, layouts[c][i].ex + p.dx);
+            EXPECT_EQ(s.layout[g].ey, layouts[c][i].ey + p.dy);
         }
     }
 }

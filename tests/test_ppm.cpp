@@ -39,12 +39,7 @@ TEST(Image, DiagonalLineIsContinuous) {
 }
 
 TEST(Ppm, HeaderAndSize) {
-    core::Layout l;
-    l.resize(1);
-    l.start_x = {0};
-    l.end_x = {1};
-    l.start_y = {0};
-    l.end_y = {1};
+    const core::Layout l = {{0, 0, 1, 1}};
     draw::PpmOptions opt;
     opt.width = 32;
     opt.height = 16;
@@ -57,12 +52,8 @@ TEST(Ppm, HeaderAndSize) {
 }
 
 TEST(Ppm, DrawsSomething) {
-    core::Layout l;
-    l.resize(2);
-    l.start_x = {0, 5};
-    l.end_x = {5, 10};
-    l.start_y = {0, 5};
-    l.end_y = {5, 0};
+    // {sx, sy, ex, ey} per node.
+    const core::Layout l = {{0, 0, 5, 5}, {5, 5, 10, 0}};
     std::stringstream ss;
     draw::write_ppm(l, ss);
     const std::string out = ss.str();

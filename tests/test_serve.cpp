@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -71,10 +72,10 @@ serve::JobRequest mini_request(const std::string& graph,
 void expect_same_layout(const core::Layout& a, const core::Layout& b) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a.start_x[i], b.start_x[i]) << "node " << i;
-        ASSERT_EQ(a.start_y[i], b.start_y[i]) << "node " << i;
-        ASSERT_EQ(a.end_x[i], b.end_x[i]) << "node " << i;
-        ASSERT_EQ(a.end_y[i], b.end_y[i]) << "node " << i;
+        ASSERT_EQ(a[i].sx, b[i].sx) << "node " << i;
+        ASSERT_EQ(a[i].sy, b[i].sy) << "node " << i;
+        ASSERT_EQ(a[i].ex, b[i].ex) << "node " << i;
+        ASSERT_EQ(a[i].ey, b[i].ey) << "node " << i;
     }
 }
 
@@ -258,10 +259,10 @@ core::Layout tiny_layout() {
     core::Layout l;
     l.resize(3);
     for (std::size_t i = 0; i < 3; ++i) {
-        l.start_x[i] = static_cast<float>(i);
-        l.start_y[i] = 0.5f;
-        l.end_x[i] = static_cast<float>(i) + 1.0f;
-        l.end_y[i] = -0.5f;
+        l[i].sx = static_cast<float>(i);
+        l[i].sy = 0.5f;
+        l[i].ex = static_cast<float>(i) + 1.0f;
+        l[i].ey = -0.5f;
     }
     return l;
 }
@@ -292,6 +293,23 @@ TEST(ServeCache, CorruptEntryIsEvicted) {
     // The slot is reusable after eviction.
     cache.publish(key, tiny_layout());
     EXPECT_TRUE(cache.lookup(key).has_value());
+}
+
+TEST(ServeCache, HugeNodeCountHeaderIsEvicted) {
+    serve::ArtifactCache cache(scratch_dir("cache_huge") + "/artifacts");
+    const std::string key(32, 'c');
+    const std::string path = cache.publish(key, tiny_layout());
+    // Flip the u64 node count after the magic to 2^40: the full parse must
+    // fail on the short payload instead of sizing a 2^40-node layout.
+    {
+        std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+        const std::uint64_t n = std::uint64_t{1} << 40;
+        f.seekp(8);
+        f.write(reinterpret_cast<const char*>(&n), sizeof n);
+    }
+    EXPECT_FALSE(cache.lookup(key).has_value());
+    EXPECT_FALSE(fs::exists(path)) << "corrupt artifact must be unlinked";
+    EXPECT_EQ(cache.evictions(), 1u);
 }
 
 // --- atomic file publication ---

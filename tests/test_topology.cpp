@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -360,10 +361,10 @@ TEST(NodeAllocator, PlacedStoreMatchesVectorStore) {
     core::Layout init;
     init.resize(100);
     for (std::size_t i = 0; i < 100; ++i) {
-        init.start_x[i] = static_cast<float>(i);
-        init.start_y[i] = 0.5f * static_cast<float>(i);
-        init.end_x[i] = static_cast<float>(i) + 1.0f;
-        init.end_y[i] = 0.5f * static_cast<float>(i) + 2.0f;
+        init[i].sx = static_cast<float>(i);
+        init[i].sy = 0.5f * static_cast<float>(i);
+        init[i].ex = static_cast<float>(i) + 1.0f;
+        init[i].ey = 0.5f * static_cast<float>(i) + 2.0f;
     }
     core::XYStore placed, plain;
     placed.load(init, alloc);
@@ -375,9 +376,13 @@ TEST(NodeAllocator, PlacedStoreMatchesVectorStore) {
             EXPECT_EQ(placed.load_y(n, e), plain.load_y(n, e));
         }
     }
+    EXPECT_EQ(std::memcmp(placed.data(), plain.data(),
+                          placed.node_count() * sizeof(core::Segment)),
+              0);
     // Copying a placed store deep-copies to plain heap; bytes survive.
     const core::XYStore copy = placed;
     EXPECT_EQ(copy.load_x(42, core::End::kEnd), plain.load_x(42, core::End::kEnd));
+    EXPECT_EQ(copy.snapshot(), init);
 }
 
 #ifndef PGL_TELEMETRY_DISABLED
