@@ -2,7 +2,9 @@
 // `pgl_layout` loads a graph by — the streaming GFA reader (gfa_stream) and
 // the binary .pgg graph cache — reporting wall-clock, peak RSS and
 // steps/second for each. The cache is expected to come in below the GFA
-// reader on both time and peak RSS.
+// reader on both time and peak RSS. The GFA reader's byte-window count
+// (one per allowed CPU, none under gfa_detail::kMinWindowBytes) is printed
+// beside the table; it does not enter the JSON records.
 //
 //   ./bench_ingest [--scale F] [--seed N] [--quick] [--json FILE]
 //
@@ -25,6 +27,7 @@
 #include "bench_common.hpp"
 #include "graph/gfa.hpp"
 #include "graph/gfa_stream.hpp"
+#include "graph/gfa_util.hpp"
 #include "io/pgg_io.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -160,6 +163,8 @@ int main(int argc, char** argv) {
                   << gfa_path << "\n";
     }
     io::write_pgg_file(graph::ingest_gfa_file(gfa_path), pgg_path);
+    std::cout << "gfa-stream windows: "
+              << graph::gfa_detail::window_count(fs::file_size(gfa_path)) << "\n";
 
     const std::vector<std::string> routes{"gfa-stream", "pgg-cache"};
     bench::TablePrinter table({"Route", "Seconds", "PeakRSS_MB", "Steps/s"},

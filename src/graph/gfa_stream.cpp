@@ -1,39 +1,220 @@
 #include "graph/gfa_stream.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <array>
-#include <fstream>
+#include <cerrno>
+#include <cstring>
+#include <exception>
 #include <istream>
-#include <sstream>
+#include <iterator>
+#include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
+#include "core/thread_pool.hpp"
+#include "core/topology.hpp"
 #include "core/union_find.hpp"
 #include "graph/gfa_util.hpp"
 
 namespace pgl::graph {
 
+namespace gfa_detail {
+
 namespace {
 
-using gfa_detail::for_each_line;
-using gfa_detail::NameTable;
-using gfa_detail::split_tabs;
-
-[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-    std::ostringstream os;
-    os << "GFA parse error at line " << line_no << ": " << what;
-    throw std::runtime_error(os.str());
+[[noreturn]] void fail(std::uint64_t line_no, const std::string& what) {
+    throw std::runtime_error("GFA parse error at line " + std::to_string(line_no) +
+                             ": " + what);
 }
 
-/// Counts the steps of a P segment list without tokenizing it.
+/// Where the reader's bytes come from: a file, read by offset from every
+/// window's thread, or a std::istream, read by one window.
+class ByteSource {
+public:
+    virtual ~ByteSource() = default;
+    /// Reads up to `n` bytes at `offset` into `buf`; returns fewer only at
+    /// the end of the input.
+    virtual std::size_t read_at(std::uint64_t offset, char* buf, std::size_t n) = 0;
+};
+
+/// A regular file read with pread, which any number of threads may call
+/// at once.
+class FileSource final : public ByteSource {
+public:
+    explicit FileSource(const std::string& path) : path_(path) {
+        fd_.fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+        if (fd_.fd < 0) throw std::runtime_error("cannot open GFA file: " + path);
+        struct stat st {};
+        if (::fstat(fd_.fd, &st) != 0) fail_io(errno);
+        if (S_ISDIR(st.st_mode)) fail_io(EISDIR);
+        if (!S_ISREG(st.st_mode)) {
+            throw std::runtime_error("cannot read GFA file: " + path +
+                                     ": not a regular file");
+        }
+        size_ = static_cast<std::uint64_t>(st.st_size);
+    }
+
+    std::uint64_t size() const noexcept { return size_; }
+
+    std::size_t read_at(std::uint64_t offset, char* buf, std::size_t n) override {
+        std::size_t got = 0;
+        while (got < n) {
+            const ssize_t r = ::pread(fd_.fd, buf + got, n - got,
+                                      static_cast<off_t>(offset + got));
+            if (r == 0) break;
+            if (r < 0) {
+                if (errno == EINTR) continue;
+                fail_io(errno);
+            }
+            got += static_cast<std::size_t>(r);
+        }
+        return got;
+    }
+
+private:
+    struct Fd {
+        int fd = -1;
+        ~Fd() {
+            if (fd >= 0) ::close(fd);
+        }
+    };
+
+    [[noreturn]] void fail_io(int err) const {
+        throw std::runtime_error("cannot read GFA file: " + path_ + ": " +
+                                 std::strerror(err));
+    }
+
+    std::string path_;
+    Fd fd_;
+    std::uint64_t size_ = 0;
+};
+
+/// A std::istream as one window: read in order, and sought back to where
+/// it started for the second pass.
+class StreamSource final : public ByteSource {
+public:
+    explicit StreamSource(std::istream& in) : in_(in), start_(in.tellg()) {}
+
+    std::size_t read_at(std::uint64_t offset, char* buf, std::size_t n) override {
+        if (offset != pos_) {
+            in_.clear();
+            if (start_ < 0 ||
+                !in_.seekg(start_ + static_cast<std::streamoff>(offset))) {
+                throw std::runtime_error(
+                    "streaming GFA ingestion needs a seekable stream (two passes)");
+            }
+            pos_ = offset;
+        }
+        const std::streamsize got =
+            in_.rdbuf()->sgetn(buf, static_cast<std::streamsize>(n));
+        pos_ += static_cast<std::uint64_t>(std::max<std::streamsize>(got, 0));
+        return static_cast<std::size_t>(std::max<std::streamsize>(got, 0));
+    }
+
+private:
+    std::istream& in_;
+    std::streamoff start_;
+    std::uint64_t pos_ = 0;
+};
+
+/// End offset of a window that runs to the end of the input.
+constexpr std::uint64_t kToEnd = ~std::uint64_t{0};
+
+/// Calls `fn(line, n)` for every line of the window [begin, end), which
+/// starts at a line start and ends at one or at the end of the input. `n`
+/// counts the window's lines from 1; lines are chomped and framed as by
+/// std::getline (a final newline ends the last line, and a last line
+/// without one still counts). Reads blocks of at most kLineBlockBytes; a
+/// line that crosses a block boundary is assembled in a carry buffer that
+/// grows to the longest such line. The view passed to `fn` is valid only
+/// during the call. Returns the window's line count.
+template <typename Fn>
+std::uint64_t for_each_line(ByteSource& src, std::uint64_t begin, std::uint64_t end,
+                            Fn&& fn) {
+    // Uninitialized: only the pages a short window actually fills are touched.
+    const std::unique_ptr<char[]> block(new char[kLineBlockBytes]);
+    std::string carry;
+    std::uint64_t line_no = 0;
+    for (std::uint64_t off = begin; off < end;) {
+        const std::size_t got = src.read_at(
+            off, block.get(), static_cast<std::size_t>(std::min<std::uint64_t>(
+                                  kLineBlockBytes, end - off)));
+        if (got == 0) break;
+        off += got;
+        const char* p = block.get();
+        const char* const stop = p + got;
+        while (p < stop) {
+            const auto* nl = static_cast<const char*>(
+                std::memchr(p, '\n', static_cast<std::size_t>(stop - p)));
+            if (nl == nullptr) {
+                carry.append(p, stop);
+                break;
+            }
+            std::string_view line(p, static_cast<std::size_t>(nl - p));
+            if (!carry.empty()) {
+                carry.append(line);
+                line = carry;
+            }
+            fn(chomp(line), ++line_no);
+            carry.clear();
+            p = nl + 1;
+        }
+    }
+    if (!carry.empty()) fn(chomp(carry), ++line_no);
+    return line_no;
+}
+
+/// Window starts for `windows` windows over a `size`-byte source: window k
+/// starts at the first line start at or after byte floor(k * size /
+/// windows), so a line, and so a CRLF pair, is never split. Entry
+/// `windows` is `size`. More windows than lines leaves some empty.
+std::vector<std::uint64_t> cut_windows(ByteSource& src, std::uint64_t size,
+                                       std::uint32_t windows) {
+    std::vector<std::uint64_t> starts(windows + 1, size);
+    starts[0] = 0;
+    const std::unique_ptr<char[]> block(new char[kLineBlockBytes]);
+    for (std::uint32_t k = 1; k < windows; ++k) {
+        const std::uint64_t nominal =
+            size / windows * k + size % windows * k / windows;
+        // No line starts between nominal and a previous start past it.
+        if (starts[k - 1] >= nominal) {
+            starts[k] = starts[k - 1];
+            continue;
+        }
+        // The first '\n' at or after nominal - 1 ends the line holding the cut.
+        for (std::uint64_t off = nominal - 1; off < size;) {
+            const std::size_t got = src.read_at(off, block.get(), kLineBlockBytes);
+            if (got == 0) break;
+            if (const void* nl = std::memchr(block.get(), '\n', got)) {
+                starts[k] = off + static_cast<std::uint64_t>(
+                                      static_cast<const char*>(nl) - block.get()) + 1;
+                break;
+            }
+            off += got;
+        }
+    }
+    return starts;
+}
+
+/// Counts the steps of a P segment list as for_each_p_step adds them, so a
+/// well-formed list fills its pre-sized range exactly. A trailing comma
+/// ends the list without a step.
 std::uint64_t count_p_steps(std::string_view steps) {
     if (steps.empty()) return 0;
     std::uint64_t n = 1;
     for (const char c : steps) n += (c == ',');
-    return n;
+    return n - (steps.back() == ',');
 }
 
-/// Counts the steps of a W walk without tokenizing it.
+/// Counts the steps of a W walk as for_each_walk_step adds them.
 std::uint64_t count_walk_steps(std::string_view walk) {
     if (walk == "*") return 0;
     std::uint64_t n = 0;
@@ -41,74 +222,104 @@ std::uint64_t count_walk_steps(std::string_view walk) {
     return n;
 }
 
-}  // namespace
+/// A parse error at a line of its window, before the window's first line
+/// number is known.
+struct LineError {
+    std::uint64_t line;
+    std::string what;
+};
 
-LeanIngest ingest_gfa(std::istream& in) {
-    LeanIngest out;
-    LeanGraphBuilder builder;
-    NameTable names;
+/// One byte window and what its two passes found in it.
+struct Window {
+    std::uint64_t begin = 0, end = 0;
+
+    // Pass 1: segments, path sizes, line count.
+    struct Segment {
+        std::uint64_t name_end;  ///< end of the name in `names`
+        std::uint64_t line;      ///< window-local line number
+        std::uint32_t length;
+    };
+    std::string names;  ///< the window's segment names, back to back
+    std::vector<Segment> segments;
+    std::vector<std::uint64_t> path_steps;  ///< step count per P/W record
+    std::uint64_t lines = 0;
+
+    // Set between the passes.
+    std::uint64_t first_line = 0;  ///< lines before the window
+    std::uint32_t first_path = 0;  ///< paths before the window
+
+    // Pass 2: links and path names.
+    std::uint64_t edges = 0;
+    std::vector<std::string> path_names;
+
+    /// The first error of the current pass: a parse error or an exception.
+    std::optional<LineError> error;
+    std::exception_ptr exception;
+};
+
+/// Throws the first error of `w`'s last pass, if it had one.
+void rethrow(const Window& w) {
+    if (w.exception) std::rethrow_exception(w.exception);
+    if (w.error) fail(w.first_line + w.error->line, w.error->what);
+}
+
+/// Pass 1 over one window: S records (name, length, line), the step count
+/// of each P/W record, and the line count.
+void scan_segments(ByteSource& src, Window& w) {
     std::vector<std::string_view> fields;
-
-    // --- pass 1: segments (and exact path/step counts for reservation) ---
-    std::uint64_t n_paths = 0, n_steps = 0;
-    for_each_line(in, [&](std::string_view line, std::size_t line_no) {
+    w.lines = for_each_line(src, w.begin, w.end, [&](std::string_view line,
+                                                     std::uint64_t line_no) {
         if (line.empty()) return;
         switch (line[0]) {
             case 'S': {
                 split_tabs(line, fields);
-                if (fields.size() < 3) fail(line_no, "S record needs 3 fields");
+                if (fields.size() < 3) {
+                    throw LineError{line_no, "S record needs 3 fields"};
+                }
                 std::uint32_t len = static_cast<std::uint32_t>(fields[2].size());
                 if (fields[2] == "*") {
                     len = 0;
                     for (std::size_t f = 3; f < fields.size(); ++f) {
-                        if (gfa_detail::parse_ln_tag(fields[f], len)) break;
+                        if (parse_ln_tag(fields[f], len)) break;
                     }
                 }
-                if (!names.insert(fields[1])) {
-                    fail(line_no, "duplicate segment " + std::string(fields[1]));
+                w.names.append(fields[1]);
+                w.segments.push_back(Window::Segment{w.names.size(), line_no, len});
+                break;
+            }
+            case 'P':
+                split_tabs(line, fields);
+                if (fields.size() < 3) {
+                    throw LineError{line_no, "P record needs 3 fields"};
                 }
-                builder.add_node(len);
+                w.path_steps.push_back(count_p_steps(fields[2]));
                 break;
-            }
-            case 'P': {
+            case 'W':
                 split_tabs(line, fields);
-                if (fields.size() < 3) fail(line_no, "P record needs 3 fields");
-                ++n_paths;
-                n_steps += count_p_steps(fields[2]);
+                if (fields.size() < 7) {
+                    throw LineError{line_no, "W record needs 7 fields"};
+                }
+                w.path_steps.push_back(count_walk_steps(fields[6]));
                 break;
-            }
-            case 'W': {
-                split_tabs(line, fields);
-                if (fields.size() < 7) fail(line_no, "W record needs 7 fields");
-                ++n_paths;
-                n_steps += count_walk_steps(fields[6]);
-                break;
-            }
             default:
                 break;  // L handled in pass 2; H, C, comments and friends skipped
         }
     });
+}
 
-    builder.reserve_paths(n_paths);
-    builder.reserve_steps(n_steps);
-    out.path_names.reserve(n_paths);
-
-    // --- pass 2: links and walks, streamed into the builder + union-find ---
-    in.clear();
-    in.seekg(0);
-    if (!in) {
-        throw std::runtime_error(
-            "streaming GFA ingestion needs a seekable stream (two passes)");
-    }
-
-    core::UnionFind uf(builder.node_count());
-    std::vector<NodeId> path_first_node;
-    path_first_node.reserve(n_paths);
+/// Pass 2 over one window: L records into the union-find, P/W records into
+/// their pre-sized paths, each step united with its path's set.
+void scan_topology(ByteSource& src, Window& w, const NameTable& names,
+                   LeanGraphBuilder& builder, core::UnionFind& uf) {
+    std::vector<std::string_view> fields;
+    std::uint32_t path = w.first_path;
 
     const auto lookup = [&](std::string_view name, std::uint32_t tag,
-                            std::size_t at) -> NodeId {
+                            std::uint64_t at) -> NodeId {
         const NodeId id = names.find(name, tag);
-        if (id == NameTable::kNone) fail(at, "unknown segment " + std::string(name));
+        if (id == NameTable::kNone) {
+            throw LineError{at, "unknown segment " + std::string(name)};
+        }
         return id;
     };
 
@@ -121,18 +332,23 @@ LeanIngest ingest_gfa(std::istream& in) {
     };
     std::array<PendingStep, 32> batch{};
 
-    for_each_line(in, [&](std::string_view line, std::size_t line_no) {
+    for_each_line(src, w.begin, w.end, [&](std::string_view line, std::uint64_t line_no) {
         if (line.empty()) return;
         switch (line[0]) {
             case 'L': {
                 split_tabs(line, fields);
-                if (fields.size() < 5) fail(line_no, "L record needs 5 fields");
-                if (fields[2] != "+" && fields[2] != "-") fail(line_no, "bad orientation");
-                if (fields[4] != "+" && fields[4] != "-") fail(line_no, "bad orientation");
-                const NodeId from = lookup(fields[1], NameTable::hash(fields[1]), line_no);
+                if (fields.size() < 5) {
+                    throw LineError{line_no, "L record needs 5 fields"};
+                }
+                if ((fields[2] != "+" && fields[2] != "-") ||
+                    (fields[4] != "+" && fields[4] != "-")) {
+                    throw LineError{line_no, "bad orientation"};
+                }
+                const NodeId from =
+                    lookup(fields[1], NameTable::hash(fields[1]), line_no);
                 const NodeId to = lookup(fields[3], NameTable::hash(fields[3]), line_no);
                 uf.unite(from, to);
-                ++out.edge_count;
+                ++w.edges;
                 break;
             }
             case 'P':
@@ -140,22 +356,17 @@ LeanIngest ingest_gfa(std::istream& in) {
                 split_tabs(line, fields);
                 const bool is_walk = line[0] == 'W';
                 const std::string_view steps = is_walk ? fields[6] : fields[2];
+                PathWriter writer = builder.path_writer(path++);
                 // Every step joins the path's set. Uniting with the set's
                 // current root (not the previous step) saves a find per
                 // step and yields the same sets, hence the same labels.
                 std::uint32_t root = 0;
                 std::size_t pending = 0;
-                builder.begin_path();
                 const auto resolve = [&] {
                     for (std::size_t k = 0; k < pending; ++k) {
                         const NodeId v = lookup(batch[k].name, batch[k].tag, line_no);
-                        builder.add_step(Handle::make(v, batch[k].rev));
-                        if (builder.current_path_steps() > 1) {
-                            root = uf.unite(root, v);
-                        } else {
-                            path_first_node.push_back(v);
-                            root = uf.find(v);
-                        }
+                        writer.add(Handle::make(v, batch[k].rev));
+                        root = writer.steps() > 1 ? uf.unite(root, v) : uf.find(v);
                     }
                     pending = 0;
                 };
@@ -166,48 +377,156 @@ LeanIngest ingest_gfa(std::istream& in) {
                     if (pending == batch.size()) resolve();
                     return {};
                 };
-                const std::string err =
-                    is_walk ? gfa_detail::for_each_walk_step(steps, feed)
-                            : gfa_detail::for_each_p_step(steps, feed);
+                const std::string err = is_walk ? for_each_walk_step(steps, feed)
+                                                : for_each_p_step(steps, feed);
                 // Steps before a malformed token resolve first, so an
                 // unknown segment among them is the error reported, as in
                 // a step-by-step scan.
                 resolve();
-                if (!err.empty()) fail(line_no, err);
-                if (builder.end_path() == 0) {
-                    fail(line_no, is_walk ? "empty walk" : "empty path " +
-                                                               std::string(fields[1]));
+                if (!err.empty()) throw LineError{line_no, err};
+                if (writer.steps() == 0) {
+                    throw LineError{line_no, is_walk ? std::string("empty walk")
+                                                     : "empty path " +
+                                                           std::string(fields[1])};
                 }
-                out.path_names.push_back(
-                    is_walk ? gfa_detail::walk_path_name(fields[1], fields[2],
-                                                         fields[3], fields[4],
-                                                         fields[5])
-                            : std::string(fields[1]));
+                writer.finish();
+                w.path_names.push_back(is_walk ? walk_path_name(fields[1], fields[2],
+                                                                fields[3], fields[4],
+                                                                fields[5])
+                                               : std::string(fields[1]));
                 break;
             }
             default:
                 break;
         }
     });
+}
+
+/// The reader: pass 1 on every window, a serial merge in window order
+/// (node ids, the name table, line and path offsets), pass 2 on every
+/// window, then labels. Each pass runs window 0 on the calling thread and
+/// the others on a one-shot pool, one worker each; every thread that
+/// allocates keeps a malloc arena, so one window never starts a thread.
+/// The first error in file order wins within a pass, and any pass-1 error
+/// beats every pass-2 one: the serial reader's order.
+LeanIngest ingest(ByteSource& src, std::vector<Window> windows) {
+    core::ThreadPool pool(static_cast<std::uint32_t>(windows.size() - 1));
+    const auto each_window = [&](auto&& pass) {
+        // A window keeps its first error for the caller to order.
+        const auto run = [&](Window& w) {
+            try {
+                pass(w);
+            } catch (LineError& e) {
+                w.error = std::move(e);
+            } catch (...) {
+                w.exception = std::current_exception();
+            }
+        };
+        if (pool.size() > 0) {
+            pool.launch([&](std::uint32_t tid) { run(windows[tid + 1]); });
+        }
+        run(windows[0]);
+        pool.wait();
+    };
+
+    // --- pass 1: segments and path sizes ---
+    each_window([&](Window& w) { scan_segments(src, w); });
+
+    std::uint64_t n_segments = 0, name_bytes = 0;
+    for (const Window& w : windows) {
+        n_segments += w.segments.size();
+        name_bytes += w.names.size();
+    }
+    LeanGraphBuilder builder;
+    builder.reserve_nodes(n_segments);
+    NameTable names;
+    names.reserve(static_cast<std::uint32_t>(n_segments), name_bytes);
+    std::vector<std::uint64_t> path_steps;
+    std::uint64_t line_base = 0;
+    for (Window& w : windows) {
+        w.first_line = line_base;
+        std::uint64_t name_begin = 0;
+        for (const Window::Segment& s : w.segments) {
+            const std::string_view name =
+                std::string_view(w.names).substr(name_begin, s.name_end - name_begin);
+            if (!names.insert(name)) {
+                fail(line_base + s.line, "duplicate segment " + std::string(name));
+            }
+            builder.add_node(s.length);
+            name_begin = s.name_end;
+        }
+        rethrow(w);
+        line_base += w.lines;
+        w.first_path = static_cast<std::uint32_t>(path_steps.size());
+        path_steps.insert(path_steps.end(), w.path_steps.begin(), w.path_steps.end());
+        w.names = std::string();
+        w.segments = {};
+    }
+    builder.presize_paths(path_steps);
+
+    // --- pass 2: links and paths ---
+    core::UnionFind uf(builder.node_count());
+    each_window([&](Window& w) { scan_topology(src, w, names, builder, uf); });
+
+    LeanIngest out;
+    out.path_names.reserve(path_steps.size());
+    for (Window& w : windows) {
+        rethrow(w);
+        out.edge_count += w.edges;
+        std::move(w.path_names.begin(), w.path_names.end(),
+                  std::back_inserter(out.path_names));
+    }
 
     // --- finalize: graph, segment names, dense component labels ---
+    out.graph = builder.finish();
     out.segment_names = names.names();
-
     auto dense = core::dense_labels(uf);
     out.component_count = dense.count;
     out.node_component = std::move(dense.label);
-    out.path_component.reserve(path_first_node.size());
-    for (const NodeId v : path_first_node) {
-        out.path_component.push_back(out.node_component[v]);
+    out.path_component.reserve(out.graph.path_count());
+    for (std::uint32_t p = 0; p < out.graph.path_count(); ++p) {
+        out.path_component.push_back(out.node_component[out.graph.step_node(p, 0)]);
     }
-    out.graph = builder.finish();
     return out;
 }
 
+/// Cuts a file into `windows` windows and ingests them.
+LeanIngest ingest_windows(FileSource& src, std::uint32_t windows) {
+    const std::vector<std::uint64_t> starts = cut_windows(src, src.size(), windows);
+    std::vector<Window> cut(windows);
+    for (std::uint32_t k = 0; k < windows; ++k) {
+        cut[k].begin = starts[k];
+        cut[k].end = starts[k + 1];
+    }
+    return ingest(src, std::move(cut));
+}
+
+}  // namespace
+
+std::uint32_t window_count(std::uint64_t bytes) {
+    const std::uint64_t cpus = core::allowed_cpus_self().size();
+    const std::uint64_t by_size = (bytes + kMinWindowBytes - 1) / kMinWindowBytes;
+    return static_cast<std::uint32_t>(
+        std::max<std::uint64_t>(1, std::min(cpus, by_size)));
+}
+
+LeanIngest ingest_gfa_file(const std::string& path, std::uint32_t windows) {
+    FileSource src(path);
+    return ingest_windows(src, std::max<std::uint32_t>(windows, 1));
+}
+
+}  // namespace gfa_detail
+
+LeanIngest ingest_gfa(std::istream& in) {
+    gfa_detail::StreamSource src(in);
+    std::vector<gfa_detail::Window> one(1);
+    one[0].end = gfa_detail::kToEnd;
+    return gfa_detail::ingest(src, std::move(one));
+}
+
 LeanIngest ingest_gfa_file(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("cannot open GFA file: " + path);
-    return ingest_gfa(in);
+    gfa_detail::FileSource src(path);
+    return gfa_detail::ingest_windows(src, gfa_detail::window_count(src.size()));
 }
 
 }  // namespace pgl::graph

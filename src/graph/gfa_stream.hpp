@@ -3,23 +3,35 @@
 // pangenomes (PGGB, minigraph-cactus whole genomes). Instead of
 // materializing a rich graph (sequences + edge set + per-path Handle
 // vectors) and then distilling a LeanGraph from it, this reader makes two
-// single-purpose passes over the input and feeds a LeanGraphBuilder
-// directly:
+// single-purpose passes over the input and fills a LeanGraphBuilder
+// directly. A file is cut into byte windows at line starts, one per CPU
+// the calling thread may use (none smaller than
+// gfa_detail::kMinWindowBytes), and each pass runs its windows on a
+// one-shot thread pool:
 //
-//   pass 1 (segments):  S records -> name table + node lengths
-//                       (sequence bytes are measured, never stored);
-//   pass 2 (topology):  L records -> union-find adjacency only,
-//                       P / W records -> streamed step-by-step into the
-//                       builder (no per-path step vector is ever built).
+//   pass 1 (segments):  per window, S records (name, length, line), the
+//                       step count of every P / W record and the line
+//                       count; a serial merge in window order then gives
+//                       node ids, the name table and line numbers exactly
+//                       as one front-to-back scan would;
+//   pass 2 (topology):  per window, L records and path steps into one
+//                       lock-free union-find, and P / W steps, resolved
+//                       against the now read-only name table, straight
+//                       into each path's pre-sized range of the step array.
 //
-// Both passes read the stream in fixed 64 KiB blocks
-// (gfa_detail::for_each_line), and segment names resolve through an
-// open-addressing table whose names live in one byte arena
-// (gfa_detail::NameTable), looked up in prefetched batches. Peak ingest memory is therefore the LeanGraph
-// (16 bytes per step, 4 per node), plus the name arena and its slots, plus
-// one block, plus the longest line that crosses a block boundary, plus two
-// u32 words per node for the union-find. The union-find doubles as the
-// partition-ready adjacency: LeanIngest carries dense component labels
+// A std::istream is read as one window by the same code. Every window
+// count yields the same graph and, on malformed input, the same first
+// error: any pass-1 error beats every pass-2 error, and within a pass the
+// lowest line wins.
+//
+// Each window reads its bytes in 64 KiB pread blocks, never the whole
+// file, and segment names resolve through an open-addressing table whose
+// names live in one byte arena (gfa_detail::NameTable), looked up in
+// prefetched batches. Peak ingest memory is therefore the LeanGraph (16
+// bytes per step, 4 per node), plus the name arena and its slots, plus a
+// block and the longest line that crosses a block boundary per window,
+// plus one u32 word per node for the union-find. The union-find doubles as
+// the partition-ready adjacency: LeanIngest carries dense component labels
 // over edges + path steps, numbered by smallest node id — the only
 // component labeller, shared by the CLI, the daemon, the benches and the
 // tests (workloads::to_ingest routes generated graphs through here too).
@@ -55,13 +67,16 @@ struct LeanIngest {
     std::uint64_t edge_count = 0;  ///< L records parsed (diagnostics only)
 };
 
-/// Streams GFA 1.0/1.1 from a seekable stream (two passes; file and string
-/// streams both qualify). Throws std::runtime_error with a line number on
-/// malformed input: duplicate segments, unknown segment references, bad
-/// orientations, empty paths/walks.
+/// Streams GFA 1.0/1.1 from a seekable stream as one window (two passes;
+/// file and string streams both qualify). Throws std::runtime_error with a
+/// line number on malformed input: duplicate segments, unknown segment
+/// references, bad orientations, empty paths/walks.
 LeanIngest ingest_gfa(std::istream& in);
 
-/// Convenience overload reading from a file path.
+/// Reads the GFA file at `path` in byte windows on several threads (see
+/// above), with the same result and errors as ingest_gfa. Also throws
+/// std::runtime_error when the path cannot be opened or is not a regular
+/// file.
 LeanIngest ingest_gfa_file(const std::string& path);
 
 }  // namespace pgl::graph

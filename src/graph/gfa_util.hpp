@@ -1,19 +1,44 @@
 #pragma once
-// Internal reading and tokenizing helpers of the streaming GFA reader
-// (gfa_stream.cpp): CRLF and trailing-whitespace tolerant lines in 64 KiB
-// blocks, GFA 1.0 `P` segment lists, GFA 1.1 `W` walk strings and the
-// segment-name table. Step callbacks return per-step errors as strings
-// (empty = ok) so the reader can attach its own line numbers.
+// Internal pieces of the streaming GFA reader (gfa_stream.cpp): its
+// window sizing and a windowed entry point for tests, the tokenizers of
+// CRLF and trailing-whitespace tolerant lines, GFA 1.0 `P` segment lists
+// and GFA 1.1 `W` walk strings, and the segment-name table. Step callbacks
+// return per-step errors as strings (empty = ok) so the reader can attach
+// its own line numbers.
 #include <cstdint>
 #include <cstring>
-#include <istream>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "graph/gfa_stream.hpp"
+
 namespace pgl::graph::gfa_detail {
+
+/// Size of one read from the input, so a window costs one block of memory
+/// whatever its size. 64 KiB reads as fast as 1 MiB on a 27 MB GFA, while
+/// 1 MiB blocks raised a serving daemon's peak RSS by ~2 MB: each worker's
+/// malloc arena keeps the touched pages of its last block.
+inline constexpr std::size_t kLineBlockBytes = std::size_t{1} << 16;
+
+/// The smallest byte window worth a thread of its own: ~5 ms of parsing on
+/// one core. On an idle 4-core host two windows already beat one at 190 KB
+/// (1.3 -> 0.9 ms, best of 61), but a woken thread can wait milliseconds
+/// for a CPU on a loaded host, such as a daemon whose workers are laying
+/// graphs out, so a window must carry several milliseconds of work. A
+/// 27 MB whole-genome GFA still gets one window per CPU up to 26.
+inline constexpr std::uint64_t kMinWindowBytes = std::uint64_t{1} << 20;
+
+/// How many windows ingest_gfa_file cuts a file of `bytes` bytes into: one
+/// per CPU this thread may run on, but none smaller than kMinWindowBytes,
+/// and at least one.
+std::uint32_t window_count(std::uint64_t bytes);
+
+/// ingest_gfa_file with exactly `windows` (>= 1) windows instead of
+/// window_count's choice. Every window count yields the same LeanIngest,
+/// or the same first error.
+LeanIngest ingest_gfa_file(const std::string& path, std::uint32_t windows);
 
 /// Segment-name -> dense-id table. Open addressing
 /// with linear probing over power-of-two slots kept at most half full;
@@ -36,6 +61,16 @@ public:
         arena_.append(name);
         ends_.push_back(arena_.size());
         return true;
+    }
+
+    /// Sizes the table for `names` names of `bytes` bytes in total, so
+    /// inserting them never rehashes.
+    void reserve(std::uint32_t names, std::uint64_t bytes) {
+        std::size_t slots = slots_.empty() ? 16 : slots_.size();
+        while (slots < 2 * (static_cast<std::size_t>(names) + 1)) slots *= 2;
+        if (slots > slots_.size()) rehash(slots);
+        arena_.reserve(bytes);
+        ends_.reserve(names);
     }
 
     /// The id of `name`, whose hash is `tag`, or kNone.
@@ -115,9 +150,10 @@ private:
         return true;
     }
 
-    void grow() {
-        const std::vector<Slot> old = std::exchange(
-            slots_, std::vector<Slot>(slots_.empty() ? 16 : 2 * slots_.size()));
+    void grow() { rehash(slots_.empty() ? 16 : 2 * slots_.size()); }
+
+    void rehash(std::size_t slots) {
+        const std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(slots));
         const std::size_t mask = slots_.size() - 1;
         for (const Slot& s : old) {
             if (s.id == kNone) continue;
@@ -140,55 +176,6 @@ inline std::string_view chomp(std::string_view line) {
         --n;
     }
     return line.substr(0, n);
-}
-
-/// Size of one read from the stream, so reading costs one block of memory
-/// whatever the file size. 64 KiB reads as fast as 1 MiB on a 27 MB GFA,
-/// while 1 MiB blocks raised a serving daemon's peak RSS by ~2 MB: each
-/// worker's malloc arena keeps the touched pages of its last block.
-inline constexpr std::size_t kLineBlockBytes = std::size_t{1} << 16;
-
-/// Calls `fn(line, line_no)` for every line of `in` (1-based numbers,
-/// chomped, with std::getline's framing: a final newline ends the last
-/// line, and a last line without one still counts). Reads blocks of at
-/// most kLineBlockBytes through rdbuf()->sgetn; a line that crosses a
-/// block boundary is assembled in a carry buffer that grows to the
-/// longest such line. The view passed to `fn` is valid only during the
-/// call. Leaves `in` at end of file with eofbit set.
-template <typename Fn>
-void for_each_line(std::istream& in, Fn&& fn) {
-    const std::istream::sentry ok(in, /*noskipws=*/true);
-    if (!ok) return;
-    std::streambuf* const sb = in.rdbuf();
-    // Uninitialized: only the pages a short input actually fills are touched.
-    const std::unique_ptr<char[]> block(new char[kLineBlockBytes]);
-    std::string carry;
-    std::size_t line_no = 0;
-    for (;;) {
-        const std::streamsize got =
-            sb->sgetn(block.get(), static_cast<std::streamsize>(kLineBlockBytes));
-        if (got <= 0) break;
-        const char* p = block.get();
-        const char* const end = p + got;
-        while (p < end) {
-            const auto* nl = static_cast<const char*>(
-                std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
-            if (nl == nullptr) {
-                carry.append(p, end);
-                break;
-            }
-            std::string_view line(p, static_cast<std::size_t>(nl - p));
-            if (!carry.empty()) {
-                carry.append(line);
-                line = carry;
-            }
-            fn(chomp(line), ++line_no);
-            carry.clear();
-            p = nl + 1;
-        }
-    }
-    if (!carry.empty()) fn(chomp(carry), ++line_no);
-    in.setstate(std::ios::eofbit);
 }
 
 /// Splits `line` at tabs into `fields` (cleared first; callers reuse one

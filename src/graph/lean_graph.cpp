@@ -6,24 +6,28 @@
 
 namespace pgl::graph {
 
-void LeanGraph::steps_add(Handle h, std::uint64_t& pos) {
-    step_records_.push_back(PathStepRecord{h.id(), h.is_reverse() ? 1u : 0u, pos});
-    pos += node_len_[h.id()];
-}
-
 void LeanGraph::steps_end_path(std::uint64_t pos) {
     path_offset_.push_back(static_cast<std::uint32_t>(step_records_.size()));
     path_nuc_len_.push_back(pos);
-    total_path_nuc_ += pos;
-    max_path_nuc_len_ = std::max(max_path_nuc_len_, pos);
+}
+
+void LeanGraph::sum_path_lengths() noexcept {
+    total_path_nuc_ = 0;
+    max_path_nuc_len_ = 0;
+    for (const std::uint64_t len : path_nuc_len_) {
+        total_path_nuc_ += len;
+        max_path_nuc_len_ = std::max(max_path_nuc_len_, len);
+    }
 }
 
 // Appends one path walk, recomputing cumulative nucleotide positions.
-// Shares steps_add/steps_end_path with LeanGraphBuilder so identical walks
-// yield bit-identical records.
+// Shares record_step/steps_end_path with LeanGraphBuilder so identical
+// walks yield bit-identical records.
 void LeanGraph::append_path(const std::vector<Handle>& steps) {
     std::uint64_t pos = 0;
-    for (const Handle& h : steps) steps_add(h, pos);
+    for (const Handle& h : steps) {
+        step_records_.push_back(record_step(h, pos, node_len_.data()));
+    }
     steps_end_path(pos);
 }
 
@@ -37,7 +41,21 @@ LeanGraph LeanGraph::from_parts(std::vector<std::uint32_t> node_lengths,
     for (const auto& steps : paths) {
         lg.append_path(steps);
     }
+    lg.sum_path_lengths();
     return lg;
+}
+
+void PathWriter::add(Handle h) {
+    if (h.id() >= node_count_) {
+        throw std::out_of_range("PathWriter: step references unknown node");
+    }
+    if (next_ == last_) throw std::logic_error("PathWriter: path longer than pre-sized");
+    *next_++ = LeanGraph::record_step(h, pos_, node_len_);
+}
+
+void PathWriter::finish() {
+    if (next_ != last_) throw std::logic_error("PathWriter: path shorter than pre-sized");
+    *nuc_len_ = pos_;
 }
 
 NodeId LeanGraphBuilder::add_node(std::uint32_t length) {
@@ -66,7 +84,7 @@ void LeanGraphBuilder::add_step(Handle h) {
     if (h.id() >= g_.node_len_.size()) {
         throw std::out_of_range("LeanGraphBuilder: step references unknown node");
     }
-    g_.steps_add(h, pos_);
+    g_.step_records_.push_back(LeanGraph::record_step(h, pos_, g_.node_len_.data()));
 }
 
 std::uint32_t LeanGraphBuilder::end_path() {
@@ -77,8 +95,30 @@ std::uint32_t LeanGraphBuilder::end_path() {
     return n;
 }
 
+void LeanGraphBuilder::presize_paths(std::span<const std::uint64_t> step_counts) {
+    assert(!in_path_ && g_.path_offset_.size() == 1);
+    std::uint64_t total = 0;
+    g_.path_offset_.reserve(step_counts.size() + 1);
+    for (const std::uint64_t n : step_counts) {
+        total += n;
+        if (total > 0xFFFFFFFFull) {
+            throw std::length_error("graph has more than 2^32 - 1 path steps");
+        }
+        g_.path_offset_.push_back(static_cast<std::uint32_t>(total));
+    }
+    g_.step_records_.resize(total);
+    g_.path_nuc_len_.assign(step_counts.size(), 0);
+}
+
+PathWriter LeanGraphBuilder::path_writer(std::uint32_t p) {
+    PathStepRecord* const base = g_.step_records_.data();
+    return PathWriter(base + g_.path_offset_[p], base + g_.path_offset_[p + 1], g_,
+                      &g_.path_nuc_len_[p]);
+}
+
 LeanGraph LeanGraphBuilder::finish() {
     assert(!in_path_);
+    g_.sum_path_lengths();
     return std::move(g_);
 }
 

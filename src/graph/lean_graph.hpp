@@ -13,7 +13,10 @@
 // lives in memsim (and gpusim), which derive those arrays' addresses from
 // flat_step_index(), and the per-field accessors below read the record.
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/handle.hpp"
@@ -30,6 +33,29 @@ struct PathStepRecord {
 };
 
 static_assert(sizeof(PathStepRecord) == 16);
+
+/// std::allocator whose value-less construct() default-initializes, so
+/// resizing a vector of trivial records leaves them unwritten instead of
+/// zero-filling them on the resizing thread.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+        using other = DefaultInitAllocator<U>;
+    };
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+    template <typename U>
+    void construct(U* p) noexcept {
+        ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+        ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+};
 
 class LeanGraph {
 public:
@@ -89,32 +115,75 @@ public:
 
 private:
     friend class LeanGraphBuilder;
+    friend class PathWriter;
 
     void append_path(const std::vector<Handle>& steps);
 
-    // Step-at-a-time path construction shared by append_path and the
-    // streaming builder, so every ingestion route yields bit-identical
-    // step records for the same walk.
-    void steps_add(Handle h, std::uint64_t& pos);
+    // The one step rule, shared by append_path, the streaming builder and
+    // PathWriter, so every ingestion route yields bit-identical step
+    // records for the same walk: a step sits at the path's nucleotide
+    // offset `pos`, which then advances by the node's length.
+    static PathStepRecord record_step(Handle h, std::uint64_t& pos,
+                                      const std::uint32_t* node_len) noexcept {
+        const PathStepRecord r{h.id(), h.is_reverse() ? 1u : 0u, pos};
+        pos += node_len[h.id()];
+        return r;
+    }
     void steps_end_path(std::uint64_t pos);
+    /// Sets the totals and the maximum from path_nuc_len_.
+    void sum_path_lengths() noexcept;
 
     std::vector<std::uint32_t> node_len_;
 
     // CSR-style flattened paths.
     std::vector<std::uint32_t> path_offset_;  // size P + 1
-    std::vector<PathStepRecord> step_records_;
+    std::vector<PathStepRecord, DefaultInitAllocator<PathStepRecord>> step_records_;
 
     std::vector<std::uint64_t> path_nuc_len_;
     std::uint64_t total_path_nuc_ = 0;
     std::uint64_t max_path_nuc_len_ = 0;
 };
 
+/// Fills one path laid out by LeanGraphBuilder::presize_paths, in place,
+/// with add_step's records and cumulative positions. Writers of different
+/// paths touch disjoint memory and may run on different threads.
+class PathWriter {
+public:
+    /// Appends one oriented step. Throws std::out_of_range for an
+    /// unregistered node and std::logic_error past the pre-sized count.
+    void add(Handle h);
+    /// Steps written so far.
+    std::uint64_t steps() const noexcept {
+        return static_cast<std::uint64_t>(next_ - first_);
+    }
+    /// Records the path's nucleotide length; call once, after the last
+    /// add. Throws std::logic_error if a pre-sized step was left unwritten.
+    void finish();
+
+private:
+    friend class LeanGraphBuilder;
+    PathWriter(PathStepRecord* first, PathStepRecord* last, const LeanGraph& g,
+               std::uint64_t* nuc_len) noexcept
+        : first_(first), next_(first), last_(last), node_len_(g.node_len_.data()),
+          node_count_(g.node_count()), nuc_len_(nuc_len) {}
+
+    PathStepRecord* first_;
+    PathStepRecord* next_;
+    PathStepRecord* last_;
+    const std::uint32_t* node_len_;
+    std::uint32_t node_count_;
+    std::uint64_t* nuc_len_;
+    std::uint64_t pos_ = 0;
+};
+
 /// Incremental LeanGraph construction for streaming ingestion: nodes are
 /// registered as their lengths become known (S records), then paths are fed
 /// one step at a time (P walks / W walks / cached step tables) without ever
-/// materializing a per-path Handle vector. The cumulative-position
-/// arithmetic is LeanGraph's own, so a builder-made graph is bit-identical
-/// to from_parts() on the same walks.
+/// materializing a per-path Handle vector — or, when every path's step
+/// count is known up front, laid out at once (presize_paths) and filled
+/// concurrently through PathWriters. The cumulative-position arithmetic is
+/// LeanGraph's own, so a builder-made graph is bit-identical to
+/// from_parts() on the same walks.
 class LeanGraphBuilder {
 public:
     LeanGraphBuilder() { g_.path_offset_.push_back(0); }
@@ -133,6 +202,16 @@ public:
     void add_step(Handle h);
     /// Finishes the current path; returns its step count.
     std::uint32_t end_path();
+
+    /// Lays out one path per entry of `step_counts` in one step array whose
+    /// records are left unwritten, so each PathWriter's pages are first
+    /// touched by the thread that fills them. Call once, after the last
+    /// add_node and instead of begin_path; every path must then be filled
+    /// through path_writer before finish(). Throws std::length_error past
+    /// 2^32 - 1 steps in total (path offsets are 32-bit).
+    void presize_paths(std::span<const std::uint64_t> step_counts);
+    /// The writer of pre-sized path p.
+    PathWriter path_writer(std::uint32_t p);
 
     std::uint32_t node_count() const noexcept { return g_.node_count(); }
     std::uint32_t path_count() const noexcept {

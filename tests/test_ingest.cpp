@@ -1,20 +1,24 @@
 // Tests for the streaming ingestion subsystem: the gfa_stream reader
 // (GFA 1.0 P records, GFA 1.1 W walks, CRLF tolerance, malformed-input
 // rejection), its block reader's edge cases (lines longer than a block,
-// CRLF split across blocks, missing final newline, empty input), the
-// segment-name table, its component labels against a BFS reference on
-// random multi-component GFA, and the .pgg binary graph cache (round trip,
-// truncation, corruption, checksum, inconsistent component labels).
+// CRLF split across blocks, missing final newline, empty input), its byte
+// windows (the same graph, .pgg bytes and first error at every window
+// count), the segment-name table, its component labels against a BFS
+// reference on random multi-component GFA, and the .pgg binary graph cache
+// (round trip, truncation, corruption, checksum, inconsistent component
+// labels).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/topology.hpp"
 #include "graph/gfa.hpp"
 #include "graph/gfa_stream.hpp"
 #include "graph/gfa_util.hpp"
@@ -51,6 +55,50 @@ void expect_same_lean(const LeanGraph& a, const LeanGraph& b) {
             ASSERT_EQ(ra.orient, rb.orient);
             ASSERT_EQ(ra.position, rb.position);
         }
+    }
+}
+
+/// Writes `text` to a scratch file named `name` and returns its path.
+std::string write_temp(const std::string& name, const std::string& text) {
+    const std::string path = ::testing::TempDir() + "/" + name;
+    std::ofstream(path, std::ios::binary) << text;
+    return path;
+}
+
+/// The ingest of the file at `path` cut into `windows` byte windows, or
+/// into as many as the reader picks when `windows` is 0.
+LeanIngest ingest_windows(const std::string& path, std::uint32_t windows) {
+    return windows == 0 ? graph::ingest_gfa_file(path)
+                        : graph::gfa_detail::ingest_gfa_file(path, windows);
+}
+
+std::string pgg_bytes(const LeanIngest& ing) {
+    std::stringstream ss;
+    io::write_pgg(ing, ss);
+    return ss.str();
+}
+
+/// Window counts every parity check runs besides one window; 0 is the
+/// reader's own choice.
+constexpr std::uint32_t kWindowCounts[] = {2, 3, 7, 0};
+
+/// Expects the file at `path` to ingest to the same .pgg bytes, names,
+/// labels and edge count at every window count, and from a stream, as it
+/// does in one window.
+void expect_window_parity(const std::string& path) {
+    const LeanIngest want = ingest_windows(path, 1);
+    const std::string want_bytes = pgg_bytes(want);
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_EQ(pgg_bytes(graph::ingest_gfa(in)), want_bytes) << path << " as a stream";
+    for (const std::uint32_t windows : kWindowCounts) {
+        const LeanIngest got = ingest_windows(path, windows);
+        EXPECT_EQ(pgg_bytes(got), want_bytes) << path << " in " << windows << " windows";
+        EXPECT_EQ(got.segment_names, want.segment_names);
+        EXPECT_EQ(got.path_names, want.path_names);
+        EXPECT_EQ(got.component_count, want.component_count);
+        EXPECT_EQ(got.node_component, want.node_component);
+        EXPECT_EQ(got.path_component, want.path_component);
+        EXPECT_EQ(got.edge_count, want.edge_count);
     }
 }
 
@@ -381,19 +429,30 @@ std::string segments(std::uint32_t n) {
     return out;
 }
 
-TEST(GfaStream, PathAndWalkLinesLongerThanOneBlock) {
-    constexpr std::uint32_t kSegs = 1000;
-    constexpr std::uint32_t kSteps = 250000;  // ~2 MB per line
+constexpr std::uint32_t kLongSegs = 1000;
+constexpr std::uint32_t kLongSteps = 250000;  // ~2 MB per line
+
+/// kLongSegs segments, then a P line and a W line of kLongSteps steps each:
+/// step k is segment (7k) mod kLongSegs, reversed when k % 3 == 0.
+std::string long_lines_gfa() {
     std::string p_line = "P\tlong\t", w_line = "W\tsamp\t1\tchr\t*\t*\t";
-    for (std::uint32_t k = 0; k < kSteps; ++k) {
-        const std::string name = "seg" + std::to_string((k * 7) % kSegs);
+    for (std::uint32_t k = 0; k < kLongSteps; ++k) {
+        const std::string name = "seg" + std::to_string((k * 7) % kLongSegs);
         if (k) p_line += ',';
         p_line += name + (k % 3 == 0 ? '-' : '+');
         w_line += (k % 3 == 0 ? '<' : '>') + name;
     }
-    ASSERT_GT(p_line.size(), kBlock);
-    ASSERT_GT(w_line.size(), kBlock);
-    std::stringstream ss(segments(kSegs) + p_line + "\t*\n" + w_line + "\n");
+    return segments(kLongSegs) + p_line + "\t*\n" + w_line + "\n";
+}
+
+TEST(GfaStream, PathAndWalkLinesLongerThanOneBlock) {
+    constexpr std::uint32_t kSegs = kLongSegs;
+    constexpr std::uint32_t kSteps = kLongSteps;
+    const std::string gfa = long_lines_gfa();
+    const std::size_t p_at = gfa.find("\nP") + 1, w_at = gfa.find("\nW") + 1;
+    ASSERT_GT(w_at - p_at, kBlock);
+    ASSERT_GT(gfa.size() - w_at, kBlock);
+    std::stringstream ss(gfa);
     const auto ing = graph::ingest_gfa(ss);
 
     ASSERT_EQ(ing.graph.path_count(), 2u);
@@ -449,15 +508,31 @@ TEST(GfaStream, EmptyAndCommentOnlyInput) {
     }
 }
 
-/// The message ingest_gfa throws for `gfa`, or "" if it parses.
-std::string parse_error(const std::string& gfa) {
-    std::stringstream ss(gfa);
+/// The message ingest_gfa throws for `gfa`, or "" if it parses. With
+/// `windows` > 0, `gfa` is read from a file in that many byte windows.
+std::string parse_error(const std::string& gfa, std::uint32_t windows = 0) {
     try {
-        graph::ingest_gfa(ss);
+        if (windows == 0) {
+            std::stringstream ss(gfa);
+            graph::ingest_gfa(ss);
+        } else {
+            graph::gfa_detail::ingest_gfa_file(write_temp("pgl_parse_error.gfa", gfa),
+                                               windows);
+        }
     } catch (const std::runtime_error& e) {
         return e.what();
     }
     return "";
+}
+
+/// `n` lines that parse and add nothing: they move an error into another
+/// byte window.
+std::string comment_lines(std::uint32_t n) {
+    std::string out;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        out += "# filler line " + std::to_string(i) + "\n";
+    }
+    return out;
 }
 
 TEST(GfaStream, DuplicateAndUnknownSegmentMessagesAndLineNumbers) {
@@ -478,10 +553,230 @@ TEST(GfaStream, DuplicateAndUnknownSegmentMessagesAndLineNumbers) {
         {"S\tx\tA\r\nP\tp\r\n", "GFA parse error at line 2: P record needs 3 fields"},
         {"S\tx\tA\n# c\nW\ts\t1\tc\t0\t1\n",
          "GFA parse error at line 3: W record needs 7 fields"},
+        {"S\tx\tA\nS\ty\tC\nL\tx\t?\ty\t+\t0M\n",
+         "GFA parse error at line 3: bad orientation"},
+        {"S\tx\tA\nP\tp\t\t*\n", "GFA parse error at line 2: empty path p"},
+        {"S\tx\tA\nW\ts\t1\tc\t0\t0\t*\n", "GFA parse error at line 2: empty walk"},
+        {"S\tx\tA\nP\tp\tx+,,x+\t*\n", "GFA parse error at line 2: bad path step"},
+        {"S\tx\tA\nP\tp\tx+,x*\t*\n", "GFA parse error at line 2: bad step orientation"},
+        {"S\tx\tA\nW\ts\t1\tc\t0\t1\tx>\n",
+         "GFA parse error at line 2: bad walk step (expected > or <)"},
+        {"S\tx\tA\nW\ts\t1\tc\t0\t1\t><\n",
+         "GFA parse error at line 2: empty segment name in walk"},
+        // A pass-1 error (the duplicate) beats a pass-2 error on an earlier
+        // line (the unknown segment), at every window count.
+        {"S\tx\tA\nS\ty\tC\nP\tp\tx+,nope+\t*\nL\tx\t+\ty\t+\t0M\nS\tx\tG\n",
+         "GFA parse error at line 5: duplicate segment x"},
+        // Two windows each hold an error of the same pass: the lower line wins.
+        {"S\tx\tA\nL\tx\t+\tgone\t+\t0M\n" + comment_lines(60) +
+             "L\tx\t+\tlost\t+\t0M\n",
+         "GFA parse error at line 2: unknown segment gone"},
+        {"S\tx\tA\nS\tbad\n" + comment_lines(60) + "S\tworse\n",
+         "GFA parse error at line 2: S record needs 3 fields"},
+        // A pass-1 error in the last window beats a pass-2 error in the first.
+        {"S\tx\tA\nL\tx\t+\tgone\t+\t0M\n" + comment_lines(60) + "S\tbad\n",
+         "GFA parse error at line 63: S record needs 3 fields"},
     };
     for (const auto& [gfa, want] : cases) {
         EXPECT_EQ(parse_error(gfa), want) << gfa;
+        for (const std::uint32_t windows : {1u, 2u, 7u}) {
+            EXPECT_EQ(parse_error(gfa, windows), want) << windows << " windows:\n" << gfa;
+        }
     }
+}
+
+TEST(GfaStream, TrailingCommaInPathKeepsItsStepCount) {
+    const std::string path = write_temp("pgl_trailing_comma.gfa",
+                                        "S\ts1\tACGT\nS\ts2\tAC\nP\tp1\ts1+,s2-,\t*\n");
+    for (const std::uint32_t windows : {1u, 2u}) {
+        const LeanIngest ing = graph::gfa_detail::ingest_gfa_file(path, windows);
+        ASSERT_EQ(ing.graph.path_count(), 1u) << windows << " windows";
+        EXPECT_EQ(ing.graph.total_path_steps(), 2u);
+        EXPECT_EQ(ing.graph.path_step_count(0), 2u);
+        EXPECT_EQ(ing.graph.step_node(0, 1), 1u);
+        EXPECT_TRUE(ing.graph.step_is_reverse(0, 1));
+        EXPECT_EQ(ing.graph.step_position(0, 1), 4u);
+        EXPECT_EQ(ing.graph.path_nuc_length(0), 6u);
+    }
+}
+
+// --- byte windows: the same graph, bytes and first error at every count ---
+
+TEST(GfaWindows, TestDataAndAWholeGenomeIngestAlikeInEveryWindowCount) {
+    int files = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(PGL_TEST_DATA_DIR)) {
+        if (entry.path().extension() != ".gfa") continue;
+        expect_window_parity(entry.path().string());
+        ++files;
+    }
+    EXPECT_GT(files, 0);
+
+    const std::string genome = ::testing::TempDir() + "/pgl_windows_genome.gfa";
+    graph::write_gfa_file(
+        workloads::generate_whole_genome(workloads::whole_genome_spec(3, 0.0002, 5)),
+        genome);
+    const LeanIngest ing = ingest_windows(genome, 1);
+    ASSERT_GT(ing.component_count, 1u);
+    expect_window_parity(genome);
+}
+
+TEST(GfaWindows, CrlfSplitAcrossAWindowCut) {
+    // Two halves of equal size, so the nominal cut of two windows falls
+    // between the '\r' and the '\n' of "S y TT".
+    const std::string a = "S\tx\tACGT\r\nS\ty\tTT\r", b = "\nP\tp\tx+,y-\t*\r\n";
+    const std::size_t half = std::max(a.size(), b.size()) + 3;
+    const std::string gfa = "#" + std::string(half - a.size() - 3, 'c') + "\r\n" + a + b +
+                            "#" + std::string(half - b.size() - 3, 'c') + "\r\n";
+    ASSERT_EQ(gfa.size(), 2 * half);
+    ASSERT_EQ(gfa[half - 1], '\r');
+    ASSERT_EQ(gfa[half], '\n');
+    const std::string path = write_temp("pgl_crlf_cut.gfa", gfa);
+    const LeanIngest ing = ingest_windows(path, 2);
+    EXPECT_EQ(ing.segment_names, (std::vector<std::string>{"x", "y"}));
+    EXPECT_EQ(ing.graph.node_length(1), 2u);  // no '\r' counted as a base
+    EXPECT_EQ(ing.graph.path_nuc_length(0), 6u);
+    expect_window_parity(path);
+}
+
+TEST(GfaWindows, PathAndWalkLinesLongerThanAWindow) {
+    const std::string gfa = long_lines_gfa();
+    const std::size_t w_at = gfa.find("\nW") + 1;
+    ASSERT_GT(gfa.size() - w_at, gfa.size() / 7);  // longer than a 7th of the file
+    ASSERT_GT(gfa.size() - w_at, kBlock);
+    expect_window_parity(write_temp("pgl_long_lines.gfa", gfa));
+}
+
+TEST(GfaWindows, MoreWindowsThanLinesNoFinalNewlineAndEmptyFiles) {
+    const std::string inputs[] = {
+        "S\ts1\tACGT\nS\ts2\tTT\nP\tp\ts1+,s2-\t*\n",  // 3 lines, up to 7 windows
+        "S\ts1\tACGT\nS\ts2\tTT\nP\tp\ts1+,s2-\t*",
+        "S\ts1\tACGT\nS\ts2\tTT\nP\tp\ts1+,s2-\t*\r",
+        "S\ts1\tACGT\nS\ts2\tTT\nL\ts1\t+\ts2\t+\t0M",
+        "",
+        "# nothing here\n#\n",
+        "\n\n",
+    };
+    for (const std::string& gfa : inputs) {
+        expect_window_parity(write_temp("pgl_small.gfa", gfa));
+    }
+    const LeanIngest ing = ingest_windows(write_temp("pgl_small.gfa", inputs[1]), 7);
+    EXPECT_EQ(ing.graph.path_step_count(0), 2u);
+}
+
+TEST(GfaWindows, DirectoryOrMissingPathThrowsRuntimeError) {
+    const std::string missing = "/nonexistent/x.gfa";
+    for (const std::string& path : {::testing::TempDir(), missing}) {
+        for (const std::uint32_t windows : {0u, 2u}) {
+            try {
+                ingest_windows(path, windows);
+                ADD_FAILURE() << path << " was read";
+            } catch (const std::runtime_error& e) {
+                EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
+TEST(GfaWindows, WindowCountFollowsCpusAndFileSize) {
+    using graph::gfa_detail::kMinWindowBytes;
+    using graph::gfa_detail::window_count;
+    const auto cpus = static_cast<std::uint32_t>(core::allowed_cpus_self().size());
+    EXPECT_EQ(window_count(0), 1u);
+    EXPECT_EQ(window_count(378'000), 1u);  // a small GFA is one window
+    EXPECT_EQ(window_count(kMinWindowBytes + 1), std::min(cpus, 2u));
+    EXPECT_EQ(window_count(27'000'000), std::min(cpus, 26u));
+}
+
+/// A random GFA laid out in `sections` sections of its own S, L, P and W
+/// records, in the shape of a per-thread union workload: the byte windows
+/// each take about one section, and a `cross_share` of the links and of
+/// the walk steps reach a node of another section, so their unions cross
+/// windows. Keeps the section of every node.
+struct SectionedGfa : RandomGfa {
+    std::vector<std::uint32_t> section;
+};
+
+SectionedGfa sectioned_gfa(std::uint64_t seed, std::uint32_t sections,
+                           double cross_share) {
+    rng::SplitMix64 rng(seed);
+    const auto below = [&](std::uint64_t n) { return rng.next() % n; };
+    const auto chance = [&](double p) {
+        return static_cast<double>(rng.next() >> 11) * 0x1.0p-53 < p;
+    };
+    SectionedGfa out;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> range(sections);  // [first, end)
+    for (std::uint32_t sec = 0; sec < sections; ++sec) {
+        range[sec].first = out.nodes;
+        out.nodes += 4 + static_cast<std::uint32_t>(below(28));
+        range[sec].second = out.nodes;
+        out.section.resize(out.nodes, sec);
+    }
+    const auto node_of = [&](std::uint32_t home) {
+        const auto& r = range[chance(cross_share) ? below(sections) : home];
+        return r.first + static_cast<std::uint32_t>(below(r.second - r.first));
+    };
+    for (std::uint32_t sec = 0; sec < sections; ++sec) {
+        for (std::uint32_t v = range[sec].first; v < range[sec].second; ++v) {
+            out.text += "S\tn" + std::to_string(v) + "\t" +
+                        std::string(1 + below(5), 'A') + "\n";
+        }
+        for (std::uint64_t k = below(range[sec].second - range[sec].first); k > 0; --k) {
+            const std::uint32_t u = node_of(sec), v = node_of(sec);
+            out.links.emplace_back(u, v);
+            out.text += "L\tn" + std::to_string(u) + "\t+\tn" + std::to_string(v) +
+                        "\t-\t0M\n";
+        }
+        for (std::uint64_t w = below(3); w > 0; --w) {
+            std::vector<graph::Handle> walk;
+            for (std::uint64_t i = 1 + below(12); i > 0; --i) {
+                walk.push_back(graph::Handle::make(node_of(sec), chance(0.3)));
+            }
+            out.text += "W\tw" + std::to_string(out.walks.size()) + "\t0\tchr\t*\t*\t";
+            for (const graph::Handle h : walk) {
+                out.text += (h.is_reverse() ? "<n" : ">n") + std::to_string(h.id());
+            }
+            out.text += "\n";
+            out.walks.push_back(std::move(walk));
+        }
+    }
+    return out;
+}
+
+TEST(GfaWindows, ComponentLabelsMatchBfsWithUnionsAcrossWindows) {
+    std::uint64_t seed = 0xC0FFEE;
+    int multi_component = 0, merged = 0;
+    for (const double cross : {0.0, 0.02, 0.1, 0.5}) {
+        for (int round = 0; round < 25; ++round) {
+            const std::uint32_t sections = 2 + static_cast<std::uint32_t>(round % 6);
+            const SectionedGfa g = sectioned_gfa(++seed, sections, cross);
+            const auto want = bfs_labels(g);
+            const std::string path = write_temp("pgl_sectioned.gfa", g.text);
+            const std::string want_bytes = pgg_bytes(ingest_windows(path, 1));
+            for (const std::uint32_t windows : {1u, 2u, 3u, sections, 7u}) {
+                const LeanIngest ing = ingest_windows(path, windows);
+                ASSERT_EQ(ing.component_count, want.count)
+                    << windows << " windows:\n" << g.text;
+                ASSERT_EQ(ing.node_component, want.node_component);
+                ASSERT_EQ(ing.path_component, want.path_component);
+                ASSERT_EQ(pgg_bytes(ing), want_bytes);
+            }
+            multi_component += want.count > 1;
+            // Some component holds nodes of two sections.
+            std::vector<std::uint32_t> home(want.count, sections);
+            bool joined = false;
+            for (std::uint32_t v = 0; v < g.nodes; ++v) {
+                std::uint32_t& h = home[want.node_component[v]];
+                if (h == sections) h = g.section[v];
+                joined |= h != g.section[v];
+            }
+            merged += joined;
+        }
+    }
+    // The generator exercises what it claims to: separate components, and
+    // sections joined across windows.
+    EXPECT_GT(multi_component, 50);
+    EXPECT_GT(merged, 20);
 }
 
 TEST(NameTable, DenseIdsAcrossGrowth) {
