@@ -3,8 +3,10 @@
 // odgi-layout's defaults as described in the paper: 30 iterations, cooling
 // in the second half, N_steps = 10 x (sum of path step counts) per
 // iteration.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,20 +56,6 @@ struct LayoutConfig {
     /// shard count, which fixes the output bytes.
     std::uint32_t threads = 1;
 
-    /// Pin pool workers to CPUs (stable worker -> cpu -> node map, see
-    /// core/topology.hpp). Execution-only like `numa` below (an execution
-    /// row of the field table in core/request.hpp), because placement
-    /// never changes the bytes of a run — the pinned-vs-unpinned
-    /// byte-identity ctests enforce it.
-    bool pin = false;
-
-    /// NUMA memory-placement policy for the coordinate store and shard
-    /// buffers: "off" (plain heap), "auto" (pages rotate over the nodes
-    /// hosting workers), "interleave" (over every node), "node:K" (one
-    /// node). Parsed by core::parse_numa_policy at engine init — an
-    /// invalid string throws there. Execution-only, like `pin`.
-    std::string numa = "off";
-
     /// PRNG seed; every run with the same seed and 1 thread is bit-exact.
     std::uint64_t seed = 9'399'220'614'123'047ULL;
 
@@ -105,10 +93,16 @@ struct LayoutConfig {
         return schedule_iter_max ? schedule_iter_max : iter_max;
     }
 
+    /// The product is clamped into the uint32_t range before it converts,
+    /// so no cooling_start is an undefined cast (NaN cools from the start).
     bool cooling(std::uint32_t iter) const noexcept {
-        return iter >= static_cast<std::uint32_t>(cooling_start * schedule_length());
+        constexpr double kMax = std::numeric_limits<std::uint32_t>::max();
+        const double at = cooling_start * schedule_length();
+        return iter >= static_cast<std::uint32_t>(at > 0.0 ? std::min(at, kMax)
+                                                           : 0.0);
     }
 
+    /// Engines check at init() that the product is below 2^64.
     std::uint64_t steps_per_iteration(std::uint64_t total_path_steps) const noexcept {
         const double s = steps_per_iter_factor * static_cast<double>(total_path_steps);
         return s < 1.0 ? 1 : static_cast<std::uint64_t>(s);

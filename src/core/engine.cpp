@@ -17,6 +17,13 @@ void LayoutEngine::init(const graph::LeanGraph& g, const LayoutConfig& cfg) {
         throw std::invalid_argument(
             "LayoutEngine::init: the graph has no path steps to sample");
     }
+    // steps_per_iteration() converts this product to uint64_t.
+    if (!(cfg.steps_per_iter_factor * static_cast<double>(g.total_path_steps()) <
+          0x1p64)) {
+        throw std::invalid_argument(
+            "LayoutEngine::init: steps_per_iter_factor x total path steps "
+            "must be below 2^64");
+    }
     graph_ = &g;
     cfg_ = cfg;
     do_init();

@@ -8,12 +8,11 @@
 // Fig. 9b), so one term touches one 16-byte record per endpoint instead of
 // an x line and a y line. core::Layout is a plain vector of them (metrics,
 // IO, rendering, stitching); XYStore holds the same records for the engines
-// in one heap vector or one NUMA-placed block, exposed as a raw float array
-// for the update kernels (core/kernels/) and through relaxed-atomic
-// accessors for the Hogwild apply's intentionally unsynchronized per-term
-// updates. Loading and snapshotting a store are one byte copy each. The
-// structure-of-arrays order survives only as the .lay on-disk format
-// (io/lay_io.cpp).
+// in one heap vector, exposed as a raw float array for the update kernels
+// (core/kernels/) and through relaxed-atomic accessors for the Hogwild
+// apply's intentionally unsynchronized per-term updates. Loading and
+// snapshotting a store are one byte copy each. The structure-of-arrays
+// order survives only as the .lay on-disk format (io/lay_io.cpp).
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/node_alloc.hpp"
 #include "graph/lean_graph.hpp"
 #include "rng/xoshiro256.hpp"
 
@@ -115,36 +113,18 @@ inline Layout make_initial_layout(const graph::LeanGraph& g,
 ///     floats, used by the Hogwild apply so its deliberate data races
 ///     stay defined behaviour.
 ///
-/// Storage is either a plain heap vector (the default) or one NUMA-placed
-/// block from a core::NodeAllocator (the load overload engines use when a
-/// --numa policy is active); every accessor runs off the same raw
-/// pointer, so the two are byte-indistinguishable to all consumers.
-/// Copying deep-copies the coordinates into heap storage — placement is an
-/// execution property of the run that produced the store, never of a copy.
+/// Storage is one heap vector, so copying and moving a store are the
+/// vector's own.
 class XYStore {
 public:
     XYStore() = default;
-    explicit XYStore(const Layout& init) { load(init); }
-
-    XYStore(XYStore&&) noexcept = default;
-    XYStore& operator=(XYStore&&) noexcept = default;
-    XYStore(const XYStore& o) { copy_from(o); }
-    XYStore& operator=(const XYStore& o) {
-        if (this != &o) copy_from(o);
-        return *this;
+    explicit XYStore(const Layout& init) : xy_(4 * init.size()) {
+        if (!init.empty()) {
+            std::memcpy(xy_.data(), init.data(), init.size() * sizeof(Segment));
+        }
     }
 
-    void load(const Layout& init) {
-        blk_ = PlacedBlock();
-        heap_.resize(4 * init.size());
-        fill(heap_.data(), init);
-    }
-
-    /// Placed storage: the record array comes from `alloc`, pages
-    /// first-touched per its placement policy (defined in node_alloc.cpp).
-    void load(const Layout& init, NodeAllocator& alloc);
-
-    std::size_t node_count() const noexcept { return nodes_; }
+    std::size_t node_count() const noexcept { return xy_.size() / 4; }
 
     /// Float index of an endpoint's x; its y is the next float.
     static std::size_t index(std::uint32_t node, End e) noexcept {
@@ -152,29 +132,31 @@ public:
                2 * static_cast<std::size_t>(e);
     }
 
-    float* data() noexcept { return p_; }
-    const float* data() const noexcept { return p_; }
+    float* data() noexcept { return xy_.data(); }
+    const float* data() const noexcept { return xy_.data(); }
 
     float load_x(std::uint32_t node, End e) const noexcept {
-        return std::atomic_ref<const float>(p_[index(node, e)])
+        return std::atomic_ref<const float>(xy_[index(node, e)])
             .load(std::memory_order_relaxed);
     }
     float load_y(std::uint32_t node, End e) const noexcept {
-        return std::atomic_ref<const float>(p_[index(node, e) + 1])
+        return std::atomic_ref<const float>(xy_[index(node, e) + 1])
             .load(std::memory_order_relaxed);
     }
     void store_x(std::uint32_t node, End e, float v) noexcept {
-        std::atomic_ref<float>(p_[index(node, e)])
+        std::atomic_ref<float>(xy_[index(node, e)])
             .store(v, std::memory_order_relaxed);
     }
     void store_y(std::uint32_t node, End e, float v) noexcept {
-        std::atomic_ref<float>(p_[index(node, e) + 1])
+        std::atomic_ref<float>(xy_[index(node, e) + 1])
             .store(v, std::memory_order_relaxed);
     }
 
     Layout snapshot() const {
-        Layout l(nodes_);
-        if (nodes_) std::memcpy(l.data(), p_, nodes_ * sizeof(Segment));
+        Layout l(node_count());
+        if (!l.empty()) {
+            std::memcpy(l.data(), xy_.data(), l.size() * sizeof(Segment));
+        }
         return l;
     }
 
@@ -182,22 +164,7 @@ private:
     // The records are kept as a plain float array and converted to and
     // from Layout's Segments by byte copies, so the kernels' float
     // indexing never walks a pointer across struct members.
-    void fill(float* p, const Layout& init) {
-        p_ = p;
-        nodes_ = init.size();
-        if (nodes_) std::memcpy(p_, init.data(), nodes_ * sizeof(Segment));
-    }
-    void copy_from(const XYStore& o) {
-        blk_ = PlacedBlock();
-        heap_.assign(o.p_, o.p_ + 4 * o.nodes_);
-        p_ = heap_.data();
-        nodes_ = o.nodes_;
-    }
-
-    std::vector<float> heap_;
-    PlacedBlock blk_;
-    float* p_ = nullptr;
-    std::size_t nodes_ = 0;
+    std::vector<float> xy_;
 };
 
 }  // namespace pgl::core

@@ -50,11 +50,9 @@
 
 #include "core/cpu_engine.hpp"
 #include "core/kernels/update_kernel.hpp"
-#include "core/node_alloc.hpp"
 #include "core/schedule.hpp"
 #include "core/term_batch.hpp"
 #include "core/thread_pool.hpp"
-#include "core/topology.hpp"
 #include "rng/xoshiro256.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -146,26 +144,18 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
     // bufs[(g + 1) % 2] while the caller applies slice g from bufs[g % 2].
     // Hogwild applies each slice before the next is planned, so it uses one
     // side. Each shard's batches are sized once for its largest slice
-    // (slice 0), so later resizes stay within the capacity. Any thread
-    // writes any shard's batch, so with pinned workers worker tid does the
-    // sizing of shard tid: that first touch commits the pages on the
-    // worker's node. Only the apply columns are sized (the six replay
-    // columns stay empty).
+    // (slice 0), so later resizes stay within the capacity. Only the apply
+    // columns are sized (the six replay columns stay empty).
     const std::size_t n_sides = hogwild ? 1 : 2;
     std::vector<TermBatch> bufs[2];
     const auto side_of = [&](std::uint64_t g) -> std::vector<TermBatch>& {
         return bufs[g % n_sides];
     };
-    for (std::size_t k = 0; k < n_sides; ++k) bufs[k].resize(n_shards);
-    const auto size_shard = [&](std::uint32_t tid) {
-        for (std::size_t k = 0; k < n_sides; ++k) {
+    for (std::size_t k = 0; k < n_sides; ++k) {
+        bufs[k].resize(n_shards);
+        for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
             bufs[k][tid].resize(take(tid, 0), false);
         }
-    };
-    if (pool.pinning_requested()) {
-        pool.run(size_shard);
-    } else {
-        for (std::uint32_t tid = 0; tid < n_shards; ++tid) size_shard(tid);
     }
 
     // The blocks of the slice being sampled, and the counter that hands
@@ -311,21 +301,16 @@ public:
 
 protected:
     void do_init() override {
-        // Resolving the kernel here also validates cfg.kernel up front
-        // (resolve_placement does the same for cfg.numa).
+        // Resolving the kernel here also validates cfg.kernel up front.
         kernel_ = make_update_kernel(cfg_.kernel);
         // There is always at least one pool worker, so even a
         // single-threaded config samples on two threads while the caller
-        // also applies. Workers persist across run() calls — nothing is spawned
-        // in the iteration loop. The pool is recreated when the placement
-        // plan changes, not just the size: live workers cannot be
-        // repinned.
+        // also applies. Workers persist across run() calls — nothing is
+        // spawned in the iteration loop — and the pool is rebuilt only when
+        // its size changes.
         const std::uint32_t n = std::max<std::uint32_t>(1, cfg_.threads);
-        place_ = resolve_placement(cfg_, n);
-        const std::string key = place_.key();
-        if (!pool_ || pool_->size() != n || pool_key_ != key) {
-            pool_ = std::make_unique<ThreadPool>(n, place_.plan);
-            pool_key_ = key;
+        if (!pool_ || pool_->size() != n) {
+            pool_ = std::make_unique<ThreadPool>(n);
         }
     }
 
@@ -335,13 +320,7 @@ protected:
         if (has_progress_hook()) {
             hook = [this](const IterationStats& s) { emit_progress(s); };
         }
-        XYStore s;
-        if (place_.memory_active()) {
-            NodeAllocator alloc(place_, *pool_);
-            s.load(initial, alloc);
-        } else {
-            s.load(initial);
-        }
+        XYStore s(initial);
         return run_blocks(*graph_, cfg, s, *kernel_, *pool_, policy_, hook);
     }
 
@@ -350,8 +329,6 @@ private:
     ApplyPolicy policy_;
     std::unique_ptr<const UpdateKernel> kernel_;
     std::unique_ptr<ThreadPool> pool_;
-    PlacementContext place_;
-    std::string pool_key_;
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <system_error>
@@ -10,7 +11,6 @@
 
 #include "core/engine.hpp"
 #include "core/kernels/update_kernel.hpp"
-#include "core/topology.hpp"
 #include "partition/scheduler.hpp"
 
 namespace pgl::core {
@@ -142,13 +142,6 @@ constexpr RequestField kFields[] = {
         .wire = "exact_tail", .flag = "--exact-tail",
         .help = "refine with the flat schedule's own tail temperatures",
         .gate = "multilevel"}),
-    row<&R::config, &C::pin>({.key = "pin", .wire = "pin", .flag = "--pin",
-        .help = "pin pool workers to CPUs (never changes the bytes)",
-        .kind = kExec}),
-    row<&R::config, &C::numa>({.key = "numa", .wire = "numa",
-        .flag = "--numa", .metavar = " MODE",
-        .help = "NUMA placement: off (default), auto, interleave, node:K",
-        .kind = kExec}),
     row<&R::component_workers>({.key = "component_workers",
         .wire = "component_workers", .flag = "--component-workers",
         .metavar = " N",
@@ -333,16 +326,15 @@ void validate(const LayoutRequest& r, Spelling spelling) {
     } catch (const std::exception& e) {
         fail("executor", e.what());
     }
-    try {
-        parse_numa_policy(r.config.numa);
-    } catch (const std::exception& e) {
-        fail("numa", e.what());
-    }
     if (r.processes == 0) need("processes", "N >= 1");
     if (r.multilevel && r.ml.levels == 0) need("multilevel", "LEVELS >= 1");
 
     const LayoutRequest defaults;
     for (const RequestField& f : kFields) {
+        if (f.type == FieldType::kDouble &&
+            !std::isfinite(std::get<double>(f.get(r)))) {
+            fail(f.key, "expected a finite number");
+        }
         if (!gate_open(f, r) && f.get(r) != f.get(defaults)) {
             need(f.key, label(f.gate));
         }

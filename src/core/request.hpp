@@ -116,10 +116,10 @@ enum class Spelling : std::uint8_t {
 
 /// The one check of a whole request, run by every entry point (both CLIs,
 /// the server's submit and wire parse, the worker-spec parse): registered
-/// backend, kernel and executor names, a valid NUMA policy, at least one
-/// process and one multilevel level, and no non-default gated field
-/// while its switch is off. Throws std::runtime_error naming the field in
-/// `spelling`.
+/// backend, kernel and executor names, finite values in every double
+/// row, at least one process and one multilevel level, and no non-default
+/// gated field while its switch is off. Throws std::runtime_error naming
+/// the field in `spelling`.
 void validate(const LayoutRequest& r, Spelling spelling);
 
 /// Applies the layout flag at argv[i] — and its value, advancing i — to

@@ -1,20 +1,34 @@
 #include "core/thread_pool.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <iostream>
 
 #if defined(__linux__)
-#include <pthread.h>
 #include <sched.h>
 #endif
 
 namespace pgl::core {
 
-ThreadPool::ThreadPool(std::uint32_t n_threads, WorkerPlacement placement)
-    : placement_(std::move(placement)),
-      dispatches_(telemetry::Registry::instance().counter("pool.dispatches")),
-      pin_failures_(
-          telemetry::Registry::instance().counter("pool.pin.failures")),
+std::vector<std::uint32_t> allowed_cpus_self() {
+    std::vector<std::uint32_t> cpus;
+#if defined(__linux__)
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) == 0) {
+        for (std::uint32_t c = 0; c < CPU_SETSIZE; ++c) {
+            if (CPU_ISSET(c, &set)) cpus.push_back(c);
+        }
+    }
+#endif
+    if (cpus.empty()) {
+        const unsigned hc = std::max(1u, std::thread::hardware_concurrency());
+        for (std::uint32_t c = 0; c < hc; ++c) cpus.push_back(c);
+    }
+    return cpus;
+}
+
+ThreadPool::ThreadPool(std::uint32_t n_threads)
+    : dispatches_(telemetry::Registry::instance().counter("pool.dispatches")),
       dispatch_wait_(
           telemetry::Registry::instance().histogram("pool.dispatch_wait_ns")),
       barrier_wait_(
@@ -25,30 +39,7 @@ ThreadPool::ThreadPool(std::uint32_t n_threads, WorkerPlacement placement)
     }
 }
 
-void ThreadPool::pin_self(std::uint32_t tid) {
-    if (tid >= placement_.slots.size()) return;
-    const std::uint32_t cpu = placement_.slots[tid].cpu;
-    bool ok = false;
-#if defined(__linux__)
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(cpu, &set);
-    ok = pthread_setaffinity_np(pthread_self(), sizeof set, &set) == 0;
-#endif
-    if (ok) return;
-    // Best-effort contract: a restricted cpuset (cgroup, container) or a
-    // non-Linux host must never abort a run — this worker simply stays
-    // unpinned. Placement then degrades but bytes are unaffected.
-    pin_failures_.add(1);
-    std::call_once(pin_warned_, [&] {
-        std::cerr << "pgl: warning: failed to pin pool worker " << tid
-                  << " to cpu " << cpu
-                  << " (restricted cpuset?); continuing unpinned\n";
-    });
-}
-
 void ThreadPool::worker_loop(std::uint32_t tid) {
-    pin_self(tid);
     std::uint64_t seen_generation = 0;
     for (;;) {
         std::unique_lock<std::mutex> lock(mutex_);

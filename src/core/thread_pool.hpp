@@ -16,14 +16,8 @@
 // the job inline on the caller as tid 0, so single-threaded configurations
 // pay no synchronization cost and run the same loop as every thread count.
 //
-// Workers may optionally be pinned to CPUs via a WorkerPlacement (see
-// core/topology.hpp): each worker pins itself before picking up its first
-// job, giving a stable worker -> cpu -> node map that node-local
-// allocation (core::NodeAllocator) and first-touch buffer warm-ups build
-// on. Pinning is best-effort by contract: a failed set-affinity (CPU
-// outside the cgroup cpuset, non-Linux host) logs one warning, counts
-// `pool.pin.failures`, and the worker continues unpinned — a run is never
-// aborted, and the computed bytes are identical either way.
+// Workers are not pinned to CPUs. allowed_cpus_self() bounds the driver's
+// --threads, ingest's window count and the component loop's workers.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -33,10 +27,14 @@
 #include <thread>
 #include <vector>
 
-#include "core/topology.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace pgl::core {
+
+/// The calling thread's allowed CPUs (sched_getaffinity), sorted. Falls back
+/// to {0 .. hardware_concurrency-1} when the syscall is unavailable; never
+/// returns an empty list on a working machine.
+std::vector<std::uint32_t> allowed_cpus_self();
 
 /// Exact per-shard share of an iteration's N_steps: the remainder goes to
 /// the first shards, so the shares sum to n_steps (no rounding up — the
@@ -55,12 +53,7 @@ public:
     using Job = std::function<void(std::uint32_t)>;
 
     /// Spawns `n_threads` persistent workers (0 = inline execution).
-    explicit ThreadPool(std::uint32_t n_threads)
-        : ThreadPool(n_threads, WorkerPlacement{}) {}
-
-    /// Same, pinning worker tid to placement.slots[tid].cpu (best-effort;
-    /// workers without a slot, and an empty placement, run unpinned).
-    ThreadPool(std::uint32_t n_threads, WorkerPlacement placement);
+    explicit ThreadPool(std::uint32_t n_threads);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
@@ -68,17 +61,6 @@ public:
 
     std::uint32_t size() const noexcept {
         return static_cast<std::uint32_t>(workers_.size());
-    }
-
-    /// Topology node index worker `tid` was planned onto (0 when the pool
-    /// is unpinned or tid has no slot). The map is fixed at construction —
-    /// valid even if the actual pinning failed.
-    std::uint32_t worker_node(std::uint32_t tid) const noexcept {
-        return tid < placement_.slots.size() ? placement_.slots[tid].node : 0;
-    }
-
-    bool pinning_requested() const noexcept {
-        return !placement_.slots.empty();
     }
 
     /// Starts job(tid) on every worker and returns immediately. Exactly one
@@ -106,11 +88,8 @@ private:
     static constexpr std::chrono::microseconds kDispatchSpin{250};
 
     void worker_loop(std::uint32_t tid);
-    void pin_self(std::uint32_t tid);
     void spin_for_dispatch(std::uint64_t seen) const noexcept;
 
-    WorkerPlacement placement_;
-    std::once_flag pin_warned_;
     std::vector<std::thread> workers_;
     std::mutex mutex_;
     std::condition_variable cv_work_;
@@ -127,7 +106,6 @@ private:
     // `pool.dispatch_wait_ns` = launch-to-worker-pickup latency per worker;
     // `pool.barrier_wait_ns` = time the caller blocks in wait().
     telemetry::Counter dispatches_;
-    telemetry::Counter pin_failures_;
     telemetry::Histogram dispatch_wait_;
     telemetry::Histogram barrier_wait_;
     std::uint64_t launch_ns_ = 0;  ///< guarded by mutex_

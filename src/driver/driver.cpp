@@ -5,7 +5,7 @@
 #include <sstream>
 #include <utility>
 
-#include "core/topology.hpp"
+#include "core/thread_pool.hpp"
 #include "draw/ppm.hpp"
 #include "draw/svg.hpp"
 #include "io/lay_io.hpp"

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/thread_pool.hpp"
-#include "core/topology.hpp"
 #include "core/union_find.hpp"
 #include "graph/gfa_util.hpp"
 

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string_view>
 
 #include "core/thread_pool.hpp"
-#include "core/topology.hpp"
 #include "multilevel/multilevel.hpp"
 #include "partition/executor.hpp"
 #include "rng/splitmix64.hpp"
@@ -80,15 +78,18 @@ std::vector<core::LayoutResult> run_components(const Decomposition& d,
         in_process ? ComponentStep(run_component) : make_worker_step(opt);
     const std::uint32_t want =
         in_process ? opt.component_workers : opt.processes;
-    // A pool of size 0 runs the loop inline on the caller.
-    const std::uint32_t n_workers = want <= 1 ? 0 : std::min(want, n);
-    const core::PlacementContext place =
-        in_process ? core::resolve_placement(opt.config, n_workers)
-                   : core::PlacementContext{};
+    // A pool of size 0 runs the loop inline on the caller. Workers are
+    // bounded by the components and by the allowed CPUs, so a request
+    // cannot start one thread or child process per component.
+    const std::uint32_t cpus =
+        static_cast<std::uint32_t>(core::allowed_cpus_self().size());
+    const std::uint32_t n_workers =
+        want <= 1 ? 0 : std::min({want, n, cpus});
 
-    // Largest-first (LPT) order; ties broken by component id so the queue
-    // order — though not the results, which land in id-indexed slots — is
-    // deterministic too.
+    // One queue in largest-first (LPT) order; ties broken by component id
+    // so the queue order — though not the results, which land in
+    // id-indexed slots — is deterministic too. Which worker runs which
+    // component never changes its bytes.
     std::vector<std::uint32_t> order(n);
     std::iota(order.begin(), order.end(), 0u);
     std::stable_sort(order.begin(), order.end(),
@@ -97,72 +98,21 @@ std::vector<core::LayoutResult> run_components(const Decomposition& d,
                                 d.components[b].graph.node_count();
                      });
 
-    // One queue, or with an active placement on a multi-node topology one
-    // queue per node: walking the largest-first order, each component goes
-    // whole to the least-loaded node (ties -> lowest index, load in graph
-    // nodes). A pinned worker drains its own node's queue first and steals
-    // across nodes only when it runs dry. Which worker runs which
-    // component never changes its bytes.
-    const std::uint32_t n_queues =
-        place.active() && place.topo && n_workers > 1
-            ? place.topo->node_count()
-            : 1;
-    std::vector<std::vector<std::uint32_t>> queues(n_queues);
-    std::vector<std::uint64_t> load(n_queues, 0);
-    for (const std::uint32_t c : order) {
-        std::uint32_t best = 0;
-        for (std::uint32_t k = 1; k < n_queues; ++k) {
-            if (load[k] < load[best]) best = k;
-        }
-        queues[best].push_back(c);
-        load[best] += d.components[c].graph.node_count();
-    }
-
-    // A component engine placed with its node: override the memory policy
-    // to the assigned node for the spreading policies, so its store, shard
-    // buffers and workers all stay on one node. An explicit node:K request
-    // is respected as-is, and pin-without-numa keeps memory placement off
-    // (the pinned worker's first touch is already node-local for
-    // single-threaded component engines). numa is execution-only, so the
-    // override can never change bytes.
-    std::vector<SchedulerOptions> queue_opt(n_queues, opt);
-    if (n_queues > 1 && (place.policy.mode == core::NumaMode::kAuto ||
-                         place.policy.mode == core::NumaMode::kInterleave)) {
-        for (std::uint32_t k = 0; k < n_queues; ++k) {
-            queue_opt[k].config.numa = "node:" + std::to_string(k);
-        }
-    }
-
-    auto heads = std::make_unique<std::atomic<std::uint32_t>[]>(n_queues);
+    std::atomic<std::uint32_t> head{0};
     std::atomic<std::uint32_t> completed{0};
     std::mutex mutex;  // serializes the hook and the failure list
     std::vector<std::string> failures;
 
-    const auto work = [&](std::uint32_t tid) {
-        const std::uint32_t home =
-            (tid < place.plan.slots.size() ? place.plan.slots[tid].node
-                                           : tid) %
-            n_queues;
+    const auto work = [&](std::uint32_t) {
         for (;;) {
-            std::uint32_t c = n;  // sentinel: nothing left anywhere
-            std::uint32_t src = home;
-            for (std::uint32_t off = 0; off < n_queues; ++off) {
-                const std::uint32_t q = (home + off) % n_queues;
-                const std::uint32_t k =
-                    heads[q].fetch_add(1, std::memory_order_relaxed);
-                // Overshooting an exhausted queue just leaves its head past
-                // the end — harmless.
-                if (k < queues[q].size()) {
-                    c = queues[q][k];
-                    src = q;
-                    break;
-                }
-            }
-            if (c >= n) return;
+            const std::uint32_t k =
+                head.fetch_add(1, std::memory_order_relaxed);
+            if (k >= n) return;
+            const std::uint32_t c = order[k];
 
             std::string error;
             try {
-                results[c] = step(d.components[c], c, queue_opt[src]);
+                results[c] = step(d.components[c], c, opt);
             } catch (const std::exception& e) {
                 error = e.what();
             }
@@ -185,7 +135,7 @@ std::vector<core::LayoutResult> run_components(const Decomposition& d,
         }
     };
 
-    core::ThreadPool pool(n_workers, place.plan);
+    core::ThreadPool pool(n_workers);
     pool.run(work);
 
     if (!failures.empty()) {

@@ -87,7 +87,9 @@ core::LayoutResult run_component(const ComponentSubgraph& component,
                                  const SchedulerOptions& opt);
 
 /// Lays out every component of `d` under `opt` and returns one
-/// LayoutResult per component, indexed by component id. `hook` (may be
+/// LayoutResult per component, indexed by component id, on at most
+/// min(workers, components, allowed CPUs) threads or child processes,
+/// where workers is `component_workers` or `processes`. `hook` (may be
 /// empty) is called once per finished component, serialized, on the
 /// thread that ran it. Throws std::invalid_argument for an unknown
 /// executor before any component runs, and std::runtime_error naming

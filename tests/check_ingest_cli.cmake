@@ -11,6 +11,11 @@
 #   4. `--timing` on a flat run lists only the stages that ran (no
 #      coarsen, refine or stitch line). In a -DPGL_TELEMETRY=OFF build it
 #      prints the compiled-out line and the total, and no stage line.
+#   5. A non-finite --factor exits 2 naming the flag, and a finite factor
+#      whose update count does not fit 64 bits fails the run instead of
+#      hanging or running "0 updates".
+#   6. --pin and --numa (worker pinning, NUMA placement) are unknown
+#      options.
 #
 # Expects -DTOOL=<pgl_layout> -DGENERATOR=<whole_genome_layout>
 #         -DDATA=<tests/data dir> -DWORKDIR=<scratch dir>
@@ -155,3 +160,42 @@ else()
   endif()
   message(STATUS "--timing without telemetry prints only the total")
 endif()
+
+# --- 5. non-finite and oversized --factor ---------------------------------
+foreach(factor nan inf -inf)
+  execute_process(
+    COMMAND ${TOOL} -i ${DATA}/walks_crlf.gfa -o ${WORKDIR}/bad_factor.lay
+            --iters 3 --factor ${factor}
+    TIMEOUT 20
+    RESULT_VARIABLE rc ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "--factor: expected a finite number")
+    message(FATAL_ERROR
+        "--factor ${factor}: want exit 2 naming the flag, got ${rc}: ${err}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND ${TOOL} -i ${DATA}/walks_crlf.gfa -o ${WORKDIR}/big_factor.lay
+          --iters 3 --factor 1e300
+  TIMEOUT 20
+  RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "must be below 2\\^64")
+  message(FATAL_ERROR "--factor 1e300: want exit 1, got ${rc}: ${err}")
+endif()
+if(EXISTS "${WORKDIR}/bad_factor.lay" OR EXISTS "${WORKDIR}/big_factor.lay")
+  message(FATAL_ERROR "a rejected --factor still wrote a layout")
+endif()
+message(STATUS "non-finite and oversized --factor rejected")
+
+# --- 6. --pin and --numa are unknown --------------------------------------
+foreach(removed "--pin" "--numa|auto")
+  string(REPLACE "|" ";" removed_list "${removed}")
+  list(GET removed_list 0 flag)
+  execute_process(
+    COMMAND ${TOOL} -i ${DATA}/walks_crlf.gfa -o ${WORKDIR}/placed.lay
+            ${removed_list}
+    RESULT_VARIABLE rc ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown option: ${flag}")
+    message(FATAL_ERROR "${flag}: want exit 2 as unknown, got ${rc}: ${err}")
+  endif()
+endforeach()
+message(STATUS "--pin and --numa are unknown options")

@@ -245,8 +245,6 @@ TEST(WorkerSpec, RoundTripsFlatOptions) {
     opt.config.iter_max = 9;
     opt.config.steps_per_iter_factor = 0.75;
     opt.config.threads = 3;
-    opt.config.pin = true;
-    opt.config.numa = "node:1";
     opt.config.seed = 123;  // pre-mix; the spec carries the mixed seed
     const std::uint64_t mixed = partition::component_seed(123, 2);
 
@@ -257,8 +255,6 @@ TEST(WorkerSpec, RoundTripsFlatOptions) {
     EXPECT_EQ(parsed.config.iter_max, 9u);
     EXPECT_EQ(parsed.config.steps_per_iter_factor, 0.75);
     EXPECT_EQ(parsed.config.threads, 3u);
-    EXPECT_TRUE(parsed.config.pin);
-    EXPECT_EQ(parsed.config.numa, "node:1");
     EXPECT_EQ(parsed.config.seed, mixed);
     EXPECT_FALSE(parsed.multilevel);
     // A worker lays out exactly one component in-process.

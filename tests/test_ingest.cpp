@@ -18,7 +18,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/topology.hpp"
+#include "core/thread_pool.hpp"
 #include "graph/gfa.hpp"
 #include "graph/gfa_stream.hpp"
 #include "graph/gfa_util.hpp"

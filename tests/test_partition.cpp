@@ -5,14 +5,20 @@
 // per-component runs modulo the deterministic stitch translation.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/request.hpp"
+#include "core/thread_pool.hpp"
 #include "partition/executor.hpp"
 #include "partition/partition.hpp"
 #include "workloads/synthetic.hpp"
@@ -341,6 +347,47 @@ TEST(Scheduler, ProgressHookSeesEveryComponent) {
     layout_vg(vg, popt);
     EXPECT_EQ(seen.size(), 3u);
     EXPECT_EQ(max_completed, 3u);
+}
+
+TEST(Scheduler, WorkersAreBoundedByTheAllowedCpus) {
+    // A segments-only graph is one component per node. Asking for a worker
+    // per component must still start no more workers than allowed CPUs.
+    // The calling thread is narrowed to at most two CPUs first, so the
+    // request stays small (at most six components and workers) on any host.
+    const std::vector<std::uint32_t> all = core::allowed_cpus_self();
+    cpu_set_t narrow;
+    CPU_ZERO(&narrow);
+    for (std::size_t k = 0; k < std::min<std::size_t>(2, all.size()); ++k) {
+        CPU_SET(all[k], &narrow);
+    }
+    ASSERT_EQ(sched_setaffinity(0, sizeof narrow, &narrow), 0);
+    const auto allowed =
+        static_cast<std::uint32_t>(core::allowed_cpus_self().size());
+
+    graph::VariationGraph vg;
+    for (std::uint32_t i = 0; i < allowed + 4; ++i) vg.add_node("ACGT");
+    const auto d = decompose_vg(vg);
+    partition::SchedulerOptions opt;
+    opt.config = quick_config();
+    opt.partition = true;
+    opt.component_workers = allowed + 4;
+    std::set<std::thread::id> workers;
+    const auto results = partition::run_components(
+        d, opt, [&](const partition::ComponentProgress&) {
+            // Holding the (serialized) hook lets every other worker claim
+            // a component meanwhile.
+            workers.insert(std::this_thread::get_id());
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        });
+
+    cpu_set_t restore;
+    CPU_ZERO(&restore);
+    for (const std::uint32_t c : all) CPU_SET(c, &restore);
+    ASSERT_EQ(sched_setaffinity(0, sizeof restore, &restore), 0);
+    ASSERT_EQ(d.count(), allowed + 4);
+    EXPECT_EQ(results.size(), allowed + 4);
+    EXPECT_GE(workers.size(), 1u);
+    EXPECT_LE(workers.size(), allowed);
 }
 
 TEST(Scheduler, PathlessComponentGetsDeterministicFallback) {

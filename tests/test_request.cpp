@@ -7,6 +7,7 @@
 // the same invalid requests.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -61,8 +62,6 @@ std::vector<PinnedKey> pinned_keys() {
         r.component_workers = 3;
         r.executor = "process";
         r.processes = 2;
-        r.config.pin = true;
-        r.config.numa = "interleave";
         out.push_back({"partition", r,
                        "epoch=2;"
                        "backend=cpu-soa;cooling_start=0.5;eps=0.01;eta_max=0;"
@@ -176,7 +175,6 @@ core::FieldValue other_value(const core::RequestField& f,
     static const std::map<std::string_view, std::string> kStrings = {
         {"backend", "cpu-pipelined"},
         {"kernel", "simd"},
-        {"numa", "interleave"},
         {"executor", "process"},
     };
     const auto it = kStrings.find(f.key);
@@ -331,6 +329,76 @@ TEST(RequestValidate, WireRejectsWhatTheCommandLineRejects) {
     EXPECT_NE(wire_error(R"({"iters":4294967296})").find("config.iters"),
               std::string::npos);
     EXPECT_EQ(wire_error(R"({"multilevel":0,"partition":true})"), "");
+}
+
+/// The error message of validating `r` in `spelling`.
+std::string validate_error(const core::LayoutRequest& r,
+                           core::Spelling spelling) {
+    try {
+        core::validate(r, spelling);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(RequestValidate, EveryDoubleRowRejectsNonFiniteValues) {
+    const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()};
+    for (const core::RequestField& f : core::request_fields()) {
+        if (f.type != core::FieldType::kDouble) continue;
+        for (const double v : bad) {
+            core::LayoutRequest r = all_gates_open();
+            f.set(r, v);
+            EXPECT_EQ(validate_error(r, core::Spelling::kKey),
+                      std::string(f.key) + ": expected a finite number")
+                << f.key << " = " << v;
+            EXPECT_EQ(validate_error(r, core::Spelling::kWire),
+                      "config." + std::string(f.wire) +
+                          ": expected a finite number")
+                << f.key << " = " << v;
+        }
+    }
+}
+
+TEST(RequestValidate, NonFiniteFlagIsRejectedByName) {
+    for (const char* text : {"nan", "inf", "-inf"}) {
+        std::string flag = "--factor";
+        std::string value = text;
+        char* argv[] = {flag.data(), flag.data(), value.data()};
+        core::LayoutRequest r;
+        int i = 1;
+        ASSERT_TRUE(core::parse_flag(3, argv, i, r)) << text;
+        EXPECT_EQ(validate_error(r, core::Spelling::kFlag),
+                  "--factor: expected a finite number")
+            << text;
+    }
+}
+
+TEST(RequestValidate, NonFiniteWorkerSpecKeyIsRejectedByName) {
+    try {
+        core::parse_worker_spec("backend=cpu-soa;cooling_start=nan;");
+        FAIL() << "expected a non-finite rejection";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "cooling_start: expected a finite number");
+    }
+}
+
+TEST(RequestValidate, OversizedWireCoolingStartConvertsWithoutOverflow) {
+    // JSON has no NaN or infinity, but a finite 1e300 passes validation;
+    // cooling() clamps the product into range before it converts.
+    const serve::JobRequest r = serve::parse_request(serve::json_parse(
+        R"({"graph":"g","config":{"cooling_start":1e300,"iters":4}})"));
+    EXPECT_FALSE(r.config.cooling(0));
+    EXPECT_FALSE(r.config.cooling(3));
+    core::LayoutConfig cfg;
+    cfg.iter_max = 4;
+    cfg.cooling_start = -1e300;
+    EXPECT_TRUE(cfg.cooling(0));
+    cfg.cooling_start = 0.5;
+    EXPECT_FALSE(cfg.cooling(1));
+    EXPECT_TRUE(cfg.cooling(2));
 }
 
 TEST(RequestValidate, FlagsNameTheFlag) {

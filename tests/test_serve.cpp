@@ -185,13 +185,6 @@ TEST(ServeRequest, ExecutionOnlyKnobsDoNotChangeTheKey) {
             R"({"graph":"g","config":{"partition":true,)"
             R"("executor":"process","processes":4}})")));
     EXPECT_EQ(a, c);
-    // And for placement: pinning and NUMA policy move pages and workers,
-    // never a float, so a pinned request shares the unpinned cache entry.
-    const std::string d =
-        serve::canonical_request(serve::parse_request(serve::json_parse(
-            R"({"graph":"g","config":{"partition":true,)"
-            R"("pin":true,"numa":"interleave"}})")));
-    EXPECT_EQ(a, d);
 }
 
 TEST(ServeRequest, ExecutorKnobsParseAndRoundTripTheWire) {
@@ -209,23 +202,18 @@ TEST(ServeRequest, ExecutorKnobsParseAndRoundTripTheWire) {
     EXPECT_EQ(serve::canonical_request(back), serve::canonical_request(r));
 }
 
-TEST(ServeRequest, PlacementKnobsRideTheWireAndRejectBadPolicy) {
-    const serve::JobRequest r = serve::parse_request(serve::json_parse(
-        R"({"graph":"g","config":{"pin":true,"numa":"node:2","seed":41}})"));
-    EXPECT_TRUE(r.config.pin);
-    EXPECT_EQ(r.config.numa, "node:2");
-    const serve::JobRequest back =
-        serve::parse_request(serve::request_to_json(r));
-    EXPECT_TRUE(back.config.pin);
-    EXPECT_EQ(back.config.numa, "node:2");
-    // A malformed policy fails the submit, tagged with its config key.
-    try {
-        serve::parse_request(serve::json_parse(
-            R"({"graph":"g","config":{"numa":"bogus"}})"));
-        FAIL() << "expected rejection of numa=bogus";
-    } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("config.numa"), std::string::npos)
-            << e.what();
+TEST(ServeRequest, PlacementKeysAreUnknown) {
+    // Worker pinning and NUMA placement are not request fields.
+    for (const char* config : {R"({"numa":"auto"})", R"({"pin":true})"}) {
+        try {
+            serve::parse_request(serve::json_parse(
+                std::string(R"({"graph":"g","config":)") + config + "}"));
+            FAIL() << "expected rejection of " << config;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("unknown config key"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

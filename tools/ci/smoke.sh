@@ -14,9 +14,6 @@
 #   telemetry   --trace writes valid JSON with nonzero engine counters
 #   multiprocess  --processes matches the in-process run byte for byte,
 #                 and a crashed worker fails loudly without stale output
-#   numa        --pin / --numa placement never changes the bytes: pinned,
-#               interleaved, node-bound and partitioned-placed runs all
-#               byte-compare equal to the plain run
 #
 # The listing contract is strict on purpose: an empty or failing
 # `--list-backends` / `--list-kernels` fails the suite, never silently
@@ -25,7 +22,7 @@ set -euo pipefail
 
 if [ $# -lt 2 ]; then
     echo "usage: $0 BUILD_DIR SUITE [SUITE...]" >&2
-    echo "suites: backends kernels ingest multilevel telemetry multiprocess numa" >&2
+    echo "suites: backends kernels ingest multilevel telemetry multiprocess" >&2
     exit 2
 fi
 
@@ -246,43 +243,6 @@ suite_multiprocess() {
     echo "crash containment OK: parent failed, no output published"
 }
 
-suite_numa() {
-    # The placement guardrail end to end through the CLI: a fixed
-    # (seed, threads) run must be byte-identical with pinning and NUMA
-    # placement on, off, or any mix — on this runner's topology, whatever
-    # it is (1-node machines exercise the degenerate paths, which must be
-    # no-ops byte-wise too).
-    ensure_genome
-    local common="-i ${GENOME} --backend cpu-pipelined --threads 2 \
-                  --iters 3 --factor 0.5"
-    "${PGL}" ${common} -o "${WORKDIR}/numa_base.lay"
-    "${PGL}" ${common} -o "${WORKDIR}/numa_pin.lay" --pin --numa auto --timing
-    cmp "${WORKDIR}/numa_base.lay" "${WORKDIR}/numa_pin.lay"
-    echo "--pin --numa auto is byte-identical to the plain run"
-    "${PGL}" ${common} -o "${WORKDIR}/numa_off.lay" --numa off
-    cmp "${WORKDIR}/numa_base.lay" "${WORKDIR}/numa_off.lay"
-    echo "--numa off is a byte-exact no-op"
-    "${PGL}" ${common} -o "${WORKDIR}/numa_node.lay" --pin --numa node:0
-    cmp "${WORKDIR}/numa_base.lay" "${WORKDIR}/numa_node.lay"
-    echo "--pin --numa node:0 is byte-identical to the plain run"
-    # Partitioned: node-scheduled components must stitch the same canvas.
-    "${PGL}" -i "${GENOME}" -o "${WORKDIR}/numa_part_base.lay" \
-        --partition --component-workers 2 --iters 3 --factor 0.5
-    "${PGL}" -i "${GENOME}" -o "${WORKDIR}/numa_part_pin.lay" \
-        --partition --component-workers 2 --iters 3 --factor 0.5 \
-        --pin --numa interleave
-    cmp "${WORKDIR}/numa_part_base.lay" "${WORKDIR}/numa_part_pin.lay"
-    echo "partitioned --pin --numa interleave is byte-identical"
-    # A malformed policy must be rejected at the flag, not mid-run.
-    if "${PGL}" ${common} -o "${WORKDIR}/numa_bad.lay" --numa bogus \
-        2> "${WORKDIR}/numa_bad.err"; then
-        echo "--numa bogus was not rejected" >&2
-        exit 1
-    fi
-    grep -q "invalid numa policy" "${WORKDIR}/numa_bad.err"
-    echo "malformed --numa rejected with a diagnostic"
-}
-
 for suite in "$@"; do
     case "${suite}" in
         backends) suite_backends ;;
@@ -291,7 +251,6 @@ for suite in "$@"; do
         multilevel) suite_multilevel ;;
         telemetry) suite_telemetry ;;
         multiprocess) suite_multiprocess ;;
-        numa) suite_numa ;;
         *)
             echo "unknown suite: ${suite}" >&2
             exit 2
