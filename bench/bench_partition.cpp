@@ -1,7 +1,8 @@
-// Partitioned whole-genome layout bench: decomposes a multi-component
-// synthetic genome (workloads::whole_genome_spec), lays every component out
-// through partition::run_components and stitches one canvas, reporting
-// per-component and end-to-end numbers. The scheduler-worker sweep shows
+// Partitioned whole-genome layout bench: times partition::partition_layout
+// on a multi-component synthetic genome (workloads::whole_genome_spec) —
+// the remap, every component's just-in-time subgraph build and layout
+// through partition::run_components, and the stitch of one canvas, exactly
+// as the CLI runs them — reporting per-component and end-to-end numbers. The scheduler-worker sweep shows
 // the speedup of laying out independent chromosomes concurrently.
 //
 //   ./bench_partition [--backend NAME] [--scale F] [--iters N] [--factor F]
@@ -17,7 +18,6 @@
 // from the same ingest the CLI uses.
 #include <iostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
     }
     std::cout << ingest.graph.node_count() << " nodes, "
               << ingest.graph.path_count() << " paths\n";
-    auto d = partition::decompose(ingest.graph, partition::take_labels(ingest));
-    std::cout << d.count() << " components\n";
+    const partition::ComponentLabels labels = partition::take_labels(ingest);
+    std::cout << labels.count << " components\n";
 
     partition::PartitionOptions popt;
     popt.schedule.backend = opt.backend;
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
             popt.schedule.processes = workers;
             partition::PartitionResult part;
             try {
-                part = partition::partition_layout(std::move(d), popt);
+                part = partition::partition_layout(ingest.graph, labels, popt);
             } catch (const std::runtime_error& e) {
                 // No pgl_layout next to this bench (e.g. a benches-only
                 // build): report and skip the series, don't fail the bench.
@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
                 json.add(
                     bench::make_record(opt, "bench_partition", label, summary));
             }
-            d = std::move(part.decomposition);  // reuse for the next point
         }
     }
 

@@ -5,6 +5,10 @@
 #include <sstream>
 #include <utility>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "core/thread_pool.hpp"
 #include "draw/ppm.hpp"
 #include "draw/svg.hpp"
@@ -41,6 +45,16 @@ private:
 }  // namespace
 
 RunOutcome run_layout(const RunRequest& req) {
+#ifdef __GLIBC__
+    // glibc raises its mmap threshold to the size of each mmapped block it
+    // frees (up to 32 MiB), after which step arrays, subgraphs and engine
+    // stores come from per-thread arenas and stay resident after free;
+    // successive runs on rotating pool threads then strand copies in several
+    // arenas. A fixed 1 MiB threshold keeps every large array mmapped, so
+    // freeing it returns it to the OS. Set once per process.
+    [[maybe_unused]] static const int malloc_tuned =
+        ::mallopt(M_MMAP_THRESHOLD, 1 << 20);
+#endif
     RunOutcome out;
     if (req.component_worker) {
         out.worker_exit_code = partition::run_component_worker(

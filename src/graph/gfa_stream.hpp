@@ -59,7 +59,7 @@ struct LeanIngest {
 
     /// Partition-ready adjacency: dense connected-component labels over
     /// L-links and path/walk steps, numbered by smallest member node id
-    /// (partition::take_labels hands them to partition::decompose).
+    /// (partition::take_labels hands them to partition::remap).
     std::uint32_t component_count = 0;
     std::vector<std::uint32_t> node_component;  ///< node id -> component
     std::vector<std::uint32_t> path_component;  ///< path index -> component

@@ -37,7 +37,6 @@ LeanGraph LeanGraph::from_parts(std::vector<std::uint32_t> node_lengths,
     lg.node_len_ = std::move(node_lengths);
     lg.path_offset_.reserve(paths.size() + 1);
     lg.path_nuc_len_.reserve(paths.size());
-    lg.path_offset_.push_back(0);
     for (const auto& steps : paths) {
         lg.append_path(steps);
     }

@@ -136,7 +136,8 @@ private:
     std::vector<std::uint32_t> node_len_;
 
     // CSR-style flattened paths.
-    std::vector<std::uint32_t> path_offset_;  // size P + 1
+    // Size P + 1, so a default-constructed graph is the empty graph.
+    std::vector<std::uint32_t> path_offset_{0};
     std::vector<PathStepRecord, DefaultInitAllocator<PathStepRecord>> step_records_;
 
     std::vector<std::uint64_t> path_nuc_len_;
@@ -186,8 +187,6 @@ private:
 /// from_parts() on the same walks.
 class LeanGraphBuilder {
 public:
-    LeanGraphBuilder() { g_.path_offset_.push_back(0); }
-
     /// Registers a node of the given nucleotide length; ids are dense,
     /// assigned in call order starting at 0.
     NodeId add_node(std::uint32_t length);

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "telemetry/telemetry.hpp"
+
 #ifdef __unix__
 #include <unistd.h>
 #endif
@@ -58,7 +60,10 @@ void atomic_write_file(const std::string& path,
         if (!out) fail("write failed");
     }
     std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
+    {
+        telemetry::StageSpan span("publish", "io");
+        std::filesystem::rename(tmp, path, ec);
+    }
     if (ec) fail("cannot publish (rename failed: " + ec.message() + ")");
 }
 

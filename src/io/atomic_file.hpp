@@ -24,7 +24,8 @@ namespace pgl::io {
 /// sibling temporary which is then renamed onto `path`. Throws
 /// std::runtime_error (removing the temporary) if the temporary cannot be
 /// opened, the writer throws, any stream operation fails, or the rename
-/// fails.
+/// fails. The rename runs under a telemetry `publish` stage span: replacing
+/// an existing file frees its blocks there, a cost no other stage shows.
 void atomic_write_file(const std::string& path,
                        const std::function<void(std::ostream&)>& writer);
 

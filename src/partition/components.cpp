@@ -17,7 +17,7 @@ ComponentLabels take_labels(graph::LeanIngest& ing) {
     return labels;
 }
 
-Decomposition decompose(const graph::LeanGraph& g, ComponentLabels labels) {
+Decomposition remap(const graph::LeanGraph& g, ComponentLabels labels) {
     Decomposition d;
     d.labels = std::move(labels);
     d.components.resize(d.labels.count);
@@ -32,29 +32,37 @@ Decomposition decompose(const graph::LeanGraph& g, ComponentLabels labels) {
     for (std::uint32_t p = 0; p < g.path_count(); ++p) {
         d.components[d.labels.path_component[p]].global_path.push_back(p);
     }
+    return d;
+}
 
-    // Each component's builder is reserved exactly and filled straight from
-    // the source step records, one component at a time, with no per-path
-    // copy of the walk.
-    for (std::uint32_t c = 0; c < d.labels.count; ++c) {
-        ComponentSubgraph& comp = d.components[c];
-        graph::LeanGraphBuilder builder;
-        builder.reserve_nodes(comp.global_node.size());
-        for (const graph::NodeId v : comp.global_node) builder.add_node(g.node_length(v));
-        std::uint64_t n_steps = 0;
-        for (const std::uint32_t p : comp.global_path) n_steps += g.path_step_count(p);
-        builder.reserve_paths(comp.global_path.size());
-        builder.reserve_steps(n_steps);
-        for (const std::uint32_t p : comp.global_path) {
-            builder.begin_path();
-            for (const graph::PathStepRecord& r : g.step_records().subspan(
-                     g.path_offsets()[p], g.path_step_count(p))) {
-                assert(d.labels.node_component[r.node] == c);
-                builder.add_step(graph::Handle::make(d.local_node[r.node], r.orient != 0));
-            }
-            builder.end_path();
+graph::LeanGraph component_graph(const graph::LeanGraph& g,
+                                 const Decomposition& d, std::uint32_t c) {
+    // The builder is reserved exactly and filled straight from the source
+    // step records, with no per-path copy of the walk.
+    const ComponentSubgraph& comp = d.components[c];
+    graph::LeanGraphBuilder builder;
+    builder.reserve_nodes(comp.global_node.size());
+    for (const graph::NodeId v : comp.global_node) builder.add_node(g.node_length(v));
+    std::uint64_t n_steps = 0;
+    for (const std::uint32_t p : comp.global_path) n_steps += g.path_step_count(p);
+    builder.reserve_paths(comp.global_path.size());
+    builder.reserve_steps(n_steps);
+    for (const std::uint32_t p : comp.global_path) {
+        builder.begin_path();
+        for (const graph::PathStepRecord& r : g.step_records().subspan(
+                 g.path_offsets()[p], g.path_step_count(p))) {
+            assert(d.labels.node_component[r.node] == c);
+            builder.add_step(graph::Handle::make(d.local_node[r.node], r.orient != 0));
         }
-        comp.graph = builder.finish();
+        builder.end_path();
+    }
+    return builder.finish();
+}
+
+Decomposition decompose(const graph::LeanGraph& g, ComponentLabels labels) {
+    Decomposition d = remap(g, std::move(labels));
+    for (std::uint32_t c = 0; c < d.count(); ++c) {
+        d.components[c].graph = component_graph(g, d, c);
     }
     return d;
 }

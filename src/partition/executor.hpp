@@ -43,7 +43,7 @@ core::LayoutResult run_component_graph(const graph::LeanGraph& g,
 /// One component laid out: the signature run_component has, and the one
 /// every step of the loop shares. Throws on failure.
 using ComponentStep = std::function<core::LayoutResult(
-    const ComponentSubgraph&, std::uint32_t, const SchedulerOptions&)>;
+    const graph::LeanGraph&, std::uint32_t, const SchedulerOptions&)>;
 
 /// The "process" mode's step. Resolves the worker binary (throws
 /// std::runtime_error if none is found) and makes a scratch directory for

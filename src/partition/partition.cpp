@@ -8,10 +8,12 @@
 
 namespace pgl::partition {
 
-PartitionResult partition_layout(Decomposition d, const PartitionOptions& opt) {
+PartitionResult partition_layout(const graph::LeanGraph& g,
+                                 ComponentLabels labels,
+                                 const PartitionOptions& opt) {
     const auto t0 = std::chrono::steady_clock::now();
     PartitionResult out;
-    out.decomposition = std::move(d);
+    out.decomposition = remap(g, std::move(labels));
 
     {
         // The flat scheduling phase is this pipeline's "layout" stage; a
@@ -22,7 +24,7 @@ PartitionResult partition_layout(Decomposition d, const PartitionOptions& opt) {
             opt.schedule.multilevel ? "schedule" : "layout";
         telemetry::StageSpan span(span_name, "partition");
         out.component_results =
-            run_components(out.decomposition, opt.schedule, opt.progress);
+            run_components(g, out.decomposition, opt.schedule, opt.progress);
     }
 
     for (const core::LayoutResult& r : out.component_results) {
@@ -44,12 +46,6 @@ PartitionResult partition_layout(Decomposition d, const PartitionOptions& opt) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     return out;
-}
-
-PartitionResult partition_layout(const graph::LeanGraph& g,
-                                 ComponentLabels labels,
-                                 const PartitionOptions& opt) {
-    return partition_layout(decompose(g, std::move(labels)), opt);
 }
 
 }  // namespace pgl::partition

@@ -1,6 +1,7 @@
 #pragma once
-// The partition facade: decompose -> schedule per-component engines ->
-// stitch, in one call. This is the explode/squeeze workflow the odgi
+// The partition facade: remap -> schedule per-component engines (each
+// building its component's subgraph just in time) -> stitch, in one call.
+// This is the explode/squeeze workflow the odgi
 // pipeline wraps around the paper's PG-SGD artifact, turned into a library
 // entry point: feed it an ingested (possibly multi-component) whole-genome
 // graph with its component labels and get back one canvas-level
@@ -23,7 +24,7 @@ struct PartitionOptions {
 };
 
 struct PartitionResult {
-    Decomposition decomposition;
+    Decomposition decomposition;  ///< remap tables only; no subgraph is kept
     std::vector<core::LayoutResult> component_results;  ///< by component id
     StitchResult stitched;
     std::uint64_t updates = 0;  ///< summed over components
@@ -33,14 +34,11 @@ struct PartitionResult {
     double stitch_seconds = 0.0;  ///< wall-clock of the stitch pass
 };
 
-/// Decomposes a lean graph with the labels its ingest computed
-/// (take_labels), then lays out and stitches.
+/// Remaps a lean graph with the labels its ingest computed (take_labels),
+/// then lays out and stitches. `g` must outlive the call; the subgraphs
+/// are built from it one component at a time.
 PartitionResult partition_layout(const graph::LeanGraph& g,
                                  ComponentLabels labels,
                                  const PartitionOptions& opt);
-
-/// Schedules and stitches an existing decomposition (useful when the caller
-/// wants to reuse or time the decomposition).
-PartitionResult partition_layout(Decomposition d, const PartitionOptions& opt);
 
 }  // namespace pgl::partition

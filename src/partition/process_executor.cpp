@@ -266,7 +266,7 @@ ComponentStep make_worker_step(const SchedulerOptions& opt) {
     std::string worker = resolve_worker_binary(opt);
     auto scratch = std::make_shared<const ScratchDir>();
     return [worker = std::move(worker), scratch](
-               const ComponentSubgraph& component, std::uint32_t c,
+               const graph::LeanGraph& component, std::uint32_t c,
                const SchedulerOptions& o) {
         // The same "component" span run_component opens in-process.
         telemetry::StageSpan span("component", "c" + std::to_string(c));
@@ -274,7 +274,7 @@ ComponentStep make_worker_step(const SchedulerOptions& opt) {
             scratch->path / ("c" + std::to_string(c) + ".pgg");
         const fs::path lpath =
             scratch->path / ("c" + std::to_string(c) + ".lay");
-        io::write_pgg_graph_file(component.graph, gpath.string());
+        io::write_pgg_graph_file(component, gpath.string());
         return run_one_worker(worker, gpath, lpath,
                               encode_worker_spec(
                                   o, component_seed(o.config.seed, c)));

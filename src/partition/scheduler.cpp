@@ -50,7 +50,7 @@ core::LayoutResult run_component_graph(const graph::LeanGraph& g,
                                     opt.multilevel ? &opt.ml : nullptr);
 }
 
-core::LayoutResult run_component(const ComponentSubgraph& component,
+core::LayoutResult run_component(const graph::LeanGraph& component,
                                  std::uint32_t component_id,
                                  const SchedulerOptions& opt) {
     // The component span carries the id in its category, so a trace shows
@@ -60,10 +60,11 @@ core::LayoutResult run_component(const ComponentSubgraph& component,
                               "c" + std::to_string(component_id));
     SchedulerOptions mixed = opt;
     mixed.config.seed = component_seed(opt.config.seed, component_id);
-    return run_component_graph(component.graph, mixed);
+    return run_component_graph(component, mixed);
 }
 
-std::vector<core::LayoutResult> run_components(const Decomposition& d,
+std::vector<core::LayoutResult> run_components(const graph::LeanGraph& g,
+                                               const Decomposition& d,
                                                const SchedulerOptions& opt,
                                                const ComponentHook& hook) {
     // Fail before any component runs, not once per component.
@@ -94,14 +95,22 @@ std::vector<core::LayoutResult> run_components(const Decomposition& d,
     std::iota(order.begin(), order.end(), 0u);
     std::stable_sort(order.begin(), order.end(),
                      [&](std::uint32_t a, std::uint32_t b) {
-                         return d.components[a].graph.node_count() >
-                                d.components[b].graph.node_count();
+                         return d.components[a].global_node.size() >
+                                d.components[b].global_node.size();
                      });
 
     std::atomic<std::uint32_t> head{0};
     std::atomic<std::uint32_t> completed{0};
+    std::atomic<std::uint32_t> live{0};  // subgraphs built and not yet dropped
+    const telemetry::Histogram live_hist =
+        telemetry::Registry::instance().histogram("partition.subgraphs_live");
     std::mutex mutex;  // serializes the hook and the failure list
     std::vector<std::string> failures;
+
+    const auto build = [&](std::uint32_t c) {
+        telemetry::StageSpan span("subgraph", "partition");
+        return component_graph(g, d, c);
+    };
 
     const auto work = [&](std::uint32_t) {
         for (;;) {
@@ -111,11 +120,15 @@ std::vector<core::LayoutResult> run_components(const Decomposition& d,
             const std::uint32_t c = order[k];
 
             std::string error;
+            live_hist.record(live.fetch_add(1, std::memory_order_relaxed) + 1);
             try {
-                results[c] = step(d.components[c], c, opt);
+                // The subgraph is a temporary: it is dropped as soon as
+                // its step returns.
+                results[c] = step(build(c), c, opt);
             } catch (const std::exception& e) {
                 error = e.what();
             }
+            live.fetch_sub(1, std::memory_order_relaxed);
             const std::uint32_t done =
                 completed.fetch_add(1, std::memory_order_relaxed) + 1;
             std::lock_guard<std::mutex> lock(mutex);
@@ -127,7 +140,7 @@ std::vector<core::LayoutResult> run_components(const Decomposition& d,
                 p.component = c;
                 p.completed = done;
                 p.total = n;
-                p.nodes = d.components[c].graph.node_count();
+                p.nodes = d.components[c].global_node.size();
                 p.updates = results[c].updates;
                 p.seconds = results[c].seconds;
                 hook(p);

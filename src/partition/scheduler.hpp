@@ -4,8 +4,11 @@
 // Components are independent layout problems, so run_components lays out
 // each with its own engine and spreads them across one core::ThreadPool,
 // largest component first (classic LPT ordering: the big chromosomes
-// dominate wall-clock, so they must start first). It is the one loop for
-// both execution modes; only the one-component step differs:
+// dominate wall-clock, so they must start first). The worker that takes a
+// component builds its subgraph (component_graph) right before the step and
+// drops it when the step returns, so the source graph is held once and at
+// most one subgraph per worker is alive. It is the one loop for both
+// execution modes; only the one-component step differs:
 //
 //   "thread"   run_component, in this process, on the pool worker;
 //   "process"  the worker step of partition/executor.hpp: write the
@@ -71,9 +74,10 @@ struct SchedulerOptions : core::LayoutRequest {
 /// process thread`) for any other name.
 void check_executor(const std::string& name);
 
-/// The "thread" mode's one-component step: a fresh engine of `opt.backend`,
-/// seeded with component_seed(opt.config.seed, component_id). A component
-/// whose lean graph has no sampleable path terms gets its initial layout
+/// The "thread" mode's one-component step: a fresh engine of `opt.backend`
+/// over the component's subgraph, seeded with
+/// component_seed(opt.config.seed, component_id). A component whose lean
+/// graph has no sampleable path terms gets its initial layout
 /// from multilevel::layout_graph, the step every flat or multilevel run
 /// shares. Exposed so tests can produce the standalone per-component runs
 /// the partitioned result must match byte-for-byte.
@@ -82,19 +86,24 @@ void check_executor(const std::string& name);
 /// "c<id>"), so multilevel pass seconds aggregate process-wide in the
 /// `span.coarsen` / `span.layout` / `span.interpolate` / `span.refine`
 /// histograms — the source `pgl_layout --timing` reads.
-core::LayoutResult run_component(const ComponentSubgraph& component,
+core::LayoutResult run_component(const graph::LeanGraph& component,
                                  std::uint32_t component_id,
                                  const SchedulerOptions& opt);
 
-/// Lays out every component of `d` under `opt` and returns one
-/// LayoutResult per component, indexed by component id, on at most
+/// Lays out every component of `d` (the remap tables of `g`; any subgraphs
+/// it holds are not read) under `opt` and returns one LayoutResult per
+/// component, indexed by component id, on at most
 /// min(workers, components, allowed CPUs) threads or child processes,
-/// where workers is `component_workers` or `processes`. `hook` (may be
-/// empty) is called once per finished component, serialized, on the
-/// thread that ran it. Throws std::invalid_argument for an unknown
-/// executor before any component runs, and std::runtime_error naming
-/// each failed component after the rest have run.
-std::vector<core::LayoutResult> run_components(const Decomposition& d,
+/// where workers is `component_workers` or `processes`. Each component's
+/// subgraph is built under a telemetry `subgraph` span on its worker; the
+/// `partition.subgraphs_live` histogram records how many are alive as
+/// each build begins, counting that one. `hook` (may be empty) is called once per finished
+/// component, serialized, on the thread that ran it. Throws
+/// std::invalid_argument for an unknown executor before any component
+/// runs, and std::runtime_error naming each failed component after the
+/// rest have run.
+std::vector<core::LayoutResult> run_components(const graph::LeanGraph& g,
+                                               const Decomposition& d,
                                                const SchedulerOptions& opt,
                                                const ComponentHook& hook);
 

@@ -38,7 +38,7 @@ StitchResult stitch_views(const Decomposition& d,
 
     double sum_extent = 0.0, total_area = 0.0, max_w = 0.0;
     for (std::size_t c = 0; c < n; ++c) {
-        if (component_layouts[c]->size() != d.components[c].graph.node_count()) {
+        if (component_layouts[c]->size() != d.components[c].global_node.size()) {
             throw std::invalid_argument("stitch: layout size != component size");
         }
         bounding_box(*component_layouts[c], out.placements[c]);

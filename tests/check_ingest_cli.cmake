@@ -9,7 +9,7 @@
 #   3. A W-record-only, CRLF-terminated GFA (tests/data/walks_crlf.gfa)
 #      must ingest and lay out end-to-end.
 #   4. `--timing` on a flat run lists only the stages that ran (no
-#      coarsen, refine or stitch line). In a -DPGL_TELEMETRY=OFF build it
+#      subgraph, coarsen, refine or stitch line). In a -DPGL_TELEMETRY=OFF build it
 #      prints the compiled-out line and the total, and no stage line.
 #   5. A non-finite --factor exits 2 naming the flag, and a finite factor
 #      whose update count does not fit 64 bits fails the run instead of
@@ -142,10 +142,10 @@ if(TELEMETRY)
   if(NOT err MATCHES "timing: layout " OR NOT err MATCHES "timing: total ")
     message(FATAL_ERROR "flat --timing lacks its layout/total lines: ${err}")
   endif()
-  if(err MATCHES "timing: (coarsen|interpolate|refine|stitch) ")
+  if(err MATCHES "timing: (subgraph|coarsen|interpolate|refine|stitch) ")
     message(FATAL_ERROR "flat --timing printed a stage that did not run: ${err}")
   endif()
-  message(STATUS "flat --timing prints no coarsen/refine/stitch line")
+  message(STATUS "flat --timing prints no subgraph/coarsen/refine/stitch line")
 else()
   # Telemetry compiled out: no stage spans, so no stage line at all.
   if(NOT err MATCHES "timing: stage spans compiled out"
@@ -153,7 +153,8 @@ else()
     message(FATAL_ERROR
         "--timing without telemetry lacks its compiled-out/total lines: ${err}")
   endif()
-  set(stages "parse|coarsen|layout|interpolate|refine|stitch|metrics|render")
+  set(stages
+      "parse|subgraph|coarsen|layout|interpolate|refine|stitch|metrics|render|publish")
   if(err MATCHES "timing: (${stages}) ")
     message(FATAL_ERROR
         "--timing without telemetry printed a stage line: ${err}")

@@ -4,13 +4,18 @@
 // on: a driver run is byte-identical to hand-wiring the subsystems, the
 // .lay it publishes round-trips, a caller-supplied LeanIngest is adopted
 // without a reload, save-graph-only requests stop after the cache write,
-// and the worker-spec codec used by the process executor round-trips.
+// a partitioned run holds the graph's step records once, and the
+// worker-spec codec used by the process executor round-trips.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,10 +23,20 @@
 #include "core/engine.hpp"
 #include "core/layout.hpp"
 #include "driver/driver.hpp"
+#include "graph/gfa.hpp"
 #include "graph/gfa_stream.hpp"
 #include "io/lay_io.hpp"
 #include "partition/executor.hpp"
 #include "partition/partition.hpp"
+#include "workloads/synthetic.hpp"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PGL_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define PGL_TEST_SANITIZED 1
+#endif
+#endif
 
 namespace {
 
@@ -260,6 +275,93 @@ TEST(WorkerSpec, RoundTripsFlatOptions) {
     // A worker lays out exactly one component in-process.
     EXPECT_EQ(parsed.executor, "thread");
     EXPECT_EQ(parsed.component_workers, 1u);
+}
+
+/// A `Vm...:` field of /proc/self/status in kB, or -1 if absent.
+std::int64_t status_kb(const std::string& field) {
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind(field, 0) == 0) {
+            return std::stoll(line.substr(field.size()));
+        }
+    }
+    return -1;
+}
+
+/// Runs `fn` in a forked child and returns the value it produced, or -1 if
+/// the child threw, died or exited without one. The child never returns
+/// into the test runner. Its VmHWM starts at its own RSS, so what the
+/// parent process allocated earlier is not counted against it.
+std::int64_t in_child(const std::function<std::int64_t()>& fn) {
+    int pfd[2];
+    if (::pipe(pfd) != 0) return -1;
+    const pid_t pid = ::fork();
+    if (pid < 0) return -1;
+    if (pid == 0) {
+        ::close(pfd[0]);
+        std::int64_t v = -1;
+        try {
+            v = fn();
+        } catch (...) {
+        }
+        const bool sent = ::write(pfd[1], &v, sizeof v) == sizeof v;
+        ::_exit(sent ? 0 : 1);
+    }
+    ::close(pfd[1]);
+    std::int64_t v = -1;
+    if (::read(pfd[0], &v, sizeof v) != sizeof v) v = -1;
+    ::close(pfd[0]);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    return WIFEXITED(status) && WEXITSTATUS(status) == 0 ? v : -1;
+}
+
+TEST_F(DriverTest, PartitionedRunHoldsTheStepRecordsOnce) {
+#ifdef PGL_TEST_SANITIZED
+    GTEST_SKIP() << "sanitizer shadow memory swamps the peak RSS";
+#endif
+    // A 24-component genome at 2x segmentation (about 2M steps, 31 MB of
+    // step records), generated in its own child so its memory is nowhere
+    // near the measured one.
+    const std::string gfa = path("genome24.gfa");
+    const std::int64_t step_bytes = in_child([&] {
+        std::vector<workloads::PangenomeSpec> specs =
+            workloads::whole_genome_spec(24, 0.0002);
+        for (auto& spec : specs) {
+            spec = workloads::with_finer_segmentation(spec, 2);
+        }
+        const auto vg = workloads::generate_whole_genome(specs);
+        graph::write_gfa_file(vg, gfa);
+        return static_cast<std::int64_t>(vg.total_path_steps() *
+                                         sizeof(graph::PathStepRecord));
+    });
+    ASSERT_GT(step_bytes, 10'000'000);
+
+    // The partitioned run loads the graph and lays it out as the CLI does,
+    // on one component worker. The ingest holds the step records once; the
+    // subgraph and engine alive at any time are one component's share, so
+    // the peak grows by well under one more copy of the step records.
+    // Building every subgraph up front took it to 2.2x.
+    const std::int64_t growth_kb = in_child([&] {
+        const std::int64_t before = status_kb("VmHWM:");
+        driver::RunRequest req;
+        req.graph_path = gfa;
+        req.out_path = path("genome24.lay");
+        req.partition = true;
+        req.component_workers = 1;
+        req.config = quick_config();
+        driver::run_layout(req);
+        return status_kb("VmHWM:") - before;
+    });
+    ASSERT_GT(growth_kb, 0);
+    const double growth = static_cast<double>(growth_kb) * 1024.0;
+    std::cout << "peak RSS growth " << growth / 1e6 << " MB for "
+              << step_bytes / 1e6 << " MB of step records ("
+              << growth / step_bytes << "x)\n";
+    // The peak cannot be below one copy: otherwise it did not see the run.
+    EXPECT_GE(growth, static_cast<double>(step_bytes));
+    EXPECT_LT(growth, 1.5 * static_cast<double>(step_bytes));
 }
 
 TEST(WorkerSpec, RoundTripsMultilevelOptions) {

@@ -401,13 +401,16 @@ TEST(MultilevelPartition, MatchesStandalonePerComponentPlans) {
     popt.schedule.config = quick_config();
     popt.schedule.component_workers = 2;
     popt.schedule.multilevel = true;
-    const auto part = partition::partition_layout(
-        ing.graph, partition::take_labels(ing), popt);
+    const partition::ComponentLabels labels = partition::take_labels(ing);
+    const auto part = partition::partition_layout(ing.graph, labels, popt);
     ASSERT_EQ(part.decomposition.count(), 3u);
 
+    // The standalone plans run on the subgraphs decompose() builds.
+    const auto d = partition::decompose(ing.graph, labels);
+    ASSERT_EQ(d.count(), 3u);
     std::vector<core::Layout> standalone;
-    for (std::uint32_t c = 0; c < part.decomposition.count(); ++c) {
-        const auto& comp = part.decomposition.components[c].graph;
+    for (std::uint32_t c = 0; c < d.count(); ++c) {
+        const auto& comp = d.components[c].graph;
         core::LayoutConfig cfg = popt.schedule.config;
         cfg.seed = partition::component_seed(popt.schedule.config.seed, c);
         auto engine = core::make_engine("cpu-pipelined");

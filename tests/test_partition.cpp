@@ -1,6 +1,7 @@
 // Tests for the partition subsystem: the ingest's component labels as
 // decompose consumes them, subgraph slicing with stable remap tables, the
-// per-component scheduler's determinism, shelf stitching, and the headline
+// per-component scheduler's determinism and its just-in-time subgraphs
+// (at most one alive per worker), shelf stitching, and the headline
 // contract — a partitioned run is byte-identical to standalone
 // per-component runs modulo the deterministic stitch translation.
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "core/thread_pool.hpp"
 #include "partition/executor.hpp"
 #include "partition/partition.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace {
@@ -56,7 +58,9 @@ partition::Decomposition decompose_vg(const graph::VariationGraph& vg) {
 
 partition::PartitionResult layout_vg(const graph::VariationGraph& vg,
                                      const partition::PartitionOptions& popt) {
-    return partition::partition_layout(decompose_vg(vg), popt);
+    auto ing = workloads::to_ingest(vg);
+    return partition::partition_layout(ing.graph, partition::take_labels(ing),
+                                       popt);
 }
 
 core::LayoutConfig quick_config(std::uint32_t threads = 1) {
@@ -157,7 +161,8 @@ TEST(Stitch, TranslationIsASingleFloatAdd) {
     sopt.config = quick_config();
     std::vector<core::Layout> layouts;
     for (std::uint32_t c = 0; c < d.count(); ++c) {
-        layouts.push_back(partition::run_component(d.components[c], c, sopt).layout);
+        layouts.push_back(
+            partition::run_component(d.components[c].graph, c, sopt).layout);
     }
     const auto s = partition::stitch(d, layouts);
     ASSERT_EQ(s.layout.size(), d.global_node_count());
@@ -180,7 +185,8 @@ TEST(Stitch, PlacedBoundingBoxesDoNotOverlap) {
     sopt.config = quick_config();
     std::vector<core::Layout> layouts;
     for (std::uint32_t c = 0; c < d.count(); ++c) {
-        layouts.push_back(partition::run_component(d.components[c], c, sopt).layout);
+        layouts.push_back(
+            partition::run_component(d.components[c].graph, c, sopt).layout);
     }
     const auto s = partition::stitch(d, layouts);
     for (std::uint32_t a = 0; a < d.count(); ++a) {
@@ -198,13 +204,13 @@ TEST(Stitch, PlacedBoundingBoxesDoNotOverlap) {
 }
 
 TEST(Executors, ShipsThreadAndProcess) {
-    // An empty decomposition reaches the executor check without spawning
-    // a worker, so both names are accepted on the library path here.
+    // An empty graph reaches the executor check without spawning a worker,
+    // so both names are accepted on the library path here.
     for (const std::string name : {"thread", "process"}) {
         partition::PartitionOptions popt;
         popt.schedule.executor = name;
-        EXPECT_NO_THROW(partition::partition_layout(partition::Decomposition{},
-                                                    popt))
+        EXPECT_NO_THROW(partition::partition_layout(
+            graph::LeanGraph{}, partition::ComponentLabels{}, popt))
             << name;
         core::LayoutRequest r;
         r.partition = true;
@@ -366,14 +372,15 @@ TEST(Scheduler, WorkersAreBoundedByTheAllowedCpus) {
 
     graph::VariationGraph vg;
     for (std::uint32_t i = 0; i < allowed + 4; ++i) vg.add_node("ACGT");
-    const auto d = decompose_vg(vg);
+    auto ing = workloads::to_ingest(vg);
+    const auto d = partition::remap(ing.graph, partition::take_labels(ing));
     partition::SchedulerOptions opt;
     opt.config = quick_config();
     opt.partition = true;
     opt.component_workers = allowed + 4;
     std::set<std::thread::id> workers;
     const auto results = partition::run_components(
-        d, opt, [&](const partition::ComponentProgress&) {
+        ing.graph, d, opt, [&](const partition::ComponentProgress&) {
             // Holding the (serialized) hook lets every other worker claim
             // a component meanwhile.
             workers.insert(std::this_thread::get_id());
@@ -388,6 +395,33 @@ TEST(Scheduler, WorkersAreBoundedByTheAllowedCpus) {
     EXPECT_EQ(results.size(), allowed + 4);
     EXPECT_GE(workers.size(), 1u);
     EXPECT_LE(workers.size(), allowed);
+}
+
+TEST(Scheduler, AtMostOneSubgraphPerWorkerIsAlive) {
+    // Each worker builds its component's subgraph right before laying it
+    // out and drops it after, so over eight components on three workers
+    // no more than three subgraphs are ever alive at once, and the result
+    // keeps only the remap tables.
+    const auto vg = small_genome(8);
+    partition::PartitionOptions popt;
+    popt.schedule.config = quick_config();
+    popt.schedule.component_workers = 3;
+    const telemetry::Histogram live =
+        telemetry::Registry::instance().histogram("partition.subgraphs_live");
+    live.reset();
+    const auto part = layout_vg(vg, popt);
+    ASSERT_EQ(part.decomposition.count(), 8u);
+    for (const auto& comp : part.decomposition.components) {
+        EXPECT_EQ(comp.graph.node_count(), 0u);
+        EXPECT_EQ(comp.graph.path_count(), 0u);
+        EXPECT_EQ(comp.graph.total_path_steps(), 0u);
+    }
+    EXPECT_EQ(part.stitched.layout.size(), vg.node_count());
+#ifndef PGL_TELEMETRY_DISABLED
+    EXPECT_EQ(live.count(), 8u);  // one build per component
+    EXPECT_GE(live.min(), 1u);
+    EXPECT_LE(live.max(), 3u);
+#endif
 }
 
 TEST(Scheduler, PathlessComponentGetsDeterministicFallback) {
@@ -419,14 +453,17 @@ TEST(PartitionEquivalence, MatchesStandalonePerComponentRuns) {
             const auto part = layout_vg(vg, popt);
             ASSERT_EQ(part.decomposition.count(), 4u);
 
-            // Standalone runs: a fresh engine per component, straight off
-            // the registry, seeded exactly as the scheduler seeds them.
+            // Standalone runs: a fresh engine per component of decompose(),
+            // straight off the registry, seeded exactly as the scheduler
+            // seeds them.
+            const auto d = decompose_vg(vg);
+            ASSERT_EQ(d.count(), 4u);
             std::vector<core::Layout> standalone;
-            for (std::uint32_t c = 0; c < part.decomposition.count(); ++c) {
+            for (std::uint32_t c = 0; c < d.count(); ++c) {
                 auto engine = core::make_engine(backend);
                 core::LayoutConfig cfg = popt.schedule.config;
                 cfg.seed = partition::component_seed(popt.schedule.config.seed, c);
-                engine->init(part.decomposition.components[c].graph, cfg);
+                engine->init(d.components[c].graph, cfg);
                 standalone.push_back(engine->run().layout);
                 expect_layout_bitwise_equal(
                     part.component_results[c].layout, standalone.back());

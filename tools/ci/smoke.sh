@@ -13,7 +13,8 @@
 #   multilevel  --multilevel reaches flat stress in less SGD wall-clock
 #   telemetry   --trace writes valid JSON with nonzero engine counters
 #   multiprocess  --processes matches the in-process run byte for byte,
-#                 and a crashed worker fails loudly without stale output
+#                 the bytes do not depend on the worker count, and a
+#                 crashed worker fails loudly without stale output
 #
 # The listing contract is strict on purpose: an empty or failing
 # `--list-backends` / `--list-kernels` fails the suite, never silently
@@ -230,6 +231,25 @@ suite_multiprocess() {
         --partition --processes 2 --multilevel --iters 3 --factor 0.5
     cmp "${WORKDIR}/mp_thread_ml.lay" "${WORKDIR}/mp_process_ml.lay"
     echo "thread and process executors are byte-identical (multilevel)"
+
+    # Worker-count parity on 16 components: each worker builds its
+    # component's subgraph just in time, and which worker took which
+    # component must not change a byte.
+    local wgdir="${WORKDIR}/mp_workers"
+    mkdir -p "${wgdir}"
+    "${BUILD}/whole_genome_layout" "${wgdir}" 16 0.0002 > /dev/null
+    local w out
+    for w in 1 2 4; do
+        "${PGL}" -i "${wgdir}/whole_genome.gfa" -o "${wgdir}/w${w}.lay" \
+            --partition --component-workers "${w}" --multilevel \
+            --iters 3 --factor 0.5
+    done
+    "${PGL}" -i "${wgdir}/whole_genome.gfa" -o "${wgdir}/p2.lay" \
+        --partition --processes 2 --multilevel --iters 3 --factor 0.5
+    for out in w2 w4 p2; do
+        cmp "${wgdir}/w1.lay" "${wgdir}/${out}.lay"
+    done
+    echo "16 components: 1/2/4 workers and 2 processes are byte-identical"
 
     rm -f "${WORKDIR}/mp_crash.lay"
     if PGL_COMPONENT_WORKER_CRASH=/c0.lay "${PGL}" -i "${GENOME}" \

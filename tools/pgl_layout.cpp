@@ -242,8 +242,8 @@ int main(int argc, char** argv) {
             // that ran are listed: a flat run has no coarsen line.
             auto& reg = telemetry::Registry::instance();
             for (const char* stage :
-                 {"parse", "coarsen", "layout", "interpolate", "refine",
-                  "stitch", "metrics", "render"}) {
+                 {"parse", "subgraph", "coarsen", "layout", "interpolate",
+                  "refine", "stitch", "metrics", "render", "publish"}) {
                 const auto h = reg.histogram(std::string("span.") + stage);
                 if (h.count() == 0) continue;
                 std::cerr << "timing: " << stage << " "
