@@ -22,7 +22,7 @@ using namespace pgl;
 core::Layout layout_fixed_hop(const graph::LeanGraph& g,
                               const core::LayoutConfig& cfg, std::uint32_t hops) {
     rng::Xoshiro256Plus init_rng(cfg.seed ^ 0xa02bdbf7bb3c0a7ULL);
-    const auto initial = core::make_linear_initial_layout(g, init_rng, cfg.init_jitter);
+    const auto initial = core::make_linear_initial_layout(g, init_rng);
     core::XYStore store(initial);
     const auto etas = core::make_eta_schedule(
         cfg.iter_max, cfg.eps, static_cast<double>(g.max_path_nuc_length()));

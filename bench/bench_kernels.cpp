@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
 
     rng::Xoshiro256Plus init_rng(cfg.seed ^ 0xa02bdbf7bb3c0a7ULL);
     const core::Layout initial =
-        core::make_linear_initial_layout(g, init_rng, cfg.init_jitter);
+        core::make_linear_initial_layout(g, init_rng);
     const core::PairSampler sampler(g, cfg);
 
     const std::vector<std::size_t> batch_sizes =

@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
 
     // Coarse anneal + interpolate, configured as run_multilevel does.
     t0 = Clock::now();
-    engine->init(lvl.graph, multilevel::coarse_pass_config(cfg, mlopt));
+    engine->init(lvl.graph, multilevel::coarse_pass_config(cfg));
     core::LayoutResult coarse = engine->run();
     const double t_coarse = secs_since(t0);
 

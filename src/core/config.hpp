@@ -45,9 +45,6 @@ struct LayoutConfig {
     /// (Alg. 1 line 6).
     double cooling_start = 0.5;
 
-    /// Exponent of the Zipf hop-distance distribution in the cooling branch.
-    double zipf_theta = 0.99;
-
     /// Largest hop distance the cooling branch may draw. 0 means "path
     /// length" (unbounded); odgi quantizes the space similarly.
     std::uint64_t zipf_space_max = 1000;
@@ -58,9 +55,6 @@ struct LayoutConfig {
 
     /// PRNG seed; every run with the same seed and 1 thread is bit-exact.
     std::uint64_t seed = 9'399'220'614'123'047ULL;
-
-    /// Scale of the uniform y-jitter in the initial layout (x mean node len).
-    double init_jitter = 1.0;
 
     /// Update kernel (KernelRegistry name) the batch-draining engines apply
     /// terms with: "scalar" (reference) or "simd" (vectorized,

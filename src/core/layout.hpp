@@ -58,23 +58,21 @@ using Layout = std::vector<Segment>;
 /// Initializes a layout the way odgi-layout does: nodes are unrolled along
 /// one axis by cumulative nucleotide offset (so the initial picture is the
 /// linear genome), with small uniform jitter on the other axis to break the
-/// 1-D symmetry of the gradient.
+/// 1-D symmetry of the gradient, one mean node length wide.
 template <typename Rng>
-Layout make_linear_initial_layout(const graph::LeanGraph& g, Rng& rng,
-                                  double jitter_scale = 1.0) {
+Layout make_linear_initial_layout(const graph::LeanGraph& g, Rng& rng) {
     Layout l;
     l.resize(g.node_count());
     double x = 0.0;
     double mean_len = 0.0;
     for (std::uint32_t i = 0; i < g.node_count(); ++i) mean_len += g.node_length(i);
     mean_len = g.node_count() ? mean_len / g.node_count() : 1.0;
-    const double jitter = jitter_scale * mean_len;
     for (std::uint32_t i = 0; i < g.node_count(); ++i) {
         l[i].sx = static_cast<float>(x);
         x += g.node_length(i);
         l[i].ex = static_cast<float>(x);
-        l[i].sy = static_cast<float>((rng.next_double() - 0.5) * jitter);
-        l[i].ey = static_cast<float>((rng.next_double() - 0.5) * jitter);
+        l[i].sy = static_cast<float>((rng.next_double() - 0.5) * mean_len);
+        l[i].ey = static_cast<float>((rng.next_double() - 0.5) * mean_len);
     }
     return l;
 }
@@ -98,7 +96,7 @@ inline Layout make_initial_layout(const graph::LeanGraph& g,
         return *cfg.initial_layout;
     }
     rng::Xoshiro256Plus init_rng(cfg.seed ^ 0xa02bdbf7bb3c0a7ULL);
-    return make_linear_initial_layout(g, init_rng, cfg.init_jitter);
+    return make_linear_initial_layout(g, init_rng);
 }
 
 /// The engines' coordinate store: one array of Segment records, element

@@ -88,15 +88,15 @@ constexpr RequestField kFields[] = {
         .help = "final learning rate of the anneal (0.01)"}),
     row<&R::config, &C::eta_max>({.key = "eta_max", .wire = "eta_max",
         .help = "anneal ceiling; 0 derives it from the graph"}),
-    row<&R::config, &C::init_jitter>({.key = "init_jitter",
-        .wire = "init_jitter",
-        .help = "initial y-jitter, in mean node lengths (1)"}),
     row<&R::config, &C::iter_max>({.key = "iter_max", .wire = "iters",
         .flag = "--iters", .metavar = " N",
         .help = "SGD iterations (default 30)"}),
+    // Every kernel writes the scalar kernel's bytes (test_golden), so the
+    // kernel picks how the work runs and stays out of the key.
     row<&R::config, &C::kernel>({.key = "kernel", .wire = "kernel",
         .flag = "--kernel", .metavar = " NAME",
-        .help = "update kernel (see --list-kernels; default scalar)"}),
+        .help = "update kernel (see --list-kernels; default scalar)",
+        .kind = kExec}),
     row<&R::config, &C::schedule_iter_max>({.key = "schedule_iter_max",
         .wire = "schedule_iters",
         .help = "iterations the anneal is computed over; 0 = iters"}),
@@ -112,9 +112,6 @@ constexpr RequestField kFields[] = {
     row<&R::config, &C::zipf_space_max>({.key = "zipf_space_max",
         .wire = "zipf_space_max",
         .help = "largest cooling hop distance; 0 = path length (1000)"}),
-    row<&R::config, &C::zipf_theta>({.key = "zipf_theta",
-        .wire = "zipf_theta",
-        .help = "Zipf exponent of the cooling hops (0.99)"}),
     row<&R::partition>({.key = "partition", .wire = "partition",
         .flag = "--partition",
         .help = "lay out each connected component with its own engine",
@@ -126,17 +123,9 @@ constexpr RequestField kFields[] = {
      .type = FieldType::kLevels,
      .max = std::numeric_limits<std::uint32_t>::max(), .get = get_levels,
      .set = set_levels},
-    row<&R::ml, &M::coarse_iters>({.key = "ml.coarse_iters",
-        .wire = "coarse_iters",
-        .help = "coarse-level iterations; 0 = the hot five-sixths",
-        .gate = "multilevel"}),
     row<&R::ml, &M::refine_iters>({.key = "ml.refine_iters",
         .wire = "refine_iters", .flag = "--refine-iters", .metavar = " N",
         .help = "refinement iterations (default max(2, iters / 2))",
-        .gate = "multilevel"}),
-    row<&R::ml, &M::refine_eta>({.key = "ml.refine_eta",
-        .wire = "refine_eta",
-        .help = "refine restart temperature; 0 derives it",
         .gate = "multilevel"}),
     row<&R::ml, &M::exact_tail>({.key = "ml.exact_tail",
         .wire = "exact_tail", .flag = "--exact-tail",

@@ -46,6 +46,10 @@ namespace pgl::core {
 
 struct TermBatch;  // core/term_batch.hpp — the shared batched term buffer
 
+/// Exponent theta of the cooling branch's k^-theta hop distribution,
+/// odgi-layout's value.
+inline constexpr double kZipfTheta = 0.99;
+
 /// PRNG words every term consumes, whether or not it turns out valid.
 inline constexpr std::size_t kTermWords = 4;
 
@@ -105,7 +109,7 @@ public:
         }
         std::vector<double> hop_weight(max_space);
         for (std::uint64_t k = 1; k <= max_space; ++k) {
-            hop_weight[k - 1] = std::pow(static_cast<double>(k), -cfg.zipf_theta);
+            hop_weight[k - 1] = std::pow(static_cast<double>(k), -kZipfTheta);
         }
         std::map<std::uint64_t, std::uint32_t> table_of_space;
         zipf_of_path_.resize(n_paths);
@@ -220,7 +224,7 @@ public:
     /// of sample() on the same stream, however the n terms are split
     /// across calls. Writes the columns the update kernel reads
     /// (node/end/d_ref/nudge/valid); with `replay` it also writes the
-    /// replay columns (path/step/pos/took_cooling) that the
+    /// replay columns (path/step/pos) that the
     /// memory-modelling backends walk. Defined in core/term_batch.hpp.
     template <typename Rng>
     std::uint64_t fill_batch_staged(bool cooling_iter, Rng& rng, std::size_t n,

@@ -40,7 +40,6 @@ struct TermBatch {
     std::vector<double> nudge;
 
     std::vector<std::uint8_t> valid;
-    std::vector<std::uint8_t> took_cooling;
 
     std::size_t size() const noexcept { return d_ref.size(); }
     bool empty() const noexcept { return d_ref.empty(); }
@@ -59,7 +58,6 @@ struct TermBatch {
         d_ref.clear();
         nudge.clear();
         valid.clear();
-        took_cooling.clear();
     }
 
     void reserve(std::size_t n) {
@@ -75,7 +73,6 @@ struct TermBatch {
         d_ref.reserve(n);
         nudge.reserve(n);
         valid.reserve(n);
-        took_cooling.reserve(n);
     }
 
     /// Appends one sampled term (valid or not) with its update nudge.
@@ -93,7 +90,6 @@ struct TermBatch {
         nudge.push_back(t.nudge);
         valid.push_back(t.valid ? 1 : 0);
         if (!t.valid) ++invalid_;
-        took_cooling.push_back(t.took_cooling ? 1 : 0);
     }
 
     /// Sizes the batch to `n` slots for fill_batch_staged, which then
@@ -116,7 +112,6 @@ struct TermBatch {
         step_j.resize(r);
         pos_i.resize(r);
         pos_j.resize(r);
-        took_cooling.resize(r);
     }
 
     End end_i_of(std::size_t k) const noexcept { return static_cast<End>(end_i[k]); }
@@ -183,7 +178,6 @@ std::uint64_t PairSampler::fill_batch_staged(bool cooling_iter, Rng& rng,
                 out.path[begin + k] = t.path;
                 out.step_i[begin + k] = t.step_i;
                 out.step_j[begin + k] = t.step_j;
-                out.took_cooling[begin + k] = t.took_cooling ? 1 : 0;
             }
         }
     }

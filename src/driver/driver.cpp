@@ -15,7 +15,6 @@
 #include "io/lay_io.hpp"
 #include "io/pgg_io.hpp"
 #include "multilevel/multilevel.hpp"
-#include "partition/executor.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace pgl::driver {
@@ -56,12 +55,6 @@ RunOutcome run_layout(const RunRequest& req) {
         ::mallopt(M_MMAP_THRESHOLD, 1 << 20);
 #endif
     RunOutcome out;
-    if (req.component_worker) {
-        out.worker_exit_code = partition::run_component_worker(
-            req.graph_path, req.out_path, req.worker_spec, req.status_fd);
-        return out;
-    }
-
     const Narrator log(req.log);
 
     // Oversubscribing the allowed cpuset (cgroup quota, taskset, container
@@ -134,7 +127,7 @@ RunOutcome run_layout(const RunRequest& req) {
         out.updates = out.partition.updates;
         out.skipped = out.partition.skipped;
         out.engine_seconds = out.partition.engine_seconds;
-        out.layout = out.partition.stitched.layout;
+        out.layout = std::move(out.partition.stitched.layout);
         log(req.backend, ": ", out.partition.decomposition.count(),
             " components, ", out.partition.updates, " updates in ",
             out.partition.seconds, " s (engine time ",
@@ -142,8 +135,7 @@ RunOutcome run_layout(const RunRequest& req) {
             out.partition.stitched.width, " x ",
             out.partition.stitched.height);
     } else {
-        auto engine = req.engine_factory ? req.engine_factory()
-                                         : core::make_engine(req.backend);
+        auto engine = core::make_engine(req.backend);
         if (req.iteration_progress) {
             engine->set_progress_hook(req.iteration_progress);
         }

@@ -18,11 +18,6 @@
 // event, exactly the lines the CLI historically printed) and never
 // touches std::cout/cerr itself, so the daemon runs the same code path
 // silently.
-//
-// `pgl_layout --component-worker` also routes through run_layout: a
-// request with component_worker set dispatches to the worker entry point
-// (partition/executor.hpp) and returns its exit code, keeping the tool's
-// main() at "parse flags, call run_layout" for every mode.
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -50,9 +45,6 @@ struct RunRequest : core::LayoutRequest {
     std::shared_ptr<const graph::LeanIngest> ingest;  ///< pre-loaded graph
 
     // --- execution --------------------------------------------------------
-    /// Optional engine override for the flat path (how `--gpu=a100`
-    /// constructs a non-registry machine spec). Ignored with partition.
-    std::function<std::unique_ptr<core::LayoutEngine>()> engine_factory;
     std::string worker_binary;  ///< "process" executor override
 
     // --- outputs ----------------------------------------------------------
@@ -71,23 +63,15 @@ struct RunRequest : core::LayoutRequest {
     /// One line per pipeline event ("loaded ...", "wrote ...", run
     /// summaries), newline-free. Unset = silent.
     std::function<void(const std::string&)> log;
-
-    // --- component-worker mode (pgl_layout --component-worker) ------------
-    bool component_worker = false;
-    std::string worker_spec;  ///< encode_worker_spec payload
-    int status_fd = -1;       ///< status-frame pipe; -1 = no reporting
 };
 
 struct RunOutcome {
-    /// component_worker mode: the process exit code; every other field is
-    /// untouched (the worker reports through its own files/pipe).
-    int worker_exit_code = 0;
-
     /// save-graph-only request: the cache was written, no layout was run.
     bool convert_only = false;
 
-    core::Layout layout;  ///< the published layout (stitched canvas when
-                          ///< partitioned)
+    core::Layout layout;  ///< the published layout; a partitioned run's
+                          ///< stitched canvas is moved here, leaving
+                          ///< partition.stitched its placements and extent
 
     // Graph shape, for callers that report it.
     std::uint64_t nodes = 0;

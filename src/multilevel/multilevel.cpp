@@ -49,12 +49,9 @@ double adaptive_refine_eta(const graph::LeanGraph& coarse) {
     return (p95 / 8.0) * (p95 / 8.0);
 }
 
-core::LayoutConfig coarse_pass_config(const core::LayoutConfig& cfg,
-                                      const MultilevelOptions& opt) {
+core::LayoutConfig coarse_pass_config(const core::LayoutConfig& cfg) {
     const std::uint32_t iters = cfg.schedule_length();
-    const std::uint32_t hot =
-        opt.coarse_iters > 0 ? opt.coarse_iters
-                             : std::max<std::uint32_t>(2, (5 * iters + 2) / 6);
+    const std::uint32_t hot = std::max<std::uint32_t>(2, (5 * iters + 2) / 6);
     core::LayoutConfig c = cfg;
     c.iter_max = std::min(hot, iters);
     c.schedule_iter_max = iters;
@@ -74,8 +71,6 @@ core::LayoutConfig refine_pass_config(const core::LayoutConfig& cfg,
         c.eta_max = refine_eta_max(
             static_cast<double>(fine.max_path_nuc_length()), cfg.eps,
             cfg.schedule_length(), c.iter_max);
-    } else if (opt.refine_eta != 0.0) {
-        c.eta_max = opt.refine_eta;
     } else {
         c.eta_max = adaptive_refine_eta(first_coarse);
         // Adaptive restart: also raise the schedule floor to the
@@ -91,7 +86,7 @@ core::LayoutConfig refine_pass_config(const core::LayoutConfig& cfg,
 
 std::string describe(const core::LayoutConfig& cfg,
                      const MultilevelOptions& opt) {
-    const core::LayoutConfig coarse = coarse_pass_config(cfg, opt);
+    const core::LayoutConfig coarse = coarse_pass_config(cfg);
     std::ostringstream out;
     for (std::uint32_t l = 0; l < opt.levels; ++l) {
         out << "coarsen L" << l << "->L" << l + 1 << "; ";
@@ -140,7 +135,7 @@ MultilevelResult run_multilevel(const graph::LeanGraph& fine,
     core::Layout current;
     {
         telemetry::StageSpan span("layout", "multilevel");
-        current = pass(levels.back().graph, coarse_pass_config(cfg, opt));
+        current = pass(levels.back().graph, coarse_pass_config(cfg));
     }
     for (std::uint32_t l = opt.levels; l > 0; --l) {
         telemetry::StageSpan span("interpolate", "multilevel");

@@ -45,23 +45,14 @@ namespace pgl::multilevel {
 struct MultilevelOptions {
     /// Coarsening levels (>= 1).
     std::uint32_t levels = 1;
-    /// Coarse-level layout iterations; 0 means the hot five-sixths of the
-    /// flat schedule, max(2, (5 * iter_max + 2) / 6) — the prefix that
-    /// cools from the graph-scale eta ceiling through the whole inter-run
-    /// band, where coarse-node geometry stops improving.
-    std::uint32_t coarse_iters = 0;
     /// Full-resolution refinement iterations; 0 means the default tail of
     /// max(2, iter_max / 2) — half the flat schedule at full resolution,
     /// the shortest tail that reliably reaches flat-final quality.
     std::uint32_t refine_iters = 0;
-    /// Explicit refine restart temperature; 0 derives it as (p95
-    /// nucleotide length of the first coarse level / 8)^2, the sub-run
-    /// scale of the straight-run interpolation error.
-    double refine_eta = 0.0;
-    /// Replaces the adaptive restart temperature with the flat schedule's
-    /// own: the refine schedule becomes the last R entries of the flat
-    /// I-iteration anneal, bit for bit (see refine_eta_max). Overrides
-    /// refine_eta.
+    /// Replaces the adaptive restart temperature, (p95 nucleotide length
+    /// of the first coarse level / 8)^2, with the flat schedule's own: the
+    /// refine schedule becomes the last R entries of the flat I-iteration
+    /// anneal, bit for bit (see refine_eta_max).
     bool exact_tail = false;
 };
 
@@ -89,17 +80,17 @@ inline constexpr double kRefineEtaFloor = 1.0;
 
 /// The coarse anneal's config: `cfg` on the full I-iteration eta curve
 /// (schedule_iter_max = I, eta_max derived from the graph), run for only
-/// its hot prefix of opt.coarse_iters or max(2, (5I + 2) / 6) iterations.
-core::LayoutConfig coarse_pass_config(const core::LayoutConfig& cfg,
-                                      const MultilevelOptions& opt);
+/// its hot prefix of max(2, (5I + 2) / 6) iterations — the five-sixths
+/// that cools from the graph-scale eta ceiling through the whole inter-run
+/// band, where coarse-node geometry stops improving.
+core::LayoutConfig coarse_pass_config(const core::LayoutConfig& cfg);
 
 /// The refine pass's config: `cfg` for opt.refine_iters or max(2, I / 2)
 /// iterations, warm-started from `warm` (cfg.initial_layout marks the
 /// pass as the refine) and entirely in the cooling phase. The restart
 /// temperature is refine_eta_max over `fine`'s longest path under
-/// exact_tail, else opt.refine_eta when set, else
-/// adaptive_refine_eta(first_coarse) with the floor raised to
-/// kRefineEtaFloor.
+/// exact_tail, else adaptive_refine_eta(first_coarse) with the floor
+/// raised to kRefineEtaFloor.
 core::LayoutConfig refine_pass_config(const core::LayoutConfig& cfg,
                                       const MultilevelOptions& opt,
                                       const graph::LeanGraph& fine,

@@ -35,8 +35,7 @@ PartitionResult partition_layout(const graph::LeanGraph& g,
     const auto t_stitch = std::chrono::steady_clock::now();
     {
         telemetry::StageSpan span("stitch", "partition");
-        out.stitched =
-            stitch(out.decomposition, out.component_results, opt.stitching);
+        out.stitched = stitch(out.decomposition, out.component_results);
     }
     out.stitch_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t_stitch)

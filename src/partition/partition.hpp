@@ -19,7 +19,6 @@ namespace pgl::partition {
 
 struct PartitionOptions {
     SchedulerOptions schedule;
-    StitchOptions stitching;
     ComponentHook progress;  ///< optional per-component completion hook
 };
 

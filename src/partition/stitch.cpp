@@ -10,6 +10,12 @@ namespace pgl::partition {
 
 namespace {
 
+/// Gap between neighbouring components, as a fraction of the mean
+/// component extent (max of width/height, averaged over components).
+constexpr double kMarginFrac = 0.05;
+/// Canvas aspect ratio (width / height) the shelf width aims for.
+constexpr double kAspect = 1.0;
+
 void bounding_box(const core::Layout& l, ComponentPlacement& p) {
     p.min_x = p.min_y = std::numeric_limits<float>::max();
     p.max_x = p.max_y = std::numeric_limits<float>::lowest();
@@ -24,13 +30,14 @@ void bounding_box(const core::Layout& l, ComponentPlacement& p) {
     }
 }
 
-StitchResult stitch_views(const Decomposition& d,
-                          const std::vector<const core::Layout*>& component_layouts,
-                          const StitchOptions& opt) {
-    if (component_layouts.size() != d.components.size()) {
+}  // namespace
+
+StitchResult stitch(const Decomposition& d,
+                    const std::vector<core::LayoutResult>& component_results) {
+    if (component_results.size() != d.components.size()) {
         throw std::invalid_argument("stitch: layout count != component count");
     }
-    const std::size_t n = component_layouts.size();
+    const std::size_t n = component_results.size();
     StitchResult out;
     out.placements.resize(n);
     out.layout.resize(d.global_node_count());
@@ -38,10 +45,11 @@ StitchResult stitch_views(const Decomposition& d,
 
     double sum_extent = 0.0, total_area = 0.0, max_w = 0.0;
     for (std::size_t c = 0; c < n; ++c) {
-        if (component_layouts[c]->size() != d.components[c].global_node.size()) {
+        if (component_results[c].layout.size() !=
+            d.components[c].global_node.size()) {
             throw std::invalid_argument("stitch: layout size != component size");
         }
-        bounding_box(*component_layouts[c], out.placements[c]);
+        bounding_box(component_results[c].layout, out.placements[c]);
         const auto& p = out.placements[c];
         const double w = double(p.max_x) - p.min_x;
         const double h = double(p.max_y) - p.min_y;
@@ -49,11 +57,11 @@ StitchResult stitch_views(const Decomposition& d,
         total_area += w * h;
         max_w = std::max(max_w, w);
     }
-    double margin = opt.margin_frac * sum_extent / static_cast<double>(n);
+    double margin = kMarginFrac * sum_extent / static_cast<double>(n);
     if (margin <= 0.0) margin = 1.0;  // degenerate boxes still get separated
 
     // Shelf (next-fit decreasing-area) packing. The target width balances
-    // total area against the requested aspect; the widest component always
+    // total area against the aspect; the widest component always
     // fits on a shelf of its own.
     std::vector<std::uint32_t> order(n);
     std::iota(order.begin(), order.end(), 0u);
@@ -69,7 +77,7 @@ StitchResult stitch_views(const Decomposition& d,
                      });
     const double target_w =
         std::max(max_w, std::sqrt(std::max(total_area, margin * margin) *
-                                  std::max(opt.aspect, 1e-3)));
+                                  kAspect));
 
     double cursor_x = 0.0, shelf_y = 0.0, shelf_h = 0.0;
     for (const std::uint32_t c : order) {
@@ -93,7 +101,7 @@ StitchResult stitch_views(const Decomposition& d,
     // coordinate — the "modulo deterministic stitch translation" of the
     // equivalence contract.
     for (std::size_t c = 0; c < n; ++c) {
-        const core::Layout& src = *component_layouts[c];
+        const core::Layout& src = component_results[c].layout;
         const ComponentPlacement& p = out.placements[c];
         const auto& global = d.components[c].global_node;
         for (std::size_t i = 0; i < src.size(); ++i) {
@@ -103,26 +111,6 @@ StitchResult stitch_views(const Decomposition& d,
         }
     }
     return out;
-}
-
-}  // namespace
-
-StitchResult stitch(const Decomposition& d,
-                    const std::vector<core::Layout>& component_layouts,
-                    const StitchOptions& opt) {
-    std::vector<const core::Layout*> views;
-    views.reserve(component_layouts.size());
-    for (const core::Layout& l : component_layouts) views.push_back(&l);
-    return stitch_views(d, views, opt);
-}
-
-StitchResult stitch(const Decomposition& d,
-                    const std::vector<core::LayoutResult>& component_results,
-                    const StitchOptions& opt) {
-    std::vector<const core::Layout*> views;
-    views.reserve(component_results.size());
-    for (const core::LayoutResult& r : component_results) views.push_back(&r.layout);
-    return stitch_views(d, views, opt);
 }
 
 }  // namespace pgl::partition

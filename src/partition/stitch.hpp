@@ -21,14 +21,6 @@
 
 namespace pgl::partition {
 
-struct StitchOptions {
-    /// Gap between neighbouring components, as a fraction of the mean
-    /// component extent (max of width/height, averaged over components).
-    double margin_frac = 0.05;
-    /// Target canvas aspect ratio (width / height) the shelf width aims for.
-    double aspect = 1.0;
-};
-
 /// Where one component landed on the canvas.
 struct ComponentPlacement {
     float dx = 0.0f, dy = 0.0f;  ///< translation applied to every coordinate
@@ -42,17 +34,12 @@ struct StitchResult {
     double width = 0.0, height = 0.0;  ///< extent of the packed canvas
 };
 
-/// Packs the per-component layouts (indexed by component id, local node
-/// order) onto one canvas. Throws std::invalid_argument when the layout
-/// count or a layout's size does not match the decomposition.
+/// Packs the per-component layouts (the scheduler's results, indexed by
+/// component id, local node order) onto one canvas of aspect ratio about
+/// 1, with a gap of 5% of the mean component extent between neighbours.
+/// Throws std::invalid_argument when the result count or a layout's size
+/// does not match the decomposition.
 StitchResult stitch(const Decomposition& d,
-                    const std::vector<core::Layout>& component_layouts,
-                    const StitchOptions& opt = {});
-
-/// Same, reading the layouts straight out of the scheduler's results —
-/// avoids copying every component's coordinates into a temporary vector.
-StitchResult stitch(const Decomposition& d,
-                    const std::vector<core::LayoutResult>& component_results,
-                    const StitchOptions& opt = {});
+                    const std::vector<core::LayoutResult>& component_results);
 
 }  // namespace pgl::partition

@@ -14,8 +14,8 @@
 #   5. A non-finite --factor exits 2 naming the flag, and a finite factor
 #      whose update count does not fit 64 bits fails the run instead of
 #      hanging or running "0 updates".
-#   6. --pin and --numa (worker pinning, NUMA placement) are unknown
-#      options.
+#   6. --pin and --numa (worker pinning, NUMA placement) and --gpu=SPEC
+#      (--gpu takes no value) are unknown options.
 #
 # Expects -DTOOL=<pgl_layout> -DGENERATOR=<whole_genome_layout>
 #         -DDATA=<tests/data dir> -DWORKDIR=<scratch dir>
@@ -187,8 +187,8 @@ if(EXISTS "${WORKDIR}/bad_factor.lay" OR EXISTS "${WORKDIR}/big_factor.lay")
 endif()
 message(STATUS "non-finite and oversized --factor rejected")
 
-# --- 6. --pin and --numa are unknown --------------------------------------
-foreach(removed "--pin" "--numa|auto")
+# --- 6. --pin, --numa and --gpu=SPEC are unknown ----------------------------
+foreach(removed "--pin" "--numa|auto" "--gpu=a100")
   string(REPLACE "|" ";" removed_list "${removed}")
   list(GET removed_list 0 flag)
   execute_process(
@@ -199,4 +199,4 @@ foreach(removed "--pin" "--numa|auto")
     message(FATAL_ERROR "${flag}: want exit 2 as unknown, got ${rc}: ${err}")
   endif()
 endforeach()
-message(STATUS "--pin and --numa are unknown options")
+message(STATUS "--pin, --numa and --gpu=a100 are unknown options")

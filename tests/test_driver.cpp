@@ -368,24 +368,27 @@ TEST(WorkerSpec, RoundTripsMultilevelOptions) {
     partition::SchedulerOptions opt;
     opt.multilevel = true;
     opt.ml.levels = 3;
-    opt.ml.coarse_iters = 11;
     opt.ml.refine_iters = 4;
-    opt.ml.refine_eta = 0.125;
     opt.ml.exact_tail = true;
 
     const auto parsed =
         partition::parse_worker_spec(partition::encode_worker_spec(opt, 7));
     ASSERT_TRUE(parsed.multilevel);
     EXPECT_EQ(parsed.ml.levels, 3u);
-    EXPECT_EQ(parsed.ml.coarse_iters, 11u);
     EXPECT_EQ(parsed.ml.refine_iters, 4u);
-    EXPECT_EQ(parsed.ml.refine_eta, 0.125);
     EXPECT_TRUE(parsed.ml.exact_tail);
 }
 
 TEST(WorkerSpec, RejectsUnknownFields) {
     EXPECT_THROW(partition::parse_worker_spec("backend=cpu-soa;bogus=1;"),
                  std::invalid_argument);
+    for (const char* removed : {"zipf_theta=0.99;", "init_jitter=1;",
+                                "multilevel=1;ml.coarse_iters=3;",
+                                "multilevel=1;ml.refine_eta=0.5;"}) {
+        EXPECT_THROW(partition::parse_worker_spec(removed),
+                     std::invalid_argument)
+            << removed;
+    }
 }
 
 }  // namespace

@@ -262,7 +262,7 @@ LinearRuns linear_runs() {
 TEST(PassConfig, DefaultCoarseAndRefineConfigs) {
     core::LayoutConfig cfg = quick_config();
     cfg.iter_max = 12;
-    const auto coarse = multilevel::coarse_pass_config(cfg, {});
+    const auto coarse = multilevel::coarse_pass_config(cfg);
     // Coarse anneal: the hot max(2, (5 * 12 + 2) / 6) = 10 iterations of
     // the full 12-iteration flat eta curve, eta ceiling from the graph.
     EXPECT_EQ(coarse.iter_max, 10u);
@@ -292,10 +292,10 @@ TEST(PassConfig, DefaultCoarseAndRefineConfigs) {
         "coarsen L0->L1; layout L1 x10/12; interpolate L1->L0; refine L0 x6");
     multilevel::MultilevelOptions two;
     two.levels = 2;
-    two.coarse_iters = 12;
+    two.refine_iters = 3;
     EXPECT_EQ(multilevel::describe(cfg, two),
-              "coarsen L0->L1; coarsen L1->L2; layout L2 x12; "
-              "interpolate L2->L1; interpolate L1->L0; refine L0 x6");
+              "coarsen L0->L1; coarsen L1->L2; layout L2 x10/12; "
+              "interpolate L2->L1; interpolate L1->L0; refine L0 x3");
 }
 
 TEST(PassConfig, ExactTailUsesFlatScheduleTemperature) {
@@ -304,7 +304,6 @@ TEST(PassConfig, ExactTailUsesFlatScheduleTemperature) {
     multilevel::MultilevelOptions opt;
     opt.exact_tail = true;
     opt.refine_iters = 4;
-    opt.refine_eta = 5.0;  // exact_tail overrides an explicit temperature
     const auto runs = linear_runs();
     const double max_dref =
         static_cast<double>(runs.fine.max_path_nuc_length());
@@ -408,7 +407,7 @@ TEST(MultilevelPartition, MatchesStandalonePerComponentPlans) {
     // The standalone plans run on the subgraphs decompose() builds.
     const auto d = partition::decompose(ing.graph, labels);
     ASSERT_EQ(d.count(), 3u);
-    std::vector<core::Layout> standalone;
+    std::vector<core::LayoutResult> standalone;
     for (std::uint32_t c = 0; c < d.count(); ++c) {
         const auto& comp = d.components[c].graph;
         core::LayoutConfig cfg = popt.schedule.config;
@@ -417,10 +416,10 @@ TEST(MultilevelPartition, MatchesStandalonePerComponentPlans) {
         const auto ml = multilevel::run_multilevel(comp, *engine, cfg,
                                                    popt.schedule.ml);
         expect_layout_bitwise_equal(part.component_results[c].layout, ml.layout);
-        standalone.push_back(ml.layout);
+        standalone.push_back(ml);
     }
     const auto restitched =
-        partition::stitch(part.decomposition, standalone, popt.stitching);
+        partition::stitch(part.decomposition, standalone);
     expect_layout_bitwise_equal(part.stitched.layout, restitched.layout);
 }
 

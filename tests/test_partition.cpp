@@ -159,22 +159,23 @@ TEST(Stitch, TranslationIsASingleFloatAdd) {
     const auto d = decompose_vg(small_genome(3));
     partition::SchedulerOptions sopt;
     sopt.config = quick_config();
-    std::vector<core::Layout> layouts;
+    std::vector<core::LayoutResult> results;
     for (std::uint32_t c = 0; c < d.count(); ++c) {
-        layouts.push_back(
-            partition::run_component(d.components[c].graph, c, sopt).layout);
+        results.push_back(
+            partition::run_component(d.components[c].graph, c, sopt));
     }
-    const auto s = partition::stitch(d, layouts);
+    const auto s = partition::stitch(d, results);
     ASSERT_EQ(s.layout.size(), d.global_node_count());
     ASSERT_EQ(s.placements.size(), d.count());
     for (std::uint32_t c = 0; c < d.count(); ++c) {
         const auto& p = s.placements[c];
-        for (std::size_t i = 0; i < layouts[c].size(); ++i) {
+        const core::Layout& layout = results[c].layout;
+        for (std::size_t i = 0; i < layout.size(); ++i) {
             const graph::NodeId g = d.components[c].global_node[i];
-            EXPECT_EQ(s.layout[g].sx, layouts[c][i].sx + p.dx);
-            EXPECT_EQ(s.layout[g].sy, layouts[c][i].sy + p.dy);
-            EXPECT_EQ(s.layout[g].ex, layouts[c][i].ex + p.dx);
-            EXPECT_EQ(s.layout[g].ey, layouts[c][i].ey + p.dy);
+            EXPECT_EQ(s.layout[g].sx, layout[i].sx + p.dx);
+            EXPECT_EQ(s.layout[g].sy, layout[i].sy + p.dy);
+            EXPECT_EQ(s.layout[g].ex, layout[i].ex + p.dx);
+            EXPECT_EQ(s.layout[g].ey, layout[i].ey + p.dy);
         }
     }
 }
@@ -183,12 +184,12 @@ TEST(Stitch, PlacedBoundingBoxesDoNotOverlap) {
     const auto d = decompose_vg(small_genome(4));
     partition::SchedulerOptions sopt;
     sopt.config = quick_config();
-    std::vector<core::Layout> layouts;
+    std::vector<core::LayoutResult> results;
     for (std::uint32_t c = 0; c < d.count(); ++c) {
-        layouts.push_back(
-            partition::run_component(d.components[c].graph, c, sopt).layout);
+        results.push_back(
+            partition::run_component(d.components[c].graph, c, sopt));
     }
-    const auto s = partition::stitch(d, layouts);
+    const auto s = partition::stitch(d, results);
     for (std::uint32_t a = 0; a < d.count(); ++a) {
         for (std::uint32_t b = a + 1; b < d.count(); ++b) {
             const auto& pa = s.placements[a];
@@ -458,18 +459,18 @@ TEST(PartitionEquivalence, MatchesStandalonePerComponentRuns) {
             // seeds them.
             const auto d = decompose_vg(vg);
             ASSERT_EQ(d.count(), 4u);
-            std::vector<core::Layout> standalone;
+            std::vector<core::LayoutResult> standalone;
             for (std::uint32_t c = 0; c < d.count(); ++c) {
                 auto engine = core::make_engine(backend);
                 core::LayoutConfig cfg = popt.schedule.config;
                 cfg.seed = partition::component_seed(popt.schedule.config.seed, c);
                 engine->init(d.components[c].graph, cfg);
-                standalone.push_back(engine->run().layout);
+                standalone.push_back(engine->run());
                 expect_layout_bitwise_equal(
-                    part.component_results[c].layout, standalone.back());
+                    part.component_results[c].layout, standalone.back().layout);
             }
             const auto restitched =
-                partition::stitch(part.decomposition, standalone, popt.stitching);
+                partition::stitch(part.decomposition, standalone);
             expect_layout_bitwise_equal(part.stitched.layout, restitched.layout);
         }
     }

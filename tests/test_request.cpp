@@ -35,12 +35,12 @@ std::vector<PinnedKey> pinned_keys() {
         out.push_back({"default", r,
                        "epoch=2;"
                        "backend=cpu-soa;cooling_start=0.5;eps=0.01;eta_max=0;"
-                       "init_jitter=1;iter_max=30;kernel=scalar;"
-                       "schedule_iter_max=0;seed=9399220614123047;"
+                       "iter_max=30;schedule_iter_max=0;seed=9399220614123047;"
                        "steps_per_iter_factor=10;threads=1;zipf_space_max=1000;"
-                       "zipf_theta=0.99;partition=0;multilevel=0;"});
+                       "partition=0;multilevel=0;"});
     }
     {
+        // The kernel is an execution row: simd writes scalar's bytes.
         serve::JobRequest r;
         r.backend = "cpu-pipelined";
         r.config.kernel = "simd";
@@ -50,10 +50,9 @@ std::vector<PinnedKey> pinned_keys() {
         out.push_back({"engine_knobs", r,
                        "epoch=2;"
                        "backend=cpu-pipelined;cooling_start=0.5;eps=0.01;"
-                       "eta_max=0;init_jitter=1;iter_max=7;kernel=simd;"
-                       "schedule_iter_max=0;seed=42;steps_per_iter_factor=10;"
-                       "threads=4;zipf_space_max=1000;zipf_theta=0.99;"
-                       "partition=0;multilevel=0;"});
+                       "eta_max=0;iter_max=7;schedule_iter_max=0;seed=42;"
+                       "steps_per_iter_factor=10;threads=4;"
+                       "zipf_space_max=1000;partition=0;multilevel=0;"});
     }
     {
         // Execution-only knobs ride along and must not reach the key.
@@ -65,27 +64,22 @@ std::vector<PinnedKey> pinned_keys() {
         out.push_back({"partition", r,
                        "epoch=2;"
                        "backend=cpu-soa;cooling_start=0.5;eps=0.01;eta_max=0;"
-                       "init_jitter=1;iter_max=30;kernel=scalar;"
-                       "schedule_iter_max=0;seed=9399220614123047;"
+                       "iter_max=30;schedule_iter_max=0;seed=9399220614123047;"
                        "steps_per_iter_factor=10;threads=1;zipf_space_max=1000;"
-                       "zipf_theta=0.99;partition=1;multilevel=0;"});
+                       "partition=1;multilevel=0;"});
     }
     {
         serve::JobRequest r;
         r.multilevel = true;
         r.ml.levels = 2;
-        r.ml.coarse_iters = 11;
         r.ml.refine_iters = 4;
-        r.ml.refine_eta = 0.125;
         r.ml.exact_tail = true;
         out.push_back({"multilevel_every_field", r,
                        "epoch=2;"
                        "backend=cpu-soa;cooling_start=0.5;eps=0.01;eta_max=0;"
-                       "init_jitter=1;iter_max=30;kernel=scalar;"
-                       "schedule_iter_max=0;seed=9399220614123047;"
+                       "iter_max=30;schedule_iter_max=0;seed=9399220614123047;"
                        "steps_per_iter_factor=10;threads=1;zipf_space_max=1000;"
-                       "zipf_theta=0.99;partition=0;multilevel=2;"
-                       "ml.coarse_iters=11;ml.refine_iters=4;ml.refine_eta=0.125;"
+                       "partition=0;multilevel=2;ml.refine_iters=4;"
                        "ml.exact_tail=1;"});
     }
     {
@@ -97,10 +91,9 @@ std::vector<PinnedKey> pinned_keys() {
         out.push_back({"multilevel_off", r,
                        "epoch=2;"
                        "backend=cpu-soa;cooling_start=0.5;eps=0.01;eta_max=0;"
-                       "init_jitter=1;iter_max=30;kernel=scalar;"
-                       "schedule_iter_max=0;seed=9399220614123047;"
+                       "iter_max=30;schedule_iter_max=0;seed=9399220614123047;"
                        "steps_per_iter_factor=10;threads=1;zipf_space_max=1000;"
-                       "zipf_theta=0.99;partition=0;multilevel=0;"});
+                       "partition=0;multilevel=0;"});
     }
     {
         serve::JobRequest r;
@@ -108,18 +101,15 @@ std::vector<PinnedKey> pinned_keys() {
         r.config.eps = 1.0 / 3.0;
         r.config.eta_max = 123.456;
         r.config.cooling_start = 0.3;
-        r.config.zipf_theta = 1.5;
-        r.config.init_jitter = 0.0;
         r.config.zipf_space_max = 5000;
         r.config.schedule_iter_max = 60;
         out.push_back({"schedule_floats", r,
                        "epoch=2;"
                        "backend=cpu-soa;cooling_start=0.3;"
-                       "eps=0.3333333333333333;eta_max=123.456;init_jitter=0;"
-                       "iter_max=30;kernel=scalar;schedule_iter_max=60;"
-                       "seed=9399220614123047;steps_per_iter_factor=0.1;"
-                       "threads=1;zipf_space_max=5000;zipf_theta=1.5;"
-                       "partition=0;multilevel=0;"});
+                       "eps=0.3333333333333333;eta_max=123.456;iter_max=30;"
+                       "schedule_iter_max=60;seed=9399220614123047;"
+                       "steps_per_iter_factor=0.1;threads=1;"
+                       "zipf_space_max=5000;partition=0;multilevel=0;"});
     }
     {
         serve::JobRequest r;
@@ -130,10 +120,9 @@ std::vector<PinnedKey> pinned_keys() {
         out.push_back({"extremes", r,
                        "epoch=2;"
                        "backend=cpu-soa;cooling_start=0.5;eps=0.01;"
-                       "eta_max=1e+300;init_jitter=1;iter_max=30;kernel=scalar;"
-                       "schedule_iter_max=0;seed=18446744073709551615;"
-                       "steps_per_iter_factor=1e-07;threads=1;zipf_space_max=0;"
-                       "zipf_theta=0.99;partition=0;multilevel=0;"});
+                       "eta_max=1e+300;iter_max=30;schedule_iter_max=0;"
+                       "seed=18446744073709551615;steps_per_iter_factor=1e-07;"
+                       "threads=1;zipf_space_max=0;partition=0;multilevel=0;"});
     }
     {
         serve::JobRequest r;
@@ -145,12 +134,10 @@ std::vector<PinnedKey> pinned_keys() {
         out.push_back({"partition_multilevel_defaults", r,
                        "epoch=2;"
                        "backend=gpusim-optimized;cooling_start=0.5;eps=0.01;"
-                       "eta_max=0;init_jitter=1;iter_max=3;kernel=scalar;"
-                       "schedule_iter_max=0;seed=18446744073709551557;"
-                       "steps_per_iter_factor=10;threads=1;zipf_space_max=1000;"
-                       "zipf_theta=0.99;partition=1;multilevel=1;"
-                       "ml.coarse_iters=0;ml.refine_iters=0;ml.refine_eta=0;"
-                       "ml.exact_tail=0;"});
+                       "eta_max=0;iter_max=3;schedule_iter_max=0;"
+                       "seed=18446744073709551557;steps_per_iter_factor=10;"
+                       "threads=1;zipf_space_max=1000;partition=1;"
+                       "multilevel=1;ml.refine_iters=0;ml.exact_tail=0;"});
     }
     return out;
 }
@@ -159,6 +146,17 @@ TEST(RequestKey, PinnedCanonicalStrings) {
     for (const PinnedKey& p : pinned_keys()) {
         EXPECT_EQ(serve::canonical_request(p.request), p.key) << p.name;
     }
+}
+
+TEST(RequestKey, KernelDoesNotSplitTheKey) {
+    // Every kernel writes the scalar kernel's bytes, so a simd request is
+    // served the artifact of the same scalar request.
+    serve::JobRequest scalar;
+    scalar.backend = "cpu-pipelined";
+    serve::JobRequest simd = scalar;
+    simd.config.kernel = "simd";
+    EXPECT_EQ(serve::canonical_request(simd), serve::canonical_request(scalar));
+    EXPECT_EQ(serve::canonical_request(simd).find("kernel"), std::string::npos);
 }
 
 /// A value of `f` other than its value in `r`, and valid for validate().
@@ -315,8 +313,7 @@ TEST(RequestValidate, WireRejectsWhatTheCommandLineRejects) {
               "config.refine_iters requires config.multilevel");
     EXPECT_EQ(wire_error(R"({"exact_tail":true})"),
               "config.exact_tail requires config.multilevel");
-    EXPECT_EQ(wire_error(R"({"coarse_iters":3})"),
-              "config.coarse_iters requires config.multilevel");
+
     EXPECT_EQ(wire_error(R"({"component_workers":2})"),
               "config.component_workers requires config.partition");
     EXPECT_EQ(wire_error(R"({"executor":"process"})"),

@@ -145,7 +145,6 @@ TEST(ServeRequest, EveryKnobChangesTheKey) {
         serve::parse_request(serve::json_parse(R"({"graph":"g.gfa"})")));
     const char* variants[] = {
         R"({"graph":"g.gfa","config":{"backend":"cpu-pipelined"}})",
-        R"({"graph":"g.gfa","config":{"kernel":"simd"}})",
         R"({"graph":"g.gfa","config":{"iters":31}})",
         R"({"graph":"g.gfa","config":{"seed":1}})",
         R"({"graph":"g.gfa","config":{"threads":2}})",
@@ -202,9 +201,14 @@ TEST(ServeRequest, ExecutorKnobsParseAndRoundTripTheWire) {
     EXPECT_EQ(serve::canonical_request(back), serve::canonical_request(r));
 }
 
-TEST(ServeRequest, PlacementKeysAreUnknown) {
-    // Worker pinning and NUMA placement are not request fields.
-    for (const char* config : {R"({"numa":"auto"})", R"({"pin":true})"}) {
+TEST(ServeRequest, RemovedKeysAreUnknown) {
+    // Worker pinning and NUMA placement are not request fields, and the
+    // Zipf exponent, the initial jitter and the multilevel coarse
+    // iterations and refine temperature are constants.
+    for (const char* config :
+         {R"({"numa":"auto"})", R"({"pin":true})", R"({"zipf_theta":0.99})",
+          R"({"init_jitter":1})", R"({"multilevel":1,"coarse_iters":3})",
+          R"({"multilevel":1,"refine_eta":0.5})"}) {
         try {
             serve::parse_request(serve::json_parse(
                 std::string(R"({"graph":"g","config":)") + config + "}"));

@@ -9,7 +9,7 @@
 #   * every daemon artifact is byte-identical to a direct `pgl_layout` run
 #     of the same (graph, config) — the determinism contract
 #   * a repeat submit of an already-computed config answers "cached":true
-#     without re-running the engine
+#     without re-running the engine, also under another update kernel
 #   * cancel reaches a queued job and reports state "cancelled"
 #   * a GFA with segments but no paths completes and the daemon still
 #     answers ping afterwards
@@ -103,6 +103,14 @@ echo "all ${#names[@]} daemon artifacts byte-identical to direct runs"
     > "${WORKDIR}/resubmit.json"
 grep -q '"cached":true' "${WORKDIR}/resubmit.json"
 echo "resubmit of ${first_backend} config served from cache"
+
+# The update kernel is an execution row: every kernel writes the scalar
+# bytes, so the same config under --kernel simd is the same artifact.
+"${SERVE}" submit --socket "${SOCK}" --graph "${GFA}" \
+    --backend "${first_backend}" --iters 3 --factor 0.5 --kernel simd \
+    --wait > "${WORKDIR}/resubmit_simd.json"
+grep -q '"cached":true' "${WORKDIR}/resubmit_simd.json"
+echo "resubmit of ${first_backend} config with --kernel simd served from cache"
 
 # --- a graph with no paths ----------------------------------------------
 NOPATH="${WORKDIR}/nopath.gfa"

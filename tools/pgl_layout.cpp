@@ -2,12 +2,11 @@
 // the paper's promised `--gpu` switch (Sec. VII-B: "a user can simply add
 // the --gpu argument"). main() is flag parsing plus one driver::run_layout
 // call: every execution mode — flat, multilevel, partitioned (in-process
-// or multi-process), graph-cache conversion, and the internal
-// --component-worker mode the process executor spawns — runs the same
-// driver pipeline the serve daemon uses.
+// or multi-process) and graph-cache conversion — runs the same driver
+// pipeline the serve daemon uses. The internal --component-worker mode
+// the process executor spawns calls partition::run_component_worker.
 //
-//   pgl-layout -i graph.gfa|graph.pgg -o graph.lay [layout flags]
-//              [--gpu[=a6000|a100]]
+//   pgl-layout -i graph.gfa|graph.pgg -o graph.lay [layout flags] [--gpu]
 //              [--save-graph FILE.pgg] [--load-graph FILE.pgg]
 //              [--per-component-out DIR]
 //              [--svg out.svg] [--ppm out.ppm] [--stress]
@@ -38,8 +37,7 @@
 #include "core/kernels/update_kernel.hpp"
 #include "core/request.hpp"
 #include "driver/driver.hpp"
-#include "gpusim/gpu_machine.hpp"
-#include "gpusim/gpu_spec.hpp"
+#include "partition/executor.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -49,7 +47,7 @@ void usage(const char* argv0) {
         << "usage: " << argv0 << " -i graph.gfa|graph.pgg -o layout.lay [options]\n"
         << "layout flags:\n"
         << pgl::core::flag_usage() << "other options:\n"
-        << "  --gpu[=a6000|a100]  alias for the optimized simulated GPU\n"
+        << "  --gpu               alias for --backend gpusim-optimized\n"
         << "  --save-graph FILE   write the parsed graph as a binary .pgg cache\n"
         << "                      (with no -o: convert and exit)\n"
         << "  --load-graph FILE   load a .pgg cache instead of -i\n"
@@ -76,8 +74,10 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 int main(int argc, char** argv) {
     using namespace pgl;
     driver::RunRequest req;
-    std::string in_path, gpu_name, load_graph_path, trace_path;
+    std::string in_path, load_graph_path, trace_path, worker_spec;
     bool report_stress = false, progress = false, timing = false;
+    bool component_worker = false;
+    int status_fd = -1;
 
     // CI's smoke loops consume the `--list-backends` / `--list-kernels`
     // output verbatim (`for x in $(pgl_layout --list-...)`), so the contract
@@ -112,15 +112,6 @@ int main(int argc, char** argv) {
             req.out_path = next();
         } else if (arg == "--gpu") {
             req.backend = "gpusim-optimized";
-            gpu_name.clear();
-        } else if (arg.rfind("--gpu=", 0) == 0) {
-            req.backend = "gpusim-optimized";
-            gpu_name = arg.substr(6);
-            if (gpu_name != "a6000" && gpu_name != "a100") {
-                std::cerr << "unknown GPU \"" << gpu_name
-                          << "\" (expected a6000 or a100)\n";
-                return 2;
-            }
         } else if (arg == "--save-graph") {
             req.save_graph_path = next();
         } else if (arg == "--load-graph") {
@@ -140,11 +131,11 @@ int main(int argc, char** argv) {
         } else if (arg == "--trace") {
             trace_path = next();
         } else if (arg == "--component-worker") {
-            req.component_worker = true;
+            component_worker = true;
         } else if (arg == "--worker-spec") {
-            req.worker_spec = next();
+            worker_spec = next();
         } else if (arg == "--status-fd") {
-            req.status_fd = cli::parse_int_or_die<int>(arg, next());
+            status_fd = cli::parse_int_or_die<int>(arg, next());
         } else if (arg == "-h" || arg == "--help") {
             usage(argv[0]);
             return 0;
@@ -163,17 +154,18 @@ int main(int argc, char** argv) {
         req.force_pgg = true;
     }
     req.graph_path = in_path;
-    if (req.component_worker) {
+    if (component_worker) {
         // The internal mode the process executor spawns: one component in,
         // one .lay out, status frames on --status-fd. All other flags are
         // carried by --worker-spec.
         if (req.graph_path.empty() || req.out_path.empty() ||
-            req.worker_spec.empty()) {
+            worker_spec.empty()) {
             std::cerr << "--component-worker requires --load-graph, -o and "
                          "--worker-spec\n";
             return 2;
         }
-        return driver::run_layout(req).worker_exit_code;
+        return partition::run_component_worker(req.graph_path, req.out_path,
+                                               worker_spec, status_fd);
     }
     const bool convert_only = !req.save_graph_path.empty() && req.out_path.empty();
     if (req.graph_path.empty() || (req.out_path.empty() && !convert_only)) {
@@ -186,20 +178,6 @@ int main(int argc, char** argv) {
         return 2;
     }
     cli::validate_or_die(req);
-    // --gpu=a100 holds while no later flag picked another backend. The
-    // a100 variant is constructed with a non-default machine spec, not
-    // through the registry the partition scheduler draws engines from.
-    if (gpu_name == "a100" && req.backend == "gpusim-optimized") {
-        if (req.partition) {
-            std::cerr << "--gpu=a100 is not supported with partitioned runs "
-                         "(use --gpu or --backend gpusim-optimized)\n";
-            return 2;
-        }
-        req.engine_factory = [] {
-            return gpusim::make_gpusim_engine(gpusim::KernelConfig::optimized(),
-                                              gpusim::a100());
-        };
-    }
     req.log = [](const std::string& line) { std::cerr << line << "\n"; };
     req.compute_stress = report_stress;
     if (progress) {
