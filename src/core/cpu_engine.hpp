@@ -3,19 +3,20 @@
 // (pipelined_engine.cpp) shared by every thread count, with two apply
 // policies fixed by the registry name. In both, max(1, cfg.threads) pool
 // workers and the calling thread sample fixed blocks of pre-positioned
-// stream words, one jumped Xoshiro256+ stream per shard.
+// stream words, one jumped Xoshiro256+ stream per shard, through a
+// bounded ring of blocks that the calling thread plans.
 //
-//   * Ordered ("cpu-pipelined") — only the calling thread applies, the
-//     previous slice's batches in fixed shard order, through the
+//   * Ordered ("cpu-pipelined") — only the calling thread applies, each
+//     block the moment it is filled, in a fixed order, through the
 //     UpdateKernel named by cfg.kernel ("scalar" or the byte-identical
 //     vectorized "simd"). A fixed (seed, threads) pair is
 //     byte-reproducible whichever thread fills which block — the contract
 //     the partition scheduler builds on.
 //   * Hogwild ("cpu-soa") — with threads >= 2 every sampler applies each
 //     block as soon as it has filled it, racing the others through the
-//     store's relaxed-atomic accessors, as odgi does (Sec. III-A); the
-//     pool's wait after each slice is the only barrier. At one thread it
-//     runs the ordered policy.
+//     store's relaxed-atomic accessors, as odgi does (Sec. III-A); no
+//     block of the next iteration is planned before the current one is
+//     applied. At one thread it runs the ordered policy.
 //
 // Every term draws four words of its stream however it is batched, so with
 // one thread and the same seed both names replay the same term stream and

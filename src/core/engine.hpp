@@ -14,9 +14,10 @@
 //                       (ordered, and deterministic per seed, at one
 //                       thread)
 //   "cpu-pipelined"     block CPU engine, ordered apply: every thread
-//                       samples blocks of the next slice, the caller
-//                       applies in shard order (deterministic per
-//                       seed+threads; cpu-soa's bytes at one thread)
+//                       samples blocks ahead through a bounded ring,
+//                       the caller applies each in a fixed order as soon
+//                       as it is filled (deterministic per seed+threads;
+//                       cpu-soa's bytes at one thread)
 //   "gpusim-base"       simulated CUDA kernel, no optimizations
 //   "gpusim-optimized"  simulated CUDA kernel, CDL + CRS + WM
 //   "torch"             PyTorch-style batched tensor implementation

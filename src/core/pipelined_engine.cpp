@@ -3,49 +3,68 @@
 // sampling-bound — most of an update's cost is drawing the term (alias
 // tables, Zipf hop, step lookups), not the arithmetic — and
 // data-parallel. One loop serves both CPU registry names, and the name
-// fixes how the sampled terms are applied (the apply policy):
+// fixes how the sampled terms are applied (the apply policy).
+//
+// A run is one stream of blocks of kBlock terms, in a fixed apply order:
+// iteration by iteration, slice by slice, shard by shard, block by block.
 //
 //   shards (max(1, threads) of them)
 //       shard tid draws from a jumped Xoshiro256+ stream (the seed stream
-//       jumped tid times) into its own TermBatch per slice. A shard's slice
-//       is cut into blocks of kBlock terms, and block b starts at the
-//       slice's stream position jumped b times by jump_block() — the
-//       paper's pre-positioned random states (Sec. V-B2) — so any thread
-//       can fill any block with the slot-range PairSampler::fill_batch_staged;
-//   samplers (the max(1, threads) persistent pool workers plus the caller)
-//       claim the blocks of a slice from one atomic counter;
+//       jumped tid times). Each iteration hands every shard its share of
+//       the terms in slices; the slice size only fixes how the shards'
+//       blocks interleave in the apply order. A block starts where the
+//       shard's previous block ended: jump_block() past a full block — the
+//       paper's pre-positioned random states (Sec. V-B2) — and at most
+//       4092 next() calls past the partial block that ends a slice. So
+//       any thread can fill any block with the slot-range
+//       PairSampler::fill_batch_staged, and a term's words depend only on
+//       (seed, threads);
+//   the ring
+//       the calling thread positions each block's stream (plans it) and
+//       publishes it into a ring of 16 x (shards + 1) slots, one kBlock
+//       batch each; slot k % R is planned again only once block k is
+//       passed. One launch per run starts the samplers — the
+//       max(1, threads) persistent pool workers — which claim planned
+//       blocks from one counter with the caller, fill them and mark their
+//       slot ready. An idle thread polls briefly, then blocks on an
+//       atomic wait;
 //   ordered ("cpu-pipelined", and "cpu-soa" at one thread)
-//       the samplers fill slice N+1 while the calling thread applies slice
-//       N's batches through the configured UpdateKernel (cfg.kernel:
-//       "scalar" or the byte-identical "simd"), in fixed shard order, then
-//       claims whatever blocks of slice N+1 are still left. Double
-//       buffering means no batch is sampled while it is applied; the
-//       pool's dispatch/wait edges order the hand-off. A term's words, its
-//       slot and the apply order depend only on (seed, threads), never on
-//       which thread filled its block, and the caller is the only thread
-//       that writes coordinates, so a fixed (seed, threads) pair
-//       reproduces the layout byte-for-byte;
+//       the caller applies block k through the configured UpdateKernel
+//       (cfg.kernel: "scalar" or the byte-identical "simd") the moment its
+//       slot is ready, and fills the next claimable block while it waits.
+//       The samplers run up to a ring ahead, across iteration boundaries
+//       too (sampling reads the iteration only through its cooling flag).
+//       The caller is the only thread that writes coordinates and the
+//       apply order is fixed, so a fixed (seed, threads) pair reproduces
+//       the layout byte-for-byte, whichever thread filled which block;
 //   hogwild ("cpu-soa" at threads >= 2: odgi's loop, paper Sec. III-A)
-//       every sampler applies each block as soon as it has filled it, term
-//       by term through the store's relaxed-atomic accessors, racing the
-//       other samplers without locks — the graph's extreme sparsity makes
-//       collisions harmless. The pool's wait at the end of each slice is
-//       the only barrier, so all samplers apply a slice with one eta. The
-//       bytes depend on scheduler interleaving. It is slower than ordered
-//       on the whole-genome workload; it is kept as the paper's CPU
-//       baseline, which bench_fig4_cpu_scaling scales over threads. The
-//       counter pipelined.hogwild_blocks counts its blocks (0 under ordered).
+//       every sampler applies each block as soon as it has filled it, with
+//       the block's iteration's eta, term by term through the store's
+//       relaxed-atomic accessors, racing the other samplers without locks
+//       — the graph's extreme sparsity makes collisions harmless. No block
+//       of iteration i + 1 is planned before every block of iteration i is
+//       applied, so an iteration runs with one eta. The bytes depend on
+//       scheduler interleaving. It is slower than ordered on the
+//       whole-genome workload; it is kept as the paper's CPU baseline,
+//       which bench_fig4_cpu_scaling scales over threads. The counter
+//       pipelined.hogwild_blocks counts its blocks (0 under ordered).
 //
 // Every term takes exactly four words of its shard's stream — w0 the path,
 // w1 step_i, w2 step_j or the Zipf hop, w3 the coins and the nudge
 // (core/sampling.hpp) — so neither the slice nor the block size changes
 // which terms a shard draws. At one thread the single shard is the
 // unjumped seed stream applied in draw order, under either name.
+//
+// Attribution counters, flushed once per iteration: engine.sample_ns (time
+// in fill_batch_staged, summed over every sampler), engine.apply_ns (the
+// caller's applies) and engine.stall_ns (the caller's wait for a block
+// that is not ready yet).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/cpu_engine.hpp"
@@ -60,34 +79,63 @@ namespace pgl::core {
 
 namespace {
 
-/// Adaptive slice sizing: at least 1024 terms (amortizes the pool
-/// dispatch; keeps a slice's updates cache-hot), at most 64Ki terms
-/// (bounds buffer memory at any thread count). Two slices per iteration is the minimum
-/// that still overlaps — the samplers fill the second half-iteration
-/// while the caller applies the first — and it keeps pool dispatches per
-/// iteration constant, so the dispatch latency never grows with the
-/// schedule.
+/// Adaptive slice sizing: at least 1024 terms, at most 64Ki, about two
+/// slices per iteration. The slice no longer bounds any buffer; it is kept
+/// because it fixes how the shards' blocks interleave in the apply order
+/// at threads >= 2, which the golden digests pin.
 constexpr std::size_t kMinSlice = 1024;
 constexpr std::size_t kMaxSlice = std::size_t{1} << 16;
 constexpr std::uint64_t kTargetSlicesPerIter = 2;
 
-/// One block of a shard's slice: up to kBlock slots of the shard's batch
-/// and a stream positioned at the block's first word. After the fill the
-/// stream sits at the block's end and `skipped` holds its degenerate
-/// terms. Cache-line aligned: blocks are filled by different threads.
-struct alignas(64) Block {
-    rng::Xoshiro256Plus rng;
-    std::uint32_t shard = 0;
-    std::size_t begin = 0, n = 0;
+/// Ring slots per sampler: how far the samplers may run ahead of the
+/// caller's apply.
+constexpr std::size_t kSlotsPerSampler = 16;
+
+/// How long a thread with nothing to do polls before it blocks. A block
+/// takes tens of microseconds to fill, so a short poll catches the next
+/// hand-off; a longer one would burn a core other jobs could use.
+constexpr std::chrono::microseconds kIdleSpin{20};
+
+/// Waits until `word` no longer holds `seen`: polls for kIdleSpin, then
+/// blocks in atomic wait.
+void idle_wait(const std::atomic<std::uint32_t>& word, std::uint32_t seen) {
+    const auto until = std::chrono::steady_clock::now() + kIdleSpin;
+    while (word.load(std::memory_order_acquire) == seen) {
+        if (std::chrono::steady_clock::now() >= until) {
+            word.wait(seen, std::memory_order_acquire);
+            return;
+        }
+        std::this_thread::yield();
+    }
+}
+
+/// One block of the apply order: its shard and its term count.
+struct BlockShape {
+    std::uint32_t shard;
+    std::uint32_t n;
+};
+
+/// One ring slot. The planner writes the batch size, stream and iteration
+/// before it publishes the block; the filler writes the terms, `skipped`
+/// and `sample_ns`, then stores `ready`; the caller reads them after it
+/// sees `ready`. Cache-line aligned: slots are filled by different threads.
+struct alignas(64) Slot {
+    TermBatch batch;
+    rng::Xoshiro256Plus rng{0};  ///< at the block's first word
+    std::uint32_t iter = 0;
     std::uint64_t skipped = 0;
+    std::uint64_t sample_ns = 0;
+    /// Low 32 bits of (block + 1) once the block is filled (ordered) or
+    /// applied (hogwild). The slot's previous block was R earlier, so the
+    /// wrap never makes the two look alike.
+    std::atomic<std::uint32_t> ready{0};
 };
 
 enum class ApplyPolicy { kOrdered, kHogwild };
 
-/// The hogwild apply of one filled block: slots [begin, end) in slot order.
-void apply_slots_relaxed(const TermBatch& b, std::size_t begin,
-                         std::size_t end, double eta, XYStore& store) {
-    for (std::size_t k = begin; k < end; ++k) {
+/// The hogwild apply of one filled block, in slot order.
+void apply_slots_relaxed(const TermBatch& b, double eta, XYStore& store) {
+    for (std::size_t k = 0; k < b.size(); ++k) {
         if (!b.valid[k]) continue;
         apply_term_relaxed(store, b.node_i[k], b.end_i_of(k), b.node_j[k],
                            b.end_j_of(k), b.d_ref[k], eta, b.nudge[k]);
@@ -109,176 +157,205 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
     // One shard has nothing to race with: hogwild at one thread is ordered.
     const bool hogwild = policy == ApplyPolicy::kHogwild && n_shards > 1;
 
-    std::vector<std::uint64_t> shares(n_shards);
-    for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
-        shares[tid] = shard_share(n_steps, n_shards, tid);
+    // One iteration's blocks in apply order. shard_share hands the
+    // remainder to the first shards, so shard 0 has the largest share and
+    // bounds the slice count for everyone; trailing slices of small shards
+    // are empty.
+    std::vector<BlockShape> shapes;
+    {
+        std::vector<std::uint64_t> shares(n_shards);
+        for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
+            shares[tid] = shard_share(n_steps, n_shards, tid);
+        }
+        const std::size_t slice = std::clamp<std::size_t>(
+            static_cast<std::size_t>(shares[0] / kTargetSlicesPerIter), kMinSlice,
+            kMaxSlice);
+        for (std::uint64_t begin = 0; begin < shares[0]; begin += slice) {
+            for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
+                const std::uint64_t end = std::min<std::uint64_t>(begin + slice, shares[tid]);
+                for (std::uint64_t b = begin; b < end; b += kBlock) {
+                    shapes.push_back(
+                        {tid, static_cast<std::uint32_t>(std::min<std::uint64_t>(kBlock, end - b))});
+                }
+            }
+        }
     }
-    // shard_share hands the remainder to the first shards, so shard 0 has
-    // the largest share and bounds the slice count for everyone.
-    const std::uint64_t max_share = shares[0];
-    const std::size_t slice = std::clamp<std::size_t>(
-        static_cast<std::size_t>(max_share / kTargetSlicesPerIter), kMinSlice,
-        kMaxSlice);
-    const std::uint64_t n_slices =
-        (max_share + slice - 1) / static_cast<std::uint64_t>(slice);
+    const std::uint64_t per_iter = shapes.size();
+    const std::uint64_t n_total = std::uint64_t{cfg.iter_max} * per_iter;
 
-    // Shard tid's share of slice s (trailing slices of small shards are 0).
-    const auto take = [&](std::uint32_t tid, std::uint64_t s) -> std::size_t {
-        const std::uint64_t begin =
-            std::min<std::uint64_t>(s * slice, shares[tid]);
-        const std::uint64_t end = std::min<std::uint64_t>(begin + slice, shares[tid]);
-        return static_cast<std::size_t>(end - begin);
-    };
-
-    // rngs[tid] is shard tid's stream at the start of its next slice:
-    // the seed stream jumped tid times.
-    std::vector<rng::Xoshiro256Plus> rngs;
-    rngs.reserve(n_shards);
+    // at[tid] is where shard tid's next block starts: the seed stream
+    // jumped tid times, then advanced past every block planned so far.
+    std::vector<rng::Xoshiro256Plus> at;
+    at.reserve(n_shards);
     rng::Xoshiro256Plus seeder(cfg.seed);
     for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
-        rngs.push_back(seeder);
-        for (std::uint32_t j = 0; j < tid; ++j) rngs.back().jump();
+        at.push_back(seeder);
+        for (std::uint32_t j = 0; j < tid; ++j) at.back().jump();
     }
 
-    // Double buffer: under ordered, the samplers fill slice g + 1 into
-    // bufs[(g + 1) % 2] while the caller applies slice g from bufs[g % 2].
-    // Hogwild applies each slice before the next is planned, so it uses one
-    // side. Each shard's batches are sized once for its largest slice
-    // (slice 0), so later resizes stay within the capacity. Only the apply
-    // columns are sized (the six replay columns stay empty).
-    const std::size_t n_sides = hogwild ? 1 : 2;
-    std::vector<TermBatch> bufs[2];
-    const auto side_of = [&](std::uint64_t g) -> std::vector<TermBatch>& {
-        return bufs[g % n_sides];
-    };
-    for (std::size_t k = 0; k < n_sides; ++k) {
-        bufs[k].resize(n_shards);
-        for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
-            bufs[k][tid].resize(take(tid, 0), false);
-        }
-    }
+    const std::size_t n_slots = kSlotsPerSampler * (n_shards + 1);
+    std::vector<Slot> ring(n_slots);
+    std::atomic<std::uint64_t> planned{0};  // blocks published
+    std::atomic<std::uint64_t> claimed{0};  // blocks handed to a filler
+    std::atomic<std::uint32_t> wake{0};     // bumped per publish and at stop
+    std::atomic<bool> stop{false};
 
-    // The blocks of the slice being sampled, and the counter that hands
-    // them out.
-    std::vector<Block> blocks;
-    std::atomic<std::size_t> next_block{0};
-    const auto plan = [&](std::vector<TermBatch>& side, std::uint64_t s) {
-        blocks.clear();
-        for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
-            const std::size_t n = take(tid, s);
-            side[tid].resize(n, false);
-            rng::Xoshiro256Plus at = rngs[tid];
-            for (std::size_t begin = 0; begin < n; begin += kBlock) {
-                if (begin > 0) at.jump_block();
-                Block& b = blocks.emplace_back();
-                b.rng = at;
-                b.shard = tid;
-                b.begin = begin;
-                b.n = std::min(kBlock, n - begin);
+    // Plans blocks [planned, limit) into their slots and publishes them.
+    std::uint64_t n_planned = 0;
+    const auto plan = [&](std::uint64_t limit) {
+        if (n_planned >= limit) return;
+        for (; n_planned < limit; ++n_planned) {
+            const BlockShape shape = shapes[n_planned % per_iter];
+            Slot& s = ring[n_planned % n_slots];
+            rng::Xoshiro256Plus& stream = at[shape.shard];
+            s.batch.resize(shape.n, false);
+            s.rng = stream;
+            s.iter = static_cast<std::uint32_t>(n_planned / per_iter);
+            if (shape.n == kBlock) {
+                stream.jump_block();
+            } else {
+                for (std::size_t w = 0; w < kTermWords * shape.n; ++w) stream.next();
             }
         }
-        next_block.store(0, std::memory_order_relaxed);
+        planned.store(n_planned, std::memory_order_release);
+        wake.fetch_add(1);
+        wake.notify_all();
     };
-    const telemetry::Counter hogwild_blocks =
-        telemetry::Registry::instance().counter("pipelined.hogwild_blocks");
-    // Fills blocks until none is left; returns how many this thread took.
-    // Under hogwild the filler applies each block at once, with `eta`.
-    const auto drain = [&](std::vector<TermBatch>& side, bool cooling_iter,
-                           double eta) {
-        std::size_t taken = 0;
-        for (std::size_t k = next_block.fetch_add(1, std::memory_order_relaxed);
-             k < blocks.size();
-             k = next_block.fetch_add(1, std::memory_order_relaxed)) {
-            Block& b = blocks[k];
-            b.skipped = sampler.fill_batch_staged(cooling_iter, b.rng, b.begin,
-                                                  b.n, side[b.shard]);
-            if (hogwild) {
-                apply_slots_relaxed(side[b.shard], b.begin, b.begin + b.n,
-                                    eta, store);
+    const auto try_claim = [&](std::uint64_t& k) {
+        k = claimed.load(std::memory_order_relaxed);
+        while (k < planned.load(std::memory_order_acquire)) {
+            if (claimed.compare_exchange_weak(k, k + 1, std::memory_order_relaxed)) {
+                return true;
             }
-            ++taken;
         }
-        if (hogwild) hogwild_blocks.add(taken);
-        return taken;
+        return false;
     };
-    // After every block is in: count the holes, and move each shard's
-    // stream to the end of its last block.
-    const auto harvest = [&](std::vector<TermBatch>& side) {
-        std::uint64_t skipped = 0;
-        for (const Block& b : blocks) {
-            side[b.shard].add_invalid(b.skipped);
-            skipped += b.skipped;
-            rngs[b.shard] = b.rng;  // blocks are in stream order per shard
+    // Fills block k and marks its slot ready; under hogwild it applies the
+    // block first. Returns the apply's nanoseconds.
+    const auto fill = [&](std::uint64_t k) -> std::uint64_t {
+        Slot& s = ring[k % n_slots];
+        const std::uint64_t t0 = telemetry::now_ns();
+        s.skipped = sampler.fill_batch_staged(cfg.cooling(s.iter), s.rng, 0,
+                                              s.batch.size(), s.batch);
+        const std::uint64_t t1 = telemetry::now_ns();
+        s.sample_ns = t1 - t0;
+        std::uint64_t apply_ns = 0;
+        if (hogwild) {
+            apply_slots_relaxed(s.batch, result.eta_schedule[s.iter], store);
+            apply_ns = telemetry::now_ns() - t1;
         }
-        return skipped;
+        // seq_cst, as the wake counter's increments: the new value is
+        // globally visible before notify reads whether anyone waits.
+        s.ready.store(static_cast<std::uint32_t>(k + 1));
+        s.ready.notify_all();
+        return apply_ns;
     };
-    const telemetry::Counter consumer_blocks =
-        telemetry::Registry::instance().counter("pipelined.consumer_blocks");
+    // A pool worker's loop: claim and fill until the run stops.
+    const auto sample = [&](std::uint32_t) {
+        for (;;) {
+            const std::uint32_t seen = wake.load(std::memory_order_acquire);
+            if (stop.load(std::memory_order_acquire)) return;
+            std::uint64_t k = 0;
+            if (try_claim(k)) {
+                fill(k);
+            } else {
+                idle_wait(wake, seen);
+            }
+        }
+    };
+    // Ends the samplers' job on every exit, a throwing hook included.
+    struct StopSamplers {
+        std::atomic<bool>& stop;
+        std::atomic<std::uint32_t>& wake;
+        ThreadPool& pool;
+        ~StopSamplers() {
+            stop.store(true, std::memory_order_release);
+            wake.fetch_add(1);
+            wake.notify_all();
+            pool.wait();
+        }
+    };
 
-    // The run is one sequence of slices: slice g is slice g % n_slices of
-    // iteration g / n_slices. Sampling reads the iteration only through
-    // its cooling flag, never eta or the coordinates, so under ordered the
-    // samplers run one slice ahead of the caller across iteration
-    // boundaries too. Slice g + 1 is planned only once slice g is sampled:
-    // its blocks start where slice g's streams ended.
-    const std::uint64_t n_total = std::uint64_t{cfg.iter_max} * n_slices;
-    std::vector<std::uint64_t> iter_skipped(cfg.iter_max, 0);
-    const auto start_fill = [&](std::uint64_t g) {
-        const auto iter = static_cast<std::uint32_t>(g / n_slices);
-        plan(side_of(g), g % n_slices);
-        const bool cooling_iter = cfg.cooling(iter);
-        const double eta = result.eta_schedule[iter];
-        pool.launch([&, g, cooling_iter, eta](std::uint32_t) {
-            drain(side_of(g), cooling_iter, eta);
-        });
+    auto& reg = telemetry::Registry::instance();
+    const telemetry::Counter consumer_blocks = reg.counter("pipelined.consumer_blocks");
+    const telemetry::Counter hogwild_blocks = reg.counter("pipelined.hogwild_blocks");
+    const telemetry::Counter sample_ns = reg.counter("engine.sample_ns");
+    const telemetry::Counter apply_ns = reg.counter("engine.apply_ns");
+    const telemetry::Counter stall_ns = reg.counter("engine.stall_ns");
+    std::uint64_t filled_here = 0, sampled = 0, applied = 0, stalled = 0;
+    const auto flush = [&] {
+        consumer_blocks.add(filled_here);
+        sample_ns.add(sampled);
+        apply_ns.add(applied);
+        stall_ns.add(stalled);
+        filled_here = sampled = applied = stalled = 0;
     };
-    const auto finish_fill = [&](std::uint64_t g) {
-        const auto iter = static_cast<std::uint32_t>(g / n_slices);
-        consumer_blocks.add(
-            drain(side_of(g), cfg.cooling(iter), result.eta_schedule[iter]));
-        pool.wait();
-        iter_skipped[iter] += harvest(side_of(g));
+
+    // Waits until block k's slot is ready, filling claimable blocks
+    // meanwhile.
+    const auto await = [&](std::uint64_t k) -> Slot& {
+        Slot& s = ring[k % n_slots];
+        const auto want = static_cast<std::uint32_t>(k + 1);
+        if (s.ready.load(std::memory_order_acquire) == want) return s;
+        std::uint64_t t = telemetry::now_ns();
+        for (std::uint32_t seen; (seen = s.ready.load(std::memory_order_acquire)) != want;) {
+            std::uint64_t c = 0;
+            if (try_claim(c)) {
+                stalled += telemetry::now_ns() - t;
+                applied += fill(c);
+                ++filled_here;
+                t = telemetry::now_ns();
+            } else {
+                idle_wait(s.ready, seen);
+            }
+        }
+        stalled += telemetry::now_ns() - t;
+        return s;
     };
 
     std::uint32_t iters_done = cfg.iter_max;
+    std::vector<std::uint64_t> iter_skipped(cfg.iter_max, 0);
     const auto t0 = std::chrono::steady_clock::now();
-    if (n_total > 0 && !hogwild) {
-        start_fill(0);
-        finish_fill(0);
-    }
-    for (std::uint64_t g = 0; g < n_total; ++g) {
-        const auto iter = static_cast<std::uint32_t>(g / n_slices);
-        // Cooperative cancel at iteration boundaries. No fill is in flight
-        // here (each slice's fill is finished before its apply), so the
-        // pool is quiescent when we bail.
-        if (g % n_slices == 0 && cfg.cancel_requested()) {
-            iters_done = iter;
-            break;
-        }
-        const double eta = result.eta_schedule[iter];
-        if (hogwild) {
-            // Fill and apply slice g; the pool's wait is the barrier.
-            start_fill(g);
-            finish_fill(g);
-        } else {
-            const bool more = g + 1 < n_total;
-            if (more) start_fill(g + 1);
-            for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
-                kern.apply(side_of(g)[tid], eta, store);
+    if (n_total > 0) {
+        pool.launch(sample);
+        const StopSamplers stopper{stop, wake, pool};
+        for (std::uint64_t k = 0; k < n_total; ++k) {
+            const auto iter = static_cast<std::uint32_t>(k / per_iter);
+            const bool last_of_iter = (k + 1) % per_iter == 0;
+            // Cooperative cancel at iteration boundaries; the stopper ends
+            // the samplers' job, abandoning blocks sampled ahead.
+            if (k % per_iter == 0 && cfg.cancel_requested()) {
+                iters_done = iter;
+                break;
             }
-            if (more) finish_fill(g + 1);
-        }
+            // Slot k % R is free for block k + R once block k is passed;
+            // hogwild plans no block past the current iteration.
+            plan(std::min(k + n_slots, hogwild ? (iter + 1) * per_iter : n_total));
+            Slot& s = await(k);
+            const double eta = result.eta_schedule[iter];
+            if (!hogwild) {
+                const std::uint64_t a = telemetry::now_ns();
+                kern.apply(s.batch, eta, store);
+                applied += telemetry::now_ns() - a;
+            }
+            iter_skipped[iter] += s.skipped;
+            sampled += s.sample_ns;
+            if (!last_of_iter) continue;
 
-        if (hook && (g + 1) % n_slices == 0) {
-            IterationStats s;
-            s.iteration = iter;
-            s.iter_max = cfg.iter_max;
-            s.eta = eta;
-            s.updates = n_steps;
-            s.skipped = iter_skipped[iter];
-            hook(s);
+            if (hogwild) hogwild_blocks.add(per_iter);
+            flush();
+            if (hook) {
+                IterationStats st;
+                st.iteration = iter;
+                st.iter_max = cfg.iter_max;
+                st.eta = eta;
+                st.updates = n_steps;
+                st.skipped = iter_skipped[iter];
+                hook(st);
+            }
         }
     }
+    flush();
     const auto t1 = std::chrono::steady_clock::now();
 
     std::uint64_t total_skipped = 0;

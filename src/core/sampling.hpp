@@ -54,7 +54,7 @@ inline constexpr double kZipfTheta = 0.99;
 inline constexpr std::size_t kTermWords = 4;
 
 /// Terms in one block of a stream: Xoshiro256Plus::jump_block() skips
-/// exactly one block's words, so the blocks of a slice can be sampled in
+/// exactly one block's words, so the blocks of a stream can be sampled in
 /// any order, by any thread, from pre-positioned streams.
 inline constexpr std::size_t kBlock = rng::Xoshiro256Plus::kBlockWords / kTermWords;
 

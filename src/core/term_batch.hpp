@@ -1,7 +1,7 @@
 #pragma once
 // The batched term pipeline shared by every PG-SGD backend. A TermBatch is
-// a plain SoA buffer of sampled stress terms: the CPU workers process one
-// batch per slice, the GPU simulator fills one batch per warp step (one
+// a plain SoA buffer of sampled stress terms: the CPU engine fills one
+// batch per block of its ring, the GPU simulator fills one batch per warp step (one
 // slot per lane), the tensor backend turns a batch into its gather/scatter
 // index tensors, and the memory-characterization replayer walks a batch to
 // reproduce the update loop's address stream. All four therefore consume
@@ -96,7 +96,7 @@ struct TermBatch {
     /// writes every slot by index, and the invalid counter: the columns
     /// the update kernel reads always, the replay columns only with
     /// `replay` (they are emptied otherwise). Reuses capacity, so a
-    /// double-buffered pipeline allocates only on its first slice.
+    /// reused batch allocates only when it grows.
     void resize(std::size_t n, bool replay) {
         invalid_ = 0;
         node_i.resize(n);

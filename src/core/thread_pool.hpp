@@ -8,9 +8,12 @@
 // barrier-style wait() replaces the per-iteration join.
 //
 // The dispatch/wait pair establishes happens-before edges in both
-// directions (mutex + condition variable), so a worker's writes to a
-// TermBatch are visible to whoever consumes the batch after wait()
-// returns — the property the double-buffered pipelined engine relies on.
+// directions (mutex + condition variable): whatever the caller wrote
+// before launch() is visible to the job, and whatever the job wrote is
+// visible after wait() returns. The block engine launches once per run
+// and hands blocks over through its own ring of atomics in between; a
+// job that, like the engine's samplers, outlives many hand-offs must
+// keep its own edges.
 //
 // A pool of size 0 is a valid degenerate pool: run() and launch() execute
 // the job inline on the caller as tid 0, so single-threaded configurations
@@ -82,7 +85,7 @@ private:
     /// How long a worker that finished a job polls for the next dispatch
     /// before it blocks. Waking a blocked worker is a futex wake, and on a
     /// busy (virtualized) host the woken worker can sit queued behind its
-    /// waker for milliseconds — longer than a pipelined slice. The poll
+    /// waker for milliseconds — longer than a small layout run. The poll
     /// only shortens that wait; the mutex and condition variable still
     /// order every hand-off.
     static constexpr std::chrono::microseconds kDispatchSpin{250};

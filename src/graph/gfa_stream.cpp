@@ -124,6 +124,25 @@ private:
     std::uint64_t pos_ = 0;
 };
 
+/// GFA text held in memory, read by offset from every window's thread.
+class MemorySource final : public ByteSource {
+public:
+    explicit MemorySource(std::string_view text) : text_(text) {}
+
+    std::uint64_t size() const noexcept { return text_.size(); }
+
+    std::size_t read_at(std::uint64_t offset, char* buf, std::size_t n) override {
+        if (offset >= text_.size()) return 0;
+        const std::size_t got = static_cast<std::size_t>(
+            std::min<std::uint64_t>(n, text_.size() - offset));
+        std::memcpy(buf, text_.data() + offset, got);
+        return got;
+    }
+
+private:
+    std::string_view text_;
+};
+
 /// End offset of a window that runs to the end of the input.
 constexpr std::uint64_t kToEnd = ~std::uint64_t{0};
 
@@ -489,9 +508,10 @@ LeanIngest ingest(ByteSource& src, std::vector<Window> windows) {
     return out;
 }
 
-/// Cuts a file into `windows` windows and ingests them.
-LeanIngest ingest_windows(FileSource& src, std::uint32_t windows) {
-    const std::vector<std::uint64_t> starts = cut_windows(src, src.size(), windows);
+/// Cuts a `size`-byte source into `windows` windows and ingests them.
+LeanIngest ingest_windows(ByteSource& src, std::uint64_t size, std::uint32_t windows) {
+    windows = std::max<std::uint32_t>(windows, 1);
+    const std::vector<std::uint64_t> starts = cut_windows(src, size, windows);
     std::vector<Window> cut(windows);
     for (std::uint32_t k = 0; k < windows; ++k) {
         cut[k].begin = starts[k];
@@ -511,7 +531,12 @@ std::uint32_t window_count(std::uint64_t bytes) {
 
 LeanIngest ingest_gfa_file(const std::string& path, std::uint32_t windows) {
     FileSource src(path);
-    return ingest_windows(src, std::max<std::uint32_t>(windows, 1));
+    return ingest_windows(src, src.size(), windows);
+}
+
+LeanIngest ingest_gfa_text(std::string_view text, std::uint32_t windows) {
+    MemorySource src(text);
+    return ingest_windows(src, src.size(), windows);
 }
 
 }  // namespace gfa_detail
@@ -525,7 +550,12 @@ LeanIngest ingest_gfa(std::istream& in) {
 
 LeanIngest ingest_gfa_file(const std::string& path) {
     gfa_detail::FileSource src(path);
-    return gfa_detail::ingest_windows(src, gfa_detail::window_count(src.size()));
+    return gfa_detail::ingest_windows(src, src.size(),
+                                      gfa_detail::window_count(src.size()));
+}
+
+LeanIngest ingest_gfa_text(std::string_view text) {
+    return gfa_detail::ingest_gfa_text(text, gfa_detail::window_count(text.size()));
 }
 
 }  // namespace pgl::graph

@@ -19,7 +19,8 @@
 //                       against the now read-only name table, straight
 //                       into each path's pre-sized range of the step array.
 //
-// A std::istream is read as one window by the same code. Every window
+// Text already in memory (ingest_gfa_text) is cut into windows the same
+// way; a std::istream is read as one window by the same code. Every window
 // count yields the same graph and, on malformed input, the same first
 // error: any pass-1 error beats every pass-2 error, and within a pass the
 // lowest line wins.
@@ -41,6 +42,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/lean_graph.hpp"
@@ -78,5 +80,10 @@ LeanIngest ingest_gfa(std::istream& in);
 /// std::runtime_error when the path cannot be opened or is not a regular
 /// file.
 LeanIngest ingest_gfa_file(const std::string& path);
+
+/// Reads GFA text held in memory exactly as ingest_gfa_file reads a file
+/// of the same bytes: cut into window_count(text.size()) byte windows,
+/// read on several threads, with the same result and errors.
+LeanIngest ingest_gfa_text(std::string_view text);
 
 }  // namespace pgl::graph

@@ -40,6 +40,9 @@ std::uint32_t window_count(std::uint64_t bytes);
 /// or the same first error.
 LeanIngest ingest_gfa_file(const std::string& path, std::uint32_t windows);
 
+/// ingest_gfa_text with exactly `windows` (>= 1) windows.
+LeanIngest ingest_gfa_text(std::string_view text, std::uint32_t windows);
+
 /// Segment-name -> dense-id table. Open addressing
 /// with linear probing over power-of-two slots kept at most half full;
 /// each slot holds a 32-bit hash tag and an id, and the names themselves

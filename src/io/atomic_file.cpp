@@ -34,10 +34,20 @@ std::string temp_name_for(const std::string& path) {
            std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
 }
 
-}  // namespace
+/// Streams the payload straight into an existing FIFO or character device:
+/// there is nothing to rename over, and the reader sees the bytes as they
+/// come.
+void write_through(const std::string& path,
+                   const std::function<void(std::ostream&)>& writer) {
+    std::ofstream out(path, std::ios::binary);
+    if (!out) throw std::runtime_error("cannot open for write: " + path);
+    writer(out);
+    out.flush();
+    if (!out) throw std::runtime_error("write failed: " + path);
+}
 
-void atomic_write_file(const std::string& path,
-                       const std::function<void(std::ostream&)>& writer) {
+void publish(const std::string& path,
+             const std::function<void(std::ostream&)>& writer) {
     const std::string tmp = temp_name_for(path);
     const auto fail = [&](const std::string& what) {
         std::error_code ignore;
@@ -54,8 +64,8 @@ void atomic_write_file(const std::string& path,
             std::filesystem::remove(tmp, ignore);
             throw;
         }
-        // flush() surfaces buffered write errors (ENOSPC, EPIPE on a FIFO,
-        // a revoked permission) that operator<< accumulated silently.
+        // flush() surfaces buffered write errors (ENOSPC, a revoked
+        // permission) that operator<< accumulated silently.
         out.flush();
         if (!out) fail("write failed");
     }
@@ -65,6 +75,41 @@ void atomic_write_file(const std::string& path,
         std::filesystem::rename(tmp, path, ec);
     }
     if (ec) fail("cannot publish (rename failed: " + ec.message() + ")");
+}
+
+}  // namespace
+
+void atomic_write_file(const std::string& path,
+                       const std::function<void(std::ostream&)>& writer) {
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    // status() follows symlinks: what the path finally names decides.
+    const fs::file_status target = fs::status(path, ec);
+    switch (target.type()) {
+        case fs::file_type::not_found:
+        case fs::file_type::regular:
+        case fs::file_type::none:  // unreadable: the publish reports why
+            break;
+        case fs::file_type::fifo:
+        case fs::file_type::character:
+            write_through(path, writer);
+            return;
+        default:
+            throw std::runtime_error(
+                "cannot publish: not a regular file, FIFO or character device: " +
+                path);
+    }
+    // A symlink stays a link: the new file replaces its final target,
+    // which a dangling link's publish creates.
+    fs::path at = path;
+    for (int hops = 0; fs::is_symlink(fs::symlink_status(at, ec)); ++hops) {
+        fs::path next = fs::read_symlink(at, ec);
+        if (ec || hops == 40) {
+            throw std::runtime_error("cannot resolve symlink: " + path);
+        }
+        at = next.is_absolute() ? next : at.parent_path() / next;
+    }
+    publish(at.string(), writer);
 }
 
 }  // namespace pgl::io

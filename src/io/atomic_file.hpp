@@ -26,6 +26,15 @@ namespace pgl::io {
 /// opened, the writer throws, any stream operation fails, or the rename
 /// fails. The rename runs under a telemetry `publish` stage span: replacing
 /// an existing file frees its blocks there, a cost no other stage shows.
+///
+/// What `path` names decides how it is written:
+///   * nothing, or a regular file: the atomic publish above;
+///   * a symlink to either: the publish happens beside the link's final
+///     target, so the link stays a link;
+///   * a FIFO or character device (such as /dev/stdout): the payload is
+///     written straight through, with the same error checks;
+///   * anything else (a directory, socket, block device): std::runtime_error,
+///     and nothing is written.
 void atomic_write_file(const std::string& path,
                        const std::function<void(std::ostream&)>& writer);
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "graph/gfa.hpp"
+#include "graph/gfa_stream.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256.hpp"
 
@@ -193,9 +194,9 @@ VariationGraph generate_pangenome(const PangenomeSpec& spec) {
 }
 
 graph::LeanIngest to_ingest(const graph::VariationGraph& g) {
-    std::stringstream gfa;
+    std::ostringstream gfa;
     graph::write_gfa(g, gfa);
-    return graph::ingest_gfa(gfa);
+    return graph::ingest_gfa_text(std::move(gfa).str());
 }
 
 PangenomeSpec hla_drb1_spec() {

@@ -50,10 +50,10 @@ struct PangenomeSpec {
 graph::VariationGraph generate_pangenome(const PangenomeSpec& spec);
 
 /// Loads a generated graph exactly as the CLI loads a GFA file: writes it
-/// with graph::write_gfa into a string stream and returns graph::ingest_gfa
-/// of it, so the lean graph, the names and the component labels are the
-/// CLI's own. Throws std::runtime_error on an empty path, as ingest_gfa
-/// does.
+/// with graph::write_gfa into a string and returns graph::ingest_gfa_text
+/// of it — the file reader's byte windows and threads — so the lean graph,
+/// the names and the component labels are the CLI's own. Throws
+/// std::runtime_error on an empty path, as the reader does.
 graph::LeanIngest to_ingest(const graph::VariationGraph& g);
 
 // --- Presets mirroring the paper's representative graphs (Table I) ---

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include "core/cpu_engine.hpp"
 #include "core/engine.hpp"
+#include "core/kernels/update_kernel.hpp"
 #include "core/schedule.hpp"
 #include "core/step_math.hpp"
 #include "core/term_batch.hpp"
@@ -250,6 +252,145 @@ TEST(CpuEngines, SingleThreadMatchesPerTermReference) {
         EXPECT_EQ(r.updates, ref.updates) << name;
         EXPECT_EQ(r.skipped, ref.skipped) << name;
     }
+}
+
+// --- The block stream replays a sequential batch loop at one thread ---
+
+/// A hand-written sequential reference for the ordered policy at one
+/// thread: each iteration samples its n_steps terms with sample() into
+/// one TermBatch and applies it with apply_term_slots, the kernels'
+/// reference semantics. No blocks, slices or ring.
+core::Layout sequential_batch_reference(const graph::LeanGraph& g,
+                                        const core::LayoutConfig& cfg) {
+    const std::vector<double> eta = core::make_engine_schedule(
+        cfg, static_cast<double>(g.max_path_nuc_length()));
+    const core::PairSampler sampler(g, cfg);
+    const std::uint64_t n_steps = cfg.steps_per_iteration(g.total_path_steps());
+    core::XYStore store(core::make_initial_layout(g, cfg));
+    rng::Xoshiro256Plus rng(cfg.seed);
+    core::TermBatch batch;
+    for (std::uint32_t iter = 0; iter < cfg.iter_max; ++iter) {
+        batch.clear();
+        for (std::uint64_t s = 0; s < n_steps; ++s) {
+            batch.append(sampler.sample(cfg.cooling(iter), rng));
+        }
+        core::apply_term_slots(batch, 0, batch.size(), eta[iter], store.data());
+    }
+    return store.snapshot();
+}
+
+TEST(BlockStream, OneThreadEqualsTheSequentialBatchLoop) {
+    struct Case {
+        const char* what;
+        std::uint64_t backbone;
+        double factor;
+        std::uint32_t iters;
+    };
+    // A per-iteration share that is not a multiple of kBlock (several
+    // blocks, a partial one closing each iteration), and a run of exactly
+    // one block.
+    for (const Case c : {Case{"partial blocks", 2000, 1.3, 4},
+                         Case{"one block", 60, 0.5, 1}}) {
+        const auto g = small_graph(c.backbone, 3);
+        core::LayoutConfig cfg;
+        cfg.iter_max = c.iters;
+        cfg.steps_per_iter_factor = c.factor;
+        cfg.threads = 1;
+        cfg.seed = 31337;
+        const std::uint64_t n_steps = cfg.steps_per_iteration(g.total_path_steps());
+        if (c.iters == 1) {
+            ASSERT_LE(n_steps, core::kBlock) << c.what;
+        } else {
+            ASSERT_GT(n_steps, 2 * core::kBlock) << c.what;
+            ASSERT_NE(n_steps % core::kBlock, 0u) << c.what;
+        }
+        const core::Layout want = sequential_batch_reference(g, cfg);
+        for (const char* kernel : {"scalar", "simd"}) {
+            cfg.kernel = kernel;
+            auto engine = core::make_engine("cpu-pipelined");
+            engine->init(g, cfg);
+            const core::LayoutResult r = engine->run();
+            EXPECT_EQ(r.layout, want) << c.what << ", " << kernel;
+            EXPECT_EQ(r.updates, c.iters * n_steps) << c.what;
+        }
+    }
+}
+
+TEST(BlockStream, CancelAtAnIterationBoundaryStopsEverySampler) {
+    const auto g = small_graph(3000, 4);
+    core::LayoutConfig cfg;
+    cfg.iter_max = 6;
+    cfg.steps_per_iter_factor = 2.0;
+    cfg.seed = 5;
+    const std::uint64_t n_steps = cfg.steps_per_iteration(g.total_path_steps());
+    for (const char* name : {"cpu-pipelined", "cpu-soa"}) {
+        for (const std::uint32_t threads : {1u, 3u}) {
+            SCOPED_TRACE(std::string(name) + "@" + std::to_string(threads));
+            cfg.threads = threads;
+            auto flag = std::make_shared<std::atomic<bool>>(false);
+            cfg.cancel = flag;
+            auto engine = core::make_engine(name);
+            engine->init(g, cfg);
+            std::vector<std::uint32_t> seen;
+            bool cancel_at_1 = true;
+            engine->set_progress_hook([&](const core::IterationStats& s) {
+                seen.push_back(s.iteration);
+                if (cancel_at_1 && s.iteration == 1) flag->store(true);
+            });
+            const core::LayoutResult cancelled = engine->run();
+            EXPECT_EQ(seen, (std::vector<std::uint32_t>{0, 1}));
+            EXPECT_EQ(cancelled.updates, 2 * n_steps);
+
+            // The same engine, and so the same pool, runs the full
+            // schedule next. A sampler still in the cancelled run's job
+            // would share the pool with the new one (and the thread
+            // sanitizer build would see it touch the old run's ring).
+            flag->store(false);
+            cancel_at_1 = false;
+            seen.clear();
+            const core::LayoutResult full = engine->run();
+            EXPECT_EQ(seen.size(), cfg.iter_max);
+            EXPECT_EQ(full.updates, cfg.iter_max * n_steps);
+            if (std::string(name) == "cpu-pipelined" || threads == 1) {
+                auto fresh = core::make_engine(name);
+                fresh->init(g, cfg);
+                EXPECT_EQ(full.layout, fresh->run().layout);
+            }
+        }
+    }
+}
+
+TEST(BlockStream, AttributionCountersSplitTheCallersTime) {
+#ifdef PGL_TELEMETRY_DISABLED
+    GTEST_SKIP() << "needs the engine.{sample,apply,stall}_ns counters";
+#else
+    const auto g = small_graph(8000, 4);
+    core::LayoutConfig cfg;
+    cfg.iter_max = 3;
+    cfg.steps_per_iter_factor = 1.0;
+    auto& reg = telemetry::Registry::instance();
+    const telemetry::Counter sample_ns = reg.counter("engine.sample_ns");
+    const telemetry::Counter apply_ns = reg.counter("engine.apply_ns");
+    const telemetry::Counter stall_ns = reg.counter("engine.stall_ns");
+    for (const std::uint32_t threads : {1u, 3u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        cfg.threads = threads;
+        auto engine = core::make_engine("cpu-pipelined");
+        engine->init(g, cfg);
+        const std::uint64_t s0 = sample_ns.value();
+        const std::uint64_t a0 = apply_ns.value();
+        const std::uint64_t w0 = stall_ns.value();
+        const core::LayoutResult r = engine->run();
+        const std::uint64_t sampled = sample_ns.value() - s0;
+        const std::uint64_t applied = apply_ns.value() - a0;
+        const std::uint64_t stalled = stall_ns.value() - w0;
+        EXPECT_GT(sampled, 0u);
+        EXPECT_GT(applied, 0u);
+        EXPECT_GT(stalled, 0u);
+        // Both are disjoint stretches of the caller's run.
+        EXPECT_LE(static_cast<double>(applied + stalled), r.seconds * 1e9);
+    }
+#endif
 }
 
 // --- ThreadPool (the seam every multithreaded backend now runs on) ---

@@ -620,6 +620,30 @@ TEST(GfaWindows, TestDataAndAWholeGenomeIngestAlikeInEveryWindowCount) {
     expect_window_parity(genome);
 }
 
+TEST(GfaWindows, GeneratedGraphsTakeTheWindowedReader) {
+    // to_ingest reads the generated text as ingest_gfa_file reads a file:
+    // in window_count(size) windows, so a multi-MiB generated graph runs
+    // the multi-window path on any host with two CPUs.
+    const auto vg =
+        workloads::generate_whole_genome(workloads::whole_genome_spec(5, 0.0002, 7));
+    std::ostringstream text;
+    graph::write_gfa(vg, text);
+    const std::string gfa = std::move(text).str();
+    ASSERT_GE(gfa.size(), std::size_t{2} << 20);
+    if (core::allowed_cpus_self().size() >= 2) {
+        EXPECT_GE(graph::gfa_detail::window_count(gfa.size()), 2u);
+    }
+
+    std::istringstream one(gfa);
+    const std::string want = pgg_bytes(graph::ingest_gfa(one));
+    EXPECT_EQ(pgg_bytes(workloads::to_ingest(vg)), want);
+    EXPECT_EQ(pgg_bytes(graph::ingest_gfa_text(gfa)), want);
+    for (const std::uint32_t windows : {1u, 2u, 3u, 7u}) {
+        EXPECT_EQ(pgg_bytes(graph::gfa_detail::ingest_gfa_text(gfa, windows)), want)
+            << windows << " windows";
+    }
+}
+
 TEST(GfaWindows, CrlfSplitAcrossAWindowCut) {
     // Two halves of equal size, so the nominal cut of two windows falls
     // between the '\r' and the '\n' of "S y TT".

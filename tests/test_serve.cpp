@@ -7,14 +7,19 @@
 // work exactly once, cooperative cancel with follower promotion, and the
 // socket daemon end to end, including hostile request lines.
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 
@@ -337,6 +342,95 @@ TEST(ServeAtomicFile, WritesAreAllOrNothing) {
         io::atomic_write_file(dir + "/no/such/dir/x.txt",
                               [](std::ostream& out) { out << "x"; }),
         std::runtime_error);
+}
+
+TEST(ServeAtomicFile, SymlinkStaysALinkAndItsTargetIsReplaced) {
+    const std::string dir = scratch_dir("atomic_link");
+    fs::create_directories(dir + "/real");
+    const std::string target = dir + "/real/out.txt";
+    {
+        std::ofstream(target) << "old";
+    }
+    const std::string link = dir + "/link.txt";
+    fs::create_symlink("real/out.txt", link);
+
+    io::atomic_write_file(link, [](std::ostream& out) { out << "new"; });
+    EXPECT_TRUE(fs::is_symlink(fs::symlink_status(link)));
+    EXPECT_EQ(fs::read_symlink(link), fs::path("real/out.txt"));
+    std::ifstream in(target);
+    std::string content((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    EXPECT_EQ(content, "new");
+    // The temporary went beside the target and is gone.
+    std::size_t entries = 0;
+    for (const auto& e : fs::directory_iterator(dir + "/real")) {
+        (void)e;
+        ++entries;
+    }
+    EXPECT_EQ(entries, 1u);
+
+    // A dangling link gets its target created.
+    const std::string dangling = dir + "/dangling.txt";
+    fs::create_symlink("real/fresh.txt", dangling);
+    io::atomic_write_file(dangling, [](std::ostream& out) { out << "x"; });
+    EXPECT_TRUE(fs::is_symlink(fs::symlink_status(dangling)));
+    EXPECT_TRUE(fs::is_regular_file(dir + "/real/fresh.txt"));
+}
+
+/// Opens the FIFO for reading without blocking, runs atomic_write_file on
+/// `path` with `payload` on another thread, and returns what the FIFO
+/// delivered before its writer closed it. A writer that never opens the
+/// FIFO shows as an empty result after a 10 s timeout, not as a hang.
+std::string write_through_fifo(const std::string& fifo, const std::string& path,
+                               const std::string& payload) {
+    const int fd = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+    if (fd < 0) return "<cannot open fifo>";
+    std::string error;
+    std::thread writer([&] {
+        try {
+            io::atomic_write_file(path, [&](std::ostream& out) { out << payload; });
+        } catch (const std::exception& e) {
+            error = e.what();
+        }
+    });
+    std::string got;
+    char buf[256];
+    for (;;) {
+        pollfd p{fd, POLLIN, 0};
+        if (::poll(&p, 1, 10000) <= 0) break;
+        const ssize_t n = ::read(fd, buf, sizeof buf);
+        if (n > 0) {
+            got.append(buf, static_cast<std::size_t>(n));
+        } else if (n == 0 || (errno != EAGAIN && errno != EINTR)) {
+            break;
+        }
+    }
+    writer.join();
+    ::close(fd);
+    return error.empty() ? got : "<threw: " + error + ">";
+}
+
+TEST(ServeAtomicFile, FifoIsWrittenThroughAndOtherKindsAreRejected) {
+    const std::string dir = scratch_dir("atomic_fifo");
+    const std::string fifo = dir + "/pipe";
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+    EXPECT_EQ(write_through_fifo(fifo, fifo, "through the pipe"), "through the pipe");
+    EXPECT_EQ(fs::status(fifo).type(), fs::file_type::fifo);
+
+    // A symlink to the FIFO writes through too.
+    const std::string link = dir + "/pipe_link";
+    fs::create_symlink("pipe", link);
+    EXPECT_EQ(write_through_fifo(fifo, link, "via link"), "via link");
+    EXPECT_TRUE(fs::is_symlink(fs::symlink_status(link)));
+    EXPECT_EQ(fs::status(fifo).type(), fs::file_type::fifo);
+
+    // A directory is neither replaced nor written into.
+    const std::string sub = dir + "/sub";
+    fs::create_directories(sub);
+    EXPECT_THROW(io::atomic_write_file(sub, [](std::ostream& out) { out << "x"; }),
+                 std::runtime_error);
+    EXPECT_TRUE(fs::is_directory(sub));
+    EXPECT_TRUE(fs::is_empty(sub));
 }
 
 // --- job server ---
