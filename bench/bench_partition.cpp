@@ -49,10 +49,10 @@ int main(int argc, char** argv) {
     const partition::ComponentLabels labels = partition::take_labels(ingest);
     std::cout << labels.count << " components\n";
 
-    partition::PartitionOptions popt;
-    popt.schedule.backend = opt.backend;
-    popt.schedule.config = opt.layout_config();
-    popt.schedule.config.threads = 1;  // sweep component-level parallelism only
+    core::LayoutRequest req;
+    req.backend = opt.backend;
+    req.config = opt.layout_config();
+    req.config.threads = 1;  // sweep component-level parallelism only
 
     bench::TablePrinter table(
         {"Executor", "Workers", "Components", "Updates", "EngineSec", "WallSec",
@@ -71,13 +71,13 @@ int main(int argc, char** argv) {
     // records are keyed "<backend>" and "<backend>-mp" so the regression
     // gate tracks both series.
     for (const std::string executor : {"thread", "process"}) {
-        popt.schedule.executor = executor;
+        req.executor = executor;
         for (const std::uint32_t workers : worker_sweep) {
-            popt.schedule.component_workers = workers;
-            popt.schedule.processes = workers;
+            req.component_workers = workers;
             partition::PartitionResult part;
             try {
-                part = partition::partition_layout(ingest.graph, labels, popt);
+                part = partition::partition_layout(ingest.graph, labels, req,
+                                                   {});
             } catch (const std::runtime_error& e) {
                 // No pgl_layout next to this bench (e.g. a benches-only
                 // build): report and skip the series, don't fail the bench.

@@ -48,18 +48,18 @@ int main(int argc, char** argv) {
     auto ing = graph::ingest_gfa_file(gfa_path);
     const graph::LeanGraph& lean = ing.graph;
 
-    partition::PartitionOptions popt;
-    popt.schedule.backend = backend;
-    popt.schedule.config.iter_max = 10;
-    popt.schedule.config.steps_per_iter_factor = 2.0;
-    popt.schedule.component_workers = 2;
-    popt.progress = [](const partition::ComponentProgress& p) {
+    core::LayoutRequest req;
+    req.backend = backend;
+    req.config.iter_max = 10;
+    req.config.steps_per_iter_factor = 2.0;
+    req.component_workers = 2;
+    const auto progress = [](const partition::ComponentProgress& p) {
         std::cout << "  component " << p.completed << "/" << p.total << " (id "
                   << p.component << "): " << p.nodes << " nodes in " << p.seconds
                   << " s\n";
     };
-    const auto part =
-        partition::partition_layout(lean, partition::take_labels(ing), popt);
+    const auto part = partition::partition_layout(
+        lean, partition::take_labels(ing), req, progress);
     std::cout << backend << ": " << part.updates << " updates over "
               << part.decomposition.count() << " components in " << part.seconds
               << " s (engine time " << part.engine_seconds << " s)\n";

@@ -81,13 +81,6 @@ constexpr RequestField kFields[] = {
     row<&R::backend>({.key = "backend", .wire = "backend",
         .flag = "--backend", .metavar = " NAME",
         .help = "registered engine (see --list-backends; default cpu-soa)"}),
-    row<&R::config, &C::cooling_start>({.key = "cooling_start",
-        .wire = "cooling_start",
-        .help = "fraction of iterations before every step cools (0.5)"}),
-    row<&R::config, &C::eps>({.key = "eps", .wire = "eps",
-        .help = "final learning rate of the anneal (0.01)"}),
-    row<&R::config, &C::eta_max>({.key = "eta_max", .wire = "eta_max",
-        .help = "anneal ceiling; 0 derives it from the graph"}),
     row<&R::config, &C::iter_max>({.key = "iter_max", .wire = "iters",
         .flag = "--iters", .metavar = " N",
         .help = "SGD iterations (default 30)"}),
@@ -97,9 +90,6 @@ constexpr RequestField kFields[] = {
         .flag = "--kernel", .metavar = " NAME",
         .help = "update kernel (see --list-kernels; default scalar)",
         .kind = kExec}),
-    row<&R::config, &C::schedule_iter_max>({.key = "schedule_iter_max",
-        .wire = "schedule_iters",
-        .help = "iterations the anneal is computed over; 0 = iters"}),
     row<&R::config, &C::seed>({.key = "seed", .wire = "seed",
         .flag = "--seed", .metavar = " N", .help = "PRNG seed"}),
     row<&R::config, &C::steps_per_iter_factor>({
@@ -109,9 +99,6 @@ constexpr RequestField kFields[] = {
     row<&R::config, &C::threads>({.key = "threads", .wire = "threads",
         .flag = "--threads", .metavar = " N",
         .help = "CPU threads, also the ordered engines' shard count (1)"}),
-    row<&R::config, &C::zipf_space_max>({.key = "zipf_space_max",
-        .wire = "zipf_space_max",
-        .help = "largest cooling hop distance; 0 = path length (1000)"}),
     row<&R::partition>({.key = "partition", .wire = "partition",
         .flag = "--partition",
         .help = "lay out each connected component with its own engine",
@@ -134,16 +121,12 @@ constexpr RequestField kFields[] = {
     row<&R::component_workers>({.key = "component_workers",
         .wire = "component_workers", .flag = "--component-workers",
         .metavar = " N",
-        .help = "components laid out concurrently (default 1)",
+        .help = "components laid out at once (default 1)",
         .kind = kExec, .worker = false, .gate = "partition"}),
     row<&R::executor>({.key = "executor", .wire = "executor",
+        .flag = "--executor", .metavar = " NAME",
         .help = "partition executor: thread (default) or process",
         .kind = kExec, .worker = false, .gate = "partition"}),
-    row<&R::processes>({.key = "processes", .wire = "processes",
-        .flag = "--processes", .metavar = " N",
-        .help = "farm components to N child worker processes",
-        .implies = "executor=process", .kind = kExec, .worker = false,
-        .gate = "partition"}),
 };
 
 const RequestField* find_field(std::string_view key) {
@@ -225,6 +208,22 @@ std::string encode_fields(const LayoutRequest& r,
     return s;
 }
 
+/// The first pass-level LayoutConfig field `c` holds off its default, or
+/// "" if none: no row carries one (request.hpp).
+std::string_view pass_field_off_default(const LayoutConfig& c) {
+    const LayoutConfig d;
+    const std::pair<std::string_view, bool> fields[] = {
+        {"cooling_start", c.cooling_start != d.cooling_start},
+        {"eps", c.eps != d.eps},
+        {"eta_max", c.eta_max != d.eta_max},
+        {"schedule_iter_max", c.schedule_iter_max != d.schedule_iter_max},
+        {"zipf_space_max", c.zipf_space_max != d.zipf_space_max}};
+    for (const auto& [name, off] : fields) {
+        if (off) return name;
+    }
+    return {};
+}
+
 bool is_bytes(const RequestField& f) { return f.kind == FieldKind::kBytes; }
 bool is_worker(const RequestField& f) { return f.worker; }
 
@@ -248,6 +247,12 @@ std::string canonical_double(double v) {
 
 std::string encode_worker_spec(const LayoutRequest& r,
                                std::uint64_t mixed_seed) {
+    // A child would run the field at its default.
+    if (const std::string_view name = pass_field_off_default(r.config);
+        !name.empty()) {
+        throw std::invalid_argument("a worker spec cannot carry " +
+                                    std::string(name) + " off its default");
+    }
     LayoutRequest mixed = r;
     mixed.config.seed = mixed_seed;
     return encode_fields(mixed, is_worker);
@@ -285,15 +290,7 @@ void validate(const LayoutRequest& r, Spelling spelling) {
         const RequestField& f = *find_field(key);
         if (spelling == Spelling::kWire) return "config." + std::string(f.wire);
         if (spelling == Spelling::kKey) return std::string(key);
-        if (!f.flag.empty()) return std::string(f.flag);
-        // A flagless row is named by the flag that implies it (executor by
-        // --processes).
-        for (const RequestField& g : kFields) {
-            if (g.implies.substr(0, g.implies.find('=')) == key) {
-                return std::string(g.flag);
-            }
-        }
-        return std::string(key);
+        return std::string(f.flag);
     };
     const auto fail = [&](std::string_view key, const std::string& what) {
         throw std::runtime_error(label(key) + ": " + what);
@@ -315,8 +312,15 @@ void validate(const LayoutRequest& r, Spelling spelling) {
     } catch (const std::exception& e) {
         fail("executor", e.what());
     }
-    if (r.processes == 0) need("processes", "N >= 1");
     if (r.multilevel && r.ml.levels == 0) need("multilevel", "LEVELS >= 1");
+    // The key leaves them out, so a request that set one would share the
+    // artifact of one that did not.
+    if (const std::string_view name = pass_field_off_default(r.config);
+        !name.empty()) {
+        throw std::runtime_error(std::string(name) +
+                                 " is not a request field; a request runs "
+                                 "it at its default");
+    }
 
     const LayoutRequest defaults;
     for (const RequestField& f : kFields) {
@@ -333,7 +337,7 @@ void validate(const LayoutRequest& r, Spelling spelling) {
 bool parse_flag(int argc, char** argv, int& i, LayoutRequest& r) {
     const std::string_view arg = argv[i];
     for (const RequestField& f : kFields) {
-        if (f.flag.empty() || !arg.starts_with(f.flag)) continue;
+        if (!arg.starts_with(f.flag)) continue;
         const std::string_view rest = arg.substr(f.flag.size());
         if (f.type == FieldType::kLevels && rest.starts_with('=')) {
             const FieldValue v = parse_value(f, rest.substr(1), f.flag);
@@ -355,12 +359,6 @@ bool parse_flag(int argc, char** argv, int& i, LayoutRequest& r) {
             throw std::invalid_argument("option " + std::string(f.flag) +
                                         " requires an argument");
         }
-        if (!f.implies.empty()) {
-            const std::size_t eq = f.implies.find('=');
-            const std::string_view key = f.implies.substr(0, eq);
-            const RequestField& target = *find_field(key);
-            target.set(r, parse_value(target, f.implies.substr(eq + 1), key));
-        }
         return true;
     }
     return false;
@@ -369,7 +367,6 @@ bool parse_flag(int argc, char** argv, int& i, LayoutRequest& r) {
 std::string flag_usage() {
     std::string out;
     for (const RequestField& f : kFields) {
-        if (f.flag.empty()) continue;
         std::string line = "  " + std::string(f.flag) + std::string(f.metavar);
         line.resize(std::max<std::size_t>(line.size() + 2, 22), ' ');
         out += line;

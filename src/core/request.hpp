@@ -8,9 +8,16 @@
 // daemon's artifact-cache key), the worker spec of the process executor,
 // the serve wire's "config" object (serve/request.hpp), and the layout
 // flags and usage lines both command-line tools share. A row gated by a
-// switch (ml.* by multilevel; component_workers, executor and processes
-// by partition) is left out of every text form while its switch is off,
-// and validate() rejects a non-default value for it.
+// switch (ml.* by multilevel; component_workers and executor by
+// partition) is left out of every text form while its switch is off, and
+// validate() rejects a non-default value for it.
+//
+// A request holds only what callers set. The pass-level LayoutConfig
+// fields (cooling_start, eps, eta_max, schedule_iter_max, zipf_space_max)
+// are set on engine configs — multilevel passes, truncated runs — and no
+// text form carries them: a request runs them at their defaults, and
+// validate() and encode_worker_spec() refuse one that holds another
+// value.
 #include <cstdint>
 #include <span>
 #include <string>
@@ -24,15 +31,17 @@ namespace pgl::core {
 
 /// The knobs of one layout run. LayoutConfig's runtime hand-offs (cancel
 /// token, warm-start layout) are not fields: they select no bytes of a
-/// completed run and have no text form.
+/// completed run and have no text form. Neither are its pass-level fields
+/// (see above).
 struct LayoutRequest {
     std::string backend = "cpu-soa";  ///< EngineRegistry name
     LayoutConfig config;
     /// Decompose into connected components, one engine per component.
     bool partition = false;
-    std::uint32_t component_workers = 1;  ///< "thread" executor concurrency
-    std::string executor = "thread";      ///< partition::check_executor name
-    std::uint32_t processes = 1;          ///< "process" executor concurrency
+    /// Components laid out at once: threads, or child processes under
+    /// the "process" executor.
+    std::uint32_t component_workers = 1;
+    std::string executor = "thread";  ///< partition::check_executor name
     bool multilevel = false;
     multilevel::MultilevelOptions ml;
 };
@@ -56,10 +65,9 @@ using FieldValue = std::variant<bool, std::uint64_t, double, std::string>;
 struct RequestField {
     std::string_view key = {};      ///< canonical key and worker-spec name
     std::string_view wire = {};     ///< name in a submit's "config" object
-    std::string_view flag = {};     ///< command-line flag; empty for none
+    std::string_view flag = {};     ///< command-line flag
     std::string_view metavar = {};  ///< flag value in usage lines (" N")
     std::string_view help = {};     ///< one usage line
-    std::string_view implies = {};  ///< `key=value` the flag also applies
     FieldKind kind = FieldKind::kBytes;
     bool worker = true;             ///< carried to a component worker
     std::string_view gate = {};     ///< key of the switch this row needs on
@@ -96,7 +104,10 @@ std::string canonical_request(const LayoutRequest& r);
 
 /// The `name=value;` spec a component worker process is started with
 /// (partition/executor.hpp): every row a child reads, in the key's
-/// grammar, with `mixed_seed` in place of the base seed.
+/// grammar, with `mixed_seed` in place of the base seed. Throws
+/// std::invalid_argument naming the field when `r.config` holds a
+/// pass-level field off its default: no spec carries one, so a child
+/// would run under different settings.
 std::string encode_worker_spec(const LayoutRequest& r,
                                std::uint64_t mixed_seed);
 
@@ -117,8 +128,9 @@ enum class Spelling : std::uint8_t {
 /// The one check of a whole request, run by every entry point (both CLIs,
 /// the server's submit and wire parse, the worker-spec parse): registered
 /// backend, kernel and executor names, finite values in every double
-/// row, at least one process and one multilevel level, and no non-default
-/// gated field while its switch is off. Throws std::runtime_error naming
+/// row, at least one multilevel level, no non-default gated field while
+/// its switch is off, and no pass-level config field off its default
+/// (the key leaves them out). Throws std::runtime_error naming
 /// the field in `spelling`.
 void validate(const LayoutRequest& r, Spelling spelling);
 

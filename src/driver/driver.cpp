@@ -12,6 +12,7 @@
 #include "core/thread_pool.hpp"
 #include "draw/ppm.hpp"
 #include "draw/svg.hpp"
+#include "io/atomic_file.hpp"
 #include "io/lay_io.hpp"
 #include "io/pgg_io.hpp"
 #include "multilevel/multilevel.hpp"
@@ -74,6 +75,12 @@ RunOutcome run_layout(const RunRequest& req) {
         }
     }
 
+    // An output the publish would refuse fails now, not after the layout.
+    for (const std::string* path :
+         {&req.out_path, &req.save_graph_path, &req.svg_path, &req.ppm_path}) {
+        if (!path->empty()) io::publish_target(*path);
+    }
+
     // Load the graph, or adopt the caller's cached ingest. Only a real
     // load is a "parse" stage: adopting a shared ingest costs nothing and
     // must not pollute the span histograms --timing reads.
@@ -81,8 +88,7 @@ RunOutcome run_layout(const RunRequest& req) {
     const bool owns = !req.ingest;
     if (owns) {
         telemetry::StageSpan span("parse", "cli");
-        owned = req.force_pgg ? io::read_pgg_file(req.graph_path)
-                              : io::load_graph_file(req.graph_path);
+        owned = io::load_graph_file(req.graph_path);
     }
     const graph::LeanIngest& ingest = owns ? owned : *req.ingest;
     const graph::LeanGraph& g = ingest.graph;
@@ -103,10 +109,8 @@ RunOutcome run_layout(const RunRequest& req) {
     }
 
     if (req.partition) {
-        partition::PartitionOptions popt;
-        popt.schedule = {req, req.worker_binary};
-        popt.schedule.config = cfg;
-        popt.progress = req.component_progress;
+        core::LayoutRequest component_req = req;
+        component_req.config = cfg;
 
         // An owned ingest gives up its labels (it dies with this call); a
         // shared one is copied from — the serve daemon's cache entry must
@@ -120,8 +124,8 @@ RunOutcome run_layout(const RunRequest& req) {
             labels.path_component = ingest.path_component;
         }
 
-        out.partition =
-            partition::partition_layout(g, std::move(labels), popt);
+        out.partition = partition::partition_layout(
+            g, std::move(labels), component_req, req.component_progress);
         out.partitioned = true;
         out.engine_name = req.backend;
         out.updates = out.partition.updates;

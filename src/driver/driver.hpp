@@ -12,12 +12,12 @@
 // caller-cached LeanIngest), the optional graph-cache write, choosing the
 // flat / multilevel / partitioned execution path (partition runs through
 // the one component loop — in-process threads or child worker
-// processes), atomic .lay/.svg/.ppm publication, the stress metric, and
-// the stage spans --timing/--trace read. Presentation stays with the
-// caller: the driver narrates through RunRequest::log (one line per
-// event, exactly the lines the CLI historically printed) and never
-// touches std::cout/cerr itself, so the daemon runs the same code path
-// silently.
+// processes), a check of every output path before the load, .lay (atomic)
+// and .svg/.ppm publication, the stress metric, and the stage spans
+// --timing/--trace read. Presentation stays with the caller: the driver
+// narrates through RunRequest::log (one line per event, exactly the lines
+// the CLI historically printed) and never touches std::cout/cerr itself,
+// so the daemon runs the same code path silently.
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -40,12 +40,8 @@ namespace pgl::driver {
 /// LayoutRequest base.
 struct RunRequest : core::LayoutRequest {
     // --- graph source -----------------------------------------------------
-    std::string graph_path;  ///< .gfa or .pgg, detected by extension
-    bool force_pgg = false;  ///< read graph_path as .pgg regardless
+    std::string graph_path;  ///< GFA, or a .pgg detected by its magic
     std::shared_ptr<const graph::LeanIngest> ingest;  ///< pre-loaded graph
-
-    // --- execution --------------------------------------------------------
-    std::string worker_binary;  ///< "process" executor override
 
     // --- outputs ----------------------------------------------------------
     std::string out_path;         ///< final .lay (atomic); may be empty when
@@ -94,7 +90,9 @@ struct RunOutcome {
 /// Runs the whole pipeline described by `req`. Throws (std::runtime_error
 /// / std::invalid_argument) on load, validation, or execution failure —
 /// after the component loop has drained in-flight components, so no
-/// partial output file is ever published.
+/// partial output file is ever published. An output path that names
+/// something io::publish_target rejects (a directory, say) fails the run
+/// before the graph is loaded.
 RunOutcome run_layout(const RunRequest& req);
 
 }  // namespace pgl::driver

@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cstring>
 #include <exception>
-#include <istream>
 #include <iterator>
 #include <memory>
 #include <optional>
@@ -34,8 +33,8 @@ namespace {
                              ": " + what);
 }
 
-/// Where the reader's bytes come from: a file, read by offset from every
-/// window's thread, or a std::istream, read by one window.
+/// Where the reader's bytes come from: a file or text in memory, read by
+/// offset from every window's thread.
 class ByteSource {
 public:
     virtual ~ByteSource() = default;
@@ -96,34 +95,6 @@ private:
     std::uint64_t size_ = 0;
 };
 
-/// A std::istream as one window: read in order, and sought back to where
-/// it started for the second pass.
-class StreamSource final : public ByteSource {
-public:
-    explicit StreamSource(std::istream& in) : in_(in), start_(in.tellg()) {}
-
-    std::size_t read_at(std::uint64_t offset, char* buf, std::size_t n) override {
-        if (offset != pos_) {
-            in_.clear();
-            if (start_ < 0 ||
-                !in_.seekg(start_ + static_cast<std::streamoff>(offset))) {
-                throw std::runtime_error(
-                    "streaming GFA ingestion needs a seekable stream (two passes)");
-            }
-            pos_ = offset;
-        }
-        const std::streamsize got =
-            in_.rdbuf()->sgetn(buf, static_cast<std::streamsize>(n));
-        pos_ += static_cast<std::uint64_t>(std::max<std::streamsize>(got, 0));
-        return static_cast<std::size_t>(std::max<std::streamsize>(got, 0));
-    }
-
-private:
-    std::istream& in_;
-    std::streamoff start_;
-    std::uint64_t pos_ = 0;
-};
-
 /// GFA text held in memory, read by offset from every window's thread.
 class MemorySource final : public ByteSource {
 public:
@@ -142,9 +113,6 @@ public:
 private:
     std::string_view text_;
 };
-
-/// End offset of a window that runs to the end of the input.
-constexpr std::uint64_t kToEnd = ~std::uint64_t{0};
 
 /// Calls `fn(line, n)` for every line of the window [begin, end), which
 /// starts at a line start and ends at one or at the end of the input. `n`
@@ -540,13 +508,6 @@ LeanIngest ingest_gfa_text(std::string_view text, std::uint32_t windows) {
 }
 
 }  // namespace gfa_detail
-
-LeanIngest ingest_gfa(std::istream& in) {
-    gfa_detail::StreamSource src(in);
-    std::vector<gfa_detail::Window> one(1);
-    one[0].end = gfa_detail::kToEnd;
-    return gfa_detail::ingest(src, std::move(one));
-}
 
 LeanIngest ingest_gfa_file(const std::string& path) {
     gfa_detail::FileSource src(path);

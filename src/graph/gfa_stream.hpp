@@ -20,9 +20,8 @@
 //                       into each path's pre-sized range of the step array.
 //
 // Text already in memory (ingest_gfa_text) is cut into windows the same
-// way; a std::istream is read as one window by the same code. Every window
-// count yields the same graph and, on malformed input, the same first
-// error: any pass-1 error beats every pass-2 error, and within a pass the
+// way. Every window count yields the same graph and, on malformed input,
+// the same first error: any pass-1 error beats every pass-2 error, and within a pass the
 // lowest line wins.
 //
 // Each window reads its bytes in 64 KiB pread blocks, never the whole
@@ -40,7 +39,6 @@
 // Dialect: GFA 1.0 (S/L/P) and GFA 1.1 (W walk) records, CRLF and
 // trailing-whitespace tolerant, "S name *" with LN:i: length tags.
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,16 +67,11 @@ struct LeanIngest {
     std::uint64_t edge_count = 0;  ///< L records parsed (diagnostics only)
 };
 
-/// Streams GFA 1.0/1.1 from a seekable stream as one window (two passes;
-/// file and string streams both qualify). Throws std::runtime_error with a
-/// line number on malformed input: duplicate segments, unknown segment
-/// references, bad orientations, empty paths/walks.
-LeanIngest ingest_gfa(std::istream& in);
-
-/// Reads the GFA file at `path` in byte windows on several threads (see
-/// above), with the same result and errors as ingest_gfa. Also throws
-/// std::runtime_error when the path cannot be opened or is not a regular
-/// file.
+/// Reads the GFA 1.0/1.1 file at `path` in byte windows on several
+/// threads (see above). Throws std::runtime_error with a line number on
+/// malformed input (duplicate segments, unknown segment references, bad
+/// orientations, empty paths/walks), and when the path cannot be opened or
+/// is not a regular file.
 LeanIngest ingest_gfa_file(const std::string& path);
 
 /// Reads GFA text held in memory exactly as ingest_gfa_file reads a file

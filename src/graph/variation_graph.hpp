@@ -4,7 +4,7 @@
 // that embed the original genomes. This mirrors the ODGI data structure the
 // CPU baseline operates on. Only the workload generators build one, and
 // layout never reads it directly: workloads::to_ingest writes it as GFA and
-// streams it back through graph::ingest_gfa, the CLI's own reader, which
+// reads it back through graph::ingest_gfa_text, the CLI's own reader, which
 // distills the lean layout structure (graph/lean_graph.hpp).
 #include <cstdint>
 #include <string>

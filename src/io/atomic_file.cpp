@@ -79,28 +79,35 @@ void publish(const std::string& path,
 
 }  // namespace
 
-void atomic_write_file(const std::string& path,
-                       const std::function<void(std::ostream&)>& writer) {
+PublishTarget publish_target(const std::string& path) {
     namespace fs = std::filesystem;
     std::error_code ec;
     // status() follows symlinks: what the path finally names decides.
-    const fs::file_status target = fs::status(path, ec);
-    switch (target.type()) {
+    switch (fs::status(path, ec).type()) {
         case fs::file_type::not_found:
         case fs::file_type::regular:
         case fs::file_type::none:  // unreadable: the publish reports why
-            break;
+            return PublishTarget::kReplace;
         case fs::file_type::fifo:
         case fs::file_type::character:
-            write_through(path, writer);
-            return;
+            return PublishTarget::kStream;
         default:
             throw std::runtime_error(
                 "cannot publish: not a regular file, FIFO or character device: " +
                 path);
     }
+}
+
+void atomic_write_file(const std::string& path,
+                       const std::function<void(std::ostream&)>& writer) {
+    namespace fs = std::filesystem;
+    if (publish_target(path) == PublishTarget::kStream) {
+        write_through(path, writer);
+        return;
+    }
     // A symlink stays a link: the new file replaces its final target,
     // which a dangling link's publish creates.
+    std::error_code ec;
     fs::path at = path;
     for (int hops = 0; fs::is_symlink(fs::symlink_status(at, ec)); ++hops) {
         fs::path next = fs::read_symlink(at, ec);

@@ -14,11 +14,24 @@
 // prefix. On any failure the temporary is removed and std::runtime_error
 // is thrown, so callers exit nonzero instead of reporting success over a
 // partial file.
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
 
 namespace pgl::io {
+
+/// How atomic_write_file writes a path, decided by what the path names.
+enum class PublishTarget : std::uint8_t {
+    kReplace,  ///< nothing, a regular file, or a symlink to either
+    kStream,   ///< a FIFO or character device (such as /dev/stdout)
+};
+
+/// Classifies `path` as atomic_write_file will write it, without opening
+/// it. Throws std::runtime_error for anything else (a directory, socket,
+/// block device), so a caller can reject an output before doing the work
+/// that produces it.
+PublishTarget publish_target(const std::string& path);
 
 /// Writes `path` atomically: `writer` streams the payload into a unique
 /// sibling temporary which is then renamed onto `path`. Throws
@@ -27,14 +40,13 @@ namespace pgl::io {
 /// fails. The rename runs under a telemetry `publish` stage span: replacing
 /// an existing file frees its blocks there, a cost no other stage shows.
 ///
-/// What `path` names decides how it is written:
+/// What `path` names (publish_target) decides how it is written:
 ///   * nothing, or a regular file: the atomic publish above;
 ///   * a symlink to either: the publish happens beside the link's final
 ///     target, so the link stays a link;
-///   * a FIFO or character device (such as /dev/stdout): the payload is
-///     written straight through, with the same error checks;
-///   * anything else (a directory, socket, block device): std::runtime_error,
-///     and nothing is written.
+///   * a FIFO or character device: the payload is written straight
+///     through, with the same error checks;
+///   * anything else: std::runtime_error, and nothing is written.
 void atomic_write_file(const std::string& path,
                        const std::function<void(std::ostream&)>& writer);
 

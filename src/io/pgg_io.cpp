@@ -1,7 +1,7 @@
 #include "io/pgg_io.hpp"
 
 #include <bit>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -20,7 +20,6 @@ namespace {
 static_assert(std::endian::native == std::endian::little,
               ".pgg serialization assumes a little-endian host");
 
-constexpr char kMagic[8] = {'P', 'G', 'L', 'P', 'G', 'G', '0', '1'};
 constexpr std::uint32_t kFlagSegmentNames = 1u;
 
 // Guard rails for corrupt headers: fail fast with a clear message instead
@@ -88,7 +87,7 @@ struct HashingReader {
 }  // namespace
 
 void write_pgg(const graph::LeanIngest& g, std::ostream& out) {
-    out.write(kMagic, sizeof kMagic);
+    out.write(kPggMagic.data(), kPggMagic.size());
     HashingWriter w{out, {}};
 
     const graph::LeanGraph& lg = g.graph;
@@ -133,7 +132,7 @@ void write_pgg_file(const graph::LeanIngest& g, const std::string& path) {
 }
 
 void write_pgg_graph(const graph::LeanGraph& lg, std::ostream& out) {
-    out.write(kMagic, sizeof kMagic);
+    out.write(kPggMagic.data(), kPggMagic.size());
     HashingWriter w{out, {}};
 
     w.put_int(std::uint32_t{0});  // flags: no segment names
@@ -171,9 +170,9 @@ void write_pgg_graph_file(const graph::LeanGraph& g, const std::string& path) {
 }
 
 graph::LeanIngest read_pgg(std::istream& in) {
-    char magic[8];
+    char magic[kPggMagic.size()];
     in.read(magic, sizeof magic);
-    if (!in || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
+    if (!in || std::string_view(magic, sizeof magic) != kPggMagic) {
         throw std::runtime_error("not a PGLPGG01 graph cache");
     }
     HashingReader r{in, {}};
@@ -318,12 +317,19 @@ graph::LeanIngest read_pgg_file(const std::string& path) {
     return out;
 }
 
-bool is_pgg_path(const std::string& path) {
-    return path.size() >= 4 && path.compare(path.size() - 4, 4, ".pgg") == 0;
-}
-
 graph::LeanIngest load_graph_file(const std::string& path) {
-    return is_pgg_path(path) ? read_pgg_file(path) : graph::ingest_gfa_file(path);
+    // Only a regular file is sniffed: opening a FIFO here would block, and
+    // ingest_gfa_file says why anything else cannot be read.
+    std::error_code ec;
+    if (std::filesystem::is_regular_file(path, ec)) {
+        std::ifstream in(path, std::ios::binary);
+        char magic[kPggMagic.size()];
+        if (in.read(magic, sizeof magic) &&
+            std::string_view(magic, sizeof magic) == kPggMagic) {
+            return read_pgg_file(path);
+        }
+    }
+    return graph::ingest_gfa_file(path);
 }
 
 }  // namespace pgl::io

@@ -24,10 +24,15 @@
 // fresh parse — the byte-equivalence ctest locks this in.
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "graph/gfa_stream.hpp"
 
 namespace pgl::io {
+
+/// The first bytes of every graph cache. A cache is recognised by them,
+/// never by its file name.
+inline constexpr std::string_view kPggMagic = "PGLPGG01";
 
 void write_pgg(const graph::LeanIngest& g, std::ostream& out);
 void write_pgg_file(const graph::LeanIngest& g, const std::string& path);
@@ -50,11 +55,9 @@ void write_pgg_graph_file(const graph::LeanGraph& g, const std::string& path);
 graph::LeanIngest read_pgg(std::istream& in);
 graph::LeanIngest read_pgg_file(const std::string& path);
 
-/// True when `path` names a graph cache (".pgg" extension).
-bool is_pgg_path(const std::string& path);
-
-/// Ingestion front door used by tools: ".pgg" files load through read_pgg,
-/// anything else streams through graph::ingest_gfa_file.
+/// Ingestion front door used by tools: a regular file that starts with
+/// kPggMagic loads through read_pgg_file, whatever its name; anything
+/// else streams through graph::ingest_gfa_file.
 graph::LeanIngest load_graph_file(const std::string& path);
 
 }  // namespace pgl::io

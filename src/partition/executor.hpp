@@ -31,26 +31,29 @@
 namespace pgl::partition {
 
 /// The one per-component layout leaf both steps (and the worker process)
-/// execute: multilevel::layout_graph on a fresh `opt.backend` engine, flat
+/// execute: multilevel::layout_graph on a fresh `req.backend` engine, flat
 /// or through run_multilevel (pathless graphs get the initial layout
-/// there, as in an unpartitioned run). `opt.config.seed` must already be
+/// there, as in an unpartitioned run). `req.config.seed` must already be
 /// the *mixed* per-component seed (component_seed) — this function does no
 /// mixing, which is exactly what makes a worker process reproduce the
 /// in-process bytes: the parent mixes, the leaf is shared.
 core::LayoutResult run_component_graph(const graph::LeanGraph& g,
-                                       const SchedulerOptions& opt);
+                                       const core::LayoutRequest& req);
 
 /// One component laid out: the signature run_component has, and the one
 /// every step of the loop shares. Throws on failure.
 using ComponentStep = std::function<core::LayoutResult(
-    const graph::LeanGraph&, std::uint32_t, const SchedulerOptions&)>;
+    const graph::LeanGraph&, std::uint32_t, const core::LayoutRequest&)>;
 
-/// The "process" mode's step. Resolves the worker binary (throws
-/// std::runtime_error if none is found) and makes a scratch directory for
-/// the per-component .pgg/.lay files, removed with the last copy of the
-/// step. Each call spawns one worker and throws std::runtime_error with
-/// its diagnostic (signal, exit status, missing result) if it fails.
-ComponentStep make_worker_step(const SchedulerOptions& opt);
+/// The "process" mode's step. Resolves the worker binary — the
+/// PGL_LAYOUT_WORKER environment variable, else the pgl_layout beside this
+/// executable; throws std::runtime_error if neither names one — and makes
+/// a scratch directory for the per-component .pgg/.lay files, removed with
+/// the last copy of the step. Each call spawns one worker and throws
+/// std::runtime_error with its diagnostic (signal, exit status, missing
+/// result) if it fails, or std::invalid_argument if the request holds a
+/// setting no worker spec carries (encode_worker_spec).
+ComponentStep make_worker_step();
 
 /// The worker-spec codec, generated from the request field table.
 using core::encode_worker_spec;

@@ -10,7 +10,8 @@ namespace pgl::partition {
 
 PartitionResult partition_layout(const graph::LeanGraph& g,
                                  ComponentLabels labels,
-                                 const PartitionOptions& opt) {
+                                 const core::LayoutRequest& req,
+                                 const ComponentHook& progress) {
     const auto t0 = std::chrono::steady_clock::now();
     PartitionResult out;
     out.decomposition = remap(g, std::move(labels));
@@ -20,11 +21,10 @@ PartitionResult partition_layout(const graph::LeanGraph& g,
         // multilevel run gets its layout stage from the per-pass spans in
         // run_multilevel instead, so the span here only carries the trace
         // name.
-        const char* span_name =
-            opt.schedule.multilevel ? "schedule" : "layout";
+        const char* span_name = req.multilevel ? "schedule" : "layout";
         telemetry::StageSpan span(span_name, "partition");
         out.component_results =
-            run_components(g, out.decomposition, opt.schedule, opt.progress);
+            run_components(g, out.decomposition, req, progress);
     }
 
     for (const core::LayoutResult& r : out.component_results) {

@@ -11,16 +11,12 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/request.hpp"
 #include "partition/components.hpp"
 #include "partition/scheduler.hpp"
 #include "partition/stitch.hpp"
 
 namespace pgl::partition {
-
-struct PartitionOptions {
-    SchedulerOptions schedule;
-    ComponentHook progress;  ///< optional per-component completion hook
-};
 
 struct PartitionResult {
     Decomposition decomposition;  ///< remap tables only; no subgraph is kept
@@ -34,10 +30,13 @@ struct PartitionResult {
 };
 
 /// Remaps a lean graph with the labels its ingest computed (take_labels),
-/// then lays out and stitches. `g` must outlive the call; the subgraphs
-/// are built from it one component at a time.
+/// then lays out (run_components under `req`, calling `progress`, which
+/// may be empty, once per finished component) and stitches. `g` must
+/// outlive the call; the subgraphs are built from it one component at a
+/// time.
 PartitionResult partition_layout(const graph::LeanGraph& g,
                                  ComponentLabels labels,
-                                 const PartitionOptions& opt);
+                                 const core::LayoutRequest& req,
+                                 const ComponentHook& progress);
 
 }  // namespace pgl::partition

@@ -129,12 +129,11 @@ bool read_reports(int fd, WorkerReport& report) noexcept {
     }
 }
 
-/// Worker binary resolution order: explicit option, PGL_LAYOUT_WORKER,
-/// then the pgl_layout sitting next to this executable (every build
-/// target lands in the same build directory, so benches and the serve
-/// daemon resolve it without configuration).
-std::string resolve_worker_binary(const SchedulerOptions& opt) {
-    if (!opt.worker_binary.empty()) return opt.worker_binary;
+/// Worker binary resolution order: PGL_LAYOUT_WORKER, then the pgl_layout
+/// sitting next to this executable (every build target lands in the same
+/// build directory, so benches and the serve daemon resolve it without
+/// configuration).
+std::string resolve_worker_binary() {
     if (const char* env = std::getenv("PGL_LAYOUT_WORKER"); env && *env) {
         return env;
     }
@@ -146,8 +145,8 @@ std::string resolve_worker_binary(const SchedulerOptions& opt) {
     }
     throw std::runtime_error(
         "process executor: cannot resolve the pgl_layout worker binary "
-        "(set SchedulerOptions::worker_binary or PGL_LAYOUT_WORKER, or run "
-        "from a directory containing pgl_layout)");
+        "(set PGL_LAYOUT_WORKER, or run from a directory containing "
+        "pgl_layout)");
 }
 
 /// Scratch directory for the per-component .pgg/.lay files, removed on
@@ -182,7 +181,7 @@ core::LayoutResult run_one_worker(const std::string& worker,
     const std::string graph_arg = graph_path.string();
     const std::string lay_arg = lay_path.string();
     std::vector<std::string> args = {
-        worker, "--component-worker", "--load-graph", graph_arg,
+        worker, "--component-worker", "-i", graph_arg,
         "-o",   lay_arg,              "--worker-spec", spec,
         "--status-fd", "3"};
     std::vector<char*> argv;
@@ -262,12 +261,12 @@ core::LayoutResult run_one_worker(const std::string& worker,
 
 }  // namespace
 
-ComponentStep make_worker_step(const SchedulerOptions& opt) {
-    std::string worker = resolve_worker_binary(opt);
+ComponentStep make_worker_step() {
+    std::string worker = resolve_worker_binary();
     auto scratch = std::make_shared<const ScratchDir>();
     return [worker = std::move(worker), scratch](
                const graph::LeanGraph& component, std::uint32_t c,
-               const SchedulerOptions& o) {
+               const core::LayoutRequest& req) {
         // The same "component" span run_component opens in-process.
         telemetry::StageSpan span("component", "c" + std::to_string(c));
         const fs::path gpath =
@@ -277,7 +276,7 @@ ComponentStep make_worker_step(const SchedulerOptions& opt) {
         io::write_pgg_graph_file(component, gpath.string());
         return run_one_worker(worker, gpath, lpath,
                               encode_worker_spec(
-                                  o, component_seed(o.config.seed, c)));
+                                  req, component_seed(req.config.seed, c)));
     };
 }
 
@@ -285,7 +284,7 @@ int run_component_worker(const std::string& graph_path,
                          const std::string& out_path, const std::string& spec,
                          int status_fd) {
     try {
-        const SchedulerOptions opt{parse_worker_spec(spec), {}};
+        const core::LayoutRequest req = parse_worker_spec(spec);
         graph::LeanIngest ingest = io::read_pgg_file(graph_path);
 
         // Crash-injection hook for the containment tests: when the env
@@ -297,7 +296,7 @@ int run_component_worker(const std::string& graph_path,
             ::raise(SIGKILL);
         }
 
-        const core::LayoutResult r = run_component_graph(ingest.graph, opt);
+        const core::LayoutResult r = run_component_graph(ingest.graph, req);
         io::write_layout_file(r.layout, out_path);
         if (status_fd >= 0) {
             const std::string result_frame =

@@ -44,44 +44,43 @@ void check_executor(const std::string& name) {
 }
 
 core::LayoutResult run_component_graph(const graph::LeanGraph& g,
-                                       const SchedulerOptions& opt) {
-    auto engine = core::make_engine(opt.backend);
-    return multilevel::layout_graph(g, *engine, opt.config,
-                                    opt.multilevel ? &opt.ml : nullptr);
+                                       const core::LayoutRequest& req) {
+    auto engine = core::make_engine(req.backend);
+    return multilevel::layout_graph(g, *engine, req.config,
+                                    req.multilevel ? &req.ml : nullptr);
 }
 
 core::LayoutResult run_component(const graph::LeanGraph& component,
                                  std::uint32_t component_id,
-                                 const SchedulerOptions& opt) {
+                                 const core::LayoutRequest& req) {
     // The component span carries the id in its category, so a trace shows
     // one "component" span per component on whichever worker track ran it,
     // with the engine/multilevel pass spans nested inside.
     telemetry::StageSpan span("component",
                               "c" + std::to_string(component_id));
-    SchedulerOptions mixed = opt;
-    mixed.config.seed = component_seed(opt.config.seed, component_id);
+    core::LayoutRequest mixed = req;
+    mixed.config.seed = component_seed(req.config.seed, component_id);
     return run_component_graph(component, mixed);
 }
 
 std::vector<core::LayoutResult> run_components(const graph::LeanGraph& g,
                                                const Decomposition& d,
-                                               const SchedulerOptions& opt,
+                                               const core::LayoutRequest& req,
                                                const ComponentHook& hook) {
     // Fail before any component runs, not once per component.
-    check_executor(opt.executor);
+    check_executor(req.executor);
     const std::uint32_t n = d.count();
     std::vector<core::LayoutResult> results(n);
     if (n == 0) return results;
     telemetry::Registry::instance().counter("partition.components").add(n);
 
-    const bool in_process = opt.executor == "thread";
-    const ComponentStep step =
-        in_process ? ComponentStep(run_component) : make_worker_step(opt);
-    const std::uint32_t want =
-        in_process ? opt.component_workers : opt.processes;
+    const ComponentStep step = req.executor == "thread"
+                                   ? ComponentStep(run_component)
+                                   : make_worker_step();
     // A pool of size 0 runs the loop inline on the caller. Workers are
     // bounded by the components and by the allowed CPUs, so a request
     // cannot start one thread or child process per component.
+    const std::uint32_t want = req.component_workers;
     const std::uint32_t cpus =
         static_cast<std::uint32_t>(core::allowed_cpus_self().size());
     const std::uint32_t n_workers =
@@ -124,7 +123,7 @@ std::vector<core::LayoutResult> run_components(const graph::LeanGraph& g,
             try {
                 // The subgraph is a temporary: it is dropped as soon as
                 // its step returns.
-                results[c] = step(build(c), c, opt);
+                results[c] = step(build(c), c, req);
             } catch (const std::exception& e) {
                 error = e.what();
             }

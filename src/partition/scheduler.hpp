@@ -55,28 +55,15 @@ struct ComponentProgress {
 
 using ComponentHook = std::function<void(const ComponentProgress&)>;
 
-/// A layout request as the loop runs it: `config.seed` is the base seed
-/// mixed per component, `executor` picks the one-component step,
-/// `component_workers` sizes the pool in "thread" mode and `processes` in
-/// "process" mode, and `multilevel`/`ml` lay each component out through
-/// multilevel::run_multilevel instead of a flat run — its passes are
-/// configured per component from the same mixed-seed config, so the
-/// determinism contract holds unchanged.
-struct SchedulerOptions : core::LayoutRequest {
-    /// Worker binary override for the "process" executor. Empty resolves
-    /// PGL_LAYOUT_WORKER, then the pgl_layout next to /proc/self/exe.
-    std::string worker_binary;
-};
-
 /// The executor names, "process" and "thread": the one list core::validate
 /// and run_components check `executor` against. Throws
 /// std::invalid_argument (`unknown partition executor "<name>"; available:
 /// process thread`) for any other name.
 void check_executor(const std::string& name);
 
-/// The "thread" mode's one-component step: a fresh engine of `opt.backend`
+/// The "thread" mode's one-component step: a fresh engine of `req.backend`
 /// over the component's subgraph, seeded with
-/// component_seed(opt.config.seed, component_id). A component whose lean
+/// component_seed(req.config.seed, component_id). A component whose lean
 /// graph has no sampleable path terms gets its initial layout
 /// from multilevel::layout_graph, the step every flat or multilevel run
 /// shares. Exposed so tests can produce the standalone per-component runs
@@ -88,23 +75,28 @@ void check_executor(const std::string& name);
 /// histograms — the source `pgl_layout --timing` reads.
 core::LayoutResult run_component(const graph::LeanGraph& component,
                                  std::uint32_t component_id,
-                                 const SchedulerOptions& opt);
+                                 const core::LayoutRequest& req);
 
 /// Lays out every component of `d` (the remap tables of `g`; any subgraphs
-/// it holds are not read) under `opt` and returns one LayoutResult per
-/// component, indexed by component id, on at most
-/// min(workers, components, allowed CPUs) threads or child processes,
-/// where workers is `component_workers` or `processes`. Each component's
-/// subgraph is built under a telemetry `subgraph` span on its worker; the
-/// `partition.subgraphs_live` histogram records how many are alive as
-/// each build begins, counting that one. `hook` (may be empty) is called once per finished
-/// component, serialized, on the thread that ran it. Throws
-/// std::invalid_argument for an unknown executor before any component
-/// runs, and std::runtime_error naming each failed component after the
-/// rest have run.
+/// it holds are not read) under `req` and returns one LayoutResult per
+/// component, indexed by component id. `req.config.seed` is the base seed,
+/// mixed per component; `req.executor` picks the one-component step; and
+/// `req.multilevel`/`req.ml` lay each component out through
+/// multilevel::run_multilevel instead of a flat run, its passes configured
+/// from the same mixed-seed config, so the determinism contract holds
+/// unchanged. Components run on at most
+/// min(req.component_workers, components, allowed CPUs) pool threads; under
+/// the "process" executor each thread runs one child at a time. Each
+/// component's subgraph is built under a telemetry `subgraph` span on its
+/// worker; the `partition.subgraphs_live` histogram records how many are
+/// alive as each build begins, counting that one. `hook` (may be empty) is
+/// called once per finished component, serialized, on the thread that ran
+/// it. Throws std::invalid_argument for an unknown executor before any
+/// component runs, and std::runtime_error naming each failed component
+/// after the rest have run.
 std::vector<core::LayoutResult> run_components(const graph::LeanGraph& g,
                                                const Decomposition& d,
-                                               const SchedulerOptions& opt,
+                                               const core::LayoutRequest& req,
                                                const ComponentHook& hook);
 
 }  // namespace pgl::partition

@@ -7,15 +7,10 @@
 #include <vector>
 
 #include "io/lay_io.hpp"
+#include "io/pgg_io.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace pgl::serve {
-
-namespace {
-
-constexpr char kPggMagic[8] = {'P', 'G', 'L', 'P', 'G', 'G', '0', '1'};
-
-}  // namespace
 
 std::uint64_t fnv1a64(const std::string& s) noexcept {
     std::uint64_t h = 0xcbf29ce484222325ull;
@@ -34,9 +29,9 @@ std::uint64_t graph_fingerprint(const std::string& path) {
     // whole payload — read it instead of re-hashing the file. Identified
     // by magic, not extension, so a renamed cache still fingerprints
     // cheaply and a mislabeled file still fingerprints correctly.
-    char magic[8] = {};
+    char magic[io::kPggMagic.size()] = {};
     in.read(magic, sizeof magic);
-    if (in && std::equal(magic, magic + 8, kPggMagic)) {
+    if (in && std::string_view(magic, sizeof magic) == io::kPggMagic) {
         in.seekg(0, std::ios::end);
         const auto size = static_cast<std::int64_t>(in.tellg());
         if (size >= static_cast<std::int64_t>(sizeof magic + 8)) {

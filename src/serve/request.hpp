@@ -7,8 +7,8 @@
 // which of them select output bytes are the field table in
 // core/request.hpp; the wire codec here and the cache key
 // (canonical_request) are both generated from it, so an execution-only
-// field (component_workers, executor, processes) rides the wire but never
-// the key.
+// field (component_workers, executor, kernel) rides the wire but never the
+// key.
 #include <string>
 
 #include "core/request.hpp"

@@ -353,7 +353,7 @@ std::shared_ptr<const graph::LeanIngest> Server::load_graph(
     // blocking every submit/status behind a whole-genome parse would be
     // worse.
     auto ingest = std::make_shared<graph::LeanIngest>(
-        io::load_graph_file(r.graph));  // .pgg auto-detected by extension
+        io::load_graph_file(r.graph));  // a .pgg is detected by its magic
     std::lock_guard<std::mutex> lock(mutex_);
     if (graphs_.emplace(fp, ingest).second) {
         graph_order_.push_back(fp);

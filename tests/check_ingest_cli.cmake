@@ -4,8 +4,9 @@
 #      --iters, --threads, --component-workers must exit non-zero with a
 #      diagnostic naming the flag (std::atoi silently made them 0).
 #   2. Graph-cache byte equivalence: laying out a whole-genome GFA and
-#      laying out its .pgg cache (--save-graph / --load-graph) must produce
-#      byte-identical .lay files, with and without --partition.
+#      laying out its .pgg cache (--save-graph, then -i) must produce
+#      byte-identical .lay files, with and without --partition; so must the
+#      cache under a name without the .pgg extension (detected by magic).
 #   3. A W-record-only, CRLF-terminated GFA (tests/data/walks_crlf.gfa)
 #      must ingest and lay out end-to-end.
 #   4. `--timing` on a flat run lists only the stages that ran (no
@@ -86,7 +87,7 @@ foreach(mode plain partition)
     message(FATAL_ERROR "GFA ${mode} run failed: ${err}")
   endif()
   execute_process(
-    COMMAND ${TOOL} --load-graph ${WORKDIR}/genome.pgg
+    COMMAND ${TOOL} -i ${WORKDIR}/genome.pgg
             -o ${WORKDIR}/${mode}_pgg.lay ${common} ${extra}
     RESULT_VARIABLE rc ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
@@ -103,19 +104,23 @@ foreach(mode plain partition)
   message(STATUS "${mode}: GFA and .pgg layouts are byte-identical")
 endforeach()
 
-# Auto-detect by extension: -i genome.pgg must load the cache too.
+# Detected by magic, not extension: the cache renamed to genome.bin must
+# load as a cache too.
 execute_process(
-  COMMAND ${TOOL} -i ${WORKDIR}/genome.pgg -o ${WORKDIR}/auto_pgg.lay ${common}
+  COMMAND ${CMAKE_COMMAND} -E copy ${WORKDIR}/genome.pgg ${WORKDIR}/genome.bin)
+execute_process(
+  COMMAND ${TOOL} -i ${WORKDIR}/genome.bin -o ${WORKDIR}/renamed_pgg.lay
+          ${common}
   RESULT_VARIABLE rc ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "-i with .pgg extension failed: ${err}")
+  message(FATAL_ERROR "-i with a renamed .pgg failed: ${err}")
 endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORKDIR}/auto_pgg.lay ${WORKDIR}/plain_gfa.lay
+          ${WORKDIR}/renamed_pgg.lay ${WORKDIR}/plain_gfa.lay
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "-i auto-detected .pgg layout differs")
+  message(FATAL_ERROR "layout from a renamed .pgg differs")
 endif()
 
 # --- 3. W-record-only CRLF GFA lays out end-to-end -------------------------

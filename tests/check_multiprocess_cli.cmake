@@ -41,11 +41,7 @@ foreach(backend cpu-pipelined)
   endif()
   foreach(n 1 2 4)
     foreach(executor thread process)
-      if(executor STREQUAL "thread")
-        set(par --component-workers ${n})
-      else()
-        set(par --processes ${n})
-      endif()
+      set(par --executor ${executor} --component-workers ${n})
       set(out "${WORKDIR}/${backend}_${executor}_${n}.lay")
       execute_process(
         COMMAND ${TOOL} -i ${gfa} -o ${out} ${common} --backend ${backend}
@@ -74,7 +70,7 @@ file(WRITE ${crash_out} "stale-sentinel")
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env PGL_COMPONENT_WORKER_CRASH=/c0.lay
           ${TOOL} -i ${gfa} -o ${crash_out} ${common} --backend cpu-pipelined
-          --processes 2
+          --executor process --component-workers 2
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)

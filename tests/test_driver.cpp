@@ -17,7 +17,9 @@
 #include <functional>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -190,11 +192,11 @@ TEST_F(DriverTest, PartitionRunMatchesDirectPartitionLayout) {
     labels.count = ing.component_count;
     labels.node_component = ing.node_component;
     labels.path_component = ing.path_component;
-    partition::PartitionOptions popt;
-    popt.schedule.config = quick_config();
-    popt.schedule.component_workers = 2;
-    const auto direct =
-        partition::partition_layout(ing.graph, std::move(labels), popt);
+    core::LayoutRequest direct_req;
+    direct_req.config = quick_config();
+    direct_req.component_workers = 2;
+    const auto direct = partition::partition_layout(
+        ing.graph, std::move(labels), direct_req, {});
 
     ASSERT_TRUE(out.partitioned);
     EXPECT_EQ(out.updates, direct.updates);
@@ -254,7 +256,7 @@ TEST_F(DriverTest, PathlessGraphsPublishTheInitialLayoutOnEveryBackend) {
 }
 
 TEST(WorkerSpec, RoundTripsFlatOptions) {
-    partition::SchedulerOptions opt;
+    core::LayoutRequest opt;
     opt.backend = "cpu-pipelined";
     opt.config.kernel = "simd";
     opt.config.iter_max = 9;
@@ -365,7 +367,7 @@ TEST_F(DriverTest, PartitionedRunHoldsTheStepRecordsOnce) {
 }
 
 TEST(WorkerSpec, RoundTripsMultilevelOptions) {
-    partition::SchedulerOptions opt;
+    core::LayoutRequest opt;
     opt.multilevel = true;
     opt.ml.levels = 3;
     opt.ml.refine_iters = 4;
@@ -382,13 +384,65 @@ TEST(WorkerSpec, RoundTripsMultilevelOptions) {
 TEST(WorkerSpec, RejectsUnknownFields) {
     EXPECT_THROW(partition::parse_worker_spec("backend=cpu-soa;bogus=1;"),
                  std::invalid_argument);
-    for (const char* removed : {"zipf_theta=0.99;", "init_jitter=1;",
-                                "multilevel=1;ml.coarse_iters=3;",
-                                "multilevel=1;ml.refine_eta=0.5;"}) {
+    for (const char* removed :
+         {"zipf_theta=0.99;", "init_jitter=1;",
+          "multilevel=1;ml.coarse_iters=3;", "multilevel=1;ml.refine_eta=0.5;",
+          "cooling_start=0.5;", "eps=0.01;", "eta_max=0;",
+          "schedule_iter_max=0;", "zipf_space_max=1000;"}) {
         EXPECT_THROW(partition::parse_worker_spec(removed),
                      std::invalid_argument)
             << removed;
     }
+}
+
+TEST(WorkerSpec, RefusesPassLevelFieldsOffTheirDefaults) {
+    // No spec carries a pass-level field, so a child would silently run
+    // it at its default: encoding such a request must fail instead.
+    const std::pair<const char*, void (*)(core::LayoutConfig&)> fields[] = {
+        {"cooling_start", [](core::LayoutConfig& c) { c.cooling_start = 0.3; }},
+        {"eps", [](core::LayoutConfig& c) { c.eps = 0.5; }},
+        {"eta_max", [](core::LayoutConfig& c) { c.eta_max = 100.0; }},
+        {"schedule_iter_max",
+         [](core::LayoutConfig& c) { c.schedule_iter_max = 60; }},
+        {"zipf_space_max", [](core::LayoutConfig& c) { c.zipf_space_max = 0; }},
+    };
+    EXPECT_NO_THROW(partition::encode_worker_spec(core::LayoutRequest{}, 7));
+    for (const auto& [name, set] : fields) {
+        core::LayoutRequest r;
+        set(r.config);
+        try {
+            partition::encode_worker_spec(r, 7);
+            ADD_FAILURE() << name << " was encoded";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST_F(DriverTest, AnUnpublishableOutputFailsBeforeTheGraphLoads) {
+    // The graph does not exist and the output is a directory: the run must
+    // fail on the output, before it reads (or lays out) anything.
+    driver::RunRequest req;
+    req.graph_path = path("missing.gfa");
+    req.out_path = dir_.string();
+    req.config = quick_config();
+    try {
+        driver::run_layout(req);
+        FAIL() << "expected the output to be rejected";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("cannot publish"), std::string::npos) << what;
+        EXPECT_NE(what.find(dir_.string()), std::string::npos) << what;
+    }
+    // So does a directory given for any other output, even with a graph
+    // that loads: no .lay is published ahead of the failing SVG.
+    driver::RunRequest svg = req;
+    svg.graph_path = gfa_;
+    svg.out_path = path("ok.lay");
+    svg.svg_path = dir_.string();
+    EXPECT_THROW(driver::run_layout(svg), std::runtime_error);
+    EXPECT_FALSE(fs::exists(svg.out_path));
 }
 
 }  // namespace

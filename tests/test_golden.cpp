@@ -74,7 +74,8 @@ std::vector<Input> inputs() {
                          workloads::whole_genome_spec(3, 0.0)),
                      gfa);
     in.push_back({"whole_genome3",
-                  std::make_shared<const graph::LeanIngest>(graph::ingest_gfa(gfa))});
+                  std::make_shared<const graph::LeanIngest>(
+                      graph::ingest_gfa_text(gfa.str()))});
     return in;
 }
 

@@ -134,15 +134,14 @@ TEST(VariationGraph, SequenceAccess) {
 // --- GFA: write_gfa, read back through the one streaming reader ---
 
 LeanIngest ingest_text(const std::string& gfa) {
-    std::stringstream ss(gfa);
-    return ingest_gfa(ss);
+    return ingest_gfa_text(gfa);
 }
 
 TEST(Gfa, RoundTripPreservesStructure) {
     const auto g = make_fig1_graph();
     std::stringstream ss;
     write_gfa(g, ss);
-    const auto ing = ingest_gfa(ss);
+    const auto ing = ingest_gfa_text(ss.str());
     EXPECT_EQ(ing.graph.node_count(), g.node_count());
     EXPECT_EQ(ing.edge_count, g.edge_count());
     EXPECT_EQ(ing.graph.path_count(), g.path_count());
@@ -246,7 +245,7 @@ TEST(Gfa, RoundTripPreservesSegmentNames) {
     EXPECT_NE(text.find("S\tchr1_head\t"), std::string::npos);
     EXPECT_NE(text.find("P\thap1\tchr1_head+,snv_a-"), std::string::npos);
 
-    const auto ing = ingest_gfa(out);
+    const auto ing = ingest_gfa_text(text);
     EXPECT_EQ(ing.segment_names, (std::vector<std::string>{"chr1_head", "snv_a"}));
     EXPECT_EQ(ing.path_names, (std::vector<std::string>{"hap1"}));
     EXPECT_TRUE(ing.graph.step_is_reverse(0, 1));
@@ -260,7 +259,7 @@ TEST(Gfa, UnnamedNodesKeepHistoricalNumbering) {
     write_gfa(g, out);
     EXPECT_NE(out.str().find("S\t1\tAA"), std::string::npos);
     EXPECT_NE(out.str().find("S\t8\tC"), std::string::npos);
-    const auto ing = ingest_gfa(out);
+    const auto ing = ingest_gfa_text(out.str());
     for (NodeId id = 0; id < g.node_count(); ++id) {
         EXPECT_EQ(ing.segment_names[id], std::to_string(id + 1));
     }

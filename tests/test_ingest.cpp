@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -83,13 +84,16 @@ std::string pgg_bytes(const LeanIngest& ing) {
 constexpr std::uint32_t kWindowCounts[] = {2, 3, 7, 0};
 
 /// Expects the file at `path` to ingest to the same .pgg bytes, names,
-/// labels and edge count at every window count, and from a stream, as it
+/// labels and edge count at every window count, and from memory, as it
 /// does in one window.
 void expect_window_parity(const std::string& path) {
     const LeanIngest want = ingest_windows(path, 1);
     const std::string want_bytes = pgg_bytes(want);
     std::ifstream in(path, std::ios::binary);
-    EXPECT_EQ(pgg_bytes(graph::ingest_gfa(in)), want_bytes) << path << " as a stream";
+    const std::string text{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    EXPECT_EQ(pgg_bytes(graph::gfa_detail::ingest_gfa_text(text, 1)), want_bytes)
+        << path << " from memory";
     for (const std::uint32_t windows : kWindowCounts) {
         const LeanIngest got = ingest_windows(path, windows);
         EXPECT_EQ(pgg_bytes(got), want_bytes) << path << " in " << windows << " windows";
@@ -115,8 +119,7 @@ const std::string kMiniGfa =
 // --- streaming reader basics ---
 
 TEST(GfaStream, ParsesSegmentsLinksPaths) {
-    std::stringstream ss(kMiniGfa);
-    const auto ing = graph::ingest_gfa(ss);
+    const auto ing = graph::ingest_gfa_text(kMiniGfa);
     EXPECT_EQ(ing.graph.node_count(), 3u);
     EXPECT_EQ(ing.graph.path_count(), 2u);
     EXPECT_EQ(ing.graph.total_path_steps(), 5u);
@@ -146,8 +149,7 @@ TEST(GfaStream, ParsesWalkRecords) {
         "S\ts3\tG\n"
         "W\tHG002\t1\tchr1\t0\t7\t>s1<s2>s3\n"
         "W\tHG002\t2\tchr1\t*\t*\t>s1>s2\n";
-    std::stringstream ss(gfa);
-    const auto ing = graph::ingest_gfa(ss);
+    const auto ing = graph::ingest_gfa_text(gfa);
     EXPECT_EQ(ing.graph.path_count(), 2u);
     EXPECT_EQ(ing.path_names[0], "HG002#1#chr1:0-7");
     EXPECT_EQ(ing.path_names[1], "HG002#2#chr1");  // '*' range omitted
@@ -165,9 +167,8 @@ TEST(GfaStream, ToleratesCrlfAndTrailingWhitespace) {
         if (c == '\n') crlf += "\r\n";
         else crlf += c;
     }
-    std::stringstream unix_ss(kMiniGfa), crlf_ss(crlf);
-    const auto a = graph::ingest_gfa(unix_ss);
-    const auto b = graph::ingest_gfa(crlf_ss);
+    const auto a = graph::ingest_gfa_text(kMiniGfa);
+    const auto b = graph::ingest_gfa_text(crlf);
     expect_same_lean(a.graph, b.graph);
     EXPECT_EQ(a.segment_names, b.segment_names);  // no '\r' in names
     EXPECT_EQ(a.path_names, b.path_names);
@@ -178,8 +179,7 @@ TEST(GfaStream, HonorsLnLengthTagOnSequenceFreeSegments) {
         "S\ts1\t*\tLN:i:123\n"
         "S\ts2\t*\n"
         "P\tp\ts1+,s2+\t*\n";
-    std::stringstream ss(gfa);
-    const auto ing = graph::ingest_gfa(ss);
+    const auto ing = graph::ingest_gfa_text(gfa);
     EXPECT_EQ(ing.graph.node_length(0), 123u);
     EXPECT_EQ(ing.graph.node_length(1), 0u);
 }
@@ -193,8 +193,7 @@ TEST(GfaStream, LabelsMultipleComponents) {
         "S\tlonely\tA\n"
         "L\ta1\t+\ta2\t+\t0M\n"
         "P\tpb\tb1+,b2+\t*\n";
-    std::stringstream ss(gfa);
-    const auto ing = graph::ingest_gfa(ss);
+    const auto ing = graph::ingest_gfa_text(gfa);
     // Components numbered by smallest node id: {a1,a2}=0, {b1,b2}=1,
     // {lonely}=2.
     EXPECT_EQ(ing.component_count, 3u);
@@ -320,8 +319,7 @@ TEST(GfaStream, ComponentLabelsMatchBfsOnRandomGraphs) {
         for (int round = 0; round < 100; ++round) {
             const RandomGfa g =
                 random_gfa(++seed, mix.cross, mix.link_only, mix.single_step);
-            std::stringstream ss(g.text);
-            LeanIngest ing = graph::ingest_gfa(ss);
+            LeanIngest ing = graph::ingest_gfa_text(g.text);
             const auto want = bfs_labels(g);
             ASSERT_EQ(ing.component_count, want.count) << g.text;
             ASSERT_EQ(ing.node_component, want.node_component) << g.text;
@@ -360,59 +358,56 @@ TEST(GfaStream, ComponentLabelsMatchBfsOnRandomGraphs) {
 // --- malformed input rejection ---
 
 TEST(GfaStream, RejectsDuplicateSegments) {
-    std::stringstream ss("S\tx\tA\nS\tx\tC\n");
-    EXPECT_THROW(graph::ingest_gfa(ss), std::runtime_error);
+    EXPECT_THROW(graph::ingest_gfa_text("S\tx\tA\nS\tx\tC\n"), std::runtime_error);
 }
 
 TEST(GfaStream, RejectsUnknownSegmentInLink) {
-    std::stringstream ss("S\tx\tA\nL\tx\t+\tmissing\t+\t0M\n");
-    EXPECT_THROW(graph::ingest_gfa(ss), std::runtime_error);
+    EXPECT_THROW(graph::ingest_gfa_text("S\tx\tA\nL\tx\t+\tmissing\t+\t0M\n"),
+                 std::runtime_error);
 }
 
 TEST(GfaStream, RejectsUnknownSegmentInPathAndWalk) {
     {
-        std::stringstream ss("S\tx\tA\nP\tp\tx+,missing+\t*\n");
-        EXPECT_THROW(graph::ingest_gfa(ss), std::runtime_error);
+        EXPECT_THROW(graph::ingest_gfa_text("S\tx\tA\nP\tp\tx+,missing+\t*\n"),
+                     std::runtime_error);
     }
     {
-        std::stringstream ss("S\tx\tA\nW\ts\t1\tc\t0\t1\t>x>missing\n");
-        EXPECT_THROW(graph::ingest_gfa(ss), std::runtime_error);
+        EXPECT_THROW(graph::ingest_gfa_text("S\tx\tA\nW\ts\t1\tc\t0\t1\t>x>missing\n"),
+                     std::runtime_error);
     }
 }
 
 TEST(GfaStream, RejectsEmptyPathAndWalk) {
     {
-        std::stringstream ss("S\tx\tA\nP\tp\t\t*\n");
-        EXPECT_THROW(graph::ingest_gfa(ss), std::runtime_error);
+        EXPECT_THROW(graph::ingest_gfa_text("S\tx\tA\nP\tp\t\t*\n"), std::runtime_error);
     }
     {
-        std::stringstream ss("S\tx\tA\nW\ts\t1\tc\t0\t0\t*\n");
-        EXPECT_THROW(graph::ingest_gfa(ss), std::runtime_error);
+        EXPECT_THROW(graph::ingest_gfa_text("S\tx\tA\nW\ts\t1\tc\t0\t0\t*\n"),
+                     std::runtime_error);
     }
 }
 
 TEST(GfaStream, RejectsBadOrientationAndMalformedWalk) {
     {
-        std::stringstream ss("S\tx\tA\nS\ty\tC\nL\tx\t?\ty\t+\t0M\n");
-        EXPECT_THROW(graph::ingest_gfa(ss), std::runtime_error);
+        EXPECT_THROW(graph::ingest_gfa_text("S\tx\tA\nS\ty\tC\nL\tx\t?\ty\t+\t0M\n"),
+                     std::runtime_error);
     }
     {
-        std::stringstream ss("S\tx\tA\nW\ts\t1\tc\t0\t1\tx>\n");
-        EXPECT_THROW(graph::ingest_gfa(ss), std::runtime_error);
+        EXPECT_THROW(graph::ingest_gfa_text("S\tx\tA\nW\ts\t1\tc\t0\t1\tx>\n"),
+                     std::runtime_error);
     }
     {
-        std::stringstream ss("S\tx\tA\nW\ts\t1\tc\t0\t1\t><\n");
-        EXPECT_THROW(graph::ingest_gfa(ss), std::runtime_error);
+        EXPECT_THROW(graph::ingest_gfa_text("S\tx\tA\nW\ts\t1\tc\t0\t1\t><\n"),
+                     std::runtime_error);
     }
 }
 
 TEST(GfaStream, WalkAndPathRecordsYieldIdenticalStepRecords) {
     const std::string base =
         "S\ts1\tACGT\nS\ts2\tTT\nS\ts3\tG\n";
-    std::stringstream p_ss(base + "P\tw\ts1+,s2-,s3+\t*\n");
-    std::stringstream w_ss(base + "W\tsamp\t1\tchr\t0\t7\t>s1<s2>s3\n");
-    const auto via_p = graph::ingest_gfa(p_ss);
-    const auto via_w = graph::ingest_gfa(w_ss);
+    const auto via_p = graph::ingest_gfa_text(base + "P\tw\ts1+,s2-,s3+\t*\n");
+    const auto via_w =
+        graph::ingest_gfa_text(base + "W\tsamp\t1\tchr\t0\t7\t>s1<s2>s3\n");
     expect_same_lean(via_p.graph, via_w.graph);
 }
 
@@ -452,8 +447,7 @@ TEST(GfaStream, PathAndWalkLinesLongerThanOneBlock) {
     const std::size_t p_at = gfa.find("\nP") + 1, w_at = gfa.find("\nW") + 1;
     ASSERT_GT(w_at - p_at, kBlock);
     ASSERT_GT(gfa.size() - w_at, kBlock);
-    std::stringstream ss(gfa);
-    const auto ing = graph::ingest_gfa(ss);
+    const auto ing = graph::ingest_gfa_text(gfa);
 
     ASSERT_EQ(ing.graph.path_count(), 2u);
     EXPECT_EQ(ing.path_names, (std::vector<std::string>{"long", "samp#1#chr"}));
@@ -481,8 +475,7 @@ TEST(GfaStream, CrlfSplitAcrossBlockBoundary) {
                             "\r\nS\ty\tTT\r\nP\tp\tx+,y-\t*\r\n";
     ASSERT_EQ(gfa[kBlock - 1], '\r');
     ASSERT_EQ(gfa[kBlock], '\n');
-    std::stringstream ss(gfa);
-    const auto ing = graph::ingest_gfa(ss);
+    const auto ing = graph::ingest_gfa_text(gfa);
     EXPECT_EQ(ing.segment_names, (std::vector<std::string>{"x", "y"}));
     EXPECT_EQ(ing.graph.node_length(0), 4u);  // no '\r' counted as a base
     EXPECT_EQ(ing.graph.path_nuc_length(0), 6u);
@@ -490,8 +483,8 @@ TEST(GfaStream, CrlfSplitAcrossBlockBoundary) {
 
 TEST(GfaStream, LastLineWithoutNewline) {
     for (const std::string end : {"", "\r", " \t"}) {
-        std::stringstream ss("S\ts1\tACGT\nS\ts2\tTT\nP\tp\ts1+,s2-\t*" + end);
-        const auto ing = graph::ingest_gfa(ss);
+        const auto ing =
+            graph::ingest_gfa_text("S\ts1\tACGT\nS\ts2\tTT\nP\tp\ts1+,s2-\t*" + end);
         ASSERT_EQ(ing.graph.path_count(), 1u);
         EXPECT_EQ(ing.graph.path_step_count(0), 2u);
         EXPECT_TRUE(ing.graph.step_is_reverse(0, 1));
@@ -500,21 +493,19 @@ TEST(GfaStream, LastLineWithoutNewline) {
 
 TEST(GfaStream, EmptyAndCommentOnlyInput) {
     for (const std::string text : {"", "# nothing here\n#\n", "\n\n"}) {
-        std::stringstream ss(text);
-        const auto ing = graph::ingest_gfa(ss);
+        const auto ing = graph::ingest_gfa_text(text);
         EXPECT_EQ(ing.graph.node_count(), 0u);
         EXPECT_EQ(ing.graph.path_count(), 0u);
         EXPECT_EQ(ing.component_count, 0u);
     }
 }
 
-/// The message ingest_gfa throws for `gfa`, or "" if it parses. With
+/// The message ingest_gfa_text throws for `gfa`, or "" if it parses. With
 /// `windows` > 0, `gfa` is read from a file in that many byte windows.
 std::string parse_error(const std::string& gfa, std::uint32_t windows = 0) {
     try {
         if (windows == 0) {
-            std::stringstream ss(gfa);
-            graph::ingest_gfa(ss);
+            graph::ingest_gfa_text(gfa);
         } else {
             graph::gfa_detail::ingest_gfa_file(write_temp("pgl_parse_error.gfa", gfa),
                                                windows);
@@ -634,8 +625,7 @@ TEST(GfaWindows, GeneratedGraphsTakeTheWindowedReader) {
         EXPECT_GE(graph::gfa_detail::window_count(gfa.size()), 2u);
     }
 
-    std::istringstream one(gfa);
-    const std::string want = pgg_bytes(graph::ingest_gfa(one));
+    const std::string want = pgg_bytes(graph::gfa_detail::ingest_gfa_text(gfa, 1));
     EXPECT_EQ(pgg_bytes(workloads::to_ingest(vg)), want);
     EXPECT_EQ(pgg_bytes(graph::ingest_gfa_text(gfa)), want);
     for (const std::uint32_t windows : {1u, 2u, 3u, 7u}) {
@@ -912,7 +902,7 @@ TEST(PggIo, RejectsChecksumMismatch) {
     }
 }
 
-TEST(PggIo, FileRoundTripAndExtensionDispatch) {
+TEST(PggIo, FileRoundTripAndMagicDispatch) {
     const auto ing = make_ingest();
     const std::string gfa_path = ::testing::TempDir() + "/pgl_ingest.gfa";
     const std::string pgg_path = ::testing::TempDir() + "/pgl_ingest.pgg";
@@ -923,14 +913,23 @@ TEST(PggIo, FileRoundTripAndExtensionDispatch) {
         graph::write_gfa_file(vg, gfa_path);
     }
     io::write_pgg_file(ing, pgg_path);
-    EXPECT_TRUE(io::is_pgg_path(pgg_path));
-    EXPECT_FALSE(io::is_pgg_path(gfa_path));
 
     const auto from_pgg = io::load_graph_file(pgg_path);
     const auto from_gfa = io::load_graph_file(gfa_path);
     expect_same_lean(from_pgg.graph, ing.graph);
     expect_same_lean(from_gfa.graph, ing.graph);
     EXPECT_EQ(from_pgg.node_component, from_gfa.node_component);
+
+    // The magic decides, not the name: a cache under another name loads
+    // as a cache, and a GFA named like a cache loads as a GFA.
+    const std::string renamed_pgg = ::testing::TempDir() + "/pgl_ingest_pgg.bin";
+    const std::string renamed_gfa = ::testing::TempDir() + "/pgl_ingest_gfa.pgg";
+    std::filesystem::copy_file(pgg_path, renamed_pgg,
+                               std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::copy_file(gfa_path, renamed_gfa,
+                               std::filesystem::copy_options::overwrite_existing);
+    EXPECT_EQ(pgg_bytes(io::load_graph_file(renamed_pgg)), pgg_bytes(from_pgg));
+    EXPECT_EQ(pgg_bytes(io::load_graph_file(renamed_gfa)), pgg_bytes(from_gfa));
 }
 
 TEST(PggIo, FileRejectsTrailingBytesAfterChecksum) {
@@ -953,10 +952,9 @@ TEST(PggIo, RejectsInconsistentComponentLabels) {
     // Components {a, b, c} (walked by p0) and {d} (walked by p1). Each edit
     // below keeps every label in range and the checksum valid, so only the
     // label checks can refuse the cache.
-    std::stringstream gfa(
+    const LeanIngest ing = graph::ingest_gfa_text(
         "S\ta\tAC\nS\tb\tG\nS\tc\tT\nS\td\tA\n"
         "P\tp0\ta+,b+,c+\t*\nP\tp1\td+\t*\n");
-    const LeanIngest ing = graph::ingest_gfa(gfa);
     ASSERT_EQ(ing.node_component, (std::vector<std::uint32_t>{0, 0, 0, 1}));
     ASSERT_EQ(ing.path_component, (std::vector<std::uint32_t>{0, 1}));
 
@@ -988,7 +986,7 @@ TEST(PggIo, RejectsInconsistentComponentLabels) {
     }
 }
 
-// --- write_gfa -> ingest_gfa: sequence-free segments ---
+// --- write_gfa -> ingest_gfa_text: sequence-free segments ---
 
 TEST(Gfa, SequenceFreeSegmentsRoundTripWithoutFabricatedBases) {
     // A sequence-free node keeps its declared length without synthesizing
@@ -1003,7 +1001,7 @@ TEST(Gfa, SequenceFreeSegmentsRoundTripWithoutFabricatedBases) {
     graph::write_gfa(vg, out);
     EXPECT_NE(out.str().find("S\tbig\t*\tLN:i:8"), std::string::npos);
     EXPECT_NE(out.str().find("S\ttiny\t*\n"), std::string::npos);
-    const auto ing = graph::ingest_gfa(out);
+    const auto ing = graph::ingest_gfa_text(out.str());
     EXPECT_EQ(ing.graph.node_length(0), 8u);
     EXPECT_EQ(ing.graph.node_length(1), 0u);
     EXPECT_EQ(ing.graph.path_nuc_length(0), 8u);

@@ -149,11 +149,11 @@ TEST(LayIo, PartitionStitchedRoundTripIsBitwise) {
     // bit-for-bit, exactly like a single-component layout.
     auto ing = workloads::to_ingest(workloads::generate_whole_genome(
         workloads::whole_genome_spec(2, 0.0002, 11)));
-    partition::PartitionOptions popt;
-    popt.schedule.config.iter_max = 2;
-    popt.schedule.config.steps_per_iter_factor = 0.2;
-    const auto part =
-        partition::partition_layout(ing.graph, partition::take_labels(ing), popt);
+    core::LayoutRequest req;
+    req.config.iter_max = 2;
+    req.config.steps_per_iter_factor = 0.2;
+    const auto part = partition::partition_layout(
+        ing.graph, partition::take_labels(ing), req, {});
     const std::string path = ::testing::TempDir() + "/pgl_partition.lay";
     io::write_layout_file(part.stitched.layout, path);
     const auto back = io::read_layout_file(path);

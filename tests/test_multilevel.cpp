@@ -395,13 +395,13 @@ TEST(LayoutGraph, PathlessGraphShortCircuitsToInitialLayout) {
 TEST(MultilevelPartition, MatchesStandalonePerComponentPlans) {
     auto ing = workloads::to_ingest(workloads::generate_whole_genome(
         workloads::whole_genome_spec(3, 0.0002)));
-    partition::PartitionOptions popt;
-    popt.schedule.backend = "cpu-pipelined";
-    popt.schedule.config = quick_config();
-    popt.schedule.component_workers = 2;
-    popt.schedule.multilevel = true;
+    core::LayoutRequest req;
+    req.backend = "cpu-pipelined";
+    req.config = quick_config();
+    req.component_workers = 2;
+    req.multilevel = true;
     const partition::ComponentLabels labels = partition::take_labels(ing);
-    const auto part = partition::partition_layout(ing.graph, labels, popt);
+    const auto part = partition::partition_layout(ing.graph, labels, req, {});
     ASSERT_EQ(part.decomposition.count(), 3u);
 
     // The standalone plans run on the subgraphs decompose() builds.
@@ -410,11 +410,10 @@ TEST(MultilevelPartition, MatchesStandalonePerComponentPlans) {
     std::vector<core::LayoutResult> standalone;
     for (std::uint32_t c = 0; c < d.count(); ++c) {
         const auto& comp = d.components[c].graph;
-        core::LayoutConfig cfg = popt.schedule.config;
-        cfg.seed = partition::component_seed(popt.schedule.config.seed, c);
+        core::LayoutConfig cfg = req.config;
+        cfg.seed = partition::component_seed(req.config.seed, c);
         auto engine = core::make_engine("cpu-pipelined");
-        const auto ml = multilevel::run_multilevel(comp, *engine, cfg,
-                                                   popt.schedule.ml);
+        const auto ml = multilevel::run_multilevel(comp, *engine, cfg, req.ml);
         expect_layout_bitwise_equal(part.component_results[c].layout, ml.layout);
         standalone.push_back(ml);
     }

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -56,11 +57,12 @@ partition::Decomposition decompose_vg(const graph::VariationGraph& vg) {
     return partition::decompose(ing.graph, partition::take_labels(ing));
 }
 
-partition::PartitionResult layout_vg(const graph::VariationGraph& vg,
-                                     const partition::PartitionOptions& popt) {
+partition::PartitionResult layout_vg(
+    const graph::VariationGraph& vg, const core::LayoutRequest& req,
+    const partition::ComponentHook& progress = {}) {
     auto ing = workloads::to_ingest(vg);
     return partition::partition_layout(ing.graph, partition::take_labels(ing),
-                                       popt);
+                                       req, progress);
 }
 
 core::LayoutConfig quick_config(std::uint32_t threads = 1) {
@@ -157,12 +159,12 @@ TEST(Workloads, WholeGenomeIsDeterministicMultiComponent) {
 
 TEST(Stitch, TranslationIsASingleFloatAdd) {
     const auto d = decompose_vg(small_genome(3));
-    partition::SchedulerOptions sopt;
-    sopt.config = quick_config();
+    core::LayoutRequest req;
+    req.config = quick_config();
     std::vector<core::LayoutResult> results;
     for (std::uint32_t c = 0; c < d.count(); ++c) {
         results.push_back(
-            partition::run_component(d.components[c].graph, c, sopt));
+            partition::run_component(d.components[c].graph, c, req));
     }
     const auto s = partition::stitch(d, results);
     ASSERT_EQ(s.layout.size(), d.global_node_count());
@@ -182,12 +184,12 @@ TEST(Stitch, TranslationIsASingleFloatAdd) {
 
 TEST(Stitch, PlacedBoundingBoxesDoNotOverlap) {
     const auto d = decompose_vg(small_genome(4));
-    partition::SchedulerOptions sopt;
-    sopt.config = quick_config();
+    core::LayoutRequest req;
+    req.config = quick_config();
     std::vector<core::LayoutResult> results;
     for (std::uint32_t c = 0; c < d.count(); ++c) {
         results.push_back(
-            partition::run_component(d.components[c].graph, c, sopt));
+            partition::run_component(d.components[c].graph, c, req));
     }
     const auto s = partition::stitch(d, results);
     for (std::uint32_t a = 0; a < d.count(); ++a) {
@@ -208,10 +210,10 @@ TEST(Executors, ShipsThreadAndProcess) {
     // An empty graph reaches the executor check without spawning a worker,
     // so both names are accepted on the library path here.
     for (const std::string name : {"thread", "process"}) {
-        partition::PartitionOptions popt;
-        popt.schedule.executor = name;
+        core::LayoutRequest req;
+        req.executor = name;
         EXPECT_NO_THROW(partition::partition_layout(
-            graph::LeanGraph{}, partition::ComponentLabels{}, popt))
+            graph::LeanGraph{}, partition::ComponentLabels{}, req, {}))
             << name;
         core::LayoutRequest r;
         r.partition = true;
@@ -226,11 +228,11 @@ TEST(Executors, UnknownNameThrowsListingAvailable) {
         EXPECT_NE(what.find("thread"), std::string::npos) << what;
         EXPECT_NE(what.find("process"), std::string::npos) << what;
     };
-    partition::PartitionOptions popt;
-    popt.schedule.config = quick_config();
-    popt.schedule.executor = "hovercraft";
+    core::LayoutRequest req;
+    req.config = quick_config();
+    req.executor = "hovercraft";
     try {
-        layout_vg(small_genome(2), popt);
+        layout_vg(small_genome(2), req);
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument& e) {
         expect_names(e.what());
@@ -245,6 +247,28 @@ TEST(Executors, UnknownNameThrowsListingAvailable) {
         expect_names(e.what());
     }
 }
+
+/// Sets an environment variable for one scope, restoring it after.
+class ScopedEnv {
+public:
+    ScopedEnv(const char* name, const char* value) : name_(name) {
+        if (const char* old = std::getenv(name)) old_ = old;
+        ::setenv(name, value, 1);
+    }
+    ~ScopedEnv() {
+        if (old_) {
+            ::setenv(name_, old_->c_str(), 1);
+        } else {
+            ::unsetenv(name_);
+        }
+    }
+    ScopedEnv(const ScopedEnv&) = delete;
+    ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+private:
+    const char* name_;
+    std::optional<std::string> old_;
+};
 
 /// The pgl_layout binary the process executor would fork, or "" when this
 /// test binary was built without it (e.g. the sanitizer CI job compiles
@@ -264,15 +288,14 @@ TEST(ProcessExecutor, MatchesThreadExecutorByteForByte) {
         GTEST_SKIP() << "no pgl_layout worker binary next to this test";
     }
     const auto vg = small_genome(3);
-    partition::PartitionOptions popt;
-    popt.schedule.config = quick_config();
-    popt.schedule.component_workers = 2;
-    const auto in_process = layout_vg(vg, popt);
+    core::LayoutRequest req;
+    req.config = quick_config();
+    req.component_workers = 2;
+    const auto in_process = layout_vg(vg, req);
 
-    popt.schedule.executor = "process";
-    popt.schedule.processes = 2;
-    popt.schedule.worker_binary = worker;
-    const auto multi_process = layout_vg(vg, popt);
+    // The same count sizes the loop: two children at a time.
+    req.executor = "process";
+    const auto multi_process = layout_vg(vg, req);
 
     expect_layout_bitwise_equal(in_process.stitched.layout,
                                 multi_process.stitched.layout);
@@ -284,12 +307,12 @@ TEST(ProcessExecutor, UnrunnableWorkerBinaryFailsEveryComponentLoudly) {
     // exec of a nonexistent binary makes each child exit 127; the parent
     // must surface one diagnostic per component, not crash or hang.
     const auto vg = small_genome(2);
-    partition::PartitionOptions popt;
-    popt.schedule.config = quick_config();
-    popt.schedule.executor = "process";
-    popt.schedule.worker_binary = "/nonexistent/pgl_layout";
+    core::LayoutRequest req;
+    req.config = quick_config();
+    req.executor = "process";
+    const ScopedEnv worker("PGL_LAYOUT_WORKER", "/nonexistent/pgl_layout");
     try {
-        layout_vg(vg, popt);
+        layout_vg(vg, req);
         FAIL() << "expected std::runtime_error";
     } catch (const std::runtime_error& e) {
         const std::string what = e.what();
@@ -300,10 +323,10 @@ TEST(ProcessExecutor, UnrunnableWorkerBinaryFailsEveryComponentLoudly) {
 
 TEST(Scheduler, UnknownExecutorIsRejected) {
     const auto vg = small_genome(2);
-    partition::PartitionOptions popt;
-    popt.schedule.config = quick_config();
-    popt.schedule.executor = "quantum";
-    EXPECT_THROW(layout_vg(vg, popt), std::invalid_argument);
+    core::LayoutRequest req;
+    req.config = quick_config();
+    req.executor = "quantum";
+    EXPECT_THROW(layout_vg(vg, req), std::invalid_argument);
 }
 
 TEST(Scheduler, FailingComponentThrowsOnceTheRestHaveRun) {
@@ -311,13 +334,13 @@ TEST(Scheduler, FailingComponentThrowsOnceTheRestHaveRun) {
     // worker the exception must reach the caller as one error naming each
     // component, not escape the worker thread and abort the process.
     const auto vg = small_genome(2);
-    partition::PartitionOptions popt;
-    popt.schedule.config = quick_config();
-    popt.schedule.multilevel = true;
-    popt.schedule.ml.levels = 0;
-    popt.schedule.component_workers = 2;
+    core::LayoutRequest req;
+    req.config = quick_config();
+    req.multilevel = true;
+    req.ml.levels = 0;
+    req.component_workers = 2;
     try {
-        layout_vg(vg, popt);
+        layout_vg(vg, req);
         FAIL() << "expected std::runtime_error";
     } catch (const std::runtime_error& e) {
         const std::string what = e.what();
@@ -329,29 +352,28 @@ TEST(Scheduler, FailingComponentThrowsOnceTheRestHaveRun) {
 
 TEST(Scheduler, ResultsIndependentOfWorkerCount) {
     const auto vg = small_genome(4);
-    partition::PartitionOptions popt;
-    popt.schedule.config = quick_config();
-    popt.schedule.component_workers = 1;
-    const auto serial = layout_vg(vg, popt);
-    popt.schedule.component_workers = 4;
-    const auto parallel = layout_vg(vg, popt);
+    core::LayoutRequest req;
+    req.config = quick_config();
+    req.component_workers = 1;
+    const auto serial = layout_vg(vg, req);
+    req.component_workers = 4;
+    const auto parallel = layout_vg(vg, req);
     expect_layout_bitwise_equal(serial.stitched.layout, parallel.stitched.layout);
     EXPECT_EQ(serial.updates, parallel.updates);
 }
 
 TEST(Scheduler, ProgressHookSeesEveryComponent) {
     const auto vg = small_genome(3);
-    partition::PartitionOptions popt;
-    popt.schedule.config = quick_config();
-    popt.schedule.component_workers = 2;
+    core::LayoutRequest req;
+    req.config = quick_config();
+    req.component_workers = 2;
     std::vector<std::uint32_t> seen;
     std::uint32_t max_completed = 0;
-    popt.progress = [&](const partition::ComponentProgress& p) {
+    layout_vg(vg, req, [&](const partition::ComponentProgress& p) {
         seen.push_back(p.component);
         max_completed = std::max(max_completed, p.completed);
         EXPECT_EQ(p.total, 3u);
-    };
-    layout_vg(vg, popt);
+    });
     EXPECT_EQ(seen.size(), 3u);
     EXPECT_EQ(max_completed, 3u);
 }
@@ -375,13 +397,13 @@ TEST(Scheduler, WorkersAreBoundedByTheAllowedCpus) {
     for (std::uint32_t i = 0; i < allowed + 4; ++i) vg.add_node("ACGT");
     auto ing = workloads::to_ingest(vg);
     const auto d = partition::remap(ing.graph, partition::take_labels(ing));
-    partition::SchedulerOptions opt;
-    opt.config = quick_config();
-    opt.partition = true;
-    opt.component_workers = allowed + 4;
+    core::LayoutRequest req;
+    req.config = quick_config();
+    req.partition = true;
+    req.component_workers = allowed + 4;
     std::set<std::thread::id> workers;
     const auto results = partition::run_components(
-        ing.graph, d, opt, [&](const partition::ComponentProgress&) {
+        ing.graph, d, req, [&](const partition::ComponentProgress&) {
             // Holding the (serialized) hook lets every other worker claim
             // a component meanwhile.
             workers.insert(std::this_thread::get_id());
@@ -404,13 +426,13 @@ TEST(Scheduler, AtMostOneSubgraphPerWorkerIsAlive) {
     // no more than three subgraphs are ever alive at once, and the result
     // keeps only the remap tables.
     const auto vg = small_genome(8);
-    partition::PartitionOptions popt;
-    popt.schedule.config = quick_config();
-    popt.schedule.component_workers = 3;
+    core::LayoutRequest req;
+    req.config = quick_config();
+    req.component_workers = 3;
     const telemetry::Histogram live =
         telemetry::Registry::instance().histogram("partition.subgraphs_live");
     live.reset();
-    const auto part = layout_vg(vg, popt);
+    const auto part = layout_vg(vg, req);
     ASSERT_EQ(part.decomposition.count(), 8u);
     for (const auto& comp : part.decomposition.components) {
         EXPECT_EQ(comp.graph.node_count(), 0u);
@@ -430,10 +452,10 @@ TEST(Scheduler, PathlessComponentGetsDeterministicFallback) {
     for (int i = 0; i < 4; ++i) vg.add_node("ACGTACGT");
     vg.add_path("p", {Handle::forward(0), Handle::forward(1)});
     vg.add_edge(Handle::forward(2), Handle::forward(3));  // edge-only, no path
-    partition::PartitionOptions popt;
-    popt.schedule.config = quick_config();
-    const auto a = layout_vg(vg, popt);
-    const auto b = layout_vg(vg, popt);
+    core::LayoutRequest req;
+    req.config = quick_config();
+    const auto a = layout_vg(vg, req);
+    const auto b = layout_vg(vg, req);
     ASSERT_EQ(a.decomposition.count(), 2u);
     ASSERT_EQ(a.stitched.layout.size(), 4u);
     expect_layout_bitwise_equal(a.stitched.layout, b.stitched.layout);
@@ -447,11 +469,11 @@ TEST(PartitionEquivalence, MatchesStandalonePerComponentRuns) {
     const auto vg = small_genome(4);
     for (const std::string backend : {"cpu-pipelined"}) {
         for (const std::uint32_t threads : {1u, 4u}) {
-            partition::PartitionOptions popt;
-            popt.schedule.backend = backend;
-            popt.schedule.config = quick_config(threads);
-            popt.schedule.component_workers = 2;
-            const auto part = layout_vg(vg, popt);
+            core::LayoutRequest req;
+            req.backend = backend;
+            req.config = quick_config(threads);
+            req.component_workers = 2;
+            const auto part = layout_vg(vg, req);
             ASSERT_EQ(part.decomposition.count(), 4u);
 
             // Standalone runs: a fresh engine per component of decompose(),
@@ -462,8 +484,8 @@ TEST(PartitionEquivalence, MatchesStandalonePerComponentRuns) {
             std::vector<core::LayoutResult> standalone;
             for (std::uint32_t c = 0; c < d.count(); ++c) {
                 auto engine = core::make_engine(backend);
-                core::LayoutConfig cfg = popt.schedule.config;
-                cfg.seed = partition::component_seed(popt.schedule.config.seed, c);
+                core::LayoutConfig cfg = req.config;
+                cfg.seed = partition::component_seed(req.config.seed, c);
                 engine->init(d.components[c].graph, cfg);
                 standalone.push_back(engine->run());
                 expect_layout_bitwise_equal(

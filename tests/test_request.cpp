@@ -11,6 +11,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/request.hpp"
@@ -34,9 +35,8 @@ std::vector<PinnedKey> pinned_keys() {
         serve::JobRequest r;
         out.push_back({"default", r,
                        "epoch=2;"
-                       "backend=cpu-soa;cooling_start=0.5;eps=0.01;eta_max=0;"
-                       "iter_max=30;schedule_iter_max=0;seed=9399220614123047;"
-                       "steps_per_iter_factor=10;threads=1;zipf_space_max=1000;"
+                       "backend=cpu-soa;iter_max=30;seed=9399220614123047;"
+                       "steps_per_iter_factor=10;threads=1;"
                        "partition=0;multilevel=0;"});
     }
     {
@@ -49,10 +49,9 @@ std::vector<PinnedKey> pinned_keys() {
         r.config.iter_max = 7;
         out.push_back({"engine_knobs", r,
                        "epoch=2;"
-                       "backend=cpu-pipelined;cooling_start=0.5;eps=0.01;"
-                       "eta_max=0;iter_max=7;schedule_iter_max=0;seed=42;"
+                       "backend=cpu-pipelined;iter_max=7;seed=42;"
                        "steps_per_iter_factor=10;threads=4;"
-                       "zipf_space_max=1000;partition=0;multilevel=0;"});
+                       "partition=0;multilevel=0;"});
     }
     {
         // Execution-only knobs ride along and must not reach the key.
@@ -60,12 +59,10 @@ std::vector<PinnedKey> pinned_keys() {
         r.partition = true;
         r.component_workers = 3;
         r.executor = "process";
-        r.processes = 2;
         out.push_back({"partition", r,
                        "epoch=2;"
-                       "backend=cpu-soa;cooling_start=0.5;eps=0.01;eta_max=0;"
-                       "iter_max=30;schedule_iter_max=0;seed=9399220614123047;"
-                       "steps_per_iter_factor=10;threads=1;zipf_space_max=1000;"
+                       "backend=cpu-soa;iter_max=30;seed=9399220614123047;"
+                       "steps_per_iter_factor=10;threads=1;"
                        "partition=1;multilevel=0;"});
     }
     {
@@ -76,9 +73,8 @@ std::vector<PinnedKey> pinned_keys() {
         r.ml.exact_tail = true;
         out.push_back({"multilevel_every_field", r,
                        "epoch=2;"
-                       "backend=cpu-soa;cooling_start=0.5;eps=0.01;eta_max=0;"
-                       "iter_max=30;schedule_iter_max=0;seed=9399220614123047;"
-                       "steps_per_iter_factor=10;threads=1;zipf_space_max=1000;"
+                       "backend=cpu-soa;iter_max=30;seed=9399220614123047;"
+                       "steps_per_iter_factor=10;threads=1;"
                        "partition=0;multilevel=2;ml.refine_iters=4;"
                        "ml.exact_tail=1;"});
     }
@@ -90,39 +86,28 @@ std::vector<PinnedKey> pinned_keys() {
         r.ml.exact_tail = true;
         out.push_back({"multilevel_off", r,
                        "epoch=2;"
-                       "backend=cpu-soa;cooling_start=0.5;eps=0.01;eta_max=0;"
-                       "iter_max=30;schedule_iter_max=0;seed=9399220614123047;"
-                       "steps_per_iter_factor=10;threads=1;zipf_space_max=1000;"
+                       "backend=cpu-soa;iter_max=30;seed=9399220614123047;"
+                       "steps_per_iter_factor=10;threads=1;"
                        "partition=0;multilevel=0;"});
     }
     {
         serve::JobRequest r;
-        r.config.steps_per_iter_factor = 0.1;
-        r.config.eps = 1.0 / 3.0;
-        r.config.eta_max = 123.456;
-        r.config.cooling_start = 0.3;
-        r.config.zipf_space_max = 5000;
-        r.config.schedule_iter_max = 60;
-        out.push_back({"schedule_floats", r,
+        r.config.steps_per_iter_factor = 1.0 / 3.0;
+        out.push_back({"factor_float", r,
                        "epoch=2;"
-                       "backend=cpu-soa;cooling_start=0.3;"
-                       "eps=0.3333333333333333;eta_max=123.456;iter_max=30;"
-                       "schedule_iter_max=60;seed=9399220614123047;"
-                       "steps_per_iter_factor=0.1;threads=1;"
-                       "zipf_space_max=5000;partition=0;multilevel=0;"});
+                       "backend=cpu-soa;iter_max=30;seed=9399220614123047;"
+                       "steps_per_iter_factor=0.3333333333333333;threads=1;"
+                       "partition=0;multilevel=0;"});
     }
     {
         serve::JobRequest r;
         r.config.steps_per_iter_factor = 1e-7;
-        r.config.eta_max = 1e300;
         r.config.seed = 18446744073709551615ULL;
-        r.config.zipf_space_max = 0;
         out.push_back({"extremes", r,
                        "epoch=2;"
-                       "backend=cpu-soa;cooling_start=0.5;eps=0.01;"
-                       "eta_max=1e+300;iter_max=30;schedule_iter_max=0;"
+                       "backend=cpu-soa;iter_max=30;"
                        "seed=18446744073709551615;steps_per_iter_factor=1e-07;"
-                       "threads=1;zipf_space_max=0;partition=0;multilevel=0;"});
+                       "threads=1;partition=0;multilevel=0;"});
     }
     {
         serve::JobRequest r;
@@ -133,10 +118,9 @@ std::vector<PinnedKey> pinned_keys() {
         r.config.seed = 18446744073709551557ULL;
         out.push_back({"partition_multilevel_defaults", r,
                        "epoch=2;"
-                       "backend=gpusim-optimized;cooling_start=0.5;eps=0.01;"
-                       "eta_max=0;iter_max=3;schedule_iter_max=0;"
+                       "backend=gpusim-optimized;iter_max=3;"
                        "seed=18446744073709551557;steps_per_iter_factor=10;"
-                       "threads=1;zipf_space_max=1000;partition=1;"
+                       "threads=1;partition=1;"
                        "multilevel=1;ml.refine_iters=0;ml.exact_tail=0;"});
     }
     return out;
@@ -201,6 +185,13 @@ std::string flag_text(const core::FieldValue& v) {
     return std::get<std::string>(v);
 }
 
+TEST(RequestTable, EveryRowHasAKeyAWireNameAndAFlag) {
+    for (const core::RequestField& f : core::request_fields()) {
+        EXPECT_FALSE(f.wire.empty()) << f.key;
+        EXPECT_TRUE(f.flag.starts_with("--")) << f.key;
+    }
+}
+
 TEST(RequestTable, KeyChangesExactlyForBytesRows) {
     const core::LayoutRequest base = all_gates_open();
     const std::string base_key = core::canonical_request(base);
@@ -248,12 +239,11 @@ TEST(RequestTable, EveryWorkerRowRoundTripsTheWorkerSpec) {
     const core::LayoutRequest base = all_gates_open();
     for (const core::RequestField& f : core::request_fields()) {
         if (!f.worker) continue;
-        partition::SchedulerOptions opt;
-        static_cast<core::LayoutRequest&>(opt) = base;
+        core::LayoutRequest r = base;
         const core::FieldValue v = other_value(f, base);
-        f.set(opt, v);
+        f.set(r, v);
         const std::string spec =
-            partition::encode_worker_spec(opt, opt.config.seed);
+            partition::encode_worker_spec(r, r.config.seed);
         const auto back = partition::parse_worker_spec(spec);
         EXPECT_EQ(f.get(back), v) << f.key << " via " << spec;
     }
@@ -318,8 +308,6 @@ TEST(RequestValidate, WireRejectsWhatTheCommandLineRejects) {
               "config.component_workers requires config.partition");
     EXPECT_EQ(wire_error(R"({"executor":"process"})"),
               "config.executor requires config.partition");
-    EXPECT_EQ(wire_error(R"({"partition":true,"processes":0})"),
-              "config.processes requires N >= 1");
     EXPECT_NE(wire_error(R"({"partition":true,"executor":"bogus"})")
                   .find("config.executor: unknown partition executor"),
               std::string::npos);
@@ -359,6 +347,27 @@ TEST(RequestValidate, EveryDoubleRowRejectsNonFiniteValues) {
     }
 }
 
+TEST(RequestValidate, PassLevelFieldsOffTheirDefaultsAreRejected) {
+    // No text form carries them, so the key could not tell such a request
+    // from the default one.
+    const std::pair<const char*, void (*)(core::LayoutConfig&)> fields[] = {
+        {"cooling_start", [](core::LayoutConfig& c) { c.cooling_start = 0.3; }},
+        {"eps", [](core::LayoutConfig& c) { c.eps = 0.5; }},
+        {"eta_max", [](core::LayoutConfig& c) { c.eta_max = 100.0; }},
+        {"schedule_iter_max",
+         [](core::LayoutConfig& c) { c.schedule_iter_max = 60; }},
+        {"zipf_space_max", [](core::LayoutConfig& c) { c.zipf_space_max = 0; }},
+    };
+    for (const auto& [name, set] : fields) {
+        core::LayoutRequest r;
+        set(r.config);
+        EXPECT_EQ(validate_error(r, core::Spelling::kWire),
+                  std::string(name) +
+                      " is not a request field; a request runs it at its "
+                      "default");
+    }
+}
+
 TEST(RequestValidate, NonFiniteFlagIsRejectedByName) {
     for (const char* text : {"nan", "inf", "-inf"}) {
         std::string flag = "--factor";
@@ -375,22 +384,22 @@ TEST(RequestValidate, NonFiniteFlagIsRejectedByName) {
 
 TEST(RequestValidate, NonFiniteWorkerSpecKeyIsRejectedByName) {
     try {
-        core::parse_worker_spec("backend=cpu-soa;cooling_start=nan;");
+        core::parse_worker_spec("backend=cpu-soa;steps_per_iter_factor=nan;");
         FAIL() << "expected a non-finite rejection";
     } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "cooling_start: expected a finite number");
+        EXPECT_STREQ(e.what(),
+                     "steps_per_iter_factor: expected a finite number");
     }
 }
 
-TEST(RequestValidate, OversizedWireCoolingStartConvertsWithoutOverflow) {
-    // JSON has no NaN or infinity, but a finite 1e300 passes validation;
-    // cooling() clamps the product into range before it converts.
-    const serve::JobRequest r = serve::parse_request(serve::json_parse(
-        R"({"graph":"g","config":{"cooling_start":1e300,"iters":4}})"));
-    EXPECT_FALSE(r.config.cooling(0));
-    EXPECT_FALSE(r.config.cooling(3));
+TEST(LayoutConfig, OversizedCoolingStartConvertsWithoutOverflow) {
+    // A finite 1e300 is a valid double; cooling() clamps the product into
+    // range before it converts.
     core::LayoutConfig cfg;
     cfg.iter_max = 4;
+    cfg.cooling_start = 1e300;
+    EXPECT_FALSE(cfg.cooling(0));
+    EXPECT_FALSE(cfg.cooling(3));
     cfg.cooling_start = -1e300;
     EXPECT_TRUE(cfg.cooling(0));
     cfg.cooling_start = 0.5;
@@ -400,12 +409,12 @@ TEST(RequestValidate, OversizedWireCoolingStartConvertsWithoutOverflow) {
 
 TEST(RequestValidate, FlagsNameTheFlag) {
     core::LayoutRequest r;
-    r.executor = "process";  // what --processes selects
+    r.executor = "process";
     try {
         core::validate(r, core::Spelling::kFlag);
         FAIL() << "expected a partition error";
     } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "--processes requires --partition");
+        EXPECT_STREQ(e.what(), "--executor requires --partition");
     }
     std::string arg = "--multilevel=0";
     char* argv[] = {arg.data(), arg.data()};

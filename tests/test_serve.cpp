@@ -24,6 +24,7 @@
 #include <thread>
 
 #include "core/engine.hpp"
+#include "driver/driver.hpp"
 #include "io/atomic_file.hpp"
 #include "io/lay_io.hpp"
 #include "io/pgg_io.hpp"
@@ -187,33 +188,38 @@ TEST(ServeRequest, ExecutionOnlyKnobsDoNotChangeTheKey) {
     const std::string c =
         serve::canonical_request(serve::parse_request(serve::json_parse(
             R"({"graph":"g","config":{"partition":true,)"
-            R"("executor":"process","processes":4}})")));
+            R"("executor":"process","component_workers":4}})")));
     EXPECT_EQ(a, c);
 }
 
 TEST(ServeRequest, ExecutorKnobsParseAndRoundTripTheWire) {
     const serve::JobRequest r = serve::parse_request(serve::json_parse(
         R"({"graph":"g","config":{"partition":true,"executor":"process",)"
-        R"("processes":3,"seed":41}})"));
+        R"("component_workers":3,"seed":41}})"));
     EXPECT_EQ(r.executor, "process");
-    EXPECT_EQ(r.processes, 3u);
+    EXPECT_EQ(r.component_workers, 3u);
     // The wire form keeps the execution knobs (a resubmitted request must
     // run the same way), even though the cache key drops them.
     const serve::JobRequest back =
         serve::parse_request(serve::request_to_json(r));
     EXPECT_EQ(back.executor, "process");
-    EXPECT_EQ(back.processes, 3u);
+    EXPECT_EQ(back.component_workers, 3u);
     EXPECT_EQ(serve::canonical_request(back), serve::canonical_request(r));
 }
 
 TEST(ServeRequest, RemovedKeysAreUnknown) {
-    // Worker pinning and NUMA placement are not request fields, and the
-    // Zipf exponent, the initial jitter and the multilevel coarse
-    // iterations and refine temperature are constants.
+    // Worker pinning and NUMA placement are not request fields; the Zipf
+    // exponent, the initial jitter and the multilevel coarse iterations and
+    // refine temperature are constants; the pass-level schedule fields are
+    // set on engine configs only; and one component_workers count serves
+    // both executors.
     for (const char* config :
          {R"({"numa":"auto"})", R"({"pin":true})", R"({"zipf_theta":0.99})",
           R"({"init_jitter":1})", R"({"multilevel":1,"coarse_iters":3})",
-          R"({"multilevel":1,"refine_eta":0.5})"}) {
+          R"({"multilevel":1,"refine_eta":0.5})", R"({"cooling_start":0.5})",
+          R"({"eps":0.01})", R"({"eta_max":0})", R"({"schedule_iters":0})",
+          R"({"zipf_space_max":0})",
+          R"({"partition":true,"processes":4})"}) {
         try {
             serve::parse_request(serve::json_parse(
                 std::string(R"({"graph":"g","config":)") + config + "}"));
@@ -461,6 +467,41 @@ TEST(ServeServer, ResultMatchesDirectEngineRun) {
     server.shutdown();
 }
 
+std::string file_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(ServeServer, RenamedGraphCacheIsReadByItsMagic) {
+    // A .pgg under another name is fingerprinted as a cache and must be
+    // loaded as one too, by the daemon and by pgl_layout -i alike.
+    const std::string dir = scratch_dir("renamed_pgg");
+    const std::string gfa = write_mini_gfa(dir);
+    const std::string bin = dir + "/mini.bin";
+    io::write_pgg_file(io::load_graph_file(gfa), bin);
+
+    serve::ServerOptions opt;
+    opt.cache_dir = dir + "/cache";
+    opt.workers = 1;
+    serve::Server server(opt);
+    server.start();
+    const serve::JobStatus done = server.wait(server.submit(mini_request(bin)));
+    server.shutdown();
+    ASSERT_EQ(done.state, serve::JobState::kDone) << done.error;
+
+    // What `pgl_layout -i mini.bin` runs, and the same run from the GFA.
+    driver::RunRequest req;
+    static_cast<core::LayoutRequest&>(req) = mini_request(bin);
+    req.graph_path = bin;
+    req.out_path = dir + "/cli.lay";
+    driver::run_layout(req);
+    EXPECT_EQ(file_bytes(done.artifact), file_bytes(req.out_path));
+    req.graph_path = gfa;
+    req.out_path = dir + "/gfa.lay";
+    driver::run_layout(req);
+    EXPECT_EQ(file_bytes(done.artifact), file_bytes(req.out_path));
+}
+
 TEST(ServeServer, RepeatSubmitIsServedFromCache) {
     const std::string dir = scratch_dir("cachehit");
     const std::string gfa = write_mini_gfa(dir);
@@ -565,6 +606,11 @@ TEST(ServeServer, InvalidRequestsFailTheSubmitNotTheWorker) {
     bad_executor.partition = true;
     bad_executor.executor = "bogus";
     EXPECT_THROW(server.submit(bad_executor), std::runtime_error);
+    // The key leaves the pass-level fields out, so setting one in-process
+    // must not share the default request's artifact.
+    serve::JobRequest pass_level = mini_request(gfa);
+    pass_level.config.eps = 0.5;
+    EXPECT_THROW(server.submit(pass_level), std::runtime_error);
     serve::JobRequest bad_graph = mini_request(dir + "/missing.gfa");
     EXPECT_THROW(server.submit(bad_graph), std::runtime_error);
     EXPECT_EQ(server.stats().submitted, 0u);

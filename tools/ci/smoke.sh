@@ -8,11 +8,12 @@
 # Suites:
 #   backends    every registered backend: bench smoke + partitioned CLI run
 #   kernels     every backend x every update kernel, scalar-vs-simd cmp
-#   ingest      GFA -> .pgg cache -> byte-identical partitioned layout;
+#   ingest      GFA -> .pgg cache -> byte-identical partitioned layout,
+#               also from the cache renamed without its .pgg extension;
 #               a segments-only GFA (no paths) lays out on every backend
 #   multilevel  --multilevel reaches flat stress in less SGD wall-clock
 #   telemetry   --trace writes valid JSON with nonzero engine counters
-#   multiprocess  --processes matches the in-process run byte for byte,
+#   multiprocess  --executor process matches the in-process run byte for byte,
 #                 the bytes do not depend on the worker count, and a
 #                 crashed worker fails loudly without stale output
 #
@@ -103,10 +104,16 @@ suite_ingest() {
     "${PGL}" -i "${GENOME}" --save-graph "${WORKDIR}/whole_genome.pgg"
     "${PGL}" -i "${GENOME}" -o "${WORKDIR}/from_gfa.lay" \
         --partition --iters 3 --factor 0.5
-    "${PGL}" --load-graph "${WORKDIR}/whole_genome.pgg" \
+    "${PGL}" -i "${WORKDIR}/whole_genome.pgg" \
         -o "${WORKDIR}/from_pgg.lay" --partition --iters 3 --factor 0.5
     cmp "${WORKDIR}/from_gfa.lay" "${WORKDIR}/from_pgg.lay"
     echo "GFA and .pgg partitioned layouts are byte-identical"
+    # A cache is detected by its magic, whatever its name.
+    cp "${WORKDIR}/whole_genome.pgg" "${WORKDIR}/whole_genome.bin"
+    "${PGL}" -i "${WORKDIR}/whole_genome.bin" \
+        -o "${WORKDIR}/from_bin.lay" --partition --iters 3 --factor 0.5
+    cmp "${WORKDIR}/from_gfa.lay" "${WORKDIR}/from_bin.lay"
+    echo "a renamed .pgg lays out to the same bytes"
 
     # A valid GFA with segments but no paths has nothing to sample: every
     # backend must publish its initial layout, flat, partitioned and
@@ -213,7 +220,7 @@ EOF
 
 suite_multiprocess() {
     # The executor contract end to end through the CLI: the same partitioned
-    # run through the in-process thread executor and through --processes
+    # run through the in-process thread executor and through --executor process
     # (fork/exec pgl_layout --component-worker children) must be
     # byte-identical — flat and multilevel — and a worker killed mid-run
     # (the PGL_COMPONENT_WORKER_CRASH test hook) must fail the parent with
@@ -222,13 +229,15 @@ suite_multiprocess() {
     "${PGL}" -i "${GENOME}" -o "${WORKDIR}/mp_thread.lay" \
         --partition --component-workers 2 --iters 3 --factor 0.5
     "${PGL}" -i "${GENOME}" -o "${WORKDIR}/mp_process.lay" \
-        --partition --processes 2 --iters 3 --factor 0.5 --timing
+        --partition --executor process --component-workers 2 \
+        --iters 3 --factor 0.5 --timing
     cmp "${WORKDIR}/mp_thread.lay" "${WORKDIR}/mp_process.lay"
     echo "thread and process executors are byte-identical (flat)"
     "${PGL}" -i "${GENOME}" -o "${WORKDIR}/mp_thread_ml.lay" \
         --partition --component-workers 2 --multilevel --iters 3 --factor 0.5
     "${PGL}" -i "${GENOME}" -o "${WORKDIR}/mp_process_ml.lay" \
-        --partition --processes 2 --multilevel --iters 3 --factor 0.5
+        --partition --executor process --component-workers 2 --multilevel \
+        --iters 3 --factor 0.5
     cmp "${WORKDIR}/mp_thread_ml.lay" "${WORKDIR}/mp_process_ml.lay"
     echo "thread and process executors are byte-identical (multilevel)"
 
@@ -245,7 +254,8 @@ suite_multiprocess() {
             --iters 3 --factor 0.5
     done
     "${PGL}" -i "${wgdir}/whole_genome.gfa" -o "${wgdir}/p2.lay" \
-        --partition --processes 2 --multilevel --iters 3 --factor 0.5
+        --partition --executor process --component-workers 2 --multilevel \
+        --iters 3 --factor 0.5
     for out in w2 w4 p2; do
         cmp "${wgdir}/w1.lay" "${wgdir}/${out}.lay"
     done
@@ -253,8 +263,9 @@ suite_multiprocess() {
 
     rm -f "${WORKDIR}/mp_crash.lay"
     if PGL_COMPONENT_WORKER_CRASH=/c0.lay "${PGL}" -i "${GENOME}" \
-        -o "${WORKDIR}/mp_crash.lay" --partition --processes 2 \
-        --iters 3 --factor 0.5 2> "${WORKDIR}/mp_crash.err"; then
+        -o "${WORKDIR}/mp_crash.lay" --partition --executor process \
+        --component-workers 2 --iters 3 --factor 0.5 \
+        2> "${WORKDIR}/mp_crash.err"; then
         echo "crashed worker did not fail the parent" >&2
         exit 1
     fi

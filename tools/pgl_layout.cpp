@@ -7,7 +7,7 @@
 // the process executor spawns calls partition::run_component_worker.
 //
 //   pgl-layout -i graph.gfa|graph.pgg -o graph.lay [layout flags] [--gpu]
-//              [--save-graph FILE.pgg] [--load-graph FILE.pgg]
+//              [--save-graph FILE.pgg]
 //              [--per-component-out DIR]
 //              [--svg out.svg] [--ppm out.ppm] [--stress]
 //              [--progress] [--timing] [--trace out.json]
@@ -19,8 +19,8 @@
 //
 // Ingestion streams GFA 1.0/1.1 (S/L/P/W records, CRLF tolerant) directly
 // into the engine-ready LeanGraph — the rich VariationGraph is never
-// materialized — or loads a binary .pgg graph cache (auto-detected by
-// extension, or forced with --load-graph). --save-graph writes the cache
+// materialized — or loads a binary .pgg graph cache (detected by its
+// magic, whatever the file is called). --save-graph writes the cache
 // after ingestion so repeated runs of the same pangenome skip GFA parsing;
 // with --save-graph and no -o the tool converts and exits. A partitioned
 // run decomposes the graph into connected components, lays each out with
@@ -50,7 +50,6 @@ void usage(const char* argv0) {
         << "  --gpu               alias for --backend gpusim-optimized\n"
         << "  --save-graph FILE   write the parsed graph as a binary .pgg cache\n"
         << "                      (with no -o: convert and exit)\n"
-        << "  --load-graph FILE   load a .pgg cache instead of -i\n"
         << "  --per-component-out DIR  also dump component_<k>.lay per component\n"
         << "  --svg FILE          also render an SVG\n"
         << "  --ppm FILE          also render a PPM bitmap\n"
@@ -74,7 +73,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 int main(int argc, char** argv) {
     using namespace pgl;
     driver::RunRequest req;
-    std::string in_path, load_graph_path, trace_path, worker_spec;
+    std::string trace_path, worker_spec;
     bool report_stress = false, progress = false, timing = false;
     bool component_worker = false;
     int status_fd = -1;
@@ -107,15 +106,13 @@ int main(int argc, char** argv) {
         };
         if (cli::layout_flag_or_die(argc, argv, i, req)) continue;
         if (arg == "-i") {
-            in_path = next();
+            req.graph_path = next();
         } else if (arg == "-o") {
             req.out_path = next();
         } else if (arg == "--gpu") {
             req.backend = "gpusim-optimized";
         } else if (arg == "--save-graph") {
             req.save_graph_path = next();
-        } else if (arg == "--load-graph") {
-            load_graph_path = next();
         } else if (arg == "--per-component-out") {
             req.per_component_dir = next();
         } else if (arg == "--svg") {
@@ -145,22 +142,13 @@ int main(int argc, char** argv) {
             return 2;
         }
     }
-    if (!load_graph_path.empty()) {
-        if (!in_path.empty()) {
-            std::cerr << "-i and --load-graph are mutually exclusive\n";
-            return 2;
-        }
-        in_path = load_graph_path;
-        req.force_pgg = true;
-    }
-    req.graph_path = in_path;
     if (component_worker) {
         // The internal mode the process executor spawns: one component in,
         // one .lay out, status frames on --status-fd. All other flags are
         // carried by --worker-spec.
         if (req.graph_path.empty() || req.out_path.empty() ||
             worker_spec.empty()) {
-            std::cerr << "--component-worker requires --load-graph, -o and "
+            std::cerr << "--component-worker requires -i, -o and "
                          "--worker-spec\n";
             return 2;
         }
@@ -169,7 +157,7 @@ int main(int argc, char** argv) {
     }
     const bool convert_only = !req.save_graph_path.empty() && req.out_path.empty();
     if (req.graph_path.empty() || (req.out_path.empty() && !convert_only)) {
-        std::cerr << "both -i (or --load-graph) and -o are required\n";
+        std::cerr << "both -i and -o are required\n";
         usage(argv[0]);
         return 2;
     }
@@ -215,9 +203,10 @@ int main(int argc, char** argv) {
             // all read from the telemetry span histograms so every run mode —
             // flat, --partition, --multilevel, or combinations — reports
             // through the same path. Stage sums aggregate across components
-            // (and, with --processes, across merged worker snapshots), so
-            // they can exceed wall-clock with concurrency > 1. Only stages
-            // that ran are listed: a flat run has no coarsen line.
+            // (and, with --executor process, across merged worker
+            // snapshots), so they can exceed wall-clock with concurrency
+            // > 1. Only stages that ran are listed: a flat run has no
+            // coarsen line.
             auto& reg = telemetry::Registry::instance();
             for (const char* stage :
                  {"parse", "subgraph", "coarsen", "layout", "interpolate",
