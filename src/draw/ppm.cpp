@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <ostream>
-#include <stdexcept>
+
+#include "io/atomic_file.hpp"
 
 namespace pgl::draw {
 
@@ -72,9 +72,7 @@ void write_ppm(const core::Layout& l, std::ostream& out, const PpmOptions& opt) 
 
 void write_ppm_file(const core::Layout& l, const std::string& path,
                     const PpmOptions& opt) {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw std::runtime_error("cannot open PPM file for write: " + path);
-    write_ppm(l, out, opt);
+    io::atomic_write_file(path, [&](std::ostream& out) { write_ppm(l, out, opt); });
 }
 
 }  // namespace pgl::draw

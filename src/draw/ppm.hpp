@@ -55,6 +55,8 @@ private:
 /// Rasterizes a layout (one segment per node) and writes binary PPM.
 void write_ppm(const core::Layout& l, std::ostream& out, const PpmOptions& opt = {});
 
+/// write_ppm to `path` through io::atomic_write_file: published whole or
+/// not at all, and any write error throws std::runtime_error.
 void write_ppm_file(const core::Layout& l, const std::string& path,
                     const PpmOptions& opt = {});
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <ostream>
-#include <stdexcept>
+
+#include "io/atomic_file.hpp"
 
 namespace pgl::draw {
 
@@ -78,9 +78,7 @@ void write_svg(const graph::LeanGraph& g, const core::Layout& l,
 
 void write_svg_file(const graph::LeanGraph& g, const core::Layout& l,
                     const std::string& path, const SvgOptions& opt) {
-    std::ofstream out(path);
-    if (!out) throw std::runtime_error("cannot open SVG file for write: " + path);
-    write_svg(g, l, out, opt);
+    io::atomic_write_file(path, [&](std::ostream& out) { write_svg(g, l, out, opt); });
 }
 
 }  // namespace pgl::draw

@@ -26,6 +26,8 @@ struct SvgOptions {
 void write_svg(const graph::LeanGraph& g, const core::Layout& l,
                std::ostream& out, const SvgOptions& opt = {});
 
+/// write_svg to `path` through io::atomic_write_file: published whole or
+/// not at all, and any write error throws std::runtime_error.
 void write_svg_file(const graph::LeanGraph& g, const core::Layout& l,
                     const std::string& path, const SvgOptions& opt = {});
 

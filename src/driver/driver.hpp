@@ -12,9 +12,9 @@
 // caller-cached LeanIngest), the optional graph-cache write, choosing the
 // flat / multilevel / partitioned execution path (partition runs through
 // the one component loop — in-process threads or child worker
-// processes), a check of every output path before the load, .lay (atomic)
-// and .svg/.ppm publication, the stress metric, and the stage spans
-// --timing/--trace read. Presentation stays with the caller: the driver
+// processes), a check of every output path before the load, atomic
+// publication of the .lay, .svg and .ppm, the stress metric, and the stage
+// spans --timing/--trace read. Presentation stays with the caller: the driver
 // narrates through RunRequest::log (one line per event, exactly the lines
 // the CLI historically printed) and never touches std::cout/cerr itself,
 // so the daemon runs the same code path silently.

@@ -10,7 +10,8 @@
 #   3. A W-record-only, CRLF-terminated GFA (tests/data/walks_crlf.gfa)
 #      must ingest and lay out end-to-end.
 #   4. `--timing` on a flat run lists only the stages that ran (no
-#      subgraph, coarsen, refine or stitch line). In a -DPGL_TELEMETRY=OFF build it
+#      subgraph, coarsen, refine or stitch line), and a `reclaim` line only
+#      when the run replaced its output. In a -DPGL_TELEMETRY=OFF build it
 #      prints the compiled-out line and the total, and no stage line.
 #   5. A non-finite --factor exits 2 naming the flag, and a finite factor
 #      whose update count does not fit 64 bits fails the run instead of
@@ -151,6 +152,19 @@ if(TELEMETRY)
     message(FATAL_ERROR "flat --timing printed a stage that did not run: ${err}")
   endif()
   message(STATUS "flat --timing prints no subgraph/coarsen/refine/stitch line")
+  if(err MATCHES "timing: reclaim ")
+    message(FATAL_ERROR "a run to a fresh path printed a reclaim line: ${err}")
+  endif()
+  # Overwriting the output frees the old file's blocks on a reclaim thread,
+  # off the publish path; --timing waits for it and reports it.
+  execute_process(
+    COMMAND ${TOOL} -i ${gfa} -o ${WORKDIR}/timing.lay ${common} --timing
+    RESULT_VARIABLE rc ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0 OR NOT err MATCHES "timing: publish "
+     OR NOT err MATCHES "timing: reclaim ")
+    message(FATAL_ERROR "an overwriting --timing run lacks its publish/reclaim lines: ${err}")
+  endif()
+  message(STATUS "an overwriting --timing run reports the reclaim")
 else()
   # Telemetry compiled out: no stage spans, so no stage line at all.
   if(NOT err MATCHES "timing: stage spans compiled out"

@@ -4,8 +4,10 @@
 // on: a driver run is byte-identical to hand-wiring the subsystems, the
 // .lay it publishes round-trips, a caller-supplied LeanIngest is adopted
 // without a reload, save-graph-only requests stop after the cache write,
-// a partitioned run holds the graph's step records once, and the
-// worker-spec codec used by the process executor round-trips.
+// a partitioned run holds the graph's step records once, an overwritten
+// output holds the same bytes as a fresh one, a failed .svg/.ppm write
+// fails the run, and the worker-spec codec used by the process executor
+// round-trips.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -16,6 +18,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -443,6 +446,42 @@ TEST_F(DriverTest, AnUnpublishableOutputFailsBeforeTheGraphLoads) {
     svg.svg_path = dir_.string();
     EXPECT_THROW(driver::run_layout(svg), std::runtime_error);
     EXPECT_FALSE(fs::exists(svg.out_path));
+}
+
+TEST_F(DriverTest, ReplacingAnOutputPublishesTheSameBytesAsAFreshPath) {
+    // An overwrite hands the old file to a reclaim thread that closes it
+    // later; that close must never touch the newly published file.
+    const auto bytes = [](const std::string& p) {
+        std::ifstream in(p, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+    };
+    driver::RunRequest req;
+    req.graph_path = gfa_;
+    req.out_path = path("same.lay");
+    req.config = quick_config();
+    driver::run_layout(req);
+    const std::string first = bytes(req.out_path);
+    driver::run_layout(req);
+    const std::string second = bytes(req.out_path);
+    req.out_path = path("fresh.lay");
+    driver::run_layout(req);
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(second, first);
+    EXPECT_EQ(bytes(req.out_path), first);
+}
+
+TEST_F(DriverTest, AFailedSvgOrPpmWriteFailsTheRun) {
+    if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+    driver::RunRequest req;
+    req.graph_path = gfa_;
+    req.config = quick_config();
+    driver::RunRequest svg = req;
+    svg.svg_path = "/dev/full";
+    EXPECT_THROW(driver::run_layout(svg), std::runtime_error);
+    driver::RunRequest ppm = req;
+    ppm.ppm_path = "/dev/full";
+    EXPECT_THROW(driver::run_layout(ppm), std::runtime_error);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the layout service: the line-protocol JSON model, canonical
 // cache keys (stability under field reordering, sensitivity to every
 // layout-relevant knob), artifact-cache robustness (corrupt-entry
-// eviction), atomic .lay publication, and the job server's scheduling
+// eviction), atomic publication (including the deferred freeing of a
+// replaced file's blocks), and the job server's scheduling
 // contracts — daemon results byte-identical to direct engine runs, repeat
 // submits served from cache, concurrent identical submits running the
 // work exactly once, cooperative cancel with follower promotion, and the
@@ -12,9 +13,12 @@
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -33,6 +37,7 @@
 #include "serve/json.hpp"
 #include "serve/request.hpp"
 #include "serve/server.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -317,6 +322,11 @@ TEST(ServeCache, HugeNodeCountHeaderIsEvicted) {
 
 // --- atomic file publication ---
 
+std::string file_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 TEST(ServeAtomicFile, WritesAreAllOrNothing) {
     const std::string dir = scratch_dir("atomic");
     const std::string path = dir + "/out.txt";
@@ -439,6 +449,106 @@ TEST(ServeAtomicFile, FifoIsWrittenThroughAndOtherKindsAreRejected) {
     EXPECT_TRUE(fs::is_empty(sub));
 }
 
+TEST(ServeAtomicFile, ReplacingAFileLeavesAnOpenReaderTheOldBytes) {
+    const std::string dir = scratch_dir("atomic_reader");
+    const std::string path = dir + "/out.txt";
+    io::atomic_write_file(path, [](std::ostream& out) { out << "old bytes"; });
+    std::ifstream reader(path, std::ios::binary);
+    ASSERT_TRUE(reader);
+    io::atomic_write_file(path, [](std::ostream& out) { out << "new bytes"; });
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(reader),
+                          std::istreambuf_iterator<char>()),
+              "old bytes");
+    EXPECT_EQ(file_bytes(path), "new bytes");
+}
+
+std::size_t open_fd_count() {
+    std::size_t n = 0;
+    for (const auto& e : fs::directory_iterator("/proc/self/fd")) {
+        (void)e;
+        ++n;
+    }
+    return n;
+}
+
+TEST(ServeAtomicFile, DeferredReclaimsAreBoundedAndFinish) {
+    // Every overwrite hands the old file's last descriptor to a reclaim
+    // thread; at most four are held at once, and all of them are closed
+    // (and timed in io.reclaim_ns) soon after the publishes stop.
+    const std::string dir = scratch_dir("atomic_reclaim");
+    const std::string path = dir + "/big.bin";
+    const std::string payload(std::size_t{1} << 20, 'x');
+    const telemetry::Histogram reclaims =
+        telemetry::Registry::instance().histogram("io.reclaim_ns");
+    io::atomic_write_file(path, [&](std::ostream& out) { out << payload; });
+    const std::size_t fds = open_fd_count();
+    const std::uint64_t before = reclaims.count();
+    constexpr int kPublishes = 32;
+    for (int i = 0; i < kPublishes; ++i) {
+        const std::string tag = std::to_string(i);
+        io::atomic_write_file(path, [&](std::ostream& out) { out << payload << tag; });
+        EXPECT_EQ(file_bytes(path), payload + tag) << "publish " << i;
+        EXPECT_LE(open_fd_count(), fds + 4) << "publish " << i;
+    }
+#ifdef PGL_TELEMETRY_DISABLED
+    constexpr bool kCounted = false;  // io.reclaim_ns reads 0
+#else
+    constexpr bool kCounted = true;
+#endif
+    const auto recorded = [&] {
+        return !kCounted || reclaims.count() - before >= kPublishes;
+    };
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((open_fd_count() > fds || !recorded()) &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_LE(open_fd_count(), fds);
+    EXPECT_TRUE(recorded()) << reclaims.count() - before << " reclaims timed";
+}
+
+TEST(ServeAtomicFile, AForkedChildPublishesWhileAReclaimIsInFlight) {
+    // The child inherits the held descriptor but not the thread closing it,
+    // and closes what its own publish replaces inline: it must neither hang
+    // nor fail (nor, under TSan, start a thread after the fork).
+    const std::string dir = scratch_dir("atomic_fork");
+    const std::string mine = dir + "/parent.bin";
+    const std::string theirs = dir + "/child.bin";
+    const std::string payload(std::size_t{1} << 20, 'p');
+    for (const std::string& p : {mine, theirs}) {
+        io::atomic_write_file(p, [&](std::ostream& out) { out << payload; });
+    }
+    io::atomic_write_file(mine, [&](std::ostream& out) { out << payload << "new"; });
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0) << std::strerror(errno);
+    if (pid == 0) {
+        int code = 0;
+        try {
+            io::atomic_write_file(theirs, [](std::ostream& out) { out << "child"; });
+        } catch (...) {
+            code = 1;
+        }
+        ::_exit(code);
+    }
+    int status = 0;
+    pid_t got = 0;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while ((got = ::waitpid(pid, &status, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    if (got == 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &status, 0);
+        FAIL() << "the forked child did not exit within 5 s";
+    }
+    ASSERT_EQ(got, pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    EXPECT_EQ(file_bytes(theirs), "child");
+    EXPECT_EQ(file_bytes(mine), payload + "new");
+}
+
 // --- job server ---
 
 TEST(ServeServer, ResultMatchesDirectEngineRun) {
@@ -465,11 +575,6 @@ TEST(ServeServer, ResultMatchesDirectEngineRun) {
     expect_same_layout(io::read_layout_file(done.artifact),
                        engine->run().layout);
     server.shutdown();
-}
-
-std::string file_bytes(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 TEST(ServeServer, RenamedGraphCacheIsReadByItsMagic) {

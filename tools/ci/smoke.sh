@@ -9,8 +9,10 @@
 #   backends    every registered backend: bench smoke + partitioned CLI run
 #   kernels     every backend x every update kernel, scalar-vs-simd cmp
 #   ingest      GFA -> .pgg cache -> byte-identical partitioned layout,
-#               also from the cache renamed without its .pgg extension;
-#               a segments-only GFA (no paths) lays out on every backend
+#               also from the cache renamed without its .pgg extension
+#               and over an existing output; a failed --svg write exits
+#               nonzero; a segments-only GFA (no paths) lays out on every
+#               backend
 #   multilevel  --multilevel reaches flat stress in less SGD wall-clock
 #   telemetry   --trace writes valid JSON with nonzero engine counters
 #   multiprocess  --executor process matches the in-process run byte for byte,
@@ -114,6 +116,23 @@ suite_ingest() {
         -o "${WORKDIR}/from_bin.lay" --partition --iters 3 --factor 0.5
     cmp "${WORKDIR}/from_gfa.lay" "${WORKDIR}/from_bin.lay"
     echo "a renamed .pgg lays out to the same bytes"
+    # Overwriting an output publishes the bytes a fresh path gets: the
+    # replaced file's deferred close never reaches the new one.
+    local again="${WORKDIR}/overwritten.lay"
+    rm -f "${again}"
+    for _ in 1 2; do
+        "${PGL}" -i "${WORKDIR}/whole_genome.pgg" -o "${again}" \
+            --partition --iters 3 --factor 0.5
+    done
+    cmp "${WORKDIR}/from_pgg.lay" "${again}"
+    echo "an overwritten .lay matches a fresh-path publish"
+    # An .svg that cannot be written fails the run.
+    if "${PGL}" -i "${WORKDIR}/whole_genome.pgg" -o "${again}" \
+        --svg /dev/full --iters 1; then
+        echo "--svg /dev/full exited 0" >&2
+        exit 1
+    fi
+    echo "a failed --svg write exits nonzero"
 
     # A valid GFA with segments but no paths has nothing to sample: every
     # backend must publish its initial layout, flat, partitioned and

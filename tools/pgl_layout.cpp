@@ -37,6 +37,7 @@
 #include "core/kernels/update_kernel.hpp"
 #include "core/request.hpp"
 #include "driver/driver.hpp"
+#include "io/atomic_file.hpp"
 #include "partition/executor.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -197,6 +198,9 @@ int main(int argc, char** argv) {
                       << outcome.stress.ci_high << "] over "
                       << outcome.stress.terms << " terms\n";
         }
+        // The report covers the freeing of any output this run replaced
+        // (io.reclaim_ns), which exit would wait for anyway.
+        if (timing || !trace_path.empty()) io::wait_for_reclaims();
         if (timing) {
 #ifndef PGL_TELEMETRY_DISABLED
             // One stage per line, machine-parseable ("timing: <stage> <s> s"),
@@ -215,6 +219,13 @@ int main(int argc, char** argv) {
                 if (h.count() == 0) continue;
                 std::cerr << "timing: " << stage << " "
                           << static_cast<double>(h.sum()) / 1e9 << " s\n";
+            }
+            // Not a stage: the close that freed the replaced outputs' blocks
+            // ran on its own thread, off the publish path.
+            const auto reclaim = reg.histogram("io.reclaim_ns");
+            if (reclaim.count() > 0) {
+                std::cerr << "timing: reclaim "
+                          << static_cast<double>(reclaim.sum()) / 1e9 << " s\n";
             }
 #else
             std::cerr << "timing: stage spans compiled out (PGL_TELEMETRY=OFF)\n";
