@@ -4,7 +4,9 @@
 // policies fixed by the registry name. In both, max(1, cfg.threads) pool
 // workers and the calling thread sample fixed blocks of pre-positioned
 // stream words, one jumped Xoshiro256+ stream per shard, through a
-// bounded ring of blocks that the calling thread plans.
+// bounded ring of blocks that the calling thread plans. A thread claims
+// up to eight consecutive blocks at once; on a CPU with AVX-512F it fills
+// them together, one SIMD lane per block's stream (core/lane_sampler.hpp).
 //
 //   * Ordered ("cpu-pipelined") — only the calling thread applies, each
 //     block the moment it is filled, in a fixed order, through the
@@ -34,8 +36,8 @@ namespace pgl::core {
 std::unique_ptr<LayoutEngine> make_cpu_engine();
 
 /// The block engine under the ordered policy ("cpu-pipelined"):
-/// max(1, cfg.threads) shards, each sampled by
-/// PairSampler::fill_batch_staged in kBlock-term blocks that the
+/// max(1, cfg.threads) shards, each sampled in kBlock-term blocks (by the
+/// lane filler or PairSampler::fill_batch_staged) that the
 /// max(1, cfg.threads) pool workers and the calling thread share, so even
 /// one thread puts two cores on sampling — the workload's bottleneck
 /// (paper Sec. III) — while the caller also applies the updates.

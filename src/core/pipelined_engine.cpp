@@ -16,22 +16,33 @@
 //       shard's previous block ended: jump_block() past a full block — the
 //       paper's pre-positioned random states (Sec. V-B2) — and at most
 //       4092 next() calls past the partial block that ends a slice. So
-//       any thread can fill any block with the slot-range
-//       PairSampler::fill_batch_staged, and a term's words depend only on
+//       any thread can fill any block, and a term's words depend only on
 //       (seed, threads);
 //   the ring
 //       the calling thread positions each block's stream (plans it) and
 //       publishes it into a ring of 16 x (shards + 1) slots, one kBlock
-//       batch each; slot k % R is planned again only once block k is
-//       passed. One launch per run starts the samplers — the
-//       max(1, threads) persistent pool workers — which claim planned
-//       blocks from one counter with the caller, fill them and mark their
-//       slot ready. An idle thread polls briefly, then blocks on an
-//       atomic wait;
+//       batch each, eight blocks at a time; slot k % R is planned again
+//       only once block k is passed. One launch per run starts the
+//       samplers — the max(1, threads) persistent pool workers — which
+//       claim up to eight consecutive planned blocks at a time from one
+//       counter with the caller, fill them and mark each slot ready as
+//       soon as its block is filled. An idle thread polls briefly, then
+//       blocks on an atomic wait;
+//   the fillers
+//       a claim of three or more blocks is filled by the lane filler
+//       (core/lane_sampler.hpp) on a CPU with AVX-512F: one lane per
+//       block's stream, the blocks of one claim may belong to different
+//       iterations and differ in length. Any other claim, and every claim
+//       on another CPU, is filled block by block through the slot-range
+//       PairSampler::fill_batch_staged. Both write the same bytes, and
+//       the counter pipelined.lane_blocks counts the lanes' blocks;
 //   ordered ("cpu-pipelined", and "cpu-soa" at one thread)
 //       the caller applies block k through the configured UpdateKernel
 //       (cfg.kernel: "scalar" or the byte-identical "simd") the moment its
-//       slot is ready, and fills the next claimable block while it waits.
+//       slot is ready, and fills claimable blocks while it waits: at one
+//       thread a claim as large as a sampler's, since it is one of the
+//       two fillers; with more threads at most one block per wait, since
+//       its applies are then the run's critical path.
 //       The samplers run up to a ring ahead, across iteration boundaries
 //       too (sampling reads the iteration only through its cooling flag).
 //       The caller is the only thread that writes coordinates and the
@@ -55,20 +66,24 @@
 // which terms a shard draws. At one thread the single shard is the
 // unjumped seed stream applied in draw order, under either name.
 //
-// Attribution counters, flushed once per iteration: engine.sample_ns (time
-// in fill_batch_staged, summed over every sampler), engine.apply_ns (the
-// caller's applies) and engine.stall_ns (the caller's wait for a block
-// that is not ready yet).
+// Attribution counters, flushed once per iteration: engine.sample_ns (fill
+// time summed over every sampler; a lane group's shared pass 1 is split
+// evenly over its blocks), engine.apply_ns (the caller's applies),
+// engine.stall_ns (the caller's wait for a block that is not ready yet),
+// pipelined.consumer_blocks (blocks the caller filled) and
+// pipelined.lane_blocks (blocks the lanes filled).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "core/cpu_engine.hpp"
 #include "core/kernels/update_kernel.hpp"
+#include "core/lane_sampler.hpp"
 #include "core/schedule.hpp"
 #include "core/term_batch.hpp"
 #include "core/thread_pool.hpp"
@@ -90,6 +105,13 @@ constexpr std::uint64_t kTargetSlicesPerIter = 2;
 /// Ring slots per sampler: how far the samplers may run ahead of the
 /// caller's apply.
 constexpr std::size_t kSlotsPerSampler = 16;
+
+/// Most blocks one claim takes: one lane filler group.
+constexpr std::uint64_t kGroup = LaneFiller::kLanes;
+
+/// Fewest claimed blocks worth the lanes: a group costs the same however
+/// many of its lanes hold a block, so smaller claims take the scalar fill.
+constexpr std::uint64_t kMinLaneGroup = 3;
 
 /// How long a thread with nothing to do polls before it blocks. A block
 /// takes tens of microseconds to fill, so a short poll catches the next
@@ -152,6 +174,8 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
         cfg, static_cast<double>(g.max_path_nuc_length()));
 
     const PairSampler sampler(g, cfg);
+    std::optional<LaneFiller> lanes;
+    if (LaneFiller::available()) lanes.emplace(sampler);
     const std::uint64_t n_steps = cfg.steps_per_iteration(g.total_path_steps());
     const std::uint32_t n_shards = std::max<std::uint32_t>(1, pool.size());
     // One shard has nothing to race with: hogwild at one thread is ordered.
@@ -197,6 +221,7 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
     std::vector<Slot> ring(n_slots);
     std::atomic<std::uint64_t> planned{0};  // blocks published
     std::atomic<std::uint64_t> claimed{0};  // blocks handed to a filler
+    std::atomic<std::uint64_t> lane_filled{0};  // blocks the lanes filled
     std::atomic<std::uint32_t> wake{0};     // bumped per publish and at stop
     std::atomic<bool> stop{false};
 
@@ -221,33 +246,66 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
         wake.fetch_add(1);
         wake.notify_all();
     };
-    const auto try_claim = [&](std::uint64_t& k) {
+    // Claims up to `most` consecutive planned blocks from k on; returns
+    // how many (0: none is claimable).
+    const auto try_claim = [&](std::uint64_t& k, std::uint64_t most) -> std::uint64_t {
         k = claimed.load(std::memory_order_relaxed);
-        while (k < planned.load(std::memory_order_acquire)) {
-            if (claimed.compare_exchange_weak(k, k + 1, std::memory_order_relaxed)) {
-                return true;
+        for (std::uint64_t avail; k < (avail = planned.load(std::memory_order_acquire));) {
+            const std::uint64_t m = std::min(most, avail - k);
+            if (claimed.compare_exchange_weak(k, k + m, std::memory_order_relaxed)) {
+                return m;
             }
         }
-        return false;
+        return 0;
     };
-    // Fills block k and marks its slot ready; under hogwild it applies the
-    // block first. Returns the apply's nanoseconds.
-    const auto fill = [&](std::uint64_t k) -> std::uint64_t {
-        Slot& s = ring[k % n_slots];
-        const std::uint64_t t0 = telemetry::now_ns();
-        s.skipped = sampler.fill_batch_staged(cfg.cooling(s.iter), s.rng, 0,
-                                              s.batch.size(), s.batch);
-        const std::uint64_t t1 = telemetry::now_ns();
-        s.sample_ns = t1 - t0;
+    // Block k is filled: under hogwild apply it, then mark its slot ready.
+    // Returns the apply's nanoseconds.
+    const auto finish = [&](std::uint64_t k, Slot& s) -> std::uint64_t {
         std::uint64_t apply_ns = 0;
         if (hogwild) {
+            const std::uint64_t t = telemetry::now_ns();
             apply_slots_relaxed(s.batch, result.eta_schedule[s.iter], store);
-            apply_ns = telemetry::now_ns() - t1;
+            apply_ns = telemetry::now_ns() - t;
         }
         // seq_cst, as the wake counter's increments: the new value is
         // globally visible before notify reads whether anyone waits.
         s.ready.store(static_cast<std::uint32_t>(k + 1));
         s.ready.notify_all();
+        return apply_ns;
+    };
+    // Fills blocks [k, k + m) in order, finishing each as soon as it is
+    // filled: a group of kMinLaneGroup or more through the lanes, whose
+    // shared pass 1 time is split evenly over its slots, else block by
+    // block through fill_batch_staged. Returns the applies' nanoseconds.
+    const auto fill = [&](std::uint64_t k, std::uint64_t m) -> std::uint64_t {
+        std::uint64_t apply_ns = 0;
+        if (!lanes || m < kMinLaneGroup) {
+            for (std::uint64_t b = k; b < k + m; ++b) {
+                Slot& s = ring[b % n_slots];
+                const std::uint64_t t0 = telemetry::now_ns();
+                s.skipped = sampler.fill_batch_staged(cfg.cooling(s.iter), s.rng, 0,
+                                                      s.batch.size(), s.batch);
+                s.sample_ns = telemetry::now_ns() - t0;
+                apply_ns += finish(b, s);
+            }
+            return apply_ns;
+        }
+        LaneBlock group[kGroup];
+        for (std::uint64_t l = 0; l < m; ++l) {
+            Slot& s = ring[(k + l) % n_slots];
+            group[l] = {&s.rng, cfg.cooling(s.iter), &s.batch};
+        }
+        const std::uint64_t t0 = telemetry::now_ns();
+        lanes->decode({group, m});
+        const std::uint64_t share = (telemetry::now_ns() - t0) / m;
+        for (std::uint64_t l = 0; l < m; ++l) {
+            Slot& s = ring[(k + l) % n_slots];
+            const std::uint64_t t1 = telemetry::now_ns();
+            s.skipped = sampler.resolve_staged(s.batch, 0, s.batch.size());
+            s.sample_ns = share + (telemetry::now_ns() - t1);
+            apply_ns += finish(k + l, s);
+        }
+        lane_filled.fetch_add(m, std::memory_order_relaxed);
         return apply_ns;
     };
     // A pool worker's loop: claim and fill until the run stops.
@@ -256,8 +314,8 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
             const std::uint32_t seen = wake.load(std::memory_order_acquire);
             if (stop.load(std::memory_order_acquire)) return;
             std::uint64_t k = 0;
-            if (try_claim(k)) {
-                fill(k);
+            if (const std::uint64_t m = try_claim(k, kGroup)) {
+                fill(k, m);
             } else {
                 idle_wait(wake, seen);
             }
@@ -279,6 +337,7 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
     auto& reg = telemetry::Registry::instance();
     const telemetry::Counter consumer_blocks = reg.counter("pipelined.consumer_blocks");
     const telemetry::Counter hogwild_blocks = reg.counter("pipelined.hogwild_blocks");
+    const telemetry::Counter lane_blocks = reg.counter("pipelined.lane_blocks");
     const telemetry::Counter sample_ns = reg.counter("engine.sample_ns");
     const telemetry::Counter apply_ns = reg.counter("engine.apply_ns");
     const telemetry::Counter stall_ns = reg.counter("engine.stall_ns");
@@ -288,22 +347,30 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
         sample_ns.add(sampled);
         apply_ns.add(applied);
         stall_ns.add(stalled);
+        lane_blocks.add(lane_filled.exchange(0, std::memory_order_relaxed));
         filled_here = sampled = applied = stalled = 0;
     };
 
     // Waits until block k's slot is ready, filling claimable blocks
-    // meanwhile.
+    // meanwhile. At one thread the caller is one of two fillers and takes
+    // groups as the sampler does; with more samplers it is the critical
+    // path, and helps with at most one block per wait.
+    const bool caller_takes_groups = n_shards == 1;
     const auto await = [&](std::uint64_t k) -> Slot& {
         Slot& s = ring[k % n_slots];
         const auto want = static_cast<std::uint32_t>(k + 1);
         if (s.ready.load(std::memory_order_acquire) == want) return s;
         std::uint64_t t = telemetry::now_ns();
+        bool helped = false;
         for (std::uint32_t seen; (seen = s.ready.load(std::memory_order_acquire)) != want;) {
             std::uint64_t c = 0;
-            if (try_claim(c)) {
+            const std::uint64_t m =
+                caller_takes_groups ? try_claim(c, kGroup) : helped ? 0 : try_claim(c, 1);
+            if (m > 0) {
                 stalled += telemetry::now_ns() - t;
-                applied += fill(c);
-                ++filled_here;
+                applied += fill(c, m);
+                filled_here += m;
+                helped = true;
                 t = telemetry::now_ns();
             } else {
                 idle_wait(s.ready, seen);
@@ -329,8 +396,12 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
                 break;
             }
             // Slot k % R is free for block k + R once block k is passed;
-            // hogwild plans no block past the current iteration.
-            plan(std::min(k + n_slots, hogwild ? (iter + 1) * per_iter : n_total));
+            // hogwild plans no block past the current iteration. Blocks
+            // are published a group at a time, so a sampler woken by a
+            // publish finds a whole group to claim.
+            const std::uint64_t cap = hogwild ? (iter + 1) * per_iter : n_total;
+            const std::uint64_t limit = std::min(k + n_slots, cap);
+            if (limit >= n_planned + kGroup || limit == cap) plan(limit);
             Slot& s = await(k);
             const double eta = result.eta_schedule[iter];
             if (!hogwild) {

@@ -21,13 +21,15 @@
 //
 // Because no draw waits on a memory read, the draw sequence is the same
 // however the terms are batched: fill_batch_staged generates a block's
-// words in one tight loop, and sample()/sample_branch() read the same four
-// words one term at a time. This sampler is shared by every backend (CPU
-// engines, GPU simulator, tensor implementation, memory-characterization
-// replayer), so all of them draw terms from the identical distribution
-// and, for the same stream, the identical terms — the CPU analogue of the
-// paper's coalesced random states (Sec. V-B2): each term reads one fixed,
-// contiguous block of random words.
+// words in one tight loop, the lane filler (core/lane_sampler.hpp) steps
+// eight blocks' streams at once in SIMD lanes, and
+// sample()/sample_branch() read the same four words one term at a time.
+// This sampler is shared by every backend (CPU engines, GPU simulator,
+// tensor implementation, memory-characterization replayer), so all of
+// them draw terms from the identical distribution and, for the same
+// stream, the identical terms — the CPU analogue of the paper's coalesced
+// random states (Sec. V-B2): each term reads one fixed, contiguous block
+// of random words.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -45,6 +47,7 @@
 namespace pgl::core {
 
 struct TermBatch;  // core/term_batch.hpp — the shared batched term buffer
+class LaneFiller;  // core/lane_sampler.hpp — decode() in SIMD lanes
 
 /// Exponent theta of the cooling branch's k^-theta hop distribution,
 /// odgi-layout's value.
@@ -213,7 +216,7 @@ public:
         return t;
     }
 
-    /// The one batch sampler: overwrites `out` with `n` terms (invalid
+    /// The scalar batch sampler: overwrites `out` with `n` terms (invalid
     /// terms keep their slot with valid == 0) and returns how many were
     /// degenerate. Pass 1 draws and decodes: per block of 64 terms the
     /// 4 x 64 words come from one tight loop, and each decoded term parks
@@ -240,7 +243,16 @@ public:
                                     std::size_t n, TermBatch& out,
                                     bool replay = false) const;
 
+    /// Pass 2 of fill_batch_staged alone, for slots [begin, begin + n)
+    /// whose pass 1 already ran (here or in the lane filler): resolves
+    /// each term from the record indices parked in its node columns and
+    /// returns the range's degenerate terms. Defined in core/term_batch.hpp.
+    std::uint64_t resolve_staged(TermBatch& out, std::size_t begin, std::size_t n,
+                                 bool replay = false) const;
+
 private:
+    friend class LaneFiller;  // reads the tables decode() draws from
+
     const graph::LeanGraph* g_;
     rng::AliasTable path_alias_;
     std::vector<rng::AliasTable> zipf_;       ///< hop - 1, one per Zipf space

@@ -7,11 +7,15 @@
 // reproduce the update loop's address stream. All four therefore consume
 // the identical term representation instead of private per-term loops.
 //
-// PairSampler::fill_batch_staged is the one batch sampler. Each term takes
-// exactly four words of its stream (w0 path, w1 step_i, w2 step_j or the
-// Zipf hop, w3 coins and nudge; core/sampling.hpp), so a batch holds the
-// same terms, nudges included, as the same number of sample() calls,
-// however the stream is sliced into batches or slot ranges.
+// Two fillers write a batch. PairSampler::fill_batch_staged fills one
+// stream's terms on any host and is the reference; the lane filler
+// (core/lane_sampler.hpp) runs its pass 1 for up to eight blocks' streams
+// at once in AVX-512 lanes, and both finish with the one resolve pass,
+// PairSampler::resolve_staged. Each term takes exactly four words of its
+// stream (w0 path, w1 step_i, w2 step_j or the Zipf hop, w3 coins and
+// nudge; core/sampling.hpp), so a batch holds the same terms, nudges
+// included, as the same number of sample() calls, however the stream is
+// sliced into batches, slot ranges or lanes.
 //
 // Invalid (degenerate) terms keep their slot with valid == 0 so that
 // slot-indexed consumers (the warp simulator pairs slot k with lane k) see
@@ -144,7 +148,6 @@ std::uint64_t PairSampler::fill_batch_staged(bool cooling_iter, Rng& rng,
                                              std::size_t begin, std::size_t n,
                                              TermBatch& out, bool replay) const {
     const auto offsets = g_->path_offsets();
-    const auto records = g_->step_records();
     // Raw column pointers: byte stores may alias anything, so through the
     // vectors every store would reload every column's data pointer.
     // Slot k of the range is slot begin + k of the batch.
@@ -152,13 +155,12 @@ std::uint64_t PairSampler::fill_batch_staged(bool cooling_iter, Rng& rng,
     std::uint32_t* node_j = out.node_j.data() + begin;
     std::uint8_t* end_i = out.end_i.data() + begin;
     std::uint8_t* end_j = out.end_j.data() + begin;
-    double* d_ref = out.d_ref.data() + begin;
     double* nudge = out.nudge.data() + begin;
     std::uint8_t* valid = out.valid.data() + begin;
 
     // Pass 1: the words of each block in one tight loop (no draw waits on
     // a memory read), then decoded. node_i/node_j hold the flat record
-    // indices of the two steps until pass 2.
+    // indices of the two steps until pass 2, resolve_staged.
     constexpr std::size_t kDrawBlock = 64;
     std::uint64_t words[kTermWords * kDrawBlock];
     for (std::size_t base = 0; base < n; base += kDrawBlock) {
@@ -182,9 +184,22 @@ std::uint64_t PairSampler::fill_batch_staged(bool cooling_iter, Rng& rng,
         }
     }
 
-    // Pass 2: resolve term k while the records of term k + kAhead load.
-    // A rolling distance keeps about kAhead terms' records in flight at
-    // every point, where a block-wise prefetch would issue them in bursts.
+    return resolve_staged(out, begin, n, replay);
+}
+
+inline std::uint64_t PairSampler::resolve_staged(TermBatch& out, std::size_t begin,
+                                                 std::size_t n, bool replay) const {
+    const auto records = g_->step_records();
+    std::uint32_t* node_i = out.node_i.data() + begin;
+    std::uint32_t* node_j = out.node_j.data() + begin;
+    const std::uint8_t* end_i = out.end_i.data() + begin;
+    const std::uint8_t* end_j = out.end_j.data() + begin;
+    double* d_ref = out.d_ref.data() + begin;
+    std::uint8_t* valid = out.valid.data() + begin;
+
+    // Resolve term k while the records of term k + kAhead load. A rolling
+    // distance keeps about kAhead terms' records in flight at every
+    // point, where a block-wise prefetch would issue them in bursts.
     constexpr std::size_t kAhead = 32;
     std::uint64_t invalid = 0;
     for (std::size_t k = 0; k < n; ++k) {

@@ -23,6 +23,11 @@ inline std::uint64_t mulhi(std::uint64_t w, std::uint64_t n) noexcept {
 
 class AliasTable {
 public:
+    struct Bucket {
+        std::uint64_t threshold;  ///< keep the bucket when the fraction is below
+        std::uint32_t alias;
+    };
+
     AliasTable() = default;
 
     explicit AliasTable(std::span<const double> weights) { build(weights); }
@@ -72,6 +77,8 @@ public:
 
     std::size_t size() const noexcept { return buckets_.size(); }
     bool empty() const noexcept { return buckets_.empty(); }
+    /// The buckets draw() reads, for code that draws in SIMD lanes.
+    const Bucket* buckets() const noexcept { return buckets_.data(); }
 
     /// The index in [0, size()) that the word `w` selects. The choice
     /// between bucket and alias is a coin flip per draw, so it is made with
@@ -87,10 +94,6 @@ public:
     }
 
 private:
-    struct Bucket {
-        std::uint64_t threshold;  ///< keep the bucket when the fraction is below
-        std::uint32_t alias;
-    };
     std::vector<Bucket> buckets_;
 };
 

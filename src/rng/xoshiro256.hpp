@@ -31,6 +31,13 @@ public:
 
     std::uint64_t operator()() noexcept { return next(); }
 
+    /// The four state words, for code that steps several streams in SIMD
+    /// lanes; set_state() replaces them.
+    const std::uint64_t* state() const noexcept { return s_; }
+    void set_state(const std::uint64_t* s) noexcept {
+        for (int i = 0; i < 4; ++i) s_[i] = s[i];
+    }
+
     /// Uniform double in [0, 1).
     double next_double() noexcept {
         return static_cast<double>(next() >> 11) * 0x1.0p-53;

@@ -1,5 +1,6 @@
 // Tests for the pluggable LayoutEngine interface, the EngineRegistry and
-// the batched term pipeline (TermBatch / PairSampler::fill_batch_staged).
+// the batched term pipeline (TermBatch / PairSampler::fill_batch_staged and
+// the lane filler).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +18,7 @@
 #include "core/cpu_engine.hpp"
 #include "core/engine.hpp"
 #include "core/kernels/update_kernel.hpp"
+#include "core/lane_sampler.hpp"
 #include "core/schedule.hpp"
 #include "core/step_math.hpp"
 #include "core/term_batch.hpp"
@@ -362,7 +364,8 @@ TEST(BlockStream, CancelAtAnIterationBoundaryStopsEverySampler) {
 
 TEST(BlockStream, AttributionCountersSplitTheCallersTime) {
 #ifdef PGL_TELEMETRY_DISABLED
-    GTEST_SKIP() << "needs the engine.{sample,apply,stall}_ns counters";
+    GTEST_SKIP() << "needs the engine.{sample,apply,stall}_ns and "
+                    "pipelined.lane_blocks counters";
 #else
     const auto g = small_graph(8000, 4);
     core::LayoutConfig cfg;
@@ -372,6 +375,7 @@ TEST(BlockStream, AttributionCountersSplitTheCallersTime) {
     const telemetry::Counter sample_ns = reg.counter("engine.sample_ns");
     const telemetry::Counter apply_ns = reg.counter("engine.apply_ns");
     const telemetry::Counter stall_ns = reg.counter("engine.stall_ns");
+    const telemetry::Counter lane_blocks = reg.counter("pipelined.lane_blocks");
     for (const std::uint32_t threads : {1u, 3u}) {
         SCOPED_TRACE(std::to_string(threads) + " threads");
         cfg.threads = threads;
@@ -380,6 +384,7 @@ TEST(BlockStream, AttributionCountersSplitTheCallersTime) {
         const std::uint64_t s0 = sample_ns.value();
         const std::uint64_t a0 = apply_ns.value();
         const std::uint64_t w0 = stall_ns.value();
+        const std::uint64_t l0 = lane_blocks.value();
         const core::LayoutResult r = engine->run();
         const std::uint64_t sampled = sample_ns.value() - s0;
         const std::uint64_t applied = apply_ns.value() - a0;
@@ -387,6 +392,12 @@ TEST(BlockStream, AttributionCountersSplitTheCallersTime) {
         EXPECT_GT(sampled, 0u);
         EXPECT_GT(applied, 0u);
         EXPECT_GT(stalled, 0u);
+        // Which filler ran: the lanes wherever the CPU has them.
+        if (core::LaneFiller::available()) {
+            EXPECT_GT(lane_blocks.value() - l0, 0u) << "an AVX-512F CPU filled no block in lanes";
+        } else {
+            EXPECT_EQ(lane_blocks.value() - l0, 0u) << "lanes ran on a CPU without AVX-512F";
+        }
         // Both are disjoint stretches of the caller's run.
         EXPECT_LE(static_cast<double>(applied + stalled), r.seconds * 1e9);
     }
@@ -828,6 +839,154 @@ TEST(CanonicalDraw, WordLayoutDecodesAsDocumented) {
     const std::uint64_t mid[core::kTermWords] = {
         0, half, 0, coins | (std::uint64_t{1} << 20)};
     EXPECT_NE(sampler.decode(mid, true).nudge, cooled.nudge);
+}
+
+/// The lane filler's edge cases in one graph: a path longer than a Zipf
+/// space cap of 16, one-step paths, a two-step path, and nodes of 3 GiB
+/// whose path positions pass 2^32.
+graph::LeanGraph lane_edge_graph() {
+    std::vector<std::uint32_t> lengths;
+    for (std::uint32_t n = 0; n < 300; ++n) lengths.push_back(1 + n % 7);
+    for (int n = 0; n < 3; ++n) lengths.push_back(0xc0000000u);
+    const auto walk = [](std::uint32_t from, std::uint32_t to) {
+        std::vector<graph::Handle> w;
+        for (std::uint32_t i = from; i < to; ++i) w.push_back(graph::Handle::make(i, i % 5 == 0));
+        return w;
+    };
+    using graph::Handle;
+    return graph::LeanGraph::from_parts(
+        lengths, {walk(0, 250),
+                  {Handle::forward(250)},
+                  {Handle::reverse(251)},
+                  {Handle::forward(300), Handle::forward(301), Handle::reverse(302),
+                   Handle::forward(300), Handle::reverse(301), Handle::forward(302)},
+                  walk(252, 292),
+                  {Handle::forward(292), Handle::reverse(293)}});
+}
+
+/// The Xoshiro256+ state one next() call earlier than `s`.
+void xoshiro_step_back(std::uint64_t (&s)[4]) {
+    const std::uint64_t s3a = (s[3] >> 45) | (s[3] << 19);
+    const std::uint64_t s0 = s[0] ^ s3a;
+    // next() left s[1] ^ s[2] = s1 ^ (s1 << 17); undo the shift-xor.
+    const std::uint64_t x = s[1] ^ s[2];
+    const std::uint64_t s1 = x ^ (x << 17) ^ (x << 34) ^ (x << 51);
+    const std::uint64_t s2a = s[1] ^ s1;
+    s[0] = s0;
+    s[1] = s1;
+    s[2] = s2a ^ s0;
+    s[3] = s3a ^ s1;
+}
+
+TEST(CanonicalDraw, LaneFillerEqualsTheStagedFillInEveryGroup) {
+    if (!core::LaneFiller::available()) {
+        GTEST_SKIP() << "this CPU lacks AVX-512F, so the lane filler is not built into "
+                        "the run and fill_batch_staged fills every block";
+    }
+    constexpr std::size_t kB = core::kBlock;
+    struct Input {
+        const char* what;
+        graph::LeanGraph g;
+        std::uint64_t zipf_space_max;
+    };
+    const std::vector<Input> inputs = {
+        {"pangenome", small_graph(250, 4), core::LayoutConfig{}.zipf_space_max},
+        {"edge cases", lane_edge_graph(), 16}};
+    // Lane l's length in a group of partial blocks: every length a tile
+    // or an 8-term run can end at.
+    const std::size_t partial[] = {kB - 1, 1, 63, 64, 65, 7, 500, 8};
+    for (const Input& in : inputs) {
+        core::LayoutConfig cfg;
+        cfg.zipf_space_max = in.zipf_space_max;
+        const core::PairSampler sampler(in.g, cfg);
+        const core::LaneFiller lanes(sampler);
+        rng::Xoshiro256Plus at(20240611);
+        bool past_2_32 = false, one_step = false;
+        for (std::size_t m = 1; m <= core::LaneFiller::kLanes; ++m) {
+            for (const bool full : {true, false}) {
+                for (const std::size_t cooling_mask : {0x00u, 0xffu, 0x5au, 0xa5u}) {
+                    SCOPED_TRACE(std::string(in.what) + ", group of " + std::to_string(m) +
+                                 (full ? " full" : " partial") + " blocks, cooling lanes " +
+                                 std::to_string(cooling_mask));
+                    // Each block's stream is pre-positioned as the engine's
+                    // are: the previous block's start, jumped.
+                    std::vector<rng::Xoshiro256Plus> lane_rng, ref_rng;
+                    std::vector<core::TermBatch> lane_out(m), ref_out(m);
+                    std::vector<core::LaneBlock> group;
+                    for (std::size_t l = 0; l < m; ++l) {
+                        lane_rng.push_back(at);
+                        at.jump_block();
+                        lane_out[l].resize(full ? kB : partial[l], false);
+                    }
+                    ref_rng = lane_rng;
+                    for (std::size_t l = 0; l < m; ++l) {
+                        group.push_back({&lane_rng[l], ((cooling_mask >> l) & 1) != 0,
+                                         &lane_out[l]});
+                    }
+                    lanes.decode(group);
+                    for (std::size_t l = 0; l < m; ++l) {
+                        SCOPED_TRACE("lane " + std::to_string(l));
+                        const std::size_t n = lane_out[l].size();
+                        const std::uint64_t invalid =
+                            sampler.resolve_staged(lane_out[l], 0, n);
+                        ref_out[l].resize(n, false);
+                        const std::uint64_t ref_invalid = sampler.fill_batch_staged(
+                            group[l].cooling_iter, ref_rng[l], 0, n, ref_out[l]);
+                        const core::TermBatch& a = lane_out[l];
+                        const core::TermBatch& b = ref_out[l];
+                        EXPECT_EQ(invalid, ref_invalid);
+                        EXPECT_EQ(a.node_i, b.node_i);
+                        EXPECT_EQ(a.node_j, b.node_j);
+                        EXPECT_EQ(a.end_i, b.end_i);
+                        EXPECT_EQ(a.end_j, b.end_j);
+                        EXPECT_EQ(a.d_ref, b.d_ref);
+                        EXPECT_EQ(a.nudge, b.nudge);
+                        EXPECT_EQ(a.valid, b.valid);
+                        for (std::size_t k = 0; k < n; ++k) {
+                            past_2_32 |= b.valid[k] && b.d_ref[k] >= 0x1.0p32;
+                            // An unresolved one-step term keeps its record index.
+                            one_step |= !b.valid[k] && (b.node_i[k] == 250 || b.node_i[k] == 251);
+                        }
+                    }
+                }
+            }
+        }
+        if (std::string(in.what) == "edge cases") {
+            EXPECT_TRUE(past_2_32) << "no term spanned 2^32 nucleotides";
+            EXPECT_TRUE(one_step) << "no term fell on a one-step path";
+        }
+    }
+
+    // The nudge's zero fallback needs w3 bits 16..47 = 2^31 (p = 2^-32 per
+    // term), so lane 3's stream is built backwards from the state that
+    // draws that w3.
+    const core::PairSampler sampler(inputs[0].g, core::LayoutConfig{});
+    const core::LaneFiller lanes(sampler);
+    std::uint64_t st[4] = {std::uint64_t{1} << 47, 0x243f6a8885a308d3ULL,
+                           0x13198a2e03707344ULL, 0};
+    for (int k = 0; k < 3; ++k) xoshiro_step_back(st);
+    rng::Xoshiro256Plus probe(1);
+    probe.set_state(st);
+    for (int k = 0; k < 3; ++k) probe.next();
+    ASSERT_EQ(core::nudge_from_word(probe.next()), 1e-4);
+    std::vector<rng::Xoshiro256Plus> streams(4, rng::Xoshiro256Plus(77));
+    streams[3].set_state(st);
+    std::vector<core::TermBatch> out(4);
+    std::vector<core::LaneBlock> group;
+    for (std::size_t l = 0; l < 4; ++l) {
+        out[l].resize(1 + l, false);
+        group.push_back({&streams[l], false, &out[l]});
+    }
+    lanes.decode(group);
+    sampler.resolve_staged(out[3], 0, 4);
+    EXPECT_EQ(out[3].nudge[0], 1e-4);
+    core::TermBatch ref;
+    rng::Xoshiro256Plus ref_rng(1);
+    ref_rng.set_state(st);
+    sampler.fill_batch_staged(false, ref_rng, 4, ref);
+    EXPECT_EQ(out[3].nudge, ref.nudge);
+    EXPECT_EQ(out[3].end_i, ref.end_i);
+    EXPECT_EQ(out[3].node_i, ref.node_i);
 }
 
 TEST(CanonicalDraw, CoolingHopsFollowTheZipfPmf) {

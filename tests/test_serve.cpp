@@ -869,9 +869,14 @@ TEST(ServeDaemon, ClosedConnectionsReleaseTheirThreads) {
     while (!fs::exists(sock)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    // The accept loop reaps on every wakeup, at least every 200 ms.
-    ASSERT_EQ(serve::send_request(sock, R"({"cmd":"ping"})"),
-              R"({"ok":true,"pong":true})");
+    // A first round of connections before the baseline: the first
+    // concurrent mallocs of connection threads may make glibc map a new
+    // 64 MiB arena, which is not a leak. The accept loop reaps on every
+    // wakeup, at least every 200 ms.
+    for (int i = 0; i < 32; ++i) {
+        ASSERT_EQ(serve::send_request(sock, R"({"cmd":"ping"})"),
+                  R"({"ok":true,"pong":true})");
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     const long base_threads = proc_status("Threads");
     const long base_vm_kb = proc_status("VmSize");

@@ -209,7 +209,8 @@ int main(int argc, char** argv) {
             // through the same path. Stage sums aggregate across components
             // (and, with --executor process, across merged worker
             // snapshots), so they can exceed wall-clock with concurrency
-            // > 1. Only stages that ran are listed: a flat run has no
+            // > 1; a stage made of several spans says so, with its span
+            // count. Only stages that ran are listed: a flat run has no
             // coarsen line.
             auto& reg = telemetry::Registry::instance();
             for (const char* stage :
@@ -218,7 +219,9 @@ int main(int argc, char** argv) {
                 const auto h = reg.histogram(std::string("span.") + stage);
                 if (h.count() == 0) continue;
                 std::cerr << "timing: " << stage << " "
-                          << static_cast<double>(h.sum()) / 1e9 << " s\n";
+                          << static_cast<double>(h.sum()) / 1e9 << " s";
+                if (h.count() > 1) std::cerr << " (" << h.count() << " spans, summed)";
+                std::cerr << "\n";
             }
             // Not a stage: the close that freed the replaced outputs' blocks
             // ran on its own thread, off the publish path.
