@@ -25,7 +25,7 @@ struct BenchOptions {
     std::uint32_t threads = 1;   ///< CPU threads
     std::uint64_t seed = 42;
     bool quick = false;          ///< further reduce work (CI smoke mode)
-    std::string backend = "cpu-soa";  ///< EngineRegistry name (--backend)
+    std::string backend = "cpu-pipelined";  ///< EngineRegistry name (--backend)
     std::string kernel = "scalar";    ///< KernelRegistry name (--kernel)
     std::string json_path;       ///< --json FILE: machine-readable records
     std::string input_path;      ///< --input FILE: real GFA/.pgg instead of

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
         cfg.iter_max = iters;
         cfg.steps_per_iter_factor = 2.0;
         cfg.initial_layout = start;
-        const auto r = bench::run_backend("cpu-soa", g, cfg);
+        const auto r = bench::run_backend("cpu-pipelined", g, cfg);
         report("SGD, " + std::to_string(iters) + "/30 iterations", r.layout,
                paper);
     }

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
         cfg.iter_max = 1 + (i % 7) * 2;  // assorted convergence levels
         cfg.steps_per_iter_factor = 2.0;
         cfg.seed = spec.seed;
-        const auto layout = bench::run_backend("cpu-soa", g, cfg).layout;
+        const auto layout = bench::run_backend("cpu-pipelined", g, cfg).layout;
 
         const double exact = metrics::path_stress(g, layout).value;
         const double sampled =
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
         const auto g = workloads::to_ingest(
             workloads::generate_pangenome(workloads::hla_drb1_spec())).graph;
         auto cfg = opt.layout_config();
-        const auto layout = bench::run_backend("cpu-soa", g, cfg).layout;
+        const auto layout = bench::run_backend("cpu-pipelined", g, cfg).layout;
         double lo = 1e300, hi = 0;
         for (std::uint64_t s = 1; s <= 5; ++s) {
             const double v = metrics::sampled_path_stress(g, layout, 100, s).value;

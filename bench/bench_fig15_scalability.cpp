@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
             (full_updates / static_cast<double>(gpu.counters.lane_updates));
 
         // Real single-thread host run: also linear, directly measured.
-        const auto host = bench::run_backend("cpu-soa", g, cfg);
+        const auto host = bench::run_backend("cpu-pipelined", g, cfg);
 
         table.print_row(std::cout,
                         {bench::fmt(full_path_len, 1), bench::fmt(t_cpu, 0),

@@ -1,11 +1,13 @@
 // Reproduces Fig. 4: thread scaling of the CPU baseline on HLA-DRB1, MHC
 // and Chr.1-class graphs.
 //
-// The CPU baseline is cpu-soa. With --threads T it samples on T + 1
-// threads: max(1, T) pool workers plus the calling thread. At T >= 2 every
-// sampler applies its own blocks (the Hogwild apply); at T = 1 the calling
-// thread applies the blocks of both samplers in order. So the base row is
-// a two-thread ordered run, and each row shows both counts.
+// The paper's Fig. 4 measured odgi's Hogwild loop, where every thread
+// applies its own terms racily. This series is the ordered block engine,
+// cpu-pipelined: with --threads T it samples on T + 1 threads, max(1, T)
+// pool workers plus the calling thread, and the calling thread applies
+// every block in a fixed order, so each row is byte-reproducible. The base
+// row is the --threads 1 run (two samplers), and each row shows both
+// counts.
 //
 // The paper measures wall time on a 32-core Xeon. Two series are reported
 // per graph: the real measured wall time (flat once the samplers outnumber
@@ -23,6 +25,8 @@ int main(int argc, char** argv) {
     using namespace pgl;
     const auto opt = bench::BenchOptions::parse(argc, argv);
     std::cout << "== Fig. 4: scaling of the CPU baseline with threads ==\n";
+    std::cout << "paper: odgi's Hogwild loop; this series: the ordered block "
+                 "engine (cpu-pipelined)\n";
     std::cout << "host hardware threads: " << std::thread::hardware_concurrency()
               << " (paper: 32-core Xeon)\n\n";
 
@@ -37,10 +41,9 @@ int main(int argc, char** argv) {
         const auto g = bench::build_lean(spec);
         auto cfg = opt.layout_config();
 
-        // The --threads 1 run (two samplers, ordered apply) sets the
-        // per-update rate.
+        // The --threads 1 run (two samplers) sets the per-update rate.
         cfg.threads = 1;
-        const auto base = bench::run_backend("cpu-soa", g, cfg);
+        const auto base = bench::run_backend("cpu-pipelined", g, cfg);
         const double rate = base.seconds /
                             static_cast<double>(std::max<std::uint64_t>(1, base.updates));
 
@@ -52,9 +55,9 @@ int main(int argc, char** argv) {
         for (std::uint32_t t : {1u, 2u, 4u, 8u, 16u, 32u}) {
             cfg.threads = t;
             const std::uint32_t samplers = t + 1;
-            const auto r = bench::run_backend("cpu-soa", g, cfg);
+            const auto r = bench::run_backend("cpu-pipelined", g, cfg);
             auto rec = bench::make_record(opt, "bench_fig4_cpu_scaling",
-                                          spec.name + "/cpu-soa", r);
+                                          spec.name + "/cpu-pipelined", r);
             rec.threads = t;
             json.add(std::move(rec));
             const double modeled =

@@ -51,7 +51,8 @@ core::Layout layout_fixed_hop(const graph::LeanGraph& g,
             if (pi == pj) continue;
             const double d_ref =
                 static_cast<double>(pi > pj ? pi - pj : pj - pi);
-            core::apply_term_relaxed(store, ni, ei, nj, ej, d_ref, eta, 1e-4);
+            core::apply_term(store.data(), core::XYStore::index(ni, ei),
+                             core::XYStore::index(nj, ej), d_ref, eta, 1e-4);
         }
     }
     return store.snapshot();
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
     cfg.iter_max = std::max<std::uint32_t>(cfg.iter_max, 15);
     cfg.steps_per_iter_factor = std::max(cfg.steps_per_iter_factor, 2.0);
 
-    const auto random_layout = bench::run_backend("cpu-soa", g, cfg).layout;
+    const auto random_layout = bench::run_backend("cpu-pipelined", g, cfg).layout;
     const auto fixed_layout = layout_fixed_hop(g, cfg, 10);
 
     const auto sps_rand = metrics::sampled_path_stress(g, random_layout, 50, 1);

@@ -125,8 +125,9 @@ void BM_FullUpdateStep(benchmark::State& state) {
     for (auto _ : state) {
         const auto t = sampler.sample(false, rng);
         if (!t.valid) continue;
-        core::apply_term_relaxed(store, t.node_i, t.end_i, t.node_j, t.end_j,
-                                 t.d_ref, 1.0, 1e-4);
+        core::apply_term(store.data(), core::XYStore::index(t.node_i, t.end_i),
+                         core::XYStore::index(t.node_j, t.end_j), t.d_ref, 1.0,
+                         1e-4);
     }
 }
 BENCHMARK(BM_FullUpdateStep);

@@ -60,10 +60,7 @@ bool same_bytes(const pgl::core::Layout& a, const pgl::core::Layout& b) {
 
 int main(int argc, char** argv) {
     using namespace pgl;
-    auto opt = bench::BenchOptions::parse(argc, argv);
-    // The paper's CPU reference point; the TTQ target is this backend's
-    // own flat result, so any deterministic backend is a fair choice.
-    if (opt.backend == "cpu-soa") opt.backend = "cpu-pipelined";
+    const auto opt = bench::BenchOptions::parse(argc, argv);
 
     const std::uint32_t n_components = 1;
     const std::uint32_t sub = 4;

@@ -27,8 +27,7 @@
 
 int main(int argc, char** argv) {
     using namespace pgl;
-    auto opt = bench::BenchOptions::parse(argc, argv);
-    if (opt.backend == "cpu-soa") opt.backend = "cpu-pipelined";  // richer default
+    const auto opt = bench::BenchOptions::parse(argc, argv);
 
     graph::LeanIngest ingest;
     if (!opt.input_path.empty()) {

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
         static_cast<double>(cfg.steps_per_iteration(g.total_path_steps()));
 
     // CPU reference: quality baseline + modeled 32-thread Xeon time.
-    const auto cpu = bench::run_backend("cpu-soa", g, cfg);
+    const auto cpu = bench::run_backend("cpu-pipelined", g, cfg);
     const double sps_cpu =
         metrics::sampled_path_stress(g, cpu.layout, 25, opt.seed).value;
     memsim::CharacterizeOptions chopt;

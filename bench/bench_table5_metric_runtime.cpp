@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
         const auto g = bench::build_lean(r.spec, false);
         auto cfg = opt.layout_config();
         cfg.iter_max = std::min<std::uint32_t>(cfg.iter_max, 6);
-        const auto layout = bench::run_backend("cpu-soa", g, cfg).layout;
+        const auto layout = bench::run_backend("cpu-pipelined", g, cfg).layout;
 
         const auto sampled =
             metrics::sampled_path_stress(g, layout, 100, opt.seed, opt.threads);

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
         const auto g = bench::build_lean(spec, false);
         const auto cfg = opt.layout_config();
 
-        const auto cpu = bench::run_backend("cpu-soa", g, cfg);
+        const auto cpu = bench::run_backend("cpu-pipelined", g, cfg);
         gpusim::SimOptions sopt;
         sopt.counter_sample_period = 64;  // quality run: minimize modeling cost
         sopt.cache_scale = opt.scale;

@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
     using namespace pgl;
     const std::string out_dir = argc > 1 ? argv[1] : ".";
-    const std::string backend = argc > 2 ? argv[2] : "cpu-soa";
+    const std::string backend = argc > 2 ? argv[2] : "cpu-pipelined";
 
     // Fig. 1a: eight nodes, three genome paths, one SNV / insertion /
     // deletion among them.

@@ -90,7 +90,6 @@ LayoutResult LayoutEngine::run(std::uint32_t iterations) {
 EngineRegistry& EngineRegistry::instance() {
     static EngineRegistry registry = [] {
         EngineRegistry r;
-        r.add("cpu-soa", [] { return make_cpu_engine(); });
         r.add("cpu-pipelined", [] { return make_pipelined_engine(); });
         r.add("gpusim-base", [] {
             return gpusim::make_gpusim_engine(gpusim::KernelConfig::base(),

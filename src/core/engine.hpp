@@ -1,7 +1,8 @@
 #pragma once
 // The pluggable layout-engine interface. The paper's central comparison is
 // one algorithm (PG-SGD, Alg. 1) executed by several machines — the
-// multithreaded CPU Hogwild baseline, a PyTorch-style batched
+// multithreaded CPU baseline (odgi's Hogwild loop in the paper; an
+// ordered, reproducible block engine here), a PyTorch-style batched
 // implementation and the optimized CUDA kernel (simulated here). Every
 // backend implements this interface (init -> run(iterations) ->
 // LayoutResult) and is created by name through the EngineRegistry, so
@@ -9,15 +10,10 @@
 // one seam.
 //
 // Built-in registry names:
-//   "cpu-soa"           block CPU engine, Hogwild apply: every thread
-//                       applies the blocks it samples, racing by design
-//                       (ordered, and deterministic per seed, at one
-//                       thread)
-//   "cpu-pipelined"     block CPU engine, ordered apply: every thread
+//   "cpu-pipelined"     block CPU engine (the default): every thread
 //                       samples blocks ahead through a bounded ring,
 //                       the caller applies each in a fixed order as soon
-//                       as it is filled (deterministic per seed+threads;
-//                       cpu-soa's bytes at one thread)
+//                       as it is filled (deterministic per seed+threads)
 //   "gpusim-base"       simulated CUDA kernel, no optimizations
 //   "gpusim-optimized"  simulated CUDA kernel, CDL + CRS + WM
 //   "torch"             PyTorch-style batched tensor implementation

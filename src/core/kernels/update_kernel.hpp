@@ -41,27 +41,33 @@
 
 namespace pgl::core {
 
+/// Applies one term to the store's raw record array (XYStore::data()):
+/// endpoint i's x at float index ii, endpoint j's at jj, each y right
+/// after its x. Every apply site writes coordinates through this.
+inline void apply_term(float* p, std::size_t ii, std::size_t jj, double d_ref,
+                       double eta, double nudge) noexcept {
+    const float xi = p[ii];
+    const float yi = p[ii + 1];
+    const float xj = p[jj];
+    const float yj = p[jj + 1];
+    const PointDelta d = sgd_term_update(xi, yi, xj, yj, d_ref, eta, nudge);
+    p[ii] = xi + d.dx_i;
+    p[ii + 1] = yi + d.dy_i;
+    p[jj] = xj + d.dx_j;
+    p[jj + 1] = yj + d.dy_j;
+}
+
 /// Applies slots [begin, end) one term at a time, in slot order, against
-/// the store's raw record array (XYStore::data(): x at 4*node + 2*end, y
-/// right after it). This is the reference semantics: the scalar kernel is
-/// exactly this loop over the whole batch, and the SIMD kernel falls back
-/// to it for conflicting lane groups and tails.
+/// the store's raw record array. This is the reference semantics: the
+/// scalar kernel is exactly this loop over the whole batch, and the SIMD
+/// kernel falls back to it for conflicting lane groups and tails.
 inline void apply_term_slots(const TermBatch& b, std::size_t begin,
                              std::size_t end, double eta, float* p) noexcept {
     for (std::size_t k = begin; k < end; ++k) {
         if (!b.valid[k]) continue;
-        const std::size_t ii = XYStore::index(b.node_i[k], b.end_i_of(k));
-        const std::size_t jj = XYStore::index(b.node_j[k], b.end_j_of(k));
-        const float xi = p[ii];
-        const float yi = p[ii + 1];
-        const float xj = p[jj];
-        const float yj = p[jj + 1];
-        const PointDelta d =
-            sgd_term_update(xi, yi, xj, yj, b.d_ref[k], eta, b.nudge[k]);
-        p[ii] = xi + d.dx_i;
-        p[ii + 1] = yi + d.dy_i;
-        p[jj] = xj + d.dx_j;
-        p[jj + 1] = yj + d.dy_j;
+        apply_term(p, XYStore::index(b.node_i[k], b.end_i_of(k)),
+                   XYStore::index(b.node_j[k], b.end_j_of(k)), b.d_ref[k], eta,
+                   b.nudge[k]);
     }
 }
 
@@ -71,23 +77,6 @@ inline void apply_term_slots(const TermBatch& b, std::size_t begin,
 /// take the byte-identical scalar loop.
 constexpr bool simd_lanes_fit(std::size_t nodes) noexcept {
     return nodes <= (std::size_t{1} << 29);
-}
-
-/// Applies one term through the store's relaxed-atomic accessors: the
-/// racy-by-design apply of the Hogwild policy and of the simulated GPU
-/// lanes, where other threads may update the same coordinates at once.
-inline void apply_term_relaxed(XYStore& store, std::uint32_t ni, End ei,
-                               std::uint32_t nj, End ej, double d_ref,
-                               double eta, double nudge) noexcept {
-    const float xi = store.load_x(ni, ei);
-    const float yi = store.load_y(ni, ei);
-    const float xj = store.load_x(nj, ej);
-    const float yj = store.load_y(nj, ej);
-    const PointDelta d = sgd_term_update(xi, yi, xj, yj, d_ref, eta, nudge);
-    store.store_x(ni, ei, xi + d.dx_i);
-    store.store_y(ni, ei, yi + d.dy_i);
-    store.store_x(nj, ej, xj + d.dx_j);
-    store.store_y(nj, ej, yj + d.dy_j);
 }
 
 /// Abstract batch-apply machine. Kernels are stateless and const — one

@@ -9,11 +9,8 @@
 // an x line and a y line. core::Layout is a plain vector of them (metrics,
 // IO, rendering, stitching); XYStore holds the same records for the engines
 // in one heap vector, exposed as a raw float array for the update kernels
-// (core/kernels/) and through relaxed-atomic accessors for the Hogwild
-// apply's intentionally unsynchronized per-term updates. Loading and
-// snapshotting a store are one byte copy each. The structure-of-arrays
+// (core/kernels/). Loading and snapshotting a store are one byte copy each. The structure-of-arrays
 // order survives only as the .lay on-disk format (io/lay_io.cpp).
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -101,15 +98,9 @@ inline Layout make_initial_layout(const graph::LeanGraph& g,
 
 /// The engines' coordinate store: one array of Segment records, element
 /// 4*node + 2*end holding an endpoint's x and the next element its y
-/// ([sx0, sy0, ex0, ey0, sx1, ...]).
-///
-/// Two access styles, by construction compatible:
-///   * data() — the raw contiguous float array the update kernels (and any
-///     single-writer batch consumer) read and write with plain loads and
-///     stores;
-///   * load_/store_ accessors — relaxed std::atomic_ref views of the same
-///     floats, used by the Hogwild apply so its deliberate data races
-///     stay defined behaviour.
+/// ([sx0, sy0, ex0, ey0, sx1, ...]). data() is that raw contiguous float
+/// array, which the update kernels and every other single-writer apply
+/// read and write with plain loads and stores.
 ///
 /// Storage is one heap vector, so copying and moving a store are the
 /// vector's own.
@@ -132,23 +123,6 @@ public:
 
     float* data() noexcept { return xy_.data(); }
     const float* data() const noexcept { return xy_.data(); }
-
-    float load_x(std::uint32_t node, End e) const noexcept {
-        return std::atomic_ref<const float>(xy_[index(node, e)])
-            .load(std::memory_order_relaxed);
-    }
-    float load_y(std::uint32_t node, End e) const noexcept {
-        return std::atomic_ref<const float>(xy_[index(node, e) + 1])
-            .load(std::memory_order_relaxed);
-    }
-    void store_x(std::uint32_t node, End e, float v) noexcept {
-        std::atomic_ref<float>(xy_[index(node, e)])
-            .store(v, std::memory_order_relaxed);
-    }
-    void store_y(std::uint32_t node, End e, float v) noexcept {
-        std::atomic_ref<float>(xy_[index(node, e) + 1])
-            .store(v, std::memory_order_relaxed);
-    }
 
     Layout snapshot() const {
         Layout l(node_count());

@@ -2,8 +2,8 @@
 // thread. The paper's Sec. III observation is that the layout loop is
 // sampling-bound — most of an update's cost is drawing the term (alias
 // tables, Zipf hop, step lookups), not the arithmetic — and
-// data-parallel. One loop serves both CPU registry names, and the name
-// fixes how the sampled terms are applied (the apply policy).
+// data-parallel. This is the one CPU engine ("cpu-pipelined"): every
+// thread samples, and the calling thread applies in a fixed order.
 //
 // A run is one stream of blocks of kBlock terms, in a fixed apply order:
 // iteration by iteration, slice by slice, shard by shard, block by block.
@@ -36,7 +36,7 @@
 //       on another CPU, is filled block by block through the slot-range
 //       PairSampler::fill_batch_staged. Both write the same bytes, and
 //       the counter pipelined.lane_blocks counts the lanes' blocks;
-//   ordered ("cpu-pipelined", and "cpu-soa" at one thread)
+//   the apply
 //       the caller applies block k through the configured UpdateKernel
 //       (cfg.kernel: "scalar" or the byte-identical "simd") the moment its
 //       slot is ready, and fills claimable blocks while it waits: at one
@@ -47,24 +47,17 @@
 //       too (sampling reads the iteration only through its cooling flag).
 //       The caller is the only thread that writes coordinates and the
 //       apply order is fixed, so a fixed (seed, threads) pair reproduces
-//       the layout byte-for-byte, whichever thread filled which block;
-//   hogwild ("cpu-soa" at threads >= 2: odgi's loop, paper Sec. III-A)
-//       every sampler applies each block as soon as it has filled it, with
-//       the block's iteration's eta, term by term through the store's
-//       relaxed-atomic accessors, racing the other samplers without locks
-//       — the graph's extreme sparsity makes collisions harmless. No block
-//       of iteration i + 1 is planned before every block of iteration i is
-//       applied, so an iteration runs with one eta. The bytes depend on
-//       scheduler interleaving. It is slower than ordered on the
-//       whole-genome workload; it is kept as the paper's CPU baseline,
-//       which bench_fig4_cpu_scaling scales over threads. The counter
-//       pipelined.hogwild_blocks counts its blocks (0 under ordered).
+//       the layout byte-for-byte, whichever thread filled which block.
+//       (The paper's CPU baseline, odgi's Hogwild loop of Sec. III-A,
+//       lets every thread apply its own terms racily instead; that is
+//       slower here on the whole-genome workload and its bytes depend on
+//       scheduling, so this engine does not offer it.)
 //
 // Every term takes exactly four words of its shard's stream — w0 the path,
 // w1 step_i, w2 step_j or the Zipf hop, w3 the coins and the nudge
 // (core/sampling.hpp) — so neither the slice nor the block size changes
 // which terms a shard draws. At one thread the single shard is the
-// unjumped seed stream applied in draw order, under either name.
+// unjumped seed stream applied in draw order.
 //
 // Attribution counters, flushed once per iteration: engine.sample_ns (fill
 // time summed over every sampler; a lane group's shared pass 1 is split
@@ -147,28 +140,16 @@ struct alignas(64) Slot {
     std::uint32_t iter = 0;
     std::uint64_t skipped = 0;
     std::uint64_t sample_ns = 0;
-    /// Low 32 bits of (block + 1) once the block is filled (ordered) or
-    /// applied (hogwild). The slot's previous block was R earlier, so the
-    /// wrap never makes the two look alike.
+    /// Low 32 bits of (block + 1) once the block is filled. The slot's
+    /// previous block was R earlier, so the wrap never makes the two look
+    /// alike.
     std::atomic<std::uint32_t> ready{0};
 };
-
-enum class ApplyPolicy { kOrdered, kHogwild };
-
-/// The hogwild apply of one filled block, in slot order.
-void apply_slots_relaxed(const TermBatch& b, double eta, XYStore& store) {
-    for (std::size_t k = 0; k < b.size(); ++k) {
-        if (!b.valid[k]) continue;
-        apply_term_relaxed(store, b.node_i[k], b.end_i_of(k), b.node_j[k],
-                           b.end_j_of(k), b.d_ref[k], eta, b.nudge[k]);
-    }
-}
 
 /// One shard per pool worker.
 LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
                         XYStore& store, const UpdateKernel& kern,
-                        ThreadPool& pool, ApplyPolicy policy,
-                        const ProgressHook& hook) {
+                        ThreadPool& pool, const ProgressHook& hook) {
     LayoutResult result;
     result.eta_schedule = make_engine_schedule(
         cfg, static_cast<double>(g.max_path_nuc_length()));
@@ -178,8 +159,6 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
     if (LaneFiller::available()) lanes.emplace(sampler);
     const std::uint64_t n_steps = cfg.steps_per_iteration(g.total_path_steps());
     const std::uint32_t n_shards = std::max<std::uint32_t>(1, pool.size());
-    // One shard has nothing to race with: hogwild at one thread is ordered.
-    const bool hogwild = policy == ApplyPolicy::kHogwild && n_shards > 1;
 
     // One iteration's blocks in apply order. shard_share hands the
     // remainder to the first shards, so shard 0 has the largest share and
@@ -258,27 +237,18 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
         }
         return 0;
     };
-    // Block k is filled: under hogwild apply it, then mark its slot ready.
-    // Returns the apply's nanoseconds.
-    const auto finish = [&](std::uint64_t k, Slot& s) -> std::uint64_t {
-        std::uint64_t apply_ns = 0;
-        if (hogwild) {
-            const std::uint64_t t = telemetry::now_ns();
-            apply_slots_relaxed(s.batch, result.eta_schedule[s.iter], store);
-            apply_ns = telemetry::now_ns() - t;
-        }
+    // Block k is filled: mark its slot ready.
+    const auto finish = [&](std::uint64_t k, Slot& s) {
         // seq_cst, as the wake counter's increments: the new value is
         // globally visible before notify reads whether anyone waits.
         s.ready.store(static_cast<std::uint32_t>(k + 1));
         s.ready.notify_all();
-        return apply_ns;
     };
     // Fills blocks [k, k + m) in order, finishing each as soon as it is
     // filled: a group of kMinLaneGroup or more through the lanes, whose
     // shared pass 1 time is split evenly over its slots, else block by
-    // block through fill_batch_staged. Returns the applies' nanoseconds.
-    const auto fill = [&](std::uint64_t k, std::uint64_t m) -> std::uint64_t {
-        std::uint64_t apply_ns = 0;
+    // block through fill_batch_staged.
+    const auto fill = [&](std::uint64_t k, std::uint64_t m) {
         if (!lanes || m < kMinLaneGroup) {
             for (std::uint64_t b = k; b < k + m; ++b) {
                 Slot& s = ring[b % n_slots];
@@ -286,9 +256,9 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
                 s.skipped = sampler.fill_batch_staged(cfg.cooling(s.iter), s.rng, 0,
                                                       s.batch.size(), s.batch);
                 s.sample_ns = telemetry::now_ns() - t0;
-                apply_ns += finish(b, s);
+                finish(b, s);
             }
-            return apply_ns;
+            return;
         }
         LaneBlock group[kGroup];
         for (std::uint64_t l = 0; l < m; ++l) {
@@ -303,10 +273,9 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
             const std::uint64_t t1 = telemetry::now_ns();
             s.skipped = sampler.resolve_staged(s.batch, 0, s.batch.size());
             s.sample_ns = share + (telemetry::now_ns() - t1);
-            apply_ns += finish(k + l, s);
+            finish(k + l, s);
         }
         lane_filled.fetch_add(m, std::memory_order_relaxed);
-        return apply_ns;
     };
     // A pool worker's loop: claim and fill until the run stops.
     const auto sample = [&](std::uint32_t) {
@@ -336,7 +305,6 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
 
     auto& reg = telemetry::Registry::instance();
     const telemetry::Counter consumer_blocks = reg.counter("pipelined.consumer_blocks");
-    const telemetry::Counter hogwild_blocks = reg.counter("pipelined.hogwild_blocks");
     const telemetry::Counter lane_blocks = reg.counter("pipelined.lane_blocks");
     const telemetry::Counter sample_ns = reg.counter("engine.sample_ns");
     const telemetry::Counter apply_ns = reg.counter("engine.apply_ns");
@@ -368,7 +336,7 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
                 caller_takes_groups ? try_claim(c, kGroup) : helped ? 0 : try_claim(c, 1);
             if (m > 0) {
                 stalled += telemetry::now_ns() - t;
-                applied += fill(c, m);
+                fill(c, m);
                 filled_here += m;
                 helped = true;
                 t = telemetry::now_ns();
@@ -395,25 +363,20 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
                 iters_done = iter;
                 break;
             }
-            // Slot k % R is free for block k + R once block k is passed;
-            // hogwild plans no block past the current iteration. Blocks
-            // are published a group at a time, so a sampler woken by a
-            // publish finds a whole group to claim.
-            const std::uint64_t cap = hogwild ? (iter + 1) * per_iter : n_total;
-            const std::uint64_t limit = std::min(k + n_slots, cap);
-            if (limit >= n_planned + kGroup || limit == cap) plan(limit);
+            // Slot k % R is free for block k + R once block k is passed.
+            // Blocks are published a group at a time, so a sampler woken
+            // by a publish finds a whole group to claim.
+            const std::uint64_t limit = std::min(k + n_slots, n_total);
+            if (limit >= n_planned + kGroup || limit == n_total) plan(limit);
             Slot& s = await(k);
             const double eta = result.eta_schedule[iter];
-            if (!hogwild) {
-                const std::uint64_t a = telemetry::now_ns();
-                kern.apply(s.batch, eta, store);
-                applied += telemetry::now_ns() - a;
-            }
+            const std::uint64_t a = telemetry::now_ns();
+            kern.apply(s.batch, eta, store);
+            applied += telemetry::now_ns() - a;
             iter_skipped[iter] += s.skipped;
             sampled += s.sample_ns;
             if (!last_of_iter) continue;
 
-            if (hogwild) hogwild_blocks.add(per_iter);
             flush();
             if (hook) {
                 IterationStats st;
@@ -442,10 +405,7 @@ LayoutResult run_blocks(const graph::LeanGraph& g, const LayoutConfig& cfg,
 
 class BlockLayoutEngine final : public LayoutEngine {
 public:
-    BlockLayoutEngine(std::string_view name, ApplyPolicy policy)
-        : name_(name), policy_(policy) {}
-
-    std::string_view name() const noexcept override { return name_; }
+    std::string_view name() const noexcept override { return "cpu-pipelined"; }
 
 protected:
     void do_init() override {
@@ -469,25 +429,18 @@ protected:
             hook = [this](const IterationStats& s) { emit_progress(s); };
         }
         XYStore s(initial);
-        return run_blocks(*graph_, cfg, s, *kernel_, *pool_, policy_, hook);
+        return run_blocks(*graph_, cfg, s, *kernel_, *pool_, hook);
     }
 
 private:
-    std::string_view name_;
-    ApplyPolicy policy_;
     std::unique_ptr<const UpdateKernel> kernel_;
     std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace
 
-std::unique_ptr<LayoutEngine> make_cpu_engine() {
-    return std::make_unique<BlockLayoutEngine>("cpu-soa", ApplyPolicy::kHogwild);
-}
-
 std::unique_ptr<LayoutEngine> make_pipelined_engine() {
-    return std::make_unique<BlockLayoutEngine>("cpu-pipelined",
-                                               ApplyPolicy::kOrdered);
+    return std::make_unique<BlockLayoutEngine>();
 }
 
 }  // namespace pgl::core

@@ -80,7 +80,7 @@ constexpr FieldKind kExec = FieldKind::kExecution;
 constexpr RequestField kFields[] = {
     row<&R::backend>({.key = "backend", .wire = "backend",
         .flag = "--backend", .metavar = " NAME",
-        .help = "registered engine (see --list-backends; default cpu-soa)"}),
+        .help = "registered engine (see --list-backends; default cpu-pipelined)"}),
     row<&R::config, &C::iter_max>({.key = "iter_max", .wire = "iters",
         .flag = "--iters", .metavar = " N",
         .help = "SGD iterations (default 30)"}),

@@ -34,7 +34,7 @@ namespace pgl::core {
 /// completed run and have no text form. Neither are its pass-level fields
 /// (see above).
 struct LayoutRequest {
-    std::string backend = "cpu-soa";  ///< EngineRegistry name
+    std::string backend = "cpu-pipelined";  ///< EngineRegistry name
     LayoutConfig config;
     /// Decompose into connected components, one engine per component.
     bool partition = false;
@@ -94,7 +94,7 @@ std::string canonical_double(double v);
 /// persistent artifact cache never serves a layout of an older algorithm.
 /// tests/test_golden.cpp records the epoch its digests were generated
 /// under. Epoch 1: every term draws exactly four PRNG words.
-/// Epoch 2: cpu-soa applies per-slice blocks.
+/// Epoch 2: the one-thread CPU engine applies per-slice blocks.
 inline constexpr std::uint32_t kOutputEpoch = 2;
 
 /// The canonical `epoch=N;name=value;...` string: kOutputEpoch, then every

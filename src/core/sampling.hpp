@@ -24,7 +24,7 @@
 // words in one tight loop, the lane filler (core/lane_sampler.hpp) steps
 // eight blocks' streams at once in SIMD lanes, and
 // sample()/sample_branch() read the same four words one term at a time.
-// This sampler is shared by every backend (CPU engines, GPU simulator,
+// This sampler is shared by every backend (CPU engine, GPU simulator,
 // tensor implementation, memory-characterization replayer), so all of
 // them draw terms from the identical distribution and, for the same
 // stream, the identical terms — the CPU analogue of the paper's coalesced

@@ -239,9 +239,11 @@ GpuSimResult simulate_gpu_layout(const graph::LeanGraph& g,
                     if (dd == 0) continue;
                     rng::XorwowRng rng(
                         states[std::uint64_t(warp) * warp_size + l]);
-                    core::apply_term_relaxed(store, ni, ei, nj, ej,
-                                             static_cast<double>(dd), eta,
-                                             core::draw_nudge(rng));
+                    core::apply_term(store.data(),
+                                     core::XYStore::index(ni, ei),
+                                     core::XYStore::index(nj, ej),
+                                     static_cast<double>(dd), eta,
+                                     core::draw_nudge(rng));
                     ++c.lane_updates;
                 }
             }

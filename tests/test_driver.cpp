@@ -117,7 +117,7 @@ TEST_F(DriverTest, FlatRunPublishesLayoutAndReportsShape) {
     EXPECT_EQ(out.paths, 3u);
     EXPECT_EQ(out.steps, 7u);
     EXPECT_EQ(out.components, 3u);
-    EXPECT_EQ(out.engine_name, "cpu-soa");
+    EXPECT_EQ(out.engine_name, "cpu-pipelined");
     EXPECT_EQ(out.layout.size(), 6u);
     // The published file is the returned layout, byte for byte.
     ASSERT_TRUE(fs::exists(req.out_path));
@@ -260,7 +260,7 @@ TEST_F(DriverTest, PathlessGraphsPublishTheInitialLayoutOnEveryBackend) {
 
 TEST(WorkerSpec, RoundTripsFlatOptions) {
     core::LayoutRequest opt;
-    opt.backend = "cpu-pipelined";
+    opt.backend = "gpusim-base";
     opt.config.kernel = "simd";
     opt.config.iter_max = 9;
     opt.config.steps_per_iter_factor = 0.75;
@@ -270,7 +270,7 @@ TEST(WorkerSpec, RoundTripsFlatOptions) {
 
     const auto parsed =
         partition::parse_worker_spec(partition::encode_worker_spec(opt, mixed));
-    EXPECT_EQ(parsed.backend, "cpu-pipelined");
+    EXPECT_EQ(parsed.backend, "gpusim-base");
     EXPECT_EQ(parsed.config.kernel, "simd");
     EXPECT_EQ(parsed.config.iter_max, 9u);
     EXPECT_EQ(parsed.config.steps_per_iter_factor, 0.75);
@@ -385,7 +385,7 @@ TEST(WorkerSpec, RoundTripsMultilevelOptions) {
 }
 
 TEST(WorkerSpec, RejectsUnknownFields) {
-    EXPECT_THROW(partition::parse_worker_spec("backend=cpu-soa;bogus=1;"),
+    EXPECT_THROW(partition::parse_worker_spec("backend=cpu-pipelined;bogus=1;"),
                  std::invalid_argument);
     for (const char* removed :
          {"zipf_theta=0.99;", "init_jitter=1;",

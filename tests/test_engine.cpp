@@ -57,10 +57,11 @@ TEST(EngineRegistry, ListsAllBuiltinBackends) {
     const auto names = core::EngineRegistry::instance().names();
     const std::set<std::string> have(names.begin(), names.end());
     for (const char* expected :
-         {"cpu-soa", "cpu-pipelined", "gpusim-base", "gpusim-optimized",
-          "torch"}) {
+         {"cpu-pipelined", "gpusim-base", "gpusim-optimized", "torch"}) {
         EXPECT_TRUE(have.count(expected)) << "missing backend " << expected;
     }
+    // The Hogwild CPU backend is retired: its name is unknown like any other.
+    EXPECT_FALSE(have.count("cpu-soa"));
 }
 
 TEST(EngineRegistry, CreateReturnsEngineWithMatchingName) {
@@ -79,11 +80,11 @@ TEST(EngineRegistry, UnknownNameIsNullAndMakeEngineThrows) {
 
 TEST(EngineRegistry, CustomEngineCanBeRegistered) {
     auto& reg = core::EngineRegistry::instance();
-    reg.add("test-alias", [] { return core::make_cpu_engine(); });
+    reg.add("test-alias", [] { return core::make_pipelined_engine(); });
     EXPECT_TRUE(reg.contains("test-alias"));
     auto engine = reg.create("test-alias");
     ASSERT_NE(engine, nullptr);
-    EXPECT_EQ(engine->name(), "cpu-soa");
+    EXPECT_EQ(engine->name(), "cpu-pipelined");
 }
 
 // --- LayoutEngine contract ---
@@ -101,7 +102,7 @@ TEST(LayoutEngine, StepCountOf2To64OrMoreIsRejectedAtInit) {
 }
 
 TEST(LayoutEngine, RunBeforeInitThrows) {
-    auto engine = core::make_engine("cpu-soa");
+    auto engine = core::make_engine("cpu-pipelined");
     EXPECT_THROW(engine->run(), std::logic_error);
 }
 
@@ -140,9 +141,32 @@ TEST(LayoutEngine, EveryBackendProducesFiniteLayout) {
     }
 }
 
+TEST(LayoutEngine, EveryBackendRepeatsItsBytesAtFourThreads) {
+    // A fixed (seed, threads) pair pins the bytes on every registered
+    // backend, multithreaded too: the daemon caches a layout by its key,
+    // so a re-run must reproduce what it cached. A racy apply fails here.
+    const auto g =
+        workloads::to_ingest(workloads::generate_whole_genome(
+                                 workloads::whole_genome_spec(2, 0.0001)))
+            .graph;
+    core::LayoutConfig cfg;
+    cfg.iter_max = 3;
+    cfg.steps_per_iter_factor = 0.5;
+    cfg.threads = 4;
+    cfg.seed = 17;
+    for (const auto& name : core::EngineRegistry::instance().names()) {
+        const auto run = [&] {
+            auto engine = core::make_engine(name);
+            engine->init(g, cfg);
+            return engine->run().layout;
+        };
+        EXPECT_EQ(run(), run()) << name;
+    }
+}
+
 TEST(LayoutEngine, RunIterationsTruncatesTheConfiguredSchedule) {
     const auto g = small_graph();
-    auto engine = core::make_engine("cpu-soa");
+    auto engine = core::make_engine("cpu-pipelined");
     core::LayoutConfig cfg = tiny_cfg();
     cfg.iter_max = 30;
     engine->init(g, cfg);
@@ -165,7 +189,7 @@ TEST(LayoutEngine, ProgressHookFiresPerIteration) {
         core::LayoutConfig cfg = tiny_cfg();
         cfg.threads = threads;
         for (const char* name :
-             {"cpu-soa", "cpu-pipelined", "gpusim-base", "torch"}) {
+             {"cpu-pipelined", "gpusim-base", "torch"}) {
             auto engine = core::make_engine(name);
             engine->init(g, cfg);
             std::vector<core::IterationStats> seen;
@@ -192,7 +216,7 @@ TEST(LayoutEngine, ProgressHookFiresPerIteration) {
     }
 }
 
-// --- Both CPU engines replay the per-term reference at one thread ---
+// --- The CPU engine replays the per-term reference at one thread ---
 
 /// The four-word contract's independent reference: one term at a time,
 /// PairSampler::sample() then sgd_term_update, on the unjumped seed
@@ -240,25 +264,23 @@ TEST(CpuEngines, SingleThreadMatchesPerTermReference) {
     const auto ref = per_term_reference(g, cfg);
     ASSERT_GT(ref.skipped, 0u);  // holes are part of the contract
 
-    for (const char* name : {"cpu-pipelined", "cpu-soa"}) {
-        auto engine = core::make_engine(name);
-        engine->init(g, cfg);
-        const auto r = engine->run();
-        ASSERT_EQ(r.layout.size(), ref.layout.size()) << name;
-        for (std::size_t i = 0; i < r.layout.size(); ++i) {
-            ASSERT_EQ(r.layout[i].sx, ref.layout[i].sx) << name << i;
-            ASSERT_EQ(r.layout[i].sy, ref.layout[i].sy) << name << i;
-            ASSERT_EQ(r.layout[i].ex, ref.layout[i].ex) << name << i;
-            ASSERT_EQ(r.layout[i].ey, ref.layout[i].ey) << name << i;
-        }
-        EXPECT_EQ(r.updates, ref.updates) << name;
-        EXPECT_EQ(r.skipped, ref.skipped) << name;
+    auto engine = core::make_engine("cpu-pipelined");
+    engine->init(g, cfg);
+    const auto r = engine->run();
+    ASSERT_EQ(r.layout.size(), ref.layout.size());
+    for (std::size_t i = 0; i < r.layout.size(); ++i) {
+        ASSERT_EQ(r.layout[i].sx, ref.layout[i].sx) << i;
+        ASSERT_EQ(r.layout[i].sy, ref.layout[i].sy) << i;
+        ASSERT_EQ(r.layout[i].ex, ref.layout[i].ex) << i;
+        ASSERT_EQ(r.layout[i].ey, ref.layout[i].ey) << i;
     }
+    EXPECT_EQ(r.updates, ref.updates);
+    EXPECT_EQ(r.skipped, ref.skipped);
 }
 
 // --- The block stream replays a sequential batch loop at one thread ---
 
-/// A hand-written sequential reference for the ordered policy at one
+/// A hand-written sequential reference for the block engine at one
 /// thread: each iteration samples its n_steps terms with sample() into
 /// one TermBatch and applies it with apply_term_slots, the kernels'
 /// reference semantics. No blocks, slices or ring.
@@ -325,40 +347,36 @@ TEST(BlockStream, CancelAtAnIterationBoundaryStopsEverySampler) {
     cfg.steps_per_iter_factor = 2.0;
     cfg.seed = 5;
     const std::uint64_t n_steps = cfg.steps_per_iteration(g.total_path_steps());
-    for (const char* name : {"cpu-pipelined", "cpu-soa"}) {
-        for (const std::uint32_t threads : {1u, 3u}) {
-            SCOPED_TRACE(std::string(name) + "@" + std::to_string(threads));
-            cfg.threads = threads;
-            auto flag = std::make_shared<std::atomic<bool>>(false);
-            cfg.cancel = flag;
-            auto engine = core::make_engine(name);
-            engine->init(g, cfg);
-            std::vector<std::uint32_t> seen;
-            bool cancel_at_1 = true;
-            engine->set_progress_hook([&](const core::IterationStats& s) {
-                seen.push_back(s.iteration);
-                if (cancel_at_1 && s.iteration == 1) flag->store(true);
-            });
-            const core::LayoutResult cancelled = engine->run();
-            EXPECT_EQ(seen, (std::vector<std::uint32_t>{0, 1}));
-            EXPECT_EQ(cancelled.updates, 2 * n_steps);
+    for (const std::uint32_t threads : {1u, 3u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        cfg.threads = threads;
+        auto flag = std::make_shared<std::atomic<bool>>(false);
+        cfg.cancel = flag;
+        auto engine = core::make_engine("cpu-pipelined");
+        engine->init(g, cfg);
+        std::vector<std::uint32_t> seen;
+        bool cancel_at_1 = true;
+        engine->set_progress_hook([&](const core::IterationStats& s) {
+            seen.push_back(s.iteration);
+            if (cancel_at_1 && s.iteration == 1) flag->store(true);
+        });
+        const core::LayoutResult cancelled = engine->run();
+        EXPECT_EQ(seen, (std::vector<std::uint32_t>{0, 1}));
+        EXPECT_EQ(cancelled.updates, 2 * n_steps);
 
-            // The same engine, and so the same pool, runs the full
-            // schedule next. A sampler still in the cancelled run's job
-            // would share the pool with the new one (and the thread
-            // sanitizer build would see it touch the old run's ring).
-            flag->store(false);
-            cancel_at_1 = false;
-            seen.clear();
-            const core::LayoutResult full = engine->run();
-            EXPECT_EQ(seen.size(), cfg.iter_max);
-            EXPECT_EQ(full.updates, cfg.iter_max * n_steps);
-            if (std::string(name) == "cpu-pipelined" || threads == 1) {
-                auto fresh = core::make_engine(name);
-                fresh->init(g, cfg);
-                EXPECT_EQ(full.layout, fresh->run().layout);
-            }
-        }
+        // The same engine, and so the same pool, runs the full schedule
+        // next. A sampler still in the cancelled run's job would share the
+        // pool with the new one (and the thread sanitizer build would see
+        // it touch the old run's ring).
+        flag->store(false);
+        cancel_at_1 = false;
+        seen.clear();
+        const core::LayoutResult full = engine->run();
+        EXPECT_EQ(seen.size(), cfg.iter_max);
+        EXPECT_EQ(full.updates, cfg.iter_max * n_steps);
+        auto fresh = core::make_engine("cpu-pipelined");
+        fresh->init(g, cfg);
+        EXPECT_EQ(full.layout, fresh->run().layout);
     }
 }
 
@@ -583,41 +601,11 @@ TEST(CpuEngine, MultithreadedUpdateCountMatchesRequestedSteps) {
     // reported count up past the requested steps.
     for (std::uint32_t threads : {2u, 3u, 7u}) {
         cfg.threads = threads;
-        auto engine = core::make_engine("cpu-soa");
+        auto engine = core::make_engine("cpu-pipelined");
         engine->init(g, cfg);
         const auto r = engine->run();
         EXPECT_EQ(r.updates, cfg.iter_max * n_steps) << threads << " threads";
     }
-}
-
-TEST(CpuEngine, MultithreadedRunsApplyEachBlockAsItIsFilled) {
-#ifdef PGL_TELEMETRY_DISABLED
-    GTEST_SKIP() << "needs the pipelined.hogwild_blocks counter";
-#else
-    // cpu-soa@N is the paper's Hogwild CPU baseline (Fig. 4): its samplers
-    // apply their own blocks inside the slice. Falling back to the ordered
-    // apply leaves the byte-reproducible caller-only path and the counter
-    // flat, which neither the update count nor the quality bound can see.
-    const auto g = small_graph(8000, 4);
-    core::LayoutConfig cfg;
-    cfg.iter_max = 3;
-    cfg.steps_per_iter_factor = 1.0;
-    const telemetry::Counter hogwild_blocks =
-        telemetry::Registry::instance().counter("pipelined.hogwild_blocks");
-    const auto blocks_applied_at_fill = [&](const char* backend,
-                                            std::uint32_t threads) {
-        cfg.threads = threads;
-        const std::uint64_t before = hogwild_blocks.value();
-        auto engine = core::make_engine(backend);
-        engine->init(g, cfg);
-        engine->run();
-        return hogwild_blocks.value() - before;
-    };
-    // Every shard has at least one block in every iteration.
-    EXPECT_GE(blocks_applied_at_fill("cpu-soa", 3), cfg.iter_max * 3u);
-    EXPECT_EQ(blocks_applied_at_fill("cpu-soa", 1), 0u);
-    EXPECT_EQ(blocks_applied_at_fill("cpu-pipelined", 3), 0u);
-#endif
 }
 
 // --- The canonical four-word draw (TermBatch / fill_batch_staged) ---

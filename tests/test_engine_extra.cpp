@@ -16,10 +16,10 @@ namespace {
 
 using namespace pgl;
 
-/// Runs the Hogwild CPU engine ("cpu-soa") through the registry.
-core::LayoutResult run_cpu_soa(const graph::LeanGraph& g,
-                               const core::LayoutConfig& cfg) {
-    auto engine = core::make_engine("cpu-soa");
+/// Runs the CPU engine ("cpu-pipelined") through the registry.
+core::LayoutResult run_cpu(const graph::LeanGraph& g,
+                           const core::LayoutConfig& cfg) {
+    auto engine = core::make_engine("cpu-pipelined");
     engine->init(g, cfg);
     return engine->run();
 }
@@ -68,9 +68,9 @@ TEST(CpuEngine, TruncatedScheduleIsLessConverged) {
     cfg.schedule_iter_max = 20;
     cfg.steps_per_iter_factor = 2.0;
     cfg.iter_max = 4;
-    const auto early = run_cpu_soa(g, cfg);
+    const auto early = run_cpu(g, cfg);
     cfg.iter_max = 20;
-    const auto full = run_cpu_soa(g, cfg);
+    const auto full = run_cpu(g, cfg);
     const double s_early =
         metrics::sampled_path_stress(g, early.layout, 30, 1).value;
     const double s_full =
@@ -89,7 +89,7 @@ TEST(CpuEngine, HandlesSingleStepPathGracefully) {
     core::LayoutConfig cfg;
     cfg.iter_max = 2;
     cfg.steps_per_iter_factor = 10.0;
-    const auto r = run_cpu_soa(g, cfg);
+    const auto r = run_cpu(g, cfg);
     EXPECT_GT(r.skipped, 0u);
     for (const core::Segment& s : r.layout) EXPECT_TRUE(std::isfinite(s.sx));
 }
@@ -99,7 +99,7 @@ TEST(CpuEngine, CoordinatesStayFinite) {
     core::LayoutConfig cfg;
     cfg.iter_max = 10;
     cfg.steps_per_iter_factor = 3.0;
-    const auto r = run_cpu_soa(g, cfg);
+    const auto r = run_cpu(g, cfg);
     for (std::size_t i = 0; i < r.layout.size(); ++i) {
         ASSERT_TRUE(std::isfinite(r.layout[i].sx));
         ASSERT_TRUE(std::isfinite(r.layout[i].sy));

@@ -1,10 +1,9 @@
 // Golden output digests: the .lay bytes of fixed runs through
 // driver::run_layout, pinned as FNV-1a 64 hashes in a checked-in table. The
-// byte-reproducible CPU engines (cpu-soa at one thread, cpu-pipelined at
-// any fixed thread count) must keep producing exactly these bytes on the
-// flat, partitioned and multilevel paths (default multilevel, two levels
-// with the exact flat-schedule tail, and partition with multilevel per
-// component); the batch-draining engine must
+// byte-reproducible CPU engine (cpu-pipelined at any fixed thread count)
+// must keep producing exactly these bytes on the flat, partitioned and
+// multilevel paths (default multilevel, two levels with the exact
+// flat-schedule tail, and partition with multilevel per component), and
 // hit the same row under both update kernels. A change that
 // moves any engine's output — deliberately or not — fails here, and the
 // failure message prints the actual table in the checked-in format so a
@@ -48,10 +47,8 @@ constexpr std::uint32_t kGoldenEpoch = 2;
 
 // clang-format off
 const GoldenRow kGolden[] = {
-    {"walks_crlf", "cpu-soa", 1, 0x752ff99f33fecd93ULL, 0xce791ae5736762acULL, 0x45d08c265fd87152ULL, 0xdba41f385536cda0ULL, 0x987187e8998a2ceaULL},
     {"walks_crlf", "cpu-pipelined", 1, 0x752ff99f33fecd93ULL, 0xce791ae5736762acULL, 0x45d08c265fd87152ULL, 0xdba41f385536cda0ULL, 0x987187e8998a2ceaULL},
     {"walks_crlf", "cpu-pipelined", 4, 0x592f73c9ee204003ULL, 0xbce966d9689cbdafULL, 0x0f80ab0ff8894c39ULL, 0x60ece3812e0c79fcULL, 0x3c161bba9e53b8c4ULL},
-    {"whole_genome3", "cpu-soa", 1, 0x6af4a03b49f93201ULL, 0x8c0bcfdc04e2da12ULL, 0x68aff6230758b857ULL, 0x01d569d06016fe34ULL, 0x844c23aefd168ab6ULL},
     {"whole_genome3", "cpu-pipelined", 1, 0x6af4a03b49f93201ULL, 0x8c0bcfdc04e2da12ULL, 0x68aff6230758b857ULL, 0x01d569d06016fe34ULL, 0x844c23aefd168ab6ULL},
     {"whole_genome3", "cpu-pipelined", 4, 0xeb2a36ecf38f43e3ULL, 0x0f44e2b0461704fdULL, 0x868ee8a6597a68b7ULL, 0x1c89ff1be9ddbf2cULL, 0x3d9d677026d40cdbULL},
 };
@@ -132,38 +129,13 @@ TEST(GoldenDigests, TableWasGeneratedUnderTheCurrentOutputEpoch) {
            "the table was regenerated without bumping kOutputEpoch";
 }
 
-TEST(GoldenDigests, SingleThreadOrderedEnginesReplayHogwild) {
-    // Every term draws four words of the unjumped seed stream whatever the
-    // batching, and one thread applies them in draw order: cpu-pipelined@1
-    // must share cpu-soa@1's row.
-    for (const GoldenRow& soa : kGolden) {
-        if (std::string(soa.backend) != "cpu-soa" || soa.threads != 1) continue;
-        int peers = 0;
-        for (const GoldenRow& r : kGolden) {
-            if (std::string(r.input) != soa.input || r.threads != 1 ||
-                std::string(r.backend) == "cpu-soa") {
-                continue;
-            }
-            ++peers;
-            EXPECT_EQ(r.flat, soa.flat) << soa.input << " " << r.backend;
-            EXPECT_EQ(r.partition, soa.partition) << soa.input << " " << r.backend;
-            EXPECT_EQ(r.multilevel, soa.multilevel) << soa.input << " " << r.backend;
-            EXPECT_EQ(r.multilevel2_exact, soa.multilevel2_exact)
-                << soa.input << " " << r.backend;
-            EXPECT_EQ(r.partition_multilevel, soa.partition_multilevel)
-                << soa.input << " " << r.backend;
-        }
-        EXPECT_EQ(peers, 1) << soa.input;
-    }
-}
-
 TEST(GoldenDigests, ByteReproducibleEnginesMatchCheckedInTable) {
     struct Engine {
         const char* backend;
         std::uint32_t threads;
     };
     const Engine engines[] = {
-        {"cpu-soa", 1}, {"cpu-pipelined", 1}, {"cpu-pipelined", 4},
+        {"cpu-pipelined", 1}, {"cpu-pipelined", 4},
     };
 
     std::string actual;

@@ -61,7 +61,7 @@ TEST(GpuSim, ProducesConvergedLayout) {
 TEST(GpuSim, QualityComparableToCpuBaseline) {
     const auto g = test_graph();
     const auto cfg = small_cfg();
-    auto engine = core::make_engine("cpu-soa");
+    auto engine = core::make_engine("cpu-pipelined");
     engine->init(g, cfg);
     const auto cpu = engine->run();
     const auto gpu = run(g, KernelConfig::optimized());

@@ -350,11 +350,8 @@ TEST(KernelEquivalence, BatchedAndPipelinedEnginesAreByteIdenticalAcrossKernels)
     // A deliberately tiny node set so SIMD lane groups regularly contain
     // duplicate nodes and the conflict path runs inside a real engine loop.
     const auto g = small_graph(40, 6, 11);
-    // cpu-soa applies through the kernel only at one thread; from two
-    // threads on it runs the Hogwild apply, which is not reproducible.
-    const std::pair<const char*, std::uint32_t> runs[] = {
-        {"cpu-pipelined", 1}, {"cpu-pipelined", 4}, {"cpu-soa", 1}};
-    for (const auto& [backend, threads] : runs) {
+    const char* backend = "cpu-pipelined";
+    for (const std::uint32_t threads : {1u, 4u}) {
         core::LayoutConfig cfg;
         cfg.iter_max = 5;
         cfg.steps_per_iter_factor = 3.0;

@@ -13,10 +13,10 @@ namespace {
 
 using namespace pgl;
 
-/// Runs the Hogwild CPU engine ("cpu-soa") through the registry.
-core::LayoutResult run_cpu_soa(const graph::LeanGraph& g,
-                               const core::LayoutConfig& cfg) {
-    auto engine = core::make_engine("cpu-soa");
+/// Runs the CPU engine ("cpu-pipelined") through the registry.
+core::LayoutResult run_cpu(const graph::LeanGraph& g,
+                           const core::LayoutConfig& cfg) {
+    auto engine = core::make_engine("cpu-pipelined");
     engine->init(g, cfg);
     return engine->run();
 }
@@ -138,7 +138,7 @@ TEST(SampledPathStress, ApproximatesExactStress) {
     core::LayoutConfig cfg;
     cfg.iter_max = 5;
     cfg.steps_per_iter_factor = 2.0;
-    const auto layout = run_cpu_soa(g, cfg).layout;
+    const auto layout = run_cpu(g, cfg).layout;
     const double exact = metrics::path_stress(g, layout).value;
     const auto sampled = metrics::sampled_path_stress(g, layout, 600, 1);
     // Heavy-tailed stress terms need a generous band at finite samples.
@@ -151,7 +151,7 @@ TEST(SampledPathStress, StableAcrossSamplingSeeds) {
     core::LayoutConfig cfg;
     cfg.iter_max = 6;
     cfg.steps_per_iter_factor = 1.0;
-    const auto layout = run_cpu_soa(g, cfg).layout;
+    const auto layout = run_cpu(g, cfg).layout;
     const double a = metrics::sampled_path_stress(g, layout, 100, 1).value;
     const double b = metrics::sampled_path_stress(g, layout, 100, 2).value;
     EXPECT_NEAR(a, b, std::max(a, b) * 0.25);

@@ -35,7 +35,7 @@ std::vector<PinnedKey> pinned_keys() {
         serve::JobRequest r;
         out.push_back({"default", r,
                        "epoch=2;"
-                       "backend=cpu-soa;iter_max=30;seed=9399220614123047;"
+                       "backend=cpu-pipelined;iter_max=30;seed=9399220614123047;"
                        "steps_per_iter_factor=10;threads=1;"
                        "partition=0;multilevel=0;"});
     }
@@ -61,7 +61,7 @@ std::vector<PinnedKey> pinned_keys() {
         r.executor = "process";
         out.push_back({"partition", r,
                        "epoch=2;"
-                       "backend=cpu-soa;iter_max=30;seed=9399220614123047;"
+                       "backend=cpu-pipelined;iter_max=30;seed=9399220614123047;"
                        "steps_per_iter_factor=10;threads=1;"
                        "partition=1;multilevel=0;"});
     }
@@ -73,7 +73,7 @@ std::vector<PinnedKey> pinned_keys() {
         r.ml.exact_tail = true;
         out.push_back({"multilevel_every_field", r,
                        "epoch=2;"
-                       "backend=cpu-soa;iter_max=30;seed=9399220614123047;"
+                       "backend=cpu-pipelined;iter_max=30;seed=9399220614123047;"
                        "steps_per_iter_factor=10;threads=1;"
                        "partition=0;multilevel=2;ml.refine_iters=4;"
                        "ml.exact_tail=1;"});
@@ -86,7 +86,7 @@ std::vector<PinnedKey> pinned_keys() {
         r.ml.exact_tail = true;
         out.push_back({"multilevel_off", r,
                        "epoch=2;"
-                       "backend=cpu-soa;iter_max=30;seed=9399220614123047;"
+                       "backend=cpu-pipelined;iter_max=30;seed=9399220614123047;"
                        "steps_per_iter_factor=10;threads=1;"
                        "partition=0;multilevel=0;"});
     }
@@ -95,7 +95,7 @@ std::vector<PinnedKey> pinned_keys() {
         r.config.steps_per_iter_factor = 1.0 / 3.0;
         out.push_back({"factor_float", r,
                        "epoch=2;"
-                       "backend=cpu-soa;iter_max=30;seed=9399220614123047;"
+                       "backend=cpu-pipelined;iter_max=30;seed=9399220614123047;"
                        "steps_per_iter_factor=0.3333333333333333;threads=1;"
                        "partition=0;multilevel=0;"});
     }
@@ -105,7 +105,7 @@ std::vector<PinnedKey> pinned_keys() {
         r.config.seed = 18446744073709551615ULL;
         out.push_back({"extremes", r,
                        "epoch=2;"
-                       "backend=cpu-soa;iter_max=30;"
+                       "backend=cpu-pipelined;iter_max=30;"
                        "seed=18446744073709551615;steps_per_iter_factor=1e-07;"
                        "threads=1;partition=0;multilevel=0;"});
     }
@@ -155,7 +155,7 @@ core::FieldValue other_value(const core::RequestField& f,
         case core::FieldType::kString: break;
     }
     static const std::map<std::string_view, std::string> kStrings = {
-        {"backend", "cpu-pipelined"},
+        {"backend", "gpusim-base"},
         {"kernel", "simd"},
         {"executor", "process"},
     };
@@ -316,6 +316,32 @@ TEST(RequestValidate, WireRejectsWhatTheCommandLineRejects) {
     EXPECT_EQ(wire_error(R"({"multilevel":0,"partition":true})"), "");
 }
 
+TEST(RequestValidate, RetiredBackendIsAnUnknownEngineEverywhere) {
+    // The Hogwild CPU backend is gone: a wire request, a worker spec and a
+    // flag naming it get the typed unknown-engine error with the names
+    // that remain.
+    const std::string want =
+        "unknown layout engine \"cpu-soa\"; available: cpu-pipelined";
+    EXPECT_NE(wire_error(R"({"backend":"cpu-soa"})").find("config.backend: " + want),
+              std::string::npos);
+    try {
+        core::parse_worker_spec("backend=cpu-soa;");
+        FAIL() << "expected an unknown-engine error";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("backend: " + want), std::string::npos)
+            << e.what();
+    }
+    core::LayoutRequest r;
+    r.backend = "cpu-soa";
+    try {
+        core::validate(r, core::Spelling::kFlag);
+        FAIL() << "expected an unknown-engine error";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("--backend: " + want), std::string::npos)
+            << e.what();
+    }
+}
+
 /// The error message of validating `r` in `spelling`.
 std::string validate_error(const core::LayoutRequest& r,
                            core::Spelling spelling) {
@@ -384,7 +410,7 @@ TEST(RequestValidate, NonFiniteFlagIsRejectedByName) {
 
 TEST(RequestValidate, NonFiniteWorkerSpecKeyIsRejectedByName) {
     try {
-        core::parse_worker_spec("backend=cpu-soa;steps_per_iter_factor=nan;");
+        core::parse_worker_spec("backend=cpu-pipelined;steps_per_iter_factor=nan;");
         FAIL() << "expected a non-finite rejection";
     } catch (const std::runtime_error& e) {
         EXPECT_STREQ(e.what(),

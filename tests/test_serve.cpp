@@ -143,11 +143,11 @@ TEST(ServeJson, IntegersAreExactAndRangeChecked) {
 
 TEST(ServeRequest, KeyStableUnderFieldReordering) {
     const serve::JobRequest a = serve::parse_request(serve::json_parse(
-        R"({"graph":"g.gfa","config":{"backend":"cpu-soa","iters":7,)"
+        R"({"graph":"g.gfa","config":{"backend":"cpu-pipelined","iters":7,)"
         R"("seed":42,"kernel":"simd","threads":2}})"));
     const serve::JobRequest b = serve::parse_request(serve::json_parse(
         R"({"config":{"threads":2,"kernel":"simd","seed":42,)"
-        R"("iters":7,"backend":"cpu-soa"},"graph":"g.gfa"})"));
+        R"("iters":7,"backend":"cpu-pipelined"},"graph":"g.gfa"})"));
     EXPECT_EQ(serve::canonical_request(a), serve::canonical_request(b));
 }
 
@@ -155,7 +155,7 @@ TEST(ServeRequest, EveryKnobChangesTheKey) {
     const std::string base = serve::canonical_request(
         serve::parse_request(serve::json_parse(R"({"graph":"g.gfa"})")));
     const char* variants[] = {
-        R"({"graph":"g.gfa","config":{"backend":"cpu-pipelined"}})",
+        R"({"graph":"g.gfa","config":{"backend":"gpusim-base"}})",
         R"({"graph":"g.gfa","config":{"iters":31}})",
         R"({"graph":"g.gfa","config":{"seed":1}})",
         R"({"graph":"g.gfa","config":{"threads":2}})",
@@ -827,7 +827,7 @@ TEST(ServeDaemon, PathlessGraphJobCompletesAndDaemonSurvives) {
 
     const serve::JsonValue submitted = serve::json_parse(serve::send_request(
         sock, R"({"cmd":"submit","graph":")" + gfa +
-                  R"(","config":{"backend":"cpu-soa","iters":4}})"));
+                  R"(","config":{"backend":"cpu-pipelined","iters":4}})"));
     ASSERT_TRUE(submitted.find("ok")->as_bool()) << submitted.dump();
     const serve::JsonValue done = serve::json_parse(serve::send_request(
         sock, R"({"cmd":"result","id":)" +

@@ -106,7 +106,7 @@ TEST(TorchLayout, ConvergesWithModerateBatch) {
     const auto g = torch_graph();
     const auto r = tensor::layout_torch(g, torch_cfg(), 4096);
     const double sps = metrics::sampled_path_stress(g, r.layout, 20, 1).value;
-    auto engine = core::make_engine("cpu-soa");
+    auto engine = core::make_engine("cpu-pipelined");
     engine->init(g, torch_cfg());
     const auto cpu = engine->run();
     const double sps_cpu = metrics::sampled_path_stress(g, cpu.layout, 20, 1).value;

@@ -58,9 +58,8 @@ test -n "${backends}"
 echo "serve-smoke backends:" ${backends}
 
 # --- concurrent burst: one job per backend + one duplicate config -------
-# threads stays 1 so every backend is deterministic (cpu-soa's Hogwild
-# apply races only at threads > 1) and the byte-identity check below is
-# exact.
+# Every backend is deterministic for a fixed (seed, threads), so the
+# byte-identity check below is exact.
 first_backend="$(echo "${backends}" | head -n 1)"
 pids=()
 names=()

@@ -91,12 +91,8 @@ suite_kernels() {
                 --backend "${backend}" --kernel "${kernel}" \
                 --iters 3 --factor 0.5 --threads 2
         done
-        # cpu-soa's Hogwild apply is nondeterministic with threads > 1, so the
-        # byte contract is asserted on the deterministic backends.
-        if [ "${backend}" != "cpu-soa" ]; then
-            cmp "${WORKDIR}/${backend}.scalar.lay" \
-                "${WORKDIR}/${backend}.simd.lay"
-        fi
+        # Every backend is deterministic for a fixed (seed, threads).
+        cmp "${WORKDIR}/${backend}.scalar.lay" "${WORKDIR}/${backend}.simd.lay"
         echo "::endgroup::"
     done
 }
